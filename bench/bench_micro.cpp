@@ -1,12 +1,14 @@
 // google-benchmark microbenchmarks of the library's primitives: topology
-// generation, routing-table construction, spectral solves, bisection, and
-// raw simulator packet throughput.
+// generation, all-pairs distance statistics, routing-table construction,
+// spectral solves, bisection, and raw simulator packet throughput.
 
 #include <benchmark/benchmark.h>
 
 #include <limits>
 
 #include "core/spectralfly_net.hpp"
+#include "graph/failures.hpp"
+#include "graph/metrics.hpp"
 #include "partition/bisection.hpp"
 #include "routing/next_hop_index.hpp"
 #include "routing/tables.hpp"
@@ -41,6 +43,23 @@ void BM_SlimFlyGenerate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SlimFlyGenerate)->Arg(7)->Arg(17)->Arg(27)->Unit(benchmark::kMillisecond);
+
+// Fig. 5's per-trial cost: the bit-parallel all-sources BFS on a pristine
+// LPS(23,11) and on LPS(29,17) with 30% of its links deleted.
+void BM_DistanceStats(benchmark::State& state) {
+  topo::LpsParams params{static_cast<std::uint64_t>(state.range(0)),
+                         static_cast<std::uint64_t>(state.range(1))};
+  const double fraction = static_cast<double>(state.range(2)) / 100.0;
+  auto g = delete_random_edges(topo::lps_graph(params), fraction, 1);
+  for (auto _ : state) {
+    auto s = distance_stats(g);
+    benchmark::DoNotOptimize(s.mean_distance);
+  }
+  state.SetLabel(params.name() + " n=" + std::to_string(g.num_vertices()) + " failed=" +
+                 std::to_string(state.range(2)) + "%");
+}
+BENCHMARK(BM_DistanceStats)->Args({23, 11, 0})->Args({29, 17, 30})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RoutingTables(benchmark::State& state) {
   auto g = topo::lps_graph({11, 7});

@@ -1,10 +1,19 @@
 #pragma once
 // BFS-based structural metrics: distances, diameter, average shortest path
-// length, girth, connectivity, bipartiteness.  All-pairs routines are
-// OpenMP-parallel over source vertices.
+// length, girth, connectivity, bipartiteness.
+//
+// All-sources distance counts run as a bit-parallel multi-source BFS
+// (hop_histogram): sources go in batches of 256, one bit lane each, and
+// every vertex holds seen/frontier/next bitsets of 4 x 64-bit words.  A
+// level is one pull sweep over the CSR, next[v] = OR of frontier[u] over
+// neighbors u, minus seen[v]; its popcount is that level's pair count, and
+// a batch ends at the first empty level.  Batches are OpenMP-parallel
+// (dynamic, one batch at a time) with 3 * n * 32 bytes of scratch per
+// thread.  girth and the single-source routines stay scalar BFS.
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -23,7 +32,14 @@ struct DistanceStats {
   std::vector<std::uint64_t> histogram;  // histogram[d] = #ordered pairs at hop d
 };
 
-/// All-pairs distance statistics (exact, parallel BFS).
+/// Pair counts by hop distance from a list of sources: hist[d] = number of
+/// (source, vertex) pairs at distance d >= 1; hist[0] = 0 and the length is
+/// the deepest level reached + 1 (at least 1).  Unreachable pairs are not
+/// counted.  Sources may repeat; every occurrence counts on its own.
+[[nodiscard]] std::vector<std::uint64_t> hop_histogram(const Graph& g,
+                                                       std::span<const Vertex> sources);
+
+/// All-pairs distance statistics (exact; hop_histogram over every vertex).
 [[nodiscard]] DistanceStats distance_stats(const Graph& g);
 
 /// Exact girth (length of shortest cycle); returns 0 for forests.

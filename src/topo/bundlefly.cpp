@@ -1,6 +1,7 @@
 #include "topo/bundlefly.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "gf/galois.hpp"
@@ -38,18 +39,9 @@ Graph assemble(const Graph& star, const Graph& intra, const gf::Field& f,
 // BundleFly's defining property is diameter 3, so driving this to zero
 // recovers it.
 std::uint64_t far_pairs(const Graph& g, const std::vector<Vertex>& sources) {
-  std::uint64_t far = 0;
-#pragma omp parallel reduction(+ : far)
-  {
-    std::vector<std::int32_t> dist;
-#pragma omp for schedule(dynamic, 4)
-    for (std::int64_t si = 0; si < static_cast<std::int64_t>(sources.size()); ++si) {
-      dist = bfs_distances(g, sources[si]);
-      for (auto d : dist)
-        if (d > 3) ++far;
-    }
-  }
-  return far;
+  const auto hist = hop_histogram(g, sources);
+  return std::accumulate(hist.begin() + std::min<std::size_t>(4, hist.size()), hist.end(),
+                         std::uint64_t{0});
 }
 
 }  // namespace

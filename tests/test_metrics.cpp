@@ -2,6 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <span>
+
+#include "graph/failures.hpp"
+#include "topo/dragonfly.hpp"
+#include "topo/lps.hpp"
+#include "util/rng.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace sfly {
 namespace {
 
@@ -110,6 +123,141 @@ TEST(Metrics, Eccentricity) {
   auto g = Graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
   EXPECT_EQ(eccentricity(g, 0), 3);
   EXPECT_EQ(eccentricity(g, 1), 2);
+}
+
+// ---------- bit-parallel all-sources BFS vs per-source scalar BFS ----------
+
+// Pair counts by hop distance from one bfs_distances call per source.
+std::vector<std::uint64_t> reference_histogram(const Graph& g, std::span<const Vertex> sources) {
+  std::vector<std::uint64_t> hist(1, 0);
+  for (Vertex s : sources)
+    for (std::int32_t d : bfs_distances(g, s)) {
+      if (d <= 0) continue;
+      if (static_cast<std::size_t>(d) >= hist.size()) hist.resize(d + 1, 0);
+      ++hist[d];
+    }
+  return hist;
+}
+
+// The scalar all-sources loop the batched kernel replaced, run serially.
+DistanceStats reference_stats(const Graph& g) {
+  DistanceStats ref;
+  const Vertex n = g.num_vertices();
+  if (n == 0) return ref;
+  ref.histogram.assign(1, 0);
+  std::uint64_t reached = 0;
+  double total = 0.0;
+  for (Vertex s = 0; s < n; ++s)
+    for (std::int32_t d : bfs_distances(g, s)) {
+      if (d == kUnreachable) {
+        ref.connected = false;
+        continue;
+      }
+      ref.diameter = std::max(ref.diameter, d);
+      if (d == 0) continue;
+      if (static_cast<std::size_t>(d) >= ref.histogram.size()) ref.histogram.resize(d + 1, 0);
+      ++ref.histogram[d];
+      ++reached;
+      total += d;
+    }
+  ref.mean_distance = reached ? total / static_cast<double>(reached) : 0.0;
+  return ref;
+}
+
+// Runs `body` at 1 and 4 OpenMP threads (once without OpenMP).
+void at_thread_counts(const std::function<void()>& body) {
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  for (int t : {1, 4}) {
+    SCOPED_TRACE("omp threads " + std::to_string(t));
+    omp_set_num_threads(t);
+    body();
+  }
+  omp_set_num_threads(saved);
+#else
+  body();
+#endif
+}
+
+void expect_matches_reference(const Graph& g) {
+  const DistanceStats ref = reference_stats(g);
+  at_thread_counts([&] {
+    const DistanceStats s = distance_stats(g);
+    EXPECT_EQ(s.histogram, ref.histogram);
+    EXPECT_EQ(s.diameter, ref.diameter);
+    EXPECT_EQ(s.connected, ref.connected);
+    EXPECT_EQ(s.mean_distance, ref.mean_distance);
+  });
+}
+
+// Random graph with about `avg_degree * n / 2` edges: isolated vertices and
+// several components at low degree, one component at high degree.
+Graph random_graph(Vertex n, double avg_degree, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<Vertex, Vertex>> e;
+  if (n >= 2) {
+    const auto m = static_cast<std::size_t>(avg_degree * n / 2);
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto u = static_cast<Vertex>(uniform_below(rng, n));
+      const auto v = static_cast<Vertex>(uniform_below(rng, n));
+      if (u != v) e.emplace_back(u, v);
+    }
+  }
+  return Graph::from_edges(n, std::move(e));
+}
+
+TEST(DistanceStatsBatched, MatchesScalarAcrossBatchBoundaries) {
+  for (Vertex n : {0u, 1u, 2u, 63u, 64u, 65u, 255u, 256u, 257u, 513u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    expect_matches_reference(Graph::from_edges(n, {}));  // edgeless
+    if (n >= 3) expect_matches_reference(cycle_graph(n));
+    expect_matches_reference(random_graph(n, 1.2, n));      // isolated + components
+    expect_matches_reference(random_graph(n, 6.0, n + 1));  // mostly one component
+  }
+}
+
+TEST(DistanceStatsBatched, EdgelessAndEmptyShapes) {
+  EXPECT_TRUE(distance_stats(Graph::from_edges(0, {})).histogram.empty());
+  const auto s = distance_stats(Graph::from_edges(5, {}));
+  EXPECT_EQ(s.histogram, std::vector<std::uint64_t>{0});
+  EXPECT_EQ(s.diameter, 0);
+  EXPECT_FALSE(s.connected);
+  EXPECT_EQ(s.mean_distance, 0.0);
+  EXPECT_TRUE(distance_stats(Graph::from_edges(1, {})).connected);
+}
+
+TEST(DistanceStatsBatched, MultiComponentGraph) {
+  // Two cycles of different diameter, a path, and isolated vertices.
+  std::vector<std::pair<Vertex, Vertex>> e;
+  for (Vertex i = 0; i < 100; ++i) e.emplace_back(i, (i + 1) % 100);
+  for (Vertex i = 0; i < 180; ++i) e.emplace_back(100 + i, 100 + (i + 1) % 180);
+  for (Vertex i = 0; i < 20; ++i) e.emplace_back(280 + i, 281 + i);
+  const Graph g = Graph::from_edges(310, std::move(e));
+  expect_matches_reference(g);
+  EXPECT_EQ(distance_stats(g).diameter, 90);
+}
+
+TEST(DistanceStatsBatched, FailedPaperTopologies) {
+  const Graph lps = topo::lps_graph({23, 11});
+  const Graph df = topo::dragonfly_graph(topo::DragonFlyParams::canonical(24));
+  for (double f : {0.1, 0.2, 0.3, 0.4}) {
+    SCOPED_TRACE("fraction " + std::to_string(f));
+    expect_matches_reference(delete_random_edges(lps, f, 7));
+    expect_matches_reference(delete_random_edges(df, f, 7));
+  }
+}
+
+TEST(DistanceStatsBatched, HopHistogramCountsRepeatedSources) {
+  const Graph g = delete_random_edges(topo::lps_graph({23, 11}), 0.3, 5);
+  Rng rng(11);
+  std::vector<Vertex> sampled(300);  // with replacement, spans two batches
+  for (auto& s : sampled) s = static_cast<Vertex>(uniform_below(rng, g.num_vertices()));
+  const std::vector<Vertex> same(256, 17);  // one full batch of one source
+  at_thread_counts([&] {
+    EXPECT_EQ(hop_histogram(g, sampled), reference_histogram(g, sampled));
+    EXPECT_EQ(hop_histogram(g, same), reference_histogram(g, same));
+    EXPECT_EQ(hop_histogram(g, {}), std::vector<std::uint64_t>{0});
+  });
 }
 
 }  // namespace

@@ -124,6 +124,26 @@ TEST(BundleFly, OptimizedBeatsIdentityAndPlainAffine) {
   EXPECT_LE(d_aff, d_id);
 }
 
+TEST(BundleFly, EdgeListsPinned) {
+  // FNV-1a over edge_list(): the hill climb's far-pair objective must keep
+  // choosing the same matchings (full and sampled source sets).
+  auto fingerprint = [](const Graph& g) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (auto [u, v] : g.edge_list())
+      for (Vertex x : {u, v}) {
+        h ^= x;
+        h *= 1099511628211ull;
+      }
+    return h;
+  };
+  EXPECT_EQ(fingerprint(bundlefly_graph({13, 3, BundleShift::kOptimized})),
+            0x96250e6a3cda2c3eull);
+  EXPECT_EQ(fingerprint(bundlefly_graph({37, 3, BundleShift::kAffine})),
+            0xafdd7dc0ffcee92aull);
+  EXPECT_EQ(fingerprint(bundlefly_graph({37, 3, BundleShift::kOptimized})),
+            0x073d497c4b4bfe82ull);
+}
+
 TEST(BundleFly, PrimePowerBundleGF9) {
   // The simulation-scale instance BF(9,9) exercises Paley over GF(9) and
   // affine matchings over a non-prime field.
