@@ -6,7 +6,8 @@
 // frame and never the connection; HELLO version skew and DATA-before-
 // HELLO each get a reasoned error frame followed by a close; and a
 // server warm-started from a snapshot serves the same answers as the
-// cold engine without one table or index rebuild.
+// cold engine without one table or index rebuild.  Route answers for all
+// five algorithms are pinned by digest in exact and cell mode.
 
 #include "service/server.hpp"
 
@@ -22,6 +23,7 @@
 #include "service/query.hpp"
 #include "service/snapshot.hpp"
 #include "util/net.hpp"
+#include "util/rng.hpp"
 
 namespace sfly::service {
 namespace {
@@ -245,6 +247,52 @@ TEST(Service, WarmRestartedServerServesIdenticalBytesWithoutRebuilds) {
   EXPECT_EQ(routing::Tables::builds(), tables_before);
   EXPECT_EQ(routing::NextHopIndex::builds(), index_before);
   server.stop();
+}
+
+// FNV-1a over the concatenated QueryEngine::handle route answers for every
+// algorithm x a fixed (src, dst, seed) grid on `topo`, plus one Valiant
+// query over a failed-link overlay (the link between vertex 0 and its
+// first neighbor).  Every answer must be ok.
+std::uint64_t route_digest(const std::string& topo) {
+  QueryEngine queries;
+  const std::string name = queries.register_spec(topo);
+  const auto g = queries.engine().artifacts().get(name)->graph();
+  const std::uint64_t n = g->num_vertices();
+  const std::string fail = "[0," + std::to_string(g->neighbors(0)[0]) + "]";
+  std::uint64_t h = 14695981039346656037ull;
+  auto ask = [&](const std::string& req) {
+    const std::string resp = queries.handle(req);
+    EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << req << " -> " << resp;
+    for (unsigned char c : resp + "\n") {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+  };
+  std::uint64_t id = 0;
+  for (const char* algo : {"minimal", "valiant", "ugal-l", "ugal-g", "adaptive-min"}) {
+    const std::string head = "{\"kind\":\"route\",\"topo\":\"" + topo +
+                             "\",\"algo\":\"" + algo + "\",\"id\":";
+    for (std::uint64_t k = 0; k < 12; ++k) {
+      const std::uint64_t src = split_seed(0x5EC, k) % n;
+      const std::uint64_t dst = k == 0 ? src : split_seed(0xD57, k) % n;
+      ask(head + std::to_string(++id) + ",\"src\":" + std::to_string(src) +
+          ",\"dst\":" + std::to_string(dst) + ",\"seed\":" + std::to_string(k + 1) + "}");
+    }
+  }
+  ask("{\"kind\":\"route\",\"topo\":\"" + topo + "\",\"algo\":\"valiant\",\"id\":" +
+      std::to_string(++id) + ",\"src\":0,\"dst\":" + std::to_string(n - 1) +
+      ",\"seed\":9,\"fail\":" + fail + "}");
+  return h;
+}
+
+TEST(Service, RouteAnswersPinnedInExactMode) {
+  EXPECT_EQ(route_digest("Paley(13)"), 0x314b6c83a30e1052ull);
+  EXPECT_EQ(route_digest("LPS(11,7)"), 0x53116bf383316736ull);
+}
+
+TEST(Service, RouteAnswersPinnedInCellMode) {
+  // Hypercube(13): 8192 routers, above the exact-tables threshold.
+  EXPECT_EQ(route_digest("Hypercube(13)"), 0x7facc30a1566389cull);
 }
 
 TEST(Service, StopIsIdempotentAndStartReportsPort) {
