@@ -27,14 +27,6 @@ Network Network::from_graph(std::string name, Graph topology, const NetworkOptio
                  std::make_shared<const Graph>(std::move(topology)), opts);
 }
 
-Network Network::from_graph_shared_tables(std::string name, Graph topology,
-                                          std::shared_ptr<const routing::Tables> tables,
-                                          const NetworkOptions& opts) {
-  return Network(std::move(name),
-                 std::make_shared<const Graph>(std::move(topology)), opts,
-                 std::move(tables));
-}
-
 Network Network::from_shared(std::string name,
                              std::shared_ptr<const Graph> topology,
                              std::shared_ptr<const routing::Tables> tables,

@@ -41,14 +41,6 @@ class Network {
   static Network from_graph(std::string name, Graph topology,
                             const NetworkOptions& opts = {});
 
-  /// Wrap a topology with pre-built routing tables (e.g. shared out of an
-  /// engine::ArtifactCache), skipping the all-pairs BFS.  `tables` must
-  /// have been built over `topology`.
-  static Network from_graph_shared_tables(
-      std::string name, Graph topology,
-      std::shared_ptr<const routing::Tables> tables,
-      const NetworkOptions& opts = {});
-
   /// Fully shared construction: graph, tables, and (optionally) next-hop
   /// index all come from the caller — nothing is copied or rebuilt.  This
   /// is the engine's per-scenario path; `index` may be null, in which case

@@ -126,9 +126,10 @@ SimResult Engine::evaluate_sim(const SimScenario& s, std::size_t index) {
     opts.vcs = s.vcs;  // 0 = paper rule, applied by the Network ctor
     opts.sim = cfg_.sim;
 
-    // Pristine scenarios share the cached all-pairs tables through
-    // Network::from_graph_shared_tables; failure-perturbed ones derive a
-    // scenario-local graph (and tables) from the cached pristine base.
+    // Pristine scenarios share the cached graph, all-pairs tables and
+    // next-hop index through Artifacts::make_network (Network::from_shared);
+    // failure-perturbed ones derive a scenario-local graph (and tables)
+    // from the cached pristine base.
     core::Network net = [&]() -> core::Network {
       if (s.failure_fraction > 0.0) {
         opts.concentration = art->concentration();

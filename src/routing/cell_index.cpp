@@ -387,33 +387,30 @@ std::uint8_t CellQuery::distance(Vertex u) const {
 
 void CellQuery::minimal_next_hops(Vertex u, std::vector<Vertex>& out) const {
   out.clear();
-  if (index_->exact()) {
-    index_->tables_->minimal_next_hops(*graph_, u, dst_, out);
-    return;
-  }
   const std::uint8_t du = distance(u);
   for (Vertex w : graph_->neighbors(u))
     if (distance(w) + 1 == du) out.push_back(w);
 }
 
-Vertex CellQuery::sample_next_hop(Vertex u, std::uint64_t entropy) const {
-  if (index_->exact())
-    return index_->tables_->sample_next_hop(*graph_, u, dst_, entropy);
+Hop CellQuery::pick(Vertex u, std::uint64_t entropy) const {
   const std::uint8_t du = distance(u);
+  const auto nb = graph_->neighbors(u);
   // Same two-pass count-then-pick as Tables::sample_next_hop — the picked
   // hop is bitwise identical wherever both representations exist.
   std::uint32_t count = 0;
-  for (Vertex w : graph_->neighbors(u))
+  for (Vertex w : nb)
     if (distance(w) + 1 == du) ++count;
   if (count == 0) throw std::logic_error("sample_next_hop: u == v or no path");
-  std::uint32_t pick = static_cast<std::uint32_t>(entropy % count);
-  for (Vertex w : graph_->neighbors(u)) {
-    if (distance(w) + 1 == du) {
-      if (pick == 0) return w;
-      --pick;
+  std::uint32_t k = static_cast<std::uint32_t>(entropy % count);
+  for (std::size_t s = 0; s < nb.size(); ++s) {
+    if (distance(nb[s]) + 1 == du) {
+      if (k == 0) return {nb[s], static_cast<std::uint16_t>(s)};
+      --k;
     }
   }
   throw std::logic_error("sample_next_hop: unreachable");
 }
+
+Vertex CellQuery::num_vertices() const { return index_->num_vertices(); }
 
 }  // namespace sfly::routing

@@ -25,11 +25,14 @@
 //
 // is exact for every pair.  A CellQuery materializes d(., dst) on the
 // overlay once per destination (bucket-queue Dijkstra over <= 255-hop
-// labels) and answers distance / minimal-next-hop / sampled-next-hop
-// queries per vertex in O(cell size).  Minimal next-hop sets are computed
-// with the same neighbor scan and the same (entropy % count) pick as
-// Tables::sample_next_hop, so at any scale where both exist the sampled
-// hops agree bit for bit (tests/test_cell_index.cpp pins this).
+// labels) and answers distance / minimal-next-hop / pick queries per
+// vertex in O(cell size).  Minimal next-hop sets are computed with the
+// same neighbor scan and the same (entropy % count) pick as
+// Tables::sample_next_hop, and pick() reports the scan position as the
+// port slot, so at any scale where both exist the picked (vertex, slot)
+// agrees bit for bit with NextHopIndex::pick (tests/test_cell_index.cpp
+// pins this).  That makes CellQuery a routing::MinimalHopOracle: the
+// shared source_decision / next_hop in policy.hpp route over it.
 //
 // Memory is O(V * cell + cut) instead of O(V^2): ~40 MB where the exact
 // tables would need ~2.7 GB of distances alone at 52k routers.
@@ -46,6 +49,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "routing/policy.hpp"
 #include "routing/tables.hpp"
 #include "util/owned_span.hpp"
 
@@ -74,9 +78,26 @@ class CellQuery {
   /// the same set Tables::minimal_next_hops yields.
   void minimal_next_hops(Vertex u, std::vector<Vertex>& out) const;
 
-  /// The (entropy % count)-th minimal next hop — bitwise the hop
-  /// Tables::sample_next_hop picks.  Requires u != dst.
-  [[nodiscard]] Vertex sample_next_hop(Vertex u, std::uint64_t entropy) const;
+  /// The (entropy % count)-th minimal next hop toward dst, with its scan
+  /// position in u's adjacency list as the slot — bitwise the hop
+  /// Tables::sample_next_hop and NextHopIndex::pick return.  Requires
+  /// u != dst.
+  [[nodiscard]] Hop pick(Vertex u, std::uint64_t entropy) const;
+  [[nodiscard]] Vertex sample_next_hop(Vertex u, std::uint64_t entropy) const {
+    return pick(u, entropy).vert;
+  }
+
+  /// MinimalHopOracle interface: the queries above toward target v,
+  /// re-preparing only when v differs from dst().
+  [[nodiscard]] Vertex num_vertices() const;
+  [[nodiscard]] std::uint8_t distance(Vertex u, Vertex v) {
+    if (dst_ != v) prepare(v);
+    return distance(u);
+  }
+  [[nodiscard]] Hop pick(Vertex u, Vertex v, std::uint64_t entropy) {
+    if (dst_ != v) prepare(v);
+    return pick(u, entropy);
+  }
 
  private:
   friend class CellIndex;

@@ -26,17 +26,13 @@
 #include "routing/policy.hpp"
 #include "routing/tables.hpp"
 #include "util/owned_span.hpp"
-#include "util/rng.hpp"
 
 namespace sfly::routing {
 
 class NextHopIndex {
  public:
   /// One (vertex, port-slot) next-hop entry.
-  struct Hop {
-    Vertex vert = 0;
-    std::uint16_t slot = 0;  // position in u's adjacency list
-  };
+  using Hop = routing::Hop;
 
   /// A (u, v) row: minimal next hops in adjacency order.
   struct HopList {
@@ -109,72 +105,29 @@ class NextHopIndex {
   OwnedSpan<std::uint16_t> slots_;    // parallel port slots
 };
 
-/// Indexed mirror of policy.cpp's source_decision: same entropy streams,
-/// same tie-breaks, but every next-hop sample is an index pick and every
-/// queue probe addresses an output port directly by (router, slot).
-/// `probe(at, slot)` must return the bytes queued on router `at`'s output
-/// port `slot` (the simulator's per-port running total).  Templated so
-/// the probe inlines — the hot path neither allocates nor makes an
-/// indirect call.
+/// The exact minimal-hop oracle: distances from the all-pairs tables,
+/// next hops from the precomputed index (one offset lookup per pick).
+/// This is what the simulator routes over.
+struct ExactOracle {
+  const Tables& tables;
+  const NextHopIndex& index;
+
+  [[nodiscard]] Vertex num_vertices() const { return tables.num_vertices(); }
+  [[nodiscard]] std::uint8_t distance(Vertex u, Vertex v) const {
+    return tables.distance(u, v);
+  }
+  [[nodiscard]] Hop pick(Vertex u, Vertex v, std::uint64_t entropy) const {
+    return index.pick(u, v, entropy);
+  }
+};
+
+/// source_decision over ExactOracle{tables, idx}.
 template <class PortProbe>
 [[nodiscard]] PacketRoute source_decision_indexed(
     Algo algo, const Tables& tables, const NextHopIndex& idx, Vertex src_router,
     Vertex dst_router, std::uint64_t entropy, PortProbe&& probe) {
-  PacketRoute route;
-  if (algo == Algo::kMinimal || algo == Algo::kAdaptiveMin ||
-      src_router == dst_router)
-    return route;
-
-  const Vertex n = tables.num_vertices();
-  std::uint64_t draw = 0xA11CE;
-  Vertex mid = static_cast<Vertex>(split_seed(entropy, draw) % n);
-  while (mid == src_router || mid == dst_router)
-    mid = static_cast<Vertex>(split_seed(entropy, ++draw) % n);
-
-  if (algo == Algo::kValiant) {
-    route.valiant = true;
-    route.intermediate = mid;
-    return route;
-  }
-
-  const NextHopIndex::Hop min_next =
-      idx.pick(src_router, dst_router, split_seed(entropy, 1));
-  const NextHopIndex::Hop val_next =
-      idx.pick(src_router, mid, split_seed(entropy, 2));
-  const std::uint64_t h_min = tables.distance(src_router, dst_router);
-  const std::uint64_t h_val =
-      static_cast<std::uint64_t>(tables.distance(src_router, mid)) +
-      tables.distance(mid, dst_router);
-  std::uint64_t q_min = probe(src_router, min_next.slot);
-  std::uint64_t q_val = probe(src_router, val_next.slot);
-  if (algo == Algo::kUgalG) {
-    if (min_next.vert != dst_router)
-      q_min += probe(min_next.vert,
-                     idx.pick(min_next.vert, dst_router, split_seed(entropy, 3)).slot);
-    if (val_next.vert != mid)
-      q_val += probe(val_next.vert,
-                     idx.pick(val_next.vert, mid, split_seed(entropy, 4)).slot);
-  }
-  if (q_val * h_val < q_min * h_min) {
-    route.valiant = true;
-    route.intermediate = mid;
-  }
-  return route;
-}
-
-/// Indexed mirror of policy.cpp's next_hop: resolves the Valiant phase and
-/// returns the output-port slot of the sampled hop at `at`.
-[[nodiscard]] inline std::uint16_t next_hop_slot(const NextHopIndex& idx,
-                                                 Vertex at, Vertex dst_router,
-                                                 PacketRoute& route,
-                                                 std::uint64_t entropy) {
-  if (route.valiant && route.phase == 0) {
-    if (at == route.intermediate)
-      route.phase = 1;
-    else
-      return idx.pick(at, route.intermediate, entropy).slot;
-  }
-  return idx.pick(at, dst_router, entropy).slot;
+  const ExactOracle oracle{tables, idx};
+  return source_decision(algo, oracle, src_router, dst_router, entropy, probe);
 }
 
 }  // namespace sfly::routing

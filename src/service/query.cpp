@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "engine/sink.hpp"
@@ -37,6 +38,16 @@ routing::Algo parse_algo(const std::string& name) {
   throw std::invalid_argument("unknown algo: " + name);
 }
 
+// Optional u32 field: absent leaves `out` as is; values past UINT32_MAX
+// are rejected, never narrowed.
+void get_u32(const JsonObject& q, const std::string& key, std::uint32_t& out) {
+  std::uint64_t u = 0;
+  if (!q.get_u64(key, u)) return;
+  if (u > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("\"" + key + "\" out of range: " + std::to_string(u));
+  out = static_cast<std::uint32_t>(u);
+}
+
 sim::Pattern parse_pattern(const std::string& name) {
   using sim::Pattern;
   for (Pattern p : {Pattern::kRandom, Pattern::kShuffle, Pattern::kBitReverse,
@@ -68,7 +79,10 @@ std::function<std::unique_ptr<sim::Motif>()> parse_motif(const std::string& spec
     const char c = spec[i];
     if (c == ',' || c == ')') {
       if (tok.empty()) throw std::invalid_argument("bad motif args: " + spec);
-      a.push_back(static_cast<std::uint32_t>(std::stoul(tok)));
+      const unsigned long v = std::stoul(tok);
+      if (v > std::numeric_limits<std::uint32_t>::max())
+        throw std::invalid_argument("bad motif args: " + spec);
+      a.push_back(static_cast<std::uint32_t>(v));
       tok.clear();
     } else if (c != ' ') {
       tok += c;
@@ -155,21 +169,16 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
   const std::string name = register_spec(topo);
   auto art = engine_.artifacts().get(name);
   std::shared_ptr<const Graph> g = art->graph();
+  // Scale-adaptive routing index: wraps the exact all-pairs tables at
+  // small scale, hierarchical cells above it (Artifacts::cell_index).
+  std::shared_ptr<const routing::CellIndex> index = art->cell_index();
+  const Vertex n = g->num_vertices();
 
-  // Scale split: exact all-pairs tables up to engine::kCellExactThreshold
-  // vertices (every pinned byte of the small-topology responses is served
-  // by the unchanged path below), hierarchical cell index beyond it.
-  const bool cell_mode = g->num_vertices() > engine::kCellExactThreshold;
-  std::shared_ptr<const routing::Tables> t;
-  std::shared_ptr<const routing::CellIndex> cell;
-  if (cell_mode)
-    cell = art->cell_index();
-  else
-    t = art->tables();
-
-  // Failed-link overlay: "fail":[u1,v1,u2,v2,...].  The overlay tables are
-  // query-local (never cached) — this is the "what if these links die"
-  // probe, so a freshly built all-pairs table is the point.
+  // Failed-link overlay: "fail":[u1,v1,u2,v2,...].  The overlay's routing
+  // index is query-local (never cached) — this is the "what if these
+  // links die" probe, so a freshly built index is the point.  A scratch
+  // Artifacts over the overlay graph picks exact or cell mode the same way
+  // the cached topology does.
   std::vector<std::uint64_t> fail;
   if (q.has("fail")) {
     if (!q.get_u64_array("fail", fail) || fail.size() % 2 != 0)
@@ -178,6 +187,10 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
     if (!fail.empty()) {
       auto edges = g->edge_list();
       for (std::size_t i = 0; i < fail.size(); i += 2) {
+        if (fail[i] >= n || fail[i + 1] >= n)
+          throw std::invalid_argument(
+              "failed link endpoint out of range (n=" + std::to_string(n) +
+              "): " + std::to_string(fail[i]) + "-" + std::to_string(fail[i + 1]));
         Vertex u = static_cast<Vertex>(fail[i]);
         Vertex v = static_cast<Vertex>(fail[i + 1]);
         if (u > v) std::swap(u, v);
@@ -187,72 +200,33 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
                                       std::to_string(u) + "-" + std::to_string(v));
         edges.erase(it);
       }
-      auto overlay = std::make_shared<const Graph>(
-          Graph::from_edges(g->num_vertices(), std::move(edges)));
+      auto overlay = std::make_shared<const Graph>(Graph::from_edges(n, std::move(edges)));
       // Throws "graph disconnected" -> error frame when the overlay cuts
       // the destination off; the daemon stays up.
-      if (cell_mode) {
-        cell = std::make_shared<const routing::CellIndex>(
-            routing::CellIndex::build(*overlay));
-      } else {
-        t = std::make_shared<const routing::Tables>(
-            routing::Tables::build(*overlay));
-      }
+      engine::Artifacts scratch(overlay, nullptr, nullptr, nullptr,
+                                art->concentration());
+      index = scratch.cell_index();
       g = std::move(overlay);
     }
   }
 
-  const Vertex n = g->num_vertices();
   if (src >= n || dst >= n)
     throw std::invalid_argument("src/dst out of range (n=" + std::to_string(n) + ")");
 
-  routing::PacketRoute route;
-  std::vector<Vertex> path{static_cast<Vertex>(src)};
-  Vertex at = static_cast<Vertex>(src);
-  std::uint64_t hop = 0;
-  if (!cell_mode) {
-    // Zero-occupancy queue probe: with no live traffic UGAL degenerates to
-    // its deterministic tie-break, which keeps route answers reproducible.
-    const routing::QueueProbe probe = [](Vertex, Vertex) { return 0ull; };
-    route = routing::source_decision(algo, *g, *t, static_cast<Vertex>(src),
-                                     static_cast<Vertex>(dst), seed, probe);
-    const std::size_t max_hops = 4u * t->diameter() + 16;
-    while (at != static_cast<Vertex>(dst)) {
-      if (hop >= max_hops)
-        throw std::runtime_error("routing loop (exceeded hop budget)");
-      at = routing::next_hop(*g, *t, at, static_cast<Vertex>(dst), route,
-                             split_seed(seed, hop++));
-      path.push_back(at);
-    }
-  } else {
-    // Mirror source_decision under the zero-occupancy probe: UGAL's
-    // q_val*h_val < q_min*h_min comparison reads 0 < 0 — always minimal —
-    // so only valiant needs the intermediate, drawn from the exact
-    // entropy stream source_decision uses.  Sampled hops themselves are
-    // bitwise what the exact tables would pick (CellQuery contract).
-    if (algo == routing::Algo::kValiant && src != dst) {
-      std::uint64_t draw = 0xA11CE;
-      Vertex mid = static_cast<Vertex>(split_seed(seed, draw) % n);
-      while (mid == src || mid == dst)
-        mid = static_cast<Vertex>(split_seed(seed, ++draw) % n);
-      route.valiant = true;
-      route.intermediate = mid;
-    }
-    routing::CellQuery cq = cell->make_query(*g);
-    const std::size_t max_hops = 4u * cell->diameter_bound() + 16;
-    while (at != static_cast<Vertex>(dst)) {
-      if (hop >= max_hops)
-        throw std::runtime_error("routing loop (exceeded hop budget)");
-      const std::uint64_t e = split_seed(seed, hop++);
-      if (route.valiant && route.phase == 0 && at == route.intermediate)
-        route.phase = 1;
-      const Vertex target = (route.valiant && route.phase == 0)
-                                ? route.intermediate
-                                : static_cast<Vertex>(dst);
-      if (cq.dst() != target) cq.prepare(target);
-      at = cq.sample_next_hop(at, e);
-      path.push_back(at);
-    }
+  // Zero-occupancy queue probe: with no live traffic every UGAL decision
+  // is minimal (q_min == 0), which keeps route answers reproducible.
+  const auto from = static_cast<Vertex>(src), to = static_cast<Vertex>(dst);
+  routing::CellQuery oracle = index->make_query(*g);
+  routing::PacketRoute route = routing::source_decision(
+      algo, oracle, from, to, seed,
+      [](Vertex, std::uint16_t) { return std::uint64_t{0}; });
+  std::vector<Vertex> path{from};
+  const std::size_t max_hops = 4u * index->diameter_bound() + 16;
+  for (std::uint64_t hop = 0; path.back() != to; ++hop) {
+    if (hop >= max_hops)
+      throw std::runtime_error("routing loop (exceeded hop budget)");
+    path.push_back(
+        routing::next_hop(oracle, path.back(), to, route, split_seed(seed, hop)).vert);
   }
 
   std::string out = "{\"id\":" + std::to_string(id) +
@@ -291,16 +265,13 @@ std::string QueryEngine::handle_sim(const JsonObject& q, std::uint64_t id) {
     s.workload.pattern = parse_pattern(pattern);
   }
   (void)q.get_f64("load", s.workload.offered_load);
-  std::uint64_t u = 0;
-  if (q.get_u64("nranks", u)) s.workload.nranks = static_cast<std::uint32_t>(u);
-  if (q.get_u64("messages", u))
-    s.workload.messages_per_rank = static_cast<std::uint32_t>(u);
-  if (q.get_u64("bytes", u))
-    s.workload.message_bytes = static_cast<std::uint32_t>(u);
+  get_u32(q, "nranks", s.workload.nranks);
+  get_u32(q, "messages", s.workload.messages_per_rank);
+  get_u32(q, "bytes", s.workload.message_bytes);
   std::string placement;
   if (q.get_str("placement", placement))
     s.workload.placement = parse_placement(placement);
-  if (q.get_u64("vcs", u)) s.vcs = static_cast<std::uint32_t>(u);
+  get_u32(q, "vcs", s.vcs);
   (void)q.get_f64("failure_fraction", s.failure_fraction);
   (void)q.get_u64("seed", s.seed);
   (void)q.get_str("label", s.label);

@@ -39,9 +39,9 @@ inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Serialize every topology in `cache` to `path` (written to a temp file
 /// and renamed, so readers never see a torn snapshot).  Forces graph,
-/// spectra, and the scale-appropriate routing artifact per entry: exact
-/// tables + next-hop index at or below engine::kCellExactThreshold
-/// vertices, the hierarchical cell index above it.  Throws
+/// spectra, and the scale-appropriate routing artifact per entry (the
+/// one Artifacts::cell_index picks): exact tables + next-hop index for
+/// small topologies, the hierarchical cell index for large ones.  Throws
 /// std::runtime_error on I/O failure or an unserializable entry (e.g. a
 /// topology name too long for the fixed-width descriptor).
 void write_snapshot(const std::string& path, engine::ArtifactCache& cache);

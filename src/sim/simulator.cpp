@@ -175,12 +175,13 @@ void Simulator::handle_arrival(std::uint32_t pkt_id, Vertex router) {
   }
 
   const routing::NextHopIndex& idx = *index_;
+  const routing::ExactOracle oracle{tables_, idx};
   const std::uint64_t entropy = packet_entropy(pkt, router);
   if (pkt.hops == 0) {
     // Source-router routing decision (minimal vs Valiant vs UGAL); queue
     // probes address output ports directly by slot, O(1) each.
-    pkt.route = routing::source_decision_indexed(
-        cfg_.algo, tables_, idx, router, dst_router, entropy,
+    pkt.route = routing::source_decision(
+        cfg_.algo, oracle, router, dst_router, entropy,
         [this](Vertex at, std::uint16_t slot) {
           return ports_[net_port_base_[at] + slot].total_bytes;
         });
@@ -219,7 +220,7 @@ void Simulator::handle_arrival(std::uint32_t pkt_id, Vertex router) {
       }
     }
   } else {
-    slot = routing::next_hop_slot(idx, router, dst_router, pkt.route, entropy);
+    slot = routing::next_hop(oracle, router, dst_router, pkt.route, entropy).slot;
   }
   std::uint8_t vc = static_cast<std::uint8_t>(
       std::min<std::uint32_t>(pkt.hops, cfg_.vcs - 1));

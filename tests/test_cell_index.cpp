@@ -2,8 +2,9 @@
 // on graphs small enough to afford exact all-pairs tables, a cell-mode
 // CellIndex (tiny forced cells, so the hierarchy is actually exercised)
 // must reproduce the Tables answers exactly — distances, minimal next-hop
-// sets, and the sampled next hop bit for bit.  This is the pin that lets
-// the 50k+-router path ship without a 50k-router oracle.
+// sets, the sampled next hop bit for bit, and every route the shared
+// routing decision builds over it.  This is the pin that lets the
+// 50k+-router path ship without a 50k-router oracle.
 
 #include "routing/cell_index.hpp"
 
@@ -13,6 +14,8 @@
 #include <memory>
 
 #include "engine/artifact_cache.hpp"
+#include "routing/next_hop_index.hpp"
+#include "routing/policy.hpp"
 #include "routing/tables.hpp"
 #include "topo/factory.hpp"
 #include "util/rng.hpp"
@@ -194,6 +197,63 @@ TEST(CellIndex, ArtifactsWrapExactBelowThreshold) {
         ASSERT_EQ(at_cell, at_exact);
       }
     }
+  }
+}
+
+// Cross-oracle equivalence: routing::source_decision plus the next_hop
+// walk over a cell-mode CellQuery must reproduce the exact oracle's route
+// and every (vertex, slot) hop, for all five algorithms and every ordered
+// pair, under an idle and a loaded queue probe.  Destinations are the
+// outer loop so the cell oracle re-prepares only when a route needs it.
+void expect_same_routes(const Graph& g, const CellIndex& x) {
+  const Tables t = Tables::build(g);
+  const NextHopIndex idx = NextHopIndex::build(g, t);
+  const ExactOracle exact{t, idx};
+  CellQuery cell = x.make_query(g);
+  const auto idle = [](Vertex, std::uint16_t) { return std::uint64_t{0}; };
+  const auto loaded = [](Vertex at, std::uint16_t slot) {
+    return split_seed(at, slot) % 4;
+  };
+  std::size_t diverted = 0;
+  auto check = [&](Algo algo, Vertex src, Vertex dst, std::uint64_t e,
+                   const auto& probe) {
+    PacketRoute a = source_decision(algo, exact, src, dst, e, probe);
+    PacketRoute b = source_decision(algo, cell, src, dst, e, probe);
+    ASSERT_EQ(a.valiant, b.valiant) << src << "->" << dst;
+    ASSERT_EQ(a.intermediate, b.intermediate) << src << "->" << dst;
+    if (algo == Algo::kUgalL || algo == Algo::kUgalG) diverted += a.valiant;
+    std::uint64_t hop = 0;
+    for (Vertex at = src; at != dst; ++hop) {
+      ASSERT_LT(hop, 64u) << src << "->" << dst;
+      const Hop ha = next_hop(exact, at, dst, a, split_seed(e, hop));
+      const Hop hb = next_hop(cell, at, dst, b, split_seed(e, hop));
+      ASSERT_EQ(hb.vert, ha.vert) << src << "->" << dst << " hop " << hop;
+      ASSERT_EQ(hb.slot, ha.slot) << src << "->" << dst << " hop " << hop;
+      ASSERT_EQ(b.phase, a.phase);
+      at = ha.vert;
+    }
+  };
+  const Vertex n = g.num_vertices();
+  for (Vertex dst = 0; dst < n; ++dst)
+    for (Vertex src = 0; src < n; ++src)
+      for (Algo algo : {Algo::kMinimal, Algo::kValiant, Algo::kUgalL,
+                        Algo::kUgalG, Algo::kAdaptiveMin}) {
+        const std::uint64_t e = split_seed(src, dst);
+        check(algo, src, dst, e, idle);
+        check(algo, src, dst, e, loaded);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+  EXPECT_GT(diverted, 0u) << "the loaded probe must exercise UGAL's Valiant side";
+}
+
+TEST(CellIndex, RoutesMatchExactOracle) {
+  for (const char* spec : {"Paley(13)", "LPS(11,7)"}) {
+    SCOPED_TRACE(spec);
+    const Graph g = topo::parse_topology(spec).build();
+    const CellIndex x = CellIndex::build(g, tiny_cells());
+    ASSERT_FALSE(x.exact());
+    ASSERT_GT(x.num_cells(), 1u);
+    expect_same_routes(g, x);
   }
 }
 

@@ -377,10 +377,14 @@ TEST(Engine, NetworkCanShareCachedTables) {
   auto art = eng->artifacts().get("DF(6)");
   core::NetworkOptions opts;
   opts.concentration = art->concentration();
-  auto net = core::Network::from_graph_shared_tables("DF(6)", *art->graph(),
-                                                     art->tables(), opts);
-  EXPECT_EQ(&net.tables(), art->tables().get());  // no all-pairs rebuild
-  EXPECT_EQ(net.diameter(), art->tables()->diameter());
+  const auto tables = art->tables();
+  const auto builds = routing::Tables::builds();
+  auto net = core::Network::from_shared("DF(6)", art->graph(), tables,
+                                        nullptr, opts);
+  EXPECT_EQ(&net.tables(), tables.get());  // no all-pairs rebuild
+  EXPECT_EQ(&net.topology(), art->graph().get());
+  EXPECT_EQ(net.diameter(), tables->diameter());
+  EXPECT_EQ(routing::Tables::builds(), builds);
 }
 
 TEST(Engine, CsvHasHeaderAndOneLinePerResult) {

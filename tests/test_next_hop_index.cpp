@@ -91,29 +91,29 @@ TEST(NextHopIndex, MismatchedTablesThrow) {
 }
 
 TEST(NextHopIndex, NextHopSlotFollowsValiantPhases) {
-  // next_hop_slot must mirror policy.cpp's next_hop: head toward the
-  // intermediate in phase 0, flip to the destination at the waypoint.
+  // next_hop over the exact oracle heads toward the intermediate in phase
+  // 0 and flips to the destination at the waypoint; the slot addresses
+  // the picked neighbor, which is the hop Tables::sample_next_hop picks.
   auto g = topo::paley_graph({13});
   auto t = Tables::build(g);
   auto idx = NextHopIndex::build(g, t);
+  const ExactOracle oracle{t, idx};
   PacketRoute route;
   route.valiant = true;
   route.intermediate = 5;
-  PacketRoute ref = route;
   for (std::uint64_t e = 0; e < 8; ++e) {
-    PacketRoute a = route, b = ref;
-    const std::uint16_t slot = next_hop_slot(idx, 0, 9, a, e);
-    const Vertex want = next_hop(g, t, 0, 9, b, e);
-    EXPECT_EQ(g.neighbors(0)[slot], want);
-    EXPECT_EQ(a.phase, b.phase);
+    PacketRoute r = route;
+    const Hop hop = next_hop(oracle, 0, 9, r, e);
+    EXPECT_EQ(g.neighbors(0)[hop.slot], hop.vert);
+    EXPECT_EQ(hop.vert, t.sample_next_hop(g, 0, 5, e));
+    EXPECT_EQ(r.phase, 0);
   }
   // At the intermediate itself the phase advances and routing retargets.
-  PacketRoute a = route, b = ref;
-  const std::uint16_t slot = next_hop_slot(idx, 5, 9, a, 3);
-  const Vertex want = next_hop(g, t, 5, 9, b, 3);
-  EXPECT_EQ(g.neighbors(5)[slot], want);
-  EXPECT_EQ(a.phase, 1);
-  EXPECT_EQ(b.phase, 1);
+  PacketRoute r = route;
+  const Hop hop = next_hop(oracle, 5, 9, r, 3);
+  EXPECT_EQ(g.neighbors(5)[hop.slot], hop.vert);
+  EXPECT_EQ(hop.vert, t.sample_next_hop(g, 5, 9, 3));
+  EXPECT_EQ(r.phase, 1);
 }
 
 }  // namespace

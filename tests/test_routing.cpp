@@ -1,4 +1,5 @@
 #include "routing/policy.hpp"
+#include "routing/next_hop_index.hpp"
 #include "routing/tables.hpp"
 
 #include <gtest/gtest.h>
@@ -91,30 +92,52 @@ TEST(Policy, RequiredVcsPerPaper) {
   EXPECT_EQ(required_vcs(Algo::kUgalL, 4), 9u);
 }
 
+// Idle network: every output queue empty.
+constexpr auto kIdle = [](Vertex, std::uint16_t) { return std::uint64_t{0}; };
+
 TEST(Policy, MinimalNeverValiant) {
   auto g = cycle_graph(8);
   auto t = Tables::build(g);
-  auto r = source_decision(Algo::kMinimal, g, t, 0, 4, 123, nullptr);
+  auto idx = NextHopIndex::build(g, t);
+  const ExactOracle oracle{t, idx};
+  auto r = source_decision(Algo::kMinimal, oracle, 0, 4, 123, kIdle);
   EXPECT_FALSE(r.valiant);
 }
 
 TEST(Policy, ValiantPicksDistinctIntermediate) {
   auto g = cycle_graph(16);
   auto t = Tables::build(g);
+  auto idx = NextHopIndex::build(g, t);
+  const ExactOracle oracle{t, idx};
   for (std::uint64_t e = 1; e <= 40; ++e) {
-    auto r = source_decision(Algo::kValiant, g, t, 2, 9, e, nullptr);
+    auto r = source_decision(Algo::kValiant, oracle, 2, 9, e, kIdle);
     EXPECT_TRUE(r.valiant);
     EXPECT_NE(r.intermediate, 2u);
     EXPECT_NE(r.intermediate, 9u);
   }
 }
 
+TEST(Policy, TwoRouterNetworkRoutesMinimally) {
+  // No intermediate distinct from src and dst exists; the draw must not
+  // spin forever.
+  auto g = Graph::from_edges(2, {{0, 1}});
+  auto t = Tables::build(g);
+  auto idx = NextHopIndex::build(g, t);
+  const ExactOracle oracle{t, idx};
+  for (Algo algo : {Algo::kValiant, Algo::kUgalL, Algo::kUgalG}) {
+    auto r = source_decision(algo, oracle, 0, 1, 5, kIdle);
+    EXPECT_FALSE(r.valiant) << algo_name(algo);
+    EXPECT_EQ(next_hop(oracle, 0, 1, r, 5).vert, 1u);
+  }
+}
+
 TEST(Policy, UgalPrefersMinimalWhenIdle) {
   auto g = cycle_graph(16);
   auto t = Tables::build(g);
-  auto probe = [](Vertex, Vertex) -> std::uint64_t { return 0; };
+  auto idx = NextHopIndex::build(g, t);
+  const ExactOracle oracle{t, idx};
   for (std::uint64_t e = 1; e <= 20; ++e) {
-    auto r = source_decision(Algo::kUgalL, g, t, 0, 5, e, probe);
+    auto r = source_decision(Algo::kUgalL, oracle, 0, 5, e, kIdle);
     EXPECT_FALSE(r.valiant) << "idle network must route minimally";
   }
 }
@@ -123,13 +146,15 @@ TEST(Policy, UgalDivertsUnderCongestion) {
   // Make the minimal direction look congested and the detour free.
   auto g = cycle_graph(16);
   auto t = Tables::build(g);
+  auto idx = NextHopIndex::build(g, t);
+  const ExactOracle oracle{t, idx};
   // src 0 -> dst 3: minimal goes via neighbor 1; make port(0->1) loaded.
-  auto probe = [](Vertex at, Vertex next) -> std::uint64_t {
-    return (at == 0 && next == 1) ? 1'000'000 : 0;
+  auto probe = [&g](Vertex at, std::uint16_t slot) -> std::uint64_t {
+    return (at == 0 && g.neighbors(at)[slot] == 1) ? 1'000'000 : 0;
   };
   std::size_t diverted = 0;
   for (std::uint64_t e = 1; e <= 50; ++e) {
-    auto r = source_decision(Algo::kUgalL, g, t, 0, 3, e, probe);
+    auto r = source_decision(Algo::kUgalL, oracle, 0, 3, e, probe);
     if (r.valiant) ++diverted;
   }
   EXPECT_GT(diverted, 25u);
@@ -138,13 +163,16 @@ TEST(Policy, UgalDivertsUnderCongestion) {
 TEST(Policy, NextHopAdvancesValiantPhase) {
   auto g = cycle_graph(12);
   auto t = Tables::build(g);
+  auto idx = NextHopIndex::build(g, t);
+  const ExactOracle oracle{t, idx};
   PacketRoute r;
   r.valiant = true;
   r.intermediate = 3;
   // At the intermediate the phase flips and we head to the destination.
-  Vertex next = next_hop(g, t, 3, 9, r, 7);
+  const Hop next = next_hop(oracle, 3, 9, r, 7);
   EXPECT_EQ(r.phase, 1);
-  EXPECT_EQ(t.distance(next, 9) + 1, t.distance(3, 9));
+  EXPECT_EQ(g.neighbors(3)[next.slot], next.vert);
+  EXPECT_EQ(t.distance(next.vert, 9) + 1, t.distance(3, 9));
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 // HELLO each get a reasoned error frame followed by a close; and a
 // server warm-started from a snapshot serves the same answers as the
 // cold engine without one table or index rebuild.  Route answers for all
-// five algorithms are pinned by digest in exact and cell mode.
+// five algorithms are pinned by digest in exact and cell mode, and ids or
+// counts too large for their 32-bit fields get error frames.
 
 #include "service/server.hpp"
 
@@ -180,6 +181,34 @@ TEST(Service, MalformedRequestCostsOneErrorFrameNotTheConnection) {
       R"js({"id":11,"kind":"route","topo":"Paley(13)","src":0,"dst":7,"algo":"minimal"})js");
   EXPECT_NE(ok.find("\"ok\":true"), std::string::npos) << ok;
   EXPECT_EQ(fx.queries.errors(), 3u);
+}
+
+TEST(Service, OutOfRangeIdsGetErrorFramesInsteadOfNarrowing) {
+  Fixture fx;
+  Client c(fx.server->port());
+  ASSERT_TRUE(c.greet());
+
+  // 2^32 would narrow to vertex 0 and silently fail link 0-1.
+  for (const char* link : {"[4294967296,1]", "[13,1]", "[0,4294967297]"}) {
+    const auto err = c.ask(
+        std::string(R"js({"id":1,"kind":"route","topo":"Paley(13)","src":0,"dst":1,"fail":)js") +
+        link + "}");
+    EXPECT_NE(err.find("\"ok\":false"), std::string::npos) << link << " -> " << err;
+    EXPECT_NE(err.find("failed link endpoint out of range (n=13)"), std::string::npos)
+        << link << " -> " << err;
+  }
+  // 2^32 + 16 would narrow to 16.
+  for (const std::string key : {"nranks", "messages", "bytes", "vcs"}) {
+    const auto err = c.ask(R"js({"id":2,"kind":"sim","topo":"Paley(13)","seed":1,")js" +
+                           key + "\":4294967312}");
+    EXPECT_NE(err.find("\"ok\":false"), std::string::npos) << key << " -> " << err;
+    EXPECT_NE(err.find("\\\"" + key + "\\\" out of range: 4294967312"), std::string::npos)
+        << key << " -> " << err;
+  }
+  const auto motif = c.ask(
+      R"js({"id":3,"kind":"sim","topo":"Paley(13)","motif":"FFT(4294967298,2)"})js");
+  EXPECT_NE(motif.find("bad motif args"), std::string::npos) << motif;
+  EXPECT_EQ(fx.queries.errors(), 8u);
 }
 
 TEST(Service, HelloVersionSkewIsRejectedWithBothVersions) {
