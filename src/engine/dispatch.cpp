@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "engine/journal.hpp"
+#include "util/json.hpp"
 #include "util/net.hpp"
 
 namespace sfly::engine {
@@ -58,21 +59,14 @@ std::string slice_line(std::size_t lo, std::size_t hi) {
 }
 
 bool parse_slice(const std::string& line, std::size_t& lo, std::size_t& hi) {
-  unsigned long long a = 0, b = 0;
-  if (std::sscanf(line.c_str(), "{\"slice\":[%llu,%llu]}", &a, &b) != 2)
+  JsonObject j;
+  std::vector<std::uint64_t> slice;
+  if (!JsonObject::scan(line, j) || !j.get_u64_array("slice", slice) ||
+      slice.size() != 2)
     return false;
-  lo = static_cast<std::size_t>(a);
-  hi = static_cast<std::size_t>(b);
+  lo = static_cast<std::size_t>(slice[0]);
+  hi = static_cast<std::size_t>(slice[1]);
   return true;
-}
-
-// The message payload of a worker's {"error":"..."} line, for the
-// dispatcher's abort diagnostics.
-std::string error_payload(const std::string& line) {
-  static constexpr char kPrefix[] = "{\"error\":\"";
-  std::string msg = line.substr(sizeof(kPrefix) - 1);
-  if (const auto q = msg.rfind("\"}"); q != std::string::npos) msg.erase(q);
-  return msg;
 }
 
 // --- PipeTransport ---------------------------------------------------------
@@ -409,7 +403,10 @@ std::size_t CampaignDispatcher::run_batch_impl(
   hooks.on_line = [&](std::size_t wi, const std::string& line) {
     if (!err.empty()) return;
     if (line.rfind("{\"error\":", 0) == 0) {
-      err = error_payload(line);
+      // A worker's abort diagnostic; shown raw if it does not scan.
+      JsonObject j;
+      if (!JsonObject::scan(line, j) || !j.get_str("error", err) || err.empty())
+        err = line;
       return;
     }
     Slot& s = slots_[wi];
@@ -441,7 +438,7 @@ std::size_t CampaignDispatcher::run_batch_impl(
     const Slot& s = slots_[wi];
     transport_->send(wi, meta_line + slice_line(s.cursor, s.hi));
   };
-  hooks.failed = [&] { return !err.empty(); };
+  hooks.stop_waiting = [&] { return !err.empty() || fleet_stopped_; };
 
   if (!started_) {
     started_ = true;
@@ -719,9 +716,11 @@ std::size_t CampaignWorker::run_batch_impl(const BatchMeta& m,
   if (!channel_->read_line(line)) stream_ended();
   if (line != expected) {
     channel_->write_line(
-        "{\"error\":\"worker declaration mismatch on batch '" + m.batch +
-        "': this binary expands the campaign differently from the parent "
-        "(stale worker binary?)\"}\n");
+        "{\"error\":" +
+        json_quote("worker declaration mismatch on batch '" + m.batch +
+                   "': this binary expands the campaign differently from "
+                   "the parent (stale worker binary?)") +
+        "}\n");
     std::exit(2);
   }
 

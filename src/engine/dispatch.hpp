@@ -130,11 +130,13 @@ class Transport {
     /// A fresh worker is bound to the slot (spawn, respawn, reconnect);
     /// the dispatcher replays history and assigns the slot's slice.
     std::function<void(std::size_t)> on_join;
-    /// True once the dispatcher has recorded a fatal protocol error
-    /// (e.g. a stale-declaration refusal).  A transport whose start()
-    /// blocks waiting for joins must return when this fires: the
-    /// erroring worker is gone and the fleet may never assemble.
-    std::function<bool()> failed;
+    /// True once the dispatcher no longer needs a whole fleet: it has
+    /// recorded a fatal protocol error (e.g. a stale-declaration
+    /// refusal) or a worker stopped gracefully on its budget.  A
+    /// transport whose start() blocks waiting for joins must return
+    /// when this fires: that worker is gone and the fleet may never
+    /// assemble.
+    std::function<bool()> stop_waiting;
   };
 
   virtual ~Transport() = default;

@@ -2,9 +2,10 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <system_error>
+
+#include "util/json.hpp"
 
 namespace sfly::engine {
 
@@ -18,150 +19,10 @@ std::pair<std::size_t, std::size_t> shard_range(std::size_t n,
 
 namespace {
 
-// Minimal scanner for the flat JSON objects JsonlSink emits: string /
-// number / bool / small-int-array values, no nesting beyond the shard
-// pair.  Returns false on any structural problem — the caller treats the
-// line as unparseable rather than guessing.
-struct FlatJson {
-  // Key order preserved; values are raw token slices of the line.
-  std::vector<std::pair<std::string, std::string>> pairs;
-
-  static bool scan(const std::string& line, FlatJson& out) {
-    std::size_t i = 0;
-    const std::size_t n = line.size();
-    auto expect = [&](char c) {
-      if (i >= n || line[i] != c) return false;
-      ++i;
-      return true;
-    };
-    auto scan_string = [&](std::string& raw) {
-      const std::size_t start = i;
-      if (!expect('"')) return false;
-      while (i < n && line[i] != '"') {
-        if (line[i] == '\\') {
-          if (i + 1 >= n) return false;
-          i += 2;
-        } else {
-          ++i;
-        }
-      }
-      if (!expect('"')) return false;
-      raw = line.substr(start, i - start);
-      return true;
-    };
-    auto scan_token = [&](std::string& raw) {
-      const std::size_t start = i;
-      if (i < n && line[i] == '"') return scan_string(raw);
-      if (i < n && line[i] == '[') {
-        while (i < n && line[i] != ']') ++i;
-        if (!expect(']')) return false;
-      } else {
-        while (i < n && line[i] != ',' && line[i] != '}') ++i;
-      }
-      if (i == start) return false;
-      raw = line.substr(start, i - start);
-      return true;
-    };
-
-    if (!expect('{')) return false;
-    while (true) {
-      std::string key, value;
-      if (!scan_string(key)) return false;
-      if (!expect(':')) return false;
-      if (!scan_token(value)) return false;
-      out.pairs.emplace_back(key.substr(1, key.size() - 2), std::move(value));
-      if (i < n && line[i] == ',') {
-        ++i;
-        continue;
-      }
-      break;
-    }
-    return expect('}') && i == n;
-  }
-
-  [[nodiscard]] const std::string* raw(const std::string& key) const {
-    for (const auto& [k, v] : pairs)
-      if (k == key) return &v;
-    return nullptr;
-  }
-};
-
-// Inverse of sink.cpp's json_str escaping.
-bool unescape(const std::string& raw, std::string& out) {
-  if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') return false;
-  for (std::size_t i = 1; i + 1 < raw.size(); ++i) {
-    char c = raw[i];
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (++i + 1 > raw.size()) return false;
-    switch (raw[i]) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      case 'r': out += '\r'; break;
-      case 'u': {
-        if (i + 4 + 1 > raw.size()) return false;
-        char* end = nullptr;
-        const std::string hex = raw.substr(i + 1, 4);
-        const long code = std::strtol(hex.c_str(), &end, 16);
-        if (end != hex.c_str() + 4 || code < 0 || code > 0xff) return false;
-        out += static_cast<char>(code);
-        i += 4;
-        break;
-      }
-      default: return false;
-    }
-  }
-  return true;
-}
-
-// Typed field extraction; every getter reports absence/garbage as false
-// so one || chain rejects a malformed line.
-bool get_str(const FlatJson& j, const char* key, std::string& out) {
-  const std::string* raw = j.raw(key);
-  return raw && unescape(*raw, out);
-}
-
-bool get_f64(const FlatJson& j, const char* key, double& out) {
-  const std::string* raw = j.raw(key);
-  if (!raw || raw->empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(raw->c_str(), &end);
-  return end == raw->c_str() + raw->size();
-}
-
-bool get_u64(const FlatJson& j, const char* key, std::uint64_t& out) {
-  const std::string* raw = j.raw(key);
-  if (!raw || raw->empty() || (*raw)[0] < '0' || (*raw)[0] > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoull(raw->c_str(), &end, 10);
-  return errno == 0 && end == raw->c_str() + raw->size();
-}
-
-template <typename T>
-bool get_uint(const FlatJson& j, const char* key, T& out) {
-  std::uint64_t v = 0;
-  if (!get_u64(j, key, v)) return false;
-  out = static_cast<T>(v);
-  return v == static_cast<std::uint64_t>(out);
-}
-
-bool get_bool(const FlatJson& j, const char* key, bool& out) {
-  const std::string* raw = j.raw(key);
-  if (!raw) return false;
-  if (*raw == "true") return out = true, true;
-  if (*raw == "false") return out = false, true;
-  return false;
-}
-
 // ok rows carry no "error" field; !ok rows must.
-bool get_ok_error(const FlatJson& j, bool& ok, std::string& error) {
-  if (!get_bool(j, "ok", ok)) return false;
-  return ok ? j.raw("error") == nullptr : get_str(j, "error", error);
+bool get_ok_error(const JsonObject& j, bool& ok, std::string& error) {
+  if (!j.get_bool("ok", ok)) return false;
+  return ok ? !j.has("error") : j.get_str("error", error);
 }
 
 Kind parse_kind(const std::string& name, bool& valid) {
@@ -175,34 +36,34 @@ Kind parse_kind(const std::string& name, bool& valid) {
 }  // namespace
 
 std::optional<Result> CampaignJournal::parse_result(const std::string& line) {
-  FlatJson j;
-  if (!FlatJson::scan(line, j)) return std::nullopt;
+  JsonObject j;
+  if (!JsonObject::scan(line, j)) return std::nullopt;
   Result r;
   std::string kind;
   bool kind_valid = true;
   const bool fields =
-      get_uint(j, "index", r.index) && get_str(j, "topology", r.topology) &&
-      get_str(j, "kind", kind) && get_ok_error(j, r.ok, r.error) &&
-      get_uint(j, "vertices", r.vertices) && get_uint(j, "radix", r.radix) &&
-      get_bool(j, "connected", r.connected) &&
-      get_f64(j, "diameter", r.diameter) &&
-      get_f64(j, "mean_hops", r.mean_hops) && get_uint(j, "girth", r.girth) &&
-      get_f64(j, "bisection", r.bisection) &&
-      get_f64(j, "normalized_bisection", r.normalized_bisection) &&
-      get_f64(j, "lambda", r.lambda) && get_f64(j, "mu1", r.mu1) &&
-      get_bool(j, "ramanujan", r.ramanujan) &&
-      get_f64(j, "fiedler_bisection_lb", r.fiedler_bisection_lb) &&
-      get_f64(j, "max_latency_ns", r.max_latency_ns) &&
-      get_f64(j, "mean_latency_ns", r.mean_latency_ns) &&
-      get_f64(j, "p99_latency_ns", r.p99_latency_ns) &&
-      get_f64(j, "completion_ns", r.completion_ns) &&
-      get_u64(j, "messages", r.messages) &&
-      get_f64(j, "mean_wire_m", r.mean_wire_m) &&
-      get_f64(j, "max_wire_m", r.max_wire_m) &&
-      get_u64(j, "wires_electrical", r.wires_electrical) &&
-      get_u64(j, "wires_optical", r.wires_optical) &&
-      get_f64(j, "power_watts", r.power_watts) &&
-      get_f64(j, "mw_per_gbps", r.mw_per_gbps);
+      j.get_uint("index", r.index) && j.get_str("topology", r.topology) &&
+      j.get_str("kind", kind) && get_ok_error(j, r.ok, r.error) &&
+      j.get_uint("vertices", r.vertices) && j.get_uint("radix", r.radix) &&
+      j.get_bool("connected", r.connected) &&
+      j.get_f64("diameter", r.diameter) &&
+      j.get_f64("mean_hops", r.mean_hops) && j.get_uint("girth", r.girth) &&
+      j.get_f64("bisection", r.bisection) &&
+      j.get_f64("normalized_bisection", r.normalized_bisection) &&
+      j.get_f64("lambda", r.lambda) && j.get_f64("mu1", r.mu1) &&
+      j.get_bool("ramanujan", r.ramanujan) &&
+      j.get_f64("fiedler_bisection_lb", r.fiedler_bisection_lb) &&
+      j.get_f64("max_latency_ns", r.max_latency_ns) &&
+      j.get_f64("mean_latency_ns", r.mean_latency_ns) &&
+      j.get_f64("p99_latency_ns", r.p99_latency_ns) &&
+      j.get_f64("completion_ns", r.completion_ns) &&
+      j.get_u64("messages", r.messages) &&
+      j.get_f64("mean_wire_m", r.mean_wire_m) &&
+      j.get_f64("max_wire_m", r.max_wire_m) &&
+      j.get_u64("wires_electrical", r.wires_electrical) &&
+      j.get_u64("wires_optical", r.wires_optical) &&
+      j.get_f64("power_watts", r.power_watts) &&
+      j.get_f64("mw_per_gbps", r.mw_per_gbps);
   if (!fields) return std::nullopt;
   r.kind = parse_kind(kind, kind_valid);
   if (!kind_valid) return std::nullopt;
@@ -215,47 +76,49 @@ std::optional<Result> CampaignJournal::parse_result(const std::string& line) {
 
 std::optional<SimResult> CampaignJournal::parse_sim_result(
     const std::string& line) {
-  FlatJson j;
-  if (!FlatJson::scan(line, j)) return std::nullopt;
+  JsonObject j;
+  if (!JsonObject::scan(line, j)) return std::nullopt;
   SimResult r;
   const bool fields =
-      get_uint(j, "index", r.index) && get_str(j, "topology", r.topology) &&
-      get_str(j, "label", r.label) && get_ok_error(j, r.ok, r.error) &&
-      get_f64(j, "diameter", r.diameter) &&
-      get_f64(j, "max_latency_ns", r.max_latency_ns) &&
-      get_f64(j, "mean_latency_ns", r.mean_latency_ns) &&
-      get_f64(j, "p99_latency_ns", r.p99_latency_ns) &&
-      get_f64(j, "completion_ns", r.completion_ns) &&
-      get_u64(j, "messages", r.messages) &&
-      get_f64(j, "delivered", r.delivered) &&
-      get_u64(j, "reroutes", r.reroutes) && get_u64(j, "drops", r.drops) &&
-      get_f64(j, "post_churn_p99_ns", r.post_churn_p99_ns) &&
-      get_u64(j, "events", r.events) && get_u64(j, "packets", r.packets);
+      j.get_uint("index", r.index) && j.get_str("topology", r.topology) &&
+      j.get_str("label", r.label) && get_ok_error(j, r.ok, r.error) &&
+      j.get_f64("diameter", r.diameter) &&
+      j.get_f64("max_latency_ns", r.max_latency_ns) &&
+      j.get_f64("mean_latency_ns", r.mean_latency_ns) &&
+      j.get_f64("p99_latency_ns", r.p99_latency_ns) &&
+      j.get_f64("completion_ns", r.completion_ns) &&
+      j.get_u64("messages", r.messages) &&
+      j.get_f64("delivered", r.delivered) &&
+      j.get_u64("reroutes", r.reroutes) && j.get_u64("drops", r.drops) &&
+      j.get_f64("post_churn_p99_ns", r.post_churn_p99_ns) &&
+      j.get_u64("events", r.events) && j.get_u64("packets", r.packets);
   if (!fields) return std::nullopt;
   if (jsonl_row(r) != line + "\n") return std::nullopt;
   return r;
 }
 
 std::optional<BatchMeta> CampaignJournal::parse_meta(const std::string& line) {
-  FlatJson j;
-  if (!FlatJson::scan(line, j)) return std::nullopt;
+  JsonObject j;
+  if (!JsonObject::scan(line, j)) return std::nullopt;
   BatchMeta m;
-  if (!get_str(j, "batch", m.batch) || !get_str(j, "campaign", m.campaign) ||
-      !get_uint(j, "scenarios", m.scenarios))
+  if (!j.get_str("batch", m.batch) || !j.get_str("campaign", m.campaign) ||
+      !j.get_uint("scenarios", m.scenarios))
     return std::nullopt;
   {
     std::string decl;
-    if (!get_str(j, "decl", decl) || decl.size() != 16) return std::nullopt;
+    if (!j.get_str("decl", decl) || decl.size() != 16) return std::nullopt;
     char* end = nullptr;
     errno = 0;
     m.decl = std::strtoull(decl.c_str(), &end, 16);
     if (errno != 0 || end != decl.c_str() + decl.size()) return std::nullopt;
   }
-  if (const std::string* shard = j.raw("shard")) {
-    if (std::sscanf(shard->c_str(), "[%zu,%zu]", &m.shard_index,
-                    &m.shard_count) != 2 ||
-        !get_uint(j, "rows", m.rows))
+  if (j.has("shard")) {
+    std::vector<std::uint64_t> shard;
+    if (!j.get_u64_array("shard", shard) || shard.size() != 2 ||
+        !j.get_uint("rows", m.rows))
       return std::nullopt;
+    m.shard_index = static_cast<std::size_t>(shard[0]);
+    m.shard_count = static_cast<std::size_t>(shard[1]);
   } else {
     m.rows = m.scenarios;
   }

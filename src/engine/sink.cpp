@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "engine/engine.hpp"
+#include "util/json.hpp"
 
 namespace sfly::engine {
 
@@ -33,29 +34,6 @@ std::string quoted(const std::string& s) {
   for (char c : s) {
     if (c == '"') out += '"';
     out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
   }
   out += '"';
   return out;
@@ -134,10 +112,10 @@ std::string csv_row(const SimResult& r) {
 
 std::string jsonl_row(const Result& r) {
   std::ostringstream out;
-  out << "{\"index\":" << r.index << ",\"topology\":" << json_str(r.topology)
+  out << "{\"index\":" << r.index << ",\"topology\":" << json_quote(r.topology)
       << ",\"kind\":\"" << kind_name(r.kind) << '"'
       << ",\"ok\":" << (r.ok ? "true" : "false");
-  if (!r.ok) out << ",\"error\":" << json_str(r.error);
+  if (!r.ok) out << ",\"error\":" << json_quote(r.error);
   out << ",\"vertices\":" << r.vertices << ",\"radix\":" << r.radix
       << ",\"connected\":" << (r.connected ? "true" : "false")
       << ",\"diameter\":" << jnum(r.diameter)
@@ -163,10 +141,10 @@ std::string jsonl_row(const Result& r) {
 
 std::string jsonl_row(const SimResult& r) {
   std::ostringstream out;
-  out << "{\"index\":" << r.index << ",\"topology\":" << json_str(r.topology)
-      << ",\"label\":" << json_str(r.label)
+  out << "{\"index\":" << r.index << ",\"topology\":" << json_quote(r.topology)
+      << ",\"label\":" << json_quote(r.label)
       << ",\"ok\":" << (r.ok ? "true" : "false");
-  if (!r.ok) out << ",\"error\":" << json_str(r.error);
+  if (!r.ok) out << ",\"error\":" << json_quote(r.error);
   out << ",\"diameter\":" << jnum(r.diameter)
       << ",\"max_latency_ns\":" << jnum(r.max_latency_ns)
       << ",\"mean_latency_ns\":" << jnum(r.mean_latency_ns)
@@ -182,8 +160,8 @@ std::string jsonl_row(const SimResult& r) {
 
 std::string jsonl_meta(const BatchMeta& m) {
   std::ostringstream out;
-  out << "{\"batch\":" << json_str(m.batch)
-      << ",\"campaign\":" << json_str(m.campaign)
+  out << "{\"batch\":" << json_quote(m.batch)
+      << ",\"campaign\":" << json_quote(m.campaign)
       << ",\"scenarios\":" << m.scenarios;
   if (m.shard_count > 1)
     out << ",\"shard\":[" << m.shard_index << ',' << m.shard_count

@@ -78,11 +78,12 @@ void TcpTransport::start(const Hooks& hooks) {
   auto last_notice = std::chrono::steady_clock::now();
   while (bound() < cfg_.workers) {
     pump(200, hooks);
-    // A worker can join and refuse the first batch (stale declaration)
-    // while we are still assembling the fleet; the dispatcher records
-    // the error and we must hand control back so it can raise it
-    // instead of waiting for a fleet that will never be whole.
-    if (hooks.failed && hooks.failed()) return;
+    // A worker can join and refuse the first batch (stale declaration),
+    // or join and stop on an already-spent --max-seconds budget, while
+    // we are still assembling the fleet; hand control back so the
+    // dispatcher raises the error or ends the batch on its delivered
+    // prefix instead of waiting for a fleet that will never be whole.
+    if (hooks.stop_waiting && hooks.stop_waiting()) return;
     if (seconds_since(last_notice) > 5.0) {
       last_notice = std::chrono::steady_clock::now();
       std::fprintf(stderr, "# --listen: %zu/%zu worker(s) connected...\n",

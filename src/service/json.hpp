@@ -1,280 +1,8 @@
 #pragma once
-// Flat JSON scanning for service requests (docs/SERVICE.md).
-//
-// The query protocol carries one flat JSON object per frame — string /
-// number / bool values plus one-level arrays of unsigned integers (the
-// failed-link list, the rank topology list).  This is journal.cpp's
-// FlatJson scanner with array support added, kept header-only so both the
-// daemon and the client CLI parse requests/responses with the same code.
-// No nesting, no streaming: a malformed object scans to false and the
-// caller answers with an error frame rather than guessing.
-
-#include <cerrno>
-#include <cstdint>
-#include <cstdlib>
-#include <string>
-#include <utility>
-#include <vector>
+// Kept only for perfbench/src/probes.cpp, which includes this path: the
+// scanner lives in util/json.hpp.
+#include "util/json.hpp"
 
 namespace sfly::service {
-
-class JsonObject {
- public:
-  /// Scan `text` as one flat JSON object.  Returns false on any
-  /// structural problem; `out` is then unspecified.
-  static bool scan(const std::string& text, JsonObject& out) {
-    std::size_t i = 0;
-    const std::size_t n = text.size();
-    auto skip_ws = [&] {
-      while (i < n && (text[i] == ' ' || text[i] == '\t' || text[i] == '\n' ||
-                       text[i] == '\r'))
-        ++i;
-    };
-    auto expect = [&](char c) {
-      if (i >= n || text[i] != c) return false;
-      ++i;
-      return true;
-    };
-    auto scan_string = [&](std::string& raw) {
-      const std::size_t start = i;
-      if (!expect('"')) return false;
-      while (i < n && text[i] != '"') {
-        if (text[i] == '\\') {
-          if (i + 1 >= n) return false;
-          i += 2;
-        } else {
-          ++i;
-        }
-      }
-      if (!expect('"')) return false;
-      raw = text.substr(start, i - start);
-      return true;
-    };
-    auto scan_token = [&](std::string& raw) {
-      skip_ws();
-      const std::size_t start = i;
-      if (i < n && text[i] == '"') return scan_string(raw);
-      if (i < n && text[i] == '[') {
-        // One-level array; strings inside may contain brackets, so walk
-        // string-aware rather than scanning for the first ']'.
-        ++i;
-        while (i < n && text[i] != ']') {
-          if (text[i] == '"') {
-            std::string ignored;
-            if (!scan_string(ignored)) return false;
-          } else if (text[i] == '[' || text[i] == '{') {
-            return false;  // nested containers are not part of the protocol
-          } else {
-            ++i;
-          }
-        }
-        if (!expect(']')) return false;
-      } else if (i < n && text[i] == '{') {
-        // One-level nested object (the sim response's embedded row): walk
-        // string-aware to the matching close brace.
-        ++i;
-        while (i < n && text[i] != '}') {
-          if (text[i] == '"') {
-            std::string ignored;
-            if (!scan_string(ignored)) return false;
-          } else if (text[i] == '[' || text[i] == '{') {
-            return false;
-          } else {
-            ++i;
-          }
-        }
-        if (!expect('}')) return false;
-      } else {
-        while (i < n && text[i] != ',' && text[i] != '}' &&
-               text[i] != ' ' && text[i] != '\t' && text[i] != '\n' &&
-               text[i] != '\r')
-          ++i;
-      }
-      if (i == start) return false;
-      raw = text.substr(start, i - start);
-      return true;
-    };
-
-    out.pairs_.clear();
-    skip_ws();
-    if (!expect('{')) return false;
-    skip_ws();
-    if (i < n && text[i] == '}') {
-      ++i;
-      skip_ws();
-      return i == n;
-    }
-    while (true) {
-      std::string key, value;
-      skip_ws();
-      if (!scan_string(key)) return false;
-      skip_ws();
-      if (!expect(':')) return false;
-      if (!scan_token(value)) return false;
-      std::string plain;
-      if (!unescape(key, plain)) return false;
-      out.pairs_.emplace_back(std::move(plain), std::move(value));
-      skip_ws();
-      if (i < n && text[i] == ',') {
-        ++i;
-        continue;
-      }
-      break;
-    }
-    if (!expect('}')) return false;
-    skip_ws();
-    return i == n;
-  }
-
-  /// Raw token for `key` (still escaped / bracketed), or nullptr.
-  [[nodiscard]] const std::string* raw(const std::string& key) const {
-    for (const auto& [k, v] : pairs_)
-      if (k == key) return &v;
-    return nullptr;
-  }
-
-  [[nodiscard]] bool has(const std::string& key) const {
-    return raw(key) != nullptr;
-  }
-
-  // Typed getters: absence or a wrong-typed value leaves `out` untouched
-  // and returns false.
-
-  [[nodiscard]] bool get_str(const std::string& key, std::string& out) const {
-    const std::string* r = raw(key);
-    return r && unescape(*r, out);
-  }
-
-  [[nodiscard]] bool get_u64(const std::string& key, std::uint64_t& out) const {
-    const std::string* r = raw(key);
-    if (!r || r->empty() || (*r)[0] < '0' || (*r)[0] > '9') return false;
-    char* end = nullptr;
-    errno = 0;
-    const std::uint64_t v = std::strtoull(r->c_str(), &end, 10);
-    if (errno != 0 || end != r->c_str() + r->size()) return false;
-    out = v;
-    return true;
-  }
-
-  [[nodiscard]] bool get_f64(const std::string& key, double& out) const {
-    const std::string* r = raw(key);
-    if (!r || r->empty()) return false;
-    char* end = nullptr;
-    const double v = std::strtod(r->c_str(), &end);
-    if (end != r->c_str() + r->size()) return false;
-    out = v;
-    return true;
-  }
-
-  [[nodiscard]] bool get_bool(const std::string& key, bool& out) const {
-    const std::string* r = raw(key);
-    if (!r) return false;
-    if (*r == "true") return out = true, true;
-    if (*r == "false") return out = false, true;
-    return false;
-  }
-
-  /// "[1,2,3]" (whitespace tolerated) -> values; empty array is valid.
-  [[nodiscard]] bool get_u64_array(const std::string& key,
-                                   std::vector<std::uint64_t>& out) const {
-    const std::string* r = raw(key);
-    if (!r || r->size() < 2 || r->front() != '[' || r->back() != ']')
-      return false;
-    out.clear();
-    std::string tok;
-    for (std::size_t i = 1; i < r->size(); ++i) {
-      const char c = (*r)[i];
-      if (c == ',' || c == ']') {
-        if (tok.empty()) {
-          if (c == ']' && out.empty()) return true;  // "[]"
-          return false;
-        }
-        char* end = nullptr;
-        errno = 0;
-        out.push_back(std::strtoull(tok.c_str(), &end, 10));
-        if (errno != 0 || end != tok.c_str() + tok.size()) return false;
-        tok.clear();
-      } else if (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
-        tok += c;
-      }
-    }
-    return true;
-  }
-
-  /// ["a","b"] -> unescaped strings; empty array is valid.
-  [[nodiscard]] bool get_str_array(const std::string& key,
-                                   std::vector<std::string>& out) const {
-    const std::string* r = raw(key);
-    if (!r || r->size() < 2 || r->front() != '[' || r->back() != ']')
-      return false;
-    out.clear();
-    std::size_t i = 1;
-    const std::string& s = *r;
-    auto skip_ws = [&] {
-      while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                              s[i] == '\r' || s[i] == ','))
-        ++i;
-    };
-    skip_ws();
-    while (i < s.size() - 1) {
-      if (s[i] != '"') return false;
-      const std::size_t start = i++;
-      while (i < s.size() && s[i] != '"') {
-        if (s[i] == '\\') {
-          if (i + 1 >= s.size()) return false;
-          i += 2;
-        } else {
-          ++i;
-        }
-      }
-      if (i >= s.size()) return false;
-      ++i;  // closing quote
-      std::string plain;
-      if (!unescape(s.substr(start, i - start), plain)) return false;
-      out.push_back(std::move(plain));
-      skip_ws();
-    }
-    return true;
-  }
-
-  /// Inverse of net.hpp's json_escape: `raw` includes the surrounding
-  /// quotes.  Public so responses embedding raw tokens can be unpacked.
-  static bool unescape(const std::string& raw, std::string& out) {
-    if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') return false;
-    out.clear();
-    for (std::size_t i = 1; i + 1 < raw.size(); ++i) {
-      char c = raw[i];
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (++i + 1 > raw.size()) return false;
-      switch (raw[i]) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'u': {
-          if (i + 4 + 1 > raw.size()) return false;
-          char* end = nullptr;
-          const std::string hex = raw.substr(i + 1, 4);
-          const long code = std::strtol(hex.c_str(), &end, 16);
-          if (end != hex.c_str() + 4 || code < 0 || code > 0xff) return false;
-          out += static_cast<char>(code);
-          i += 4;
-          break;
-        }
-        default: return false;
-      }
-    }
-    return true;
-  }
-
- private:
-  // Key order preserved; values are raw token slices of the input.
-  std::vector<std::pair<std::string, std::string>> pairs_;
-};
-
+using JsonObject = sfly::JsonObject;
 }  // namespace sfly::service

@@ -13,7 +13,6 @@
 #include "routing/policy.hpp"
 #include "sim/motifs.hpp"
 #include "topo/factory.hpp"
-#include "util/net.hpp"
 #include "util/rng.hpp"
 
 namespace sfly::service {
@@ -27,8 +26,6 @@ std::string fmt17(double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
-
-std::string jstr(const std::string& s) { return "\"" + net::json_escape(s) + "\""; }
 
 routing::Algo parse_algo(const std::string& name) {
   using routing::Algo;
@@ -101,7 +98,7 @@ std::function<std::unique_ptr<sim::Motif>()> parse_motif(const std::string& spec
 
 std::string error_response(std::uint64_t id, const std::string& message) {
   return "{\"id\":" + std::to_string(id) + ",\"ok\":false,\"error\":" +
-         jstr(message) + "}";
+         json_quote(message) + "}";
 }
 
 QueryEngine::QueryEngine(engine::EngineConfig cfg) : engine_(cfg) {
@@ -230,7 +227,8 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
   }
 
   std::string out = "{\"id\":" + std::to_string(id) +
-                    ",\"ok\":true,\"kind\":\"route\",\"topology\":" + jstr(name) +
+                    ",\"ok\":true,\"kind\":\"route\",\"topology\":" +
+                    json_quote(name) +
                     ",\"algo\":\"" + routing::algo_name(algo) +
                     "\",\"src\":" + std::to_string(src) +
                     ",\"dst\":" + std::to_string(dst) +
@@ -363,7 +361,7 @@ std::string QueryEngine::handle_rank(const JsonObject& q, std::uint64_t id) {
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
     out += (i ? "," : "");
-    out += "{\"topology\":" + jstr(e.name) +
+    out += "{\"topology\":" + json_quote(e.name) +
            ",\"vertices\":" + std::to_string(e.vertices) +
            ",\"radix\":" + std::to_string(e.radix) +
            ",\"endpoints\":" +
@@ -396,7 +394,7 @@ std::string QueryEngine::handle_stats(const JsonObject&, std::uint64_t id) {
                     ",\"errors\":" + std::to_string(errors_.load()) +
                     ",\"topologies\":[";
   for (std::size_t i = 0; i < names.size(); ++i)
-    out += (i ? "," : "") + jstr(names[i]);
+    out += (i ? "," : "") + json_quote(names[i]);
   out += "],\"tables_built\":" + std::to_string(routing::Tables::builds()) +
          ",\"index_built\":" + std::to_string(routing::NextHopIndex::builds()) +
          ",\"cells_built\":" + std::to_string(routing::CellIndex::builds()) +

@@ -26,7 +26,7 @@
 #include <string>
 
 #include "engine/engine.hpp"
-#include "service/json.hpp"
+#include "util/json.hpp"
 
 namespace sfly::service {
 

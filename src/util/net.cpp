@@ -10,10 +10,13 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+
+#include "util/json.hpp"
 
 namespace sfly::net {
 
@@ -50,45 +53,6 @@ std::uint32_t get_u32(const char* p) {
 bool known_type(std::uint8_t t) {
   return t >= static_cast<std::uint8_t>(FrameType::kHello) &&
          t <= static_cast<std::uint8_t>(FrameType::kBye);
-}
-
-/// Scan a flat JSON object for "key": returning the raw value start, or
-/// npos.  Handshake payloads are machine-generated and tiny, so a
-/// positional scan (mirroring journal.cpp's FlatJson) is enough.
-std::size_t find_key(const std::string& s, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto at = s.find(needle);
-  return at == std::string::npos ? std::string::npos : at + needle.size();
-}
-
-bool get_string(const std::string& s, const std::string& key,
-                std::string& out) {
-  auto at = find_key(s, key);
-  if (at == std::string::npos || at >= s.size() || s[at] != '"') return false;
-  ++at;
-  out.clear();
-  while (at < s.size() && s[at] != '"') {
-    char c = s[at++];
-    if (c == '\\' && at < s.size()) {
-      const char e = s[at++];
-      switch (e) {
-        case 'n': c = '\n'; break;
-        case 't': c = '\t'; break;
-        case 'r': c = '\r'; break;
-        default: c = e; break;
-      }
-    }
-    out.push_back(c);
-  }
-  return at < s.size();
-}
-
-bool get_number(const std::string& s, const std::string& key, double& out) {
-  const auto at = find_key(s, key);
-  if (at == std::string::npos) return false;
-  char* end = nullptr;
-  out = std::strtod(s.c_str() + at, &end);
-  return end != s.c_str() + at;
 }
 
 }  // namespace
@@ -244,33 +208,15 @@ int connect_with_backoff(const std::string& host, std::uint16_t port,
   return -1;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out.push_back(c); break;
-    }
-  }
-  return out;
-}
-
 std::string hello_payload(const std::string& role) {
-  return "{\"v\":" + std::to_string(kProtocolVersion) + ",\"role\":\"" +
-         json_escape(role) + "\"}";
+  return "{\"v\":" + std::to_string(kProtocolVersion) +
+         ",\"role\":" + json_quote(role) + "}";
 }
 
 bool parse_hello(const std::string& payload, int& version, std::string& role) {
-  double v = 0;
-  if (!get_number(payload, "v", v) || !get_string(payload, "role", role))
-    return false;
-  version = static_cast<int>(v);
-  return true;
+  JsonObject j;
+  return JsonObject::scan(payload, j) && j.get_uint("v", version) &&
+         j.get_str("role", role);
 }
 
 std::string welcome_payload(const Welcome& w) {
@@ -285,12 +231,12 @@ std::string welcome_payload(const Welcome& w) {
     std::snprintf(buf, sizeof buf, ",\"budget_s\":%.6f", w.budget_seconds);
     out += buf;
   }
-  if (!w.exe.empty()) out += ",\"exe\":\"" + json_escape(w.exe) + "\"";
+  if (!w.exe.empty()) out += ",\"exe\":" + json_quote(w.exe);
   if (!w.args.empty()) {
     out += ",\"args\":[";
     for (std::size_t i = 0; i < w.args.size(); ++i) {
       if (i) out += ",";
-      out += "\"" + json_escape(w.args[i]) + "\"";
+      out += json_quote(w.args[i]);
     }
     out += "]";
   }
@@ -299,48 +245,23 @@ std::string welcome_payload(const Welcome& w) {
 }
 
 bool parse_welcome(const std::string& payload, Welcome& out) {
-  double v = 0;
-  if (!get_number(payload, "v", v)) return false;
-  out.version = static_cast<int>(v);
-  double num = 0;
-  out.busy = get_number(payload, "busy", num) && num != 0;
-  out.lease_ms =
-      get_number(payload, "lease_ms", num) ? static_cast<int>(num) : 0;
-  out.heartbeat_ms =
-      get_number(payload, "hb_ms", num) ? static_cast<int>(num) : 0;
-  out.budget_seconds = get_number(payload, "budget_s", num) ? num : 0;
-  get_string(payload, "exe", out.exe);
-  out.args.clear();
-  const auto at = payload.find("\"args\":[");
-  if (at != std::string::npos) {
-    std::size_t i = at + 8;
-    while (i < payload.size() && payload[i] != ']') {
-      if (payload[i] == '"') {
-        std::string item;
-        ++i;
-        while (i < payload.size() && payload[i] != '"') {
-          char c = payload[i++];
-          if (c == '\\' && i < payload.size()) {
-            const char e = payload[i++];
-            switch (e) {
-              case 'n': c = '\n'; break;
-              case 't': c = '\t'; break;
-              case 'r': c = '\r'; break;
-              default: c = e; break;
-            }
-          }
-          item.push_back(c);
-        }
-        if (i >= payload.size()) return false;
-        ++i;
-        out.args.push_back(std::move(item));
-      } else {
-        ++i;
-      }
-    }
-    if (i >= payload.size()) return false;
-  }
-  return true;
+  // Optional fields default when absent; a present field of the wrong
+  // type or out of range rejects the whole payload.
+  JsonObject j;
+  int busy = 0;
+  out = Welcome{};
+  const auto opt_int = [&](const char* key, int& v) {
+    return !j.has(key) || j.get_uint(key, v);
+  };
+  if (!JsonObject::scan(payload, j) || !j.get_uint("v", out.version) ||
+      !opt_int("busy", busy) || !opt_int("lease_ms", out.lease_ms) ||
+      !opt_int("hb_ms", out.heartbeat_ms) ||
+      (j.has("budget_s") && !j.get_f64("budget_s", out.budget_seconds)) ||
+      (j.has("exe") && !j.get_str("exe", out.exe)) ||
+      (j.has("args") && !j.get_str_array("args", out.args)))
+    return false;
+  out.busy = busy != 0;
+  return std::isfinite(out.budget_seconds) && out.budget_seconds >= 0;
 }
 
 }  // namespace sfly::net

@@ -121,9 +121,10 @@ class FrameReader {
                                        std::uint64_t max_ms,
                                        std::uint64_t seed);
 
-/// Minimal JSON string escape/unescape for handshake payloads (the rest
-/// of the wire format is produced by the journal serializers).
-[[nodiscard]] std::string json_escape(const std::string& s);
+// Handshake payloads are flat JSON written with json_quote and read with
+// JsonObject (util/json.hpp), the codec the journal lines use.  A parse
+// fails on malformed JSON, a missing required field, or an integer field
+// that is not a whole number in int range.
 
 /// HELLO payload: {"v":1,"role":"worker"|"probe"}
 [[nodiscard]] std::string hello_payload(const std::string& role);

@@ -1,21 +1,26 @@
-// Deterministic mutation fuzz of the service request path: every mutant
-// of a valid request — truncated, byte-flipped, NUL-ridden, deeply
-// nested, numerically absurd — must leave the daemon standing.  Pins:
-// JsonObject::scan never crashes (it may reject), QueryEngine::handle
-// never throws and always returns a well-formed answer frame (an object
-// carrying "ok"), and the error counter moves only on error frames.
+// Deterministic mutation fuzz of every consumer of the flat-JSON codec
+// (util/json.hpp): every mutant of a valid input — truncated,
+// byte-flipped, NUL-ridden, deeply nested, numerically absurd — must
+// leave its parser standing.  Pins: JsonObject::scan never crashes (it
+// may reject); QueryEngine::handle never throws and always answers an
+// object that scans and carries a boolean "ok", with the error counter
+// moving only on error frames; the journal parsers accept a mutant only
+// if it re-serializes to exactly itself; the handshake parsers accept
+// only in-range fields.  Plus byte pins for the one escaper, json_quote.
 // Seed-driven (no libFuzzer dependency), so a failure reproduces from
 // the printed seed alone.
 
-#include "service/json.hpp"
+#include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "engine/journal.hpp"
 #include "service/query.hpp"
 #include "topo/factory.hpp"
+#include "util/net.hpp"
 #include "util/rng.hpp"
 
 namespace sfly::service {
@@ -176,11 +181,13 @@ TEST(JsonFuzz, HandleAlwaysAnswersAFrame) {
         ASSERT_NO_THROW(resp = engine.handle(mutant)) << "seed=" << seed;
         ASSERT_FALSE(resp.empty()) << "seed=" << seed;
         // Every answer is an object frame that states its verdict.
-        EXPECT_EQ(resp.front(), '{') << "seed=" << seed;
-        EXPECT_EQ(resp.back(), '}') << "seed=" << seed;
-        EXPECT_NE(resp.find("\"ok\":"), std::string::npos) << "seed=" << seed;
+        JsonObject frame;
+        bool ok = false;
+        ASSERT_TRUE(JsonObject::scan(resp, frame))
+            << "seed=" << seed << " " << resp;
+        ASSERT_TRUE(frame.get_bool("ok", ok)) << "seed=" << seed << " " << resp;
         ++answered;
-        if (resp.find("\"ok\":false") != std::string::npos) ++errors_seen;
+        if (!ok) ++errors_seen;
       }
     }
   }
@@ -226,6 +233,206 @@ TEST(JsonFuzz, HostileHandcraftedRequests) {
     EXPECT_EQ(resp.front(), '{');
     EXPECT_NE(resp.find("\"ok\":"), std::string::npos);
   }
+}
+
+// Real journal lines: structure and sim rows (one ok:false with control
+// bytes in its label and error), and batch headers with and without a
+// shard declaration.
+std::vector<std::string> journal_corpus() {
+  engine::Result r;
+  r.index = 12;
+  r.topology = "LPS(3,5)";
+  r.kind = engine::Kind::kSpectral;
+  r.vertices = 120;
+  r.radix = 4;
+  r.diameter = 5;
+  r.mean_hops = 3.4537815126050422;
+  r.girth = 6;
+  r.lambda = 3.4641016151377544;
+  r.mu1 = 0.53589838486224561;
+  r.ramanujan = true;
+  r.messages = 4096;
+  engine::SimResult ok;
+  ok.index = 3;
+  ok.topology = "Paley(13)";
+  ok.label = "ugal-l/random";
+  ok.diameter = 2;
+  ok.mean_latency_ns = 1234.5678901234567;
+  ok.p99_latency_ns = 2e-7;
+  ok.messages = 64;
+  ok.delivered = 0.99609375;
+  ok.events = 9001;
+  ok.packets = 128;
+  engine::SimResult bad = ok;
+  bad.ok = false;
+  bad.label = std::string("lbl\x01\"q\"\\\x1f\n");
+  bad.error = "sim failed: \"x\"\t\x02";
+  engine::BatchMeta m;
+  m.campaign = "fig6";
+  m.batch = "speedup";
+  m.scenarios = 48;
+  m.rows = 48;
+  m.decl = 0x0123456789abcdefull;
+  engine::BatchMeta sharded = m;
+  sharded.shard_index = 1;
+  sharded.shard_count = 3;
+  sharded.rows = 16;
+  std::vector<std::string> lines;
+  for (std::string line :
+       {engine::jsonl_row(r), engine::jsonl_row(ok), engine::jsonl_row(bad),
+        engine::jsonl_meta(m), engine::jsonl_meta(sharded)}) {
+    line.pop_back();  // the parsers take lines without the terminator
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+TEST(JsonFuzz, JournalParsersRejectOrRoundTripMutants) {
+  using engine::CampaignJournal;
+  const auto corpus = journal_corpus();
+  ASSERT_TRUE(CampaignJournal::parse_result(corpus[0]));
+  ASSERT_TRUE(CampaignJournal::parse_sim_result(corpus[1]));
+  ASSERT_TRUE(CampaignJournal::parse_sim_result(corpus[2]));
+  ASSERT_TRUE(CampaignJournal::parse_meta(corpus[3]));
+  ASSERT_TRUE(CampaignJournal::parse_meta(corpus[4]));
+  std::size_t accepted = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(split_seed(0xF0E1, seed));
+    for (const std::string& base : corpus) {
+      for (int i = 0; i < 50; ++i) {
+        const std::string mutant = mutate(base, rng);
+        // Every parser sees every mutant; whatever one accepts must be
+        // the exact serialization of what it parsed.
+        if (auto r = CampaignJournal::parse_result(mutant)) {
+          EXPECT_EQ(engine::jsonl_row(*r), mutant + "\n") << "seed=" << seed;
+          ++accepted;
+        }
+        if (auto r = CampaignJournal::parse_sim_result(mutant)) {
+          EXPECT_EQ(engine::jsonl_row(*r), mutant + "\n") << "seed=" << seed;
+          ++accepted;
+        }
+        if (auto m = CampaignJournal::parse_meta(mutant)) {
+          EXPECT_EQ(engine::jsonl_meta(*m), mutant + "\n") << "seed=" << seed;
+          ++accepted;
+        }
+      }
+    }
+  }
+  // Duplicate-span and no-op rounds leave some mutants intact.
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(JsonFuzz, HandshakeParsersNeverCrashOnMutants) {
+  net::Welcome worker;
+  worker.lease_ms = 10000;
+  worker.heartbeat_ms = 3333;
+  worker.budget_seconds = 12.5;
+  net::Welcome busy;
+  busy.busy = true;
+  net::Welcome probe;
+  probe.exe = "bench_fig6_ugal";
+  probe.args = {"--ranks", "64", "--label", "dragon \"fly\" \\ [x]"};
+  const std::vector<std::string> corpus = {
+      net::hello_payload("worker"), net::hello_payload("probe"),
+      net::welcome_payload(worker), net::welcome_payload(busy),
+      net::welcome_payload(probe)};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(split_seed(0xF0E2, seed));
+    for (const std::string& base : corpus) {
+      for (int i = 0; i < 50; ++i) {
+        const std::string mutant = mutate(base, rng);
+        int version = -1;
+        std::string role;
+        if (net::parse_hello(mutant, version, role)) {
+          EXPECT_GE(version, 0) << "seed=" << seed;
+        }
+        net::Welcome w;
+        if (net::parse_welcome(mutant, w)) {
+          EXPECT_GE(w.version, 0) << "seed=" << seed;
+          EXPECT_GE(w.lease_ms, 0) << "seed=" << seed;
+          EXPECT_GE(w.heartbeat_ms, 0) << "seed=" << seed;
+          EXPECT_GE(w.budget_seconds, 0.0) << "seed=" << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(JsonCodec, EveryByteRoundTripsThroughQuoteAndUnescape) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string s = "<" + std::string(1, static_cast<char>(b)) + ">";
+    const std::string quoted = json_quote(s);
+    for (const char c : quoted)
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "byte " << b;
+    std::string back;
+    ASSERT_TRUE(JsonObject::unescape(quoted, back)) << "byte " << b;
+    EXPECT_EQ(back, s) << "byte " << b;
+    all += static_cast<char>(b);
+  }
+  std::string back;
+  ASSERT_TRUE(JsonObject::unescape(json_quote(all), back));
+  EXPECT_EQ(back, all);
+}
+
+TEST(JsonCodec, JournalEscapesArePinned) {
+  // Literals captured from the escaper every journal so far was written
+  // with: named escapes for " \ \n \t \r, lowercase \u00xx for the other
+  // control bytes.  Journal bytes are the resume/merge spec.
+  const std::string odd = std::string("a\x01") + "\"q\"\\z\x1f\n";
+  engine::SimResult s;
+  s.index = 3;
+  s.topology = "LPS(3,5)";
+  s.label = odd;
+  s.ok = false;
+  s.error = odd;
+  s.diameter = 2;
+  s.messages = 7;
+  EXPECT_EQ(engine::jsonl_row(s),
+            R"json({"index":3,"topology":"LPS(3,5)","label":"a\u0001\"q\"\\z\u001f\n",)json"
+            R"json("ok":false,"error":"a\u0001\"q\"\\z\u001f\n","diameter":2,)json"
+            R"json("max_latency_ns":0,"mean_latency_ns":0,"p99_latency_ns":0,)json"
+            R"json("completion_ns":0,"messages":7,"delivered":1,"reroutes":0,)json"
+            R"json("drops":0,"post_churn_p99_ns":0,"events":0,"packets":0})json"
+            "\n");
+  engine::Result r;
+  r.index = 4;
+  r.topology = odd;
+  r.ok = false;
+  r.error = odd;
+  r.kind = engine::Kind::kStructure;
+  EXPECT_EQ(engine::jsonl_row(r),
+            R"json({"index":4,"topology":"a\u0001\"q\"\\z\u001f\n","kind":"structure",)json"
+            R"json("ok":false,"error":"a\u0001\"q\"\\z\u001f\n","vertices":0,)json"
+            R"json("radix":0,"connected":true,"diameter":0,"mean_hops":0,"girth":0,)json"
+            R"json("bisection":0,"normalized_bisection":0,"lambda":0,"mu1":0,)json"
+            R"json("ramanujan":false,"fiedler_bisection_lb":0,"max_latency_ns":0,)json"
+            R"json("mean_latency_ns":0,"p99_latency_ns":0,"completion_ns":0,)json"
+            R"json("messages":0,"mean_wire_m":0,"max_wire_m":0,)json"
+            R"json("wires_electrical":0,"wires_optical":0,"power_watts":0,)json"
+            R"json("mw_per_gbps":0})json"
+            "\n");
+  engine::BatchMeta m;
+  m.batch = odd;
+  m.campaign = "c";
+  m.scenarios = 5;
+  m.decl = 0x1234;
+  m.shard_index = 1;
+  m.shard_count = 2;
+  m.rows = 2;
+  EXPECT_EQ(engine::jsonl_meta(m),
+            R"json({"batch":"a\u0001\"q\"\\z\u001f\n","campaign":"c","scenarios":5,)json"
+            R"json("shard":[1,2],"rows":2,"decl":"0000000000001234"})json"
+            "\n");
+}
+
+TEST(JsonCodec, ServiceAnswersEscapeControlBytes) {
+  // An error echoing a hostile request string must stay valid JSON: the
+  // control byte goes out as \u0001, never raw.
+  QueryEngine engine;
+  const std::string resp = engine.handle(
+      R"json({"id":1,"kind":"route","topo":"Paley(13)","src":0,"dst":1,"algo":"ugal\u0001"})json");
+  EXPECT_EQ(resp, R"json({"id":1,"ok":false,"error":"unknown algo: ugal\u0001"})json");
 }
 
 }  // namespace

@@ -181,6 +181,25 @@ TEST(Handshake, HelloAndWelcomeRoundTrip) {
   EXPECT_EQ(back.args[3], "dragon \"fly\"");
 }
 
+TEST(Handshake, RejectsNonIntegerAndOutOfRangeNumbers) {
+  // HELLO arrives from anything that connects to a --listen port: an
+  // integer field that is fractional, negative, or past int range is a
+  // malformed payload, never a truncated or wrapped number.
+  int v = 0;
+  std::string role;
+  for (const char* hello : {R"({"v":1e300,"role":"worker"})",
+                            R"({"v":4294967297,"role":"worker"})",
+                            R"({"v":1.9,"role":"worker"})",
+                            R"({"v":-1,"role":"worker"})"})
+    EXPECT_FALSE(parse_hello(hello, v, role)) << hello;
+  Welcome w;
+  for (const char* welcome : {R"({"v":1,"lease_ms":-5,"hb_ms":1000})",
+                              R"({"v":1,"lease_ms":3000,"hb_ms":1e12})",
+                              R"({"v":1,"busy":2147483648})",
+                              R"({"v":1,"budget_s":-2.5})"})
+    EXPECT_FALSE(parse_welcome(welcome, w)) << welcome;
+}
+
 TEST(Backoff, GrowsDeterministicallyAndCaps) {
   // Same (attempt, seed) must give the same delay — resumable tests and
   // reproducible fleet behaviour depend on it.
@@ -222,6 +241,7 @@ struct Fleet {
   std::vector<std::string> worker_envs;  // per direct worker, optional
   int supervisors = 0;          // sfly_worker processes (reconnect loop)
   int slots = -1;               // parent --workers; default = all workers
+  int join_delay_s = 0;         // workers start this long after the parent
 };
 
 int run_fleet(const Fleet& fl) {
@@ -253,6 +273,8 @@ int run_fleet(const Fleet& fl) {
     sh += "[ -s $XPF ] || { kill $P $X 2>/dev/null; exit 96; }\n";
     sh += "TARGET=$(cat $XPF)\n";
   }
+  if (fl.join_delay_s > 0)
+    sh += "sleep " + std::to_string(fl.join_delay_s) + "\n";
   sh += "PIDS=\n";
   for (int w = 0; w < fl.direct_workers; ++w) {
     const std::string env =
@@ -283,28 +305,21 @@ int run_fleet(const Fleet& fl) {
   return run("sh " + path);
 }
 
-// Single-process reference for the default small fig6 campaign, built
-// once and byte-compared against by every fault scenario.
-struct Ref {
-  std::string jsonl, out;
-};
-const Ref& reference() {
-  static Ref r = [] {
-    Ref ref{tmp("ref.jsonl"), tmp("ref.out")};
-    const int rc = run(bin_dir() +
-                       "/bench_fig6_ugal --ranks 64 --msgs 4 --seed 1 "
-                       "--threads 1 --json " + ref.jsonl + " > " + ref.out +
-                       " 2>/dev/null");
-    EXPECT_EQ(rc, 0);
-    return ref;
-  }();
-  return r;
-}
-
+// Single-process reference for the default small fig6 campaign, written
+// under the calling test's own name: ctest runs every case as its own
+// process, so a shared reference file would be rewritten by one test
+// while another reads it.
 void expect_matches_reference(const std::string& name) {
-  EXPECT_EQ(slurp(reference().jsonl), slurp(tmp(name + ".jsonl")))
+  const std::string ref_jsonl = tmp(name + ".ref.jsonl");
+  const std::string ref_out = tmp(name + ".ref.out");
+  ASSERT_EQ(run(bin_dir() +
+                "/bench_fig6_ugal --ranks 64 --msgs 4 --seed 1 "
+                "--threads 1 --json " + ref_jsonl + " > " + ref_out +
+                " 2>/dev/null"),
+            0);
+  EXPECT_EQ(slurp(ref_jsonl), slurp(tmp(name + ".jsonl")))
       << "journal bytes differ from single-process run";
-  EXPECT_EQ(slurp(reference().out), slurp(tmp(name + ".out")))
+  EXPECT_EQ(slurp(ref_out), slurp(tmp(name + ".out")))
       << "stdout bytes differ from single-process run";
 }
 
@@ -432,6 +447,32 @@ TEST(Tcp, BudgetStopsFleetGracefullyAndResumesSingleProcess) {
   ASSERT_EQ(rc, 0);
   EXPECT_EQ(ref, slurp(bj));
   EXPECT_EQ(slurp(ro), slurp(bo));
+}
+
+TEST(Tcp, BudgetSpentBeforeFleetAssemblesStopsResumably) {
+  // One worker joins a two-slot fleet after the parent's budget is
+  // spent, so it stops on its first window.  The parent must end the
+  // batch on the rows delivered so far (exit 75) rather than wait for a
+  // second join that will never come.
+  const std::string big = "--ranks 512 --msgs 16 --seed 1";
+  const std::string rj = tmp("early.ref.jsonl");
+  ASSERT_EQ(run(bin_dir() + "/bench_fig6_ugal " + big + " --threads 1 --json " +
+                rj + " > /dev/null 2>&1"),
+            0);
+  Fleet fl;
+  fl.name = "early";
+  fl.campaign = big;
+  fl.parent_extra = "--max-seconds 0.4";
+  fl.slots = 2;
+  fl.direct_workers = 1;
+  fl.join_delay_s = 1;
+  ASSERT_EQ(run_fleet(fl), 75) << slurp(tmp("early.err"));
+  const std::string ref = slurp(rj), part = slurp(tmp("early.jsonl"));
+  ASSERT_FALSE(part.empty());
+  ASSERT_LT(part.size(), ref.size());
+  EXPECT_EQ(ref.compare(0, part.size(), part), 0)
+      << "budget-stopped fleet journal is not a prefix of the reference";
+  EXPECT_EQ(part.back(), '\n');
 }
 
 // ---------------------------------------------------------------------

@@ -26,10 +26,13 @@
 #include "service/query.hpp"
 #include "service/snapshot.hpp"
 #include "topo/factory.hpp"
+#include "util/json.hpp"
 #include "util/net.hpp"
 #include "util/options.hpp"
 
 namespace {
+
+using sfly::json_quote;
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -46,18 +49,15 @@ int usage(const char* argv0) {
   return 2;
 }
 
-std::string jstr(const std::string& s) {
-  return "\"" + sfly::net::json_escape(s) + "\"";
-}
-
 // Build the request object from the parsed flags.  Only flags that are
 // present are serialized, so server-side defaults stay authoritative and
 // a --connect request equals the --local request byte for byte.
 std::string build_request(const std::string& kind, const sfly::bench::Flags& f) {
   std::string req = "{\"id\":" + std::to_string(f.get("--id", 1)) +
-                    ",\"kind\":" + jstr(kind);
+                    ",\"kind\":" + json_quote(kind);
   auto add_str = [&](const char* flag, const char* key) {
-    if (f.has(flag)) req += ",\"" + std::string(key) + "\":" + jstr(f.get_str(flag));
+    if (f.has(flag))
+      req += ",\"" + std::string(key) + "\":" + json_quote(f.get_str(flag));
   };
   auto add_u64 = [&](const char* flag, const char* key) {
     if (f.has(flag))
@@ -110,7 +110,7 @@ std::string build_request(const std::string& kind, const sfly::bench::Flags& f) 
     req += ",\"topos\":[";
     const auto specs = sfly::topo::split_spec_list(f.get_str("--topos"));
     for (std::size_t i = 0; i < specs.size(); ++i)
-      req += (i ? "," : "") + jstr(specs[i]);
+      req += (i ? "," : "") + json_quote(specs[i]);
     req += "]";
   }
   add_u64("--job-size", "job_size");
@@ -118,11 +118,10 @@ std::string build_request(const std::string& kind, const sfly::bench::Flags& f) 
   return req;
 }
 
-// Response ok-ness without a full parse: handle() emits ,"ok":true or
-// ,"ok":false right after the id, and the scanner-built payloads never
-// embed that byte sequence inside a string.
 bool response_ok(const std::string& payload) {
-  return payload.find("\"ok\":true") != std::string::npos;
+  sfly::JsonObject j;
+  bool ok = false;
+  return sfly::JsonObject::scan(payload, j) && j.get_bool("ok", ok) && ok;
 }
 
 int run_remote(const std::string& hostport, const std::string& request,
