@@ -190,8 +190,9 @@ inline void write_phase_record(const std::string& path,
 /// replay count from before this run for multi-sweep benches.
 inline RunStatus finish_run(const engine::RunControl& ctl, bool final_run,
                             std::size_t replayed_before = 0) {
-  // ctl.quiet (a --worker-fd process): the parent owns stderr reporting
-  // for the whole fleet; the status classification still applies.
+  // ctl.quiet (a --worker-fd / --connect worker): the parent owns stderr
+  // reporting for the whole fleet; the status classification still
+  // applies.
   if (!ctl.quiet && ctl.replayed > replayed_before)
     std::fprintf(stderr, "# resume: replayed %zu journaled scenario(s), "
                          "evaluated %zu\n",

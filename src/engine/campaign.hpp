@@ -81,12 +81,13 @@ struct RunControl {
   std::chrono::steady_clock::time_point start;
   /// Pluggable batch evaluator (engine/dispatch.hpp): when set, every
   /// batch is handed here instead of Engine::run_stream — the `--workers`
-  /// multi-process dispatcher on the parent side, the pipe-fed slice
+  /// multi-process dispatcher on the parent side, the socket-fed slice
   /// evaluator on the worker side.  Non-owning; null = evaluate in-process.
   BatchRunner* runner = nullptr;
   /// Suppress bench-side stderr notices (replay/budget epilogues).  Set
-  /// for `--worker-fd` processes, which share the parent's stderr: the
-  /// parent reports once for the whole fleet.
+  /// for dispatch workers (`--worker-fd` children share the parent's
+  /// stderr; `--connect` joiners are its remote hands): the parent
+  /// reports once for the whole fleet.
   bool quiet = false;
 
   // --- outcome ---------------------------------------------------------

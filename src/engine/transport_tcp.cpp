@@ -7,12 +7,14 @@
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
 
 namespace sfly::engine {
@@ -33,36 +35,54 @@ double seconds_since(std::chrono::steady_clock::time_point t) {
 
 // --- TcpTransport (parent) --------------------------------------------------
 
+TcpTransport::RowHook::RowHook(const char* env) {
+  if (const char* spec = std::getenv(env)) {
+    unsigned long k = 0;
+    if (std::sscanf(spec, "%ld:%lu", &slot, &k) == 2)
+      after = static_cast<std::size_t>(k);
+    else
+      slot = -1;
+  }
+}
+
+bool TcpTransport::RowHook::due(std::size_t s, std::size_t rows) {
+  if (fired || slot < 0 || static_cast<std::size_t>(slot) != s ||
+      rows < after)
+    return false;
+  fired = true;
+  return true;
+}
+
 TcpTransport::TcpTransport(Config cfg) : cfg_(std::move(cfg)) {
+  if (cfg_.workers == 0)
+    throw std::invalid_argument("--workers must be >= 1");
+  // A worker can die holding a socket we are about to write; the write
+  // must fail with EPIPE, not kill the parent.
   ::signal(SIGPIPE, SIG_IGN);
   if (cfg_.lease_ms < 100)
     throw std::invalid_argument("--lease-ms must be >= 100");
   heartbeat_ms_ = cfg_.lease_ms / 3;
   slot_.assign(cfg_.workers, nullptr);
   slot_rows_.assign(cfg_.workers, 0);
-  listen_fd_ = net::tcp_listen(cfg_.port, port_);
+  if (local()) return;
+
+  std::uint16_t port = 0;
+  listen_fd_ = net::tcp_listen(static_cast<std::uint16_t>(cfg_.listen_port),
+                               port);
   if (listen_fd_ < 0)
     throw std::runtime_error("--listen: cannot bind port " +
-                             std::to_string(cfg_.port));
+                             std::to_string(cfg_.listen_port));
   set_nonblocking(listen_fd_);
   std::fprintf(stderr,
                "# --listen: accepting worker connections on port %u "
                "(%zu slot(s), lease %dms)\n",
-               port_, cfg_.workers, cfg_.lease_ms);
+               port, cfg_.workers, cfg_.lease_ms);
   // Scripting hook: tests and wrappers that pass --listen 0 need the
   // actual port; the notice above is for humans.
   if (const char* pf = std::getenv("SFLY_LISTEN_PORT_FILE"); pf && *pf) {
     if (std::FILE* f = std::fopen(pf, "w")) {
-      std::fprintf(f, "%u\n", port_);
+      std::fprintf(f, "%u\n", port);
       std::fclose(f);
-    }
-  }
-  if (const char* spec = std::getenv("SFLY_TCP_TEST_FENCE")) {
-    long s = -1;
-    unsigned long k = 0;
-    if (std::sscanf(spec, "%ld:%lu", &s, &k) == 2) {
-      fence_slot_ = s;
-      fence_after_rows_ = static_cast<std::size_t>(k);
     }
   }
 }
@@ -70,6 +90,10 @@ TcpTransport::TcpTransport(Config cfg) : cfg_(std::move(cfg)) {
 TcpTransport::~TcpTransport() { shutdown(); }
 
 void TcpTransport::start(const Hooks& hooks) {
+  if (local()) {
+    for (std::size_t wi = 0; wi < slot_.size(); ++wi) spawn(wi, hooks);
+    return;
+  }
   auto bound = [&] {
     std::size_t k = 0;
     for (const auto* c : slot_) k += (c != nullptr);
@@ -79,8 +103,9 @@ void TcpTransport::start(const Hooks& hooks) {
   while (bound() < cfg_.workers) {
     pump(200, hooks);
     // A worker can join and refuse the first batch (stale declaration),
-    // or join and stop on an already-spent --max-seconds budget, while
-    // we are still assembling the fleet; hand control back so the
+    // a joiner can stop on an already-spent --max-seconds budget, and
+    // the parent itself can be signalled or run out of budget while we
+    // are still assembling the fleet; hand control back so the
     // dispatcher raises the error or ends the batch on its delivered
     // prefix instead of waiting for a fleet that will never be whole.
     if (hooks.stop_waiting && hooks.stop_waiting()) return;
@@ -101,23 +126,9 @@ double TcpTransport::idle_seconds(std::size_t slot) const {
 }
 
 void TcpTransport::queue_frame(Conn& c, net::FrameType type,
-                               const std::string& payload) {
+                               std::string_view payload) {
   if (c.fd < 0 || c.dead) return;
-  std::string buf;
-  buf.reserve(net::kFrameHeaderBytes + payload.size());
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t seq = c.next_seq_out++;
-  buf.push_back(static_cast<char>((len >> 24) & 0xff));
-  buf.push_back(static_cast<char>((len >> 16) & 0xff));
-  buf.push_back(static_cast<char>((len >> 8) & 0xff));
-  buf.push_back(static_cast<char>(len & 0xff));
-  buf.push_back(static_cast<char>(type));
-  buf.push_back(static_cast<char>((seq >> 24) & 0xff));
-  buf.push_back(static_cast<char>((seq >> 16) & 0xff));
-  buf.push_back(static_cast<char>((seq >> 8) & 0xff));
-  buf.push_back(static_cast<char>(seq & 0xff));
-  buf += payload;
-  c.outbox += buf;
+  net::append_frame(c.outbox, type, c.next_seq_out++, payload);
   try_flush(c);
   // A peer that stopped reading while we keep queueing is wedged; cap
   // the buffered bytes so one zombie cannot balloon the parent.
@@ -137,51 +148,94 @@ void TcpTransport::try_flush(Conn& c) {
   }
 }
 
-void TcpTransport::send(std::size_t slot, const std::string& bytes) {
-  if (Conn* c = slot_[slot]) queue_frame(*c, net::FrameType::kData, bytes);
+void TcpTransport::send(std::size_t slot, const std::string& line) {
+  if (Conn* c = slot_[slot]) queue_frame(*c, net::FrameType::kData, line);
+}
+
+TcpTransport::Conn& TcpTransport::add_conn(int fd) {
+  set_nonblocking(fd);
+  Conn& c = conns_.emplace_back();
+  c.fd = fd;
+  c.last_heard = c.last_hb_sent = std::chrono::steady_clock::now();
+  return c;
 }
 
 void TcpTransport::accept_new() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;
-    set_nonblocking(fd);
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    Conn c;
-    c.fd = fd;
-    c.last_heard = c.last_hb_sent = std::chrono::steady_clock::now();
-    conns_.push_back(std::move(c));
+    add_conn(fd);
   }
 }
 
-void TcpTransport::bind_worker(Conn& c, const Hooks& hooks) {
-  long free_slot = -1;
-  for (std::size_t wi = 0; wi < slot_.size(); ++wi) {
-    if (!slot_[wi]) {
-      free_slot = static_cast<long>(wi);
-      break;
+void TcpTransport::spawn(std::size_t slot, const Hooks& hooks) {
+  // Both ends close-on-exec: the child clears the flag on its own end
+  // only, so no sibling's socket leaks into it (a leaked copy would keep
+  // that sibling's connection open past its death).
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
+    throw std::runtime_error("--workers: socketpair() failed");
+  std::vector<std::string> args{cfg_.exe};
+  args.insert(args.end(), cfg_.worker_argv.begin(), cfg_.worker_argv.end());
+  args.push_back("--worker-fd");
+  args.push_back(std::to_string(sv[1]));
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(sv[0]);
+    ::close(sv[1]);
+    throw std::runtime_error("--workers: fork() failed");
+  }
+  if (pid == 0) {
+    // Worker process.  stdout goes to /dev/null: the parent's stdout
+    // must stay byte-identical to a single-process run's, and the
+    // worker would otherwise print its own banner and report.
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    if (devnull >= 0) {
+      ::dup2(devnull, STDOUT_FILENO);
+      ::close(devnull);
     }
+    ::fcntl(sv[1], F_SETFD, 0);
+    ::execv(cfg_.exe.c_str(), argv.data());
+    ::_exit(127);
   }
-  net::Welcome w;
-  if (free_slot < 0) {
-    w.busy = true;
-    queue_frame(c, net::FrameType::kWelcome, net::welcome_payload(w));
-    c.close_when_flushed = true;
-    return;
-  }
-  c.slot = free_slot;
+  ::close(sv[1]);
+  Conn& c = add_conn(sv[0]);
+  c.pid = pid;
+  bind(c, slot, hooks);
+}
+
+void TcpTransport::bind(Conn& c, std::size_t slot, const Hooks& hooks) {
+  c.slot = static_cast<long>(slot);
   c.epoch = ++epoch_counter_;
-  slot_[static_cast<std::size_t>(free_slot)] = &c;
+  slot_[slot] = &c;
+  net::Welcome w;
   w.lease_ms = cfg_.lease_ms;
   w.heartbeat_ms = heartbeat_ms_;
   if (cfg_.max_seconds > 0.0)
     w.budget_seconds = std::max(0.001, cfg_.max_seconds -
                                            seconds_since(cfg_.start));
   queue_frame(c, net::FrameType::kWelcome, net::welcome_payload(w));
-  std::fprintf(stderr, "# --listen: worker joined slot %ld (epoch %llu)\n",
-               free_slot, static_cast<unsigned long long>(c.epoch));
-  if (hooks.on_join) hooks.on_join(static_cast<std::size_t>(free_slot));
+  if (hooks.on_join) hooks.on_join(slot);
+}
+
+void TcpTransport::bind_join(Conn& c, const Hooks& hooks) {
+  const auto free_slot = std::find(slot_.begin(), slot_.end(), nullptr);
+  if (free_slot == slot_.end()) {
+    net::Welcome w;
+    w.busy = true;
+    queue_frame(c, net::FrameType::kWelcome, net::welcome_payload(w));
+    c.close_when_flushed = true;
+    return;
+  }
+  const auto wi = static_cast<std::size_t>(free_slot - slot_.begin());
+  bind(c, wi, hooks);
+  std::fprintf(stderr, "# --listen: worker joined slot %zu (epoch %llu)\n",
+               wi, static_cast<unsigned long long>(c.epoch));
 }
 
 void TcpTransport::handle_frame(Conn& c, const net::Frame& f,
@@ -200,20 +254,26 @@ void TcpTransport::handle_frame(Conn& c, const net::Frame& f,
         c.dead = true;
         return;
       }
+      c.greeted = true;
       if (role == "probe") {
         // A sfly_worker supervisor asking what to exec on its machine.
         net::Welcome w;
-        w.exe = cfg_.exe;
+        std::error_code ec;
+        const auto real = std::filesystem::canonical(cfg_.exe, ec);
+        w.exe = (ec ? std::filesystem::path(cfg_.exe) : real)
+                    .filename()
+                    .string();
         w.args = cfg_.worker_argv;
         queue_frame(c, net::FrameType::kWelcome, net::welcome_payload(w));
         c.close_when_flushed = true;
         return;
       }
-      if (c.slot < 0 && !c.zombie) bind_worker(c, hooks);
+      // Local children are bound at spawn; joins bind on their HELLO.
+      if (c.slot < 0 && !c.zombie) bind_join(c, hooks);
       return;
     }
     case net::FrameType::kData: {
-      if (c.slot < 0) {  // data before a successful hello: not ours
+      if (!c.greeted || c.slot < 0) {  // data before a hello: not ours
         c.dead = true;
         return;
       }
@@ -226,14 +286,11 @@ void TcpTransport::handle_frame(Conn& c, const net::Frame& f,
       }
       c.last_seq_in = f.seq;
       const auto wi = static_cast<std::size_t>(c.slot);
-      c.lines.feed(f.payload.data(), f.payload.size(),
-                   [&](std::string line) {
-                     if (c.zombie || slot_[wi] != &c) {
-                       if (hooks.on_zombie_line) hooks.on_zombie_line(wi, line);
-                     } else if (hooks.on_line) {
-                       hooks.on_line(wi, line);
-                     }
-                   });
+      if (c.zombie || slot_[wi] != &c) {
+        if (hooks.on_zombie_line) hooks.on_zombie_line(wi, f.payload);
+      } else if (hooks.on_line) {
+        hooks.on_line(wi, f.payload);
+      }
       return;
     }
     case net::FrameType::kHeartbeat:
@@ -253,11 +310,11 @@ void TcpTransport::read_conn(Conn& c, const Hooks& hooks) {
     if (rd < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      c.dead = true;
+      c.dead = c.hup = true;
       break;
     }
     if (rd == 0) {  // EOF; a torn frame in c.frames is simply dropped
-      c.dead = true;
+      c.dead = c.hup = true;
       break;
     }
     c.frames.feed(buf, static_cast<std::size_t>(rd));
@@ -284,12 +341,21 @@ void TcpTransport::sweep(const Hooks& hooks) {
     }
     if (c.fd >= 0) ::close(c.fd);
     c.fd = -1;
-    const bool current =
-        c.slot >= 0 && slot_[static_cast<std::size_t>(c.slot)] == &c;
-    if (current) {
+    bool graceful = c.said_stop;
+    if (c.pid > 0) {
+      // A child that closed its end is exiting: reap it as it is.  One
+      // we gave up on (write failure, corrupt stream, expired lease —
+      // possibly SIGSTOPped) is SIGKILLed first.
+      if (!c.hup) ::kill(c.pid, SIGKILL);
+      int st = 0;
+      ::waitpid(c.pid, &st, 0);
+      // EX_TEMPFAIL: the worker's own --max-seconds budget fired.
+      graceful = graceful || (WIFEXITED(st) && WEXITSTATUS(st) == 75);
+    }
+    if (c.slot >= 0 && slot_[static_cast<std::size_t>(c.slot)] == &c) {
       slot_[static_cast<std::size_t>(c.slot)] = nullptr;
       if (hooks.on_down)
-        hooks.on_down(static_cast<std::size_t>(c.slot), c.said_stop);
+        hooks.on_down(static_cast<std::size_t>(c.slot), graceful);
     }
     it = conns_.erase(it);
   }
@@ -313,7 +379,7 @@ void TcpTransport::pump(int timeout_ms, const Hooks& hooks) {
   const int pr =
       ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
   if (pr < 0 && errno != EINTR)
-    throw std::runtime_error("--listen: poll() failed");
+    throw std::runtime_error("--workers: poll() failed");
   if (pr > 0) {
     for (std::size_t k = 0; k < fds.size(); ++k) {
       if (!who[k]) {
@@ -348,22 +414,36 @@ void TcpTransport::fence(std::size_t slot) {
   slot_[slot] = nullptr;
 }
 
-void TcpTransport::replace(std::size_t slot, const Hooks&) {
-  // Passive: fence the current epoch (if any) and let the next
-  // --connect join — routed through bind_worker/on_join — take over.
-  fence(slot);
+void TcpTransport::replace(std::size_t slot, const Hooks& hooks) {
+  if (!local()) {
+    // Passive: fence the current epoch (if any) and let the next
+    // --connect join — routed through bind_join/on_join — take over.
+    fence(slot);
+    return;
+  }
+  if (Conn* c = slot_[slot]) {  // lease expired: the next sweep kills it
+    c->dead = true;
+    slot_[slot] = nullptr;
+  }
+  if (++respawns_ > cfg_.max_respawns) {
+    shutdown();
+    throw std::runtime_error(
+        "--workers: worker died " + std::to_string(respawns_ - 1) +
+        " times (crash loop?) — giving up; the journal prefix on disk "
+        "is resumable single-process with --resume");
+  }
+  spawn(slot, hooks);
 }
 
 void TcpTransport::note_row(std::size_t slot) {
-  ++slot_rows_[slot];
-  if (!fence_fired_ && fence_slot_ >= 0 &&
-      static_cast<std::size_t>(fence_slot_) == slot &&
-      slot_rows_[slot] >= fence_after_rows_) {
-    fence_fired_ = true;  // test hook: deterministic zombie-epoch fencing
+  const std::size_t rows = ++slot_rows_[slot];
+  if (kill_hook_.due(slot, rows) && slot_[slot] && slot_[slot]->pid > 0)
+    ::kill(slot_[slot]->pid, SIGKILL);  // deterministic worker death
+  if (fence_hook_.due(slot, rows)) {
     std::fprintf(stderr,
-                 "# --listen: test fence firing on slot %zu after %zu "
+                 "# --workers: test fence firing on slot %zu after %zu "
                  "row(s)\n",
-                 slot, slot_rows_[slot]);
+                 slot, rows);
     fence(slot);
   }
 }
@@ -396,12 +476,42 @@ void TcpTransport::shutdown() {
   for (auto& c : conns_) {
     if (c.fd >= 0) ::close(c.fd);
     c.fd = -1;
+    if (c.pid <= 0) continue;
+    // A local worker blocked on its next header reads BYE + EOF and
+    // exits 75; one mid-evaluation gets SIGTERM (and SIGCONT, in case
+    // it is stopped) so teardown does not wait out a long scenario
+    // whose output nobody will read.
+    ::kill(c.pid, SIGTERM);
+    ::kill(c.pid, SIGCONT);
+    int st = 0;
+    ::waitpid(c.pid, &st, 0);
+    c.pid = -1;
   }
   conns_.clear();
   for (auto& s : slot_) s = nullptr;
 }
 
 // --- SocketChannel (worker) -------------------------------------------------
+
+bool SocketChannel::handshake(int fd) {
+  net::Frame f;
+  // Handshake reads feed the member reader: the parent's first DATA
+  // frames (history, header, slice) can share a read() with the
+  // WELCOME, and those buffered bytes must survive into read_line().
+  frames_ = net::FrameReader{};
+  net::Welcome w;
+  if (!net::send_frame(fd, net::FrameType::kHello, 1,
+                       net::hello_payload("worker")) ||
+      !net::read_frame_blocking(fd, f, frames_, 10000) ||
+      f.type != net::FrameType::kWelcome || !net::parse_welcome(f.payload, w) ||
+      w.version != net::kProtocolVersion || w.busy)
+    return false;
+  fd_ = fd;
+  if (w.lease_ms > 0) lease_ms_ = w.lease_ms;
+  heartbeat_ms_ = w.heartbeat_ms > 0 ? w.heartbeat_ms : lease_ms_ / 3;
+  budget_s_ = w.budget_seconds;
+  return true;
+}
 
 SocketChannel::SocketChannel(const Config& cfg) {
   ::signal(SIGPIPE, SIG_IGN);
@@ -415,31 +525,10 @@ SocketChannel::SocketChannel(const Config& cfg) {
 
   for (std::size_t k = 0;; ++k) {
     const int fd = net::tcp_connect(cfg.host, cfg.port);
-    if (fd >= 0) {
-      bool ok = net::send_frame(fd, net::FrameType::kHello, 1,
-                                net::hello_payload("worker"));
-      net::Frame f;
-      // Handshake reads feed the member reader: the parent's first DATA
-      // frame (slice assignment) can share a read() with the WELCOME,
-      // and those buffered bytes must survive into read_line().
-      frames_ = net::FrameReader{};
-      if (ok && net::read_frame_blocking(fd, f, frames_, 10000) &&
-          f.type == net::FrameType::kWelcome) {
-        net::Welcome w;
-        if (net::parse_welcome(f.payload, w) &&
-            w.version == net::kProtocolVersion && !w.busy) {
-          fd_ = fd;
-          if (w.lease_ms > 0) lease_ms_ = w.lease_ms;
-          heartbeat_ms_ =
-              w.heartbeat_ms > 0 ? w.heartbeat_ms : lease_ms_ / 3;
-          budget_s_ = w.budget_seconds;
-          break;
-        }
-        // busy (all slots taken) or version skew: back off and retry —
-        // a fenced slot frees up as soon as the parent notices.
-      }
-      ::close(fd);
-    }
+    // busy (all slots taken) or version skew: back off and retry — a
+    // fenced slot frees up as soon as the parent notices.
+    if (fd >= 0 && handshake(fd)) break;
+    if (fd >= 0) ::close(fd);
     if (k + 1 >= attempts)
       throw std::runtime_error("--connect: no worker slot at " + cfg.host +
                                ":" + std::to_string(cfg.port) + " after " +
@@ -448,7 +537,20 @@ SocketChannel::SocketChannel(const Config& cfg) {
         net::backoff_delay_ms(k, base_ms, cfg.backoff_max_ms, seed);
     ::poll(nullptr, 0, static_cast<int>(delay));
   }
+  begin();
+}
 
+SocketChannel::SocketChannel(int fd) {
+  ::signal(SIGPIPE, SIG_IGN);
+  if (!handshake(fd)) {
+    ::close(fd);
+    throw std::runtime_error("--worker-fd: no WELCOME from the --workers "
+                             "parent on fd " + std::to_string(fd));
+  }
+  begin();
+}
+
+void SocketChannel::begin() {
   // A wedged parent must not block us forever in write(): bound sends by
   // two leases, after which the link counts as lost (exit 76).
   timeval tv{};
@@ -471,8 +573,7 @@ SocketChannel::SocketChannel(const Config& cfg) {
       if (seconds_since(last) * 1000.0 < heartbeat_ms_) continue;
       last = std::chrono::steady_clock::now();
       std::lock_guard<std::mutex> lk(write_mu_);
-      if (fd_ >= 0 &&
-          !net::send_frame(fd_, net::FrameType::kHeartbeat, 0, ""))
+      if (!net::send_frame(fd_, net::FrameType::kHeartbeat, 0, ""))
         lost_.store(true, std::memory_order_relaxed);
     }
   });
@@ -490,8 +591,7 @@ void SocketChannel::process_frame(const net::Frame& f) {
     case net::FrameType::kData:
       if (f.seq <= last_seq_in_) return;  // duplicate frame: drop
       last_seq_in_ = f.seq;
-      lines_.feed(f.payload.data(), f.payload.size(),
-                  [&](std::string line) { ready_.push_back(std::move(line)); });
+      ready_.push_back(f.payload);
       return;
     case net::FrameType::kBye:
       bye_ = true;
@@ -503,6 +603,13 @@ void SocketChannel::process_frame(const net::Frame& f) {
 }
 
 bool SocketChannel::read_line(std::string& line) {
+  // Silence counts only while we wait: time spent evaluating, or
+  // expanding the next phase (which the parent is doing too), is not
+  // the parent's silence.
+  const auto waiting_since = std::chrono::steady_clock::now();
+  auto silent_s = [&] {
+    return std::min(seconds_since(last_parent_), seconds_since(waiting_since));
+  };
   for (;;) {
     if (!ready_.empty()) {
       line = std::move(ready_.front());
@@ -513,7 +620,7 @@ bool SocketChannel::read_line(std::string& line) {
 
     // The parent heartbeats every lease/3; silence for two full leases
     // means the link (or the parent) is gone.
-    const double idle = seconds_since(last_parent_);
+    const double idle = silent_s();
     const double deadline_s = 2.0 * lease_ms_ / 1000.0;
     pollfd p{fd_, POLLIN, 0};
     const int wait_ms = idle >= deadline_s
@@ -545,21 +652,19 @@ bool SocketChannel::read_line(std::string& line) {
       if (frames_.corrupt()) lost_.store(true, std::memory_order_relaxed);
       continue;
     }
-    if (seconds_since(last_parent_) >= deadline_s)
-      lost_.store(true, std::memory_order_relaxed);
+    if (silent_s() >= deadline_s) lost_.store(true, std::memory_order_relaxed);
   }
 }
 
-void SocketChannel::write_line(const std::string& bytes) {
+void SocketChannel::write_line(std::string_view line) {
   std::lock_guard<std::mutex> lk(write_mu_);
-  if (fd_ < 0) return;
-  if (!net::send_frame(fd_, net::FrameType::kData, next_seq_out_++, bytes))
+  if (!net::send_frame(fd_, net::FrameType::kData, next_seq_out_++, line))
     lost_.store(true, std::memory_order_relaxed);
 }
 
 void SocketChannel::announce_stop() {
   std::lock_guard<std::mutex> lk(write_mu_);
-  if (fd_ >= 0) (void)net::send_frame(fd_, net::FrameType::kStop, 0, "");
+  (void)net::send_frame(fd_, net::FrameType::kStop, 0, "");
 }
 
 }  // namespace sfly::engine

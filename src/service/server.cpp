@@ -2,11 +2,13 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,7 +47,7 @@ struct Conn {
 
 struct Server::Impl {
   int listen_fd = -1;
-  int wake_pipe[2] = {-1, -1};  // stop() pokes the poll loop
+  int wake_fd = -1;  // eventfd: stop() pokes the poll loop
   std::atomic<bool> stop{false};
   std::atomic<bool> running{false};
   std::vector<std::shared_ptr<Conn>> conns;
@@ -63,7 +65,8 @@ bool Server::start() {
   ::signal(SIGPIPE, SIG_IGN);
   impl_->listen_fd = net::tcp_listen(cfg_.port, port_);
   if (impl_->listen_fd < 0) return false;
-  if (::pipe(impl_->wake_pipe) != 0) {
+  impl_->wake_fd = ::eventfd(0, EFD_CLOEXEC);
+  if (impl_->wake_fd < 0) {
     ::close(impl_->listen_fd);
     impl_->listen_fd = -1;
     return false;
@@ -88,9 +91,9 @@ void Server::stop() {
     return;
   }
   impl_->stop.store(true);
-  if (impl_->wake_pipe[1] >= 0) {
-    const char b = 'q';
-    (void)!::write(impl_->wake_pipe[1], &b, 1);
+  if (impl_->wake_fd >= 0) {
+    const std::uint64_t one = 1;
+    (void)!::write(impl_->wake_fd, &one, sizeof one);
   }
   if (thread_.joinable()) thread_.join();
 }
@@ -100,7 +103,7 @@ void Server::loop() {
   while (!im.stop.load()) {
     std::vector<pollfd> fds;
     fds.push_back({im.listen_fd, POLLIN, 0});
-    fds.push_back({im.wake_pipe[0], POLLIN, 0});
+    fds.push_back({im.wake_fd, POLLIN, 0});
     for (const auto& c : im.conns) fds.push_back({c->fd, POLLIN, 0});
     if (::poll(fds.data(), fds.size(), 500) < 0) {
       if (errno == EINTR) continue;
@@ -122,12 +125,12 @@ void Server::loop() {
       }
     }
     if (fds[1].revents & POLLIN) {
-      char buf[16];
-      (void)!::read(im.wake_pipe[0], buf, sizeof buf);
+      std::uint64_t n = 0;
+      (void)!::read(im.wake_fd, &n, sizeof n);
     }
 
     // Read every signaled connection; the first 2 pollfds are the listen
-    // socket and the wake pipe, so conn i maps to fds[i + 2].
+    // socket and the wake eventfd, so conn i maps to fds[i + 2].
     for (std::size_t i = 0; i < polled; ++i) {
       auto& c = im.conns[i];
       const short ev = fds[i + 2].revents;
@@ -222,10 +225,8 @@ void Server::loop() {
   im.conns.clear();
   if (im.listen_fd >= 0) ::close(im.listen_fd);
   im.listen_fd = -1;
-  for (int& fd : im.wake_pipe) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
+  if (im.wake_fd >= 0) ::close(im.wake_fd);
+  im.wake_fd = -1;
 }
 
 }  // namespace sfly::service

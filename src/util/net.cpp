@@ -57,15 +57,20 @@ bool known_type(std::uint8_t t) {
 
 }  // namespace
 
+void append_frame(std::string& out, FrameType type, std::uint32_t seq,
+                  std::string_view payload) {
+  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  out.push_back(static_cast<char>(type));
+  put_u32(out, seq);
+  out += payload;
+}
+
 bool send_frame(int fd, FrameType type, std::uint32_t seq,
-                const std::string& payload) {
+                std::string_view payload) {
   if (payload.size() > kMaxFramePayload) return false;
   std::string buf;
   buf.reserve(kFrameHeaderBytes + payload.size());
-  put_u32(buf, static_cast<std::uint32_t>(payload.size()));
-  buf.push_back(static_cast<char>(type));
-  put_u32(buf, seq);
-  buf += payload;
+  append_frame(buf, type, seq, payload);
   return write_all(fd, buf.data(), buf.size());
 }
 

@@ -1,36 +1,40 @@
 #pragma once
 /// \file net.hpp
-/// Socket + framing primitives for cross-machine campaign dispatch
-/// (docs/CAMPAIGNS.md §Cross-machine runs).
+/// Socket + framing primitives for campaign dispatch (local socketpair
+/// and cross-machine TCP fleets alike; docs/CAMPAIGNS.md §Distributed
+/// runs) and the sflyd query service.
 ///
-/// The TCP transport carries the exact byte stream the pipe transport
-/// carries — jsonl_meta headers, {"slice":[lo,hi]} assignments,
-/// jsonl_row lines — but a socket can tear mid-byte, duplicate under a
-/// misbehaving middlebox, or stall for seconds, so every payload rides
-/// inside a length-delimited frame:
+/// Every message rides inside a length-delimited frame, and a DATA
+/// frame carries exactly one protocol line (a jsonl_meta header, a
+/// {"slice":[lo,hi]} assignment, or a jsonl_row), unterminated:
 ///
 ///     [u32 length (BE)] [u8 type] [u32 seq (BE)] [payload bytes]
 ///
-/// A torn frame is held by FrameReader until completed and dropped at
-/// EOF — the framing-level twin of the journal's truncate-the-torn-tail
-/// rule.  DATA frames carry a per-sender monotonic sequence number so a
-/// duplicated frame is detected and dropped before its payload can
-/// reach the row path.  HELLO/WELCOME carry a tiny JSON handshake
-/// (protocol version, role, lease parameters, remaining --max-seconds
-/// budget); HEARTBEAT keeps leases alive in both directions; STOP
-/// announces a graceful budget stop before close; BYE is the parent's
-/// fleet-shutdown signal (EOF *after* BYE is graceful, EOF without it
-/// means the link died and the worker should reconnect).
+/// A socket can tear mid-byte, duplicate under a misbehaving middlebox,
+/// or stall for seconds.  A torn frame is held by FrameReader until
+/// completed and dropped at EOF — the framing-level twin of the
+/// journal's truncate-the-torn-tail rule.  DATA frames carry a
+/// per-sender monotonic sequence number so a duplicated frame is
+/// detected and dropped before its payload can reach the row path.
+/// HELLO/WELCOME carry a tiny JSON handshake (protocol version, role,
+/// lease parameters, remaining --max-seconds budget); HEARTBEAT keeps
+/// leases alive in both directions; STOP announces a graceful budget
+/// stop before close; BYE is the parent's fleet-shutdown signal (EOF
+/// *after* BYE is graceful, EOF without it means the link died and the
+/// worker should reconnect).
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sfly::net {
 
-/// Wire protocol version; HELLO/WELCOME must agree.
-inline constexpr int kProtocolVersion = 1;
+/// Wire protocol version; HELLO/WELCOME must agree.  Version 2 made a
+/// DATA frame exactly one protocol line, so v2 parents refuse v1
+/// workers (whose frames could hold several newline-joined lines).
+inline constexpr int kProtocolVersion = 2;
 
 /// Exit code a --connect worker uses for "link lost, reconnect me"
 /// (sfly_worker's supervisor loop re-dials on it).  Distinct from 75
@@ -59,10 +63,14 @@ struct Frame {
   std::string payload;
 };
 
+/// Append one serialized frame to `out`.
+void append_frame(std::string& out, FrameType type, std::uint32_t seq,
+                  std::string_view payload);
+
 /// Serialize and write one frame, retrying on EINTR / partial writes.
 /// Returns false on any write error (the connection is then dead).
 [[nodiscard]] bool send_frame(int fd, FrameType type, std::uint32_t seq,
-                              const std::string& payload);
+                              std::string_view payload);
 
 /// Incremental frame decoder: feed() raw bytes, next() pops complete
 /// frames in order.  A partial frame stays buffered (and is simply
@@ -126,7 +134,7 @@ class FrameReader {
 // fails on malformed JSON, a missing required field, or an integer field
 // that is not a whole number in int range.
 
-/// HELLO payload: {"v":1,"role":"worker"|"probe"}
+/// HELLO payload: {"v":2,"role":"worker"|"probe"}
 [[nodiscard]] std::string hello_payload(const std::string& role);
 [[nodiscard]] bool parse_hello(const std::string& payload, int& version,
                                std::string& role);

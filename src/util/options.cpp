@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -107,6 +108,19 @@ std::string Flags::get_str(const std::string& name,
 
 namespace {
 
+// A worker with no parent to join has lost its link, not crashed:
+// sfly_worker re-probes on 76 instead of charging its crash budget.
+template <typename Endpoint>
+std::unique_ptr<engine::SocketChannel> join_fleet(const Endpoint& at) {
+  try {
+    return std::make_unique<engine::SocketChannel>(at);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "# %s — exiting %d\n", e.what(),
+                 net::kExitLinkLost);
+    std::exit(net::kExitLinkLost);
+  }
+}
+
 std::vector<FlagSpec> standard_flags() {
   return {
       {"--full", false, "run the exact paper-scale configuration"},
@@ -128,12 +142,12 @@ std::vector<FlagSpec> standard_flags() {
        "back to the unsharded stream with sfly_merge"},
       {"--workers", true,
        "farm every campaign batch to N worker processes (re-execs of "
-       "this bench); output stays byte-identical to a single-process "
-       "run, and a crashed worker's slice is reassigned automatically"},
+       "this bench, each over its own socket); output stays "
+       "byte-identical to a single-process run, and a crashed or "
+       "stalled worker's slice is reassigned automatically"},
       {"--worker-fd", true,
        "internal (passed by the --workers parent): run as a dispatch "
-       "worker, reading assignments from fd IN and streaming result "
-       "rows to fd OUT (\"IN,OUT\")"},
+       "worker over the inherited socket FD"},
       {"--listen", true,
        "with --workers N: accept the N workers as sfly_worker/--connect "
        "TCP joins on PORT (0 = ephemeral, printed on stderr) instead of "
@@ -144,9 +158,10 @@ std::vector<FlagSpec> standard_flags() {
        "(usually via the sfly_worker supervisor, which reconnects with "
        "backoff)"},
       {"--lease-ms", true,
-       "with --listen: slice lease in milliseconds (default 10000); both "
+       "with --workers: slice lease in milliseconds (default 10000); both "
        "sides heartbeat every third of it, and a slot silent for a full "
-       "lease is fenced and its remaining rows reassigned"},
+       "lease is replaced (a local worker killed and respawned, a "
+       "--listen epoch fenced) and its remaining rows reassigned"},
       {"--max-seconds", true,
        "graceful wall-clock budget: finish in-flight scenarios, flush "
        "sinks, exit 75 (resumable) once B seconds have elapsed "
@@ -267,11 +282,6 @@ StandardOptions::StandardOptions(int argc, char** argv, Spec spec)
     listen_port_ = static_cast<int>(p);
   }
   if (flags_.has("--lease-ms")) {
-    if (!flags_.has("--listen")) {
-      std::fprintf(stderr,
-                   "error: --lease-ms only applies to a --listen parent\n");
-      std::exit(2);
-    }
     const std::uint64_t ms = flags_.get("--lease-ms", 10000);
     if (ms < 100) {
       std::fprintf(stderr,
@@ -282,13 +292,11 @@ StandardOptions::StandardOptions(int argc, char** argv, Spec spec)
     lease_ms_ = static_cast<int>(ms);
   }
   if (flags_.has("--connect")) {
-    connect_spec_ = flags_.get_str("--connect");
-    std::string host;
-    std::uint16_t port = 0;
-    if (!net::parse_hostport(connect_spec_, host, port)) {
+    const std::string spec_str = flags_.get_str("--connect");
+    if (!net::parse_hostport(spec_str, connect_.host, connect_.port)) {
       std::fprintf(stderr,
                    "error: --connect expects HOST:PORT, got '%s'\n",
-                   connect_spec_.c_str());
+                   spec_str.c_str());
       std::exit(2);
     }
     if (flags_.has("--workers") || flags_.has("--worker-fd") ||
@@ -306,16 +314,10 @@ StandardOptions::StandardOptions(int argc, char** argv, Spec spec)
     }
   }
   if (flags_.has("--worker-fd")) {
-    const std::string spec_str = flags_.get_str("--worker-fd");
-    const auto comma = spec_str.find(',');
-    std::optional<std::uint64_t> in, out;
-    if (comma != std::string::npos) {
-      in = parse_u64(spec_str.substr(0, comma));
-      out = parse_u64(spec_str.substr(comma + 1));
-    }
-    if (!in || !out) {
+    const auto fd = parse_u64(flags_.get_str("--worker-fd"));
+    if (!fd || *fd > static_cast<std::uint64_t>(INT_MAX)) {
       std::fprintf(stderr,
-                   "error: --worker-fd expects \"IN,OUT\" file descriptors "
+                   "error: --worker-fd expects a socket file descriptor "
                    "(this flag is passed by the --workers parent)\n");
       std::exit(2);
     }
@@ -325,8 +327,11 @@ StandardOptions::StandardOptions(int argc, char** argv, Spec spec)
                    "--resume\n");
       std::exit(2);
     }
-    worker_in_ = static_cast<int>(*in);
-    worker_out_ = static_cast<int>(*out);
+    // The parent's lease on a local worker runs from spawn, so the
+    // handshake (and the heartbeats) must come before this bench
+    // declares its campaign.  A --connect joiner's lease starts at its
+    // HELLO; it dials from run_control().
+    channel_ = join_fleet(static_cast<int>(*fd));
   }
 }
 
@@ -443,53 +448,27 @@ engine::RunControl& StandardOptions::run_control() {
     if (workers_ > 0) {
       engine::CampaignDispatcher::Config dc;
       dc.workers = workers_;
+      dc.listen_port = listen_port_;
+      dc.lease_ms = lease_ms_;
       dc.max_seconds = budget;
       dc.start = control_->start;
-      if (listen_port_ >= 0) {
-        // Cross-machine fleet: accept framed-TCP joins instead of
-        // forking.  Probes are answered with this binary's basename and
-        // the stripped argv, so sfly_worker on another machine execs the
-        // identical campaign declaration (each machine defaults to its
-        // own hardware threads — no fleet split).
-        engine::TcpTransport::Config tc;
-        tc.port = static_cast<std::uint16_t>(listen_port_);
-        tc.workers = workers_;
-        tc.lease_ms = lease_ms_;
-        tc.worker_argv = worker_args(/*split_threads=*/false);
-        tc.max_seconds = budget;
-        tc.start = control_->start;
-        std::error_code ec;
-        const auto self =
-            std::filesystem::read_symlink("/proc/self/exe", ec);
-        if (!ec) tc.exe = self.filename().string();
-        dc.transport = std::make_unique<engine::TcpTransport>(std::move(tc));
-      } else {
-        dc.worker_argv = worker_args(/*split_threads=*/true);
-      }
+      // Local workers share this machine, so they split its engine
+      // threads; a --listen fleet's probe replies do not (each joining
+      // machine defaults to its own hardware).
+      dc.worker_argv = worker_args(/*split_threads=*/listen_port_ < 0);
       auto d = std::make_unique<engine::CampaignDispatcher>(std::move(dc));
       control_->runner = d.get();
       runner_ = std::move(d);
-    } else if (!connect_spec_.empty()) {
-      engine::SocketChannel::Config sc;
-      if (!net::parse_hostport(connect_spec_, sc.host, sc.port)) {
-        std::fprintf(stderr, "error: --connect expects HOST:PORT\n");
-        std::exit(2);
-      }
-      auto ch = std::make_unique<engine::SocketChannel>(sc);
+    } else if (channel_ || !connect_.host.empty()) {
+      if (!channel_) channel_ = join_fleet(connect_);
       // The WELCOME handshake carries the fleet's REMAINING budget, so a
-      // reconnected worker shares the parent's wall clock instead of
-      // resetting its own.
-      if (ch->budget_seconds() > 0.0) {
-        control_->max_seconds = ch->budget_seconds();
+      // respawned or reconnected worker shares the parent's wall clock
+      // instead of resetting its own.
+      if (channel_->budget_seconds() > 0.0) {
+        control_->max_seconds = channel_->budget_seconds();
         control_->start = std::chrono::steady_clock::now();
       }
-      auto w = std::make_unique<engine::CampaignWorker>(std::move(ch));
-      control_->runner = w.get();
-      control_->quiet = true;  // the parent reports once for the fleet
-      runner_ = std::move(w);
-    } else if (worker_in_ >= 0) {
-      auto w = std::make_unique<engine::CampaignWorker>(worker_in_,
-                                                        worker_out_);
+      auto w = std::make_unique<engine::CampaignWorker>(std::move(channel_));
       control_->runner = w.get();
       control_->quiet = true;  // the parent reports once for the fleet
       runner_ = std::move(w);
@@ -501,10 +480,8 @@ engine::RunControl& StandardOptions::run_control() {
 // argv for a dispatch worker: the declaration and scale knobs pass
 // through untouched (the worker must expand the identical campaign), the
 // parent-side output/control flags are stripped, and the transport adds
-// its own connection flag (--worker-fd per pipe spawn, --connect on the
-// sfly_worker side).  Pipe fleets split the engine threads across
-// workers sharing this machine; TCP fleets do not (each joining machine
-// defaults to its own hardware).
+// its own connection flag (--worker-fd per local spawn, --connect on the
+// sfly_worker side).
 std::vector<std::string> StandardOptions::worker_args(
     bool split_threads) const {
   static const char* kParentOnly[] = {"--workers",     "--json",

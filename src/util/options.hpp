@@ -24,6 +24,7 @@
 #include "engine/engine.hpp"
 #include "engine/journal.hpp"
 #include "engine/sink.hpp"
+#include "engine/transport_tcp.hpp"
 
 namespace sfly::bench {
 
@@ -126,15 +127,6 @@ class StandardOptions {
   /// (0 = single-process).  run_control() installs the dispatcher as the
   /// control's BatchRunner.
   [[nodiscard]] std::size_t workers() const { return workers_; }
-  /// `--worker-fd IN,OUT` or `--connect HOST:PORT`: this process IS a
-  /// dispatch worker (pipe-forked by a --workers parent, or a TCP joiner
-  /// of a --listen parent; quiet, slice-fed over the wire).
-  [[nodiscard]] bool worker_mode() const {
-    return worker_in_ >= 0 || !connect_spec_.empty();
-  }
-  /// `--listen PORT` was given: the dispatcher accepts TCP worker joins
-  /// instead of forking pipe workers.
-  [[nodiscard]] bool listening() const { return listen_port_ >= 0; }
 
  private:
   void prepare_resume();
@@ -149,10 +141,12 @@ class StandardOptions {
   bool sinks_built_ = false;
   std::size_t shard_index_ = 0, shard_count_ = 1;
   std::size_t workers_ = 0;
-  int worker_in_ = -1, worker_out_ = -1;
   int listen_port_ = -1;      // -1 = no --listen (0 = ephemeral port)
-  int lease_ms_ = 10000;      // --lease-ms (only meaningful with --listen)
-  std::string connect_spec_;  // --connect HOST:PORT ("" = not a TCP worker)
+  int lease_ms_ = 10000;      // --lease-ms (any --workers parent)
+  engine::SocketChannel::Config connect_;  // --connect (host "" = none)
+  // A --worker-fd child's link, joined from the constructor on;
+  // run_control() hands it (or a fresh --connect link) to the worker.
+  std::unique_ptr<engine::SocketChannel> channel_;
   std::unique_ptr<engine::CampaignJournal> journal_;
   std::unique_ptr<engine::RunControl> control_;
   std::unique_ptr<engine::BatchRunner> runner_;

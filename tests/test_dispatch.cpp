@@ -1,12 +1,14 @@
 // Distributed-dispatch pins: `--workers N` must be invisible in the
-// output.  A fleet run — including one whose worker is SIGKILL'd
-// mid-batch and its slice reassigned — produces stdout and journal
-// bytes identical to an uninterrupted single-process run; a fleet
-// stopped by --max-seconds leaves a journal that resumes single-process
-// to the same bytes; a worker whose binary expands the campaign
-// differently from the parent (stale build) is refused, never silently
-// mixed in.  Plus unit pins for the line framing the wire protocol
-// rides on, and the sfly_merge output-names-an-input refusal.
+// output.  A fleet run — including one whose worker is SIGKILL'd or
+// SIGSTOPped mid-batch and its slice reassigned — produces stdout and
+// journal bytes identical to an uninterrupted single-process run; a
+// fleet stopped by --max-seconds leaves a journal that resumes
+// single-process to the same bytes; a worker whose binary expands the
+// campaign differently from the parent (stale build) is refused, never
+// silently mixed in; a worker that cannot even say HELLO exhausts the
+// respawn budget instead of hanging the fleet.  Plus the row-index
+// check the wire protocol rides on, and the sfly_merge
+// output-names-an-input refusal.
 
 #include "engine/dispatch.hpp"
 
@@ -58,38 +60,7 @@ std::string fig6(const std::string& jsonl, const std::string& stdout_path,
 }
 
 // ---------------------------------------------------------------------
-// Wire-protocol framing units.
-
-TEST(LineBuffer, SplitsChunksAndKeepsHalfWrittenTail) {
-  dispatch_detail::LineBuffer buf;
-  std::vector<std::string> lines;
-  auto take = [&](std::string&& l) { lines.push_back(std::move(l)); };
-  buf.feed("ab", 2, take);          // no newline yet: nothing delivered
-  EXPECT_TRUE(lines.empty());
-  EXPECT_EQ(buf.pending(), "ab");
-  buf.feed("c\nxy\npar", 8, take);  // two lines complete, "par" dangles
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "abc");
-  EXPECT_EQ(lines[1], "xy");
-  EXPECT_EQ(buf.pending(), "par");
-  buf.feed("tial", 4, take);        // a killed worker's torn last write:
-  EXPECT_EQ(lines.size(), 2u);      // the tail is never delivered as a row
-  EXPECT_EQ(buf.pending(), "partial");
-  buf.feed("\n", 1, take);
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[2], "partial");
-  EXPECT_TRUE(buf.pending().empty());
-}
-
-TEST(LineBuffer, EmptyLinesAreDeliveredNotSwallowed) {
-  dispatch_detail::LineBuffer buf;
-  std::vector<std::string> lines;
-  buf.feed("\na\n\n", 4, [&](std::string&& l) { lines.push_back(l); });
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0], "");
-  EXPECT_EQ(lines[1], "a");
-  EXPECT_EQ(lines[2], "");
-}
+// Wire-protocol units.
 
 TEST(RowIndex, ParsesJournalRowsRejectsEverythingElse) {
   auto idx = dispatch_detail::row_index(
@@ -174,6 +145,62 @@ TEST(Dispatch, StaleWorkerDeclarationIsRefused) {
   EXPECT_EQ(rc, 2);
   EXPECT_NE(slurp(err).find("declaration mismatch"), std::string::npos)
       << slurp(err);
+}
+
+TEST(Dispatch, StoppedLocalWorkerIsFencedAndRespawned) {
+  const std::string big = "--ranks 512 --msgs 16 --seed 1";
+  const std::string bench = bin_dir() + "/bench_fig6_ugal " + big;
+  const std::string rj = tmp("stopref.jsonl"), ro = tmp("stopref.out");
+  const std::string sj = tmp("stop.jsonl"), so = tmp("stop.out");
+  const std::string err = tmp("stop.err");
+  ASSERT_EQ(run(bench + " --threads 1 --json " + rj + " > " + ro +
+                " 2>/dev/null"),
+            0);
+  // A SIGSTOPped worker neither dies nor heartbeats, so only its lease
+  // can notice it: after 0.5 s of silence the parent must SIGKILL it,
+  // respawn the slot, and finish with no row lost or duplicated.
+  const std::string sh = tmp("stop.sh");
+  std::ofstream(sh) << "timeout -s KILL 120 " << bench
+                    << " --workers 2 --lease-ms 500 --json " << sj << " > "
+                    << so << " 2> " << err << " &\n"
+                    << "P=$!; W=; i=0\n"
+                    << "while [ -z \"$W\" ] && [ $i -lt 200 ]; do\n"
+                    << "  sleep 0.02; i=$((i+1))\n"
+                    << "  B=$(pgrep -P $P | head -1)\n"
+                    << "  [ -n \"$B\" ] && W=$(pgrep -P $B | head -1)\n"
+                    << "done\n"
+                    << "sleep 0.3; [ -n \"$W\" ] && kill -STOP $W\n"
+                    << "wait $P\n";
+  ASSERT_EQ(run("sh " + sh), 0) << slurp(err);
+  EXPECT_NE(slurp(err).find("lease expired"), std::string::npos)
+      << "the stopped worker's lease never expired:\n" << slurp(err);
+  EXPECT_EQ(slurp(rj), slurp(sj));
+  EXPECT_EQ(slurp(ro), slurp(so));
+}
+
+TEST(Dispatch, WorkerDyingBeforeHelloHitsRespawnBudget) {
+  if (::access("/bin/false", X_OK) != 0) GTEST_SKIP() << "no /bin/false";
+  // Every spawn exits before its HELLO: each death respawns the slot
+  // until max_respawns is spent, then the run fails as a crash loop —
+  // a local fleet never sits in start() waiting for a join.
+  CampaignDispatcher::Config cfg;
+  cfg.workers = 2;
+  cfg.exe = "/bin/false";
+  cfg.max_respawns = 3;
+  CampaignDispatcher d(std::move(cfg));
+  Engine eng;
+  BatchMeta m;
+  m.campaign = "loop";
+  m.batch = "b";
+  m.scenarios = m.rows = 4;
+  const std::vector<Scenario> batch(4);
+  try {
+    (void)d.run_batch(eng, m, batch, {}, Engine::StreamOptions{});
+    FAIL() << "a crash-looping fleet returned instead of throwing";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("died 3 times"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------

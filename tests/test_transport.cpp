@@ -4,8 +4,9 @@
 // uninterrupted single-process run.  A lease that expires fences the
 // holder's epoch and its late rows are discarded exactly once; a worker
 // that reconnects after a partition rejoins under a fresh epoch; a
-// stale worker build is refused over the socket exactly as over a pipe;
-// --max-seconds stops the fleet resumably.  Plus unit pins for the
+// stale worker build is refused over the socket exactly as in a local
+// fleet; --max-seconds and SIGTERM stop the fleet resumably, even before
+// it assembles; a worker with no parent to join exits 76.  Plus unit pins for the
 // length-delimited framing, the handshake payloads, and the
 // deterministic reconnect backoff the wire rides on.
 
@@ -473,6 +474,54 @@ TEST(Tcp, BudgetSpentBeforeFleetAssemblesStopsResumably) {
   EXPECT_EQ(ref.compare(0, part.size(), part), 0)
       << "budget-stopped fleet journal is not a prefix of the reference";
   EXPECT_EQ(part.back(), '\n');
+}
+
+TEST(Tcp, SigtermWhileAssemblingStopsResumably) {
+  // A --listen parent that no worker ever joins must still honour the
+  // operator's SIGTERM: stop waiting for the fleet, exit 75, and leave
+  // a journal that is empty or a line-aligned prefix of the reference.
+  const std::string big = "--ranks 512 --msgs 16 --seed 1";
+  const std::string bench = bin_dir() + "/bench_fig6_ugal " + big;
+  const std::string rj = tmp("asmterm.ref.jsonl");
+  ASSERT_EQ(run(bench + " --threads 1 --json " + rj + " > /dev/null 2>&1"), 0);
+  const std::string pf = tmp("asmterm.port"), j = tmp("asmterm.jsonl");
+  const std::string err = tmp("asmterm.err"), sh = tmp("asmterm.sh");
+  std::ofstream(sh) << "rm -f " << pf << "\n"
+                    << "SFLY_LISTEN_PORT_FILE=" << pf
+                    << " timeout -s KILL 30 " << bench
+                    << " --workers 2 --listen 0 --json " << j
+                    << " > /dev/null 2> " << err << " &\n"
+                    << "P=$!; i=0\n"
+                    << "while [ $i -lt 200 ] && [ ! -s " << pf
+                    << " ]; do sleep 0.05; i=$((i+1)); done\n"
+                    << "kill -TERM $P; wait $P\n";
+  ASSERT_EQ(run("timeout 30 sh " + sh), 75) << slurp(err);
+  EXPECT_NE(slurp(err).find("stopping on SIGTERM"), std::string::npos)
+      << slurp(err);
+  const std::string ref = slurp(rj), part = slurp(j);
+  EXPECT_EQ(ref.compare(0, part.size(), part), 0)
+      << "signal-stopped fleet journal is not a prefix of the reference";
+  if (!part.empty()) {
+    EXPECT_EQ(part.back(), '\n');
+  }
+}
+
+TEST(Tcp, ConnectWithNoParentExitsLinkLost) {
+  // A --connect worker that finds nobody listening is a lost link, not
+  // a crash: exit 76 with a one-line notice, so sfly_worker re-probes
+  // instead of charging its crash budget.
+  std::uint16_t port = 0;
+  const int fd = tcp_listen(0, port);
+  ASSERT_GE(fd, 0);
+  ::close(fd);  // a just-closed loopback port: nothing accepts there
+  const std::string err = tmp("noparent.err");
+  EXPECT_EQ(run("SFLY_CONNECT_ATTEMPTS=1 " + bin_dir() +
+                "/bench_fig6_ugal --ranks 64 --msgs 4 --seed 1 --connect "
+                "127.0.0.1:" + std::to_string(port) + " > /dev/null 2> " +
+                err),
+            kExitLinkLost);
+  EXPECT_NE(slurp(err).find("# --connect: "), std::string::npos)
+      << slurp(err);
 }
 
 // ---------------------------------------------------------------------

@@ -115,17 +115,7 @@ struct Pair {
 
 std::string serialize(const net::Frame& f) {
   std::string out;
-  const auto len = static_cast<std::uint32_t>(f.payload.size());
-  out.push_back(static_cast<char>((len >> 24) & 0xff));
-  out.push_back(static_cast<char>((len >> 16) & 0xff));
-  out.push_back(static_cast<char>((len >> 8) & 0xff));
-  out.push_back(static_cast<char>(len & 0xff));
-  out.push_back(static_cast<char>(f.type));
-  out.push_back(static_cast<char>((f.seq >> 24) & 0xff));
-  out.push_back(static_cast<char>((f.seq >> 16) & 0xff));
-  out.push_back(static_cast<char>((f.seq >> 8) & 0xff));
-  out.push_back(static_cast<char>(f.seq & 0xff));
-  out += f.payload;
+  net::append_frame(out, f.type, f.seq, f.payload);
   return out;
 }
 
@@ -221,6 +211,9 @@ int main(int argc, char** argv) {
   };
 
   auto on_frame = [&](Pair& p, const net::Frame& f) {
+    // The link is cut: frames that shared a read with the torn one must
+    // not reach the parent behind it, or they would complete it.
+    if (p.cut_after_flush) return;
     if (f.type == net::FrameType::kData) {
       if (p.data_index < 0) p.data_index = data_counter++;
       ++p.data_frames;
