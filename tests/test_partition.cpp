@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/failures.hpp"
+#include "partition/recursive_bisection.hpp"
+#include "topo/dragonfly.hpp"
+#include "topo/lps.hpp"
+#include "topo/slimfly.hpp"
 #include "util/rng.hpp"
 
 namespace sfly {
@@ -173,6 +178,73 @@ TEST(BisectionDisconnected, DeterministicForSeed) {
   auto b = bisect(g, {.restarts = 2, .seed = 7});
   EXPECT_EQ(a.cut_edges, b.cut_edges);
   EXPECT_EQ(a.side, b.side);
+}
+
+// Byte pins for the bisector's picks: cut plus an FNV-1a fold of the side
+// vector on the fig5 graph shapes (intact and failure-perturbed), a torus
+// and a disconnected union.  Any change to coarsening, FM move order or
+// balancing that moves a single vertex fails these; a change that moves
+// cuts on purpose must re-pin them.
+template <typename T>
+std::uint64_t fnv1a(const std::vector<T>& xs) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (T x : xs) {
+    h ^= static_cast<std::uint64_t>(x);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct Pin {
+  std::uint64_t cut;
+  std::uint64_t digest;
+};
+
+Pin pin_of(const Graph& g) {
+  const auto r = bisect(g, {.restarts = 2, .seed = 1});
+  return {r.cut_edges, fnv1a(r.side)};
+}
+
+void expect_pin(const Graph& g, Pin want) {
+  const Pin got = pin_of(g);
+  EXPECT_EQ(got.cut, want.cut);
+  EXPECT_EQ(got.digest, want.digest) << std::hex << "0x" << got.digest;
+}
+
+TEST(BisectionPins, LpsIntact) {
+  expect_pin(topo::lps_graph({23, 11}), {2876, 0xf736dcf031cbcc9dull});
+}
+
+TEST(BisectionPins, LpsThirtyPercentFailed) {
+  expect_pin(delete_random_edges(topo::lps_graph({23, 11}), 0.3, 7),
+             {1831, 0x3c5c539c272c84adull});
+}
+
+TEST(BisectionPins, SlimFlyTwentyPercentFailed) {
+  expect_pin(delete_random_edges(topo::slimfly_graph({17}), 0.2, 7),
+             {1944, 0x2e4d6c2ff26e5736ull});
+}
+
+TEST(BisectionPins, DragonFlyThirtyPercentFailed) {
+  expect_pin(delete_random_edges(
+                 topo::dragonfly_graph(topo::DragonFlyParams::canonical(24)), 0.3, 7),
+             {176, 0x5b77cfa70d27c299ull});
+}
+
+TEST(BisectionPins, Torus) { expect_pin(torus(8, 16), {16, 0x6d1d62084d3e85e5ull}); }
+
+TEST(BisectionPins, DisconnectedUnion) {
+  // Components-first path: sizes 9 / 5 / 6 / 13 admit no exact packing.
+  expect_pin(disjoint_union({cycle_graph(9), complete_graph(5), cycle_graph(6),
+                             cycle_graph(13)}),
+             {2, 0x087a8559d8a2ef7dull});
+}
+
+TEST(BisectionPins, RecursiveBisectionCells) {
+  const auto part = partition::recursive_bisection(topo::lps_graph({23, 11}));
+  EXPECT_EQ(part.num_cells, 16u);
+  const std::uint64_t digest = fnv1a(part.cell_of);
+  EXPECT_EQ(digest, 0x64875e6c66726ccaull) << std::hex << "0x" << digest;
 }
 
 }  // namespace
