@@ -79,14 +79,22 @@ void BM_Spectra(benchmark::State& state) {
 }
 BENCHMARK(BM_Spectra)->Unit(benchmark::kMillisecond);
 
+// Fig. 5's other per-trial cost: the multilevel bisector (2 restarts, as
+// the fig5 trials run it) on the same two graphs as BM_DistanceStats.
 void BM_Bisection(benchmark::State& state) {
-  auto g = topo::lps_graph({23, 11});
+  topo::LpsParams params{static_cast<std::uint64_t>(state.range(0)),
+                         static_cast<std::uint64_t>(state.range(1))};
+  const double fraction = static_cast<double>(state.range(2)) / 100.0;
+  auto g = delete_random_edges(topo::lps_graph(params), fraction, 1);
   for (auto _ : state) {
     auto cut = bisection_bandwidth(g, {.restarts = 2, .seed = 3});
     benchmark::DoNotOptimize(cut);
   }
+  state.SetLabel(params.name() + " n=" + std::to_string(g.num_vertices()) + " failed=" +
+                 std::to_string(state.range(2)) + "%");
 }
-BENCHMARK(BM_Bisection)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Bisection)->Args({23, 11, 0})->Args({29, 17, 30})
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // Simulator hot-path primitives: the per-hop routing decision as the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 
@@ -74,44 +75,51 @@ CoarseLevel coarsen(const WGraph& g, Rng& rng) {
   for (Vertex v = 0; v < n; ++v)
     if (match[v] < v) out.map[v] = out.map[match[v]];
 
-  // Aggregate edges into the coarse graph via hashing per coarse vertex.
-  std::vector<std::vector<std::pair<Vertex, std::uint32_t>>> buckets(nc);
-  out.graph.vwgt.assign(nc, 0);
-  for (Vertex v = 0; v < n; ++v) out.graph.vwgt[out.map[v]] += g.vwgt[v];
-  for (Vertex u = 0; u < n; ++u) {
-    Vertex cu = out.map[u];
-    for (std::uint32_t e = g.offsets[u]; e < g.offsets[u + 1]; ++e) {
-      Vertex cv = out.map[g.adj[e]];
-      if (cu == cv) continue;
-      buckets[cu].emplace_back(cv, g.ewgt[e]);
+  // Aggregate edges into the coarse graph in one flat CSR array.  Coarse ids
+  // ascend with their representatives, so walking the representatives in
+  // order emits every coarse edge (c, cv) in ascending c; scattering each
+  // into cv's segment as (c, w) leaves every segment sorted by neighbour
+  // (the graph is symmetric, so cv's incoming pairs are its adjacency).
+  // Merging adjacent repeats in place then sums parallel edges.
+  WGraph& cg = out.graph;
+  cg.vwgt.assign(nc, 0);
+  for (Vertex v = 0; v < n; ++v) cg.vwgt[out.map[v]] += g.vwgt[v];
+  std::vector<std::uint32_t> fill(nc + 1, 0);
+  for (Vertex u = 0; u < n; ++u)
+    for (std::uint32_t e = g.offsets[u]; e < g.offsets[u + 1]; ++e)
+      if (out.map[g.adj[e]] != out.map[u]) ++fill[out.map[u] + 1];
+  std::partial_sum(fill.begin(), fill.end(), fill.begin());
+  cg.adj.resize(fill[nc]);
+  cg.ewgt.resize(fill[nc]);
+  for (Vertex r = 0; r < n; ++r) {
+    if (match[r] < r) continue;  // not a representative
+    const Vertex c = out.map[r];
+    for (Vertex u : {r, match[r]}) {
+      for (std::uint32_t e = g.offsets[u]; e < g.offsets[u + 1]; ++e) {
+        const Vertex cv = out.map[g.adj[e]];
+        if (cv == c) continue;
+        cg.adj[fill[cv]] = c;
+        cg.ewgt[fill[cv]++] = g.ewgt[e];
+      }
+      if (match[r] == r) break;
     }
   }
-  out.graph.offsets.assign(nc + 1, 0);
+  // fill[c] now ends segment c, which starts where segment c-1 ended.
+  cg.offsets.assign(nc + 1, 0);
+  std::uint32_t w = 0;
   for (Vertex c = 0; c < nc; ++c) {
-    auto& b = buckets[c];
-    std::sort(b.begin(), b.end());
-    // Merge parallel edges.
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < b.size();) {
-      std::size_t j = i;
-      std::uint32_t sum = 0;
-      while (j < b.size() && b[j].first == b[i].first) sum += b[j++].second;
-      b[w++] = {b[i].first, sum};
-      i = j;
+    for (std::uint32_t i = c == 0 ? 0 : fill[c - 1]; i < fill[c]; ++i) {
+      if (w > cg.offsets[c] && cg.adj[w - 1] == cg.adj[i]) {
+        cg.ewgt[w - 1] += cg.ewgt[i];
+      } else {
+        cg.adj[w] = cg.adj[i];
+        cg.ewgt[w++] = cg.ewgt[i];
+      }
     }
-    b.resize(w);
-    out.graph.offsets[c + 1] = out.graph.offsets[c] + static_cast<std::uint32_t>(w);
+    cg.offsets[c + 1] = w;
   }
-  out.graph.adj.resize(out.graph.offsets.back());
-  out.graph.ewgt.resize(out.graph.offsets.back());
-  for (Vertex c = 0; c < nc; ++c) {
-    std::uint32_t at = out.graph.offsets[c];
-    for (auto [v, wt] : buckets[c]) {
-      out.graph.adj[at] = v;
-      out.graph.ewgt[at] = wt;
-      ++at;
-    }
-  }
+  cg.adj.resize(w);
+  cg.ewgt.resize(w);
   return out;
 }
 
@@ -157,97 +165,200 @@ std::vector<std::uint8_t> grow_partition(const WGraph& g, Rng& rng) {
   return side;
 }
 
-// One FM pass: tentatively move every vertex once (best-gain first subject
-// to balance), then roll back to the best prefix. Returns true if the cut
-// or balance improved.
-bool fm_pass(const WGraph& g, std::vector<std::uint8_t>& side,
-             std::uint64_t max_side_wgt) {
-  const Vertex n = g.n();
-  std::vector<std::int64_t> gain(n, 0);
-  std::uint64_t wgt[2] = {0, 0};
-  for (Vertex v = 0; v < n; ++v) wgt[side[v]] += g.vwgt[v];
-  for (Vertex u = 0; u < n; ++u) {
-    std::int64_t gn = 0;
-    for (std::uint32_t e = g.offsets[u]; e < g.offsets[u + 1]; ++e)
-      gn += (side[g.adj[e]] != side[u]) ? g.ewgt[e] : -static_cast<std::int64_t>(g.ewgt[e]);
-    gain[u] = gn;
+// Addressable 4-ary max-heap over one side's unlocked vertices, keyed by
+// (gain, vertex) and ordered like std::pair: higher gain first, ties to the
+// higher vertex id.  Every vertex owns one slot (`pos`, shared by both
+// sides' heaps because a vertex sits in exactly one), so a gain change is an
+// in-place sift and no stale entry ever exists.
+class GainHeap {
+ public:
+  // (gain, v) packed so one unsigned compare is the pair compare: biased
+  // gain in the high word, vertex in the low word.  |gain| is at most a
+  // vertex's weighted degree, at most |E| <= 2^30 (bisect's edge guard).
+  using Entry = std::uint64_t;
+  static Vertex vertex(Entry e) { return static_cast<Vertex>(e); }
+  static std::int64_t gain(Entry e) { return static_cast<std::int64_t>(e >> 32) - kBias; }
+  static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  static constexpr std::int64_t kBias = std::int64_t{1} << 31;
+
+  explicit GainHeap(std::vector<std::uint32_t>& pos) : pos_(pos) {}
+
+  // Refill: clear(), append() every entry, then heapify().
+  void clear() { h_.clear(); }
+  void append(std::int64_t gain, Vertex v) {
+    pos_[v] = static_cast<std::uint32_t>(h_.size());
+    h_.push_back((static_cast<std::uint64_t>(gain + kBias) << 32) | v);
+  }
+  void heapify() {
+    for (std::size_t i = h_.size(); i-- > 0;) sift_down(i);
   }
 
-  std::vector<std::uint8_t> locked(n, 0);
-  std::vector<Vertex> moves;
-  moves.reserve(n);
-  std::int64_t cum = 0, best_cum = 0;
-  std::size_t best_prefix = 0;
+  void add(Vertex v, std::int64_t delta) {
+    const std::uint32_t i = pos_[v];
+    h_[i] += static_cast<std::uint64_t>(delta) << 32;
+    if (delta > 0)
+      sift_up(i);
+    else
+      sift_down(i);
+  }
 
-  // Lazy max-heap of (gain, vertex); stale entries are skipped on pop.
-  std::vector<std::pair<std::int64_t, Vertex>> heap;
-  heap.reserve(2 * n);
-  for (Vertex v = 0; v < n; ++v) heap.emplace_back(gain[v], v);
-  std::make_heap(heap.begin(), heap.end());
-  std::vector<std::pair<std::int64_t, Vertex>> deferred;  // balance-blocked
+  // Drops v's slot; pos[v] becomes kNone (the pass's "locked" mark).
+  void erase(Vertex v) {
+    const std::uint32_t i = pos_[v];
+    pos_[v] = kNone;
+    const Entry last = h_.back();
+    h_.pop_back();
+    if (i == h_.size()) return;
+    put(i, last);
+    if (i > 0 && last > h_[(i - 1) / kArity])
+      sift_up(i);
+    else
+      sift_down(i);
+  }
 
-  for (Vertex step = 0; step < n; ++step) {
-    Vertex pick = static_cast<Vertex>(-1);
-    std::int64_t pick_gain = 0;
-    deferred.clear();
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end());
-      auto [gn, v] = heap.back();
-      heap.pop_back();
-      if (locked[v] || gn != gain[v]) continue;  // stale
-      if (wgt[1 - side[v]] + g.vwgt[v] > max_side_wgt) {
-        deferred.emplace_back(gn, v);  // balance-blocked now, maybe not later
+  // The best entry whose vertex weighs at most `cap` and that ranks above
+  // `*floor` (when given), or nullptr.  A root that fits answers in O(1);
+  // otherwise the walk prunes every subtree whose root ranks at or below
+  // the best fit so far.  The heap is never reordered.
+  const Entry* best_fit(const std::vector<std::uint32_t>& vwgt, std::uint64_t cap,
+                        const Entry* floor) {
+    if (h_.empty()) return nullptr;
+    if (vwgt[vertex(h_[0])] <= cap) return !floor || h_[0] > *floor ? &h_[0] : nullptr;
+    const Entry* best = floor;
+    walk_.assign(1, 0);
+    while (!walk_.empty()) {
+      const std::size_t i = walk_.back();
+      walk_.pop_back();
+      if (best && h_[i] <= *best) continue;
+      if (vwgt[vertex(h_[i])] <= cap) {
+        best = &h_[i];
         continue;
       }
-      pick = v;
-      pick_gain = gn;
-      break;
+      for (std::size_t c = kArity * i + 1; c <= kArity * i + kArity && c < h_.size(); ++c)
+        walk_.push_back(c);
     }
-    for (auto& d : deferred) {
-      heap.push_back(d);
-      std::push_heap(heap.begin(), heap.end());
-    }
-    if (pick == static_cast<Vertex>(-1)) break;
-    // Move it.
-    std::uint8_t from = side[pick];
-    wgt[from] -= g.vwgt[pick];
-    wgt[1 - from] += g.vwgt[pick];
-    side[pick] = static_cast<std::uint8_t>(1 - from);
-    locked[pick] = 1;
-    cum += pick_gain;
-    moves.push_back(pick);
-    if (cum > best_cum) {
-      best_cum = cum;
-      best_prefix = moves.size();
-    }
-    // Update neighbor gains.
-    gain[pick] = -gain[pick];
-    for (std::uint32_t e = g.offsets[pick]; e < g.offsets[pick + 1]; ++e) {
-      Vertex v = g.adj[e];
-      // v's gain changes by ±2w depending on whether pick now matches v.
-      if (side[v] == side[pick])
-        gain[v] -= 2 * static_cast<std::int64_t>(g.ewgt[e]);
-      else
-        gain[v] += 2 * static_cast<std::int64_t>(g.ewgt[e]);
-      if (!locked[v]) {
-        heap.emplace_back(gain[v], v);
-        std::push_heap(heap.begin(), heap.end());
-      }
-    }
+    return best == floor ? nullptr : best;
   }
 
-  // Roll back moves past the best prefix.
-  for (std::size_t i = moves.size(); i-- > best_prefix;)
-    side[moves[i]] = static_cast<std::uint8_t>(1 - side[moves[i]]);
-  return best_cum > 0;
-}
+ private:
+  static constexpr std::size_t kArity = 4;
+  void put(std::size_t i, Entry e) {
+    h_[i] = e;
+    pos_[vertex(e)] = static_cast<std::uint32_t>(i);
+  }
+  void sift_up(std::size_t i) {
+    const Entry e = h_[i];
+    while (i > 0 && e > h_[(i - 1) / kArity]) {
+      put(i, h_[(i - 1) / kArity]);
+      i = (i - 1) / kArity;
+    }
+    put(i, e);
+  }
+  void sift_down(std::size_t i) {
+    const Entry e = h_[i];
+    for (std::size_t first; (first = kArity * i + 1) < h_.size();) {
+      std::size_t c = first;
+      const std::size_t end = std::min(first + kArity, h_.size());
+      for (std::size_t k = first + 1; k < end; ++k)
+        if (h_[k] > h_[c]) c = k;
+      if (h_[c] <= e) break;
+      put(i, h_[c]);
+      i = c;
+    }
+    put(i, e);
+  }
+
+  std::vector<Entry> h_;
+  std::vector<std::uint32_t>& pos_;
+  std::vector<std::size_t> walk_;
+};
+
+// Fiduccia–Mattheyses refinement with one gain heap per side.  A pass
+// tentatively moves every vertex once, each step taking the largest
+// (gain, vertex) among the moves the balance bound allows, then rolls back
+// to the best prefix.  An unlocked vertex never changes side during a
+// pass, so "best feasible entry of either heap" is the same pick a single
+// heap over all unlocked vertices would make.
+class FmRefiner {
+ public:
+  explicit FmRefiner(const WGraph& g) : g_(g), pos_(g.n()), heap_{GainHeap(pos_), GainHeap(pos_)} {
+    const auto [lo, hi] = std::minmax_element(g.vwgt.begin(), g.vwgt.end());
+    min_vwgt_ = *lo;
+    max_side_ = (g.total_vwgt() + 1) / 2 + *hi;
+    moves_.reserve(g.n());
+  }
+  FmRefiner(const FmRefiner&) = delete;  // heap_ refers to this object's pos_
+  FmRefiner& operator=(const FmRefiner&) = delete;
+
+  // One pass; returns true if the cut improved.
+  bool pass(std::vector<std::uint8_t>& side) {
+    const Vertex n = g_.n();
+    std::uint64_t wgt[2] = {0, 0};
+    heap_[0].clear();
+    heap_[1].clear();
+    for (Vertex u = 0; u < n; ++u) {
+      wgt[side[u]] += g_.vwgt[u];
+      // +w per cut edge, -w per uncut one (branch-free: sides are 0/1).
+      std::int64_t gn = 0;
+      const int su = side[u];
+      for (std::uint32_t e = g_.offsets[u]; e < g_.offsets[u + 1]; ++e)
+        gn += (2 * (side[g_.adj[e]] ^ su) - 1) * static_cast<std::int64_t>(g_.ewgt[e]);
+      heap_[side[u]].append(gn, u);
+    }
+    heap_[0].heapify();
+    heap_[1].heapify();
+
+    moves_.clear();
+    std::int64_t cum = 0, best_cum = 0;
+    std::size_t best_prefix = 0;
+    for (Vertex step = 0; step < n; ++step) {
+      const GainHeap::Entry* best = nullptr;
+      for (int s = 0; s < 2; ++s) {
+        const std::uint64_t other = wgt[1 - s];
+        if (other + min_vwgt_ > max_side_) continue;  // nothing on side s fits
+        if (const auto* e = heap_[s].best_fit(g_.vwgt, max_side_ - other, best)) best = e;
+      }
+      if (!best) break;
+      const Vertex pick = GainHeap::vertex(*best);
+      cum += GainHeap::gain(*best);
+      const std::uint8_t from = side[pick];
+      heap_[from].erase(pick);
+      wgt[from] -= g_.vwgt[pick];
+      wgt[1 - from] += g_.vwgt[pick];
+      side[pick] = static_cast<std::uint8_t>(1 - from);
+      moves_.push_back(pick);
+      if (cum > best_cum) {
+        best_cum = cum;
+        best_prefix = moves_.size();
+      }
+      // v's gain changes by ±2w depending on whether pick now matches v.
+      for (std::uint32_t e = g_.offsets[pick]; e < g_.offsets[pick + 1]; ++e) {
+        const Vertex v = g_.adj[e];
+        if (pos_[v] == GainHeap::kNone) continue;  // locked
+        const std::int64_t w2 = 2 * static_cast<std::int64_t>(g_.ewgt[e]);
+        heap_[side[v]].add(v, side[v] == side[pick] ? -w2 : w2);
+      }
+    }
+
+    // Roll back moves past the best prefix.
+    for (std::size_t i = moves_.size(); i-- > best_prefix;)
+      side[moves_[i]] = static_cast<std::uint8_t>(1 - side[moves_[i]]);
+    return best_cum > 0;
+  }
+
+ private:
+  const WGraph& g_;
+  std::vector<std::uint32_t> pos_;
+  GainHeap heap_[2];
+  std::vector<Vertex> moves_;
+  std::uint64_t min_vwgt_ = 0;
+  std::uint64_t max_side_ = 0;
+};
 
 void refine(const WGraph& g, std::vector<std::uint8_t>& side, int max_passes) {
-  const std::uint64_t total = g.total_vwgt();
-  std::uint32_t max_v = *std::max_element(g.vwgt.begin(), g.vwgt.end());
-  const std::uint64_t max_side = (total + 1) / 2 + max_v;
+  FmRefiner fm(g);
   for (int p = 0; p < max_passes; ++p)
-    if (!fm_pass(g, side, max_side)) break;
+    if (!fm.pass(side)) break;
 }
 
 // Final strict rebalance on the original (unit-weight) graph: move minimum
@@ -376,8 +487,12 @@ std::vector<std::uint8_t> multilevel_run(const WGraph& g0, const BisectionOption
 }  // namespace
 
 BisectionResult bisect(const Graph& g, const BisectionOptions& opts) {
-  WGraph w = to_wgraph(g);
+  if (opts.restarts < 1) throw std::invalid_argument("bisect: restarts must be >= 1");
+  if (g.num_edges() > (std::size_t{1} << 30))
+    throw std::length_error("bisect: more than 2^30 edges overflow the FM gain keys");
   BisectionResult best;
+  if (g.num_vertices() == 0) return best;
+  WGraph w = to_wgraph(g);
   best.cut_edges = std::numeric_limits<std::uint64_t>::max();
   if (const auto comps = components_of(w); comps.size() > 1) {
     // Deterministic components-first assignment; restarts add nothing

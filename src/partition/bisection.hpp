@@ -5,8 +5,15 @@
 // exact bipartition (an upper bound on the true minimum), paired with the
 // Fiedler spectral lower bound.  We implement the same multilevel recipe
 // METIS uses: heavy-edge-matching coarsening, greedy region-growing initial
-// partitions, and Fiduccia–Mattheyses boundary refinement at every level,
-// with randomized restarts.
+// partitions, and Fiduccia–Mattheyses refinement at every level, with
+// randomized restarts.
+//
+// FM keeps one addressable max-heap per side keyed by (gain, vertex); a
+// neighbour's gain change sifts its single slot in place.  Each step moves
+// the largest (gain, vertex) the balance bound allows, ties to the higher
+// vertex id, so the picks (and every cut and side vector) are those of one
+// max-heap over all unlocked vertices; tests/test_partition.cpp pins them
+// by digest.
 
 #include <cstdint>
 #include <vector>
@@ -28,7 +35,10 @@ struct BisectionResult {
   Vertex part_sizes[2] = {0, 0};
 };
 
-/// Balanced (⌈n/2⌉ / ⌊n/2⌋) bisection minimizing the edge cut.
+/// Balanced (⌈n/2⌉ / ⌊n/2⌋) bisection minimizing the edge cut.  An empty
+/// graph bisects to cut 0 and an empty side vector.  Throws
+/// std::invalid_argument when restarts < 1 and std::length_error above
+/// 2^30 edges.
 [[nodiscard]] BisectionResult bisect(const Graph& g, const BisectionOptions& opts = {});
 
 /// Convenience: the cut value only (the paper's "bisection bandwidth" in

@@ -11,6 +11,8 @@ CellPartition recursive_bisection(const Graph& g,
                                   const CellPartitionOptions& opts) {
   if (opts.max_cell_size == 0)
     throw std::invalid_argument("recursive_bisection: max_cell_size must be >= 1");
+  if (opts.restarts < 1)
+    throw std::invalid_argument("recursive_bisection: restarts must be >= 1");
 
   const Vertex n = g.num_vertices();
   CellPartition out;

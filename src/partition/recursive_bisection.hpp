@@ -43,7 +43,7 @@ struct CellPartition {
 
 /// Partition `g` into cells of at most `max_cell_size` vertices by
 /// recursive balanced bisection.  Works on any graph (connected or not);
-/// throws std::invalid_argument only when max_cell_size is 0.
+/// throws std::invalid_argument when max_cell_size is 0 or restarts < 1.
 [[nodiscard]] CellPartition recursive_bisection(
     const Graph& g, const CellPartitionOptions& opts = {});
 

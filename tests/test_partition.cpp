@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/failures.hpp"
 #include "partition/recursive_bisection.hpp"
 #include "topo/dragonfly.hpp"
@@ -110,6 +112,32 @@ TEST(Bisection, NormalizedScale) {
   EXPECT_NEAR(nb, 16.0 / 28.0, 1e-9);
   // A cycle has an excellent (tiny) bisection.
   EXPECT_LT(normalized_bisection_bandwidth(cycle_graph(64)), 0.05);
+}
+
+TEST(Bisection, EmptyGraphCutsZero) {
+  // Regression: the region grower drew a start vertex from an empty range
+  // and read past the end of its seen[] array.
+  auto r = bisect(Graph::from_edges(0, {}));
+  EXPECT_EQ(r.cut_edges, 0u);
+  EXPECT_TRUE(r.side.empty());
+  EXPECT_EQ(r.part_sizes[0] + r.part_sizes[1], 0u);
+}
+
+TEST(Bisection, RejectsRestartsBelowOne) {
+  // Zero restarts used to return cut_edges = UINT64_MAX with an empty side.
+  const auto g = cycle_graph(8);
+  EXPECT_THROW((void)bisect(g, {.restarts = 0}), std::invalid_argument);
+  EXPECT_THROW((void)bisect(g, {.restarts = -1}), std::invalid_argument);
+  EXPECT_THROW((void)bisection_bandwidth(g, {.restarts = 0}), std::invalid_argument);
+}
+
+TEST(RecursiveBisection, RejectsRestartsBelowOne) {
+  // Zero restarts used to index the empty side vector of the failed split.
+  const auto g = cycle_graph(16);
+  EXPECT_THROW((void)partition::recursive_bisection(g, {.max_cell_size = 4, .restarts = 0}),
+               std::invalid_argument);
+  EXPECT_EQ(partition::recursive_bisection(g, {.max_cell_size = 4, .restarts = 1}).num_cells,
+            4u);
 }
 
 // Disjoint union of graphs, remapping each component's ids by `shift`.
