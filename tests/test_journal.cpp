@@ -2,8 +2,9 @@
 // back (CampaignJournal) into rows that reproduce every serialized
 // Result/SimResult field bitwise; kill-and-resume at any line boundary
 // appends exactly the missing bytes; shard journals merge back to the
-// unsharded stream; and the --max-seconds graceful stop leaves a journal
-// a resume loop drives to completion with identical bytes.
+// unsharded stream; the --max-seconds graceful stop leaves a journal a
+// resume loop drives to completion with identical bytes; and the batch
+// header lines of four bench declarations stay byte-stable.
 
 #include "engine/journal.hpp"
 
@@ -15,10 +16,13 @@
 #include <string>
 #include <vector>
 
+#include "../bench/bench_common.hpp"
 #include "engine/campaign.hpp"
 #include "engine/sink.hpp"
 #include "topo/dragonfly.hpp"
+#include "topo/lps.hpp"
 #include "topo/paley.hpp"
+#include "topo/slimfly.hpp"
 
 namespace sfly::engine {
 namespace {
@@ -662,6 +666,105 @@ TEST(AdaptiveSweepResume, WaveScheduleReplaysBitwise) {
   RunControl ctl;
   ctl.shard_count = 2;
   EXPECT_THROW(run_adaptive(1, {}, ctl), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------
+// Batch-header pins: the exact header line, `decl` fingerprint included,
+// of four bench declarations; each equals the first line the bench's own
+// `--json` journal writes at the flags named in the test.  CI compares
+// journals only within one build, so these are what catch a change that
+// silently re-keys every existing journal (decl_hash folds e.g. the
+// numeric Kind value).
+
+// Records the first batch header and aborts the run right there, before
+// any artifact is built or any scenario evaluates.
+class HeaderProbe final : public ResultSink {
+ public:
+  struct Captured {};
+  void meta(const BatchMeta& m) override {
+    line = jsonl_meta(m);
+    throw Captured{};
+  }
+  std::string line;
+};
+
+std::string first_header(Campaign& camp) {
+  HeaderProbe probe;
+  EXPECT_THROW(camp.run({&probe}), HeaderProbe::Captured);
+  return probe.line;
+}
+
+TEST(DeclPins, Table1ClassGridStructureAndSpectral) {
+  // bench_table1 --classes 2
+  Engine eng;
+  Campaign camp(eng, "table1");
+  camp.analytic("classes", bench::class_grid(2, [](Scenario& st) {
+                  st.bisection_restarts = 0;
+                  st.want_girth = true;
+                }));
+  EXPECT_EQ(first_header(camp),
+            "{\"batch\":\"classes\",\"campaign\":\"table1\",\"scenarios\":16"
+            ",\"decl\":\"f546f38a0f9dc54f\"}\n");
+}
+
+TEST(DeclPins, Fig11LayoutBatch) {
+  // bench_fig11_latency --pairs 1
+  Engine eng;
+  Campaign camp(eng, "fig11_latency");
+  CampaignBuilder grid;
+  grid.proto().kind = Kind::kLayout;
+  grid.proto().layout_em_rounds = 3;
+  grid.proto().layout_swap_passes = 3;
+  grid.proto().bisection_restarts = 0;
+  grid.proto().seed = 23;
+  grid.topologies({{topo::LpsParams{11, 7}.name()},
+                   {topo::SlimFlyParams{9}.name()}});
+  camp.analytic("layouts", std::move(grid));
+  EXPECT_EQ(first_header(camp),
+            "{\"batch\":\"layouts\",\"campaign\":\"fig11_latency\""
+            ",\"scenarios\":2,\"decl\":\"7bbb483d84e2a245\"}\n");
+}
+
+TEST(DeclPins, Fig6SimBatch) {
+  // bench_fig6_ugal --ranks 64 --msgs 4
+  Engine eng;
+  Campaign camp(eng, "fig6_ugal");
+  CampaignBuilder grid;
+  grid.patterns({sim::Pattern::kRandom, sim::Pattern::kShuffle,
+                 sim::Pattern::kBitReverse, sim::Pattern::kTranspose})
+      .loads(bench::load_points())
+      .topologies(bench::topo_specs(bench::simulation_topologies(false)))
+      .each([](Scenario& s) {
+        s.algo = routing::Algo::kUgalL;
+        s.workload.nranks = 64;
+        s.workload.messages_per_rank = 4;
+        s.seed = 42;
+      });
+  camp.sims("sweep", std::move(grid));
+  EXPECT_EQ(first_header(camp),
+            "{\"batch\":\"sweep\",\"campaign\":\"fig6_ugal\",\"scenarios\":96"
+            ",\"decl\":\"b93726f7e196d3e3\"}\n");
+}
+
+TEST(DeclPins, Fig5AdaptiveWaveOne) {
+  // bench_fig5_failures --trials 10, the ~600-router class
+  Engine eng;
+  CampaignBuilder points;
+  points.proto().kind = Kind::kStructure;
+  points.proto().bisection_restarts = 2;
+  points.topologies({{"LPS(23,11)"}, {"SlimFly(17)"}, {"BundleFly(37,3)"},
+                     {"DragonFly(24)"}})
+      .failure_fractions({0.0, 0.1, 0.2, 0.3, 0.4, 0.5});
+  AdaptiveSweep::Config cfg;
+  cfg.name = "fig5_small";
+  cfg.max_trials = 10;
+  cfg.seed_base = 9177;
+  AdaptiveSweep sweep(eng, std::move(points), cfg);
+  HeaderProbe probe;
+  EXPECT_THROW(sweep.run({&probe}), HeaderProbe::Captured);
+  EXPECT_EQ(probe.line,
+            "{\"batch\":\"wave1\",\"campaign\":\"fig5_small\",\"scenarios\":204"
+            ",\"decl\":\"f183aaaebdf08303\"}\n");
 }
 
 }  // namespace
