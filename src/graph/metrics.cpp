@@ -54,7 +54,10 @@ std::vector<std::uint64_t> hop_histogram(const Graph& g, std::span<const Vertex>
   const auto batches = static_cast<std::int64_t>((sources.size() + kLanes - 1) / kLanes);
   std::vector<std::uint64_t> hist(1, 0);
 
-#pragma omp parallel
+  // One batch gives one thread all the work; a team would only add a
+  // fork/join per call, and a barrier on descheduled threads is slow on
+  // a loaded machine (BundleFly's hill climb makes thousands of calls).
+#pragma omp parallel if (batches > 1)
   {
     std::vector<Lanes> seen, frontier, next;  // 3 * n * 32 bytes per thread
     std::vector<std::uint64_t> local(1, 0);
