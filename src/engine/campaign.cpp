@@ -3,11 +3,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <ctime>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "engine/dispatch.hpp"
@@ -21,10 +24,31 @@ namespace sfly::engine {
 namespace {
 
 volatile std::sig_atomic_t g_stop_signal = 0;
+// CLOCK_MONOTONIC time of the stop request; lock-free, so the handler
+// may touch it.
+std::atomic<std::int64_t> g_stop_ns{0};
+static_assert(std::atomic<std::int64_t>::is_always_lock_free);
+
+// A repeat of the stop signal this soon after the first one is the same
+// request delivered twice: GNU timeout forwards one SIGTERM both to its
+// child and to its process group.
+constexpr std::int64_t kRepeatWindowNs = 250'000'000;
+
+std::int64_t monotonic_ns() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_MONOTONIC, &ts);  // async-signal-safe
+  return std::int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
+}
 
 extern "C" void stop_signal_handler(int sig) {
-  if (g_stop_signal != 0) ::_exit(128 + sig);  // second signal: force out
-  g_stop_signal = sig;
+  const std::int64_t now = monotonic_ns();
+  if (g_stop_signal == 0) {
+    g_stop_ns = now;
+    g_stop_signal = sig;
+    return;
+  }
+  if (sig == g_stop_signal && now - g_stop_ns < kRepeatWindowNs) return;
+  ::_exit(128 + sig);  // a second request: force out
 }
 
 }  // namespace
@@ -32,7 +56,12 @@ extern "C" void stop_signal_handler(int sig) {
 void install_stop_signal_handlers() {
   struct sigaction sa{};
   sa.sa_handler = stop_signal_handler;
+  // Each handler runs with both stop signals blocked, so they never
+  // interleave, and two pending at once are handled one after the other
+  // in signal-number order.
   sigemptyset(&sa.sa_mask);
+  sigaddset(&sa.sa_mask, SIGTERM);
+  sigaddset(&sa.sa_mask, SIGINT);
   // SA_RESTART: interrupted stdio/socket calls resume, so the stop is
   // observed only at the over_budget() row boundaries — never as a
   // short write that would tear a journal line.
@@ -80,6 +109,106 @@ const CampaignJournal::Segment* consume_segment(RunControl& ctl,
   throw std::runtime_error(
       "resume: journal row " + std::to_string(index) + " of batch '" +
       m.batch + "' does not match the expanded scenario at that position");
+}
+
+// The replay match rule: a journaled row must carry its batch index and
+// the topology expanded there, plus the same kind (analytic rows) or the
+// same label (sim rows).
+const Result& replayed(const CampaignJournal::Row& row, const Scenario& sc,
+                       std::size_t index, const BatchMeta& m) {
+  const Result& r = row.result;
+  if (row.sim || r.index != index || r.topology != sc.topology ||
+      r.kind != sc.kind)
+    replay_mismatch(m, index);
+  // The journal cannot reconstruct a layout row's placement (it is never
+  // serialized), and benches consume placements from the collected
+  // results — refuse rather than replay a hollow row.
+  if (r.kind == Kind::kLayout)
+    throw std::runtime_error(
+        "resume: batch '" + m.batch + "' holds layout rows, whose "
+        "placements are not journaled — layout phases cannot be resumed; "
+        "rerun this campaign from scratch");
+  return r;
+}
+
+const SimResult& replayed(const CampaignJournal::Row& row,
+                          const SimScenario& sc, std::size_t index,
+                          const BatchMeta& m) {
+  const SimResult& r = row.sim_result;
+  if (!row.sim || r.index != index || r.topology != sc.topology ||
+      r.label != sc.label)
+    replay_mismatch(m, index);
+  return r;
+}
+
+std::size_t engine_stream(Engine& eng, const std::vector<Scenario>& batch,
+                          const std::vector<ResultSink*>& sinks,
+                          const Engine::StreamOptions& so) {
+  return eng.run_stream(batch, sinks, so);
+}
+
+std::size_t engine_stream(Engine& eng, const std::vector<SimScenario>& batch,
+                          const std::vector<ResultSink*>& sinks,
+                          const Engine::StreamOptions& so) {
+  return eng.run_sims_stream(batch, sinks, so);
+}
+
+// The one replay-then-stream sequence behind every campaign batch (a
+// Campaign phase or an AdaptiveSweep wave).  This run owns rows
+// batch[lo, lo + m.rows): consume the journal segment, announce a fresh
+// batch, validate and replay the journaled rows, then stream the rest
+// through ctl.runner or the engine.  Every row, replayed or evaluated,
+// appends to `out`.  Returns false when the budget stopped the batch
+// part-way, leaving a clean journal prefix on disk.
+template <typename Scen, typename Res>
+bool replay_and_stream(Engine& eng, RunControl& ctl, const BatchMeta& m,
+                       const std::vector<Scen>& batch, std::size_t lo,
+                       std::vector<Res>& out,
+                       const std::vector<ResultSink*>& sinks,
+                       double& eval_seconds) {
+  const CampaignJournal::Segment* seg = consume_segment(ctl, m);
+  const std::size_t have = seg ? seg->rows.size() : 0;
+  // A journaled batch already carries its header; only fresh batches
+  // announce themselves (the JsonlSink turns this into the journal's
+  // batch header line).
+  if (!seg)
+    for (auto* s : sinks) s->meta(m);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  CollectSink collect(&out);
+  for (std::size_t k = 0; k < have; ++k) {
+    const Res& r = replayed(seg->rows[k], batch[lo + k], lo + k, m);
+    collect.consume(r);
+    for (auto* s : sinks)
+      if (s->wants_replay()) s->consume(r);
+  }
+  const std::vector<Scen> rest(batch.begin() + (lo + have),
+                               batch.begin() + (lo + m.rows));
+  if constexpr (std::is_same_v<Scen, Scenario>) {
+    // Placements are never journaled, so a worker cannot stream a layout
+    // row's payload back — same limitation as --resume.
+    if (ctl.runner)
+      for (const auto& sc : rest)
+        if (sc.kind == Kind::kLayout)
+          throw std::runtime_error(
+              "batch '" + m.batch + "' holds layout scenarios, whose "
+              "placements are not journaled — layout phases cannot run "
+              "under --workers; run this bench single-process");
+  }
+  Engine::StreamOptions so;
+  so.index_base = lo + have;
+  so.stop_after = [&ctl] { return ctl.over_budget(); };
+  std::vector<ResultSink*> all{&collect};
+  all.insert(all.end(), sinks.begin(), sinks.end());
+  const std::size_t delivered =
+      ctl.runner ? ctl.runner->run_batch(eng, m, rest, all, so)
+                 : engine_stream(eng, rest, all, so);
+  ctl.replayed += have;
+  ctl.evaluated += delivered;
+  eval_seconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return delivered == rest.size();
 }
 
 // FNV-1a fold of every scenario knob into the batch fingerprint carried
@@ -188,11 +317,11 @@ CampaignBuilder& CampaignBuilder::kinds(std::vector<Kind> v) {
 
 CampaignBuilder& CampaignBuilder::topologies(
     std::vector<TopologySpec> v,
-    std::function<bool(const TopologySpec&)> filter, std::size_t limit) {
+    std::function<bool(const TopologySpec&)> keep, std::size_t limit) {
   Axis ax;
   ax.name = "topology";
   for (auto& spec : v) {
-    if (filter && !filter(spec)) continue;
+    if (keep && !keep(spec)) continue;
     if (limit && topo_specs_.size() >= limit) break;
     ax.setters.emplace_back(
         [name = spec.name](Scenario& s) { s.topology = name; });
@@ -329,18 +458,6 @@ CampaignBuilder& CampaignBuilder::each(std::function<void(Scenario&)> fn) {
   return *this;
 }
 
-CampaignBuilder& CampaignBuilder::filter(
-    std::function<bool(const Scenario&)> fn) {
-  filters_.push_back(std::move(fn));
-  return *this;
-}
-
-CampaignBuilder& CampaignBuilder::label(
-    std::function<std::string(const Scenario&)> fn) {
-  label_fn_ = std::move(fn);
-  return *this;
-}
-
 void CampaignBuilder::register_with(Engine& eng) const {
   for (const auto& spec : topo_specs_)
     if (spec.build)
@@ -371,9 +488,9 @@ std::vector<std::string> CampaignBuilder::topology_names() const {
 }
 
 // The one expansion loop both surfaces share: odometer over the axes in
-// declaration order (first = outermost, row-major), axis setters, hooks,
-// then filters; surviving points reach `emit` with their auto-label (the
-// joined names of labeled-axis values, e.g. the motif name).
+// declaration order (first = outermost, row-major), axis setters, then
+// hooks; every point reaches `emit` with its auto-label (the joined
+// names of labeled-axis values, e.g. the motif name).
 void CampaignBuilder::visit_points(
     const std::function<void(Scenario&&, std::string&&)>& emit) const {
   const std::size_t total = grid_size();
@@ -394,13 +511,7 @@ void CampaignBuilder::visit_points(
       }
     }
     for (const auto& hook : hooks_) hook(s);
-    bool pass = true;
-    for (const auto& f : filters_)
-      if (!f(s)) {
-        pass = false;
-        break;
-      }
-    if (pass) emit(std::move(s), std::move(label));
+    emit(std::move(s), std::move(label));
   }
 }
 
@@ -414,9 +525,19 @@ std::vector<Scenario> CampaignBuilder::expand() const {
 std::vector<SimScenario> CampaignBuilder::expand_sims() const {
   std::vector<SimScenario> out;
   out.reserve(grid_size());
+  // A sim point is the grid point's simulation fields, renamed; the
+  // Workload copies whole.
   visit_points([&](Scenario&& s, std::string&& label) {
-    if (label_fn_) label = label_fn_(s);
-    out.push_back(to_sim_scenario(s, std::move(label)));
+    SimScenario sim;
+    sim.topology = std::move(s.topology);
+    sim.algo = s.algo;
+    sim.workload = std::move(s.workload);
+    sim.vcs = s.vcs;
+    sim.failure_fraction = s.failure_fraction;
+    sim.churn = s.churn;
+    sim.seed = s.seed;
+    sim.label = std::move(label);
+    out.push_back(std::move(sim));
   });
   return out;
 }
@@ -453,7 +574,7 @@ std::size_t Phase::flat_index(std::initializer_list<std::size_t> coords,
                            std::to_string(sizes.size()) + " coordinates");
   if (have != grid_.grid_size())
     throw std::logic_error(
-        "Phase::at: grid was filtered or has not run; coordinate access "
+        "Phase::at: phase has not run to completion; coordinate access "
         "needs the full product");
   std::size_t flat = 0, k = 0;
   for (std::size_t c : coords) {
@@ -577,84 +698,13 @@ void Campaign::run(const std::vector<ResultSink*>& sinks, RunControl& ctl) {
     m.shard_count = ctl.shard_count;
     m.rows = hi - lo;
     m.decl = ph->is_sim() ? decl_hash(ph->sims_) : decl_hash(ph->scenarios_);
-    const CampaignJournal::Segment* seg = consume_segment(ctl, m);
-    const std::size_t have = seg ? seg->rows.size() : 0;
-    // A journaled batch already carries its header; only fresh batches
-    // announce themselves (the JsonlSink turns this into the journal's
-    // batch header line).
-    if (!seg)
-      for (auto* s : sinks) s->meta(m);
-
-    Engine::StreamOptions so;
-    so.index_base = lo + have;
-    so.stop_after = [&ctl] { return ctl.over_budget(); };
-    const auto t0 = std::chrono::steady_clock::now();
-    std::size_t delivered = 0, live = 0;
-    if (ph->is_sim()) {
-      CollectSink collect(&ph->sim_results_);
-      for (std::size_t k = 0; k < have; ++k) {
-        const auto& row = seg->rows[k];
-        const SimScenario& sc = ph->sims_[lo + k];
-        if (!row.sim || row.sim_result.index != lo + k ||
-            row.sim_result.topology != sc.topology ||
-            row.sim_result.label != sc.label)
-          replay_mismatch(m, lo + k);
-        collect.consume(row.sim_result);
-        for (auto* s : sinks)
-          if (s->wants_replay()) s->consume(row.sim_result);
-      }
-      std::vector<SimScenario> rest(ph->sims_.begin() + (lo + have),
-                                    ph->sims_.begin() + hi);
-      live = rest.size();
-      std::vector<ResultSink*> all{&collect};
-      all.insert(all.end(), sinks.begin(), sinks.end());
-      delivered = ctl.runner ? ctl.runner->run_batch(eng_, m, rest, all, so)
-                             : eng_.run_sims_stream(rest, all, so);
-    } else {
-      CollectSink collect(&ph->results_);
-      for (std::size_t k = 0; k < have; ++k) {
-        const auto& row = seg->rows[k];
-        if (row.sim || row.result.index != lo + k ||
-            row.result.topology != ph->scenarios_[lo + k].topology ||
-            row.result.kind != ph->scenarios_[lo + k].kind)
-          replay_mismatch(m, lo + k);
-        // The journal cannot reconstruct a layout row's placement (it is
-        // never serialized), and benches consume placements from the
-        // collected results — refuse rather than replay a hollow row.
-        if (row.result.kind == Kind::kLayout)
-          throw std::runtime_error(
-              "resume: batch '" + m.batch + "' holds layout rows, whose "
-              "placements are not journaled — layout phases cannot be "
-              "resumed; rerun this campaign from scratch");
-        collect.consume(row.result);
-        for (auto* s : sinks)
-          if (s->wants_replay()) s->consume(row.result);
-      }
-      std::vector<Scenario> rest(ph->scenarios_.begin() + (lo + have),
-                                 ph->scenarios_.begin() + hi);
-      live = rest.size();
-      std::vector<ResultSink*> all{&collect};
-      all.insert(all.end(), sinks.begin(), sinks.end());
-      if (ctl.runner) {
-        // Placements are never journaled, so a worker cannot stream a
-        // layout row's payload back — same limitation as --resume.
-        for (const auto& sc : rest)
-          if (sc.kind == Kind::kLayout)
-            throw std::runtime_error(
-                "batch '" + m.batch + "' holds layout scenarios, whose "
-                "placements are not journaled — layout phases cannot run "
-                "under --workers; run this bench single-process");
-        delivered = ctl.runner->run_batch(eng_, m, rest, all, so);
-      } else {
-        delivered = eng_.run_stream(rest, all, so);
-      }
-    }
-    ctl.replayed += have;
-    ctl.evaluated += delivered;
-    ph->eval_seconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (delivered < live) {  // budget fired mid-batch: clean prefix on disk
+    const bool done =
+        ph->is_sim()
+            ? replay_and_stream(eng_, ctl, m, ph->sims_, lo, ph->sim_results_,
+                                sinks, ph->eval_seconds_)
+            : replay_and_stream(eng_, ctl, m, ph->scenarios_, lo,
+                                ph->results_, sinks, ph->eval_seconds_);
+    if (!done) {  // budget fired mid-batch: clean prefix on disk
       ctl.stopped = true;
       return;
     }
@@ -762,40 +812,9 @@ void AdaptiveSweep::run(const std::vector<ResultSink*>& sinks,
     m.scenarios = batch.size();
     m.rows = batch.size();
     m.decl = decl_hash(batch);
-    const CampaignJournal::Segment* seg = consume_segment(ctl, m);
-    const std::size_t have = seg ? seg->rows.size() : 0;
-    if (!seg)
-      for (auto* s : sinks) s->meta(m);
-
     std::vector<Result> results;
-    results.reserve(batch.size());
-    for (std::size_t k = 0; k < have; ++k) {
-      const auto& row = seg->rows[k];
-      if (row.sim || row.result.index != k ||
-          row.result.topology != batch[k].topology)
-        replay_mismatch(m, k);
-      results.push_back(row.result);
-      for (auto* s : sinks)
-        if (s->wants_replay()) s->consume(row.result);
-    }
-    ctl.replayed += have;
-
-    Engine::StreamOptions so;
-    so.index_base = have;
-    so.stop_after = [&ctl] { return ctl.over_budget(); };
-    std::vector<Scenario> rest(batch.begin() + have, batch.end());
-    CollectSink collect(&results);
-    std::vector<ResultSink*> all{&collect};
-    all.insert(all.end(), sinks.begin(), sinks.end());
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::size_t delivered =
-        ctl.runner ? ctl.runner->run_batch(eng_, m, rest, all, so)
-                   : eng_.run_stream(rest, all, so);
-    ctl.evaluated += delivered;
-    eval_seconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-
+    const bool done = replay_and_stream(eng_, ctl, m, batch, 0, results,
+                                        sinks, eval_seconds_);
     for (std::size_t i = 0; i < results.size(); ++i) {
       PointState& p = points_[slots[i].first];
       const auto& r = results[i];
@@ -804,7 +823,7 @@ void AdaptiveSweep::run(const std::vector<ResultSink*>& sinks,
         p.metric_vals.push_back(cfg_.metric(r));
       }
     }
-    if (have + delivered < batch.size()) {  // budget fired mid-wave
+    if (!done) {  // budget fired mid-wave
       ctl.stopped = true;
       return;
     }

@@ -5,8 +5,8 @@
 /// The paper's evaluation is a grid of sweeps — topology x routing x
 /// traffic x failure x seed.  A CampaignBuilder *declares* the sweep axes
 /// (in nesting order: the first declared axis is the outermost loop) plus
-/// per-axis filters and per-point hooks, and the engine owns expansion
-/// into Scenario / SimScenario batches: no bench hand-rolls nested loops.
+/// per-point hooks, and the engine owns expansion into Scenario (analytic)
+/// or SimScenario (simulation) batches: no bench hand-rolls nested loops.
 /// A Campaign strings named phases (grids) over one Engine, supports
 /// dry-run planning (scenario counts, axis shapes, artifact builds —
 /// nothing is evaluated), and executes phases through the engine's
@@ -42,9 +42,12 @@ class BatchRunner;
 /// Install SIGTERM/SIGINT handlers that request a graceful campaign
 /// stop: the run finishes at the next row boundary, sinks flush, the
 /// journal stays resumable, and the bench exits 75 — exactly the
-/// --max-seconds path, but operator-initiated.  A second signal while
+/// --max-seconds path, but operator-initiated.  A second request while
 /// the first is still draining force-exits 128+sig (the escape hatch
-/// when a scenario evaluation is stuck).  Idempotent.
+/// when a scenario evaluation is stuck): a different signal, or the same
+/// one more than 250 ms after the first.  A quicker repeat of the same
+/// signal is one request delivered twice (GNU timeout signals both its
+/// child and its process group).  Idempotent.
 void install_stop_signal_handlers();
 /// The signal requesting a graceful stop (0 = none yet).  Folded into
 /// RunControl::over_budget(), so every budget-stop code path — engine
@@ -145,8 +148,10 @@ class CampaignBuilder {
 
   // --- axes (call order = nesting order, first call outermost) ---------
   CampaignBuilder& kinds(std::vector<Kind> v);
+  /// `keep` selects specs by their metadata (no graph is built) and
+  /// `limit` caps how many are kept; both are optional.
   CampaignBuilder& topologies(std::vector<TopologySpec> v,
-                              std::function<bool(const TopologySpec&)> filter = {},
+                              std::function<bool(const TopologySpec&)> keep = {},
                               std::size_t limit = 0);
   CampaignBuilder& algos(std::vector<routing::Algo> v);
   CampaignBuilder& patterns(std::vector<sim::Pattern> v);
@@ -162,21 +167,17 @@ class CampaignBuilder {
   CampaignBuilder& seeds(std::vector<std::uint64_t> v);
   CampaignBuilder& seed_range(std::uint64_t base, std::size_t count);
 
-  // --- per-point hooks -------------------------------------------------
-  /// Mutate every expanded point (after axes applied, before filters);
+  // --- per-point hook ---------------------------------------------------
+  /// Mutate every expanded point after its axis values are applied;
   /// multiple hooks run in registration order.
   CampaignBuilder& each(std::function<void(Scenario&)> fn);
-  /// Drop expanded points the predicate rejects.  Filtered grids lose
-  /// coordinate indexing (Phase::at) but keep declaration order.
-  CampaignBuilder& filter(std::function<bool(const Scenario&)> fn);
-  /// Label attached to expanded SimScenarios (default: the motif axis
-  /// value's name, else empty).
-  CampaignBuilder& label(std::function<std::string(const Scenario&)> fn);
 
   // --- expansion -------------------------------------------------------
   /// Register every topology axis value carrying a builder with `eng`.
   void register_with(Engine& eng) const;
   [[nodiscard]] std::vector<Scenario> expand() const;
+  /// The same points as SimScenarios, labeled with the joined values of
+  /// the labeled axes (motif name, churn level; empty if none).
   [[nodiscard]] std::vector<SimScenario> expand_sims() const;
 
   // --- shape -----------------------------------------------------------
@@ -186,10 +187,10 @@ class CampaignBuilder {
   }
   /// "pattern(4) x load(6) x topology(4)" — the declared nesting order.
   [[nodiscard]] std::string shape() const;
-  /// Topology axis values after filter/limit (declaration order); empty
+  /// Topology axis values after keep/limit (declaration order); empty
   /// if the grid has no topology axis (proto names the topology).
   [[nodiscard]] std::vector<std::string> topology_names() const;
-  /// The filtered TopologySpecs themselves (metadata drives result
+  /// The kept TopologySpecs themselves (metadata drives result
   /// tables, e.g. the design-space sweep's vertices/radix columns).
   [[nodiscard]] const std::vector<TopologySpec>& topology_specs() const {
     return topo_specs_;
@@ -211,8 +212,6 @@ class CampaignBuilder {
   std::vector<std::size_t> sizes_;
   std::vector<TopologySpec> topo_specs_;
   std::vector<std::function<void(Scenario&)>> hooks_;
-  std::vector<std::function<bool(const Scenario&)>> filters_;
-  std::function<std::string(const Scenario&)> label_fn_;
 };
 
 /// One named grid inside a Campaign: the builder, its expanded batch, and
@@ -237,8 +236,7 @@ class Phase {
   }
 
   /// Row-major coordinate access in axis declaration order; throws
-  /// std::logic_error on a filtered grid (expansion != full product) or
-  /// before the phase has run.
+  /// std::logic_error before the phase has run to completion.
   [[nodiscard]] const Result& at(std::initializer_list<std::size_t> coords) const;
   [[nodiscard]] const SimResult& sim_at(
       std::initializer_list<std::size_t> coords) const;
@@ -395,8 +393,6 @@ class AdaptiveSweep {
   }
   /// Scenario-evaluation wall-clock across all waves so far.
   [[nodiscard]] double eval_seconds() const { return eval_seconds_; }
-  /// Waves executed (or replayed) so far.
-  [[nodiscard]] std::size_t waves() const { return waves_; }
   /// CoV-selected prefix length for a point's kept series.
   [[nodiscard]] std::size_t converged_prefix(std::size_t point) const;
 
@@ -409,7 +405,7 @@ class AdaptiveSweep {
   Config cfg_;
   std::vector<PointState> points_;
   double eval_seconds_ = 0.0;
-  std::size_t waves_ = 0;
+  std::size_t waves_ = 0;  // waves run or replayed; names the next batch
 };
 
 }  // namespace sfly::engine

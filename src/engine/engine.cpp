@@ -100,7 +100,6 @@ const char* kind_name(Kind k) {
   switch (k) {
     case Kind::kStructure: return "structure";
     case Kind::kSpectral: return "spectral";
-    case Kind::kSimulate: return "simulate";
     case Kind::kLayout: return "layout";
   }
   return "?";
@@ -206,49 +205,30 @@ Result Engine::evaluate(const Scenario& s, std::size_t index) {
   try {
     auto art = cache_.get(s.topology);
 
-    if (s.kind == Kind::kSimulate) {
-      // One sim code path: delegate to the SimScenario evaluator (shared
-      // tables via the Network facade; the Workload transfers wholesale,
-      // so the two surfaces cannot diverge field by field).
-      SimResult sr = evaluate_sim(to_sim_scenario(s), index);
-      if (!sr.ok) throw std::runtime_error(sr.error);
-      auto base = art->graph();
-      r.vertices = base->num_vertices();
-      r.radix = base->num_vertices() ? base->degree(0) : 0;
-      r.diameter = sr.diameter;
-      r.max_latency_ns = sr.max_latency_ns;
-      r.mean_latency_ns = sr.mean_latency_ns;
-      r.p99_latency_ns = sr.p99_latency_ns;
-      r.completion_ns = sr.completion_ns;
-      r.messages = sr.messages;
-    } else {
-      // Resolve the evaluation graph: the cached pristine one, or a seeded
-      // failure-perturbed derivative (never cached — it is scenario-local).
-      std::shared_ptr<const Graph> base = art->graph();
-      std::shared_ptr<const Graph> g = base;
-      if (s.failure_fraction > 0.0)
-        g = std::make_shared<const Graph>(delete_random_edges(
-            *base, s.failure_fraction, split_seed(s.seed, kFailureStream)));
-      r.vertices = g->num_vertices();
-      r.radix = g->num_vertices() ? g->degree(0) : 0;
+    // Resolve the evaluation graph: the cached pristine one, or a seeded
+    // failure-perturbed derivative (never cached — it is scenario-local).
+    std::shared_ptr<const Graph> base = art->graph();
+    std::shared_ptr<const Graph> g = base;
+    if (s.failure_fraction > 0.0)
+      g = std::make_shared<const Graph>(delete_random_edges(
+          *base, s.failure_fraction, split_seed(s.seed, kFailureStream)));
+    r.vertices = g->num_vertices();
+    r.radix = g->num_vertices() ? g->degree(0) : 0;
 
-      switch (s.kind) {
-        case Kind::kStructure:
-          eval_structure(s, *g, r);
-          break;
-        case Kind::kSpectral:
-          if (g == base) {
-            eval_spectral(*art->spectra(), g->num_vertices(), r);
-          } else {
-            eval_spectral(compute_spectra(*g), g->num_vertices(), r);
-          }
-          break;
-        case Kind::kLayout:
-          eval_layout(s, *g, r);
-          break;
-        case Kind::kSimulate:
-          break;  // handled above
-      }
+    switch (s.kind) {
+      case Kind::kStructure:
+        eval_structure(s, *g, r);
+        break;
+      case Kind::kSpectral:
+        if (g == base) {
+          eval_spectral(*art->spectra(), g->num_vertices(), r);
+        } else {
+          eval_spectral(compute_spectra(*g), g->num_vertices(), r);
+        }
+        break;
+      case Kind::kLayout:
+        eval_layout(s, *g, r);
+        break;
     }
     r.ok = true;
   } catch (const std::exception& e) {
@@ -414,19 +394,16 @@ void Engine::write_csv(std::FILE* out, const std::vector<SimResult>& results) {
 
 Table Engine::to_table(const std::vector<Result>& results) {
   Table t({"#", "Topology", "Kind", "OK", "Diam", "Mean hops", "Bisection",
-           "Max lat (us)", "p99 (us)", "Wall ms"});
+           "Wall ms"});
   for (const auto& r : results) {
     if (!r.ok) {
       t.add_row({std::to_string(r.index), r.topology, kind_name(r.kind),
-                 "ERR: " + r.error, "-", "-", "-", "-", "-",
-                 Table::num(r.wall_ms, 1)});
+                 "ERR: " + r.error, "-", "-", "-", Table::num(r.wall_ms, 1)});
       continue;
     }
     t.add_row({std::to_string(r.index), r.topology, kind_name(r.kind),
                r.connected ? "yes" : "disconnected", Table::num(r.diameter, 0),
                Table::num(r.mean_hops, 2), Table::num(r.bisection, 0),
-               Table::num(r.max_latency_ns / 1000.0, 1),
-               Table::num(r.p99_latency_ns / 1000.0, 1),
                Table::num(r.wall_ms, 1)});
   }
   return t;

@@ -4,9 +4,12 @@
 //
 // The paper's figures are sweeps: topology x routing x traffic x failure
 // rate x seed, each point independent given its seed.  The engine
-// evaluates a batch of such Scenarios across a TaskPool, shares expensive
-// per-topology artifacts (graph, routing tables, spectra) through an
-// ArtifactCache, and emits structured results (CSV, util/table).
+// evaluates a batch of such points across a TaskPool — analytic
+// Scenarios through run()/run_stream()/evaluate(), simulated
+// SimScenarios through run_sims()/run_sims_stream()/evaluate_sim() —
+// shares expensive per-topology artifacts (graph, routing tables,
+// spectra) through an ArtifactCache, and emits structured results (CSV,
+// JSONL, util/table).
 //
 // Determinism: every scenario is evaluated from explicit seeds and writes
 // only its own Result slot, so a batch returns bitwise-identical metrics

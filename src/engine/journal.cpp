@@ -26,11 +26,10 @@ bool get_ok_error(const JsonObject& j, bool& ok, std::string& error) {
 }
 
 Kind parse_kind(const std::string& name, bool& valid) {
-  for (Kind k : {Kind::kStructure, Kind::kSpectral, Kind::kSimulate,
-                 Kind::kLayout})
+  for (Kind k : {Kind::kStructure, Kind::kSpectral, Kind::kLayout})
     if (name == kind_name(k)) return k;
   valid = false;
-  return Kind::kSimulate;
+  return Kind::kStructure;
 }
 
 }  // namespace
@@ -53,11 +52,6 @@ std::optional<Result> CampaignJournal::parse_result(const std::string& line) {
       j.get_f64("lambda", r.lambda) && j.get_f64("mu1", r.mu1) &&
       j.get_bool("ramanujan", r.ramanujan) &&
       j.get_f64("fiedler_bisection_lb", r.fiedler_bisection_lb) &&
-      j.get_f64("max_latency_ns", r.max_latency_ns) &&
-      j.get_f64("mean_latency_ns", r.mean_latency_ns) &&
-      j.get_f64("p99_latency_ns", r.p99_latency_ns) &&
-      j.get_f64("completion_ns", r.completion_ns) &&
-      j.get_u64("messages", r.messages) &&
       j.get_f64("mean_wire_m", r.mean_wire_m) &&
       j.get_f64("max_wire_m", r.max_wire_m) &&
       j.get_u64("wires_electrical", r.wires_electrical) &&
@@ -69,7 +63,8 @@ std::optional<Result> CampaignJournal::parse_result(const std::string& line) {
   if (!kind_valid) return std::nullopt;
   // The round-trip seal: a row counts as parsed only if re-serializing it
   // reproduces the line exactly (%.17g makes doubles lossless, so this
-  // also certifies the parsed values are bitwise faithful).
+  // also certifies the parsed values are bitwise faithful, and that the
+  // constant-zero simulation columns are zeros).
   if (jsonl_row(r) != line + "\n") return std::nullopt;
   return r;
 }

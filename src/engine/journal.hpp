@@ -12,16 +12,21 @@
 /// run.  To make the stream self-describing, Campaign/AdaptiveSweep
 /// prefix every batch with one meta line
 ///
-///     {"batch":"<phase>","campaign":"<name>","scenarios":N}
+///     {"batch":"<phase>","campaign":"<name>","scenarios":N,"decl":"<hex>"}
 ///
-/// (plus `"shard":[I,K],"rows":M` when the batch was shard-partitioned);
+/// (plus `"shard":[I,K],"rows":M` before `decl` when the batch was
+/// shard-partitioned; `decl` fingerprints the expanded declaration);
 /// result rows keep the exact JsonlSink format.  CampaignJournal parses
 /// such a file back into batch segments of fully-typed Result/SimResult
 /// rows, validating every line by re-serializing it (the `%.17g` number
 /// format round-trips doubles exactly, so a parsed row is bitwise equal
-/// to the evaluated one).  A trailing half-written line — the signature
-/// of a hard kill — is detected and dropped; `valid_bytes()` tells the
-/// resume writer where to truncate before appending.
+/// to the evaluated one; an analytic row whose constant-zero simulation
+/// columns hold anything else fails that seal).  A row is replayed only
+/// where it matches the expanded scenario at its position: same index
+/// and topology, plus the same kind (analytic) or label (simulation).
+/// A trailing half-written line — the signature of a hard kill — is
+/// detected and dropped; `valid_bytes()` tells the resume writer where
+/// to truncate before appending.
 
 #include <cstdio>
 #include <optional>

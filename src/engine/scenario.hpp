@@ -1,15 +1,17 @@
 #pragma once
 /// \file scenario.hpp
-/// Experiment-engine vocabulary: a Scenario names one point of the paper's
-/// evaluation space (topology x routing x traffic x failure rate x seed),
-/// and a Result carries every metric any scenario kind can produce.  The
-/// benches and the design-space sweeps are batches of these.
+/// Experiment-engine vocabulary, one type pair per kind of sweep.
 ///
-/// Simulation campaigns (Figs. 6-10, the discrepancy placement probe) use
-/// the dedicated SimScenario/SimResult pair: the same topology key and
-/// determinism contract, but a workload description rich enough for both
-/// synthetic patterns and Ember motifs, evaluated through the core Network
-/// facade so engine runs and the seed benches share one code path.
+/// Analytic sweeps (Figs. 4-5, Tables I-II, Fig. 11's layouts) use
+/// Scenario/Result: a Scenario names one point of the structural space
+/// (topology x kind x failure rate x seed) and a Result carries every
+/// metric an analytic kind can produce.
+///
+/// Simulation sweeps (Figs. 6-10, the discrepancy placement probe, churn)
+/// use SimScenario/SimResult: the same topology key and determinism
+/// contract, but a workload description rich enough for both synthetic
+/// patterns and Ember motifs, evaluated through the core Network facade
+/// so engine runs and the seed benches share one code path.
 ///
 /// Both result flavors serialize losslessly to CSV and JSONL rows
 /// (engine/sink.hpp); the JSONL form parses back bitwise
@@ -29,19 +31,21 @@
 
 namespace sfly::engine {
 
-/// What to evaluate for a scenario.
+/// What to evaluate for an analytic scenario.  The numeric values are
+/// folded into every journal's batch fingerprint (DeclPins.* pin them),
+/// so they never change; 2 stays unused.
 enum class Kind {
-  kStructure,  // distances / diameter / girth / bisection (Figs. 4-5, Tab. I)
-  kSpectral,   // lambda / mu1 / Ramanujan certificate (Table I)
-  kSimulate,   // packet-level synthetic-traffic run (Figs. 6-11)
-  kLayout,     // machine-room embedding: wires / power (Fig. 11, Table II)
+  kStructure = 0,  // distances / girth / bisection (Figs. 4-5, Table I)
+  kSpectral = 1,   // lambda / mu1 / Ramanujan certificate (Table I)
+  kLayout = 3,     // machine-room embedding: wires / power (Fig. 11, Table II)
 };
 
 [[nodiscard]] const char* kind_name(Kind k);
 
-/// One simulated workload, shared verbatim by Scenario (kSimulate) and
-/// SimScenario so the two surfaces cannot drift: either a synthetic
-/// traffic-pattern point or an Ember motif.  Motifs are stateful endpoint
+/// One simulated workload: either a synthetic traffic-pattern point or an
+/// Ember motif.  CampaignBuilder's axes write it into the grid's Scenario
+/// points and expand_sims() copies it whole into each SimScenario, so the
+/// two cannot drift field by field.  Motifs are stateful endpoint
 /// machines, so the workload carries a *factory* and every evaluation
 /// builds a fresh instance; a non-null factory selects the motif path.
 struct Workload {
@@ -57,9 +61,10 @@ struct Workload {
 
 struct Scenario {
   std::string topology;  // key registered with the engine's artifact cache
-  Kind kind = Kind::kSimulate;
+  Kind kind = Kind::kStructure;
 
-  // kSimulate knobs.
+  // Simulation knobs: analytic kinds ignore them; CampaignBuilder grids
+  // carry them into the SimScenarios that expand_sims() produces.
   routing::Algo algo = routing::Algo::kMinimal;
   Workload workload;
   std::uint32_t vcs = 0;  // 0 = the paper's diameter-based sizing rule
@@ -80,7 +85,7 @@ struct Scenario {
   // (seeded) before evaluation, so cached pristine artifacts are reused
   // only as the base graph.
   double failure_fraction = 0.0;
-  // kSimulate: mid-run link/router churn (graph/failures.hpp).  Unlike
+  // Simulation only: mid-run link/router churn (graph/failures.hpp).  Unlike
   // failure_fraction (static, pre-run deletion) the topology stays
   // pristine and the schedule fires inside the event loop.
   ChurnSpec churn;
@@ -90,12 +95,12 @@ struct Scenario {
 struct Result {
   std::size_t index = 0;  // position within the submitted batch
   std::string topology;
-  Kind kind = Kind::kSimulate;
+  Kind kind = Kind::kStructure;
   bool ok = false;
   std::string error;  // set when !ok
 
-  // Filled for every kind: from the evaluation graph for analytic kinds
-  // (i.e. post-failure degrees), from the pristine base for kSimulate.
+  // Filled for every kind, from the evaluation graph (i.e. post-failure
+  // degrees).
   std::uint32_t vertices = 0;
   std::uint32_t radix = 0;  // degree of vertex 0 (regular families)
 
@@ -112,13 +117,6 @@ struct Result {
   double mu1 = 0.0;
   bool ramanujan = false;
   double fiedler_bisection_lb = 0.0;  // Fiedler/Mohar bound (link units)
-
-  // Simulation metrics.
-  double max_latency_ns = 0.0;
-  double mean_latency_ns = 0.0;
-  double p99_latency_ns = 0.0;
-  double completion_ns = 0.0;
-  std::uint64_t messages = 0;
 
   // Layout metrics (kLayout; placement lets callers derive e.g. the
   // Fig. 11 physical-latency sweep without re-running the QAP heuristic).
@@ -152,22 +150,6 @@ struct SimScenario {
   std::uint64_t seed = 1;
   std::string label;  // free-form tag echoed into the result
 };
-
-/// The kSimulate slice of a Scenario as a SimScenario — the two carry the
-/// identical Workload, so the conversion is field renaming, not drift.
-[[nodiscard]] inline SimScenario to_sim_scenario(const Scenario& s,
-                                                 std::string label = {}) {
-  SimScenario out;
-  out.topology = s.topology;
-  out.algo = s.algo;
-  out.workload = s.workload;
-  out.vcs = s.vcs;
-  out.failure_fraction = s.failure_fraction;
-  out.churn = s.churn;
-  out.seed = s.seed;
-  out.label = std::move(label);
-  return out;
-}
 
 struct SimResult {
   std::size_t index = 0;  // position within the submitted batch

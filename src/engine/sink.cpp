@@ -27,6 +27,16 @@ std::string jnum(double v) {
   return buf;
 }
 
+// Analytic rows keep five simulation columns (max/mean/p99 latency,
+// completion, messages) as constant zeros: no analytic kind fills them,
+// but the CSV and JSONL layouts that existing journals and scripts hold
+// stay byte-identical.  A journaled analytic row with anything else
+// there fails the round-trip seal (CampaignJournal::parse_result).
+constexpr const char* kZeroSimCsv = "0,0,0,0,0,";
+constexpr const char* kZeroSimJson =
+    ",\"max_latency_ns\":0,\"mean_latency_ns\":0,\"p99_latency_ns\":0"
+    ",\"completion_ns\":0,\"messages\":0";
+
 // Topology names legitimately contain commas ("LPS(3,5)"); quote them
 // and the free-text error/label fields per RFC 4180.
 std::string quoted(const std::string& s) {
@@ -89,9 +99,7 @@ std::string csv_row(const Result& r) {
       << ',' << fmt(r.normalized_bisection) << ',' << fmt(r.lambda) << ','
       << fmt(r.mu1) << ',' << (r.ramanujan ? 1 : 0) << ','
       << fmt(r.fiedler_bisection_lb) << ','
-      << fmt(r.max_latency_ns) << ',' << fmt(r.mean_latency_ns) << ','
-      << fmt(r.p99_latency_ns) << ',' << fmt(r.completion_ns) << ','
-      << r.messages << ',' << fmt(r.mean_wire_m) << ',' << fmt(r.max_wire_m)
+      << kZeroSimCsv << fmt(r.mean_wire_m) << ',' << fmt(r.max_wire_m)
       << ',' << r.wires_electrical << ',' << r.wires_optical << ','
       << fmt(r.power_watts) << ',' << fmt(r.mw_per_gbps) << ','
       << fmt(r.wall_ms) << '\n';
@@ -125,12 +133,7 @@ std::string jsonl_row(const Result& r) {
       << ",\"lambda\":" << jnum(r.lambda) << ",\"mu1\":" << jnum(r.mu1)
       << ",\"ramanujan\":" << (r.ramanujan ? "true" : "false")
       << ",\"fiedler_bisection_lb\":" << jnum(r.fiedler_bisection_lb)
-      << ",\"max_latency_ns\":" << jnum(r.max_latency_ns)
-      << ",\"mean_latency_ns\":" << jnum(r.mean_latency_ns)
-      << ",\"p99_latency_ns\":" << jnum(r.p99_latency_ns)
-      << ",\"completion_ns\":" << jnum(r.completion_ns)
-      << ",\"messages\":" << r.messages
-      << ",\"mean_wire_m\":" << jnum(r.mean_wire_m)
+      << kZeroSimJson << ",\"mean_wire_m\":" << jnum(r.mean_wire_m)
       << ",\"max_wire_m\":" << jnum(r.max_wire_m)
       << ",\"wires_electrical\":" << r.wires_electrical
       << ",\"wires_optical\":" << r.wires_optical
@@ -269,9 +272,7 @@ void TableSink::end() {
 // --- PerfRecordSink --------------------------------------------------------
 
 void PerfRecordSink::consume(const Result& r) {
-  if (!r.ok) return;
-  ++scenarios_ok_;
-  messages_ += r.messages;
+  if (r.ok) ++scenarios_ok_;
 }
 
 void PerfRecordSink::consume(const SimResult& r) {

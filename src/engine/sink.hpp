@@ -9,6 +9,11 @@
 /// from the submitting thread only, one result at a time, and see exactly
 /// the same result values at any --threads count (the engine's determinism
 /// contract; wall_ms is the only thread-dependent field).
+///
+/// The two row flavors keep one fixed column layout each.  Analytic
+/// (Result) rows carry five simulation columns — max/mean/p99 latency,
+/// completion, messages — as constant zeros, so their CSV and JSONL
+/// bytes stay compatible with existing journals and scripts.
 
 #include <cstdint>
 #include <cstdio>
@@ -91,6 +96,7 @@ void checked_close(std::FILE* f, const char* what);
 [[nodiscard]] std::string csv_row(const SimResult& r);
 /// One JSON object per result.  wall_ms is deliberately excluded so the
 /// stream is byte-identical at any thread count (CI diffs it at 1 vs 4).
+/// Analytic rows write the simulation columns as literal zeros.
 [[nodiscard]] std::string jsonl_row(const Result& r);
 [[nodiscard]] std::string jsonl_row(const SimResult& r);
 /// The batch header line: `{"batch":...,"campaign":...,"scenarios":N}`,
@@ -190,7 +196,8 @@ class TableSink final : public ResultSink {
 };
 
 /// Accumulates the campaign-level work counters (simulator events,
-/// packet-hops, messages, ok-scenario count) that feed the BENCH_sim.json
+/// packet-hops and messages of sim rows, ok-scenario count of both
+/// flavors) that feed the BENCH_sim.json
 /// perf record; `write` emits the record after the run.
 class PerfRecordSink final : public ResultSink {
  public:

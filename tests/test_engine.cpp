@@ -30,21 +30,11 @@ std::unique_ptr<Engine> make_engine(unsigned threads) {
   return eng;
 }
 
-// A small mixed batch exercising all three kinds, failures, and repeats.
+// A small mixed analytic batch: structure and spectral kinds, failures,
+// and repeats.
 std::vector<Scenario> mixed_batch() {
   std::vector<Scenario> batch;
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    Scenario sim;
-    sim.topology = "DF(6)";
-    sim.kind = Kind::kSimulate;
-    sim.algo = seed == 2 ? routing::Algo::kValiant : routing::Algo::kMinimal;
-    sim.workload.pattern = sim::Pattern::kShuffle;
-    sim.workload.nranks = 64;
-    sim.workload.messages_per_rank = 4;
-    sim.workload.offered_load = 0.4;
-    sim.seed = seed;
-    batch.push_back(sim);
-
     Scenario st;
     st.topology = "DF(6)";
     st.kind = Kind::kStructure;
@@ -140,11 +130,6 @@ TEST(Engine, SerialAndParallelResultsIdentical) {
     EXPECT_EQ(a.lambda, b.lambda);
     EXPECT_EQ(a.mu1, b.mu1);
     EXPECT_EQ(a.ramanujan, b.ramanujan);
-    EXPECT_EQ(a.max_latency_ns, b.max_latency_ns);
-    EXPECT_EQ(a.mean_latency_ns, b.mean_latency_ns);
-    EXPECT_EQ(a.p99_latency_ns, b.p99_latency_ns);
-    EXPECT_EQ(a.completion_ns, b.completion_ns);
-    EXPECT_EQ(a.messages, b.messages);
   }
 }
 
@@ -279,38 +264,6 @@ TEST(Engine, SimScenarioMatchesDirectNetworkRun) {
   EXPECT_EQ(engine_result[0].messages, direct.messages);
 }
 
-TEST(Engine, ScenarioKindSimulateDelegatesToSimPath) {
-  // The legacy Scenario{kSimulate} interface and the SimScenario one must
-  // agree bitwise (the former now delegates to the latter).
-  auto eng = make_sim_engine(2);
-  Scenario legacy;
-  legacy.topology = "DF(12)";
-  legacy.kind = Kind::kSimulate;
-  legacy.algo = routing::Algo::kMinimal;
-  legacy.workload.pattern = sim::Pattern::kTranspose;
-  legacy.workload.offered_load = 0.3;
-  legacy.workload.nranks = 64;
-  legacy.workload.messages_per_rank = 4;
-  legacy.seed = 9;
-  SimScenario ss;
-  ss.topology = "DF(12)";
-  ss.algo = routing::Algo::kMinimal;
-  ss.workload.pattern = sim::Pattern::kTranspose;
-  ss.workload.offered_load = 0.3;
-  ss.workload.nranks = 64;
-  ss.workload.messages_per_rank = 4;
-  ss.seed = 9;
-  auto a = eng->run({legacy});
-  auto b = eng->run_sims({ss});
-  ASSERT_TRUE(a[0].ok) << a[0].error;
-  ASSERT_TRUE(b[0].ok) << b[0].error;
-  EXPECT_EQ(a[0].max_latency_ns, b[0].max_latency_ns);
-  EXPECT_EQ(a[0].mean_latency_ns, b[0].mean_latency_ns);
-  EXPECT_EQ(a[0].p99_latency_ns, b[0].p99_latency_ns);
-  EXPECT_EQ(a[0].completion_ns, b[0].completion_ns);
-  EXPECT_EQ(a[0].messages, b[0].messages);
-}
-
 TEST(Engine, LayoutScenarioProducesWiringAndPower) {
   EngineConfig cfg;
   cfg.threads = 2;
@@ -359,14 +312,13 @@ TEST(Engine, PaperVcSizingAppliedWhenVcsZero) {
   cfg.threads = 1;
   Engine eng(cfg);
   eng.register_topology("LPS(3,5)", [] { return topo::lps_graph({3, 5}); }, 4);
-  Scenario s;
+  SimScenario s;
   s.topology = "LPS(3,5)";
-  s.kind = Kind::kSimulate;
   s.algo = routing::Algo::kValiant;
   s.workload.nranks = 128;
   s.workload.messages_per_rank = 2;
   s.seed = 5;
-  auto r = eng.run({s});
+  auto r = eng.run_sims({s});
   ASSERT_TRUE(r[0].ok) << r[0].error;
   EXPECT_EQ(r[0].diameter, eng.artifacts().get("LPS(3,5)")->tables()->diameter());
   EXPECT_GT(r[0].messages, 0u);

@@ -67,9 +67,9 @@ TEST(JournalRoundTrip, SimResultFieldsSurviveParse) {
         s.workload.offered_load = 0.4;
         s.workload.nranks = 32;
         s.workload.messages_per_rank = 4;
-      })
-      .label([](const Scenario&) { return "lab,\"el\""; });  // exercise escaping
+      });
   auto batch = grid.expand_sims();
+  for (auto& s : batch) s.label = "lab,\"el\"";  // exercise escaping
   // Fold churn into one scenario so the dynamic-failure columns
   // (delivered/reroutes/drops/post_churn_p99_ns) round-trip with
   // non-default values, not just their zeros.
@@ -165,11 +165,6 @@ TEST(JournalRoundTrip, ResultFieldsSurviveParseAcrossKinds) {
     EXPECT_EQ(parsed->mu1, r.mu1);
     EXPECT_EQ(parsed->ramanujan, r.ramanujan);
     EXPECT_EQ(parsed->fiedler_bisection_lb, r.fiedler_bisection_lb);
-    EXPECT_EQ(parsed->max_latency_ns, r.max_latency_ns);
-    EXPECT_EQ(parsed->mean_latency_ns, r.mean_latency_ns);
-    EXPECT_EQ(parsed->p99_latency_ns, r.p99_latency_ns);
-    EXPECT_EQ(parsed->completion_ns, r.completion_ns);
-    EXPECT_EQ(parsed->messages, r.messages);
     EXPECT_EQ(parsed->mean_wire_m, r.mean_wire_m);
     EXPECT_EQ(parsed->max_wire_m, r.max_wire_m);
     EXPECT_EQ(parsed->wires_electrical, r.wires_electrical);
@@ -177,6 +172,17 @@ TEST(JournalRoundTrip, ResultFieldsSurviveParseAcrossKinds) {
     EXPECT_EQ(parsed->power_watts, r.power_watts);
     EXPECT_EQ(parsed->mw_per_gbps, r.mw_per_gbps);
     EXPECT_EQ(jsonl_row(*parsed), line);
+    // The simulation columns of an analytic row are constant zeros; the
+    // seal refuses a row that claims anything else.
+    for (const char* col : {"max_latency_ns", "mean_latency_ns",
+                            "p99_latency_ns", "completion_ns", "messages"}) {
+      std::string bad = line.substr(0, line.size() - 1);
+      const std::string zero = std::string("\"") + col + "\":0,";
+      const std::size_t at = bad.find(zero);
+      ASSERT_NE(at, std::string::npos) << col;
+      bad.replace(at, zero.size(), std::string("\"") + col + "\":7,");
+      EXPECT_FALSE(CampaignJournal::parse_result(bad).has_value()) << bad;
+    }
   }
 }
 
@@ -666,6 +672,40 @@ TEST(AdaptiveSweepResume, WaveScheduleReplaysBitwise) {
   RunControl ctl;
   ctl.shard_count = 2;
   EXPECT_THROW(run_adaptive(1, {}, ctl), std::runtime_error);
+}
+
+TEST(AdaptiveSweepResume, RowOfAnotherKindIsRejected) {
+  // A structure row relabeled "spectral" still passes the round-trip
+  // seal, so only the replay match rule can refuse it.
+  const auto ref_path = tmp_path("adaptive_kind_ref");
+  {
+    std::FILE* f = std::fopen(ref_path.c_str(), "w");
+    JsonlSink sink(f);
+    RunControl ctl;
+    run_adaptive(2, {&sink}, ctl);
+    std::fclose(f);
+  }
+  std::string text = slurp(ref_path);
+  const std::string from = "\"kind\":\"structure\"";
+  const std::size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, from.size(), "\"kind\":\"spectral\"");
+  const auto path = tmp_path("adaptive_kind");
+  spit(path, text);
+  auto journal = CampaignJournal::load(path);
+  ASSERT_FALSE(journal.empty());
+  ASSERT_FALSE(journal.segments()[0].rows.empty());
+  EXPECT_EQ(journal.segments()[0].rows[0].result.kind, Kind::kSpectral);
+
+  RunControl ctl;
+  ctl.journal = &journal;
+  try {
+    run_adaptive(1, {}, ctl);
+    FAIL() << "a row of another kind was replayed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("does not match"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -251,7 +251,6 @@ std::vector<std::string> journal_corpus() {
   r.lambda = 3.4641016151377544;
   r.mu1 = 0.53589838486224561;
   r.ramanujan = true;
-  r.messages = 4096;
   engine::SimResult ok;
   ok.index = 3;
   ok.topology = "Paley(13)";

@@ -559,6 +559,28 @@ TEST(Signals, SigtermStopsAtRowBoundaryAndResumes) {
   EXPECT_EQ(slurp(ro), slurp(so));
 }
 
+TEST(Signals, RepeatedSigtermIsOneStopRequest) {
+  // GNU timeout forwards one SIGTERM twice, to its child and to its
+  // process group; two back-to-back copies are still one graceful stop.
+  const std::string err = tmp("sig2.err");
+  EXPECT_EQ(run(bin_dir() + "/bench_fig6_ugal --ranks 512 --msgs 16 --seed 1 "
+                "--threads 1 > /dev/null 2> " + err +
+                " & P=$!; sleep 0.4; kill -TERM $P; kill -TERM $P; wait $P"),
+            75)
+      << slurp(err);
+  EXPECT_NE(slurp(err).find("stopping on SIGTERM"), std::string::npos)
+      << slurp(err);
+}
+
+TEST(Signals, DifferentSecondSignalForceExits) {
+  // A second, different stop signal is a new request: force out with
+  // 128+sig instead of draining.
+  EXPECT_EQ(run(bin_dir() + "/bench_fig6_ugal --ranks 512 --msgs 16 --seed 1 "
+                "--threads 1 > /dev/null 2>&1"
+                " & P=$!; sleep 0.4; kill -INT $P; kill -TERM $P; wait $P"),
+            128 + 15);
+}
+
 TEST(IoError, JournalWriteFailureExitsLoudlyWith74) {
   if (run("test -w /dev/full") != 0) GTEST_SKIP() << "/dev/full unavailable";
   const std::string err = tmp("full.err");
