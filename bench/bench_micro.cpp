@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks of the library's primitives: topology
 // generation, all-pairs distance statistics, routing-table construction,
-// spectral solves, bisection, and raw simulator packet throughput.
+// spectral solves, bisection, the simulator's event queue, and raw
+// simulator packet throughput.
 
 #include <benchmark/benchmark.h>
 
 #include <limits>
+#include <vector>
 
 #include "core/spectralfly_net.hpp"
 #include "graph/failures.hpp"
@@ -12,6 +14,7 @@
 #include "partition/bisection.hpp"
 #include "routing/next_hop_index.hpp"
 #include "routing/tables.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/traffic.hpp"
 #include "spectral/spectra.hpp"
 #include "topo/dragonfly.hpp"
@@ -200,6 +203,27 @@ void BM_SimulatorThroughput(benchmark::State& state) {
       static_cast<double>(packets), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimulatorThroughput)->Unit(benchmark::kMillisecond);
+
+void BM_EventQueue(benchmark::State& state) {
+  // The simulator's event queue in a hold model at a fixed depth: pop the
+  // earliest event and push it again 1-1000 ns later.  One iteration is
+  // one pop plus one push.
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  Rng rng(11);
+  std::vector<double> delays(1 << 16);
+  for (double& d : delays) d = 1.0 + static_cast<double>(uniform_below(rng, 1000));
+  sim::EventQueue q;
+  for (std::size_t i = 0; i < depth; ++i)
+    q.push(delays[i], sim::EventKind::kArrival, i);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const sim::Event e = q.pop();
+    benchmark::DoNotOptimize(e.a);
+    q.push(e.time + delays[i++ & (delays.size() - 1)], e.kind, e.a);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueue)->Arg(256)->Arg(2048)->Arg(16384);
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -263,6 +264,10 @@ std::string QueryEngine::handle_sim(const JsonObject& q, std::uint64_t id) {
     s.workload.pattern = parse_pattern(pattern);
   }
   (void)q.get_f64("load", s.workload.offered_load);
+  if (!std::isfinite(s.workload.offered_load) || s.workload.offered_load <= 0.0)
+    throw std::invalid_argument("sim \"load\" must be finite and > 0");
+  if (!std::isfinite(s.workload.motif_compute_ns) || s.workload.motif_compute_ns < 0.0)
+    throw std::invalid_argument("sim \"compute_ns\" must be finite and >= 0");
   get_u32(q, "nranks", s.workload.nranks);
   get_u32(q, "messages", s.workload.messages_per_rank);
   get_u32(q, "bytes", s.workload.message_bytes);

@@ -1,10 +1,31 @@
 #pragma once
-// Deterministic discrete-event queue: (time, insertion sequence) ordered
-// min-heap, so simultaneous events fire in insertion order regardless of
-// heap internals.
+// Deterministic discrete-event queue: events pop in (time, insertion
+// sequence) order, so simultaneous events fire in insertion order.
+//
+// It is a monotone radix queue (DESIGN.md §4). Each time maps to a 64-bit
+// key by an order-preserving bit transform (-0.0 and +0.0 share a key),
+// read as 16 hex digits. Bucket 0 holds the events whose key equals the
+// base, the last popped key. Any other key first differs from the base at
+// some digit l, where its own digit d is the larger; it goes to bucket
+// 1 + 16*l + d, so every event in a lower bucket is earlier. That only
+// holds while no event is pushed before the last pop, so push rejects such
+// a time (and NaN, which has no place in the order); the simulator never
+// schedules into its past.
+//
+// pop drains bucket 0 front to back. When bucket 0 is empty, the minimum of
+// the lowest non-empty bucket (each bucket keeps its own as events arrive)
+// becomes the new base and that bucket's events move down. Equal times
+// always share a bucket and every move keeps bucket order, so ties pop in
+// push order, exactly as a (time, seq) heap would.
+//
+// Buckets are chains of 32-item chunks drawn from one pool; event payloads
+// live in a slab with a free list. Both grow only when the depth passes its
+// high-water mark, so a warmed-up queue never allocates.
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
-#include <queue>
+#include <stdexcept>
 #include <vector>
 
 namespace sfly::sim {
@@ -33,27 +54,143 @@ struct Event {
 
 class EventQueue {
  public:
+  /// Schedule an event. Throws std::invalid_argument if `time` is NaN or
+  /// earlier than the last popped event's time.
   void push(double time, EventKind kind, std::uint64_t a, std::uint64_t b = 0) {
-    heap_.push(Event{time, seq_++, kind, a, b});
+    const std::uint64_t key = order_key(time);
+    if (key < base_)
+      throw std::invalid_argument("EventQueue::push: time before the last pop");
+    if (++size_ > high_water_) reserve_chunks();
+    const std::uint32_t slot = alloc_slot(Event{time, seq_++, kind, a, b});
+    append(bucket_of(key), Item{key, slot});
   }
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] const Event& top() const { return heap_.top(); }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// The event pop() returns next. Requires !empty().
+  [[nodiscard]] const Event& top() const {
+    if (buckets_[0].head != kNone) return slab_[front_item().slot];
+    return slab_[buckets_[lowest()].min.slot];
+  }
+  /// Requires !empty().
   Event pop() {
-    Event e = heap_.top();
-    heap_.pop();
-    return e;
+    if (buckets_[0].head == kNone) settle();
+    const std::uint32_t slot = front_item().slot;
+    Bucket& z = buckets_[0];
+    if (++front_ == (z.head == z.tail ? z.end : kChunkItems)) {
+      const std::uint32_t c = z.head;
+      z.head = chunks_[c].next;
+      if (z.head == kNone) z.tail = kNone;
+      free_chunks_.push_back(c);
+      front_ = 0;
+    }
+    --size_;
+    free_slots_.push_back(slot);
+    return slab_[slot];
   }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  struct Later {
-    bool operator()(const Event& x, const Event& y) const {
-      if (x.time != y.time) return x.time > y.time;
-      return x.seq > y.seq;
-    }
+  static constexpr std::uint32_t kChunkItems = 32;
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+  static constexpr int kDigitBits = 4;
+  static constexpr int kBuckets = 1 + ((64 / kDigitBits) << kDigitBits);
+  static_assert((kBuckets - 1) % 64 == 0, "occupied_ has one bit per bucket above 0");
+
+  struct Item {
+    std::uint64_t key;
+    std::uint32_t slot;  // index into slab_
   };
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  struct Chunk {
+    std::uint32_t next = kNone;
+    Item items[kChunkItems];
+  };
+  // A FIFO chain of chunks; `end` is the fill of the tail chunk, and `min`
+  // the first-pushed item of least key. Bucket 0 is read from chunk `head`
+  // at index `front_`; the others are only ever moved down whole.
+  struct Bucket {
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+    std::uint32_t end = 0;
+    Item min{UINT64_MAX, 0};  // no event has this key: it would be a NaN
+  };
+
+  static std::uint64_t order_key(double time) {
+    if (std::isnan(time)) throw std::invalid_argument("EventQueue::push: NaN time");
+    const auto bits = std::bit_cast<std::uint64_t>(time == 0.0 ? 0.0 : time);
+    return (bits >> 63) ? ~bits : bits | (std::uint64_t{1} << 63);
+  }
+
+  const Item& front_item() const { return chunks_[buckets_[0].head].items[front_]; }
+  int bucket_of(std::uint64_t key) const {
+    const std::uint64_t diff = key ^ base_;
+    if (diff == 0) return 0;
+    const int level = (std::bit_width(diff) - 1) / kDigitBits;
+    const auto digit = (key >> (level * kDigitBits)) & ((1u << kDigitBits) - 1);
+    return 1 + (level << kDigitBits) + static_cast<int>(digit);
+  }
+  // The lowest non-empty bucket above 0. Requires one.
+  int lowest() const {
+    int w = 0;
+    while (occupied_[w] == 0) ++w;
+    return 1 + 64 * w + std::countr_zero(occupied_[w]);
+  }
+
+  std::uint32_t alloc_slot(const Event& e) {
+    if (free_slots_.empty()) {
+      slab_.push_back(e);
+      // Grown here, so the free list never reallocates inside pop().
+      free_slots_.reserve(slab_.capacity());
+      return static_cast<std::uint32_t>(slab_.size() - 1);
+    }
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = e;
+    return slot;
+  }
+
+  std::uint32_t new_chunk() {
+    std::uint32_t c = 0;
+    if (free_chunks_.empty()) {
+      c = static_cast<std::uint32_t>(chunks_.size());
+      chunks_.emplace_back();
+    } else {
+      c = free_chunks_.back();
+      free_chunks_.pop_back();
+      chunks_[c].next = kNone;
+    }
+    return c;
+  }
+
+  void append(int b, Item item) {
+    Bucket& q = buckets_[b];
+    if (q.head == kNone) {
+      q.head = q.tail = new_chunk();
+      q.end = 0;
+      if (b > 0) occupied_[(b - 1) / 64] |= std::uint64_t{1} << ((b - 1) % 64);
+    } else if (q.end == kChunkItems) {
+      const std::uint32_t c = new_chunk();
+      chunks_[q.tail].next = c;
+      q.tail = c;
+      q.end = 0;
+    }
+    chunks_[q.tail].items[q.end++] = item;
+    // Strict: of equal keys, the first pushed stays the minimum.
+    if (item.key < q.min.key) q.min = item;
+  }
+
+  void reserve_chunks();
+  void settle();
+
+  std::vector<Chunk> chunks_;
+  std::vector<std::uint32_t> free_chunks_;
+  std::vector<Event> slab_;
+  std::vector<std::uint32_t> free_slots_;
+  Bucket buckets_[kBuckets];
+  std::uint64_t occupied_[(kBuckets - 1) / 64] = {};  // bit b-1: bucket b non-empty
+  std::uint64_t base_ = 0;      // key of the last pop
+  std::uint32_t front_ = 0;     // read index in bucket 0's head chunk
   std::uint64_t seq_ = 0;
+  std::size_t size_ = 0;
+  std::size_t high_water_ = 0;
 };
 
 }  // namespace sfly::sim

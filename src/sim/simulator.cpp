@@ -125,6 +125,8 @@ MessageId Simulator::send(EndpointId src, EndpointId dst, std::uint32_t bytes,
                           double when, std::uint64_t tag) {
   if (src >= num_endpoints() || dst >= num_endpoints())
     throw std::out_of_range("Simulator::send: endpoint out of range");
+  if (!std::isfinite(when) || when < now_)
+    throw std::invalid_argument("Simulator::send: time must be finite and >= now()");
   if (bytes == 0) bytes = 1;
   MessageId m = static_cast<MessageId>(msgs_.size());
   msgs_.push_back({src, dst, bytes, when, -1.0, tag});

@@ -75,7 +75,8 @@ class Simulator {
   [[nodiscard]] double now() const { return now_; }
   [[nodiscard]] const SimConfig& config() const { return cfg_; }
 
-  /// Schedule a message; `when` must be >= now(). Returns the message id.
+  /// Schedule a message; `when` must be finite and >= now() (else
+  /// std::invalid_argument). Returns the message id.
   MessageId send(EndpointId src, EndpointId dst, std::uint32_t bytes, double when,
                  std::uint64_t tag = 0);
 

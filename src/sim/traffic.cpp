@@ -1,6 +1,7 @@
 #include "sim/traffic.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -100,6 +101,8 @@ std::vector<EndpointId> place_ranks_policy(PlacementPolicy policy,
 LoadResult run_synthetic(Simulator& sim, const SyntheticLoad& load) {
   if ((load.nranks & (load.nranks - 1)) != 0 || load.nranks < 2)
     throw std::invalid_argument("run_synthetic: nranks must be a power of two");
+  if (!std::isfinite(load.offered_load) || load.offered_load <= 0.0)
+    throw std::invalid_argument("run_synthetic: offered load must be finite and > 0");
   std::uint32_t bits = 0;
   while ((1u << bits) < load.nranks) ++bits;
 

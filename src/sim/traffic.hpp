@@ -71,6 +71,7 @@ struct LoadResult {
 /// Drive a synthetic pattern through the simulator: per-rank Poisson
 /// arrivals at rate offered_load * bandwidth / message_bytes.  The paper's
 /// Fig. 6/7 metric is the maximum time taken across all messages.
+/// Throws std::invalid_argument unless offered_load is finite and > 0.
 [[nodiscard]] LoadResult run_synthetic(Simulator& sim, const SyntheticLoad& load);
 
 }  // namespace sfly::sim

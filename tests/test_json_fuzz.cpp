@@ -233,6 +233,15 @@ TEST(JsonFuzz, HostileHandcraftedRequests) {
     EXPECT_EQ(resp.front(), '{');
     EXPECT_NE(resp.find("\"ok\":"), std::string::npos);
   }
+  // A sim whose offered load is not finite and > 0, or whose motif compute
+  // time is negative, is refused before it reaches the simulator.
+  const std::string sim = "{\"kind\":\"sim\",\"topo\":\"Paley(13)\",\"nranks\":8,";
+  for (const char* tail :
+       {"\"load\":NaN}", "\"load\":0}", "\"load\":-1}",
+        "\"motif\":\"FFT(4,4)\",\"compute_ns\":-5}"}) {
+    const std::string resp = engine.handle(sim + tail);
+    EXPECT_NE(resp.find("\"ok\":false"), std::string::npos) << tail << " -> " << resp;
+  }
 }
 
 // Real journal lines: structure and sim rows (one ok:false with control

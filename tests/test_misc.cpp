@@ -1,13 +1,22 @@
-// Edge-case and utility coverage: event queue ordering, latency stats,
-// table rendering, simulator argument validation, cabinet grids, and the
-// odd corners of the topology parameter space.
+// Edge-case and utility coverage: event queue ordering (checked against a
+// reference heap), latency stats, table rendering, simulator argument
+// validation, cabinet grids, and the odd corners of the topology parameter
+// space.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <queue>
+#include <vector>
 
 #include "layout/cabinets.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
+#include "sim/traffic.hpp"
 #include "topo/lps.hpp"
 #include "topo/mms.hpp"
 #include "util/rng.hpp"
@@ -34,6 +43,88 @@ TEST(EventQueue, FifoAmongSimultaneous) {
   for (std::uint64_t i = 0; i < 20; ++i)
     q.push(7.0, sim::EventKind::kTryTransmit, i);
   for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(q.pop().a, i);
+}
+
+// The queue against a reference (time, seq) heap: seeded random monotone
+// push/pop interleavings must pop the identical (time, seq, kind, a, b)
+// sequence, bit for bit.  The times stress the radix key: many equal
+// times, pushes at exactly the last popped time, +-0.0, subnormals, 1e300
+// and, before the first pop, negative times.  Each round drains to empty
+// and the next refills from the last popped time.
+TEST(EventQueue, MatchesReferenceHeap) {
+  struct Later {
+    bool operator()(const sim::Event& x, const sim::Event& y) const {
+      if (x.time != y.time) return x.time > y.time;
+      return x.seq > y.seq;
+    }
+  };
+  const auto same = [](const sim::Event& x, const sim::Event& y) {
+    return std::bit_cast<std::uint64_t>(x.time) == std::bit_cast<std::uint64_t>(y.time) &&
+           x.seq == y.seq && x.kind == y.kind && x.a == y.a && x.b == y.b;
+  };
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    sim::EventQueue q;
+    std::priority_queue<sim::Event, std::vector<sim::Event>, Later> ref;
+    std::uint64_t seq = 0;
+    double last = 0.0;
+    const auto push = [&](double t) {
+      const auto kind = static_cast<sim::EventKind>(rng() % 9);
+      const std::uint64_t a = rng(), b = rng();
+      q.push(t, kind, a, b);
+      ref.push(sim::Event{t, seq++, kind, a, b});
+    };
+    const auto pop = [&] {
+      if (rng() % 4 == 0) {
+        ASSERT_TRUE(same(q.top(), ref.top())) << "seed " << seed;
+      }
+      const sim::Event e = q.pop();
+      ASSERT_TRUE(same(e, ref.top())) << "seed " << seed << " seq " << e.seq;
+      ref.pop();
+      last = e.time;
+    };
+    for (double t : {0.0, -0.0, -1e300, -kSub, kSub, 1e300, 3.0, -2.5, -2.5}) push(t);
+    for (const std::uint64_t push_percent : {50, 60, 75}) {
+      for (int step = 0; step < 20000; ++step) {
+        if (!ref.empty() && rng() % 100 >= push_percent) {
+          pop();
+          continue;
+        }
+        switch (rng() % 8) {
+          case 0: push(last); break;
+          case 1: push(last == 0.0 ? -last : last); break;  // the other zero
+          case 2: push(last + kSub * static_cast<double>(rng() % 3)); break;
+          case 3: push(std::nextafter(last, 1e308)); break;
+          case 4: push(std::max(last, 1e300)); break;
+          default: push(last + static_cast<double>(rng() % 4)); break;
+        }
+      }
+      while (!ref.empty()) pop();
+      ASSERT_TRUE(q.empty());
+      ASSERT_EQ(q.size(), 0u);
+    }
+  }
+}
+
+TEST(EventQueue, RejectsNaNAndTimesBeforeTheLastPop) {
+  sim::EventQueue q;
+  EXPECT_THROW(q.push(std::nan(""), sim::EventKind::kDeliver, 1), std::invalid_argument);
+  q.push(5.0, sim::EventKind::kDeliver, 1);
+  q.push(9.0, sim::EventKind::kDeliver, 2);
+  EXPECT_EQ(q.pop().a, 1u);
+  EXPECT_THROW(q.push(4.5, sim::EventKind::kDeliver, 3), std::invalid_argument);
+  EXPECT_THROW(q.push(std::nan(""), sim::EventKind::kDeliver, 3), std::invalid_argument);
+  EXPECT_EQ(q.size(), 1u);
+  // top() looks ahead without moving the bound: a time between the last
+  // pop and the top is still accepted, and pops first.
+  EXPECT_EQ(q.top().a, 2u);
+  q.push(5.0, sim::EventKind::kDeliver, 4);
+  q.push(7.0, sim::EventKind::kDeliver, 5);
+  EXPECT_EQ(q.pop().a, 4u);
+  EXPECT_EQ(q.pop().a, 5u);
+  EXPECT_EQ(q.pop().a, 2u);
+  EXPECT_TRUE(q.empty());
 }
 
 // ---------------- latency stats ----------------
@@ -103,6 +194,33 @@ TEST(SimulatorEdge, RejectsBadEndpoints) {
   sim::Simulator s(g, t, cfg);
   EXPECT_THROW(s.send(0, 99, 100, 0.0), std::out_of_range);
   EXPECT_THROW(s.send(99, 0, 100, 0.0), std::out_of_range);
+}
+
+TEST(SimulatorEdge, RejectsPastNonFiniteTimesAndLoads) {
+  auto g = Graph::from_edges(2, {{0, 1}});
+  auto t = routing::Tables::build(g);
+  sim::SimConfig cfg;
+  cfg.concentration = 1;
+  sim::Simulator s(g, t, cfg);
+  s.send(0, 1, 100, 50.0);
+  ASSERT_TRUE(s.run());
+  const double now = s.now();
+  ASSERT_GT(now, 50.0);
+  EXPECT_THROW(s.send(0, 1, 100, now - 1.0), std::invalid_argument);
+  EXPECT_THROW(s.send(0, 1, 100, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(s.send(0, 1, 100, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_NO_THROW(s.send(0, 1, 100, now));
+  EXPECT_TRUE(s.run());
+
+  sim::SyntheticLoad load;
+  load.nranks = 2;
+  load.messages_per_rank = 1;
+  for (double bad : {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    load.offered_load = bad;
+    sim::Simulator fresh(g, t, cfg);
+    EXPECT_THROW((void)sim::run_synthetic(fresh, load), std::invalid_argument) << bad;
+  }
 }
 
 TEST(SimulatorEdge, ZeroByteMessageClampsToOne) {
