@@ -1,11 +1,12 @@
 // google-benchmark microbenchmarks of the library's primitives: topology
 // generation, all-pairs distance statistics, routing-table construction,
-// spectral solves, bisection, the simulator's event queue, and raw
-// simulator packet throughput.
+// spectral solves, bisection, the simulator's event queue, run_synthetic's
+// per-rank random streams, and raw simulator packet throughput.
 
 #include <benchmark/benchmark.h>
 
 #include <limits>
+#include <random>
 #include <vector>
 
 #include "core/spectralfly_net.hpp"
@@ -204,14 +205,11 @@ void BM_SimulatorThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorThroughput)->Unit(benchmark::kMillisecond);
 
-void BM_EventQueue(benchmark::State& state) {
-  // The simulator's event queue in a hold model at a fixed depth: pop the
-  // earliest event and push it again 1-1000 ns later.  One iteration is
-  // one pop plus one push.
+// The simulator's event queue in a hold model at a fixed depth: pop the
+// earliest event and push it again one of `delays` later.  One iteration
+// is one pop plus one push.
+void hold_model(benchmark::State& state, const std::vector<double>& delays) {
   const auto depth = static_cast<std::size_t>(state.range(0));
-  Rng rng(11);
-  std::vector<double> delays(1 << 16);
-  for (double& d : delays) d = 1.0 + static_cast<double>(uniform_below(rng, 1000));
   sim::EventQueue q;
   for (std::size_t i = 0; i < depth; ++i)
     q.push(delays[i], sim::EventKind::kArrival, i);
@@ -223,7 +221,56 @@ void BM_EventQueue(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
+
+// Integer delays of 1-1000 ns: many tied keys.
+void BM_EventQueue(benchmark::State& state) {
+  Rng rng(11);
+  std::vector<double> delays(1 << 16);
+  for (double& d : delays) d = 1.0 + static_cast<double>(uniform_below(rng, 1000));
+  hold_model(state, delays);
+}
 BENCHMARK(BM_EventQueue)->Arg(256)->Arg(2048)->Arg(16384);
+
+// The simulator's delays: link latency, link + router latency, or one
+// 4 KB packet's serialization at 12.5 B/ns, each plus up to 1 ns of
+// jitter, so times are fractional and ties are rare.
+void BM_EventQueueFractional(benchmark::State& state) {
+  Rng rng(11);
+  std::uniform_real_distribution<double> jitter(0.0, 1.0);
+  constexpr double kBase[] = {50.0, 150.0, 327.68};
+  std::vector<double> delays(1 << 16);
+  for (double& d : delays) d = kBase[uniform_below(rng, 3)] + jitter(rng);
+  hold_model(state, delays);
+}
+BENCHMARK(BM_EventQueueFractional)->Arg(256)->Arg(2048)->Arg(16384);
+
+// run_synthetic's per-rank traffic streams: 256 ranks, each seeding its
+// own generator and drawing 8 messages of (exponential gap, destination
+// entropy).  Rng seeds and twists all 312 state words per rank; LazyRng
+// only what the 16 draws read.
+template <class Gen>
+void BM_RankStreams(benchmark::State& state) {
+  constexpr std::uint32_t kRanks = 256, kMessages = 8;
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    double t = 0.0;
+    std::uint64_t entropy = 0;
+    for (std::uint32_t r = 0; r < kRanks; ++r) {
+      Gen rng(split_seed(seed, r));
+      std::exponential_distribution<double> gap(0.0125);
+      for (std::uint32_t m = 0; m < kMessages; ++m) {
+        t += gap(rng);
+        entropy ^= rng();
+      }
+    }
+    benchmark::DoNotOptimize(t);
+    benchmark::DoNotOptimize(entropy);
+    ++seed;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kRanks);
+}
+BENCHMARK_TEMPLATE(BM_RankStreams, Rng)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_RankStreams, LazyRng)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -96,6 +96,10 @@ void Server::stop() {
     (void)!::write(impl_->wake_fd, &one, sizeof one);
   }
   if (thread_.joinable()) thread_.join();
+  // Closed only here, after the join: stop() writes to it above, and a
+  // close in the loop could let that write land on a recycled descriptor.
+  if (impl_->wake_fd >= 0) ::close(impl_->wake_fd);
+  impl_->wake_fd = -1;
 }
 
 void Server::loop() {
@@ -225,8 +229,6 @@ void Server::loop() {
   im.conns.clear();
   if (im.listen_fd >= 0) ::close(im.listen_fd);
   im.listen_fd = -1;
-  if (im.wake_fd >= 0) ::close(im.wake_fd);
-  im.wake_fd = -1;
 }
 
 }  // namespace sfly::service

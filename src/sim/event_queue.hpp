@@ -4,24 +4,30 @@
 //
 // It is a monotone radix queue (DESIGN.md §4). Each time maps to a 64-bit
 // key by an order-preserving bit transform (-0.0 and +0.0 share a key),
-// read as 16 hex digits. Bucket 0 holds the events whose key equals the
-// base, the last popped key. Any other key first differs from the base at
-// some digit l, where its own digit d is the larger; it goes to bucket
-// 1 + 16*l + d, so every event in a lower bucket is earlier. That only
-// holds while no event is pushed before the last pop, so push rejects such
-// a time (and NaN, which has no place in the order); the simulator never
-// schedules into its past.
+// read as 16 hex digits. The events due next form the run: an array sorted
+// by key, ties in push order, read front to back. Every later event sits
+// in a radix bucket relative to the base, the run's last key: such a key
+// first differs from the base at some digit l, where its own digit d is
+// the larger, and goes to bucket 16*l + d, so every event in a lower
+// bucket is earlier. That only holds while no event is pushed before the
+// last pop, so push rejects such a time (and NaN, which has no place in
+// the order); the simulator never schedules into its past. A push at or
+// below the base joins the run at its upper bound, after every equal key.
 //
-// pop drains bucket 0 front to back. When bucket 0 is empty, the minimum of
-// the lowest non-empty bucket (each bucket keeps its own as events arrive)
-// becomes the new base and that bucket's events move down. Equal times
-// always share a bucket and every move keeps bucket order, so ties pop in
-// push order, exactly as a (time, seq) heap would.
+// When the run is empty, pop takes the lowest non-empty bucket. One that
+// fits in a chunk is insertion-sorted into the run, and its largest key
+// becomes the base. A larger one is redistributed by digit around its
+// minimum (each bucket keeps its own as events arrive): the events equal
+// to it form the run, the rest move to lower buckets. Equal times always
+// share a bucket, every move keeps bucket order and the sort is stable,
+// so ties pop in push order, exactly as a (time, seq) heap would.
 //
 // Buckets are chains of 32-item chunks drawn from one pool; event payloads
-// live in a slab with a free list. Both grow only when the depth passes its
-// high-water mark, so a warmed-up queue never allocates.
+// live in a slab with a free list. The pool, the run and the slab grow
+// only when the depth passes its high-water mark, so a warmed-up queue
+// never allocates.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -58,33 +64,33 @@ class EventQueue {
   /// earlier than the last popped event's time.
   void push(double time, EventKind kind, std::uint64_t a, std::uint64_t b = 0) {
     const std::uint64_t key = order_key(time);
-    if (key < base_)
+    if (key < last_)
       throw std::invalid_argument("EventQueue::push: time before the last pop");
-    if (++size_ > high_water_) reserve_chunks();
-    const std::uint32_t slot = alloc_slot(Event{time, seq_++, kind, a, b});
-    append(bucket_of(key), Item{key, slot});
+    if (++size_ > high_water_) reserve();
+    const Item item{key, alloc_slot(Event{time, seq_++, kind, a, b})};
+    if (key <= base_)
+      run_insert(item);
+    else
+      append(bucket_of(key), item);
   }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   /// The event pop() returns next. Requires !empty().
   [[nodiscard]] const Event& top() const {
-    if (buckets_[0].head != kNone) return slab_[front_item().slot];
+    if (!run_.empty()) return slab_[run_[front_].slot];
     return slab_[buckets_[lowest()].min.slot];
   }
   /// Requires !empty().
   Event pop() {
-    if (buckets_[0].head == kNone) settle();
-    const std::uint32_t slot = front_item().slot;
-    Bucket& z = buckets_[0];
-    if (++front_ == (z.head == z.tail ? z.end : kChunkItems)) {
-      const std::uint32_t c = z.head;
-      z.head = chunks_[c].next;
-      if (z.head == kNone) z.tail = kNone;
-      free_chunks_.push_back(c);
+    if (run_.empty()) settle();
+    const Item item = run_[front_];
+    if (++front_ == run_.size()) {
+      run_.clear();
       front_ = 0;
     }
+    last_ = item.key;
     --size_;
-    free_slots_.push_back(slot);
-    return slab_[slot];
+    free_slots_.push_back(item.slot);
+    return slab_[item.slot];
   }
   [[nodiscard]] std::size_t size() const { return size_; }
 
@@ -92,8 +98,8 @@ class EventQueue {
   static constexpr std::uint32_t kChunkItems = 32;
   static constexpr std::uint32_t kNone = UINT32_MAX;
   static constexpr int kDigitBits = 4;
-  static constexpr int kBuckets = 1 + ((64 / kDigitBits) << kDigitBits);
-  static_assert((kBuckets - 1) % 64 == 0, "occupied_ has one bit per bucket above 0");
+  static constexpr int kBuckets = (64 / kDigitBits) << kDigitBits;
+  static_assert(kBuckets % 64 == 0, "occupied_ has one bit per bucket");
 
   struct Item {
     std::uint64_t key;
@@ -104,8 +110,7 @@ class EventQueue {
     Item items[kChunkItems];
   };
   // A FIFO chain of chunks; `end` is the fill of the tail chunk, and `min`
-  // the first-pushed item of least key. Bucket 0 is read from chunk `head`
-  // at index `front_`; the others are only ever moved down whole.
+  // the first-pushed item of least key.
   struct Bucket {
     std::uint32_t head = kNone;
     std::uint32_t tail = kNone;
@@ -119,19 +124,17 @@ class EventQueue {
     return (bits >> 63) ? ~bits : bits | (std::uint64_t{1} << 63);
   }
 
-  const Item& front_item() const { return chunks_[buckets_[0].head].items[front_]; }
+  // Requires key > base_.
   int bucket_of(std::uint64_t key) const {
-    const std::uint64_t diff = key ^ base_;
-    if (diff == 0) return 0;
-    const int level = (std::bit_width(diff) - 1) / kDigitBits;
+    const int level = (std::bit_width(key ^ base_) - 1) / kDigitBits;
     const auto digit = (key >> (level * kDigitBits)) & ((1u << kDigitBits) - 1);
-    return 1 + (level << kDigitBits) + static_cast<int>(digit);
+    return (level << kDigitBits) + static_cast<int>(digit);
   }
-  // The lowest non-empty bucket above 0. Requires one.
+  // The lowest non-empty bucket. Requires one.
   int lowest() const {
     int w = 0;
     while (occupied_[w] == 0) ++w;
-    return 1 + 64 * w + std::countr_zero(occupied_[w]);
+    return 64 * w + std::countr_zero(occupied_[w]);
   }
 
   std::uint32_t alloc_slot(const Event& e) {
@@ -165,7 +168,7 @@ class EventQueue {
     if (q.head == kNone) {
       q.head = q.tail = new_chunk();
       q.end = 0;
-      if (b > 0) occupied_[(b - 1) / 64] |= std::uint64_t{1} << ((b - 1) % 64);
+      occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
     } else if (q.end == kChunkItems) {
       const std::uint32_t c = new_chunk();
       chunks_[q.tail].next = c;
@@ -177,17 +180,33 @@ class EventQueue {
     if (item.key < q.min.key) q.min = item;
   }
 
-  void reserve_chunks();
+  // Requires base_ >= item.key >= last_. Pushes at the base append.
+  void run_insert(Item item) {
+    if (run_.size() == run_.capacity()) {
+      // The run never holds more than size_ <= capacity unread items, so
+      // dropping the read ones always makes room.
+      run_.erase(run_.begin(), run_.begin() + front_);
+      front_ = 0;
+    }
+    auto at = run_.end();
+    if (item.key < base_)
+      at = std::upper_bound(run_.begin() + front_, at, item.key,
+                            [](std::uint64_t k, const Item& x) { return k < x.key; });
+    run_.insert(at, item);
+  }
+  void reserve();
   void settle();
 
   std::vector<Chunk> chunks_;
   std::vector<std::uint32_t> free_chunks_;
   std::vector<Event> slab_;
   std::vector<std::uint32_t> free_slots_;
+  std::vector<Item> run_;       // sorted; [front_, end) not yet popped
   Bucket buckets_[kBuckets];
-  std::uint64_t occupied_[(kBuckets - 1) / 64] = {};  // bit b-1: bucket b non-empty
-  std::uint64_t base_ = 0;      // key of the last pop
-  std::uint32_t front_ = 0;     // read index in bucket 0's head chunk
+  std::uint64_t occupied_[kBuckets / 64] = {};  // bit b: bucket b non-empty
+  std::uint64_t base_ = 0;      // the run's last key; buckets hold larger keys
+  std::uint64_t last_ = 0;      // key of the last pop
+  std::uint32_t front_ = 0;     // read index in run_
   std::uint64_t seq_ = 0;
   std::size_t size_ = 0;
   std::size_t high_water_ = 0;

@@ -130,7 +130,9 @@ MessageId Simulator::send(EndpointId src, EndpointId dst, std::uint32_t bytes,
   if (bytes == 0) bytes = 1;
   MessageId m = static_cast<MessageId>(msgs_.size());
   msgs_.push_back({src, dst, bytes, when, -1.0, tag});
-  msg_remaining_.push_back((bytes + cfg_.packet_bytes - 1) / cfg_.packet_bytes);
+  // In 64 bits: bytes + packet_bytes - 1 can pass 2^32.
+  msg_remaining_.push_back(static_cast<std::uint32_t>(
+      (std::uint64_t{bytes} + cfg_.packet_bytes - 1) / cfg_.packet_bytes));
   msg_failed_.push_back(0);
   events_.push(when, EventKind::kInjectMessage, m);
   return m;

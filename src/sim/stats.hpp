@@ -19,8 +19,8 @@ class LatencyStats {
   [[nodiscard]] double mean() const { return count_ ? sum_ / count_ : 0.0; }
   [[nodiscard]] double max() const { return max_; }
   [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
-  /// p clamps into [0,1] (NaN reads as 0); sorts an internal copy on
-  /// demand.
+  /// p clamps into [0,1] (NaN reads as 0). The first call after a
+  /// record() sorts the sample store in place.
   [[nodiscard]] double percentile(double p) const;
 
  private:

@@ -113,7 +113,7 @@ LoadResult run_synthetic(Simulator& sim, const SyntheticLoad& load) {
   const double rate = load.offered_load * sim.config().bandwidth_bytes_per_ns /
                       static_cast<double>(load.message_bytes);
   for (std::uint32_t r = 0; r < load.nranks; ++r) {
-    Rng rng(split_seed(load.seed, r));
+    LazyRng rng(split_seed(load.seed, r));
     std::exponential_distribution<double> gap(rate);
     double t = 0.0;
     for (std::uint32_t m = 0; m < load.messages_per_rank; ++m) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <random>
 #include <vector>
 
 #include "layout/cabinets.hpp"
@@ -50,7 +51,11 @@ TEST(EventQueue, FifoAmongSimultaneous) {
 // sequence, bit for bit.  The times stress the radix key: many equal
 // times, pushes at exactly the last popped time, +-0.0, subnormals, 1e300
 // and, before the first pop, negative times.  Each round drains to empty
-// and the next refills from the last popped time.
+// and the next refills from the last popped time.  Later rounds aim at the
+// sorted run: each opens with a burst of 31, 32 or 33 events on nearby
+// keys (one bucket, settled just under, at, or just over one chunk), then
+// pushes land strictly between the last pop and top(), on keys tied with
+// queued ones, and at exactly the last popped time after a full drain.
 TEST(EventQueue, MatchesReferenceHeap) {
   struct Later {
     bool operator()(const sim::Event& x, const sim::Event& y) const {
@@ -104,6 +109,38 @@ TEST(EventQueue, MatchesReferenceHeap) {
       ASSERT_TRUE(q.empty());
       ASSERT_EQ(q.size(), 0u);
     }
+    for (const std::uint64_t burst : {31, 32, 33, 33, 32, 31}) {
+      // Keys s .. s+4*burst differ from each other in the low two digits
+      // only, and from the last pop in a higher one: one bucket.
+      const double x = std::max(1.0, last + std::max(1000.0, std::abs(last) * 1e-6));
+      const std::uint64_t s = (std::bit_cast<std::uint64_t>(x) | 0xFF) + 1;
+      const auto near = [&] { return std::bit_cast<double>(s + rng() % (4 * burst)); };
+      for (std::uint64_t k = 0; k < burst; ++k) push(near());
+      for (int step = 0; step < 4000; ++step) {
+        if (ref.empty()) {
+          push(last);  // the run has drained
+          continue;
+        }
+        const double top = ref.top().time;
+        switch (rng() % 6) {
+          case 0:
+          case 1: pop(); break;
+          case 2: {
+            const double mid =
+                last + (top - last) * static_cast<double>(1 + rng() % 999) / 1000.0;
+            push(mid > last && mid < top ? mid : top);
+            break;
+          }
+          case 3: push(top); break;
+          case 4: push(std::max(last, near())); break;
+          default: push(last + (top - last) * 1.5 + 0.25); break;
+        }
+      }
+      while (!ref.empty()) pop();
+      push(last);
+      pop();
+      ASSERT_TRUE(q.empty());
+    }
   }
 }
 
@@ -125,6 +162,39 @@ TEST(EventQueue, RejectsNaNAndTimesBeforeTheLastPop) {
   EXPECT_EQ(q.pop().a, 5u);
   EXPECT_EQ(q.pop().a, 2u);
   EXPECT_TRUE(q.empty());
+}
+
+// ---------------- rng ----------------
+
+// LazyRng is std::mt19937_64, bit for bit: raw outputs across the hand-over
+// from directly computed outputs (0-155) to the full engine (156 on), and
+// exponential draws through the standard distribution, as run_synthetic
+// takes them.
+TEST(LazyRng, MatchesMt19937_64) {
+  for (std::uint64_t stream = 0; stream < 1200; ++stream) {
+    const std::uint64_t seed = split_seed(0x5eed, stream);
+    Rng ref(seed);
+    LazyRng lazy(seed);
+    for (int i = 0; i < 400; ++i) ASSERT_EQ(lazy(), ref()) << "seed " << seed << " output " << i;
+  }
+  for (std::uint64_t stream = 0; stream < 1000; ++stream) {
+    const std::uint64_t seed = split_seed(42, stream);
+    Rng ref(seed);
+    LazyRng lazy(seed);
+    std::exponential_distribution<double> ref_gap(0.0125), lazy_gap(0.0125);
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(lazy_gap(lazy)),
+                std::bit_cast<std::uint64_t>(ref_gap(ref)))
+          << "seed " << seed << " draw " << i;
+      ASSERT_EQ(lazy(), ref());
+    }
+  }
+  // Seeds at the edges of the word.
+  for (const std::uint64_t seed : {std::uint64_t{0}, ~std::uint64_t{0}, std::uint64_t{5489}}) {
+    Rng ref(seed);
+    LazyRng lazy(seed);
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(lazy(), ref()) << "seed " << seed;
+  }
 }
 
 // ---------------- latency stats ----------------

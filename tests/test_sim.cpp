@@ -77,6 +77,20 @@ TEST(Simulator, MessageSegmentation) {
                 cfg.nic_latency_ns);
 }
 
+TEST(Simulator, PacketCountDoesNotWrapNear4GiB) {
+  // bytes + packet_bytes - 1 passes 2^32 here. Counted in 32 bits, the
+  // message started with no packets outstanding and never completed.
+  auto g = pair_graph();
+  auto t = routing::Tables::build(g);
+  auto cfg = small_cfg();
+  cfg.packet_bytes = 1u << 31;
+  cfg.vc_buffer_bytes = UINT32_MAX;
+  Simulator sim(g, t, cfg);
+  sim.send(0, 1, 0xFFFFFFFFu, 0.0);  // two packets
+  EXPECT_TRUE(sim.run());
+  EXPECT_EQ(sim.messages_delivered(), 1u);
+}
+
 TEST(Simulator, FifoSerializationUnderContention) {
   // Two sources send to the same destination endpoint: the ejection link
   // serializes; completion reflects the bottleneck.
