@@ -109,10 +109,15 @@ TEST(Dispatch, BudgetStopsFleetGracefullyAndResumesSingleProcess) {
   ASSERT_EQ(run(bench + big + " --threads 1 --json " + rj + " > " + ro +
                 " 2>/dev/null"),
             0);
-  // ~2 s of work, 0.4 s budget: the fleet must stop mid-campaign with
+  // ~2 s of work, 0.2 s budget: the fleet must stop mid-campaign with
   // the resumable exit code and a journal that is a clean line-aligned
-  // prefix of the reference.
-  ASSERT_EQ(run(bench + big + " --workers 2 --max-seconds 0.4 --json " + bj +
+  // prefix of the reference.  A worker checks the budget only between
+  // deliveries and keeps a 16-row window in flight, so it can stop only
+  // before its 48-row slice is fully submitted; `--threads 2` gives each
+  // worker one thread, which keeps that window (and the stop) independent
+  // of the host's core count.
+  ASSERT_EQ(run(bench + big +
+                " --workers 2 --threads 2 --max-seconds 0.2 --json " + bj +
                 " > " + bo + " 2>/dev/null"),
             75);
   const std::string ref = slurp(rj), part = slurp(bj);
