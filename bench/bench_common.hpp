@@ -33,6 +33,7 @@
 #include "topo/lps.hpp"
 #include "topo/slimfly.hpp"
 #include "util/options.hpp"
+#include "util/parallel.hpp"
 #include "util/table.hpp"
 
 namespace sfly::bench {
@@ -154,6 +155,7 @@ inline void write_phase_record(const std::string& path,
   std::fprintf(f,
                "{\n"
                "  \"campaign\": \"%s\",\n"
+               "  \"nproc\": %d,\n"
                "  \"threads\": %u,\n"
                "  \"full\": %s,\n"
                "  \"shard\": [%zu, %zu],\n"
@@ -165,7 +167,8 @@ inline void write_phase_record(const std::string& path,
                "  \"eval_s\": %.3f,\n"
                "  \"wall_s\": %.3f,\n"
                "  \"phases\": [",
-               campaign.c_str(), opts.threads(), opts.full() ? "true" : "false",
+               campaign.c_str(), hardware_threads(), opts.threads(),
+               opts.full() ? "true" : "false",
                ctl.shard_index, ctl.shard_count, total, ctl.replayed,
                ctl.evaluated, ctl.stopped ? "true" : "false",
                artifact_build_s, eval_s, artifact_build_s + eval_s);

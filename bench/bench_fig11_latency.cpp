@@ -7,12 +7,13 @@
 // every subject's layout is independent — a pair-major topology axis of
 // kLayout scenarios fanned over --threads.  The cheap parts (SkyWalk
 // instantiations, Dijkstra latency sweeps over the returned placements)
-// stay bench-side.
+// stay bench-side; the sweeps run on a --threads-wide pool of their own.
 
 #include "bench_common.hpp"
 
 #include "layout/latency.hpp"
 #include "topo/skywalk.hpp"
+#include "util/parallel.hpp"
 
 using namespace sfly;
 
@@ -64,6 +65,7 @@ int main(int argc, char** argv) {
       st != bench::RunStatus::kDone)
     return bench::exit_code(st);
   const auto& layouts = phase.results();
+  TaskPool pool(opts.threads());
 
   for (std::size_t i = 0; i < npairs; ++i) {
     // Shared-size SkyWalk reference, averaged over instantiations.
@@ -79,7 +81,7 @@ int main(int argc, char** argv) {
     for (double sl : switch_lat) {
       double sky_avg = 0, sky_max = 0;
       for (const auto& sky : skies) {
-        auto lat = layout::physical_latency(sky.graph, sky.placement, sl);
+        auto lat = layout::physical_latency(sky.graph, sky.placement, sl, &pool);
         sky_avg += lat.mean_ns;
         sky_max += lat.max_ns;
       }
@@ -95,7 +97,7 @@ int main(int argc, char** argv) {
           continue;
         }
         auto lat = layout::physical_latency(subjects[i][si].graph,
-                                            lay.placement, sl);
+                                            lay.placement, sl, &pool);
         row.push_back(Table::num(lat.mean_ns / sky_avg, 3));
         row.push_back(Table::num(lat.max_ns / sky_max, 3));
       }

@@ -65,7 +65,8 @@ struct ScaleRow {
 
 ScaleRow run_one(const std::string& name, const Graph& g, double graph_s,
                  std::uint32_t cell_size, std::uint64_t ndst,
-                 std::uint64_t nsrc_per_dst, std::uint64_t seed) {
+                 std::uint64_t nsrc_per_dst, std::uint64_t seed,
+                 TaskPool& pool) {
   ScaleRow row;
   row.name = name;
   row.routers = g.num_vertices();
@@ -78,7 +79,7 @@ ScaleRow run_one(const std::string& name, const Graph& g, double graph_s,
   routing::CellIndex::Options o;
   o.max_cell_size = cell_size;
   auto t0 = std::chrono::steady_clock::now();
-  const routing::CellIndex x = routing::CellIndex::build(g, o);
+  const routing::CellIndex x = routing::CellIndex::build(g, o, &pool);
   row.cell_build_s = seconds_since(t0);
   row.num_cells = x.num_cells();
   row.num_boundary = x.num_boundary();
@@ -148,7 +149,7 @@ void print_row(const ScaleRow& r) {
 }
 
 void write_json(const std::string& path, std::uint32_t cell_size, bool full,
-                const std::vector<ScaleRow>& rows) {
+                unsigned threads, const std::vector<ScaleRow>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
@@ -157,10 +158,12 @@ void write_json(const std::string& path, std::uint32_t cell_size, bool full,
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"bench_scale\",\n"
+               "  \"nproc\": %d,\n"
+               "  \"threads\": %u,\n"
                "  \"cell_size\": %u,\n"
                "  \"full\": %s,\n"
                "  \"topologies\": [",
-               cell_size, full ? "true" : "false");
+               hardware_threads(), threads, cell_size, full ? "true" : "false");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ScaleRow& r = rows[i];
     std::fprintf(
@@ -214,10 +217,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(opts.flags().get("--cell-size", 64));
   const std::string out = opts.flags().get_str("--out", "BENCH_scale.json");
   const std::uint64_t seed = opts.seed_or(1);
-#ifdef _OPENMP
-  if (opts.threads() > 0)
-    omp_set_num_threads(static_cast<int>(opts.threads()));
-#endif
+  TaskPool pool(opts.threads());
 
   // --full: the 50k+ sweep this bench exists for.  Default: the paper's
   // simulation-scale pair, same code path in seconds.
@@ -234,10 +234,11 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     const Graph g = t == 0 ? topo::lps_graph(lps) : topo::dragonfly_graph(df);
     const double graph_s = seconds_since(t0);
-    rows.push_back(run_one(name, g, graph_s, cell_size, ndst, nsrc, seed));
+    rows.push_back(
+        run_one(name, g, graph_s, cell_size, ndst, nsrc, seed, pool));
     print_row(rows.back());
   }
-  write_json(out, cell_size, full, rows);
+  write_json(out, cell_size, full, pool.width(), rows);
   std::fprintf(stderr, "# wrote %s\n", out.c_str());
   return 0;
 }

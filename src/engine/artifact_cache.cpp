@@ -19,19 +19,20 @@ std::shared_ptr<const Graph> Artifacts::graph() {
   return graph_;
 }
 
-std::shared_ptr<const routing::Tables> Artifacts::tables() {
-  std::call_once(tables_once_, [this] {
+std::shared_ptr<const routing::Tables> Artifacts::tables(TaskPool* pool) {
+  std::call_once(tables_once_, [this, pool] {
     if (tables_) return;
-    tables_ = std::make_shared<const routing::Tables>(routing::Tables::build(*graph()));
+    tables_ = std::make_shared<const routing::Tables>(
+        routing::Tables::build(*graph(), pool));
   });
   return tables_;
 }
 
-std::shared_ptr<const routing::NextHopIndex> Artifacts::next_hops() {
-  std::call_once(next_hops_once_, [this] {
+std::shared_ptr<const routing::NextHopIndex> Artifacts::next_hops(TaskPool* pool) {
+  std::call_once(next_hops_once_, [this, pool] {
     if (next_hops_) return;
     next_hops_ = std::make_shared<const routing::NextHopIndex>(
-        routing::NextHopIndex::build(*graph(), *tables()));
+        routing::NextHopIndex::build(*graph(), *tables(pool), pool));
   });
   return next_hops_;
 }

@@ -68,8 +68,11 @@ class Artifacts {
   [[nodiscard]] std::uint32_t concentration() const { return concentration_; }
 
   [[nodiscard]] std::shared_ptr<const Graph> graph();
-  [[nodiscard]] std::shared_ptr<const routing::Tables> tables();
-  [[nodiscard]] std::shared_ptr<const routing::NextHopIndex> next_hops();
+  /// `pool` parallelizes the build if this call is the one that builds.
+  [[nodiscard]] std::shared_ptr<const routing::Tables> tables(
+      TaskPool* pool = nullptr);
+  [[nodiscard]] std::shared_ptr<const routing::NextHopIndex> next_hops(
+      TaskPool* pool = nullptr);
   [[nodiscard]] std::shared_ptr<const Spectra> spectra();
 
   /// Scale-adaptive routing artifact: wraps the exact tables at or below

@@ -16,6 +16,7 @@
 #include "engine/dispatch.hpp"
 #include "engine/journal.hpp"
 #include "engine/sink.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -647,6 +648,7 @@ void Campaign::print_plan(std::FILE* out) const {
 
 double Campaign::materialize_artifacts() {
   const auto t0 = std::chrono::steady_clock::now();
+  TaskPool pool(eng_.config().threads);
   std::set<std::string> done;
   for (const auto& ph : phases_) {
     if (ph->deferred()) continue;
@@ -657,8 +659,8 @@ double Campaign::materialize_artifacts() {
       auto art = eng_.artifacts().get(name);
       (void)art->graph();
       if (ph->is_sim()) {
-        (void)art->tables();
-        (void)art->next_hops();
+        (void)art->tables(&pool);
+        (void)art->next_hops(&pool);
       }
     }
   }

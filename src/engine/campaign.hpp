@@ -288,9 +288,9 @@ class Campaign {
   void print_plan(std::FILE* out = stdout) const;
 
   /// Force every phase topology's artifacts to materialize now (sim
-  /// phases: graph + tables + next-hop index; analytic: graph only) and
-  /// record the build wall-clock, so --profile / perf records separate
-  /// one-off construction from scenario evaluation.
+  /// phases: graph + tables + next-hop index, on a pool of the engine's
+  /// width; analytic: graph only) and record the build wall-clock, so
+  /// --profile / perf records separate construction from evaluation.
   double materialize_artifacts();
 
   /// Execute every phase in declaration order.

@@ -15,7 +15,7 @@ namespace sfly {
 
 /// Exact betweenness centrality of every vertex (unnormalized: the number
 /// of shortest paths through v, summed over unordered source/target pairs,
-/// fractional for multiplicities).  OpenMP-parallel over sources.
+/// fractional for multiplicities).  Serial over sources, in source order.
 [[nodiscard]] std::vector<double> betweenness_centrality(const Graph& g);
 
 struct BetweennessSummary {

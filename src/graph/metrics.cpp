@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <numeric>
-
-#include "util/parallel.hpp"
 
 namespace sfly {
 namespace {
@@ -51,61 +48,44 @@ std::vector<std::uint64_t> hop_histogram(const Graph& g, std::span<const Vertex>
   constexpr std::size_t kLanes = 64 * kWords;
   using Lanes = std::array<std::uint64_t, kWords>;
   const Vertex n = g.num_vertices();
-  const auto batches = static_cast<std::int64_t>((sources.size() + kLanes - 1) / kLanes);
   std::vector<std::uint64_t> hist(1, 0);
+  std::vector<Lanes> seen, frontier, next;  // 3 * n * 32 bytes
 
-  // One batch gives one thread all the work; a team would only add a
-  // fork/join per call, and a barrier on descheduled threads is slow on
-  // a loaded machine (BundleFly's hill climb makes thousands of calls).
-#pragma omp parallel if (batches > 1)
-  {
-    std::vector<Lanes> seen, frontier, next;  // 3 * n * 32 bytes per thread
-    std::vector<std::uint64_t> local(1, 0);
-
-#pragma omp for schedule(dynamic, 1)
-    for (std::int64_t b = 0; b < batches; ++b) {
-      const std::size_t first = static_cast<std::size_t>(b) * kLanes;
-      const std::size_t cnt = std::min(kLanes, sources.size() - first);
-      // Lanes past cnt start seen, so they never join a frontier and a
-      // vertex every search has reached is exactly an all-ones word set.
-      Lanes unused{};
-      for (std::size_t i = cnt; i < kLanes; ++i) unused[i / 64] |= std::uint64_t{1} << (i % 64);
-      seen.assign(n, unused);
-      frontier.assign(n, Lanes{});
-      next.resize(n);
-      for (std::size_t i = 0; i < cnt; ++i) {
-        const Vertex s = sources[first + i];
-        const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-        seen[s][i / 64] |= bit;
-        frontier[s][i / 64] |= bit;
-      }
-      for (std::size_t d = 1;; ++d) {
-        std::uint64_t count = 0;
-        for (Vertex v = 0; v < n; ++v) {
-          Lanes& sv = seen[v];
-          Lanes w{};
-          if ((sv[0] & sv[1] & sv[2] & sv[3]) != ~std::uint64_t{0}) {
-            for (Vertex u : g.neighbors(v))
-              for (std::size_t k = 0; k < kWords; ++k) w[k] |= frontier[u][k];
-            for (std::size_t k = 0; k < kWords; ++k) {
-              w[k] &= ~sv[k];
-              sv[k] |= w[k];
-              count += static_cast<std::uint64_t>(std::popcount(w[k]));
-            }
-          }
-          next[v] = w;
-        }
-        if (count == 0) break;
-        if (local.size() <= d) local.resize(d + 1, 0);
-        local[d] += count;
-        frontier.swap(next);
-      }
+  for (std::size_t first = 0; first < sources.size(); first += kLanes) {
+    const std::size_t cnt = std::min(kLanes, sources.size() - first);
+    // Lanes past cnt start seen, so they never join a frontier and a
+    // vertex every search has reached is exactly an all-ones word set.
+    Lanes unused{};
+    for (std::size_t i = cnt; i < kLanes; ++i) unused[i / 64] |= std::uint64_t{1} << (i % 64);
+    seen.assign(n, unused);
+    frontier.assign(n, Lanes{});
+    next.resize(n);
+    for (std::size_t i = 0; i < cnt; ++i) {
+      const Vertex s = sources[first + i];
+      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+      seen[s][i / 64] |= bit;
+      frontier[s][i / 64] |= bit;
     }
-
-#pragma omp critical
-    {
-      if (local.size() > hist.size()) hist.resize(local.size(), 0);
-      for (std::size_t d = 0; d < local.size(); ++d) hist[d] += local[d];
+    for (std::size_t d = 1;; ++d) {
+      std::uint64_t count = 0;
+      for (Vertex v = 0; v < n; ++v) {
+        Lanes& sv = seen[v];
+        Lanes w{};
+        if ((sv[0] & sv[1] & sv[2] & sv[3]) != ~std::uint64_t{0}) {
+          for (Vertex u : g.neighbors(v))
+            for (std::size_t k = 0; k < kWords; ++k) w[k] |= frontier[u][k];
+          for (std::size_t k = 0; k < kWords; ++k) {
+            w[k] &= ~sv[k];
+            sv[k] |= w[k];
+            count += static_cast<std::uint64_t>(std::popcount(w[k]));
+          }
+        }
+        next[v] = w;
+      }
+      if (count == 0) break;
+      if (hist.size() <= d) hist.resize(d + 1, 0);
+      hist[d] += count;
+      frontier.swap(next);
     }
   }
   return hist;
@@ -134,52 +114,38 @@ DistanceStats distance_stats(const Graph& g) {
 
 std::uint32_t girth(const Graph& g) {
   const Vertex n = g.num_vertices();
-  std::atomic<std::uint32_t> best{std::numeric_limits<std::uint32_t>::max()};
+  std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::int32_t> dist(n);
+  std::vector<Vertex> parent(n);
+  std::vector<Vertex> queue;
+  queue.reserve(n);
 
-#pragma omp parallel
-  {
-    std::vector<std::int32_t> dist(n);
-    std::vector<Vertex> parent(n);
-    std::vector<Vertex> queue;
-    queue.reserve(n);
-
-#pragma omp for schedule(dynamic, 16)
-    for (std::int64_t s = 0; s < static_cast<std::int64_t>(n); ++s) {
-      std::uint32_t bound = best.load(std::memory_order_relaxed);
-      if (bound == 3) continue;  // cannot improve
-      // BFS from s; a non-tree edge (u,v) closes a cycle through s of
-      // length dist[u] + dist[v] + 1 (>= girth; the minimum over all roots
-      // is exact).
-      std::fill(dist.begin(), dist.end(), kUnreachable);
-      queue.clear();
-      queue.push_back(static_cast<Vertex>(s));
-      dist[s] = 0;
-      parent[s] = static_cast<Vertex>(s);
-      std::uint32_t local = bound;
-      for (std::size_t head = 0; head < queue.size(); ++head) {
-        Vertex u = queue[head];
-        // Depth pruning: any cycle found deeper cannot beat `local`.
-        if (2 * static_cast<std::uint32_t>(dist[u]) + 1 >= local) break;
-        for (Vertex v : g.neighbors(u)) {
-          if (dist[v] == kUnreachable) {
-            dist[v] = dist[u] + 1;
-            parent[v] = u;
-            queue.push_back(v);
-          } else if (v != parent[u]) {
-            std::uint32_t len = static_cast<std::uint32_t>(dist[u] + dist[v]) + 1;
-            local = std::min(local, len);
-          }
+  for (Vertex s = 0; s < n && best > 3; ++s) {  // 3 cannot improve
+    // BFS from s; a non-tree edge (u,v) closes a cycle through s of
+    // length dist[u] + dist[v] + 1 (>= girth; the minimum over all roots
+    // is exact).
+    std::fill(dist.begin(), dist.end(), kUnreachable);
+    queue.clear();
+    queue.push_back(s);
+    dist[s] = 0;
+    parent[s] = s;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      Vertex u = queue[head];
+      // Depth pruning: any cycle found deeper cannot beat `best`.
+      if (2 * static_cast<std::uint32_t>(dist[u]) + 1 >= best) break;
+      for (Vertex v : g.neighbors(u)) {
+        if (dist[v] == kUnreachable) {
+          dist[v] = dist[u] + 1;
+          parent[v] = u;
+          queue.push_back(v);
+        } else if (v != parent[u]) {
+          std::uint32_t len = static_cast<std::uint32_t>(dist[u] + dist[v]) + 1;
+          best = std::min(best, len);
         }
-      }
-      // Publish improvement.
-      std::uint32_t cur = best.load(std::memory_order_relaxed);
-      while (local < cur &&
-             !best.compare_exchange_weak(cur, local, std::memory_order_relaxed)) {
       }
     }
   }
-  std::uint32_t b = best.load();
-  return b == std::numeric_limits<std::uint32_t>::max() ? 0 : b;
+  return best == std::numeric_limits<std::uint32_t>::max() ? 0 : best;
 }
 
 std::uint32_t num_components(const Graph& g) {

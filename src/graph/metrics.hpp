@@ -7,9 +7,9 @@
 // every vertex holds seen/frontier/next bitsets of 4 x 64-bit words.  A
 // level is one pull sweep over the CSR, next[v] = OR of frontier[u] over
 // neighbors u, minus seen[v]; its popcount is that level's pair count, and
-// a batch ends at the first empty level.  Batches are OpenMP-parallel
-// (dynamic, one batch at a time) with 3 * n * 32 bytes of scratch per
-// thread.  girth and the single-source routines stay scalar BFS.
+// a batch ends at the first empty level.  Batches run serially over
+// 3 * n * 32 bytes of scratch (campaigns run scenarios in parallel).
+// girth and the single-source routines stay scalar BFS.
 
 #include <cstdint>
 #include <limits>

@@ -5,6 +5,7 @@
 
 #include "graph/graph.hpp"
 #include "layout/cabinets.hpp"
+#include "util/parallel.hpp"
 
 namespace sfly::layout {
 
@@ -15,10 +16,12 @@ struct LatencyStatsPhys {
   double max_ns = 0.0;   // end-to-end (weighted diameter)
 };
 
-/// All-pairs minimum-latency paths (Dijkstra per source, OpenMP parallel).
+/// All-pairs minimum-latency paths (Dijkstra per source, parallel over
+/// sources on `pool`; the same bits at any width).
 /// Each hop costs wire_length * 5 ns + switch_latency_ns.
 [[nodiscard]] LatencyStatsPhys physical_latency(const Graph& g,
                                                 const Placement& placement,
-                                                double switch_latency_ns);
+                                                double switch_latency_ns,
+                                                TaskPool* pool = nullptr);
 
 }  // namespace sfly::layout

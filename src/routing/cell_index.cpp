@@ -22,7 +22,8 @@ CellIndex CellIndex::wrap_exact(std::shared_ptr<const Tables> tables) {
   return x;
 }
 
-CellIndex CellIndex::build(const Graph& g, const Options& opts) {
+CellIndex CellIndex::build(const Graph& g, const Options& opts,
+                           TaskPool* pool) {
   if (opts.max_cell_size == 0 || opts.max_cell_size > 255)
     throw std::invalid_argument(
         "CellIndex::build: max_cell_size must be in [1, 255]");
@@ -106,33 +107,33 @@ CellIndex CellIndex::build(const Graph& g, const Options& opts) {
   // same-cell neighbors.  0xFF = unreachable within the cell (the common
   // case on expanders, whose cells are near-edgeless inside).
   std::vector<std::uint8_t> intra(intra_offsets[C], 0xFF);
-#pragma omp parallel for schedule(dynamic, 16)
-  for (std::int64_t ci = 0; ci < static_cast<std::int64_t>(C); ++ci) {
-    const std::uint32_t c = static_cast<std::uint32_t>(ci);
-    const std::uint32_t off = part.cell_offsets[c];
-    const std::uint32_t s = part.cell_size(c);
-    std::uint8_t* mat = intra.data() + intra_offsets[c];
+  TaskPool::parallel_for(pool, C, 16, [&](std::size_t lo, std::size_t hi) {
     std::vector<std::uint16_t> queue;
-    queue.reserve(s);
-    for (std::uint32_t i = 0; i < s; ++i) {
-      std::uint8_t* row = mat + static_cast<std::size_t>(i) * s;
-      queue.clear();
-      queue.push_back(static_cast<std::uint16_t>(i));
-      row[i] = 0;
-      for (std::size_t head = 0; head < queue.size(); ++head) {
-        const std::uint32_t lu = queue[head];
-        const Vertex u = part.members[off + lu];
-        for (Vertex w : g.neighbors(u)) {
-          if (part.cell_of[w] != c) continue;
-          const std::uint16_t lw = local_index[w];
-          if (row[lw] == 0xFF) {
-            row[lw] = static_cast<std::uint8_t>(row[lu] + 1);
-            queue.push_back(lw);
+    for (auto c = static_cast<std::uint32_t>(lo); c < hi; ++c) {
+      const std::uint32_t off = part.cell_offsets[c];
+      const std::uint32_t s = part.cell_size(c);
+      std::uint8_t* mat = intra.data() + intra_offsets[c];
+      queue.reserve(s);
+      for (std::uint32_t i = 0; i < s; ++i) {
+        std::uint8_t* row = mat + static_cast<std::size_t>(i) * s;
+        queue.clear();
+        queue.push_back(static_cast<std::uint16_t>(i));
+        row[i] = 0;
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+          const std::uint32_t lu = queue[head];
+          const Vertex u = part.members[off + lu];
+          for (Vertex w : g.neighbors(u)) {
+            if (part.cell_of[w] != c) continue;
+            const std::uint16_t lw = local_index[w];
+            if (row[lw] == 0xFF) {
+              row[lw] = static_cast<std::uint8_t>(row[lu] + 1);
+              queue.push_back(lw);
+            }
           }
         }
       }
     }
-  }
+  });
 
   // Boundary vertices (members with an out-of-cell edge), per cell in
   // ascending local order; an overlay node id is simply the entry's index
@@ -166,61 +167,44 @@ CellIndex CellIndex::build(const Graph& g, const Options& opts) {
 
   // Overlay adjacency: same-cell boundary pairs with a finite
   // cell-restricted distance (weight = that distance) plus the original
-  // cut edges (weight 1).  Cut neighbors are boundary by symmetry.
+  // cut edges (weight 1).  Cut neighbors are boundary by symmetry.  The
+  // count and fill passes share one walk: edge(target, weight) for each
+  // overlay edge of boundary entry bi of cell c, in storage order.
+  auto overlay_edges = [&](std::uint32_t c, std::uint32_t bi, auto&& edge) {
+    const std::uint16_t bl = boundary_local[bi];
+    const std::uint8_t* row = intra.data() + intra_offsets[c] +
+                              static_cast<std::size_t>(bl) * part.cell_size(c);
+    for (std::uint32_t bj = boundary_offsets[c]; bj < boundary_offsets[c + 1];
+         ++bj)
+      if (bj != bi && row[boundary_local[bj]] != 0xFF)
+        edge(bj, row[boundary_local[bj]]);
+    for (Vertex w : g.neighbors(part.members[part.cell_offsets[c] + bl]))
+      if (part.cell_of[w] != c) edge(overlay_id[w], std::uint8_t{1});
+  };
   std::vector<std::uint32_t> ov_offsets(static_cast<std::size_t>(B) + 1, 0);
-  {
-    std::uint64_t total = 0;
-    for (std::uint32_t c = 0; c < C; ++c) {
-      const std::uint32_t off = part.cell_offsets[c];
-      const std::uint32_t s = part.cell_size(c);
-      const std::uint8_t* mat = intra.data() + intra_offsets[c];
-      for (std::uint32_t bi = boundary_offsets[c]; bi < boundary_offsets[c + 1];
-           ++bi) {
-        const std::uint16_t bl = boundary_local[bi];
-        const std::uint8_t* row = mat + static_cast<std::size_t>(bl) * s;
-        std::uint32_t deg = 0;
-        for (std::uint32_t bj = boundary_offsets[c];
-             bj < boundary_offsets[c + 1]; ++bj)
-          if (bj != bi && row[boundary_local[bj]] != 0xFF) ++deg;
-        for (Vertex w : g.neighbors(part.members[off + bl]))
-          if (part.cell_of[w] != c) ++deg;
-        total += deg;
-        if (total > 0xFFFFFFFFull)
-          throw std::runtime_error("routing::CellIndex: overlay overflow");
-        ov_offsets[bi + 1] = static_cast<std::uint32_t>(total);
-      }
-    }
-  }
-  std::vector<std::uint32_t> ov_adj(ov_offsets[B]);
-  std::vector<std::uint8_t> ov_w(ov_offsets[B]);
-#pragma omp parallel for schedule(dynamic, 64)
-  for (std::int64_t ci = 0; ci < static_cast<std::int64_t>(C); ++ci) {
-    const std::uint32_t c = static_cast<std::uint32_t>(ci);
-    const std::uint32_t off = part.cell_offsets[c];
-    const std::uint32_t s = part.cell_size(c);
-    const std::uint8_t* mat = intra.data() + intra_offsets[c];
+  std::uint64_t total = 0;
+  for (std::uint32_t c = 0; c < C; ++c)
     for (std::uint32_t bi = boundary_offsets[c]; bi < boundary_offsets[c + 1];
          ++bi) {
-      const std::uint16_t bl = boundary_local[bi];
-      const std::uint8_t* row = mat + static_cast<std::size_t>(bl) * s;
-      std::uint32_t e = ov_offsets[bi];
-      for (std::uint32_t bj = boundary_offsets[c]; bj < boundary_offsets[c + 1];
-           ++bj) {
-        if (bj == bi) continue;
-        const std::uint8_t d = row[boundary_local[bj]];
-        if (d == 0xFF) continue;
-        ov_adj[e] = bj;
-        ov_w[e] = d;
-        ++e;
-      }
-      for (Vertex w : g.neighbors(part.members[off + bl])) {
-        if (part.cell_of[w] == c) continue;
-        ov_adj[e] = overlay_id[w];
-        ov_w[e] = 1;
-        ++e;
-      }
+      overlay_edges(c, bi, [&](std::uint32_t, std::uint8_t) { ++total; });
+      if (total > 0xFFFFFFFFull)
+        throw std::runtime_error("routing::CellIndex: overlay overflow");
+      ov_offsets[bi + 1] = static_cast<std::uint32_t>(total);
     }
-  }
+  std::vector<std::uint32_t> ov_adj(ov_offsets[B]);
+  std::vector<std::uint8_t> ov_w(ov_offsets[B]);
+  TaskPool::parallel_for(pool, C, 64, [&](std::size_t lo, std::size_t hi) {
+    for (auto c = static_cast<std::uint32_t>(lo); c < hi; ++c)
+      for (std::uint32_t bi = boundary_offsets[c];
+           bi < boundary_offsets[c + 1]; ++bi) {
+        std::uint32_t e = ov_offsets[bi];
+        overlay_edges(c, bi, [&](std::uint32_t to, std::uint8_t w) {
+          ov_adj[e] = to;
+          ov_w[e] = w;
+          ++e;
+        });
+      }
+  });
 
   x.cell_of_ = std::move(part.cell_of);
   x.cell_offsets_ = std::move(part.cell_offsets);

@@ -144,8 +144,9 @@ class CellIndex {
 
   /// Partition + per-cell matrices + boundary overlay.  Throws if the
   /// graph is disconnected (like Tables::build) or the options are out of
-  /// range.  OpenMP-parallel over cells.
-  static CellIndex build(const Graph& g, const Options& opts);
+  /// range.  Parallel over cells on `pool`.
+  static CellIndex build(const Graph& g, const Options& opts,
+                         TaskPool* pool = nullptr);
   static CellIndex build(const Graph& g) { return build(g, Options{}); }
 
   /// Exact mode: share an already-built all-pairs table and delegate every

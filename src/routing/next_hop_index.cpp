@@ -12,7 +12,8 @@ std::atomic<std::uint64_t> g_index_builds{0};
 
 std::uint64_t NextHopIndex::builds() { return g_index_builds.load(); }
 
-NextHopIndex NextHopIndex::build(const Graph& g, const Tables& tables) {
+NextHopIndex NextHopIndex::build(const Graph& g, const Tables& tables,
+                                 TaskPool* pool) {
   g_index_builds.fetch_add(1, std::memory_order_relaxed);
   const Vertex n = g.num_vertices();
   if (tables.num_vertices() != n)
@@ -27,20 +28,25 @@ NextHopIndex NextHopIndex::build(const Graph& g, const Tables& tables) {
   const std::size_t rows = static_cast<std::size_t>(n) * n;
   std::vector<std::uint32_t> offsets(rows + 1, 0);
 
+  // Calls row(r, nb, v, du) for every (u, v != u) row r with u in [lo, hi).
+  auto rows_of = [&](std::size_t lo, std::size_t hi, auto&& row) {
+    for (std::size_t u = lo; u < hi; ++u) {
+      const auto nb = g.neighbors(static_cast<Vertex>(u));
+      for (Vertex v = 0; v < n; ++v)
+        if (u != v) row(u * n + v, nb, v, tables.distance(static_cast<Vertex>(u), v));
+    }
+  };
+
   // Pass 1: per-row counts (written as offsets_[row + 1] so the prefix sum
   // below lands each row's base at offsets_[row]).
-#pragma omp parallel for schedule(dynamic, 8)
-  for (std::int64_t u = 0; u < static_cast<std::int64_t>(n); ++u) {
-    const auto nb = g.neighbors(static_cast<Vertex>(u));
-    for (Vertex v = 0; v < n; ++v) {
-      if (static_cast<Vertex>(u) == v) continue;
-      const std::uint8_t du = tables.distance(static_cast<Vertex>(u), v);
+  TaskPool::parallel_for(pool, n, 8, [&](std::size_t lo, std::size_t hi) {
+    rows_of(lo, hi, [&](std::size_t r, auto nb, Vertex v, std::uint8_t du) {
       std::uint32_t c = 0;
       for (Vertex w : nb)
         if (tables.distance(w, v) + 1 == du) ++c;
-      offsets[static_cast<std::size_t>(u) * n + v + 1] = c;
-    }
-  }
+      offsets[r + 1] = c;
+    });
+  });
   for (std::size_t r = 0; r < rows; ++r) offsets[r + 1] += offsets[r];
 
   const std::size_t entries = offsets[rows];
@@ -48,13 +54,9 @@ NextHopIndex NextHopIndex::build(const Graph& g, const Tables& tables) {
   std::vector<std::uint16_t> slots(entries);
 
   // Pass 2: fill, preserving adjacency (= scan) order within each row.
-#pragma omp parallel for schedule(dynamic, 8)
-  for (std::int64_t u = 0; u < static_cast<std::int64_t>(n); ++u) {
-    const auto nb = g.neighbors(static_cast<Vertex>(u));
-    for (Vertex v = 0; v < n; ++v) {
-      if (static_cast<Vertex>(u) == v) continue;
-      const std::uint8_t du = tables.distance(static_cast<Vertex>(u), v);
-      std::uint32_t at = offsets[static_cast<std::size_t>(u) * n + v];
+  TaskPool::parallel_for(pool, n, 8, [&](std::size_t lo, std::size_t hi) {
+    rows_of(lo, hi, [&](std::size_t r, auto nb, Vertex v, std::uint8_t du) {
+      std::uint32_t at = offsets[r];
       for (std::size_t s = 0; s < nb.size(); ++s) {
         if (tables.distance(nb[s], v) + 1 == du) {
           verts[at] = nb[s];
@@ -62,8 +64,8 @@ NextHopIndex NextHopIndex::build(const Graph& g, const Tables& tables) {
           ++at;
         }
       }
-    }
-  }
+    });
+  });
   idx.offsets_ = std::move(offsets);
   idx.verts_ = std::move(verts);
   idx.slots_ = std::move(slots);

@@ -41,10 +41,11 @@ class NextHopIndex {
     std::uint32_t count = 0;
   };
 
-  /// Scan every (u, v) pair once (OpenMP-parallel over sources).  Throws
+  /// Scan every (u, v) pair once (parallel over sources on `pool`).  Throws
   /// if `tables` was not built over `g` (size mismatch) or a radix
   /// exceeds the uint16 slot range.
-  static NextHopIndex build(const Graph& g, const Tables& tables);
+  static NextHopIndex build(const Graph& g, const Tables& tables,
+                            TaskPool* pool = nullptr);
 
   /// Zero-copy view over externally owned CSR arrays (e.g. an mmap'd
   /// snapshot): `offsets` must hold n*n+1 entries, `verts`/`slots` the

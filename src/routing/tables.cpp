@@ -1,5 +1,6 @@
 #include "routing/tables.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/parallel.hpp"
@@ -12,54 +13,43 @@ std::atomic<std::uint64_t> g_table_builds{0};
 
 std::uint64_t Tables::builds() { return g_table_builds.load(); }
 
-Tables Tables::build(const Graph& g) {
+Tables Tables::build(const Graph& g, TaskPool* pool) {
   g_table_builds.fetch_add(1, std::memory_order_relaxed);
   Tables t;
   const Vertex n = g.num_vertices();
   t.n_ = n;
   std::vector<std::uint8_t> dist_mat(static_cast<std::size_t>(n) * n, 0xFF);
 
-  std::uint8_t diameter = 0;
-  bool overflow = false, disconnected = false;
-#pragma omp parallel
-  {
-    std::vector<Vertex> queue;
-    queue.reserve(n);
-    std::uint8_t local_diam = 0;
-    bool local_over = false, local_disc = false;
-#pragma omp for schedule(dynamic, 8)
-    for (std::int64_t s = 0; s < static_cast<std::int64_t>(n); ++s) {
-      std::uint8_t* dist = dist_mat.data() + static_cast<std::size_t>(s) * n;
-      queue.clear();
-      queue.push_back(static_cast<Vertex>(s));
-      dist[s] = 0;
-      for (std::size_t head = 0; head < queue.size(); ++head) {
-        Vertex u = queue[head];
-        std::uint8_t du = dist[u];
-        if (du >= 0xFE) {
-          local_over = true;
-          break;
-        }
-        for (Vertex v : g.neighbors(u)) {
-          if (dist[v] == 0xFF) {
-            dist[v] = static_cast<std::uint8_t>(du + 1);
-            if (dist[v] > local_diam) local_diam = dist[v];
-            queue.push_back(v);
+  // A chunk that fails throws; parallel_for rethrows the lowest one's.
+  const auto diameters = TaskPool::parallel_for(
+      pool, n, 8, [&](std::size_t lo, std::size_t hi) {
+        std::uint8_t diameter = 0;
+        std::vector<Vertex> queue;
+        queue.reserve(n);
+        for (std::size_t s = lo; s < hi; ++s) {
+          std::uint8_t* dist = dist_mat.data() + s * n;
+          queue.clear();
+          queue.push_back(static_cast<Vertex>(s));
+          dist[s] = 0;
+          for (std::size_t head = 0; head < queue.size(); ++head) {
+            Vertex u = queue[head];
+            std::uint8_t du = dist[u];
+            if (du >= 0xFE)
+              throw std::runtime_error("routing::Tables: distance overflow");
+            for (Vertex v : g.neighbors(u)) {
+              if (dist[v] == 0xFF) {
+                dist[v] = static_cast<std::uint8_t>(du + 1);
+                if (dist[v] > diameter) diameter = dist[v];
+                queue.push_back(v);
+              }
+            }
           }
+          if (queue.size() != n)
+            throw std::runtime_error("routing::Tables: graph disconnected");
         }
-      }
-      if (queue.size() != n) local_disc = true;
-    }
-#pragma omp critical
-    {
-      if (local_diam > diameter) diameter = local_diam;
-      overflow = overflow || local_over;
-      disconnected = disconnected || local_disc;
-    }
-  }
-  if (overflow) throw std::runtime_error("routing::Tables: distance overflow");
-  if (disconnected) throw std::runtime_error("routing::Tables: graph disconnected");
-  t.diameter_ = diameter;
+        return diameter;
+      });
+  t.diameter_ = diameters.empty() ? 0 : *std::ranges::max_element(diameters);
   t.dist_ = std::move(dist_mat);
   return t;
 }

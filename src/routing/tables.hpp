@@ -14,14 +14,15 @@
 
 #include "graph/graph.hpp"
 #include "util/owned_span.hpp"
+#include "util/parallel.hpp"
 
 namespace sfly::routing {
 
 class Tables {
  public:
-  /// Parallel BFS from every vertex. Throws if any distance exceeds 255 or
-  /// the graph is disconnected.
-  static Tables build(const Graph& g);
+  /// BFS from every vertex (parallel over sources on `pool`). Throws if
+  /// any distance exceeds 255 or the graph is disconnected.
+  static Tables build(const Graph& g, TaskPool* pool = nullptr);
 
   /// Zero-copy view over an externally owned n*n distance matrix (e.g. an
   /// mmap'd snapshot).  The memory must outlive the Tables and every copy.

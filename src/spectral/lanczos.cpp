@@ -23,10 +23,9 @@ void axpy(std::vector<double>& y, double alpha, const std::vector<double>& x) {
 
 void spmv(const Graph& g, const std::vector<double>& x, std::vector<double>& y) {
   const Vertex n = g.num_vertices();
-#pragma omp parallel for schedule(static)
-  for (std::int64_t u = 0; u < static_cast<std::int64_t>(n); ++u) {
+  for (Vertex u = 0; u < n; ++u) {
     double s = 0.0;
-    for (Vertex v : g.neighbors(static_cast<Vertex>(u))) s += x[v];
+    for (Vertex v : g.neighbors(u)) s += x[v];
     y[u] = s;
   }
 }

@@ -204,15 +204,16 @@ StandardOptions::StandardOptions(int argc, char** argv, Spec spec)
                   f.takes_value ? "<value>  " : "", f.help.c_str());
     std::exit(0);
   }
-  // The historical bench banner, byte for byte: headline, the --full
-  // line, then the bench's verbatim extra lines.
-  std::printf("# %s\n#   --full   run the exact paper-scale configuration\n%s\n",
-              spec.banner, spec.extra_usage);
-
   // From here on a SIGTERM/SIGINT is a graceful stop request: finish at
   // the next row boundary, flush sinks, exit 75 with the journal
   // resumable — the operator-initiated twin of --max-seconds.
   engine::install_stop_signal_handlers();
+
+  // The historical bench banner, byte for byte (headline, --full line, the
+  // bench's extra lines), flushed: a non-empty stdout means handlers are set.
+  std::printf("# %s\n#   --full   run the exact paper-scale configuration\n%s\n",
+              spec.banner, spec.extra_usage);
+  std::fflush(stdout);
 
   if (flags_.has("--resume") && flags_.has("--json")) {
     std::fprintf(stderr,

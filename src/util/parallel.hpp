@@ -1,35 +1,31 @@
 #pragma once
-// Parallel-execution utilities.
+// Parallel-execution utilities: the library's one thread runtime.
 //
-// TaskPool is a small fixed-width thread pool built on std::thread so the
-// library parallelizes without OpenMP; the OpenMP query helpers remain for
-// the pragma-parallel analytics (metrics, routing-table BFS).  A pool of
-// width <= 1 executes tasks inline at submit time, which makes serial and
-// parallel runs of independent, explicitly-seeded tasks bitwise identical.
+// TaskPool is a small fixed-width thread pool built on std::thread; its
+// width (--threads, EngineConfig::threads) bounds every worker thread the
+// library starts.  A pool of width <= 1 executes tasks inline at submit
+// time, which makes serial and parallel runs of independent,
+// explicitly-seeded tasks bitwise identical.
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <exception>
 #include <functional>
+#include <latch>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace sfly {
 
 inline int hardware_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
   unsigned n = std::thread::hardware_concurrency();
   return n ? static_cast<int>(n) : 1;
-#endif
 }
 
 /// Fixed-width FIFO task pool.  Tasks must be independent; submission order
@@ -100,22 +96,63 @@ class TaskPool {
     }
   }
 
-  /// Run fn(i) for i in [0, n), statically chunked across the pool, and
-  /// wait for completion.
+  /// Run fn(lo, hi) over [0, n) in chunks of `grain` indices, whose bounds
+  /// never depend on the pool width; a non-void fn's results come back in
+  /// chunk order, so reducing them in that order gives the same bits at
+  /// any width.  Runs in order on the caller without a pool, at width 1,
+  /// or on one of pool's own workers (where blocking could deadlock).
+  /// Rethrows the lowest throwing chunk's exception.
   template <typename F>
-  void parallel_for(std::size_t n, F&& fn) {
-    if (n == 0) return;
-    const std::size_t chunks = std::min<std::size_t>(n, width() * 4u);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t lo = n * c / chunks, hi = n * (c + 1) / chunks;
-      submit([lo, hi, &fn] {
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      });
+  static auto parallel_for(TaskPool* pool, std::size_t n, std::size_t grain,
+                           F&& fn) {
+    grain = std::max<std::size_t>(grain, 1);
+    const std::size_t chunks = (n + grain - 1) / grain;
+    auto chunk = [&](std::size_t c) {
+      return fn(c * grain, std::min(n, (c + 1) * grain));
+    };
+    if (pool && (pool->workers_.empty() || current_pool_ == pool))
+      pool = nullptr;
+    if constexpr (std::is_void_v<decltype(chunk(0))>) {
+      run_chunks(pool, chunks, chunk);
+    } else {
+      static_assert(!std::is_same_v<decltype(chunk(0)), bool>,
+                    "vector<bool> slots share bytes across chunks");
+      std::vector<decltype(chunk(0))> out(chunks);
+      run_chunks(pool, chunks, [&](std::size_t c) { out[c] = chunk(c); });
+      return out;
     }
-    wait();
   }
 
  private:
+  // The caller and up to width - 1 helper tasks claim chunks off a shared
+  // counter, so the caller starts at once instead of waiting for workers.
+  static void run_chunks(TaskPool* pool, std::size_t chunks,
+                         const std::function<void(std::size_t)>& body) {
+    std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors(chunks);
+    auto drain = [&] {
+      for (std::size_t c; (c = next.fetch_add(1)) < chunks;) {
+        try {
+          body(c);
+        } catch (...) {
+          errors[c] = std::current_exception();
+        }
+      }
+    };
+    const std::size_t helpers =
+        pool && chunks > 1 ? std::min(chunks, pool->workers_.size()) - 1 : 0;
+    std::latch done(static_cast<std::ptrdiff_t>(helpers));
+    for (std::size_t h = 0; h < helpers; ++h)
+      pool->submit([&] {
+        drain();
+        done.count_down();
+      });
+    drain();
+    done.wait();
+    for (const auto& e : errors)
+      if (e) std::rethrow_exception(e);
+  }
+
   void run_one(const std::function<void()>& task) {
     try {
       task();
@@ -126,6 +163,7 @@ class TaskPool {
   }
 
   void worker_loop() {
+    current_pool_ = this;
     for (;;) {
       std::function<void()> task;
       {
@@ -142,6 +180,9 @@ class TaskPool {
       }
     }
   }
+
+  // The pool whose worker_loop the calling thread runs (null elsewhere).
+  static inline thread_local const TaskPool* current_pool_ = nullptr;
 
   std::vector<std::thread> workers_;
   std::mutex mu_;

@@ -18,6 +18,7 @@
 #include "routing/policy.hpp"
 #include "routing/tables.hpp"
 #include "topo/factory.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace sfly::routing {
@@ -163,6 +164,37 @@ TEST(CellIndex, DeterministicForSeed) {
                          vb.intra.end()));
   EXPECT_TRUE(std::equal(va.ov_adj.begin(), va.ov_adj.end(), vb.ov_adj.begin(),
                          vb.ov_adj.end()));
+}
+
+TEST(CellIndex, BitwiseEqualAtEveryPoolWidth) {
+  // ~90 cells: several chunks in both pooled regions (16 and 64 cells).
+  const Graph g = random_connected_graph(700, 1400, 3);
+  const CellIndex ref = CellIndex::build(g, tiny_cells(3));
+  const auto a = ref.views();
+  ASSERT_GT(a.num_cells, 64u);
+  auto same = [](auto x, auto y) { return std::ranges::equal(x, y); };
+  for (unsigned w : {1u, 2u, 4u}) {
+    SCOPED_TRACE("width " + std::to_string(w));
+    TaskPool pool(w);
+    const CellIndex x = CellIndex::build(g, tiny_cells(3), &pool);
+    const auto b = x.views();
+    EXPECT_EQ(b.num_cells, a.num_cells);
+    EXPECT_EQ(b.num_boundary, a.num_boundary);
+    EXPECT_EQ(b.diameter_bound, a.diameter_bound);
+    EXPECT_TRUE(same(b.cell_of, a.cell_of));
+    EXPECT_TRUE(same(b.cell_offsets, a.cell_offsets));
+    EXPECT_TRUE(same(b.members, a.members));
+    EXPECT_TRUE(same(b.local_index, a.local_index));
+    EXPECT_TRUE(same(b.intra_offsets, a.intra_offsets));
+    EXPECT_TRUE(same(b.intra, a.intra));
+    EXPECT_TRUE(same(b.boundary_offsets, a.boundary_offsets));
+    EXPECT_TRUE(same(b.boundary_local, a.boundary_local));
+    EXPECT_TRUE(same(b.overlay_id, a.overlay_id));
+    EXPECT_TRUE(same(b.overlay_vertex, a.overlay_vertex));
+    EXPECT_TRUE(same(b.ov_offsets, a.ov_offsets));
+    EXPECT_TRUE(same(b.ov_adj, a.ov_adj));
+    EXPECT_TRUE(same(b.ov_w, a.ov_w));
+  }
 }
 
 TEST(CellIndex, ArtifactsWrapExactBelowThreshold) {

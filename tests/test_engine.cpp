@@ -52,8 +52,75 @@ std::vector<Scenario> mixed_batch() {
 TEST(TaskPool, ParallelForCoversRangeOnce) {
   TaskPool pool(4);
   std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i]++; });
+  TaskPool::parallel_for(&pool, hits.size(), 7,
+                         [&](std::size_t lo, std::size_t hi) {
+                           for (std::size_t i = lo; i < hi; ++i) hits[i]++;
+                         });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(TaskPool, ParallelForChunksDependOnlyOnSizeAndGrain) {
+  // The chunk bounds, and the order the per-chunk results come back in,
+  // are the same with no pool and at every width.
+  using Bounds = std::pair<std::size_t, std::size_t>;
+  auto bounds = [](TaskPool* pool) {
+    return TaskPool::parallel_for(
+        pool, 23, 5, [](std::size_t lo, std::size_t hi) { return Bounds{lo, hi}; });
+  };
+  const std::vector<Bounds> want{{0, 5}, {5, 10}, {10, 15}, {15, 20}, {20, 23}};
+  EXPECT_EQ(bounds(nullptr), want);
+  for (unsigned w : {1u, 2u, 4u}) {
+    TaskPool pool(w);
+    EXPECT_EQ(bounds(&pool), want) << "width " << w;
+  }
+  EXPECT_TRUE(TaskPool::parallel_for(nullptr, 0, 5, [](std::size_t, std::size_t) {
+                return 1;
+              }).empty());
+}
+
+TEST(TaskPool, ParallelForAtWidthOneRunsOnTheCaller) {
+  TaskPool pool(1);
+  const auto ids = TaskPool::parallel_for(
+      &pool, 100, 3, [](std::size_t, std::size_t) { return std::this_thread::get_id(); });
+  ASSERT_EQ(ids.size(), 34u);
+  for (const auto& id : ids) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(TaskPool, ParallelForFromOwnWorkerRunsInline) {
+  // Blocking a worker on chunks queued behind it could deadlock the pool
+  // (here every worker would wait); from a worker the chunks run inline.
+  TaskPool pool(2);
+  std::vector<std::vector<std::thread::id>> seen(2);
+  std::vector<std::thread::id> self(2);
+  for (std::size_t t = 0; t < 2; ++t)
+    pool.submit([&, t] {
+      self[t] = std::this_thread::get_id();
+      seen[t] = TaskPool::parallel_for(&pool, 64, 4, [](std::size_t, std::size_t) {
+        return std::this_thread::get_id();
+      });
+    });
+  pool.wait();
+  for (std::size_t t = 0; t < 2; ++t) {
+    ASSERT_EQ(seen[t].size(), 16u);
+    for (const auto& id : seen[t]) EXPECT_EQ(id, self[t]);
+  }
+}
+
+TEST(TaskPool, ParallelForRethrowsLowestThrowingChunk) {
+  TaskPool pool(4);
+  auto body = [](std::size_t lo, std::size_t) {
+    if (lo >= 8) throw std::runtime_error("chunk " + std::to_string(lo / 4));
+  };
+  for (TaskPool* p : {static_cast<TaskPool*>(nullptr), &pool}) {
+    try {
+      TaskPool::parallel_for(p, 40, 4, body);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "chunk 2");
+    }
+  }
+  // The pool's own error slot stays clean: wait() has nothing to rethrow.
+  EXPECT_NO_THROW(pool.wait());
 }
 
 TEST(TaskPool, WaitRethrowsTaskException) {

@@ -8,6 +8,7 @@
 #include "layout/wiring.hpp"
 #include "topo/lps.hpp"
 #include "topo/slimfly.hpp"
+#include "util/parallel.hpp"
 
 namespace sfly::layout {
 namespace {
@@ -125,6 +126,24 @@ TEST(PhysicalLatency, PrefersShortDetourOverLongDirect) {
   // 0-2 direct: (4 + 58) * 5ns = 310. 0-1-2: (6 + 60)*5 = 330 + extra switch.
   auto fast_switch = physical_latency(g, p, 1.0);
   EXPECT_NEAR(fast_switch.max_ns, 312.0, 1.0);  // direct still wins here
+}
+
+TEST(PhysicalLatency, BitwiseEqualAtEveryPoolWidth) {
+  // The mean is a sum of doubles; it is reduced in chunk order, so the
+  // double itself (not just its printed form) is the same at any width.
+  const Graph g = topo::lps_graph({11, 7});
+  Placement p;
+  p.grid = CabinetGrid::for_routers(g.num_vertices());
+  for (Vertex v = 0; v < g.num_vertices(); ++v)
+    p.cabinet_of.push_back((v * 37) % p.grid.cabinets);
+  const LatencyStatsPhys ref = physical_latency(g, p, 50.0);
+  EXPECT_GT(ref.mean_ns, 0.0);
+  for (unsigned w : {1u, 2u, 4u}) {
+    TaskPool pool(w);
+    const LatencyStatsPhys got = physical_latency(g, p, 50.0, &pool);
+    EXPECT_EQ(got.mean_ns, ref.mean_ns) << "width " << w;
+    EXPECT_EQ(got.max_ns, ref.max_ns) << "width " << w;
+  }
 }
 
 }  // namespace

@@ -3,17 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <span>
 
 #include "graph/failures.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/lps.hpp"
 #include "util/rng.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace sfly {
 namespace {
@@ -164,30 +159,13 @@ DistanceStats reference_stats(const Graph& g) {
   return ref;
 }
 
-// Runs `body` at 1 and 4 OpenMP threads (once without OpenMP).
-void at_thread_counts(const std::function<void()>& body) {
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-  for (int t : {1, 4}) {
-    SCOPED_TRACE("omp threads " + std::to_string(t));
-    omp_set_num_threads(t);
-    body();
-  }
-  omp_set_num_threads(saved);
-#else
-  body();
-#endif
-}
-
 void expect_matches_reference(const Graph& g) {
   const DistanceStats ref = reference_stats(g);
-  at_thread_counts([&] {
-    const DistanceStats s = distance_stats(g);
-    EXPECT_EQ(s.histogram, ref.histogram);
-    EXPECT_EQ(s.diameter, ref.diameter);
-    EXPECT_EQ(s.connected, ref.connected);
-    EXPECT_EQ(s.mean_distance, ref.mean_distance);
-  });
+  const DistanceStats s = distance_stats(g);
+  EXPECT_EQ(s.histogram, ref.histogram);
+  EXPECT_EQ(s.diameter, ref.diameter);
+  EXPECT_EQ(s.connected, ref.connected);
+  EXPECT_EQ(s.mean_distance, ref.mean_distance);
 }
 
 // Random graph with about `avg_degree * n / 2` edges: isolated vertices and
@@ -253,11 +231,9 @@ TEST(DistanceStatsBatched, HopHistogramCountsRepeatedSources) {
   std::vector<Vertex> sampled(300);  // with replacement, spans two batches
   for (auto& s : sampled) s = static_cast<Vertex>(uniform_below(rng, g.num_vertices()));
   const std::vector<Vertex> same(256, 17);  // one full batch of one source
-  at_thread_counts([&] {
-    EXPECT_EQ(hop_histogram(g, sampled), reference_histogram(g, sampled));
-    EXPECT_EQ(hop_histogram(g, same), reference_histogram(g, same));
-    EXPECT_EQ(hop_histogram(g, {}), std::vector<std::uint64_t>{0});
-  });
+  EXPECT_EQ(hop_histogram(g, sampled), reference_histogram(g, sampled));
+  EXPECT_EQ(hop_histogram(g, same), reference_histogram(g, same));
+  EXPECT_EQ(hop_histogram(g, {}), std::vector<std::uint64_t>{0});
 }
 
 }  // namespace

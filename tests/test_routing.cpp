@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "topo/lps.hpp"
+#include "util/parallel.hpp"
 
 namespace sfly::routing {
 namespace {
@@ -173,6 +176,26 @@ TEST(Policy, NextHopAdvancesValiantPhase) {
   EXPECT_EQ(r.phase, 1);
   EXPECT_EQ(g.neighbors(3)[next.slot], next.vert);
   EXPECT_EQ(t.distance(next.vert, 9) + 1, t.distance(3, 9));
+}
+
+TEST(Tables, BitwiseEqualAtEveryPoolWidth) {
+  const Graph g = topo::lps_graph({11, 7});
+  const Tables ref = Tables::build(g);
+  const NextHopIndex ref_idx = NextHopIndex::build(g, ref);
+  for (unsigned w : {1u, 2u, 4u}) {
+    SCOPED_TRACE("width " + std::to_string(w));
+    TaskPool pool(w);
+    const Tables t = Tables::build(g, &pool);
+    EXPECT_EQ(t.diameter(), ref.diameter());
+    EXPECT_TRUE(std::ranges::equal(t.raw_distances(), ref.raw_distances()));
+    const NextHopIndex idx = NextHopIndex::build(g, t, &pool);
+    EXPECT_TRUE(std::ranges::equal(idx.raw_offsets(), ref_idx.raw_offsets()));
+    EXPECT_TRUE(std::ranges::equal(idx.raw_verts(), ref_idx.raw_verts()));
+    EXPECT_TRUE(std::ranges::equal(idx.raw_slots(), ref_idx.raw_slots()));
+    // A chunk's failure still surfaces from a pooled build.
+    EXPECT_THROW(Tables::build(Graph::from_edges(40, {{0, 1}}), &pool),
+                 std::runtime_error);
+  }
 }
 
 }  // namespace

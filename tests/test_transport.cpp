@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -528,6 +529,19 @@ TEST(Tcp, ConnectWithNoParentExitsLinkLost) {
 // Graceful signal stop and checked-I/O exits ride along with the
 // transport work: both protect the same resumable-journal contract.
 
+// Starts `cmd` in the background with stdout to `out`, waits (at most
+// 10 s) until it has written its banner there, runs the shell `kills`
+// (with the bench's pid in $P) and returns the bench's exit code.
+// Benches flush the banner right after installing their stop-signal
+// handlers, so signals sent after this wait find the handlers in place.
+int signal_when_ready(const std::string& cmd, const std::string& out,
+                      const std::string& kills) {
+  std::remove(out.c_str());  // a stale banner would end the wait early
+  return run(cmd + " > " + out + " & P=$!; i=0; while [ $i -lt 1000 ] && "
+             "[ ! -s " + out + " ]; do sleep 0.01; i=$((i+1)); done; " +
+             kills + "; wait $P");
+}
+
 TEST(Signals, SigtermStopsAtRowBoundaryAndResumes) {
   const std::string big = "--ranks 512 --msgs 16 --seed 1";
   const std::string bench = bin_dir() + "/bench_fig6_ugal ";
@@ -537,10 +551,11 @@ TEST(Signals, SigtermStopsAtRowBoundaryAndResumes) {
             0);
   const std::string sj = tmp("sig.jsonl"), so = tmp("sig.out");
   const std::string err = tmp("sig.err");
-  // SIGTERM lands ~0.4 s into a ~2 s run; the bench must finish the
-  // row in flight, flush sinks, and exit 75 with a resumable journal.
-  ASSERT_EQ(run(bench + big + " --threads 1 --json " + sj + " > " + so +
-                " 2> " + err + " & P=$!; sleep 0.4; kill -TERM $P; wait $P"),
+  // SIGTERM lands early in a ~2 s run; the bench must finish the rows
+  // in flight, flush sinks, and exit 75 with a resumable journal.
+  ASSERT_EQ(signal_when_ready(bench + big + " --threads 1 --json " + sj +
+                                  " 2> " + err,
+                              so, "kill -TERM $P"),
             75);
   EXPECT_NE(slurp(err).find("stopping on SIGTERM"), std::string::npos)
       << slurp(err);
@@ -562,10 +577,11 @@ TEST(Signals, SigtermStopsAtRowBoundaryAndResumes) {
 TEST(Signals, RepeatedSigtermIsOneStopRequest) {
   // GNU timeout forwards one SIGTERM twice, to its child and to its
   // process group; two back-to-back copies are still one graceful stop.
-  const std::string err = tmp("sig2.err");
-  EXPECT_EQ(run(bin_dir() + "/bench_fig6_ugal --ranks 512 --msgs 16 --seed 1 "
-                "--threads 1 > /dev/null 2> " + err +
-                " & P=$!; sleep 0.4; kill -TERM $P; kill -TERM $P; wait $P"),
+  const std::string out = tmp("sig2.out"), err = tmp("sig2.err");
+  EXPECT_EQ(signal_when_ready(bin_dir() +
+                                  "/bench_fig6_ugal --ranks 512 --msgs 16 "
+                                  "--seed 1 --threads 1 2> " + err,
+                              out, "kill -TERM $P; kill -TERM $P"),
             75)
       << slurp(err);
   EXPECT_NE(slurp(err).find("stopping on SIGTERM"), std::string::npos)
@@ -575,9 +591,11 @@ TEST(Signals, RepeatedSigtermIsOneStopRequest) {
 TEST(Signals, DifferentSecondSignalForceExits) {
   // A second, different stop signal is a new request: force out with
   // 128+sig instead of draining.
-  EXPECT_EQ(run(bin_dir() + "/bench_fig6_ugal --ranks 512 --msgs 16 --seed 1 "
-                "--threads 1 > /dev/null 2>&1"
-                " & P=$!; sleep 0.4; kill -INT $P; kill -TERM $P; wait $P"),
+  const std::string out = tmp("sig3.out");
+  EXPECT_EQ(signal_when_ready(bin_dir() +
+                                  "/bench_fig6_ugal --ranks 512 --msgs 16 "
+                                  "--seed 1 --threads 1 2>/dev/null",
+                              out, "kill -INT $P; kill -TERM $P"),
             128 + 15);
 }
 
