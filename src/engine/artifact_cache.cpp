@@ -37,16 +37,16 @@ std::shared_ptr<const routing::NextHopIndex> Artifacts::next_hops(TaskPool* pool
   return next_hops_;
 }
 
-std::shared_ptr<const routing::CellIndex> Artifacts::cell_index() {
-  std::call_once(cell_once_, [this] {
+std::shared_ptr<const routing::CellIndex> Artifacts::cell_index(TaskPool* pool) {
+  std::call_once(cell_once_, [this, pool] {
     if (cell_) return;
     const auto g = graph();
     if (g->num_vertices() <= kCellExactThreshold) {
       cell_ = std::make_shared<const routing::CellIndex>(
-          routing::CellIndex::wrap_exact(tables()));
+          routing::CellIndex::wrap_exact(tables(pool)));
     } else {
       cell_ = std::make_shared<const routing::CellIndex>(
-          routing::CellIndex::build(*g));
+          routing::CellIndex::build(*g, {}, pool));
     }
   });
   return cell_;

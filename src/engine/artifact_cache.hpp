@@ -79,7 +79,8 @@ class Artifacts {
   /// kCellExactThreshold vertices (bitwise the same answers, no extra
   /// build), builds the hierarchical cell index above it.  This is the
   /// only routing accessor that is safe to force at 50k+ routers.
-  [[nodiscard]] std::shared_ptr<const routing::CellIndex> cell_index();
+  [[nodiscard]] std::shared_ptr<const routing::CellIndex> cell_index(
+      TaskPool* pool = nullptr);
 
   /// A core::Network sharing the cached graph, all-pairs tables, and
   /// next-hop index (Network::from_shared — no per-call BFS rebuild, no

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <csignal>
 #include <ctime>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <type_traits>
@@ -648,7 +649,7 @@ void Campaign::print_plan(std::FILE* out) const {
 
 double Campaign::materialize_artifacts() {
   const auto t0 = std::chrono::steady_clock::now();
-  TaskPool pool(eng_.config().threads);
+  std::optional<TaskPool> pool;  // started by the first sim topology
   std::set<std::string> done;
   for (const auto& ph : phases_) {
     if (ph->deferred()) continue;
@@ -659,8 +660,8 @@ double Campaign::materialize_artifacts() {
       auto art = eng_.artifacts().get(name);
       (void)art->graph();
       if (ph->is_sim()) {
-        (void)art->tables(&pool);
-        (void)art->next_hops(&pool);
+        if (!pool) pool.emplace(eng_.config().threads);
+        (void)art->next_hops(&*pool);
       }
     }
   }

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -250,10 +251,12 @@ namespace {
 // submitted-but-unconsumed backlog, so memory stays O(threads) at any
 // campaign size; evaluation itself is unchanged, so results are bitwise
 // identical to the collect-everything path at any thread count.
-template <typename Scen, typename Res, typename Eval>
+// `prepare(pool)` runs on the calling thread before the first submission.
+template <typename Scen, typename Res, typename Prepare, typename Eval>
 std::size_t stream_batch(unsigned threads, const std::vector<Scen>& batch,
                          const std::vector<ResultSink*>& sinks,
-                         const Engine::StreamOptions& opts, Eval&& eval) {
+                         const Engine::StreamOptions& opts, Prepare&& prepare,
+                         Eval&& eval) {
   for (auto* s : sinks) s->begin(batch.size());
   std::size_t next_deliver = 0;
   {
@@ -266,6 +269,7 @@ std::size_t stream_batch(unsigned threads, const std::vector<Scen>& batch,
     std::size_t next_submit = 0;
     bool stopping = false;  // stop_after fired: drain, don't submit
     TaskPool pool(threads);
+    prepare(pool);
     const std::size_t window =
         std::max<std::size_t>(16, std::size_t{4} * pool.width());
 
@@ -332,15 +336,29 @@ std::size_t Engine::run_stream(const std::vector<Scenario>& batch,
                                const std::vector<ResultSink*>& sinks,
                                const StreamOptions& opts) {
   return stream_batch<Scenario, Result>(
-      cfg_.threads, batch, sinks, opts,
+      cfg_.threads, batch, sinks, opts, [](TaskPool&) {},
       [this](const Scenario& s, std::size_t i) { return evaluate(s, i); });
 }
 
 std::size_t Engine::run_sims_stream(const std::vector<SimScenario>& batch,
                                     const std::vector<ResultSink*>& sinks,
                                     const StreamOptions& opts) {
+  // Built lazily, a topology's shared tables and next-hop index would be
+  // built by its first scenario task on one core while the tasks behind
+  // it wait.  A build that throws is left to the scenarios to report.
+  auto prepare = [&](TaskPool& pool) {
+    std::set<std::string> done;
+    for (const auto& s : batch) {
+      if (s.failure_fraction > 0.0 || !done.insert(s.topology).second)
+        continue;
+      try {
+        (void)cache_.get(s.topology)->next_hops(&pool);
+      } catch (const std::exception&) {
+      }
+    }
+  };
   return stream_batch<SimScenario, SimResult>(
-      cfg_.threads, batch, sinks, opts,
+      cfg_.threads, batch, sinks, opts, prepare,
       [this](const SimScenario& s, std::size_t i) { return evaluate_sim(s, i); });
 }
 

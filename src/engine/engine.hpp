@@ -79,7 +79,9 @@ class Engine {
   /// each result to every sink strictly in batch order as workers complete
   /// them (a bounded reorder window keeps memory O(threads), not
   /// O(batch)).  run()/run_sims() are this with a CollectSink.  Sinks
-  /// are invoked from the calling thread only.
+  /// are invoked from the calling thread only.  run_sims_stream first
+  /// builds the routing tables and next-hop index of every pristine
+  /// scenario's topology across the pool, before any scenario starts.
   /// \return the number of results delivered — less than batch.size()
   ///         only when opts.stop_after fired.
   std::size_t run_stream(const std::vector<Scenario>& batch,

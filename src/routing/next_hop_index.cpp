@@ -8,6 +8,47 @@ namespace sfly::routing {
 
 namespace {
 std::atomic<std::uint64_t> g_index_builds{0};
+
+// Pass 1 for sources [lo, hi): each (u, v != u) row's next-hop count,
+// written as offsets[row + 1] so the prefix sum lands each row's base at
+// offsets[row].  `dist` is the n*n distance matrix.
+void count_rows(const Graph& g, const std::uint8_t* dist, std::size_t lo,
+                std::size_t hi, std::uint32_t* offsets) {
+  const std::size_t n = g.num_vertices();
+  for (std::size_t u = lo; u < hi; ++u) {
+    const auto nb = g.neighbors(static_cast<Vertex>(u));
+    for (std::size_t v = 0; v < n; ++v) {
+      if (u == v) continue;
+      const std::uint8_t du = dist[u * n + v];
+      std::uint32_t c = 0;
+      for (Vertex w : nb)
+        if (dist[w * n + v] + 1 == du) ++c;
+      offsets[u * n + v + 1] = c;
+    }
+  }
+}
+
+// Pass 2 for sources [lo, hi): fill each row in adjacency (= scan) order.
+void fill_rows(const Graph& g, const std::uint8_t* dist, std::size_t lo,
+               std::size_t hi, const std::uint32_t* offsets, Vertex* verts,
+               std::uint16_t* slots) {
+  const std::size_t n = g.num_vertices();
+  for (std::size_t u = lo; u < hi; ++u) {
+    const auto nb = g.neighbors(static_cast<Vertex>(u));
+    for (std::size_t v = 0; v < n; ++v) {
+      if (u == v) continue;
+      const std::uint8_t du = dist[u * n + v];
+      std::uint32_t at = offsets[u * n + v];
+      for (std::size_t s = 0; s < nb.size(); ++s) {
+        if (dist[nb[s] * n + v] + 1 == du) {
+          verts[at] = nb[s];
+          slots[at] = static_cast<std::uint16_t>(s);
+          ++at;
+        }
+      }
+    }
+  }
+}
 }  // namespace
 
 std::uint64_t NextHopIndex::builds() { return g_index_builds.load(); }
@@ -28,43 +69,19 @@ NextHopIndex NextHopIndex::build(const Graph& g, const Tables& tables,
   const std::size_t rows = static_cast<std::size_t>(n) * n;
   std::vector<std::uint32_t> offsets(rows + 1, 0);
 
-  // Calls row(r, nb, v, du) for every (u, v != u) row r with u in [lo, hi).
-  auto rows_of = [&](std::size_t lo, std::size_t hi, auto&& row) {
-    for (std::size_t u = lo; u < hi; ++u) {
-      const auto nb = g.neighbors(static_cast<Vertex>(u));
-      for (Vertex v = 0; v < n; ++v)
-        if (u != v) row(u * n + v, nb, v, tables.distance(static_cast<Vertex>(u), v));
-    }
-  };
-
-  // Pass 1: per-row counts (written as offsets_[row + 1] so the prefix sum
-  // below lands each row's base at offsets_[row]).
+  // Each pass is a plain function of raw pointers: reached through a
+  // closure, the pointers would be reloaded after every store.
+  const std::uint8_t* dist = tables.raw_distances().data();
   TaskPool::parallel_for(pool, n, 8, [&](std::size_t lo, std::size_t hi) {
-    rows_of(lo, hi, [&](std::size_t r, auto nb, Vertex v, std::uint8_t du) {
-      std::uint32_t c = 0;
-      for (Vertex w : nb)
-        if (tables.distance(w, v) + 1 == du) ++c;
-      offsets[r + 1] = c;
-    });
+    count_rows(g, dist, lo, hi, offsets.data());
   });
   for (std::size_t r = 0; r < rows; ++r) offsets[r + 1] += offsets[r];
 
   const std::size_t entries = offsets[rows];
   std::vector<Vertex> verts(entries);
   std::vector<std::uint16_t> slots(entries);
-
-  // Pass 2: fill, preserving adjacency (= scan) order within each row.
   TaskPool::parallel_for(pool, n, 8, [&](std::size_t lo, std::size_t hi) {
-    rows_of(lo, hi, [&](std::size_t r, auto nb, Vertex v, std::uint8_t du) {
-      std::uint32_t at = offsets[r];
-      for (std::size_t s = 0; s < nb.size(); ++s) {
-        if (tables.distance(nb[s], v) + 1 == du) {
-          verts[at] = nb[s];
-          slots[at] = static_cast<std::uint16_t>(s);
-          ++at;
-        }
-      }
-    });
+    fill_rows(g, dist, lo, hi, offsets.data(), verts.data(), slots.data());
   });
   idx.offsets_ = std::move(offsets);
   idx.verts_ = std::move(verts);

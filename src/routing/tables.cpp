@@ -21,31 +21,37 @@ Tables Tables::build(const Graph& g, TaskPool* pool) {
   std::vector<std::uint8_t> dist_mat(static_cast<std::size_t>(n) * n, 0xFF);
 
   // A chunk that fails throws; parallel_for rethrows the lowest one's.
+  // The CSR spans and the queue are held by value: a byte store may alias
+  // anything reached through a reference, so the edge loop would reload it.
+  const auto offsets = g.raw_offsets();
+  const auto adj = g.raw_adjacency();
   const auto diameters = TaskPool::parallel_for(
-      pool, n, 8, [&](std::size_t lo, std::size_t hi) {
+      pool, n, 8, [&, offsets, adj](std::size_t lo, std::size_t hi) {
         std::uint8_t diameter = 0;
-        std::vector<Vertex> queue;
-        queue.reserve(n);
+        std::vector<Vertex> queue_buf(n);
+        Vertex* const queue = queue_buf.data();
         for (std::size_t s = lo; s < hi; ++s) {
           std::uint8_t* dist = dist_mat.data() + s * n;
-          queue.clear();
-          queue.push_back(static_cast<Vertex>(s));
+          std::size_t tail = 0;
+          queue[tail++] = static_cast<Vertex>(s);
           dist[s] = 0;
-          for (std::size_t head = 0; head < queue.size(); ++head) {
-            Vertex u = queue[head];
-            std::uint8_t du = dist[u];
+          for (std::size_t head = 0; head < tail; ++head) {
+            const Vertex u = queue[head];
+            const std::uint8_t du = dist[u];
             if (du >= 0xFE)
               throw std::runtime_error("routing::Tables: distance overflow");
-            for (Vertex v : g.neighbors(u)) {
+            for (std::uint32_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+              const Vertex v = adj[e];
               if (dist[v] == 0xFF) {
                 dist[v] = static_cast<std::uint8_t>(du + 1);
-                if (dist[v] > diameter) diameter = dist[v];
-                queue.push_back(v);
+                queue[tail++] = v;
               }
             }
           }
-          if (queue.size() != n)
+          if (tail != n)
             throw std::runtime_error("routing::Tables: graph disconnected");
+          // BFS visits by distance, so the last vertex is the farthest.
+          diameter = std::max(diameter, dist[queue[n - 1]]);
         }
         return diameter;
       });

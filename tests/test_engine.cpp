@@ -6,9 +6,11 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/spectralfly_net.hpp"
+#include "engine/sink.hpp"
 #include "sim/motifs.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/lps.hpp"
@@ -296,6 +298,47 @@ TEST(Engine, SimRunsShareCachedArtifacts) {
   EXPECT_EQ(eng->artifacts().get("DF(12)").get(), df.get());
   EXPECT_EQ(paley->tables().get(), paley_tables.get());
   EXPECT_EQ(df->tables().get(), df_tables.get());
+}
+
+// run_sims_stream builds every pristine scenario's shared routing
+// artifacts before the first scenario starts.  Failure-perturbed
+// scenarios derive their own, and a failing lookup reaches its rows.
+TEST(Engine, SimStreamBuildsSharedRoutingBeforeAnyScenario) {
+  auto eng = make_sim_engine(1);
+  eng->register_topology("Perturbed", [] { return topo::paley_graph({13}); }, 4);
+  const auto base = sim_batch();
+  // At width 1 the first 16 scenarios (the submission window) run before
+  // the first delivery, so a lazily built DF(12) would not exist yet.
+  std::vector<SimScenario> batch(17, base[0]);  // Paley(13)
+  batch.push_back(base[4]);                     // DF(12)
+  batch.push_back(base[0]);
+  batch.back().topology = "Unregistered";
+  batch.push_back(base[0]);
+  batch.back().topology = "Perturbed";
+  batch.back().failure_fraction = 0.1;
+
+  struct FirstRowProbe : ResultSink {
+    using ResultSink::consume;
+    Engine* eng = nullptr;
+    std::size_t df_next_hops_bytes = 0;
+    bool seen = false;
+    void consume(const SimResult&) override {
+      if (std::exchange(seen, true)) return;
+      df_next_hops_bytes =
+          eng->artifacts().get("DF(12)")->footprint().next_hops_bytes;
+    }
+  } probe;
+  probe.eng = eng.get();
+  std::vector<SimResult> rows;
+  CollectSink collect(&rows);
+  eng->run_sims_stream(batch, {&probe, &collect});
+
+  EXPECT_GT(probe.df_next_hops_bytes, 0u);
+  ASSERT_EQ(rows.size(), batch.size());
+  EXPECT_TRUE(rows[17].ok) << rows[17].error;
+  EXPECT_FALSE(rows[18].ok);
+  EXPECT_NE(rows[18].error.find("Unregistered"), std::string::npos);
+  EXPECT_EQ(eng->artifacts().get("Perturbed")->footprint().tables_bytes, 0u);
 }
 
 TEST(Engine, SimScenarioMatchesDirectNetworkRun) {

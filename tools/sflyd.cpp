@@ -22,6 +22,7 @@
 #include "service/snapshot.hpp"
 #include "topo/factory.hpp"
 #include "util/options.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -77,6 +78,7 @@ int main(int argc, char** argv) {
                    path.c_str(), snap->size_bytes(), snap->names().size());
     }
     if (flags.has("--topos")) {
+      sfly::TaskPool pool(cfg.threads);
       const auto concentration =
           static_cast<std::uint32_t>(flags.get("--concentration", 8));
       for (const auto& spec :
@@ -85,17 +87,17 @@ int main(int argc, char** argv) {
         if (queries.engine().artifacts().contains(parsed.name)) continue;
         queries.engine().register_topology(parsed.name, std::move(parsed.build),
                                            concentration);
-        // Materialize everything now: daemons take the build cost at
-        // startup, not on the first unlucky query.  Above the cell
-        // threshold the route artifact is the hierarchical cell index;
-        // forcing the O(V^2) tables there would be gigabytes (a sim
-        // query on such a topology still builds them lazily).
+        // Materialize everything now, routing artifacts on a
+        // --threads-wide pool: daemons take the build cost at startup,
+        // not on the first unlucky query.  Above the cell threshold the
+        // route artifact is the hierarchical cell index; forcing the
+        // O(V^2) tables there would be gigabytes (a sim query on such a
+        // topology still builds them lazily).
         auto art = queries.engine().artifacts().get(parsed.name);
         if (art->graph()->num_vertices() > sfly::engine::kCellExactThreshold) {
-          (void)art->cell_index();
+          (void)art->cell_index(&pool);
         } else {
-          (void)art->tables();
-          (void)art->next_hops();
+          (void)art->next_hops(&pool);
         }
         (void)art->spectra();
         const auto f = art->footprint();
