@@ -9,43 +9,30 @@ namespace sfly::routing {
 namespace {
 std::atomic<std::uint64_t> g_index_builds{0};
 
-// Pass 1 for sources [lo, hi): each (u, v != u) row's next-hop count,
-// written as offsets[row + 1] so the prefix sum lands each row's base at
-// offsets[row].  `dist` is the n*n distance matrix.
-void count_rows(const Graph& g, const std::uint8_t* dist, std::size_t lo,
-                std::size_t hi, std::uint32_t* offsets) {
+// Scans every (u, v != u) row for sources [lo, hi) of the n*n distance
+// matrix `dist`.  Without `fill` it writes each row's next-hop count to
+// offsets[row + 1], so the prefix sum lands each row's base at
+// offsets[row]; with it, it fills each row from there in adjacency
+// (= scan) order.
+void scan_rows(const Graph& g, const std::uint8_t* dist, std::size_t lo,
+               std::size_t hi, bool fill, std::uint32_t* offsets,
+               Vertex* verts, std::uint16_t* slots) {
   const std::size_t n = g.num_vertices();
   for (std::size_t u = lo; u < hi; ++u) {
     const auto nb = g.neighbors(static_cast<Vertex>(u));
     for (std::size_t v = 0; v < n; ++v) {
       if (u == v) continue;
       const std::uint8_t du = dist[u * n + v];
-      std::uint32_t c = 0;
-      for (Vertex w : nb)
-        if (dist[w * n + v] + 1 == du) ++c;
-      offsets[u * n + v + 1] = c;
-    }
-  }
-}
-
-// Pass 2 for sources [lo, hi): fill each row in adjacency (= scan) order.
-void fill_rows(const Graph& g, const std::uint8_t* dist, std::size_t lo,
-               std::size_t hi, const std::uint32_t* offsets, Vertex* verts,
-               std::uint16_t* slots) {
-  const std::size_t n = g.num_vertices();
-  for (std::size_t u = lo; u < hi; ++u) {
-    const auto nb = g.neighbors(static_cast<Vertex>(u));
-    for (std::size_t v = 0; v < n; ++v) {
-      if (u == v) continue;
-      const std::uint8_t du = dist[u * n + v];
-      std::uint32_t at = offsets[u * n + v];
+      std::uint32_t at = fill ? offsets[u * n + v] : 0;
       for (std::size_t s = 0; s < nb.size(); ++s) {
-        if (dist[nb[s] * n + v] + 1 == du) {
+        if (dist[nb[s] * n + v] + 1 != du) continue;
+        if (fill) {
           verts[at] = nb[s];
           slots[at] = static_cast<std::uint16_t>(s);
-          ++at;
         }
+        ++at;
       }
+      if (!fill) offsets[u * n + v + 1] = at;
     }
   }
 }
@@ -69,11 +56,11 @@ NextHopIndex NextHopIndex::build(const Graph& g, const Tables& tables,
   const std::size_t rows = static_cast<std::size_t>(n) * n;
   std::vector<std::uint32_t> offsets(rows + 1, 0);
 
-  // Each pass is a plain function of raw pointers: reached through a
-  // closure, the pointers would be reloaded after every store.
+  // The passes take raw pointers as plain arguments: reached through a
+  // closure, they would be reloaded after every store.
   const std::uint8_t* dist = tables.raw_distances().data();
   TaskPool::parallel_for(pool, n, 8, [&](std::size_t lo, std::size_t hi) {
-    count_rows(g, dist, lo, hi, offsets.data());
+    scan_rows(g, dist, lo, hi, false, offsets.data(), nullptr, nullptr);
   });
   for (std::size_t r = 0; r < rows; ++r) offsets[r + 1] += offsets[r];
 
@@ -81,7 +68,8 @@ NextHopIndex NextHopIndex::build(const Graph& g, const Tables& tables,
   std::vector<Vertex> verts(entries);
   std::vector<std::uint16_t> slots(entries);
   TaskPool::parallel_for(pool, n, 8, [&](std::size_t lo, std::size_t hi) {
-    fill_rows(g, dist, lo, hi, offsets.data(), verts.data(), slots.data());
+    scan_rows(g, dist, lo, hi, true, offsets.data(), verts.data(),
+              slots.data());
   });
   idx.offsets_ = std::move(offsets);
   idx.verts_ = std::move(verts);
