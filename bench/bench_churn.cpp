@@ -31,15 +31,13 @@ int main(int argc, char** argv) {
        "#   --repair NS       repair delay for the '~' levels (default 4000 ns)\n"
        "#   --threads N       engine worker threads (default: all hardware threads)\n"
        "#   --workers N       distribute the campaign across N worker processes\n"
-       "#   --profile         print phase timing (artifact build vs scenario eval)\n"
-       "#   --bench-json P    write a machine-readable perf record to P",
+       "#   --profile         print phase timing (artifact build vs scenario eval)",
        {{"--ranks", true, "MPI ranks (default 1024; --full = 8192)"},
         {"--msgs", true, "messages per rank (default 24)"},
         {"--load", true, "offered load (default 0.5)"},
         {"--start", true, "churn window start in ns (default 1000)"},
         {"--window", true, "churn window length in ns (default 4000)"},
-        {"--repair", true, "repair delay in ns for '~' levels (default 4000)"},
-        {"--bench-json", true, "write a machine-readable perf record to PATH"}}});
+        {"--repair", true, "repair delay in ns for '~' levels (default 4000)"}}});
   const std::uint32_t nranks = static_cast<std::uint32_t>(
       opts.flags().get("--ranks", opts.full() ? 8192 : 1024));
   const std::uint32_t msgs =
@@ -48,7 +46,6 @@ int main(int argc, char** argv) {
   const double start_ns = opts.flags().get_f64("--start", 1000.0);
   const double window_ns = opts.flags().get_f64("--window", 4000.0);
   const double repair_ns = opts.flags().get_f64("--repair", 4000.0);
-  const std::string bench_json = opts.flags().get_str("--bench-json");
 
   auto topos = bench::simulation_topologies(opts.full());
 
@@ -83,17 +80,9 @@ int main(int argc, char** argv) {
       });
   auto& sweep = camp.sims("availability", std::move(grid));
 
-  engine::PerfRecordSink perf;
-  std::vector<engine::ResultSink*> extra;
-  if (!bench_json.empty()) extra.push_back(&perf);
-  const auto st = bench::run_campaign(camp, opts, extra,
-                                      /*materialize=*/!bench_json.empty());
-  if (st != bench::RunStatus::kDone) {
-    if (st != bench::RunStatus::kDryRun && !bench_json.empty())
-      perf.write(bench_json, "churn", opts.threads(),
-                 camp.artifact_build_seconds(), camp.eval_seconds());
+  if (const auto st = bench::run_campaign(camp, opts);
+      st != bench::RunStatus::kDone)
     return bench::exit_code(st);
-  }
 
   for (std::size_t t = 0; t < topos.size(); ++t) {
     std::printf("== availability under churn: %s (UGAL-L, random, load %.2f) ==\n",
@@ -118,8 +107,5 @@ int main(int argc, char** argv) {
       "# churn-free p99.\n",
       repair_ns);
   bench::print_profile(camp, opts);
-  if (!bench_json.empty())
-    perf.write(bench_json, "churn", opts.threads(),
-               camp.artifact_build_seconds(), camp.eval_seconds());
   return 0;
 }

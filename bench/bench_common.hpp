@@ -128,30 +128,40 @@ enum class RunStatus {
 struct PhaseStat {
   std::string name;
   std::size_t scenarios = 0;
-  double eval_s = 0.0;
+  engine::RunTally tally;
 };
 
-/// Write the per-phase wall-clock record (the BENCH_full.json per-bench
-/// format): campaign identity, shard/resume accounting, and one entry
-/// per phase.  Used by `--phase-json`, and committed as BENCH_full.json
-/// for the paper-scale `--full` runs.
+/// Write the per-run record (the BENCH_full.json per-bench format):
+/// campaign identity, shard/resume accounting, artifact pre-build and
+/// evaluation time, the simulator work this run evaluated (journal-
+/// replayed rows excluded) and its events/sec, and one entry per phase.
+/// Used by `--phase-json`; committed as BENCH_full.json for the
+/// paper-scale `--full` runs, and CI's perf smoke reads its
+/// `events_per_sec`.
 inline void write_phase_record(const std::string& path,
                                const std::string& campaign,
                                const StandardOptions& opts,
                                const engine::RunControl& ctl,
-                               const std::vector<PhaseStat>& phases,
-                               double artifact_build_s) {
+                               const std::vector<PhaseStat>& phases) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     std::exit(1);
   }
-  double eval_s = 0.0;
+  engine::RunTally sum;
   std::size_t total = 0;
   for (const auto& ph : phases) {
-    eval_s += ph.eval_s;
+    sum.build_seconds += ph.tally.build_seconds;
+    sum.eval_seconds += ph.tally.eval_seconds;
+    sum.events += ph.tally.events;
+    sum.packets += ph.tally.packets;
+    sum.messages += ph.tally.messages;
     total += ph.scenarios;
   }
+  const double events_per_sec =
+      sum.eval_seconds > 0
+          ? static_cast<double>(sum.events) / sum.eval_seconds
+          : 0.0;
   std::fprintf(f,
                "{\n"
                "  \"campaign\": \"%s\",\n"
@@ -166,17 +176,25 @@ inline void write_phase_record(const std::string& path,
                "  \"artifact_build_s\": %.3f,\n"
                "  \"eval_s\": %.3f,\n"
                "  \"wall_s\": %.3f,\n"
+               "  \"events\": %llu,\n"
+               "  \"packets_forwarded\": %llu,\n"
+               "  \"messages\": %llu,\n"
+               "  \"events_per_sec\": %.1f,\n"
                "  \"phases\": [",
                campaign.c_str(), hardware_threads(), opts.threads(),
                opts.full() ? "true" : "false",
                ctl.shard_index, ctl.shard_count, total, ctl.replayed,
                ctl.evaluated, ctl.stopped ? "true" : "false",
-               artifact_build_s, eval_s, artifact_build_s + eval_s);
+               sum.build_seconds, sum.eval_seconds,
+               sum.build_seconds + sum.eval_seconds,
+               static_cast<unsigned long long>(sum.events),
+               static_cast<unsigned long long>(sum.packets),
+               static_cast<unsigned long long>(sum.messages), events_per_sec);
   for (std::size_t i = 0; i < phases.size(); ++i)
     std::fprintf(f, "%s\n    {\"name\": \"%s\", \"scenarios\": %zu, "
                     "\"eval_s\": %.3f}",
                  i ? "," : "", phases[i].name.c_str(), phases[i].scenarios,
-                 phases[i].eval_s);
+                 phases[i].tally.eval_seconds);
   if (std::fprintf(f, "\n  ]\n}\n") < 0) {
     std::fprintf(stderr, "error: writing %s failed: %s\n", path.c_str(),
                  std::strerror(errno));
@@ -226,15 +244,13 @@ inline RunStatus finish_run(const engine::RunControl& ctl, bool final_run,
 }
 
 /// Execute a declared campaign under the options' RunControl (resume /
-/// shard / wall-clock budget) with the options' sinks plus `extra`,
-/// then write the --phase-json record when asked.  No --dry-run
+/// shard / wall-clock budget) with the options' sinks, then write the
+/// --phase-json record when asked (on a budget stop too).  No --dry-run
 /// handling — benches that print between plan and run call this
 /// directly; everyone else goes through run_campaign().
-inline RunStatus execute_campaign(
-    engine::Campaign& camp, StandardOptions& opts,
-    const std::vector<engine::ResultSink*>& extra = {}) {
-  auto sinks = opts.sinks();
-  sinks.insert(sinks.end(), extra.begin(), extra.end());
+inline RunStatus execute_campaign(engine::Campaign& camp,
+                                  StandardOptions& opts) {
+  const auto& sinks = opts.sinks();
   engine::RunControl& ctl = opts.run_control();
   try {
     camp.run(sinks, ctl);
@@ -245,9 +261,8 @@ inline RunStatus execute_campaign(
   if (const auto path = opts.phase_json_path(); !path.empty()) {
     std::vector<PhaseStat> stats;
     for (const auto& ph : camp.phases())
-      stats.push_back({ph->name(), ph->size(), ph->eval_seconds()});
-    write_phase_record(path, camp.name(), opts, ctl, stats,
-                       camp.artifact_build_seconds());
+      stats.push_back({ph->name(), ph->size(), ph->tally()});
+    write_phase_record(path, camp.name(), opts, ctl, stats);
   }
   const RunStatus st = finish_run(ctl, /*final_run=*/true);
   if (st == RunStatus::kDone && opts.shard().second > 1)
@@ -256,30 +271,22 @@ inline RunStatus execute_campaign(
 }
 
 /// The standard campaign tail: print the plan and stop under --dry-run;
-/// otherwise materialize artifacts when phase timing is being recorded
-/// (--profile, or `materialize` forced by a perf-record flag), then
-/// execute under the options' RunControl.
-inline RunStatus run_campaign(engine::Campaign& camp, StandardOptions& opts,
-                              const std::vector<engine::ResultSink*>& extra = {},
-                              bool materialize = false) {
+/// otherwise execute under the options' RunControl.
+inline RunStatus run_campaign(engine::Campaign& camp, StandardOptions& opts) {
   if (opts.dry_run()) {
     camp.print_plan();
     return RunStatus::kDryRun;
   }
-  // Under --workers the parent never evaluates scenarios, so building
-  // its artifacts up front would only duplicate the workers' builds.
-  if ((opts.profile() || materialize) && opts.workers() == 0)
-    camp.materialize_artifacts();
-  return execute_campaign(camp, opts, extra);
+  return execute_campaign(camp, opts);
 }
 
-/// The uniform --profile epilogue (phase timing: one-off artifact build
-/// vs scenario evaluation).
+/// The uniform --profile epilogue (phase timing: the engine's artifact
+/// pre-build vs scenario evaluation).
 inline void print_profile(const engine::Campaign& camp,
                           const StandardOptions& opts) {
   if (!opts.profile()) return;
   std::printf("\n== --profile phase timing ==\n"
-              "artifact build (graphs + tables + next-hop index): %.3f s\n"
+              "artifact pre-build (graphs + tables + next-hops):  %.3f s\n"
               "scenario evaluation (%zu scenarios):               %.3f s\n",
               camp.artifact_build_seconds(), camp.total_scenarios(),
               camp.eval_seconds());

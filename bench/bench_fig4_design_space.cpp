@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
 
   // --- upper-right: normalized bisection bandwidth of LPS ---------------
   {
-    if (opts.profile()) camp.materialize_artifacts();
     if (const auto st = bench::execute_campaign(camp, opts);
         st != bench::RunStatus::kDone)
       return bench::exit_code(st);
@@ -136,7 +135,7 @@ int main(int argc, char** argv) {
     std::printf("# Shape check: values rise with radix (crossing 1/3 around\n"
                 "# radix ~18) and do NOT decay with size at fixed radix.\n");
     std::printf("# engine: %zu scenarios in %.2fs on %u thread(s)\n",
-                results.size(), phase.eval_seconds(),
+                results.size(), phase.tally().eval_seconds,
                 opts.threads() ? opts.threads()
                                : static_cast<unsigned>(hardware_threads()));
   }

@@ -62,7 +62,7 @@ bench::RunStatus sweep(engine::Engine& eng, bench::StandardOptions& opts,
   }
   std::size_t trials = 0;
   for (const auto& p : sweep.points()) trials += p.scheduled;
-  stat = {name, trials, sweep.eval_seconds()};
+  stat = {name, trials, sweep.tally()};
   // Shared stop/replay epilogue; the unconsumed-journal check runs once
   // in main after the last sweep, not per size class.
   if (bench::finish_run(ctl, /*final_run=*/false, replayed_before) ==
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
     if (const auto path = opts.phase_json_path();
         !path.empty() && !opts.dry_run())
       bench::write_phase_record(path, "fig5_failures", opts,
-                                opts.run_control(), stats, 0.0);
+                                opts.run_control(), stats);
   };
   if (const auto st = sweep(eng, opts, "fig5_small", small,
                             {0.0, 0.1, 0.2, 0.3, 0.4, 0.5}, max_trials,

@@ -5,7 +5,7 @@
 // Campaign-backed: the bench declares the (pattern x load x topology)
 // grid; the engine expands it, shares each topology's artifacts across
 // all 24 points per pattern, and streams results through the standard
-// sinks (--csv/--json/--progress) plus the fig6 perf-record sink.
+// sinks (--csv/--json/--progress).
 
 #include "bench_common.hpp"
 
@@ -19,16 +19,13 @@ int main(int argc, char** argv) {
        "#   --msgs N          messages per rank (default 24)\n"
        "#   --threads N       engine worker threads (default: all hardware threads)\n"
        "#   --workers N       distribute the campaign across N worker processes\n"
-       "#   --profile         print phase timing (artifact build vs scenario eval)\n"
-       "#   --bench-json P    write a machine-readable perf record to P",
+       "#   --profile         print phase timing (artifact build vs scenario eval)",
        {{"--ranks", true, "MPI ranks (default 1024; --full = 8192)"},
-        {"--msgs", true, "messages per rank (default 24)"},
-        {"--bench-json", true, "write a machine-readable perf record to PATH"}}});
+        {"--msgs", true, "messages per rank (default 24)"}}});
   const std::uint32_t nranks = static_cast<std::uint32_t>(
       opts.flags().get("--ranks", opts.full() ? 8192 : 1024));
   const std::uint32_t msgs =
       static_cast<std::uint32_t>(opts.flags().get("--msgs", 24));
-  const std::string bench_json = opts.flags().get_str("--bench-json");
 
   auto topos = bench::simulation_topologies(opts.full());
   const std::vector<sim::Pattern> patterns = {
@@ -48,17 +45,9 @@ int main(int argc, char** argv) {
       });
   auto& sweep = camp.sims("sweep", std::move(grid));
 
-  engine::PerfRecordSink perf;
-  std::vector<engine::ResultSink*> extra;
-  if (!bench_json.empty()) extra.push_back(&perf);
-  const auto st = bench::run_campaign(camp, opts, extra,
-                                      /*materialize=*/!bench_json.empty());
-  if (st != bench::RunStatus::kDone) {
-    if (st != bench::RunStatus::kDryRun && !bench_json.empty())
-      perf.write(bench_json, "fig6_ugal", opts.threads(),
-                 camp.artifact_build_seconds(), camp.eval_seconds());
+  if (const auto st = bench::run_campaign(camp, opts);
+      st != bench::RunStatus::kDone)
     return bench::exit_code(st);
-  }
 
   for (std::size_t p = 0; p < patterns.size(); ++p) {
     std::printf("== Fig. 6 (%s), UGAL-L, speedup vs DragonFly ==\n",
@@ -69,8 +58,5 @@ int main(int argc, char** argv) {
   std::printf("# Paper shape: SpectralFly best on all four patterns (superior\n"
               "# bisection + path diversity); saturation at/beyond 0.7 load.\n");
   bench::print_profile(camp, opts);
-  if (!bench_json.empty())
-    perf.write(bench_json, "fig6_ugal", opts.threads(),
-               camp.artifact_build_seconds(), camp.eval_seconds());
   return 0;
 }

@@ -6,7 +6,7 @@
 // engine expands the grid, shares each topology's cached artifacts across
 // every scenario naming it, fans the batch over the thread pool, and
 // streams results — in batch order, with bounded memory — through sinks
-// (aligned table, CSV, JSON lines, progress).  Results are bitwise
+// (CSV, JSON lines, progress).  Results are bitwise
 // deterministic for their seeds at any thread count.
 
 #include <cstdio>
@@ -49,16 +49,12 @@ int main(int argc, char** argv) {
       .algos({routing::Algo::kMinimal, routing::Algo::kValiant});
   camp.sims("routing", std::move(routing));
 
-  // Streaming sinks: aligned tables on stdout (one per phase) while the
-  // same results stream as CSV rows — no whole-batch buffering between
-  // evaluation and output.
+  // Streaming sink: each phase's results reach stdout as CSV rows while
+  // the workers complete them, in batch order (a header per row flavor)
+  // — no whole-batch buffering between evaluation and output.
   camp.print_plan();
   std::printf("\n");
-  engine::TableSink table;
-  camp.run({&table});
-
-  std::printf("\n-- CSV (streamed per phase in a real pipeline) --\n");
-  engine::Engine::write_csv(stdout, camp.phase("failures").results());
-  engine::Engine::write_csv(stdout, camp.phase("routing").sim_results());
+  engine::CsvSink csv(stdout);
+  camp.run({&csv});
   return 0;
 }

@@ -5,22 +5,37 @@
 
 namespace sfly::engine {
 
+template <typename Build>
+void Artifacts::build_once(Once& once, Build&& build) {
+  std::lock_guard lock(once.mu);
+  if (!once.done) {
+    once.done = true;
+    try {
+      build();
+    } catch (...) {
+      once.error = std::current_exception();
+    }
+  }
+  if (once.error) std::rethrow_exception(once.error);
+}
+
 std::shared_ptr<const Graph> Artifacts::graph() {
-  // The `if (!x_)` guards keep call_once from clobbering components that
-  // the pre-materialized (snapshot) constructor already installed.
-  std::call_once(graph_once_, [this] {
+  // The `if (x_) return` guards keep the builders from clobbering
+  // components that the pre-materialized (snapshot) constructor already
+  // installed.
+  build_once(graph_once_, [this] {
     if (graph_) return;
-    graph_ = std::make_shared<const Graph>(build_());
     // The builder (and any graph copy captured in its closure) is dead
-    // weight once the artifact exists; don't keep it alive for the
-    // engine's lifetime.
-    build_ = nullptr;
+    // weight once it has run, built or thrown; don't keep it alive for
+    // the engine's lifetime.
+    const auto build = std::exchange(build_, nullptr);
+    graph_ = std::make_shared<const Graph>(build());
   });
   return graph_;
 }
 
 std::shared_ptr<const routing::Tables> Artifacts::tables(TaskPool* pool) {
-  std::call_once(tables_once_, [this, pool] {
+  build_once(tables_once_, [this, pool] {
     if (tables_) return;
     tables_ = std::make_shared<const routing::Tables>(
         routing::Tables::build(*graph(), pool));
@@ -29,7 +44,7 @@ std::shared_ptr<const routing::Tables> Artifacts::tables(TaskPool* pool) {
 }
 
 std::shared_ptr<const routing::NextHopIndex> Artifacts::next_hops(TaskPool* pool) {
-  std::call_once(next_hops_once_, [this, pool] {
+  build_once(next_hops_once_, [this, pool] {
     if (next_hops_) return;
     next_hops_ = std::make_shared<const routing::NextHopIndex>(
         routing::NextHopIndex::build(*graph(), *tables(pool), pool));
@@ -38,7 +53,7 @@ std::shared_ptr<const routing::NextHopIndex> Artifacts::next_hops(TaskPool* pool
 }
 
 std::shared_ptr<const routing::CellIndex> Artifacts::cell_index(TaskPool* pool) {
-  std::call_once(cell_once_, [this, pool] {
+  build_once(cell_once_, [this, pool] {
     if (cell_) return;
     const auto g = graph();
     if (g->num_vertices() <= kCellExactThreshold) {
@@ -53,7 +68,7 @@ std::shared_ptr<const routing::CellIndex> Artifacts::cell_index(TaskPool* pool) 
 }
 
 std::shared_ptr<const Spectra> Artifacts::spectra() {
-  std::call_once(spectra_once_, [this] {
+  build_once(spectra_once_, [this] {
     if (spectra_) return;
     spectra_ = std::make_shared<const Spectra>(compute_spectra(*graph()));
   });

@@ -7,6 +7,7 @@
 // pristine graph as their base and derive the rest per scenario.
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -31,6 +32,8 @@ inline constexpr Vertex kCellExactThreshold = 4096;
 
 /// Lazily materialized per-topology artifacts.  Thread-safe: concurrent
 /// callers block until the single builder finishes, then share the result.
+/// Each component is built at most once: a builder that throws stores its
+/// exception, and every later request for that component rethrows it.
 class Artifacts {
  public:
   /// Per-component byte sizes of the materialized artifacts (zero for
@@ -94,10 +97,20 @@ class Artifacts {
   [[nodiscard]] Footprint footprint() const;
 
  private:
+  // One component's build-once state.  Unlike std::call_once, a builder
+  // that throws is not retried: its exception is kept for every later
+  // request (and a retried call_once hangs under TSan).
+  struct Once {
+    std::mutex mu;
+    bool done = false;           // guarded by mu
+    std::exception_ptr error;    // guarded by mu
+  };
+  template <typename Build>
+  static void build_once(Once& once, Build&& build);
+
   std::function<Graph()> build_;
   std::uint32_t concentration_;
-  std::once_flag graph_once_, tables_once_, next_hops_once_, spectra_once_,
-      cell_once_;
+  Once graph_once_, tables_once_, next_hops_once_, spectra_once_, cell_once_;
   std::shared_ptr<const Graph> graph_;
   std::shared_ptr<const routing::Tables> tables_;
   std::shared_ptr<const routing::NextHopIndex> next_hops_;

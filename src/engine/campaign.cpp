@@ -8,7 +8,6 @@
 #include <cmath>
 #include <csignal>
 #include <ctime>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <type_traits>
@@ -17,7 +16,6 @@
 #include "engine/dispatch.hpp"
 #include "engine/journal.hpp"
 #include "engine/sink.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -160,14 +158,15 @@ std::size_t engine_stream(Engine& eng, const std::vector<SimScenario>& batch,
 // batch[lo, lo + m.rows): consume the journal segment, announce a fresh
 // batch, validate and replay the journaled rows, then stream the rest
 // through ctl.runner or the engine.  Every row, replayed or evaluated,
-// appends to `out`.  Returns false when the budget stopped the batch
-// part-way, leaving a clean journal prefix on disk.
+// appends to `out`; the time and the work of the evaluated rows add to
+// `tally`.  Returns false when the budget stopped the batch part-way,
+// leaving a clean journal prefix on disk.
 template <typename Scen, typename Res>
 bool replay_and_stream(Engine& eng, RunControl& ctl, const BatchMeta& m,
                        const std::vector<Scen>& batch, std::size_t lo,
                        std::vector<Res>& out,
                        const std::vector<ResultSink*>& sinks,
-                       double& eval_seconds) {
+                       RunTally& tally) {
   const CampaignJournal::Segment* seg = consume_segment(ctl, m);
   const std::size_t have = seg ? seg->rows.size() : 0;
   // A journaled batch already carries its header; only fresh batches
@@ -177,6 +176,8 @@ bool replay_and_stream(Engine& eng, RunControl& ctl, const BatchMeta& m,
     for (auto* s : sinks) s->meta(m);
 
   const auto t0 = std::chrono::steady_clock::now();
+  const double build0 = eng.artifact_build_seconds();
+  const std::size_t first_fresh = out.size() + have;
   CollectSink collect(&out);
   for (std::size_t k = 0; k < have; ++k) {
     const Res& r = replayed(seg->rows[k], batch[lo + k], lo + k, m);
@@ -207,9 +208,20 @@ bool replay_and_stream(Engine& eng, RunControl& ctl, const BatchMeta& m,
                  : engine_stream(eng, rest, all, so);
   ctl.replayed += have;
   ctl.evaluated += delivered;
-  eval_seconds +=
+  const double built = eng.artifact_build_seconds() - build0;
+  tally.build_seconds += built;
+  tally.eval_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+          .count() -
+      built;
+  if constexpr (std::is_same_v<Res, SimResult>) {
+    for (std::size_t k = first_fresh; k < out.size(); ++k) {
+      if (!out[k].ok) continue;
+      tally.events += out[k].events;
+      tally.packets += out[k].packets;
+      tally.messages += out[k].messages;
+    }
+  }
   return delivered == rest.size();
 }
 
@@ -647,30 +659,6 @@ void Campaign::print_plan(std::FILE* out) const {
                total, total_builds);
 }
 
-double Campaign::materialize_artifacts() {
-  const auto t0 = std::chrono::steady_clock::now();
-  std::optional<TaskPool> pool;  // started by the first sim topology
-  std::set<std::string> done;
-  for (const auto& ph : phases_) {
-    if (ph->deferred()) continue;
-    auto names = ph->grid().topology_names();
-    if (names.empty()) names.push_back(ph->grid().proto().topology);
-    for (const auto& name : names) {
-      if (name.empty() || !done.insert(name).second) continue;
-      auto art = eng_.artifacts().get(name);
-      (void)art->graph();
-      if (ph->is_sim()) {
-        if (!pool) pool.emplace(eng_.config().threads);
-        (void)art->next_hops(&*pool);
-      }
-    }
-  }
-  build_seconds_ +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return build_seconds_;
-}
-
 void Campaign::run(const std::vector<ResultSink*>& sinks) {
   RunControl ctl;
   run(sinks, ctl);
@@ -704,9 +692,9 @@ void Campaign::run(const std::vector<ResultSink*>& sinks, RunControl& ctl) {
     const bool done =
         ph->is_sim()
             ? replay_and_stream(eng_, ctl, m, ph->sims_, lo, ph->sim_results_,
-                                sinks, ph->eval_seconds_)
+                                sinks, ph->tally_)
             : replay_and_stream(eng_, ctl, m, ph->scenarios_, lo,
-                                ph->results_, sinks, ph->eval_seconds_);
+                                ph->results_, sinks, ph->tally_);
     if (!done) {  // budget fired mid-batch: clean prefix on disk
       ctl.stopped = true;
       return;
@@ -728,7 +716,13 @@ std::size_t Campaign::total_scenarios() const {
 
 double Campaign::eval_seconds() const {
   double s = 0;
-  for (const auto& ph : phases_) s += ph->eval_seconds();
+  for (const auto& ph : phases_) s += ph->tally().eval_seconds;
+  return s;
+}
+
+double Campaign::artifact_build_seconds() const {
+  double s = 0;
+  for (const auto& ph : phases_) s += ph->tally().build_seconds;
   return s;
 }
 
@@ -817,7 +811,7 @@ void AdaptiveSweep::run(const std::vector<ResultSink*>& sinks,
     m.decl = decl_hash(batch);
     std::vector<Result> results;
     const bool done = replay_and_stream(eng_, ctl, m, batch, 0, results,
-                                        sinks, eval_seconds_);
+                                        sinks, tally_);
     for (std::size_t i = 0; i < results.size(); ++i) {
       PointState& p = points_[slots[i].first];
       const auto& r = results[i];

@@ -214,6 +214,18 @@ class CampaignBuilder {
   std::vector<std::function<void(Scenario&)>> hooks_;
 };
 
+/// What a run did in one phase (or adaptive sweep): the engine's artifact
+/// pre-build time, the evaluation time with that pre-build excluded, and
+/// the simulator work of the ok sim rows it evaluated.  Journal-replayed
+/// rows add no work, so events / eval_seconds is this run's rate.
+struct RunTally {
+  double build_seconds = 0.0;
+  double eval_seconds = 0.0;
+  std::uint64_t events = 0;
+  std::uint64_t packets = 0;
+  std::uint64_t messages = 0;
+};
+
 /// One named grid inside a Campaign: the builder, its expanded batch, and
 /// (after Campaign::run) the collected results with coordinate access.
 class Phase {
@@ -241,7 +253,7 @@ class Phase {
   [[nodiscard]] const SimResult& sim_at(
       std::initializer_list<std::size_t> coords) const;
 
-  [[nodiscard]] double eval_seconds() const { return eval_seconds_; }
+  [[nodiscard]] const RunTally& tally() const { return tally_; }
 
  private:
   friend class Campaign;
@@ -261,7 +273,7 @@ class Phase {
   std::vector<SimScenario> sims_;
   std::vector<Result> results_;
   std::vector<SimResult> sim_results_;
-  double eval_seconds_ = 0.0;
+  RunTally tally_;
 };
 
 /// A bench's whole declared evaluation: named phases over one Engine.
@@ -287,12 +299,6 @@ class Campaign {
   /// and new topology artifact builds — without evaluating anything.
   void print_plan(std::FILE* out = stdout) const;
 
-  /// Force every phase topology's artifacts to materialize now (sim
-  /// phases: graph + tables + next-hop index, on a pool of the engine's
-  /// width; analytic: graph only) and record the build wall-clock, so
-  /// --profile / perf records separate construction from evaluation.
-  double materialize_artifacts();
-
   /// Execute every phase in declaration order.
   void run(const std::vector<ResultSink*>& sinks = {});
   /// Execute under a RunControl: resume from a journal, restrict every
@@ -312,14 +318,15 @@ class Campaign {
   [[nodiscard]] const Engine& engine() const { return eng_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t total_scenarios() const;
+  /// Summed over phases: evaluation time, and the engine's artifact
+  /// pre-build time that evaluation excludes (RunTally).
   [[nodiscard]] double eval_seconds() const;
-  [[nodiscard]] double artifact_build_seconds() const { return build_seconds_; }
+  [[nodiscard]] double artifact_build_seconds() const;
 
  private:
   Engine& eng_;
   std::string name_;
   std::vector<std::unique_ptr<Phase>> phases_;
-  double build_seconds_ = 0.0;
 };
 
 // ---------------------------------------------------------------------------
@@ -391,8 +398,8 @@ class AdaptiveSweep {
   [[nodiscard]] const std::vector<PointState>& points() const {
     return points_;
   }
-  /// Scenario-evaluation wall-clock across all waves so far.
-  [[nodiscard]] double eval_seconds() const { return eval_seconds_; }
+  /// Evaluation time and work across all waves so far.
+  [[nodiscard]] const RunTally& tally() const { return tally_; }
   /// CoV-selected prefix length for a point's kept series.
   [[nodiscard]] std::size_t converged_prefix(std::size_t point) const;
 
@@ -404,7 +411,7 @@ class AdaptiveSweep {
   CampaignBuilder grid_;
   Config cfg_;
   std::vector<PointState> points_;
-  double eval_seconds_ = 0.0;
+  RunTally tally_;
   std::size_t waves_ = 0;  // waves run or replayed; names the next batch
 };
 

@@ -6,7 +6,6 @@
 #include <map>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -347,6 +346,7 @@ std::size_t Engine::run_sims_stream(const std::vector<SimScenario>& batch,
   // built by its first scenario task on one core while the tasks behind
   // it wait.  A build that throws is left to the scenarios to report.
   auto prepare = [&](TaskPool& pool) {
+    const auto t0 = std::chrono::steady_clock::now();
     std::set<std::string> done;
     for (const auto& s : batch) {
       if (s.failure_fraction > 0.0 || !done.insert(s.topology).second)
@@ -356,6 +356,9 @@ std::size_t Engine::run_sims_stream(const std::vector<SimScenario>& batch,
       } catch (const std::exception&) {
       }
     }
+    build_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
   };
   return stream_batch<SimScenario, SimResult>(
       cfg_.threads, batch, sinks, opts, prepare,
@@ -374,77 +377,6 @@ std::vector<SimResult> Engine::run_sims(const std::vector<SimScenario>& batch) {
   CollectSink collect(&results);
   run_sims_stream(batch, {&collect});
   return results;
-}
-
-std::string Engine::csv(const std::vector<Result>& results) {
-  std::string out = csv_header(false);
-  for (const auto& r : results) out += csv_row(r);
-  return out;
-}
-
-std::string Engine::sim_csv(const std::vector<SimResult>& results) {
-  std::string out = csv_header(true);
-  for (const auto& r : results) out += csv_row(r);
-  return out;
-}
-
-void Engine::write_csv(std::FILE* out, const std::vector<Result>& results) {
-  // Header even for an empty batch, matching csv(): the caller knows the
-  // result flavor here, which the lazily-headered streaming sink cannot.
-  if (results.empty()) {
-    std::fputs(csv_header(false), out);
-    return;
-  }
-  CsvSink sink(out);
-  for (const auto& r : results) sink.consume(r);
-  sink.end();
-}
-
-void Engine::write_csv(std::FILE* out, const std::vector<SimResult>& results) {
-  if (results.empty()) {
-    std::fputs(csv_header(true), out);
-    return;
-  }
-  CsvSink sink(out);
-  for (const auto& r : results) sink.consume(r);
-  sink.end();
-}
-
-Table Engine::to_table(const std::vector<Result>& results) {
-  Table t({"#", "Topology", "Kind", "OK", "Diam", "Mean hops", "Bisection",
-           "Wall ms"});
-  for (const auto& r : results) {
-    if (!r.ok) {
-      t.add_row({std::to_string(r.index), r.topology, kind_name(r.kind),
-                 "ERR: " + r.error, "-", "-", "-", Table::num(r.wall_ms, 1)});
-      continue;
-    }
-    t.add_row({std::to_string(r.index), r.topology, kind_name(r.kind),
-               r.connected ? "yes" : "disconnected", Table::num(r.diameter, 0),
-               Table::num(r.mean_hops, 2), Table::num(r.bisection, 0),
-               Table::num(r.wall_ms, 1)});
-  }
-  return t;
-}
-
-Table Engine::to_table(const std::vector<SimResult>& results) {
-  Table t({"#", "Topology", "Label", "OK", "Diam", "Max lat (us)", "p99 (us)",
-           "Completion (us)", "Msgs", "Wall ms"});
-  for (const auto& r : results) {
-    if (!r.ok) {
-      t.add_row({std::to_string(r.index), r.topology, r.label,
-                 "ERR: " + r.error, "-", "-", "-", "-", "-",
-                 Table::num(r.wall_ms, 1)});
-      continue;
-    }
-    t.add_row({std::to_string(r.index), r.topology, r.label, "yes",
-               Table::num(r.diameter, 0),
-               Table::num(r.max_latency_ns / 1000.0, 1),
-               Table::num(r.p99_latency_ns / 1000.0, 1),
-               Table::num(r.completion_ns / 1000.0, 1),
-               std::to_string(r.messages), Table::num(r.wall_ms, 1)});
-  }
-  return t;
 }
 
 }  // namespace sfly::engine

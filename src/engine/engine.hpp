@@ -8,15 +8,15 @@
 // Scenarios through run()/run_stream()/evaluate(), simulated
 // SimScenarios through run_sims()/run_sims_stream()/evaluate_sim() —
 // shares expensive per-topology artifacts (graph, routing tables,
-// spectra) through an ArtifactCache, and emits structured results (CSV,
-// JSONL, util/table).
+// spectra) through an ArtifactCache, and streams results to ResultSinks
+// (engine/sink.hpp: CSV, JSONL, progress).
 //
 // Determinism: every scenario is evaluated from explicit seeds and writes
 // only its own Result slot, so a batch returns bitwise-identical metrics
 // whether run on 1 thread or many.
 
+#include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -24,7 +24,6 @@
 #include "engine/artifact_cache.hpp"
 #include "engine/scenario.hpp"
 #include "sim/simulator.hpp"
-#include "util/table.hpp"
 
 namespace sfly::engine {
 
@@ -81,7 +80,8 @@ class Engine {
   /// O(batch)).  run()/run_sims() are this with a CollectSink.  Sinks
   /// are invoked from the calling thread only.  run_sims_stream first
   /// builds the routing tables and next-hop index of every pristine
-  /// scenario's topology across the pool, before any scenario starts.
+  /// scenario's topology across the pool, before any scenario starts
+  /// (timed into artifact_build_seconds()).
   /// \return the number of results delivered — less than batch.size()
   ///         only when opts.stop_after fired.
   std::size_t run_stream(const std::vector<Scenario>& batch,
@@ -100,20 +100,17 @@ class Engine {
   [[nodiscard]] SimResult evaluate_sim(const SimScenario& s,
                                        std::size_t index = 0);
 
-  /// results -> CSV (header + one line per result), streamed through a
-  /// CsvSink — both result flavors have the FILE* path.
-  static void write_csv(std::FILE* out, const std::vector<Result>& results);
-  static void write_csv(std::FILE* out, const std::vector<SimResult>& results);
-  [[nodiscard]] static std::string csv(const std::vector<Result>& results);
-  [[nodiscard]] static std::string sim_csv(const std::vector<SimResult>& results);
-
-  /// results -> aligned console table (columns for the union of kinds).
-  [[nodiscard]] static Table to_table(const std::vector<Result>& results);
-  [[nodiscard]] static Table to_table(const std::vector<SimResult>& results);
+  /// Wall-clock seconds run_sims_stream has spent pre-building shared
+  /// routing artifacts, summed over every call on this engine.  Campaign
+  /// timing reads it to keep construction out of evaluation time.
+  [[nodiscard]] double artifact_build_seconds() const {
+    return static_cast<double>(build_ns_.load()) * 1e-9;
+  }
 
  private:
   EngineConfig cfg_;
   ArtifactCache cache_;
+  std::atomic<std::int64_t> build_ns_{0};
 };
 
 }  // namespace sfly::engine

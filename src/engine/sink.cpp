@@ -6,7 +6,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "engine/engine.hpp"
 #include "util/json.hpp"
 
 namespace sfly::engine {
@@ -246,74 +245,6 @@ void ProgressSink::consume(const Result& r) {
 
 void ProgressSink::consume(const SimResult& r) {
   line(r.topology, r.label, r.ok, r.wall_ms);
-}
-
-// --- TableSink -------------------------------------------------------------
-
-void TableSink::consume(const Result& r) {
-  rows_.push_back(r);
-  rows_.back().placement = {};  // tables never render the embedding
-}
-
-void TableSink::consume(const SimResult& r) { sim_rows_.push_back(r); }
-
-void TableSink::end() {
-  if (!rows_.empty()) {
-    checked_write(out_, "table output", Engine::to_table(rows_).str());
-    rows_.clear();
-  }
-  if (!sim_rows_.empty()) {
-    checked_write(out_, "table output", Engine::to_table(sim_rows_).str());
-    sim_rows_.clear();
-  }
-  checked_flush(out_, "table output");
-}
-
-// --- PerfRecordSink --------------------------------------------------------
-
-void PerfRecordSink::consume(const Result& r) {
-  if (r.ok) ++scenarios_ok_;
-}
-
-void PerfRecordSink::consume(const SimResult& r) {
-  if (!r.ok) return;
-  ++scenarios_ok_;
-  events_ += r.events;
-  packets_ += r.packets;
-  messages_ += r.messages;
-}
-
-void PerfRecordSink::write(const std::string& path, const std::string& campaign,
-                           unsigned threads, double artifact_build_s,
-                           double eval_s) const {
-  const double eps =
-      eval_s > 0 ? static_cast<double>(events_) / eval_s : 0.0;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  const int n = std::fprintf(f,
-               "{\n"
-               "  \"campaign\": \"%s\",\n"
-               "  \"threads\": %u,\n"
-               "  \"scenarios\": %llu,\n"
-               "  \"artifact_build_s\": %.6f,\n"
-               "  \"eval_s\": %.6f,\n"
-               "  \"wall_s\": %.6f,\n"
-               "  \"events\": %llu,\n"
-               "  \"packets_forwarded\": %llu,\n"
-               "  \"messages\": %llu,\n"
-               "  \"events_per_sec\": %.1f\n"
-               "}\n",
-               campaign.c_str(), threads,
-               static_cast<unsigned long long>(scenarios_ok_), artifact_build_s,
-               eval_s, artifact_build_s + eval_s,
-               static_cast<unsigned long long>(events_),
-               static_cast<unsigned long long>(packets_),
-               static_cast<unsigned long long>(messages_), eps);
-  if (n < 0) io_die("--phase-json record");
-  checked_close(f, "--phase-json record");
 }
 
 }  // namespace sfly::engine

@@ -63,9 +63,9 @@ class ResultSink {
   virtual void end() {}
 
   /// Whether a `--resume` run should re-deliver rows replayed from the
-  /// journal.  In-memory consumers (collect, tables, CSV re-emission)
-  /// need the full sequence; journal-writing and rate-measuring sinks
-  /// must see only the rows actually evaluated this run.
+  /// journal.  In-memory consumers (collect, CSV re-emission) need the
+  /// full sequence; journal-writing and progress sinks must see only the
+  /// rows actually evaluated this run.
   [[nodiscard]] virtual bool wants_replay() const { return true; }
 };
 
@@ -89,7 +89,7 @@ void checked_flush(std::FILE* f, const char* what);
 void checked_close(std::FILE* f, const char* what);
 
 // ---------------------------------------------------------------------------
-// Row formatting shared by the sinks and the legacy Engine::csv strings.
+// Row formatting shared by the sinks.
 
 [[nodiscard]] const char* csv_header(bool sim);
 [[nodiscard]] std::string csv_row(const Result& r);
@@ -175,51 +175,6 @@ class ProgressSink final : public ResultSink {
   std::FILE* out_;
   std::size_t total_ = 0;
   std::size_t seen_ = 0;  // delivered count (indices may be batch-offset)
-};
-
-/// Buffers results and prints one aligned console table at end() —
-/// column alignment inherently needs the whole batch, so unlike the
-/// other sinks this one holds O(batch) results (minus the heavyweight
-/// layout placement, which is dropped on entry).  Don't attach it to a
-/// campaign too large to hold in memory; stream CSV/JSONL instead.
-class TableSink final : public ResultSink {
- public:
-  explicit TableSink(std::FILE* out = stdout) : out_(out) {}
-  void consume(const Result& r) override;
-  void consume(const SimResult& r) override;
-  void end() override;
-
- private:
-  std::FILE* out_;
-  std::vector<Result> rows_;        // trimmed: placement dropped on entry
-  std::vector<SimResult> sim_rows_;
-};
-
-/// Accumulates the campaign-level work counters (simulator events,
-/// packet-hops and messages of sim rows, ok-scenario count of both
-/// flavors) that feed the BENCH_sim.json
-/// perf record; `write` emits the record after the run.
-class PerfRecordSink final : public ResultSink {
- public:
-  void consume(const Result& r) override;
-  void consume(const SimResult& r) override;
-  /// events/sec must divide work actually done this run by this run's
-  /// eval time, so journal-replayed rows are excluded.
-  [[nodiscard]] bool wants_replay() const override { return false; }
-
-  [[nodiscard]] std::uint64_t events() const { return events_; }
-  [[nodiscard]] std::uint64_t packets() const { return packets_; }
-  [[nodiscard]] std::uint64_t messages() const { return messages_; }
-  [[nodiscard]] std::uint64_t scenarios_ok() const { return scenarios_ok_; }
-
-  /// Write the machine-readable perf record (the BENCH_sim.json format
-  /// guarded by CI's perf smoke stage).  Exits with an error message if
-  /// `path` cannot be opened.
-  void write(const std::string& path, const std::string& campaign,
-             unsigned threads, double artifact_build_s, double eval_s) const;
-
- private:
-  std::uint64_t events_ = 0, packets_ = 0, messages_ = 0, scenarios_ok_ = 0;
 };
 
 }  // namespace sfly::engine

@@ -489,9 +489,8 @@ std::vector<std::string> StandardOptions::worker_args(
                                       "--csv",         "--phase-json",
                                       "--progress",    "--profile",
                                       "--threads",     "--max-seconds",
-                                      "--dry-run",     "--bench-json",
-                                      "--listen",      "--lease-ms",
-                                      "--connect"};
+                                      "--dry-run",     "--listen",
+                                      "--lease-ms",    "--connect"};
   auto parent_only = [](const std::string& f) {
     for (const char* p : kParentOnly)
       if (f == p) return true;

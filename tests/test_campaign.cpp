@@ -174,14 +174,14 @@ TEST(CampaignBuilder, EmptyAxisYieldsEmptyGridNotAThrow) {
   Engine eng(cfg);
   Campaign camp(eng, "empty");
   camp.analytic("none", std::move(grid));
-  camp.run();  // zero scenarios: sinks see begin(0)/end(), nothing else
-  EXPECT_TRUE(camp.phase("none").results().empty());
-
-  // write_csv still emits the header for an empty batch (matching csv()).
+  // Zero scenarios: sinks see begin(0)/end(), nothing else — CsvSink
+  // writes its header only with the first row, so nothing at all.
   std::FILE* f = std::tmpfile();
   ASSERT_NE(f, nullptr);
-  Engine::write_csv(f, std::vector<SimResult>{});
-  EXPECT_GT(std::ftell(f), 0);
+  CsvSink csv(f);
+  camp.run({&csv});
+  EXPECT_TRUE(camp.phase("none").results().empty());
+  EXPECT_EQ(std::ftell(f), 0);
   std::fclose(f);
 }
 
@@ -344,17 +344,21 @@ TEST(JsonlSink, ByteIdenticalAcrossThreadCountsAndRoundTrips) {
 
 TEST(CsvSink, SimResultFilePathMatchesStringPath) {
   auto batch = small_sim_batch();
-  auto results = engine_with(2)->run_sims(batch);
   std::FILE* f = std::tmpfile();
   ASSERT_NE(f, nullptr);
-  Engine::write_csv(f, results);
+  CsvSink csv(f);
+  std::vector<SimResult> results;
+  CollectSink collect(&results);
+  engine_with(2)->run_sims_stream(batch, {&csv, &collect});
   std::fseek(f, 0, SEEK_SET);
   std::string text;
   char buf[4096];
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
   std::fclose(f);
-  EXPECT_EQ(text, Engine::sim_csv(results));
+  std::string expect = csv_header(true);
+  for (const auto& r : results) expect += csv_row(r);
+  EXPECT_EQ(text, expect);
   EXPECT_EQ(text.rfind("index,topology,label", 0), 0u);
 }
 

@@ -7,18 +7,21 @@
 // campaign differently from the parent (stale build) is refused, never
 // silently mixed in; a worker that cannot even say HELLO exhausts the
 // respawn budget instead of hanging the fleet.  Plus the row-index
-// check the wire protocol rides on, and the sfly_merge
-// output-names-an-input refusal.
+// check the wire protocol rides on, the sfly_merge output-names-an-input
+// refusal, and the --phase-json run record's work counts.
 
 #include "engine/dispatch.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include "engine/journal.hpp"
 
 namespace sfly::engine {
 namespace {
@@ -235,6 +238,97 @@ TEST(Merge, RefusesOutputNamingAnInputShard) {
   ASSERT_EQ(run(bench + "--json " + rj + " >/dev/null 2>&1"), 0);
   ASSERT_EQ(run(merge + "-o " + m + " " + s0 + " " + s1), 0);
   EXPECT_EQ(slurp(m), slurp(rj));
+}
+
+// ---------------------------------------------------------------------
+// --phase-json: the run record counts the simulator work of the ok sim
+// rows this run evaluated, whoever evaluated them, and none of the rows
+// it replayed from a journal.
+
+struct Work {
+  std::uint64_t events = 0, packets = 0, messages = 0;
+  bool operator==(const Work& o) const {
+    return events == o.events && packets == o.packets &&
+           messages == o.messages;
+  }
+};
+
+// One numeric field of a --phase-json record.
+double record_field(const std::string& record, const std::string& key) {
+  const auto at = record.find("\"" + key + "\": ");
+  EXPECT_NE(at, std::string::npos) << key << " missing in " << record;
+  if (at == std::string::npos) return -1;
+  return std::strtod(record.c_str() + at + key.size() + 4, nullptr);
+}
+
+Work record_work(const std::string& path) {
+  const std::string rec = slurp(path);
+  return {static_cast<std::uint64_t>(record_field(rec, "events")),
+          static_cast<std::uint64_t>(record_field(rec, "packets_forwarded")),
+          static_cast<std::uint64_t>(record_field(rec, "messages"))};
+}
+
+// The same sums over a --json journal's ok sim rows.
+Work journal_work(const std::string& path) {
+  Work w;
+  const CampaignJournal journal = CampaignJournal::load(path);
+  for (const auto& seg : journal.segments())
+    for (const auto& row : seg.rows)
+      if (row.sim && row.sim_result.ok) {
+        w.events += row.sim_result.events;
+        w.packets += row.sim_result.packets;
+        w.messages += row.sim_result.messages;
+      }
+  return w;
+}
+
+const char* const kRecordRun =
+    "/bench_fig6_ugal --ranks 64 --msgs 2 --threads 2 ";
+
+TEST(PhaseRecord, WorkCountsAreTheEvaluatedOkRows) {
+  const std::string bench = bin_dir() + kRecordRun;
+  const std::string j = tmp("rec.jsonl"), p = tmp("rec.json");
+  ASSERT_EQ(run(bench + "--json " + j + " --phase-json " + p +
+                " >/dev/null 2>&1"),
+            0);
+  const Work w = journal_work(j);
+  EXPECT_GT(w.events, 0u);
+  EXPECT_TRUE(record_work(p) == w);
+  // The engine's own pre-build is timed without --profile.
+  EXPECT_GT(record_field(slurp(p), "artifact_build_s"), 0.0);
+
+  // --profile only prints; a --workers fleet returns the same rows.
+  const std::string pp = tmp("rec_profile.json"), pw = tmp("rec_workers.json");
+  ASSERT_EQ(run(bench + "--profile --phase-json " + pp + " >/dev/null 2>&1"),
+            0);
+  EXPECT_TRUE(record_work(pp) == w);
+  ASSERT_EQ(run(bench + "--workers 2 --phase-json " + pw + " >/dev/null 2>&1"),
+            0);
+  EXPECT_TRUE(record_work(pw) == w);
+}
+
+TEST(PhaseRecord, StoppedRunAndItsResumeAddUpToOneRun) {
+  const std::string bench = bin_dir() + kRecordRun;
+  const std::string ref = tmp("rec_ref.json");
+  ASSERT_EQ(run(bench + "--phase-json " + ref + " >/dev/null 2>&1"), 0);
+  // A budget this small stops the run after its first submission window.
+  const std::string j = tmp("rec_stop.jsonl");
+  const std::string p1 = tmp("rec_stop.json"), p2 = tmp("rec_resume.json");
+  std::remove(j.c_str());
+  ASSERT_EQ(run(bench + "--max-seconds 0.000001 --json " + j +
+                " --phase-json " + p1 + " >/dev/null 2>&1"),
+            75);
+  ASSERT_EQ(run(bench + "--resume " + j + " --phase-json " + p2 +
+                " >/dev/null 2>&1"),
+            0);
+  const Work stopped = record_work(p1), resumed = record_work(p2);
+  EXPECT_GT(stopped.events, 0u);
+  EXPECT_GT(resumed.events, 0u);
+  const Work sum{stopped.events + resumed.events,
+                 stopped.packets + resumed.packets,
+                 stopped.messages + resumed.messages};
+  EXPECT_TRUE(sum == record_work(ref));
+  EXPECT_TRUE(sum == journal_work(j));
 }
 
 }  // namespace
