@@ -98,6 +98,5 @@ int main(int argc, char** argv) {
   t2.print();
   std::printf("# Fewer VCs than hops shares the top channel among tail hops; at\n"
               "# moderate load the effect is mild, under saturation it grows.\n");
-  bench::print_profile(camp, opts);
   return 0;
 }

@@ -30,8 +30,7 @@ int main(int argc, char** argv) {
        "#   --window NS       churn window length (default 4000 ns)\n"
        "#   --repair NS       repair delay for the '~' levels (default 4000 ns)\n"
        "#   --threads N       engine worker threads (default: all hardware threads)\n"
-       "#   --workers N       distribute the campaign across N worker processes\n"
-       "#   --profile         print phase timing (artifact build vs scenario eval)",
+       "#   --workers N       distribute the campaign across N worker processes",
        {{"--ranks", true, "MPI ranks (default 1024; --full = 8192)"},
         {"--msgs", true, "messages per rank (default 24)"},
         {"--load", true, "offered load (default 0.5)"},
@@ -106,6 +105,5 @@ int main(int argc, char** argv) {
       "# levels repair after %.0f ns and should recover toward the\n"
       "# churn-free p99.\n",
       repair_ns);
-  bench::print_profile(camp, opts);
   return 0;
 }

@@ -2,8 +2,8 @@
 // Shared helpers for the per-figure/per-table benchmark harnesses, built
 // on the engine's declarative campaign layer: benches declare sweep axes
 // (engine/campaign.hpp), parse one shared option surface
-// (util/options.hpp: --threads/--full/--seed/--csv/--json/--profile/
-// --progress/--dry-run/--help plus bench-specific flags), and stream
+// (util/options.hpp: --threads/--full/--seed/--csv/--json/--phase-json/
+// --dry-run/--help plus bench-specific flags), and stream
 // results through sinks — no bench hand-rolls a sweep loop or a flag
 // parser.
 //
@@ -32,6 +32,7 @@
 #include "topo/factory.hpp"
 #include "topo/lps.hpp"
 #include "topo/slimfly.hpp"
+#include "util/json.hpp"
 #include "util/options.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
@@ -132,17 +133,22 @@ struct PhaseStat {
 };
 
 /// Write the per-run record (the BENCH_full.json per-bench format):
-/// campaign identity, shard/resume accounting, artifact pre-build and
-/// evaluation time, the simulator work this run evaluated (journal-
-/// replayed rows excluded) and its events/sec, and one entry per phase.
+/// campaign identity, worker count, shard/resume accounting, artifact
+/// pre-build and evaluation time, the simulator work this run evaluated
+/// (journal-replayed rows excluded) and its events/sec, each registered
+/// topology's artifact footprint in `cache`, and one entry per phase.
 /// Used by `--phase-json`; committed as BENCH_full.json for the
 /// paper-scale `--full` runs, and CI's perf smoke reads its
-/// `events_per_sec`.
+/// `events_per_sec`.  Under `--workers` the parent evaluates nothing
+/// itself: its `eval_s` includes spawning and feeding the fleet, so a
+/// fleet's rate is not comparable with a single-process one, and its
+/// footprints count only what the parent itself built.
 inline void write_phase_record(const std::string& path,
                                const std::string& campaign,
                                const StandardOptions& opts,
                                const engine::RunControl& ctl,
-                               const std::vector<PhaseStat>& phases) {
+                               const std::vector<PhaseStat>& phases,
+                               const engine::ArtifactCache& cache) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
@@ -167,6 +173,7 @@ inline void write_phase_record(const std::string& path,
                "  \"campaign\": \"%s\",\n"
                "  \"nproc\": %d,\n"
                "  \"threads\": %u,\n"
+               "  \"workers\": %zu,\n"
                "  \"full\": %s,\n"
                "  \"shard\": [%zu, %zu],\n"
                "  \"scenarios_total\": %zu,\n"
@@ -180,9 +187,9 @@ inline void write_phase_record(const std::string& path,
                "  \"packets_forwarded\": %llu,\n"
                "  \"messages\": %llu,\n"
                "  \"events_per_sec\": %.1f,\n"
-               "  \"phases\": [",
+               "  \"artifacts\": [",
                campaign.c_str(), hardware_threads(), opts.threads(),
-               opts.full() ? "true" : "false",
+               opts.workers(), opts.full() ? "true" : "false",
                ctl.shard_index, ctl.shard_count, total, ctl.replayed,
                ctl.evaluated, ctl.stopped ? "true" : "false",
                sum.build_seconds, sum.eval_seconds,
@@ -190,6 +197,22 @@ inline void write_phase_record(const std::string& path,
                static_cast<unsigned long long>(sum.events),
                static_cast<unsigned long long>(sum.packets),
                static_cast<unsigned long long>(sum.messages), events_per_sec);
+  // Bytes per materialized component (zero for one never built).
+  const auto names = cache.names();
+  std::size_t artifact_bytes = 0;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto fp = cache.get(names[i])->footprint();
+    artifact_bytes += fp.total();
+    std::fprintf(f, "%s\n    {\"name\": %s, \"graph_bytes\": %zu, "
+                    "\"tables_bytes\": %zu, \"next_hops_bytes\": %zu, "
+                    "\"spectra_bytes\": %zu, \"cells_bytes\": %zu, "
+                    "\"total_bytes\": %zu}",
+                 i ? "," : "", json_quote(names[i]).c_str(), fp.graph_bytes,
+                 fp.tables_bytes, fp.next_hops_bytes, fp.spectra_bytes,
+                 fp.cells_bytes, fp.total());
+  }
+  std::fprintf(f, "%s],\n  \"artifact_bytes\": %zu,\n  \"phases\": [",
+               names.empty() ? "" : "\n  ", artifact_bytes);
   for (std::size_t i = 0; i < phases.size(); ++i)
     std::fprintf(f, "%s\n    {\"name\": \"%s\", \"scenarios\": %zu, "
                     "\"eval_s\": %.3f}",
@@ -262,7 +285,8 @@ inline RunStatus execute_campaign(engine::Campaign& camp,
     std::vector<PhaseStat> stats;
     for (const auto& ph : camp.phases())
       stats.push_back({ph->name(), ph->size(), ph->tally()});
-    write_phase_record(path, camp.name(), opts, ctl, stats);
+    write_phase_record(path, camp.name(), opts, ctl, stats,
+                       camp.engine().artifacts());
   }
   const RunStatus st = finish_run(ctl, /*final_run=*/true);
   if (st == RunStatus::kDone && opts.shard().second > 1)
@@ -278,33 +302,6 @@ inline RunStatus run_campaign(engine::Campaign& camp, StandardOptions& opts) {
     return RunStatus::kDryRun;
   }
   return execute_campaign(camp, opts);
-}
-
-/// The uniform --profile epilogue (phase timing: the engine's artifact
-/// pre-build vs scenario evaluation).
-inline void print_profile(const engine::Campaign& camp,
-                          const StandardOptions& opts) {
-  if (!opts.profile()) return;
-  std::printf("\n== --profile phase timing ==\n"
-              "artifact pre-build (graphs + tables + next-hops):  %.3f s\n"
-              "scenario evaluation (%zu scenarios):               %.3f s\n",
-              camp.artifact_build_seconds(), camp.total_scenarios(),
-              camp.eval_seconds());
-  // Per-topology artifact memory (what a snapshot of this campaign would
-  // hold; zero components were never materialized, e.g. under --workers).
-  const auto& cache = camp.engine().artifacts();
-  const auto names = cache.names();
-  if (names.empty()) return;
-  std::printf("== --profile artifact footprints ==\n");
-  std::size_t total = 0;
-  for (const auto& name : names) {
-    const auto f = cache.get(name)->footprint();
-    total += f.total();
-    std::printf("%-28s %10zu B  (graph %zu, tables %zu, next-hop %zu, spectra %zu)\n",
-                name.c_str(), f.total(), f.graph_bytes, f.tables_bytes,
-                f.next_hops_bytes, f.spectra_bytes);
-  }
-  std::printf("%-28s %10zu B\n", "total", total);
 }
 
 /// Table I's four families for the first `run_classes` size classes as a

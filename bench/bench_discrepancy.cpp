@@ -104,6 +104,5 @@ int main(int argc, char** argv) {
     std::printf("# The discrepancy property predicts SpectralFly's ratio stays\n"
                 "# closer to 1.0: any induced sub-network keeps high bisection.\n");
   }
-  bench::print_profile(camp, opts);
   return 0;
 }

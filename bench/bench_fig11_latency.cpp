@@ -110,6 +110,5 @@ int main(int argc, char** argv) {
   std::printf("# Paper shape: ratios below ~1.0 for most switch latencies\n"
               "# (both low-diameter topologies beat SkyWalk once switch delay\n"
               "# matters), with SpectralFly ~5-10%% above SlimFly.\n");
-  bench::print_profile(camp, opts);
   return 0;
 }

@@ -61,6 +61,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\n# Paper shape: LPS normalized BW stays ~0.33+ and exceeds SlimFly's\n"
       "# asymptotic 1/3 (gap widens with size, up to ~39%%); DragonFly decays.\n");
-  bench::print_profile(camp, opts);
   return 0;
 }

@@ -139,6 +139,5 @@ int main(int argc, char** argv) {
                 opts.threads() ? opts.threads()
                                : static_cast<unsigned>(hardware_threads()));
   }
-  bench::print_profile(camp, opts);
   return 0;
 }

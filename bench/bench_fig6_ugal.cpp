@@ -5,7 +5,7 @@
 // Campaign-backed: the bench declares the (pattern x load x topology)
 // grid; the engine expands it, shares each topology's artifacts across
 // all 24 points per pattern, and streams results through the standard
-// sinks (--csv/--json/--progress).
+// sinks (--csv/--json).
 
 #include "bench_common.hpp"
 
@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
        "#   --ranks N         MPI ranks (default 1024; --full = 8192)\n"
        "#   --msgs N          messages per rank (default 24)\n"
        "#   --threads N       engine worker threads (default: all hardware threads)\n"
-       "#   --workers N       distribute the campaign across N worker processes\n"
-       "#   --profile         print phase timing (artifact build vs scenario eval)",
+       "#   --workers N       distribute the campaign across N worker processes",
        {{"--ranks", true, "MPI ranks (default 1024; --full = 8192)"},
         {"--msgs", true, "messages per rank (default 24)"}}});
   const std::uint32_t nranks = static_cast<std::uint32_t>(
@@ -57,6 +56,5 @@ int main(int argc, char** argv) {
   }
   std::printf("# Paper shape: SpectralFly best on all four patterns (superior\n"
               "# bisection + path diversity); saturation at/beyond 0.7 load.\n");
-  bench::print_profile(camp, opts);
   return 0;
 }

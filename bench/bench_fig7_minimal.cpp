@@ -46,6 +46,5 @@ int main(int argc, char** argv) {
   bench::speedup_table(sweep, 0, loads, topos).print();
   std::printf("\n# Paper shape: SpectralFly above 1.0 throughout; bit shuffle\n"
               "# and transpose behave similarly (see bench_fig6 for those).\n");
-  bench::print_profile(camp, opts);
   return 0;
 }

@@ -17,8 +17,7 @@ int main(int argc, char** argv) {
       {"Fig. 8: Valiant routing on SpectralFly, speedup vs SpectralFly-minimal",
        "#   --ranks N    MPI ranks (default 1024; --full = 8192)\n"
        "#   --msgs N     messages per rank (default 24)\n"
-       "#   --threads N  engine worker threads (default: all hardware threads)\n"
-       "#   --profile    print phase timing (artifact build vs scenario eval)",
+       "#   --threads N  engine worker threads (default: all hardware threads)",
        {{"--ranks", true, "MPI ranks (default 1024; --full = 8192)"},
         {"--msgs", true, "messages per rank (default 24)"}}});
   const std::uint32_t nranks = static_cast<std::uint32_t>(
@@ -70,6 +69,5 @@ int main(int argc, char** argv) {
       "\n# Paper shape: structured patterns (shuffle/reverse/transpose) gain\n"
       "# from Valiant's extra path diversity; the random pattern loses (its\n"
       "# minimal routes already spread, Valiant just doubles path length).\n");
-  bench::print_profile(camp, opts);
   return 0;
 }

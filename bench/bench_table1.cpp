@@ -61,6 +61,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\n# Paper anchors: LPS diam 3,3,3,4,4; girth 3,3,3,4,4; SF diam 2;\n"
       "# LPS mu1 0.50..0.80 rising with radix; DF mu1 decaying to ~0.01.\n");
-  bench::print_profile(camp, opts);
   return 0;
 }

@@ -106,6 +106,5 @@ int main(int argc, char** argv) {
       "# power-efficient per unit bisection bandwidth than SF(23).\n"
       "# (Absolute watts differ from Table II — the paper's per-link power\n"
       "# accounting is not fully specified; see EXPERIMENTS.md.)\n");
-  bench::print_profile(camp, opts);
   return 0;
 }

@@ -82,7 +82,6 @@ inline int run_ember(int argc, char** argv, routing::Algo algo, const char* what
   }
   t.print();
   std::printf("%s", epilogue);
-  print_profile(camp, opts);
   return 0;
 }
 

@@ -6,8 +6,8 @@
 // engine expands the grid, shares each topology's cached artifacts across
 // every scenario naming it, fans the batch over the thread pool, and
 // streams results — in batch order, with bounded memory — through sinks
-// (CSV, JSON lines, progress).  Results are bitwise
-// deterministic for their seeds at any thread count.
+// (CSV, JSON lines).  Results are bitwise deterministic for their seeds at
+// any thread count.
 
 #include <cstdio>
 #include <cstdlib>

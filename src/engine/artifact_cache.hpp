@@ -37,7 +37,8 @@ inline constexpr Vertex kCellExactThreshold = 4096;
 class Artifacts {
  public:
   /// Per-component byte sizes of the materialized artifacts (zero for
-  /// components not yet built).  Sizes snapshots and the --profile dump.
+  /// components not yet built).  Sizes snapshots and the --phase-json
+  /// record.
   struct Footprint {
     std::size_t graph_bytes = 0;
     std::size_t tables_bytes = 0;

@@ -708,24 +708,6 @@ Phase& Campaign::phase(const std::string& name) {
   throw std::out_of_range("no campaign phase named '" + name + "'");
 }
 
-std::size_t Campaign::total_scenarios() const {
-  std::size_t n = 0;
-  for (const auto& ph : phases_) n += ph->size();
-  return n;
-}
-
-double Campaign::eval_seconds() const {
-  double s = 0;
-  for (const auto& ph : phases_) s += ph->tally().eval_seconds;
-  return s;
-}
-
-double Campaign::artifact_build_seconds() const {
-  double s = 0;
-  for (const auto& ph : phases_) s += ph->tally().build_seconds;
-  return s;
-}
-
 // --- AdaptiveSweep ---------------------------------------------------------
 
 CovPrefix cov_prefix(const std::vector<double>& vals, double cov_target) {

@@ -317,11 +317,6 @@ class Campaign {
   [[nodiscard]] Engine& engine() { return eng_; }
   [[nodiscard]] const Engine& engine() const { return eng_; }
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::size_t total_scenarios() const;
-  /// Summed over phases: evaluation time, and the engine's artifact
-  /// pre-build time that evaluation excludes (RunTally).
-  [[nodiscard]] double eval_seconds() const;
-  [[nodiscard]] double artifact_build_seconds() const;
 
  private:
   Engine& eng_;

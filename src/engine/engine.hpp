@@ -9,7 +9,7 @@
 // SimScenarios through run_sims()/run_sims_stream()/evaluate_sim() —
 // shares expensive per-topology artifacts (graph, routing tables,
 // spectra) through an ArtifactCache, and streams results to ResultSinks
-// (engine/sink.hpp: CSV, JSONL, progress).
+// (engine/sink.hpp: CSV, JSONL).
 //
 // Determinism: every scenario is evaluated from explicit seeds and writes
 // only its own Result slot, so a batch returns bitwise-identical metrics

@@ -221,30 +221,4 @@ void JsonlSink::consume(const SimResult& r) {
 
 void JsonlSink::end() { checked_flush(out_, "--json journal"); }
 
-// --- ProgressSink ----------------------------------------------------------
-
-void ProgressSink::begin(std::size_t total) {
-  total_ = total;
-  seen_ = 0;
-}
-
-// Counts deliveries rather than echoing Result::index: on a sharded or
-// resumed batch the indices are full-batch positions (48..95) while
-// begin() announced only this run's slice, and "[49/48]" helps nobody.
-void ProgressSink::line(const std::string& topology, const std::string& label,
-                        bool ok, double wall_ms) {
-  std::fprintf(out_, "[%zu/%zu] %s%s%s %s %.1f ms\n", ++seen_, total_,
-               topology.c_str(), label.empty() ? "" : " ",
-               label.c_str(), ok ? "ok" : "ERR", wall_ms);
-  std::fflush(out_);
-}
-
-void ProgressSink::consume(const Result& r) {
-  line(r.topology, kind_name(r.kind), r.ok, r.wall_ms);
-}
-
-void ProgressSink::consume(const SimResult& r) {
-  line(r.topology, r.label, r.ok, r.wall_ms);
-}
-
 }  // namespace sfly::engine

@@ -4,7 +4,7 @@
 ///
 /// Engine::run_stream / run_sims_stream deliver results to ResultSinks in
 /// strict batch order as workers complete them, so a campaign of any size
-/// can emit CSV / JSON-lines / progress output with bounded memory — no
+/// can emit CSV / JSON-lines output with bounded memory — no
 /// whole-batch buffer between evaluation and formatting.  Sinks are called
 /// from the submitting thread only, one result at a time, and see exactly
 /// the same result values at any --threads count (the engine's determinism
@@ -64,8 +64,8 @@ class ResultSink {
 
   /// Whether a `--resume` run should re-deliver rows replayed from the
   /// journal.  In-memory consumers (collect, CSV re-emission) need the
-  /// full sequence; journal-writing and progress sinks must see only the
-  /// rows actually evaluated this run.
+  /// full sequence; journal-writing sinks must see only the rows actually
+  /// evaluated this run.
   [[nodiscard]] virtual bool wants_replay() const { return true; }
 };
 
@@ -156,25 +156,6 @@ class JsonlSink final : public ResultSink {
 
  private:
   std::FILE* out_;
-};
-
-/// Live per-result progress lines ("[12/96] SpectralFly ok 34.5 ms") —
-/// stderr by default so stdout stays diffable.
-class ProgressSink final : public ResultSink {
- public:
-  explicit ProgressSink(std::FILE* out = stderr) : out_(out) {}
-  void begin(std::size_t total) override;
-  void consume(const Result& r) override;
-  void consume(const SimResult& r) override;
-  /// Replayed rows cost no work; progress covers live evaluation only.
-  [[nodiscard]] bool wants_replay() const override { return false; }
-
- private:
-  void line(const std::string& topology, const std::string& label, bool ok,
-            double wall_ms);
-  std::FILE* out_;
-  std::size_t total_ = 0;
-  std::size_t seen_ = 0;  // delivered count (indices may be batch-offset)
 };
 
 }  // namespace sfly::engine

@@ -77,14 +77,6 @@ TcpTransport::TcpTransport(Config cfg) : cfg_(std::move(cfg)) {
                "# --listen: accepting worker connections on port %u "
                "(%zu slot(s), lease %dms)\n",
                port, cfg_.workers, cfg_.lease_ms);
-  // Scripting hook: tests and wrappers that pass --listen 0 need the
-  // actual port; the notice above is for humans.
-  if (const char* pf = std::getenv("SFLY_LISTEN_PORT_FILE"); pf && *pf) {
-    if (std::FILE* f = std::fopen(pf, "w")) {
-      std::fprintf(f, "%u\n", port);
-      std::fclose(f);
-    }
-  }
 }
 
 TcpTransport::~TcpTransport() { shutdown(); }

@@ -48,66 +48,8 @@ Graph delete_random_edges(const Graph& g, double fraction, std::uint64_t seed) {
   return Graph::from_edges(g.num_vertices(), std::move(edges));
 }
 
-TrialResult adaptive_mean(const std::function<double(std::uint64_t)>& metric,
-                          std::uint64_t initial_batch, double cov_target,
-                          std::uint64_t max_trials) {
-  TrialResult out;
-  std::uint64_t x = initial_batch;
-  std::uint64_t next_trial = 0;
-  // Accumulated across every wave: out.mean must cover the same trial
-  // population out.trials reports, not just the final wave's batches.
-  double grand_total = 0.0;
-  std::uint64_t grand_count = 0;
-  while (true) {
-    std::vector<double> batch_means;
-    batch_means.reserve(10);
-    bool wave_counted = false;
-    for (int b = 0; b < 10; ++b) {
-      double sum = 0.0;
-      std::uint64_t count = 0;
-      for (std::uint64_t i = 0; i < x; ++i) {
-        double v = metric(next_trial++);
-        if (std::isnan(v)) continue;
-        sum += v;
-        ++count;
-      }
-      if (count) batch_means.push_back(sum / static_cast<double>(count));
-      grand_total += sum;
-      grand_count += count;
-      wave_counted = wave_counted || count > 0;
-    }
-    out.trials = next_trial;
-    if (grand_count == 0) return out;  // nothing measurable (all disconnected)
-    out.mean = grand_total / static_cast<double>(grand_count);
-    if (!wave_counted) return out;  // this wave all-NaN: the CoV rule has no input
-
-    double mu = std::accumulate(batch_means.begin(), batch_means.end(), 0.0) /
-                static_cast<double>(batch_means.size());
-    double var = 0.0;
-    for (double v : batch_means) var += (v - mu) * (v - mu);
-    var /= static_cast<double>(batch_means.size());
-    double cov = mu != 0.0 ? std::sqrt(var) / std::abs(mu) : 0.0;
-    if (cov <= cov_target) {
-      out.converged = true;
-      return out;
-    }
-    if (next_trial >= max_trials) return out;
-    x *= 10;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Dynamic failure schedules.
-
-const char* churn_kind_name(ChurnKind k) {
-  switch (k) {
-    case ChurnKind::kLinkDown: return "link-down";
-    case ChurnKind::kLinkUp: return "link-up";
-    case ChurnKind::kRouterDown: return "router-down";
-    case ChurnKind::kRouterUp: return "router-up";
-  }
-  return "?";
-}
 
 std::string churn_label(const ChurnSpec& spec) {
   if (!spec.any()) return "none";

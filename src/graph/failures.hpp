@@ -6,7 +6,9 @@
 // re-measures diameter / mean distance / bisection bandwidth on the
 // survivors, and averages over enough trials that the coefficient of
 // variation of batch means drops below 10% (their footnote 1).  This
-// module provides the subgraph sampler and the adaptive trial driver.
+// module provides the subgraph sampler; the trial scheduling and that
+// stopping rule live in engine::AdaptiveSweep and engine::cov_prefix
+// (engine/campaign.hpp).
 //
 // Beyond the paper's static pre-run sampling, ChurnSpec/FailureSchedule
 // describe *mid-run* link and router churn: a deterministic, seed-derived
@@ -15,7 +17,7 @@
 // a link dies" is a reproducible campaign axis.
 
 #include <cstdint>
-#include <functional>
+#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -27,27 +29,6 @@ namespace sfly {
 [[nodiscard]] Graph delete_random_edges(const Graph& g, double fraction,
                                         std::uint64_t seed);
 
-struct TrialResult {
-  double mean = 0.0;
-  std::uint64_t trials = 0;   // total trials actually run
-  bool converged = false;     // CoV target reached before the cap
-};
-
-/// Paper-style adaptive averaging: run batches of `x` trials (10 batches),
-/// multiply x by 10 until the coefficient of variation of the 10 batch
-/// means is below `cov_target`, or `max_trials` is hit.  `metric` receives
-/// a trial index to derive its RNG stream.  Trials whose metric is NaN
-/// (e.g. graph disconnected) are skipped and do not count.
-///
-/// `mean` covers every counted trial across every wave — the same
-/// population `trials` reports — not just the last wave's batches.  (The
-/// CoV stopping rule itself is still judged on the current wave's 10
-/// batch means, per the paper.)
-[[nodiscard]] TrialResult adaptive_mean(
-    const std::function<double(std::uint64_t trial)>& metric,
-    std::uint64_t initial_batch = 1, double cov_target = 0.10,
-    std::uint64_t max_trials = 10'000);
-
 // ---------------------------------------------------------------------------
 // Dynamic failure schedules.
 
@@ -57,8 +38,6 @@ enum class ChurnKind : std::uint8_t {
   kRouterDown,  // u = router; all incident links sever together
   kRouterUp,
 };
-
-[[nodiscard]] const char* churn_kind_name(ChurnKind k);
 
 /// One timed topology-state change.
 struct ChurnEvent {

@@ -9,8 +9,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <vector>
@@ -70,14 +68,6 @@ bool Server::start() {
     ::close(impl_->listen_fd);
     impl_->listen_fd = -1;
     return false;
-  }
-  // Same scripting hook as the campaign transport: --port 0 callers read
-  // the real port from the file named by SFLY_LISTEN_PORT_FILE.
-  if (const char* pf = std::getenv("SFLY_LISTEN_PORT_FILE"); pf && *pf) {
-    if (std::FILE* f = std::fopen(pf, "w")) {
-      std::fprintf(f, "%u\n", port_);
-      std::fclose(f);
-    }
   }
   impl_->pool = std::make_unique<TaskPool>(cfg_.threads);
   impl_->running.store(true);

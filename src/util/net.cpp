@@ -158,6 +158,14 @@ int tcp_listen(std::uint16_t port, std::uint16_t& bound_port) {
     return -1;
   }
   bound_port = ntohs(addr.sin_port);
+  // Scripting hook: a caller that binds port 0 (tests, CI, wrappers)
+  // reads the real port from this file; stderr notices are for humans.
+  if (const char* pf = std::getenv("SFLY_LISTEN_PORT_FILE"); pf && *pf) {
+    if (std::FILE* f = std::fopen(pf, "w")) {
+      std::fprintf(f, "%u\n", bound_port);
+      std::fclose(f);
+    }
+  }
   return fd;
 }
 

@@ -105,7 +105,8 @@ class FrameReader {
                                   std::uint16_t& port);
 
 /// Bind + listen on `port` (0 = ephemeral); returns the listening fd or
-/// -1, storing the actual port in `bound_port`.
+/// -1, storing the actual port in `bound_port`.  On success the port is
+/// also written to the file named by $SFLY_LISTEN_PORT_FILE, if set.
 [[nodiscard]] int tcp_listen(std::uint16_t port, std::uint16_t& bound_port);
 
 /// One blocking connect attempt; -1 on failure.

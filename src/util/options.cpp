@@ -167,10 +167,8 @@ std::vector<FlagSpec> standard_flags() {
        "sinks, exit 75 (resumable) once B seconds have elapsed "
        "(fractional allowed; 0 = no budget)"},
       {"--phase-json", true,
-       "write a per-phase wall-clock record (the BENCH_full.json format) "
-       "to PATH"},
-      {"--profile", false, "print phase timing (artifact build vs eval)"},
-      {"--progress", false, "per-scenario progress lines on stderr"},
+       "write the run record (times, simulator work, artifact "
+       "footprints; the BENCH_full.json format) to PATH"},
       {"--dry-run", false, "print the expanded campaign plan and exit"},
       {"--help", false, "this help"},
   };
@@ -420,10 +418,6 @@ const std::vector<engine::ResultSink*>& StandardOptions::sinks() {
     owned_.push_back(std::make_unique<engine::JsonlSink>(open(path, "a")));
     sinks_.push_back(owned_.back().get());
   }
-  if (flags_.has("--progress")) {
-    owned_.push_back(std::make_unique<engine::ProgressSink>());
-    sinks_.push_back(owned_.back().get());
-  }
   return sinks_;
 }
 
@@ -485,12 +479,11 @@ engine::RunControl& StandardOptions::run_control() {
 // sfly_worker side).
 std::vector<std::string> StandardOptions::worker_args(
     bool split_threads) const {
-  static const char* kParentOnly[] = {"--workers",     "--json",
-                                      "--csv",         "--phase-json",
-                                      "--progress",    "--profile",
-                                      "--threads",     "--max-seconds",
-                                      "--dry-run",     "--listen",
-                                      "--lease-ms",    "--connect"};
+  static const char* kParentOnly[] = {"--workers",  "--json",
+                                      "--csv",      "--phase-json",
+                                      "--threads",  "--max-seconds",
+                                      "--dry-run",  "--listen",
+                                      "--lease-ms", "--connect"};
   auto parent_only = [](const std::string& f) {
     for (const char* p : kParentOnly)
       if (f == p) return true;

@@ -8,8 +8,7 @@
 /// (exit 2), and numeric values must parse exactly — "12x" is rejected,
 /// not truncated to 12.  StandardOptions layers the flag set shared by
 /// all benches (--threads/--full/--seed/--csv/--json/--resume/--shard/
-/// --workers/--max-seconds/--phase-json/--profile/--progress/--dry-run/
-/// --help) on top, owns the file-backed streaming sinks and the campaign
+/// --workers/--max-seconds/--phase-json/--dry-run/--help) on top, owns the file-backed streaming sinks and the campaign
 /// RunControl those flags select, and prints the bench banner exactly as
 /// the harnesses always have.
 
@@ -90,7 +89,6 @@ class StandardOptions {
   [[nodiscard]] const Flags& flags() const { return flags_; }
   [[nodiscard]] bool full() const { return flags_.has("--full"); }
   [[nodiscard]] bool dry_run() const { return flags_.has("--dry-run"); }
-  [[nodiscard]] bool profile() const { return flags_.has("--profile"); }
   [[nodiscard]] unsigned threads() const {
     return static_cast<unsigned>(flags_.get("--threads", 0));
   }
@@ -102,8 +100,8 @@ class StandardOptions {
 
   /// The streaming sinks the flags select: CsvSink for `--csv PATH`,
   /// JsonlSink for `--json PATH` ("-" = stdout) or appending to the
-  /// `--resume PATH` journal, ProgressSink for --progress.  Owned by
-  /// this object; files close on destruction.
+  /// `--resume PATH` journal.  Owned by this object; files close on
+  /// destruction.
   [[nodiscard]] const std::vector<engine::ResultSink*>& sinks();
 
   /// The campaign execution controls the flags select: the parsed

@@ -387,7 +387,8 @@ TEST(Campaign, PhasesRunInOrderWithCoordinateAccess) {
       });
   camp.sims("sims", std::move(sims));
 
-  EXPECT_EQ(camp.total_scenarios(), 4u + 2u);
+  EXPECT_EQ(camp.phase("structure").size(), 4u);
+  EXPECT_EQ(camp.phase("sims").size(), 2u);
   camp.run();
 
   auto& st = camp.phase("structure");
@@ -468,6 +469,48 @@ TEST(AdaptiveSweep, DeterministicAcrossThreadCountsAndCapsPristinePoints) {
   ASSERT_EQ(vals_1.size(), vals_4.size());
   for (std::size_t i = 0; i < vals_1.size(); ++i)
     EXPECT_EQ(vals_1[i], vals_4[i]);  // bitwise, trial by trial
+}
+
+// ---------------------------------------------------------------------
+// The paper's batch/CoV stopping rule (footnote 1), as AdaptiveSweep
+// applies it between waves.
+
+TEST(CovPrefix, ConstantSeriesConvergesAtTenValues) {
+  const CovPrefix p = cov_prefix(std::vector<double>(1000, 3.5), 0.10);
+  EXPECT_EQ(p.use, 10u);
+  EXPECT_TRUE(p.converged);
+}
+
+TEST(CovPrefix, AlternatingFirstWaveConvergesOnlyAtHundred) {
+  // Ten batches of one: means 10,0,10,... have CoV 1.  Ten batches of
+  // ten: means 5,4,4,...,4 have CoV 0.3 / 4.1 = 0.073.
+  std::vector<double> vals(150, 4.0);
+  for (std::size_t i = 0; i < 10; ++i) vals[i] = i % 2 ? 0.0 : 10.0;
+  const CovPrefix p = cov_prefix(vals, 0.10);
+  EXPECT_EQ(p.use, 100u);
+  EXPECT_TRUE(p.converged);
+  // One value short of the second checkpoint: every value, unconverged.
+  vals.resize(99);
+  const CovPrefix q = cov_prefix(vals, 0.10);
+  EXPECT_EQ(q.use, 99u);
+  EXPECT_FALSE(q.converged);
+}
+
+TEST(CovPrefix, FewerThanTenValuesReturnsAllUnconverged) {
+  for (std::size_t n : {0u, 1u, 9u}) {
+    const CovPrefix p = cov_prefix(std::vector<double>(n, 3.5), 0.10);
+    EXPECT_EQ(p.use, n);
+    EXPECT_FALSE(p.converged);
+  }
+}
+
+TEST(CovPrefix, TargetIsAStrictBound) {
+  // Batch means 1,3,1,3,...: mean 2, standard deviation 1, CoV exactly
+  // 0.5 in binary floating point.
+  std::vector<double> vals(10);
+  for (std::size_t i = 0; i < vals.size(); ++i) vals[i] = i % 2 ? 3.0 : 1.0;
+  EXPECT_FALSE(cov_prefix(vals, 0.5).converged);
+  EXPECT_TRUE(cov_prefix(vals, 0.50001).converged);
 }
 
 // ---------------------------------------------------------------------

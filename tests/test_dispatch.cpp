@@ -91,6 +91,22 @@ TEST(Dispatch, WorkersMatchSingleProcessBytes) {
   EXPECT_EQ(slurp(ro), slurp(wo));
 }
 
+TEST(Dispatch, AdaptiveSweepWorkersMatchSingleProcessBytes) {
+  // fig5's waves are analytic Scenario batches, and every fleet process
+  // must replay the same CoV wave history to expand the same next wave.
+  const std::string bench = bin_dir() + "/bench_fig5_failures --trials 10 ";
+  const std::string rj = tmp("f5ref.jsonl"), ro = tmp("f5ref.out");
+  const std::string wj = tmp("f5w.jsonl"), wo = tmp("f5w.out");
+  ASSERT_EQ(run(bench + "--threads 1 --json " + rj + " > " + ro +
+                " 2> /dev/null"),
+            0);
+  ASSERT_EQ(run(bench + "--workers 2 --json " + wj + " > " + wo +
+                " 2> /dev/null"),
+            0);
+  EXPECT_EQ(slurp(rj), slurp(wj));
+  EXPECT_EQ(slurp(ro), slurp(wo));
+}
+
 TEST(Dispatch, SigkilledWorkerSliceIsReassignedBytesIdentical) {
   const std::string rj = tmp("kref.jsonl"), ro = tmp("kref.out");
   const std::string kj = tmp("kill.jsonl"), ko = tmp("kill.out");
@@ -294,17 +310,34 @@ TEST(PhaseRecord, WorkCountsAreTheEvaluatedOkRows) {
   const Work w = journal_work(j);
   EXPECT_GT(w.events, 0u);
   EXPECT_TRUE(record_work(p) == w);
-  // The engine's own pre-build is timed without --profile.
-  EXPECT_GT(record_field(slurp(p), "artifact_build_s"), 0.0);
+  const std::string rec = slurp(p);
+  EXPECT_EQ(record_field(rec, "workers"), 0.0);
+  // The engine's own pre-build is timed.
+  EXPECT_GT(record_field(rec, "artifact_build_s"), 0.0);
+  // One footprint per registered topology, each holding the graph,
+  // tables and next-hop index the run built; artifact_bytes sums them.
+  for (const char* topo : {"SpectralFly", "DragonFly", "SlimFly", "BundleFly"})
+    EXPECT_NE(rec.find("{\"name\": \"" + std::string(topo) + "\", "),
+              std::string::npos)
+        << topo;
+  const std::string key = "\"total_bytes\": ";
+  double total = 0;
+  std::size_t entries = 0;
+  for (auto at = rec.find(key); at != std::string::npos;
+       at = rec.find(key, at + 1), ++entries)
+    total += std::strtod(rec.c_str() + at + key.size(), nullptr);
+  EXPECT_EQ(entries, 4u);
+  EXPECT_GT(record_field(rec, "next_hops_bytes"), 0.0);
+  EXPECT_GT(total, 0.0);
+  EXPECT_EQ(record_field(rec, "artifact_bytes"), total);
 
-  // --profile only prints; a --workers fleet returns the same rows.
-  const std::string pp = tmp("rec_profile.json"), pw = tmp("rec_workers.json");
-  ASSERT_EQ(run(bench + "--profile --phase-json " + pp + " >/dev/null 2>&1"),
-            0);
-  EXPECT_TRUE(record_work(pp) == w);
+  // A --workers fleet returns the same rows, and its record says it ran
+  // as a fleet (its eval_s includes the fleet's startup).
+  const std::string pw = tmp("rec_workers.json");
   ASSERT_EQ(run(bench + "--workers 2 --phase-json " + pw + " >/dev/null 2>&1"),
             0);
   EXPECT_TRUE(record_work(pw) == w);
+  EXPECT_EQ(record_field(slurp(pw), "workers"), 2.0);
 }
 
 TEST(PhaseRecord, StoppedRunAndItsResumeAddUpToOneRun) {

@@ -123,19 +123,6 @@ TEST(Failures, DeterministicForSeed) {
   EXPECT_EQ(a, b);
 }
 
-TEST(Failures, AdaptiveMeanConvergesOnConstant) {
-  auto r = adaptive_mean([](std::uint64_t) { return 3.5; }, 1, 0.10, 1000);
-  EXPECT_TRUE(r.converged);
-  EXPECT_DOUBLE_EQ(r.mean, 3.5);
-}
-
-TEST(Failures, AdaptiveMeanSkipsNaN) {
-  auto r = adaptive_mean(
-      [](std::uint64_t t) { return t % 2 ? 2.0 : std::nan(""); }, 2, 0.10, 1000);
-  EXPECT_TRUE(r.converged);
-  EXPECT_DOUBLE_EQ(r.mean, 2.0);
-}
-
 TEST(Failures, RejectsOutOfRangeFraction) {
   auto g = cycle_graph(8);
   EXPECT_THROW((void)delete_random_edges(g, -0.1, 1), std::invalid_argument);
@@ -145,19 +132,6 @@ TEST(Failures, RejectsOutOfRangeFraction) {
   EXPECT_THROW(
       (void)delete_random_edges(g, std::numeric_limits<double>::infinity(), 1),
       std::invalid_argument);
-}
-
-TEST(Failures, AdaptiveMeanAveragesAcrossWaves) {
-  // Wave 1 (x=1, trials 0..9): alternating 10/0, CoV = 1 -> no
-  // convergence.  Wave 2 (x=10, trials 10..109): constant 4 -> converged.
-  // The reported mean must cover the whole counted population (the same
-  // one `trials` reports), not just the last wave's batches.
-  auto r = adaptive_mean(
-      [](std::uint64_t t) { return t < 10 ? (t % 2 ? 10.0 : 0.0) : 4.0; }, 1,
-      0.10, 10'000);
-  EXPECT_TRUE(r.converged);
-  EXPECT_EQ(r.trials, 110u);
-  EXPECT_DOUBLE_EQ(r.mean, (5 * 10.0 + 100 * 4.0) / 110.0);  // not 4.0
 }
 
 // --------------------------------------------------------------------------
