@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
   const std::uint32_t msgs =
       static_cast<std::uint32_t>(opts.flags().get("--msgs", 16));
 
-  auto topos = bench::simulation_topologies(false);
-  const auto& sf = topos[0];  // SpectralFly
+  const auto sf = bench::simulation_topologies(false)[0];  // SpectralFly
   const std::uint64_t seed = opts.seed_or(42);
 
   const std::vector<routing::Algo> algos = {
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
 
   // Phase 1: the routing grid; rows are load-major, columns algo-minor.
   engine::CampaignBuilder grid;
-  grid.topologies(bench::topo_specs({sf})).loads(loads).algos(algos)
+  grid.topologies({sf}).loads(loads).algos(algos)
       .each(base_knobs);
   auto& grid_phase = camp.sims("routing grid", std::move(grid));
 

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   engine::Engine eng(opts.engine_config());
   engine::Campaign camp(eng, "churn");
   engine::CampaignBuilder grid;
-  grid.churns(levels).topologies(bench::topo_specs(topos))
+  grid.churns(levels).topologies(topos)
       .each([&, seed = opts.seed_or(42)](engine::Scenario& s) {
         s.algo = routing::Algo::kUgalL;
         s.workload.pattern = sim::Pattern::kRandom;

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "core/spectralfly_net.hpp"
 #include "engine/campaign.hpp"
 #include "engine/engine.hpp"
 #include "engine/sink.hpp"
@@ -40,65 +39,28 @@
 namespace sfly::bench {
 
 // ---------------------------------------------------------------------
-// The four simulation-scale topologies of Section VI-B.
+// The four simulation-scale topologies of Section VI-B, as topology-axis
+// values: nothing is built here; the artifact cache builds each graph at
+// most once, when a campaign first needs it.
 
-struct SimTopo {
-  std::string name;
-  Graph graph;
-  std::uint32_t concentration = 8;
-};
-
-inline std::vector<SimTopo> simulation_topologies(bool full) {
-  std::vector<SimTopo> out;
-  if (full) {
-    // Paper configuration: ~8.7k endpoints, 32-port routers.
-    out.push_back({"SpectralFly", topo::lps_graph({23, 13}), 8});       // 1092 r
-    out.push_back({"DragonFly", topo::dragonfly_graph({16, 8, 69}), 8}); // 1104 r
-    out.push_back({"SlimFly", topo::slimfly_graph({27}), 8});            // 1458 r
-    out.push_back({"BundleFly",
-                   topo::bundlefly_graph({9, 9, topo::BundleShift::kAffine}), 6});
-  } else {
-    // Reduced preset (~1.3k endpoints) with the same relative shapes.
-    out.push_back({"SpectralFly", topo::lps_graph({11, 7}), 8});         // 168 r
-    out.push_back({"DragonFly", topo::dragonfly_graph({8, 4, 21}), 8});  // 168 r
-    out.push_back({"SlimFly", topo::slimfly_graph({9}), 8});             // 162 r
-    out.push_back({"BundleFly",
-                   topo::bundlefly_graph({13, 3, topo::BundleShift::kOptimized}), 6});
-  }
-  return out;
-}
-
-/// SimTopos as campaign topology-axis values (graphs are copied into the
-/// builder closures; the cache materializes each lazily, at most once).
-inline std::vector<engine::TopologySpec> topo_specs(
-    const std::vector<SimTopo>& topos) {
-  std::vector<engine::TopologySpec> out;
-  out.reserve(topos.size());
-  for (const auto& t : topos)
-    out.push_back({t.name, [g = t.graph] { return g; }, t.concentration});
-  return out;
-}
-
-// One synthetic-pattern run; returns the paper's metric (max message time).
-// Kept as the engine-free reference path: tests/test_sim.cpp golden-pins
-// its values, and tests/test_engine.cpp pins that engine-backed scenarios
-// reproduce them bitwise (the engine shares cached tables instead of
-// rebuilding them here per call).
-inline double run_pattern(const SimTopo& t, routing::Algo algo, sim::Pattern pattern,
-                          double load, std::uint32_t nranks,
-                          std::uint32_t messages_per_rank, std::uint64_t seed) {
-  core::NetworkOptions opts;
-  opts.concentration = t.concentration;
-  opts.routing = algo;
-  auto net = core::Network::from_graph(t.name, t.graph, opts);
-  auto sim = net.make_simulator(seed);
-  sim::SyntheticLoad sl;
-  sl.pattern = pattern;
-  sl.nranks = nranks;
-  sl.messages_per_rank = messages_per_rank;
-  sl.offered_load = load;
-  sl.seed = seed;
-  return run_synthetic(*sim, sl).max_latency_ns;
+inline std::vector<engine::TopologySpec> simulation_topologies(bool full) {
+  using topo::BundleShift;
+  if (full)  // paper configuration: ~8.7k endpoints, 32-port routers
+    return {
+        {"SpectralFly", [] { return topo::lps_graph({23, 13}); }},         // 1092 r
+        {"DragonFly", [] { return topo::dragonfly_graph({16, 8, 69}); }},  // 1104 r
+        {"SlimFly", [] { return topo::slimfly_graph({27}); }},             // 1458 r
+        {"BundleFly",
+         [] { return topo::bundlefly_graph({9, 9, BundleShift::kAffine}); }, 6},
+    };
+  // Reduced preset (~1.3k endpoints) with the same relative shapes.
+  return {
+      {"SpectralFly", [] { return topo::lps_graph({11, 7}); }},          // 168 r
+      {"DragonFly", [] { return topo::dragonfly_graph({8, 4, 21}); }},   // 168 r
+      {"SlimFly", [] { return topo::slimfly_graph({9}); }},              // 162 r
+      {"BundleFly",
+       [] { return topo::bundlefly_graph({13, 3, BundleShift::kOptimized}); }, 6},
+  };
 }
 
 inline const double kLoads[] = {0.1, 0.2, 0.3, 0.5, 0.6, 0.7};
@@ -344,7 +306,7 @@ inline engine::CampaignBuilder class_grid(
 /// DragonFly), then the baseline itself.
 inline Table speedup_table(const engine::Phase& phase, std::size_t pattern_idx,
                            const std::vector<double>& loads,
-                           const std::vector<SimTopo>& topos,
+                           const std::vector<engine::TopologySpec>& topos,
                            std::size_t baseline = 1) {
   std::vector<std::string> header{"Offered load"};
   for (std::size_t t = 0; t < topos.size(); ++t)

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   engine::Engine eng(opts.engine_config());
   engine::Campaign camp(eng, "discrepancy");
   engine::CampaignBuilder grid;
-  grid.topologies(bench::topo_specs(topos))
+  grid.topologies(topos)
       .placements({sim::PlacementPolicy::kRandom, sim::PlacementPolicy::kClustered})
       .each([seed = opts.seed_or(42)](engine::Scenario& s) {
         s.algo = routing::Algo::kMinimal;
@@ -57,19 +57,14 @@ int main(int argc, char** argv) {
   // --- empirical discrepancy ------------------------------------------
   {
     Table t({"Topology", "lambda(G)", "Worst observed deviation", "Headroom"});
-    struct Subject {
-      std::string name;
-      Graph graph;
-    };
-    std::vector<Subject> subjects;
-    subjects.push_back({"LPS(23,11)", topo::lps_graph({23, 11})});
-    subjects.push_back({"SF(17)", topo::slimfly_graph({17})});
-    subjects.push_back({"BF(37,3)",
-                        topo::bundlefly_graph({37, 3, topo::BundleShift::kAffine})});
-    subjects.push_back({"DF(24)",
-                        topo::dragonfly_graph(topo::DragonFlyParams::canonical(24))});
+    const std::vector<engine::TopologySpec> subjects = {
+        topo::parse_topology("LPS(23,11)"),
+        topo::parse_topology("SF(17)"),
+        {"BF(37,3)",
+         [] { return topo::bundlefly_graph({37, 3, topo::BundleShift::kAffine}); }},
+        topo::parse_topology("DF(24)")};
     for (const auto& s : subjects) {
-      auto r = measure_discrepancy(s.graph, samples, 0.25, 77);
+      auto r = measure_discrepancy(s.build(), samples, 0.25, 77);
       t.add_row({s.name, Table::num(r.lambda_bound, 2),
                  Table::num(r.max_observed, 2),
                  Table::num(r.lambda_bound / std::max(r.max_observed, 1e-9), 2)});

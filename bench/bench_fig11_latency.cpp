@@ -32,23 +32,17 @@ int main(int argc, char** argv) {
   const int skywalks = static_cast<int>(
       opts.flags().get("--skywalks", opts.full() ? 20 : 3));
 
-  struct Subject {
-    std::string name;
-    Graph graph;
-  };
   const std::pair<topo::LpsParams, topo::SlimFlyParams> pairs[] = {
       {{11, 7}, {9}}, {{19, 7}, {13}}, {{23, 11}, {17}}, {{29, 13}, {23}}};
   const double switch_lat[] = {0, 50, 100, 150, 200, 250};
 
   // All subjects' layouts as one declared phase (pair-major, LPS then SF).
-  std::vector<std::vector<Subject>> subjects(npairs);
   std::vector<engine::TopologySpec> specs;
   for (std::size_t i = 0; i < npairs; ++i) {
-    subjects[i].push_back({pairs[i].first.name(), topo::lps_graph(pairs[i].first)});
-    subjects[i].push_back(
-        {pairs[i].second.name(), topo::slimfly_graph(pairs[i].second)});
-    for (const auto& s : subjects[i])
-      specs.push_back({s.name, [g = s.graph] { return g; }});
+    specs.push_back({pairs[i].first.name(),
+                     [p = pairs[i].first] { return topo::lps_graph(p); }});
+    specs.push_back({pairs[i].second.name(),
+                     [p = pairs[i].second] { return topo::slimfly_graph(p); }});
   }
 
   engine::Engine eng(opts.engine_config());
@@ -68,16 +62,17 @@ int main(int argc, char** argv) {
   TaskPool pool(opts.threads());
 
   for (std::size_t i = 0; i < npairs; ++i) {
-    // Shared-size SkyWalk reference, averaged over instantiations.
-    const Vertex n = subjects[i][0].graph.num_vertices();
-    const std::uint32_t k = subjects[i][0].graph.degree(0);
+    // Shared-size SkyWalk reference, averaged over instantiations, sized
+    // from the LPS subject's layout row (its pristine graph's n and degree).
+    const auto& lps = layouts[2 * i];
+    const auto& sf = layouts[2 * i + 1];
     std::vector<topo::SkyWalkInstance> skies;
     for (int s = 0; s < skywalks; ++s)
-      skies.push_back(
-          topo::skywalk_graph({n, k, static_cast<std::uint64_t>(s) + 1, 1.0}));
+      skies.push_back(topo::skywalk_graph(
+          {lps.vertices, lps.radix, static_cast<std::uint64_t>(s) + 1, 1.0}));
 
-    Table t({"Switch ns", subjects[i][0].name + " avg", subjects[i][0].name + " max",
-             subjects[i][1].name + " avg", subjects[i][1].name + " max"});
+    Table t({"Switch ns", lps.topology + " avg", lps.topology + " max",
+             sf.topology + " avg", sf.topology + " max"});
     for (double sl : switch_lat) {
       double sky_avg = 0, sky_max = 0;
       for (const auto& sky : skies) {
@@ -89,15 +84,16 @@ int main(int argc, char** argv) {
       sky_max /= skywalks;
 
       std::vector<std::string> row{Table::num(sl, 0)};
-      for (std::size_t si = 0; si < subjects[i].size(); ++si) {
-        const auto& lay = layouts[2 * i + si];
-        if (!lay.ok) {
+      for (const engine::Result* lay : {&lps, &sf}) {
+        if (!lay->ok) {
           row.push_back("ERR");
           row.push_back("ERR");
           continue;
         }
-        auto lat = layout::physical_latency(subjects[i][si].graph,
-                                            lay.placement, sl, &pool);
+        // The cached pristine graph the layout ran on (built once).
+        auto lat = layout::physical_latency(
+            *eng.artifacts().get(lay->topology)->graph(), lay->placement, sl,
+            &pool);
         row.push_back(Table::num(lat.mean_ns / sky_avg, 3));
         row.push_back(Table::num(lat.max_ns / sky_max, 3));
       }

@@ -13,8 +13,6 @@
 #include <cmath>
 #include <map>
 
-#include "util/parallel.hpp"
-
 using namespace sfly;
 
 int main(int argc, char** argv) {
@@ -38,16 +36,10 @@ int main(int argc, char** argv) {
   engine::Engine eng(opts.engine_config());
   engine::Campaign camp(eng, "fig4_design_space");
   {
-    auto inst = topo::lps_instances(100, 100);
-    std::sort(inst.begin(), inst.end(), [](const auto& a, const auto& b) {
-      return a.num_vertices() < b.num_vertices();
+    auto specs = topo::feasible_lps(100, 100);
+    std::sort(specs.begin(), specs.end(), [](const auto& a, const auto& b) {
+      return a.vertices < b.vertices;
     });
-    std::vector<engine::TopologySpec> specs;
-    for (const auto& params : inst)
-      specs.push_back({params.name(),
-                       [params] { return topo::lps_graph(params); },
-                       /*concentration=*/8, params.num_vertices(),
-                       params.radix()});
     engine::CampaignBuilder grid;
     grid.proto().kind = engine::Kind::kStructure;
     grid.proto().bisection_restarts = 3;
@@ -88,7 +80,7 @@ int main(int argc, char** argv) {
   // --- lower-left: feasible sizes per radix, per family -----------------
   {
     Table t({"Family", "Feasible instances", "Example smallest", "Example largest"});
-    auto summarize = [&](const char* name, std::vector<topo::FeasiblePoint> pts) {
+    auto summarize = [&](const char* name, std::vector<topo::TopologySpec> pts) {
       if (pts.empty()) return;
       auto lo = std::min_element(pts.begin(), pts.end(), [](auto& a, auto& b) {
         return a.vertices < b.vertices;
@@ -134,10 +126,6 @@ int main(int argc, char** argv) {
     t.print();
     std::printf("# Shape check: values rise with radix (crossing 1/3 around\n"
                 "# radix ~18) and do NOT decay with size at fixed radix.\n");
-    std::printf("# engine: %zu scenarios in %.2fs on %u thread(s)\n",
-                results.size(), phase.tally().eval_seconds,
-                opts.threads() ? opts.threads()
-                               : static_cast<unsigned>(hardware_threads()));
   }
   return 0;
 }

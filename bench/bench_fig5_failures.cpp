@@ -22,22 +22,15 @@ using namespace sfly;
 
 namespace {
 
-struct Subject {
-  std::string name;
-  std::function<Graph()> build;
-};
-
 bench::RunStatus sweep(engine::Engine& eng, bench::StandardOptions& opts,
-                       const char* name, const std::vector<Subject>& subjects,
+                       const char* name,
+                       const std::vector<engine::TopologySpec>& subjects,
                        const std::vector<double>& fractions,
                        std::uint64_t max_trials, bench::PhaseStat& stat) {
-  std::vector<engine::TopologySpec> specs;
-  for (const auto& s : subjects) specs.push_back({s.name, s.build});
-
   engine::CampaignBuilder points;
   points.proto().kind = engine::Kind::kStructure;
   points.proto().bisection_restarts = 2;
-  points.topologies(std::move(specs)).failure_fractions(fractions);
+  points.topologies(subjects).failure_fractions(fractions);
 
   // Trial seeds are derived from the same (9177, trial) base as the
   // pre-engine bench, but the engine re-splits per component (failure
@@ -125,17 +118,13 @@ int main(int argc, char** argv) {
   std::vector<bench::PhaseStat> stats(1);
 
   std::printf("== ~600-router class ==\n");
-  std::vector<Subject> small;
-  small.push_back({"LPS(23,11)", [] { return topo::lps_graph({23, 11}); }});
-  small.push_back({"SlimFly(17)", [] { return topo::slimfly_graph({17}); }});
-  small.push_back({"BundleFly(37,3)", [] {
-                     return topo::bundlefly_graph(
-                         {37, 3, topo::BundleShift::kAffine});
-                   }});
-  small.push_back({"DragonFly(24)", [] {
-                     return topo::dragonfly_graph(
-                         topo::DragonFlyParams::canonical(24));
-                   }});
+  const std::vector<engine::TopologySpec> small = {
+      {"LPS(23,11)", [] { return topo::lps_graph({23, 11}); }},
+      {"SlimFly(17)", [] { return topo::slimfly_graph({17}); }},
+      {"BundleFly(37,3)",
+       [] { return topo::bundlefly_graph({37, 3, topo::BundleShift::kAffine}); }},
+      {"DragonFly(24)",
+       [] { return topo::dragonfly_graph(topo::DragonFlyParams::canonical(24)); }}};
   // Written on completion AND on a budget stop (with stopped:true), so
   // tooling sees the same --phase-json behavior as campaign benches.
   auto record = [&] {
@@ -159,17 +148,13 @@ int main(int argc, char** argv) {
 
   if (opts.full()) {
     std::printf("\n== ~5-7K-router class ==\n");
-    std::vector<Subject> large;
-    large.push_back({"LPS(71,17)", [] { return topo::lps_graph({71, 17}); }});
-    large.push_back({"SlimFly(47)", [] { return topo::slimfly_graph({47}); }});
-    large.push_back({"BundleFly(137,4)", [] {
-                       return topo::bundlefly_graph(
-                           {137, 4, topo::BundleShift::kAffine});
-                     }});
-    large.push_back({"DragonFly(69)", [] {
-                       return topo::dragonfly_graph(
-                           topo::DragonFlyParams::canonical(69));
-                     }});
+    const std::vector<engine::TopologySpec> large = {
+        {"LPS(71,17)", [] { return topo::lps_graph({71, 17}); }},
+        {"SlimFly(47)", [] { return topo::slimfly_graph({47}); }},
+        {"BundleFly(137,4)",
+         [] { return topo::bundlefly_graph({137, 4, topo::BundleShift::kAffine}); }},
+        {"DragonFly(69)",
+         [] { return topo::dragonfly_graph(topo::DragonFlyParams::canonical(69)); }}};
     stats.emplace_back();
     if (const auto st = sweep(eng, opts, "fig5_full", large,
                               {0.0, 0.2, 0.4, 0.6, 0.8}, max_trials,

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   engine::Engine eng(opts.engine_config());
   engine::Campaign camp(eng, "fig6_ugal");
   engine::CampaignBuilder grid;
-  grid.patterns(patterns).loads(loads).topologies(bench::topo_specs(topos))
+  grid.patterns(patterns).loads(loads).topologies(topos)
       .each([&, seed = opts.seed_or(42)](engine::Scenario& s) {
         s.algo = routing::Algo::kUgalL;
         s.workload.nranks = nranks;

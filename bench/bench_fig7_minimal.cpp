@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   engine::CampaignBuilder grid;
   grid.patterns({sim::Pattern::kRandom})
       .loads(loads)
-      .topologies(bench::topo_specs(topos))
+      .topologies(topos)
       .each([&, seed = opts.seed_or(42)](engine::Scenario& s) {
         s.algo = routing::Algo::kMinimal;
         s.workload.nranks = nranks;

@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
   const std::uint32_t msgs =
       static_cast<std::uint32_t>(opts.flags().get("--msgs", 24));
 
-  auto topos = bench::simulation_topologies(opts.full());
-  const auto& sf = topos[0];  // SpectralFly
+  const auto sf = bench::simulation_topologies(opts.full())[0];  // SpectralFly
   const std::vector<sim::Pattern> patterns = {
       sim::Pattern::kRandom, sim::Pattern::kShuffle, sim::Pattern::kBitReverse,
       sim::Pattern::kTranspose};
@@ -36,7 +35,7 @@ int main(int argc, char** argv) {
   engine::Campaign camp(eng, "fig8_valiant");
   // Load-major, pattern-minor, minimal before Valiant.
   engine::CampaignBuilder grid;
-  grid.topologies(bench::topo_specs({sf}))
+  grid.topologies({sf})
       .loads(loads)
       .patterns(patterns)
       .algos({routing::Algo::kMinimal, routing::Algo::kValiant})

@@ -50,14 +50,13 @@ inline int run_ember(int argc, char** argv, routing::Algo algo, const char* what
        "#   --threads N  engine worker threads (default: all hardware threads)",
        {}});
   const bool full = opts.full();
-  auto topos = simulation_topologies(full);
 
   engine::Engine eng(opts.engine_config());
   engine::Campaign camp(eng, "ember_motifs");
-  // Motif-major, topology-minor: 4 motifs x |topos| scenarios in one batch.
+  // Motif-major, topology-minor: 4 motifs x 4 topologies in one batch.
   engine::CampaignBuilder grid;
   grid.motifs(motif_specs(full))
-      .topologies(topo_specs(topos))
+      .topologies(simulation_topologies(full))
       .each([&, seed = opts.seed_or(42)](engine::Scenario& s) {
         s.algo = algo;
         s.seed = seed;

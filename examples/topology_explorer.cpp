@@ -23,21 +23,34 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(target.routers), target.radix);
 
   auto cls = core::assemble_class(target);
-  std::vector<topo::Instance> instances;
-  if (cls.lps) instances.push_back(topo::make_lps(*cls.lps));
-  if (cls.slimfly) instances.push_back(topo::make_slimfly(*cls.slimfly));
-  if (cls.bundlefly) instances.push_back(topo::make_bundlefly(*cls.bundlefly));
-  if (cls.dragonfly) instances.push_back(topo::make_dragonfly(*cls.dragonfly));
+  std::vector<topo::TopologySpec> specs;
+  if (auto p = cls.lps)
+    specs.push_back({.name = p->name(),
+                     .build = [p] { return topo::lps_graph(*p); },
+                     .radix = p->radix()});
+  if (auto p = cls.slimfly)
+    specs.push_back({.name = p->name(),
+                     .build = [p] { return topo::slimfly_graph(*p); },
+                     .radix = p->radix()});
+  if (auto p = cls.bundlefly)
+    specs.push_back({.name = p->name(),
+                     .build = [p] { return topo::bundlefly_graph(*p); },
+                     .radix = p->radix()});
+  if (auto p = cls.dragonfly)
+    specs.push_back({.name = p->name(),
+                     .build = [p] { return topo::dragonfly_graph(*p); },
+                     .radix = p->radix()});
 
   Table t({"Topology", "Routers", "Radix", "Diam", "Mean dist", "Girth",
            "mu1", "Bisection", "Ramanujan"});
-  for (const auto& inst : instances) {
-    auto stats = distance_stats(inst.graph);
-    auto spec = compute_spectra(inst.graph);
-    auto cut = bisection_bandwidth(inst.graph, {.restarts = 3});
-    t.add_row({inst.name, std::to_string(inst.graph.num_vertices()),
+  for (const auto& inst : specs) {
+    const Graph g = inst.build();
+    auto stats = distance_stats(g);
+    auto spec = compute_spectra(g);
+    auto cut = bisection_bandwidth(g, {.restarts = 3});
+    t.add_row({inst.name, std::to_string(g.num_vertices()),
                std::to_string(inst.radix), std::to_string(stats.diameter),
-               Table::num(stats.mean_distance, 2), std::to_string(girth(inst.graph)),
+               Table::num(stats.mean_distance, 2), std::to_string(girth(g)),
                Table::num(spec.mu1, 2), std::to_string(cut),
                spec.ramanujan ? "yes" : "no"});
   }

@@ -732,13 +732,6 @@ CovPrefix cov_prefix(const std::vector<double>& vals, double cov_target) {
 
 AdaptiveSweep::AdaptiveSweep(Engine& eng, CampaignBuilder points, Config cfg)
     : eng_(eng), grid_(std::move(points)), cfg_(std::move(cfg)) {
-  if (!cfg_.keep)
-    cfg_.keep = [](const Result& r) { return r.ok && r.connected; };
-  if (!cfg_.metric) cfg_.metric = [](const Result& r) { return r.mean_hops; };
-  if (!cfg_.trial_cap)
-    cfg_.trial_cap = [max = cfg_.max_trials](const Scenario& s) {
-      return s.failure_fraction == 0.0 ? 1 : max;
-    };
   grid_.register_with(eng_);
   for (auto& s : grid_.expand()) points_.push_back({std::move(s)});
 }
@@ -770,7 +763,7 @@ void AdaptiveSweep::run(const std::vector<ResultSink*>& sinks,
     for (std::size_t pi = 0; pi < points_.size(); ++pi) {
       PointState& p = points_[pi];
       if (p.converged) continue;
-      const std::uint64_t cap = cfg_.trial_cap(p.point);
+      const std::uint64_t cap = trial_cap(p.point);
       std::uint64_t target = 10;
       while (target <= p.scheduled) target *= 10;
       target = std::min(target, cap);
@@ -797,9 +790,9 @@ void AdaptiveSweep::run(const std::vector<ResultSink*>& sinks,
     for (std::size_t i = 0; i < results.size(); ++i) {
       PointState& p = points_[slots[i].first];
       const auto& r = results[i];
-      if (cfg_.keep(r)) {
+      if (r.ok && r.connected) {
         p.kept.push_back(r);
-        p.metric_vals.push_back(cfg_.metric(r));
+        p.metric_vals.push_back(r.mean_hops);
       }
     }
     if (!done) {  // budget fired mid-wave
@@ -810,7 +803,7 @@ void AdaptiveSweep::run(const std::vector<ResultSink*>& sinks,
       if (p.converged) continue;
       if (cov_prefix(p.metric_vals, cfg_.cov_target).converged)
         p.converged = true;
-      if (p.scheduled >= cfg_.trial_cap(p.point))
+      if (p.scheduled >= trial_cap(p.point))
         p.converged = true;  // exhausted the budget
     }
   }
@@ -823,7 +816,7 @@ std::size_t AdaptiveSweep::converged_prefix(std::size_t point) const {
 void AdaptiveSweep::print_plan(std::FILE* out) const {
   std::uint64_t max_total = 0, first_wave = 0;
   for (const auto& p : points_) {
-    const std::uint64_t cap = cfg_.trial_cap(p.point);
+    const std::uint64_t cap = trial_cap(p.point);
     max_total += cap;
     first_wave += std::min<std::uint64_t>(cap, 10);
   }

@@ -33,6 +33,7 @@
 
 #include "engine/engine.hpp"
 #include "engine/scenario.hpp"
+#include "topo/factory.hpp"
 
 namespace sfly::engine {
 
@@ -115,17 +116,10 @@ struct RunControl {
   [[nodiscard]] std::size_t unconsumed_segments() const;
 };
 
-/// One topology axis value: the artifact-cache registration key plus the
-/// deferred graph builder.  `vertices`/`radix` are optional metadata so
-/// topology filters can select instances without building any graph
-/// (design-space sweeps enumerate hundreds of candidates).
-struct TopologySpec {
-  std::string name;
-  std::function<Graph()> build;
-  std::uint32_t concentration = 8;
-  std::uint64_t vertices = 0;
-  std::uint32_t radix = 0;
-};
+/// One topology axis value (topo/factory.hpp): the artifact-cache
+/// registration key, its deferred builder and concentration, and the
+/// vertices/radix metadata topology filters read.
+using topo::TopologySpec;
 
 /// One motif axis value: display name + factory (motifs are stateful, so
 /// every evaluation constructs a fresh instance).
@@ -341,14 +335,17 @@ struct CovPrefix {
                                    double cov_target);
 
 /// A point grid (from a CampaignBuilder) where each point contributes
-/// seeded trials until the CoV rule converges or `max_trials` is
-/// exhausted.  Trials are scheduled in waves (each point advances to its
-/// next checkpoint: 10, 100, 1000, ... trials), every wave runs as one
-/// engine batch, and the rule retires points between waves — converged
-/// points stop consuming trials while unconverged ones keep the engine's
-/// parallelism.  Trial seeds derive only from (seed_base, trial number),
-/// never the wave split, so results are bitwise-identical at any thread
-/// count and to the precompute-everything schedule.
+/// seeded trials until the CoV rule converges or its trial budget is
+/// exhausted.  Fixed rules: a point's series keeps its `ok && connected`
+/// results, the CoV metric is `mean_hops`, and a pristine point (failure
+/// fraction 0, deterministic) runs once while every other point runs up
+/// to `max_trials`.  Trials are scheduled in waves (each point advances
+/// to its next checkpoint: 10, 100, 1000, ... trials), every wave runs as
+/// one engine batch, and the rule retires points between waves —
+/// converged points stop consuming trials while unconverged ones keep the
+/// engine's parallelism.  Trial seeds derive only from (seed_base, trial
+/// number), never the wave split, so results are bitwise-identical at
+/// any thread count and to the precompute-everything schedule.
 class AdaptiveSweep {
  public:
   struct Config {
@@ -359,21 +356,14 @@ class AdaptiveSweep {
     std::uint64_t max_trials = 10;
     std::uint64_t seed_base = 9177;
     double cov_target = 0.10;
-    /// Results entering the per-point series (default: ok && connected).
-    std::function<bool(const Result&)> keep;
-    /// Convergence metric over kept results (default: mean_hops).
-    std::function<double(const Result&)> metric;
-    /// Per-point trial budget (default: deterministic points — failure
-    /// fraction 0 — run once; everything else up to max_trials).
-    std::function<std::uint64_t(const Scenario&)> trial_cap;
   };
 
   struct PointState {
     Scenario point;               // trial template (seed overwritten per trial)
     std::size_t scheduled = 0;    // trials submitted so far
     bool converged = false;       // rule fired or budget exhausted
-    std::vector<Result> kept;     // kept results in trial order
-    std::vector<double> metric_vals;
+    std::vector<Result> kept;     // ok && connected results, trial order
+    std::vector<double> metric_vals;  // their mean_hops
   };
 
   AdaptiveSweep(Engine& eng, CampaignBuilder points, Config cfg);
@@ -408,6 +398,11 @@ class AdaptiveSweep {
   std::vector<PointState> points_;
   RunTally tally_;
   std::size_t waves_ = 0;  // waves run or replayed; names the next batch
+
+  /// The point's trial budget: 1 when pristine, else max_trials.
+  [[nodiscard]] std::uint64_t trial_cap(const Scenario& point) const {
+    return point.failure_fraction == 0.0 ? 1 : cfg_.max_trials;
+  }
 };
 
 }  // namespace sfly::engine

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 namespace sfly::service {
 
@@ -314,15 +315,6 @@ std::shared_ptr<Snapshot> Snapshot::open(const std::string& path) {
 
 Snapshot::~Snapshot() {
   if (base_) munmap(const_cast<char*>(base_), size_);
-}
-
-std::vector<std::string> Snapshot::names() const {
-  const auto* descs = reinterpret_cast<const EntryDesc*>(base_ + kHeaderBytes);
-  std::vector<std::string> out;
-  out.reserve(entry_count_);
-  for (std::uint32_t e = 0; e < entry_count_; ++e)
-    out.emplace_back(descs[e].name);
-  return out;
 }
 
 void Snapshot::load_into(const std::shared_ptr<Snapshot>& self,

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "engine/artifact_cache.hpp"
 
@@ -60,7 +59,6 @@ class Snapshot {
 
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
   [[nodiscard]] std::size_t size_bytes() const { return size_; }
-  [[nodiscard]] std::vector<std::string> names() const;
 
   /// True when `p` points into the mapped region — lets tests assert that
   /// loaded artifacts really are zero-copy views over the file.

@@ -57,30 +57,37 @@ void want_args(const std::string& spec, std::size_t got,
   throw std::invalid_argument("wrong argument count for topology spec: " + spec);
 }
 
+// A compared family's instance: canonical name, deferred builder, and the
+// nominal size metadata that filters read without building.
+template <typename Params>
+TopologySpec spec_of(const Params& p, Graph (*build)(const Params&)) {
+  return {.name = p.name(),
+          .build = [p, build] { return build(p); },
+          .vertices = p.num_vertices(),
+          .radix = p.radix()};
+}
+
 }  // namespace
 
-ParsedTopology parse_topology(const std::string& spec) {
+TopologySpec parse_topology(const std::string& spec) {
   auto [family, a] = split_spec(spec);
   if (family == "lps") {
     want_args(spec, a.size(), {2});
-    LpsParams p{a[0], a[1]};
-    return {p.name(), [p] { return lps_graph(p); }};
+    return spec_of(LpsParams{a[0], a[1]}, lps_graph);
   }
   if (family == "sf" || family == "slimfly") {
     want_args(spec, a.size(), {1});
-    SlimFlyParams p{a[0]};
-    return {p.name(), [p] { return slimfly_graph(p); }};
+    return spec_of(SlimFlyParams{a[0]}, slimfly_graph);
   }
   if (family == "bf" || family == "bundlefly") {
     want_args(spec, a.size(), {2});
-    BundleFlyParams p{a[0], a[1]};
-    return {p.name(), [p] { return bundlefly_graph(p); }};
+    return spec_of(BundleFlyParams{a[0], a[1]}, bundlefly_graph);
   }
   if (family == "df" || family == "dragonfly") {
     want_args(spec, a.size(), {1, 3});
-    DragonFlyParams p = a.size() == 1 ? DragonFlyParams::canonical(a[0])
-                                      : DragonFlyParams{a[0], a[1], a[2]};
-    return {p.name(), [p] { return dragonfly_graph(p); }};
+    return spec_of(a.size() == 1 ? DragonFlyParams::canonical(a[0])
+                                 : DragonFlyParams{a[0], a[1], a[2]},
+                   dragonfly_graph);
   }
   if (family == "paley") {
     want_args(spec, a.size(), {1});
@@ -93,9 +100,7 @@ ParsedTopology parse_topology(const std::string& spec) {
     return {"Hypercube(" + std::to_string(d) + ")",
             [d] { return hypercube_graph(d); }};
   }
-  if (family == "torus") {
-    if (a.empty())
-      throw std::invalid_argument("Torus needs at least one dimension: " + spec);
+  if (family == "torus") {  // split_spec rejects an empty argument list
     std::vector<std::uint32_t> dims(a.begin(), a.end());
     std::string name = "Torus(";
     for (std::size_t i = 0; i < dims.size(); ++i)
@@ -148,20 +153,6 @@ std::vector<std::string> split_spec_list(const std::string& list) {
   return out;
 }
 
-Instance make_lps(const LpsParams& p) { return {p.name(), lps_graph(p), p.radix()}; }
-
-Instance make_slimfly(const SlimFlyParams& p) {
-  return {p.name(), slimfly_graph(p), p.radix()};
-}
-
-Instance make_bundlefly(const BundleFlyParams& p) {
-  return {p.name(), bundlefly_graph(p), p.radix()};
-}
-
-Instance make_dragonfly(const DragonFlyParams& p) {
-  return {p.name(), dragonfly_graph(p), p.radix()};
-}
-
 std::vector<SizeClass> table1_classes() {
   return {
       {{11, 7}, {7}, {13, 3}, 12},
@@ -172,38 +163,35 @@ std::vector<SizeClass> table1_classes() {
   };
 }
 
-std::vector<FeasiblePoint> feasible_lps(std::uint64_t max_p, std::uint64_t max_q) {
-  std::vector<FeasiblePoint> out;
+std::vector<TopologySpec> feasible_lps(std::uint64_t max_p, std::uint64_t max_q) {
+  std::vector<TopologySpec> out;
   for (const auto& p : lps_instances(max_p, max_q))
-    out.push_back({p.num_vertices(), p.radix(), p.name()});
+    out.push_back(spec_of(p, lps_graph));
   return out;
 }
 
-std::vector<FeasiblePoint> feasible_slimfly(std::uint64_t max_q) {
-  std::vector<FeasiblePoint> out;
+std::vector<TopologySpec> feasible_slimfly(std::uint64_t max_q) {
+  std::vector<TopologySpec> out;
   for (const auto& p : slimfly_instances(max_q))
-    out.push_back({p.num_vertices(), p.radix(), p.name()});
+    out.push_back(spec_of(p, slimfly_graph));
   return out;
 }
 
-std::vector<FeasiblePoint> feasible_dragonfly(std::uint64_t max_a) {
-  std::vector<FeasiblePoint> out;
+std::vector<TopologySpec> feasible_dragonfly(std::uint64_t max_a) {
+  std::vector<TopologySpec> out;
   for (std::uint64_t a = 2; a <= max_a; ++a)
-    out.push_back({a * (a + 1), static_cast<std::uint32_t>(a),
-                   "DF(" + std::to_string(a) + ")"});
+    out.push_back(spec_of(DragonFlyParams::canonical(a), dragonfly_graph));
   return out;
 }
 
-std::vector<FeasiblePoint> feasible_bundlefly(std::uint64_t max_p,
-                                              std::uint64_t max_s) {
-  std::vector<FeasiblePoint> out;
+std::vector<TopologySpec> feasible_bundlefly(std::uint64_t max_p,
+                                             std::uint64_t max_s) {
+  std::vector<TopologySpec> out;
   for (std::uint64_t p = 5; p <= max_p; ++p) {
     if (!PaleyParams{p}.valid()) continue;
-    for (std::uint64_t s = 3; s <= max_s; ++s) {
-      BundleFlyParams params{p, s};
-      if (!MmsParams{s}.valid()) continue;
-      out.push_back({params.num_vertices(), params.radix(), params.name()});
-    }
+    for (std::uint64_t s = 3; s <= max_s; ++s)
+      if (MmsParams{s}.valid())
+        out.push_back(spec_of(BundleFlyParams{p, s}, bundlefly_graph));
   }
   return out;
 }

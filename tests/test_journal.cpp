@@ -773,7 +773,7 @@ TEST(DeclPins, Fig6SimBatch) {
   grid.patterns({sim::Pattern::kRandom, sim::Pattern::kShuffle,
                  sim::Pattern::kBitReverse, sim::Pattern::kTranspose})
       .loads(bench::load_points())
-      .topologies(bench::topo_specs(bench::simulation_topologies(false)))
+      .topologies(bench::simulation_topologies(false))
       .each([](Scenario& s) {
         s.algo = routing::Algo::kUgalL;
         s.workload.nranks = 64;

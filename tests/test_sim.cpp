@@ -207,10 +207,11 @@ TEST(Traffic, SyntheticRunDeliversAll) {
 // --------------------------------------------------------------------------
 // Golden-value regression pins for the benches' simulation metric.
 //
-// This replicates bench::run_pattern exactly — Network::from_graph (which
-// builds its own tables and applies the paper's VC sizing), seed-42
-// simulator, run_synthetic — and pins the resulting max message time on
-// two small topologies x two patterns.  The engine-backed bench ports run
+// run_pattern_equivalent is an engine-free reference path —
+// Network::from_graph (which builds its own tables and applies the paper's
+// VC sizing), seed-42 simulator, run_synthetic — and these tests pin the
+// resulting max message time on two small topologies x two patterns.
+// The engine-backed bench ports run
 // the same workloads through cached shared tables; if either path's
 // simulated results ever drift, these pins fail before a bench silently
 // reports different figures.  Values recorded from the seed simulator.

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <stdexcept>
 
 #include "graph/metrics.hpp"
 #include "spectral/spectra.hpp"
 #include "topo/bundlefly.hpp"
+#include "topo/classic.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/factory.hpp"
 #include "topo/jellyfish.hpp"
@@ -376,6 +380,53 @@ TEST(Factory, FeasiblePointsNonEmptyAndSane) {
   auto bf = feasible_bundlefly(30, 10);
   EXPECT_FALSE(bf.empty());
   for (const auto& pt : bf) EXPECT_GT(pt.vertices, pt.radix);
+  // Each family's smallest instance: its deferred builder makes a graph
+  // of exactly the advertised size.
+  for (const auto* family : {&lps, &sf, &df, &bf}) {
+    const auto& small = *std::min_element(
+        family->begin(), family->end(),
+        [](const auto& a, const auto& b) { return a.vertices < b.vertices; });
+    EXPECT_EQ(small.build().num_vertices(), small.vertices) << small.name;
+  }
+}
+
+TEST(Factory, ParseTopologyEveryFamily) {
+  const struct {
+    const char* spec;
+    const char* name;  // canonical
+    std::function<Graph()> direct;
+  } cases[] = {
+      {"LPS(11,7)", "LPS(11,7)", [] { return lps_graph({11, 7}); }},
+      {"lps( 11 , 7 )", "LPS(11,7)", [] { return lps_graph({11, 7}); }},
+      {"SF(9)", "SF(9)", [] { return slimfly_graph({9}); }},
+      {"SlimFly(9)", "SF(9)", [] { return slimfly_graph({9}); }},
+      {"BF(5,3)", "BF(5,3)", [] { return bundlefly_graph({5, 3}); }},
+      {"BundleFly(5,3)", "BF(5,3)", [] { return bundlefly_graph({5, 3}); }},
+      {"DF(8)", "DF(8)",
+       [] { return dragonfly_graph(DragonFlyParams::canonical(8)); }},
+      {"DF(8,4,21)", "DF(a=8,h=4,g=21)",
+       [] { return dragonfly_graph({8, 4, 21}); }},
+      {"Paley(13)", "Paley(13)", [] { return paley_graph({13}); }},
+      {"Hypercube(6)", "Hypercube(6)", [] { return hypercube_graph(6); }},
+      {"Torus(4, 4,4)", "Torus(4,4,4)", [] { return torus_graph({4, 4, 4}); }},
+      {"CompleteBipartite(8,8)", "CompleteBipartite(8,8)",
+       [] { return complete_bipartite_graph(8, 8); }},
+      {"FlattenedButterfly(4,3)", "FlattenedButterfly(4,3)",
+       [] { return flattened_butterfly_graph(4, 3); }},
+      {"FatTree(8)", "FatTree(8)", [] { return fat_tree_graph(8); }},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.spec);
+    const TopologySpec t = parse_topology(c.spec);
+    EXPECT_EQ(t.name, c.name);
+    EXPECT_EQ(t.concentration, 8u);
+    EXPECT_EQ(t.build().num_vertices(), c.direct().num_vertices());
+  }
+  EXPECT_THROW((void)parse_topology("LPS(11)"), std::invalid_argument);
+  EXPECT_THROW((void)parse_topology("DF(8,4)"), std::invalid_argument);
+  EXPECT_THROW((void)parse_topology("Torus()"), std::invalid_argument);
+  EXPECT_EQ(split_spec_list("LPS(11,7), SF(9);Paley(13)"),
+            (std::vector<std::string>{"LPS(11,7)", "SF(9)", "Paley(13)"}));
 }
 
 }  // namespace

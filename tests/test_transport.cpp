@@ -525,6 +525,16 @@ TEST(Tcp, ConnectWithNoParentExitsLinkLost) {
       << slurp(err);
 }
 
+TEST(Tcp, WorkerFlagsAreStrict) {
+  // sfly_worker parses its flags like every bench: a malformed number is
+  // a usage error (exit 2) before any dial, not a value truncated to 1
+  // that would dial a closed port and exit 1.
+  EXPECT_EQ(run(bin_dir() +
+                "/sfly_worker --connect 127.0.0.1:1 --attempts 3 --base-ms 1x"
+                " > /dev/null 2>&1"),
+            2);
+}
+
 // ---------------------------------------------------------------------
 // Graceful signal stop and checked-I/O exits ride along with the
 // transport work: both protect the same resumable-journal contract.

@@ -26,6 +26,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "util/net.hpp"
+#include "util/options.hpp"
 
 namespace net = sfly::net;
 
@@ -152,39 +154,36 @@ int run_bench(const Args& a, const net::Welcome& w) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args a;
-  std::string spec;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "sfly_worker: %s expects a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") return usage(0);
-    if (arg == "--connect") spec = value();
-    else if (arg == "--bin-dir") a.bin_dir = value();
-    else if (arg == "--attempts")
-      a.attempts = static_cast<std::size_t>(std::strtoul(value(), nullptr, 10));
-    else if (arg == "--base-ms")
-      a.base_ms = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--crash-budget")
-      a.crash_budget =
-          static_cast<std::size_t>(std::strtoul(value(), nullptr, 10));
-    else if (arg == "--once") a.once = true;
-    else if (arg == "--verbose") a.verbose = true;
-    else {
-      std::fprintf(stderr, "sfly_worker: unknown flag '%s'\n", arg.c_str());
-      return usage(2);
-    }
+  // The same strict parser as the benches, sflyd and sfly_query: unknown
+  // or repeated flags and malformed numbers ("12x") exit 2.
+  const sfly::bench::Flags flags(
+      std::vector<std::string>(argv + 1, argv + argc),
+      {{"--connect", true, "the parent's listen address"},
+       {"--bin-dir", true, "where bench binaries live"},
+       {"--attempts", true, "dial attempts per (re)connect"},
+       {"--base-ms", true, "backoff base delay"},
+       {"--crash-budget", true, "bench crashes tolerated"},
+       {"--once", false, "run the bench once"},
+       {"--verbose", false, "log probe/exec/restart decisions"},
+       {"--help", false, "this text"},
+       {"-h", false, "this text"}});
+  if (!flags.error().empty()) {
+    std::fprintf(stderr, "sfly_worker: %s\n", flags.error().c_str());
+    return usage(2);
   }
+  if (flags.has("--help") || flags.has("-h")) return usage(0);
+  Args a;
+  a.bin_dir = flags.get_str("--bin-dir");
+  a.attempts = std::max<std::size_t>(1, flags.get("--attempts", a.attempts));
+  a.base_ms = flags.get("--base-ms", a.base_ms);
+  a.crash_budget = flags.get("--crash-budget", a.crash_budget);
+  a.once = flags.has("--once");
+  a.verbose = flags.has("--verbose");
+  const std::string spec = flags.get_str("--connect");
   if (spec.empty() || !net::parse_hostport(spec, a.host, a.port)) {
     std::fprintf(stderr, "sfly_worker: --connect HOST:PORT is required\n");
     return usage(2);
   }
-  if (a.attempts == 0) a.attempts = 1;
   if (a.bin_dir.empty()) {
     // Default to our own directory: fleets deploy sfly_worker next to
     // the bench binaries it runs.

@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
       auto snap = sfly::service::Snapshot::open(path);
       sfly::service::Snapshot::load_into(snap, queries.engine().artifacts());
       std::fprintf(stderr, "# sflyd: warm start from %s (%zu bytes, %zu topologies)\n",
-                   path.c_str(), snap->size_bytes(), snap->names().size());
+                   path.c_str(), snap->size_bytes(),
+                   queries.engine().artifacts().names().size());
     }
     if (flags.has("--topos")) {
       sfly::TaskPool pool(cfg.threads);
