@@ -7,7 +7,7 @@
 // every scenario naming it, fans the batch over the thread pool, and
 // streams results — in batch order, with bounded memory — through sinks
 // (CSV, JSON lines).  Results are bitwise deterministic for their seeds at
-// any thread count.
+// any thread count, so this program's stdout is too.
 
 #include <cstdio>
 #include <cstdlib>
@@ -49,12 +49,13 @@ int main(int argc, char** argv) {
       .algos({routing::Algo::kMinimal, routing::Algo::kValiant});
   camp.sims("routing", std::move(routing));
 
-  // Streaming sink: each phase's results reach stdout as CSV rows while
-  // the workers complete them, in batch order (a header per row flavor)
-  // — no whole-batch buffering between evaluation and output.
+  // Streaming sink: each phase's results reach stdout as JSON lines while
+  // the workers complete them, in batch order, each phase behind its
+  // batch header — the same bytes `--json` journals hold, with no
+  // whole-batch buffering between evaluation and output.
   camp.print_plan();
   std::printf("\n");
-  engine::CsvSink csv(stdout);
-  camp.run({&csv});
+  engine::JsonlSink jsonl(stdout);
+  camp.run({&jsonl});
   return 0;
 }

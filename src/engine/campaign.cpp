@@ -10,7 +10,6 @@
 #include <ctime>
 #include <set>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 
 #include "engine/dispatch.hpp"
@@ -105,52 +104,23 @@ const CampaignJournal::Segment* consume_segment(RunControl& ctl,
   return &seg;
 }
 
-[[noreturn]] void replay_mismatch(const BatchMeta& m, std::size_t index) {
-  throw std::runtime_error(
-      "resume: journal row " + std::to_string(index) + " of batch '" +
-      m.batch + "' does not match the expanded scenario at that position");
-}
-
-// The replay match rule: a journaled row must carry its batch index and
-// the topology expanded there, plus the same kind (analytic rows) or the
-// same label (sim rows).
-const Result& replayed(const CampaignJournal::Row& row, const Scenario& sc,
-                       std::size_t index, const BatchMeta& m) {
-  const Result& r = row.result;
-  if (row.sim || r.index != index || r.topology != sc.topology ||
-      r.kind != sc.kind)
-    replay_mismatch(m, index);
-  // The journal cannot reconstruct a layout row's placement (it is never
-  // serialized), and benches consume placements from the collected
-  // results — refuse rather than replay a hollow row.
-  if (r.kind == Kind::kLayout)
+// The replay match rule: a journaled row must be of the batch's row
+// type and carry its batch index and the topology expanded there, plus
+// ScenarioKind::matches (the same kind, or the same label).
+template <class Scen>
+const RowOf<Scen>& replayed(const CampaignJournal::Row& row, const Scen& sc,
+                            std::size_t index, const BatchMeta& m) {
+  const auto* r = std::get_if<RowOf<Scen>>(&row.result);
+  if (!r || r->index != index || r->topology != sc.topology ||
+      !ScenarioKind<Scen>::matches(*r, sc))
     throw std::runtime_error(
-        "resume: batch '" + m.batch + "' holds layout rows, whose "
-        "placements are not journaled — layout phases cannot be resumed; "
-        "rerun this campaign from scratch");
-  return r;
-}
-
-const SimResult& replayed(const CampaignJournal::Row& row,
-                          const SimScenario& sc, std::size_t index,
-                          const BatchMeta& m) {
-  const SimResult& r = row.sim_result;
-  if (!row.sim || r.index != index || r.topology != sc.topology ||
-      r.label != sc.label)
-    replay_mismatch(m, index);
-  return r;
-}
-
-std::size_t engine_stream(Engine& eng, const std::vector<Scenario>& batch,
-                          const std::vector<ResultSink*>& sinks,
-                          const Engine::StreamOptions& so) {
-  return eng.run_stream(batch, sinks, so);
-}
-
-std::size_t engine_stream(Engine& eng, const std::vector<SimScenario>& batch,
-                          const std::vector<ResultSink*>& sinks,
-                          const Engine::StreamOptions& so) {
-  return eng.run_sims_stream(batch, sinks, so);
+        "resume: journal row " + std::to_string(index) + " of batch '" +
+        m.batch + "' does not match the expanded scenario at that position");
+  // Benches consume layout placements from the collected results, so a
+  // hollow replayed row is refused.
+  ScenarioKind<Scen>::require_journalable(
+      sc, m, "be resumed; rerun this campaign from scratch");
+  return *r;
 }
 
 // The one replay-then-stream sequence behind every campaign batch (a
@@ -161,10 +131,10 @@ std::size_t engine_stream(Engine& eng, const std::vector<SimScenario>& batch,
 // appends to `out`; the time and the work of the evaluated rows add to
 // `tally`.  Returns false when the budget stopped the batch part-way,
 // leaving a clean journal prefix on disk.
-template <typename Scen, typename Res>
+template <class Scen>
 bool replay_and_stream(Engine& eng, RunControl& ctl, const BatchMeta& m,
                        const std::vector<Scen>& batch, std::size_t lo,
-                       std::vector<Res>& out,
+                       std::vector<RowOf<Scen>>& out,
                        const std::vector<ResultSink*>& sinks,
                        RunTally& tally) {
   const CampaignJournal::Segment* seg = consume_segment(ctl, m);
@@ -180,32 +150,27 @@ bool replay_and_stream(Engine& eng, RunControl& ctl, const BatchMeta& m,
   const std::size_t first_fresh = out.size() + have;
   CollectSink collect(&out);
   for (std::size_t k = 0; k < have; ++k) {
-    const Res& r = replayed(seg->rows[k], batch[lo + k], lo + k, m);
+    const auto& r = replayed(seg->rows[k], batch[lo + k], lo + k, m);
     collect.consume(r);
     for (auto* s : sinks)
       if (s->wants_replay()) s->consume(r);
   }
   const std::vector<Scen> rest(batch.begin() + (lo + have),
                                batch.begin() + (lo + m.rows));
-  if constexpr (std::is_same_v<Scen, Scenario>) {
-    // Placements are never journaled, so a worker cannot stream a layout
-    // row's payload back — same limitation as --resume.
-    if (ctl.runner)
-      for (const auto& sc : rest)
-        if (sc.kind == Kind::kLayout)
-          throw std::runtime_error(
-              "batch '" + m.batch + "' holds layout scenarios, whose "
-              "placements are not journaled — layout phases cannot run "
-              "under --workers; run this bench single-process");
-  }
-  Engine::StreamOptions so;
+  // A worker streams its rows back as journal lines: same limit as resume.
+  if (ctl.runner)
+    for (const auto& sc : rest)
+      ScenarioKind<Scen>::require_journalable(
+          sc, m, "run under --workers; run this bench single-process");
+  StreamOptions so;
   so.index_base = lo + have;
   so.stop_after = [&ctl] { return ctl.over_budget(); };
   std::vector<ResultSink*> all{&collect};
   all.insert(all.end(), sinks.begin(), sinks.end());
   const std::size_t delivered =
-      ctl.runner ? ctl.runner->run_batch(eng, m, rest, all, so)
-                 : engine_stream(eng, rest, all, so);
+      ctl.runner
+          ? ctl.runner->run_batch(m, BatchRunner::Batch(eng, rest), all, so)
+          : eng.run_stream(rest, all, so);
   ctl.replayed += have;
   ctl.evaluated += delivered;
   const double built = eng.artifact_build_seconds() - build0;
@@ -214,16 +179,12 @@ bool replay_and_stream(Engine& eng, RunControl& ctl, const BatchMeta& m,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count() -
       built;
-  if constexpr (std::is_same_v<Res, SimResult>) {
-    for (std::size_t k = first_fresh; k < out.size(); ++k) {
-      if (!out[k].ok) continue;
-      tally.events += out[k].events;
-      tally.packets += out[k].packets;
-      tally.messages += out[k].messages;
-    }
-  }
+  for (std::size_t k = first_fresh; k < out.size(); ++k)
+    ScenarioKind<Scen>::tally(tally, out[k]);
   return delivered == rest.size();
 }
+
+}  // namespace
 
 // FNV-1a fold of every scenario knob into the batch fingerprint carried
 // by the journal's batch headers: two declarations that expand to the
@@ -264,38 +225,56 @@ struct DeclHash {
   }
 };
 
-std::uint64_t decl_hash(const std::vector<Scenario>& batch) {
-  DeclHash d;
-  for (const auto& s : batch) {
-    d.str(s.topology);
-    d.u64(static_cast<std::uint64_t>(s.kind));
-    d.u64(static_cast<std::uint64_t>(s.algo));
-    d.workload(s.workload);
-    d.u64(s.vcs);
-    d.u64(static_cast<std::uint64_t>(s.bisection_restarts));
-    d.u64(s.want_distances ? 1 : 0);
-    d.u64(s.want_girth ? 1 : 0);
-    d.u64(static_cast<std::uint64_t>(s.layout_em_rounds));
-    d.u64(static_cast<std::uint64_t>(s.layout_swap_passes));
-    d.f64(s.failure_fraction);
-    d.churn(s.churn);
-    d.u64(s.seed);
-  }
-  return d.h;
+void ScenarioKind<Scenario>::fold(DeclHash& d, const Scenario& s) {
+  d.str(s.topology);
+  d.u64(static_cast<std::uint64_t>(s.kind));
+  d.u64(static_cast<std::uint64_t>(s.algo));
+  d.workload(s.workload);
+  d.u64(s.vcs);
+  d.u64(static_cast<std::uint64_t>(s.bisection_restarts));
+  d.u64(s.want_distances ? 1 : 0);
+  d.u64(s.want_girth ? 1 : 0);
+  d.u64(static_cast<std::uint64_t>(s.layout_em_rounds));
+  d.u64(static_cast<std::uint64_t>(s.layout_swap_passes));
+  d.f64(s.failure_fraction);
+  d.churn(s.churn);
+  d.u64(s.seed);
 }
 
-std::uint64_t decl_hash(const std::vector<SimScenario>& batch) {
+void ScenarioKind<SimScenario>::fold(DeclHash& d, const SimScenario& s) {
+  d.str(s.topology);
+  d.u64(static_cast<std::uint64_t>(s.algo));
+  d.workload(s.workload);
+  d.u64(s.vcs);
+  d.f64(s.failure_fraction);
+  d.churn(s.churn);
+  d.u64(s.seed);
+  d.str(s.label);
+}
+
+void ScenarioKind<Scenario>::require_journalable(const Scenario& s,
+                                                 const BatchMeta& m,
+                                                 const char* cannot) {
+  if (s.kind == Kind::kLayout)
+    throw std::runtime_error("batch '" + m.batch +
+                             "' holds layout scenarios, whose placements "
+                             "are not journaled — layout phases cannot " +
+                             std::string(cannot));
+}
+
+void ScenarioKind<SimScenario>::tally(RunTally& t, const SimResult& r) {
+  if (!r.ok) return;
+  t.events += r.events;
+  t.packets += r.packets;
+  t.messages += r.messages;
+}
+
+namespace {
+
+template <class Scen>
+std::uint64_t decl_hash(const std::vector<Scen>& batch) {
   DeclHash d;
-  for (const auto& s : batch) {
-    d.str(s.topology);
-    d.u64(static_cast<std::uint64_t>(s.algo));
-    d.workload(s.workload);
-    d.u64(s.vcs);
-    d.f64(s.failure_fraction);
-    d.churn(s.churn);
-    d.u64(s.seed);
-    d.str(s.label);
-  }
+  for (const auto& s : batch) ScenarioKind<Scen>::fold(d, s);
   return d.h;
 }
 
@@ -559,25 +538,27 @@ std::vector<SimScenario> CampaignBuilder::expand_sims() const {
 // --- Phase -----------------------------------------------------------------
 
 Phase::Phase(std::string name, CampaignBuilder grid, bool sim)
-    : name_(std::move(name)), sim_(sim), grid_(std::move(grid)) {
+    : name_(std::move(name)), grid_(std::move(grid)) {
+  if (sim) batch_.emplace<Batch<SimScenario>>();
   expand_into_batches();
 }
 
 Phase::Phase(std::string name, std::size_t estimate,
              std::function<CampaignBuilder(Engine&)> make)
-    : name_(std::move(name)), sim_(true), estimate_(estimate),
-      make_(std::move(make)) {}
+    : name_(std::move(name)), estimate_(estimate), make_(std::move(make)) {
+  batch_.emplace<Batch<SimScenario>>();
+}
 
 void Phase::expand_into_batches() {
-  if (sim_)
-    sims_ = grid_.expand_sims();
+  if (auto* b = std::get_if<Batch<SimScenario>>(&batch_))
+    b->scenarios = grid_.expand_sims();
   else
-    scenarios_ = grid_.expand();
+    std::get<Batch<Scenario>>(batch_).scenarios = grid_.expand();
 }
 
 std::size_t Phase::size() const {
   if (deferred()) return estimate_;
-  return sim_ ? sims_.size() : scenarios_.size();
+  return std::visit([](const auto& b) { return b.scenarios.size(); }, batch_);
 }
 
 std::size_t Phase::flat_index(std::initializer_list<std::size_t> coords,
@@ -598,15 +579,6 @@ std::size_t Phase::flat_index(std::initializer_list<std::size_t> coords,
     ++k;
   }
   return flat;
-}
-
-const Result& Phase::at(std::initializer_list<std::size_t> coords) const {
-  return results_[flat_index(coords, results_.size())];
-}
-
-const SimResult& Phase::sim_at(
-    std::initializer_list<std::size_t> coords) const {
-  return sim_results_[flat_index(coords, sim_results_.size())];
 }
 
 // --- Campaign --------------------------------------------------------------
@@ -688,13 +660,13 @@ void Campaign::run(const std::vector<ResultSink*>& sinks, RunControl& ctl) {
     m.shard_index = ctl.shard_index;
     m.shard_count = ctl.shard_count;
     m.rows = hi - lo;
-    m.decl = ph->is_sim() ? decl_hash(ph->sims_) : decl_hash(ph->scenarios_);
-    const bool done =
-        ph->is_sim()
-            ? replay_and_stream(eng_, ctl, m, ph->sims_, lo, ph->sim_results_,
-                                sinks, ph->tally_)
-            : replay_and_stream(eng_, ctl, m, ph->scenarios_, lo,
-                                ph->results_, sinks, ph->tally_);
+    const bool done = std::visit(
+        [&](auto& b) {
+          m.decl = decl_hash(b.scenarios);
+          return replay_and_stream(eng_, ctl, m, b.scenarios, lo, b.results,
+                                   sinks, ph->tally_);
+        },
+        ph->batch_);
     if (!done) {  // budget fired mid-batch: clean prefix on disk
       ctl.stopped = true;
       return;

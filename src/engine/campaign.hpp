@@ -7,6 +7,9 @@
 /// (in nesting order: the first declared axis is the outermost loop) plus
 /// per-point hooks, and the engine owns expansion into Scenario (analytic)
 /// or SimScenario (simulation) batches: no bench hand-rolls nested loops.
+/// Every batch of either kind runs through one replay-then-stream path
+/// (campaign.cpp), with ScenarioKind (engine/scenario.hpp) supplying
+/// what differs.
 /// A Campaign strings named phases (grids) over one Engine, supports
 /// dry-run planning (scenario counts, axis shapes, artifact builds —
 /// nothing is evaluated), and executes phases through the engine's
@@ -29,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -220,12 +224,13 @@ struct RunTally {
   std::uint64_t messages = 0;
 };
 
-/// One named grid inside a Campaign: the builder, its expanded batch, and
-/// (after Campaign::run) the collected results with coordinate access.
+/// One named grid inside a Campaign: the builder, its expanded batch of
+/// one scenario kind, and (after Campaign::run) the collected results
+/// with coordinate access.  The typed accessors name the kind a caller
+/// expects; asking for the other kind throws std::bad_variant_access.
 class Phase {
  public:
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] bool is_sim() const { return sim_; }
   [[nodiscard]] bool deferred() const { return static_cast<bool>(make_); }
   /// Scenario count: exact once expanded, the declared estimate before a
   /// deferred phase materializes.
@@ -233,24 +238,39 @@ class Phase {
 
   [[nodiscard]] const CampaignBuilder& grid() const { return grid_; }
   [[nodiscard]] const std::vector<Scenario>& scenarios() const {
-    return scenarios_;
+    return std::get<Batch<Scenario>>(batch_).scenarios;
   }
-  [[nodiscard]] const std::vector<SimScenario>& sims() const { return sims_; }
-  [[nodiscard]] const std::vector<Result>& results() const { return results_; }
+  [[nodiscard]] const std::vector<SimScenario>& sims() const {
+    return std::get<Batch<SimScenario>>(batch_).scenarios;
+  }
+  [[nodiscard]] const std::vector<Result>& results() const {
+    return std::get<Batch<Scenario>>(batch_).results;
+  }
   [[nodiscard]] const std::vector<SimResult>& sim_results() const {
-    return sim_results_;
+    return std::get<Batch<SimScenario>>(batch_).results;
   }
 
   /// Row-major coordinate access in axis declaration order; throws
   /// std::logic_error before the phase has run to completion.
-  [[nodiscard]] const Result& at(std::initializer_list<std::size_t> coords) const;
+  [[nodiscard]] const Result& at(
+      std::initializer_list<std::size_t> coords) const {
+    return results()[flat_index(coords, results().size())];
+  }
   [[nodiscard]] const SimResult& sim_at(
-      std::initializer_list<std::size_t> coords) const;
+      std::initializer_list<std::size_t> coords) const {
+    return sim_results()[flat_index(coords, sim_results().size())];
+  }
 
   [[nodiscard]] const RunTally& tally() const { return tally_; }
 
  private:
   friend class Campaign;
+  template <class Scen>
+  struct Batch {
+    std::vector<Scen> scenarios;
+    std::vector<RowOf<Scen>> results;
+  };
+
   Phase(std::string name, CampaignBuilder grid, bool sim);
   Phase(std::string name, std::size_t estimate,
         std::function<CampaignBuilder(Engine&)> make);
@@ -259,14 +279,10 @@ class Phase {
       std::initializer_list<std::size_t> coords, std::size_t have) const;
 
   std::string name_;
-  bool sim_ = false;
   CampaignBuilder grid_;
   std::size_t estimate_ = 0;
   std::function<CampaignBuilder(Engine&)> make_;  // deferred phases only
-  std::vector<Scenario> scenarios_;
-  std::vector<SimScenario> sims_;
-  std::vector<Result> results_;
-  std::vector<SimResult> sim_results_;
+  std::variant<Batch<Scenario>, Batch<SimScenario>> batch_;
   RunTally tally_;
 };
 

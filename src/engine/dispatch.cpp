@@ -68,34 +68,11 @@ void CampaignDispatcher::catch_up(std::size_t slot) {
   }
 }
 
-std::size_t CampaignDispatcher::run_batch(Engine& eng, const BatchMeta& m,
-                                          const std::vector<Scenario>& batch,
+std::size_t CampaignDispatcher::run_batch(const BatchMeta& m,
+                                          const Batch& batch,
                                           const std::vector<ResultSink*>& sinks,
-                                          const Engine::StreamOptions& opts) {
-  (void)eng;
-  return run_batch_impl(m, batch, sinks, opts,
-                        [](const std::string& line) {
-                          return CampaignJournal::parse_result(line);
-                        });
-}
-
-std::size_t CampaignDispatcher::run_batch(Engine& eng, const BatchMeta& m,
-                                          const std::vector<SimScenario>& batch,
-                                          const std::vector<ResultSink*>& sinks,
-                                          const Engine::StreamOptions& opts) {
-  (void)eng;
-  return run_batch_impl(m, batch, sinks, opts,
-                        [](const std::string& line) {
-                          return CampaignJournal::parse_sim_result(line);
-                        });
-}
-
-template <typename Scen, typename Parse>
-std::size_t CampaignDispatcher::run_batch_impl(
-    const BatchMeta& m, const std::vector<Scen>& batch,
-    const std::vector<ResultSink*>& sinks, const Engine::StreamOptions& opts,
-    Parse&& parse) {
-  const std::size_t n = batch.size();
+                                          const StreamOptions& opts) {
+  const std::size_t n = batch.size;
   for (auto* s : sinks) s->begin(n);
   if (n == 0 || fleet_stopped_) {
     // Fleet already budget-stopped: deliver nothing so the campaign
@@ -181,8 +158,7 @@ std::size_t CampaignDispatcher::run_batch_impl(
 
   auto deliver_ready = [&] {
     while (next < n && have[next]) {
-      auto r = parse(rows[next]);
-      if (!r) {
+      if (!batch.deliver(rows[next], opts.index_base + next, sinks)) {
         transport_.shutdown();
         throw std::runtime_error(
             "--workers: row " + std::to_string(next) + " of batch '" +
@@ -190,7 +166,6 @@ std::size_t CampaignDispatcher::run_batch_impl(
             "' failed the journal round-trip check — wire corruption or a "
             "worker/parent serialization mismatch");
       }
-      for (auto* s : sinks) s->consume(*r);
       ++next;
     }
   };
@@ -329,43 +304,10 @@ class ChannelRowSink final : public ResultSink {
 
 }  // namespace
 
-std::size_t CampaignWorker::run_batch(Engine& eng, const BatchMeta& m,
-                                      const std::vector<Scenario>& batch,
+std::size_t CampaignWorker::run_batch(const BatchMeta& m, const Batch& batch,
                                       const std::vector<ResultSink*>& sinks,
-                                      const Engine::StreamOptions& opts) {
-  return run_batch_impl(
-      m, batch, sinks, opts,
-      [](const std::string& line) { return CampaignJournal::parse_result(line); },
-      [&eng](const std::vector<Scenario>& slice,
-             const std::vector<ResultSink*>& ps,
-             const Engine::StreamOptions& so) {
-        return eng.run_stream(slice, ps, so);
-      });
-}
-
-std::size_t CampaignWorker::run_batch(Engine& eng, const BatchMeta& m,
-                                      const std::vector<SimScenario>& batch,
-                                      const std::vector<ResultSink*>& sinks,
-                                      const Engine::StreamOptions& opts) {
-  return run_batch_impl(
-      m, batch, sinks, opts,
-      [](const std::string& line) {
-        return CampaignJournal::parse_sim_result(line);
-      },
-      [&eng](const std::vector<SimScenario>& slice,
-             const std::vector<ResultSink*>& ps,
-             const Engine::StreamOptions& so) {
-        return eng.run_sims_stream(slice, ps, so);
-      });
-}
-
-template <typename Scen, typename Parse, typename Run>
-std::size_t CampaignWorker::run_batch_impl(const BatchMeta& m,
-                                           const std::vector<Scen>& batch,
-                                           const std::vector<ResultSink*>& sinks,
-                                           const Engine::StreamOptions& opts,
-                                           Parse&& parse, Run&& run) {
-  const std::size_t n = batch.size();
+                                      const StreamOptions& opts) {
+  const std::size_t n = batch.size;
   for (auto* s : sinks) s->begin(n);
   if (n == 0) {  // both sides skip the protocol for an empty batch
     for (auto* s : sinks) s->end();
@@ -398,15 +340,12 @@ std::size_t CampaignWorker::run_batch_impl(const BatchMeta& m,
     throw std::runtime_error("worker: malformed slice assignment '" + line +
                              "'");
 
-  std::vector<Scen> slice(batch.begin() + static_cast<std::ptrdiff_t>(lo),
-                          batch.begin() + static_cast<std::ptrdiff_t>(hi));
   ChannelRowSink row_sink(*channel_);
-  std::vector<ResultSink*> ps{&row_sink};
-  Engine::StreamOptions so;
+  StreamOptions so;
   so.index_base = opts.index_base + lo;
   so.stop_after = opts.stop_after;
-  const std::size_t delivered = run(slice, ps, so);
-  if (delivered < slice.size()) {  // own budget fired mid-slice
+  if (batch.evaluate(lo, hi, {&row_sink}, so) < hi - lo) {
+    // own budget fired mid-slice
     channel_->announce_stop();
     std::exit(75);
   }
@@ -416,12 +355,10 @@ std::size_t CampaignWorker::run_batch_impl(const BatchMeta& m,
   // results — and any schedule derived from them — bitwise identical.
   for (std::size_t i = 0; i < n; ++i) {
     if (!channel_->read_line(line)) stream_ended();
-    auto r = parse(line);
-    if (!r || r->index != opts.index_base + i)
+    if (!batch.deliver(line, opts.index_base + i, sinks))
       throw std::runtime_error(
           "worker: broadcast row " + std::to_string(i) + " of batch '" +
           m.batch + "' failed the journal round-trip check");
-    for (auto* s : sinks) s->consume(*r);
   }
   for (auto* s : sinks) s->end();
   return n;

@@ -3,9 +3,12 @@
 /// Multi-process campaign dispatch — the `--workers N` / `--listen` /
 /// `--connect` implementation (docs/CAMPAIGNS.md §Distributed runs).
 ///
-/// CampaignDispatcher farms every campaign batch to N worker slots.  Per
-/// batch the parent sends each slot the
-/// batch's `jsonl_meta` header plus a `{"slice":[lo,hi]}` assignment;
+/// CampaignDispatcher farms every campaign batch to N worker slots.  A
+/// runner sees each batch type-erased (BatchRunner::Batch: evaluate a
+/// slice into sinks, parse-and-deliver one row line), so analytic and
+/// simulation batches take the same one run_batch.  Per batch the
+/// parent sends each slot the batch's `jsonl_meta` header plus a
+/// `{"slice":[lo,hi]}` assignment;
 /// workers evaluate their slice and stream the `jsonl_row` lines back;
 /// the parent interleaves the streams and delivers rows to its sinks
 /// strictly in batch order, live (journal numbers are `%.17g`, so a
@@ -42,6 +45,7 @@
 /// the decl fingerprint catches any knob skew) aborts the whole run.
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -62,16 +66,52 @@ namespace sfly::engine {
 /// unless the run is stopping).
 class BatchRunner {
  public:
+  /// One batch with its scenario kind erased: all a runner needs.
+  struct Batch {
+    /// View `batch` (of either kind); evaluation runs on `eng`.  Both
+    /// must outlive the view.
+    template <class Scen>
+    Batch(Engine& eng, const std::vector<Scen>& batch);
+
+    std::size_t size = 0;
+    /// Evaluate rows [lo, hi) in this process, streaming them to `sinks`
+    /// (Engine::run_stream over the slice); returns the delivered count.
+    std::function<std::size_t(std::size_t lo, std::size_t hi,
+                              const std::vector<ResultSink*>& sinks,
+                              const StreamOptions& opts)>
+        evaluate;
+    /// Parse one journal row line of this batch's kind and deliver it to
+    /// `sinks`.  False, delivering nothing, when the line fails the
+    /// round-trip check or is not row `index`.
+    std::function<bool(const std::string& line, std::size_t index,
+                       const std::vector<ResultSink*>& sinks)>
+        deliver;
+  };
+
   virtual ~BatchRunner() = default;
-  virtual std::size_t run_batch(Engine& eng, const BatchMeta& m,
-                                const std::vector<Scenario>& batch,
+  virtual std::size_t run_batch(const BatchMeta& m, const Batch& batch,
                                 const std::vector<ResultSink*>& sinks,
-                                const Engine::StreamOptions& opts) = 0;
-  virtual std::size_t run_batch(Engine& eng, const BatchMeta& m,
-                                const std::vector<SimScenario>& batch,
-                                const std::vector<ResultSink*>& sinks,
-                                const Engine::StreamOptions& opts) = 0;
+                                const StreamOptions& opts) = 0;
 };
+
+template <class Scen>
+BatchRunner::Batch::Batch(Engine& eng, const std::vector<Scen>& batch)
+    : size(batch.size()),
+      evaluate([&eng, &batch](std::size_t lo, std::size_t hi,
+                              const std::vector<ResultSink*>& sinks,
+                              const StreamOptions& opts) {
+        return eng.run_stream(
+            std::vector<Scen>(batch.begin() + static_cast<std::ptrdiff_t>(lo),
+                              batch.begin() + static_cast<std::ptrdiff_t>(hi)),
+            sinks, opts);
+      }),
+      deliver([](const std::string& line, std::size_t index,
+                 const std::vector<ResultSink*>& sinks) {
+        const auto r = ScenarioKind<Scen>::parse(line);
+        if (!r || r->index != index) return false;
+        for (auto* s : sinks) s->consume(*r);
+        return true;
+      }) {}
 
 namespace dispatch_detail {
 
@@ -93,14 +133,9 @@ class CampaignDispatcher final : public BatchRunner {
   CampaignDispatcher(const CampaignDispatcher&) = delete;
   CampaignDispatcher& operator=(const CampaignDispatcher&) = delete;
 
-  std::size_t run_batch(Engine& eng, const BatchMeta& m,
-                        const std::vector<Scenario>& batch,
+  std::size_t run_batch(const BatchMeta& m, const Batch& batch,
                         const std::vector<ResultSink*>& sinks,
-                        const Engine::StreamOptions& opts) override;
-  std::size_t run_batch(Engine& eng, const BatchMeta& m,
-                        const std::vector<SimScenario>& batch,
-                        const std::vector<ResultSink*>& sinks,
-                        const Engine::StreamOptions& opts) override;
+                        const StreamOptions& opts) override;
 
  private:
   struct Slot {
@@ -112,12 +147,6 @@ class CampaignDispatcher final : public BatchRunner {
     std::vector<std::string> rows;  // n jsonl_row lines, unterminated
   };
 
-  template <typename Scen, typename Parse>
-  std::size_t run_batch_impl(const BatchMeta& m,
-                             const std::vector<Scen>& batch,
-                             const std::vector<ResultSink*>& sinks,
-                             const Engine::StreamOptions& opts,
-                             Parse&& parse);
   void catch_up(std::size_t slot);  ///< replay completed-batch history
 
   TcpTransport transport_;
@@ -142,22 +171,11 @@ class CampaignWorker final : public BatchRunner {
   CampaignWorker(const CampaignWorker&) = delete;
   CampaignWorker& operator=(const CampaignWorker&) = delete;
 
-  std::size_t run_batch(Engine& eng, const BatchMeta& m,
-                        const std::vector<Scenario>& batch,
+  std::size_t run_batch(const BatchMeta& m, const Batch& batch,
                         const std::vector<ResultSink*>& sinks,
-                        const Engine::StreamOptions& opts) override;
-  std::size_t run_batch(Engine& eng, const BatchMeta& m,
-                        const std::vector<SimScenario>& batch,
-                        const std::vector<ResultSink*>& sinks,
-                        const Engine::StreamOptions& opts) override;
+                        const StreamOptions& opts) override;
 
  private:
-  template <typename Scen, typename Parse, typename Run>
-  std::size_t run_batch_impl(const BatchMeta& m,
-                             const std::vector<Scen>& batch,
-                             const std::vector<ResultSink*>& sinks,
-                             const Engine::StreamOptions& opts,
-                             Parse&& parse, Run&& run);
   [[noreturn]] void stream_ended();  ///< fleet stop (75) or lost link (76)
 
   std::unique_ptr<SocketChannel> channel_;

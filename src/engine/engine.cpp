@@ -7,6 +7,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "core/spectralfly_net.hpp"
@@ -112,7 +113,7 @@ void Engine::register_topology(std::string name, std::function<Graph()> build,
   cache_.register_topology(std::move(name), std::move(build), concentration);
 }
 
-SimResult Engine::evaluate_sim(const SimScenario& s, std::size_t index) {
+SimResult Engine::evaluate(const SimScenario& s, std::size_t index) {
   SimResult r;
   r.index = index;
   r.topology = s.topology;
@@ -241,21 +242,18 @@ Result Engine::evaluate(const Scenario& s, std::size_t index) {
   return r;
 }
 
-namespace {
-
-// Shared core of run_stream / run_sims_stream: fan the batch across the
-// pool with a sliding submission window, park out-of-order completions in
-// a reorder buffer, and deliver the in-order prefix to the sinks from the
-// calling thread.  The window bounds both the reorder buffer and the
-// submitted-but-unconsumed backlog, so memory stays O(threads) at any
-// campaign size; evaluation itself is unchanged, so results are bitwise
-// identical to the collect-everything path at any thread count.
-// `prepare(pool)` runs on the calling thread before the first submission.
-template <typename Scen, typename Res, typename Prepare, typename Eval>
-std::size_t stream_batch(unsigned threads, const std::vector<Scen>& batch,
-                         const std::vector<ResultSink*>& sinks,
-                         const Engine::StreamOptions& opts, Prepare&& prepare,
-                         Eval&& eval) {
+// Fan the batch across the pool with a sliding submission window, park
+// out-of-order completions in a reorder buffer, and deliver the in-order
+// prefix to the sinks from the calling thread.  The window bounds both the
+// reorder buffer and the submitted-but-unconsumed backlog, so memory stays
+// O(threads) at any campaign size; evaluation itself is unchanged, so
+// results are bitwise identical to the collect-everything path at any
+// thread count.
+template <class Scen>
+std::size_t Engine::run_stream(const std::vector<Scen>& batch,
+                               const std::vector<ResultSink*>& sinks,
+                               const StreamOptions& opts) {
+  using Row = RowOf<Scen>;
   for (auto* s : sinks) s->begin(batch.size());
   std::size_t next_deliver = 0;
   {
@@ -264,23 +262,23 @@ std::size_t stream_batch(unsigned threads, const std::vector<Scen>& batch,
     // mutex/cv/reorder buffer are still alive.
     std::mutex mu;
     std::condition_variable cv;
-    std::map<std::size_t, Res> done;  // completed, not yet delivered
+    std::map<std::size_t, Row> done;  // completed, not yet delivered
     std::size_t next_submit = 0;
     bool stopping = false;  // stop_after fired: drain, don't submit
-    TaskPool pool(threads);
-    prepare(pool);
+    TaskPool pool(cfg_.threads);
+    if constexpr (std::is_same_v<Scen, SimScenario>) prebuild(batch, pool);
     const std::size_t window =
         std::max<std::size_t>(16, std::size_t{4} * pool.width());
 
     auto submit_one = [&](std::size_t i) {
       pool.submit([&, i] {
-        // evaluate()/evaluate_sim() turn scenario failures into ok=false
-        // results; this catch covers only infrastructure failures (e.g.
-        // bad_alloc) that would otherwise leave a hole in the reorder
-        // buffer and deadlock the delivery loop.
-        Res r;
+        // evaluate() turns scenario failures into ok=false results; this
+        // catch covers only infrastructure failures (e.g. bad_alloc) that
+        // would otherwise leave a hole in the reorder buffer and deadlock
+        // the delivery loop.
+        Row r;
         try {
-          r = eval(batch[i], opts.index_base + i);
+          r = evaluate(batch[i], opts.index_base + i);
         } catch (const std::exception& e) {
           r.index = opts.index_base + i;
           r.error = e.what();
@@ -301,7 +299,7 @@ std::size_t stream_batch(unsigned threads, const std::vector<Scen>& batch,
       std::unique_lock lock(mu);
       cv.wait(lock, [&] { return done.count(next_deliver) != 0; });
       while (!done.empty() && done.begin()->first == next_deliver) {
-        Res r = std::move(done.begin()->second);
+        Row r = std::move(done.begin()->second);
         done.erase(done.begin());
         lock.unlock();
         for (auto* s : sinks) s->consume(r);
@@ -319,64 +317,40 @@ std::size_t stream_batch(unsigned threads, const std::vector<Scen>& batch,
   return next_deliver;
 }
 
-}  // namespace
-
-std::size_t Engine::run_stream(const std::vector<Scenario>& batch,
-                               const std::vector<ResultSink*>& sinks) {
-  return run_stream(batch, sinks, StreamOptions());
-}
-
-std::size_t Engine::run_sims_stream(const std::vector<SimScenario>& batch,
-                                    const std::vector<ResultSink*>& sinks) {
-  return run_sims_stream(batch, sinks, StreamOptions());
-}
-
-std::size_t Engine::run_stream(const std::vector<Scenario>& batch,
-                               const std::vector<ResultSink*>& sinks,
-                               const StreamOptions& opts) {
-  return stream_batch<Scenario, Result>(
-      cfg_.threads, batch, sinks, opts, [](TaskPool&) {},
-      [this](const Scenario& s, std::size_t i) { return evaluate(s, i); });
-}
-
-std::size_t Engine::run_sims_stream(const std::vector<SimScenario>& batch,
-                                    const std::vector<ResultSink*>& sinks,
-                                    const StreamOptions& opts) {
-  // Built lazily, a topology's shared tables and next-hop index would be
-  // built by its first scenario task on one core while the tasks behind
-  // it wait.  A build that throws is left to the scenarios to report.
-  auto prepare = [&](TaskPool& pool) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::set<std::string> done;
-    for (const auto& s : batch) {
-      if (s.failure_fraction > 0.0 || !done.insert(s.topology).second)
-        continue;
-      try {
-        (void)cache_.get(s.topology)->next_hops(&pool);
-      } catch (const std::exception&) {
-      }
+// Built lazily, a topology's shared tables and next-hop index would be
+// built by its first scenario task on one core while the tasks behind it
+// wait.  A build that throws is left to the scenarios to report.
+void Engine::prebuild(const std::vector<SimScenario>& batch, TaskPool& pool) {
+  const auto t0 = std::chrono::steady_clock::now();
+  std::set<std::string> done;
+  for (const auto& s : batch) {
+    if (s.failure_fraction > 0.0 || !done.insert(s.topology).second)
+      continue;
+    try {
+      (void)cache_.get(s.topology)->next_hops(&pool);
+    } catch (const std::exception&) {
     }
-    build_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-  };
-  return stream_batch<SimScenario, SimResult>(
-      cfg_.threads, batch, sinks, opts, prepare,
-      [this](const SimScenario& s, std::size_t i) { return evaluate_sim(s, i); });
+  }
+  build_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
 }
 
-std::vector<Result> Engine::run(const std::vector<Scenario>& batch) {
-  std::vector<Result> results;
+template <class Scen>
+std::vector<RowOf<Scen>> Engine::run(const std::vector<Scen>& batch) {
+  std::vector<RowOf<Scen>> results;
   CollectSink collect(&results);
   run_stream(batch, {&collect});
   return results;
 }
 
-std::vector<SimResult> Engine::run_sims(const std::vector<SimScenario>& batch) {
-  std::vector<SimResult> results;
-  CollectSink collect(&results);
-  run_sims_stream(batch, {&collect});
-  return results;
-}
+template std::size_t Engine::run_stream(const std::vector<Scenario>&,
+                                        const std::vector<ResultSink*>&,
+                                        const StreamOptions&);
+template std::size_t Engine::run_stream(const std::vector<SimScenario>&,
+                                        const std::vector<ResultSink*>&,
+                                        const StreamOptions&);
+template std::vector<Result> Engine::run(const std::vector<Scenario>&);
+template std::vector<SimResult> Engine::run(const std::vector<SimScenario>&);
 
 }  // namespace sfly::engine

@@ -4,10 +4,10 @@
 //
 // The paper's figures are sweeps: topology x routing x traffic x failure
 // rate x seed, each point independent given its seed.  The engine
-// evaluates a batch of such points across a TaskPool — analytic
-// Scenarios through run()/run_stream()/evaluate(), simulated
-// SimScenarios through run_sims()/run_sims_stream()/evaluate_sim() —
-// shares expensive per-topology artifacts (graph, routing tables,
+// evaluates a batch of such points across a TaskPool through one
+// run()/run_stream() template over the scenario type (analytic Scenarios
+// and simulated SimScenarios alike; only evaluate() is overloaded per
+// kind), shares expensive per-topology artifacts (graph, routing tables,
 // spectra) through an ArtifactCache, and streams results to ResultSinks
 // (engine/sink.hpp: CSV, JSONL).
 //
@@ -37,6 +37,19 @@ struct EngineConfig {
   sim::SimConfig sim;
 };
 
+/// Knobs for one streamed batch.
+struct StreamOptions {
+  /// Result::index of batch[0].  A campaign running one shard (or the
+  /// un-journaled suffix of a resumed batch) passes the slice's offset
+  /// so every row keeps its position in the full batch.
+  std::size_t index_base = 0;
+  /// Graceful-stop probe, polled between in-order deliveries.  Once it
+  /// returns true no further scenarios are submitted; everything
+  /// already in flight is drained and delivered, so the batch ends on
+  /// a clean journal prefix.  Empty = never stop.
+  std::function<bool()> stop_after;
+};
+
 class Engine {
  public:
   explicit Engine(EngineConfig cfg = {});
@@ -49,58 +62,42 @@ class Engine {
   [[nodiscard]] const ArtifactCache& artifacts() const { return cache_; }
   [[nodiscard]] const EngineConfig& config() const { return cfg_; }
 
-  /// Evaluate a batch.  Results arrive in batch order; a scenario that
-  /// throws (unknown topology, disconnected graph, ...) yields ok=false
-  /// with the error text instead of aborting the batch.
-  [[nodiscard]] std::vector<Result> run(const std::vector<Scenario>& batch);
-
-  /// Evaluate a simulation campaign: each SimScenario runs a synthetic
+  /// Evaluate one scenario on the calling thread (no pool).  A scenario
+  /// that throws (unknown topology, disconnected graph, ...) yields
+  /// ok=false with the error text.  A SimScenario runs a synthetic
   /// pattern or Ember motif through a core::Network built over the
   /// cache's shared routing tables (one all-pairs build per topology).
-  /// Same batch semantics and determinism contract as run().
-  [[nodiscard]] std::vector<SimResult> run_sims(
-      const std::vector<SimScenario>& batch);
+  [[nodiscard]] Result evaluate(const Scenario& s, std::size_t index = 0);
+  [[nodiscard]] SimResult evaluate(const SimScenario& s,
+                                   std::size_t index = 0);
 
-  /// Knobs for one streamed batch.
-  struct StreamOptions {
-    /// Result::index of batch[0].  A campaign running one shard (or the
-    /// un-journaled suffix of a resumed batch) passes the slice's offset
-    /// so every row keeps its position in the full batch.
-    std::size_t index_base = 0;
-    /// Graceful-stop probe, polled between in-order deliveries.  Once it
-    /// returns true no further scenarios are submitted; everything
-    /// already in flight is drained and delivered, so the batch ends on
-    /// a clean journal prefix.  Empty = never stop.
-    std::function<bool()> stop_after;
-  };
+  /// Evaluate a batch (Scenario or SimScenario).  Results arrive in
+  /// batch order; a failing scenario yields its ok=false row instead of
+  /// aborting the batch.  This is run_stream() with a CollectSink.
+  template <class Scen>
+  [[nodiscard]] std::vector<RowOf<Scen>> run(const std::vector<Scen>& batch);
 
   /// Streaming evaluation: fan the batch across the pool, but deliver
   /// each result to every sink strictly in batch order as workers complete
   /// them (a bounded reorder window keeps memory O(threads), not
-  /// O(batch)).  run()/run_sims() are this with a CollectSink.  Sinks
-  /// are invoked from the calling thread only.  run_sims_stream first
-  /// builds the routing tables and next-hop index of every pristine
-  /// scenario's topology across the pool, before any scenario starts
-  /// (timed into artifact_build_seconds()).
+  /// O(batch)).  Sinks are invoked from the calling thread only.  A
+  /// SimScenario batch first builds the routing tables and next-hop
+  /// index of every pristine scenario's topology across the pool, before
+  /// any scenario starts (timed into artifact_build_seconds()).
   /// \return the number of results delivered — less than batch.size()
   ///         only when opts.stop_after fired.
-  std::size_t run_stream(const std::vector<Scenario>& batch,
-                         const std::vector<ResultSink*>& sinks);
-  std::size_t run_stream(const std::vector<Scenario>& batch,
+  template <class Scen>
+  std::size_t run_stream(const std::vector<Scen>& batch,
                          const std::vector<ResultSink*>& sinks,
-                         const StreamOptions& opts);
+                         const StreamOptions& opts = {});
+  /// run_stream() under its old simulation-only name, kept as a forward
+  /// for its last caller, perfbench/src/campaign_pass.hpp:77.
   std::size_t run_sims_stream(const std::vector<SimScenario>& batch,
-                              const std::vector<ResultSink*>& sinks);
-  std::size_t run_sims_stream(const std::vector<SimScenario>& batch,
-                              const std::vector<ResultSink*>& sinks,
-                              const StreamOptions& opts);
+                              const std::vector<ResultSink*>& sinks) {
+    return run_stream(batch, sinks);
+  }
 
-  /// Evaluate one scenario on the calling thread (no pool).
-  [[nodiscard]] Result evaluate(const Scenario& s, std::size_t index = 0);
-  [[nodiscard]] SimResult evaluate_sim(const SimScenario& s,
-                                       std::size_t index = 0);
-
-  /// Wall-clock seconds run_sims_stream has spent pre-building shared
+  /// Wall-clock seconds run_stream has spent pre-building shared
   /// routing artifacts, summed over every call on this engine.  Campaign
   /// timing reads it to keep construction out of evaluation time.
   [[nodiscard]] double artifact_build_seconds() const {
@@ -108,6 +105,8 @@ class Engine {
   }
 
  private:
+  void prebuild(const std::vector<SimScenario>& batch, TaskPool& pool);
+
   EngineConfig cfg_;
   ArtifactCache cache_;
   std::atomic<std::int64_t> build_ns_{0};

@@ -34,7 +34,7 @@ Kind parse_kind(const std::string& name, bool& valid) {
 
 }  // namespace
 
-std::optional<Result> CampaignJournal::parse_result(const std::string& line) {
+std::optional<Result> ScenarioKind<Scenario>::parse(const std::string& line) {
   JsonObject j;
   if (!JsonObject::scan(line, j)) return std::nullopt;
   Result r;
@@ -69,7 +69,7 @@ std::optional<Result> CampaignJournal::parse_result(const std::string& line) {
   return r;
 }
 
-std::optional<SimResult> CampaignJournal::parse_sim_result(
+std::optional<SimResult> ScenarioKind<SimScenario>::parse(
     const std::string& line) {
   JsonObject j;
   if (!JsonObject::scan(line, j)) return std::nullopt;
@@ -143,10 +143,9 @@ CampaignJournal CampaignJournal::load(const std::string& path) {
       out.segments_.push_back({*m, {}});
     } else {
       Row row;
-      if (auto sr = parse_sim_result(line)) {
-        row.sim = true;
-        row.sim_result = std::move(*sr);
-      } else if (auto r = parse_result(line)) {
+      if (auto sr = ScenarioKind<SimScenario>::parse(line)) {
+        row.result = std::move(*sr);
+      } else if (auto r = ScenarioKind<Scenario>::parse(line)) {
         row.result = std::move(*r);
       } else {
         break;
@@ -242,7 +241,7 @@ void CampaignJournal::merge(const std::vector<std::string>& inputs,
       }
       for (const auto& row : sseg.rows) {
         const std::size_t idx =
-            row.sim ? row.sim_result.index : row.result.index;
+            std::visit([](const auto& r) { return r.index; }, row.result);
         if (idx != next_index)
           throw std::runtime_error("merge: batch '" + m.batch +
                                    "' rows are not a contiguous 0..N-1 "

@@ -17,13 +17,15 @@
 /// (plus `"shard":[I,K],"rows":M` before `decl` when the batch was
 /// shard-partitioned; `decl` fingerprints the expanded declaration);
 /// result rows keep the exact JsonlSink format.  CampaignJournal parses
-/// such a file back into batch segments of fully-typed Result/SimResult
-/// rows, validating every line by re-serializing it (the `%.17g` number
+/// such a file back into batch segments of fully-typed rows (each one
+/// Result or SimResult, by ScenarioKind<Scen>::parse), validating every
+/// line by re-serializing it (the `%.17g` number
 /// format round-trips doubles exactly, so a parsed row is bitwise equal
 /// to the evaluated one; an analytic row whose constant-zero simulation
 /// columns hold anything else fails that seal).  A row is replayed only
-/// where it matches the expanded scenario at its position: same index
-/// and topology, plus the same kind (analytic) or label (simulation).
+/// where it matches the expanded scenario at its position: same row
+/// type, index and topology, plus ScenarioKind::matches (the same kind
+/// for analytic rows, the same label for simulation rows).
 /// A trailing half-written line — the signature of a hard kill — is
 /// detected and dropped; `valid_bytes()` tells the resume writer where
 /// to truncate before appending.
@@ -31,6 +33,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "engine/scenario.hpp"
@@ -48,14 +51,11 @@ namespace sfly::engine {
 /// A parsed `--json` stream: batch segments of typed result rows.
 class CampaignJournal {
  public:
-  /// One parsed result row.  Exactly one of the two payloads is live
-  /// (`sim` discriminates); `raw` keeps the original line for stable
+  /// One parsed result row; `raw` keeps the original line for stable
   /// merging.
   struct Row {
-    bool sim = false;
-    Result result;          ///< live when !sim
-    SimResult sim_result;   ///< live when sim
-    std::string raw;        ///< the original JSONL line (no newline)
+    std::variant<Result, SimResult> result;
+    std::string raw;  ///< the original JSONL line (no newline)
   };
 
   /// One batch: its meta header plus the rows present in the file.  Only
@@ -83,15 +83,8 @@ class CampaignJournal {
   /// truncation point before a resume run appends.
   [[nodiscard]] std::size_t valid_bytes() const { return valid_bytes_; }
 
-  // --- line parsers (also the round-trip test surface) -----------------
-  /// Parse one analytic-result line.  Returns nullopt unless
-  /// re-serializing the parsed row reproduces `line` byte for byte.
-  [[nodiscard]] static std::optional<Result> parse_result(
-      const std::string& line);
-  /// Parse one simulation-result line (same round-trip guarantee).
-  [[nodiscard]] static std::optional<SimResult> parse_sim_result(
-      const std::string& line);
-  /// Parse one batch meta header line.
+  /// Parse one batch meta header line (row lines parse through
+  /// ScenarioKind<Scen>::parse).
   [[nodiscard]] static std::optional<BatchMeta> parse_meta(
       const std::string& line);
 

@@ -13,14 +13,19 @@
 /// patterns and Ember motifs, evaluated through the core Network facade
 /// so engine runs and the seed benches share one code path.
 ///
-/// Both result flavors serialize losslessly to CSV and JSONL rows
-/// (engine/sink.hpp); the JSONL form parses back bitwise
-/// (engine/journal.hpp), which is what makes a `--json` stream a
-/// resume checkpoint.
+/// The batch path over them is written once: Engine::run / run_stream,
+/// the sinks, BatchRunner, the journal and Campaign phases are templates
+/// (or one type-erased batch) over the scenario type, and
+/// ScenarioKind<Scen> (end of this file) holds the few things that
+/// really differ between the kinds.  Both row types serialize losslessly
+/// to CSV and JSONL rows (engine/sink.hpp); the JSONL form parses back
+/// bitwise (ScenarioKind::parse), which is what makes a `--json` stream
+/// a resume checkpoint.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "graph/failures.hpp"
@@ -181,5 +186,61 @@ struct SimResult {
 
   double wall_ms = 0.0;  // evaluation wall-clock (excluded from comparisons)
 };
+
+// ---------------------------------------------------------------------------
+// What differs between the two kinds, and nothing else.  Engine::evaluate
+// and the row codecs (csv_row / jsonl_row, engine/sink.hpp) are
+// overloaded per kind; everything else the batch path needs from a kind
+// is here.
+
+struct BatchMeta;  // engine/sink.hpp
+struct RunTally;   // engine/campaign.hpp
+struct DeclHash;   // batch fingerprint accumulator (engine/campaign.cpp)
+
+template <class Scen>
+struct ScenarioKind;
+
+template <>
+struct ScenarioKind<Scenario> {
+  using Row = Result;
+  static const char* const kCsvHeader;  // engine/sink.cpp
+  /// One journal row line.  nullopt unless re-serializing the parsed row
+  /// reproduces `line` byte for byte (engine/journal.cpp).
+  [[nodiscard]] static std::optional<Result> parse(const std::string& line);
+  /// Replay match rule, beyond index and topology: the same kind.
+  [[nodiscard]] static bool matches(const Result& r, const Scenario& s) {
+    return r.kind == s.kind;
+  }
+  /// A layout row's placement is never serialized, so a journal line
+  /// cannot carry it: layout scenarios can neither replay from a journal
+  /// nor stream back from a worker.  Throws std::runtime_error naming
+  /// the batch, ending "layout phases cannot <cannot>".
+  static void require_journalable(const Scenario& s, const BatchMeta& m,
+                                  const char* cannot);
+  /// Fold every knob into the batch fingerprint (DeclPins.* pin it).
+  static void fold(DeclHash& d, const Scenario& s);
+  /// Analytic rows carry no simulator work.
+  static void tally(RunTally&, const Result&) {}
+};
+
+template <>
+struct ScenarioKind<SimScenario> {
+  using Row = SimResult;
+  static const char* const kCsvHeader;
+  [[nodiscard]] static std::optional<SimResult> parse(const std::string& line);
+  /// Replay match rule, beyond index and topology: the same label.
+  [[nodiscard]] static bool matches(const SimResult& r, const SimScenario& s) {
+    return r.label == s.label;
+  }
+  static void require_journalable(const SimScenario&, const BatchMeta&,
+                                  const char*) {}
+  static void fold(DeclHash& d, const SimScenario& s);
+  /// Adds an ok row's events, packets and messages.
+  static void tally(RunTally& t, const SimResult& r);
+};
+
+/// The row type a scenario type evaluates to.
+template <class Scen>
+using RowOf = typename ScenarioKind<Scen>::Row;
 
 }  // namespace sfly::engine

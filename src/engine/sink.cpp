@@ -30,7 +30,7 @@ std::string jnum(double v) {
 // completion, messages) as constant zeros: no analytic kind fills them,
 // but the CSV and JSONL layouts that existing journals and scripts hold
 // stay byte-identical.  A journaled analytic row with anything else
-// there fails the round-trip seal (CampaignJournal::parse_result).
+// there fails the round-trip seal (ScenarioKind<Scenario>::parse).
 constexpr const char* kZeroSimCsv = "0,0,0,0,0,";
 constexpr const char* kZeroSimJson =
     ",\"max_latency_ns\":0,\"mean_latency_ns\":0,\"p99_latency_ns\":0"
@@ -74,20 +74,20 @@ void checked_close(std::FILE* f, const char* what) {
   if (std::fclose(f) != 0) io_die(what);
 }
 
-const char* csv_header(bool sim) {
-  return sim
-             ? "index,topology,label,ok,error,diameter,max_latency_ns,"
-               "mean_latency_ns,p99_latency_ns,completion_ns,messages,"
-               "delivered,reroutes,drops,post_churn_p99_ns,events,"
-               "packets,wall_ms\n"
-             : "index,topology,kind,ok,error,vertices,radix,connected,diameter,"
-               "mean_hops,girth,bisection,normalized_bisection,lambda,mu1,"
-               "ramanujan,fiedler_bisection_lb,"
-               "max_latency_ns,mean_latency_ns,p99_latency_ns,completion_ns,"
-               "messages,"
-               "mean_wire_m,max_wire_m,wires_electrical,wires_optical,"
-               "power_watts,mw_per_gbps,wall_ms\n";
-}
+const char* const ScenarioKind<Scenario>::kCsvHeader =
+    "index,topology,kind,ok,error,vertices,radix,connected,diameter,"
+    "mean_hops,girth,bisection,normalized_bisection,lambda,mu1,"
+    "ramanujan,fiedler_bisection_lb,"
+    "max_latency_ns,mean_latency_ns,p99_latency_ns,completion_ns,"
+    "messages,"
+    "mean_wire_m,max_wire_m,wires_electrical,wires_optical,"
+    "power_watts,mw_per_gbps,wall_ms\n";
+
+const char* const ScenarioKind<SimScenario>::kCsvHeader =
+    "index,topology,label,ok,error,diameter,max_latency_ns,"
+    "mean_latency_ns,p99_latency_ns,completion_ns,messages,"
+    "delivered,reroutes,drops,post_churn_p99_ns,events,"
+    "packets,wall_ms\n";
 
 std::string csv_row(const Result& r) {
   std::ostringstream out;
@@ -175,34 +175,22 @@ std::string jsonl_meta(const BatchMeta& m) {
   return out.str();
 }
 
-// --- CollectSink -----------------------------------------------------------
-
-void CollectSink::begin(std::size_t total) {
-  if (results_) results_->reserve(results_->size() + total);
-  if (sim_results_) sim_results_->reserve(sim_results_->size() + total);
-}
-
-void CollectSink::consume(const Result& r) {
-  if (results_) results_->push_back(r);
-}
-
-void CollectSink::consume(const SimResult& r) {
-  if (sim_results_) sim_results_->push_back(r);
-}
-
 // --- CsvSink ---------------------------------------------------------------
 
-void CsvSink::write_row(bool sim, const std::string& row) {
-  const int want = sim ? 2 : 1;
-  if (header_state_ != want) {
-    checked_write(out_, "CSV output", csv_header(sim));
-    header_state_ = want;
+void CsvSink::write_row(const char* header, const std::string& row) {
+  if (header_ != header) {
+    checked_write(out_, "CSV output", header);
+    header_ = header;
   }
   checked_write(out_, "CSV output", row);
 }
 
-void CsvSink::consume(const Result& r) { write_row(false, csv_row(r)); }
-void CsvSink::consume(const SimResult& r) { write_row(true, csv_row(r)); }
+void CsvSink::consume(const Result& r) {
+  write_row(ScenarioKind<Scenario>::kCsvHeader, csv_row(r));
+}
+void CsvSink::consume(const SimResult& r) {
+  write_row(ScenarioKind<SimScenario>::kCsvHeader, csv_row(r));
+}
 void CsvSink::end() { checked_flush(out_, "CSV output"); }
 
 // --- JsonlSink -------------------------------------------------------------

@@ -2,7 +2,7 @@
 /// \file sink.hpp
 /// Streaming result sinks (see DESIGN.md §6 and docs/CAMPAIGNS.md).
 ///
-/// Engine::run_stream / run_sims_stream deliver results to ResultSinks in
+/// Engine::run_stream delivers results to ResultSinks in
 /// strict batch order as workers complete them, so a campaign of any size
 /// can emit CSV / JSON-lines output with bounded memory — no
 /// whole-batch buffer between evaluation and formatting.  Sinks are called
@@ -10,10 +10,13 @@
 /// the same result values at any --threads count (the engine's determinism
 /// contract; wall_ms is the only thread-dependent field).
 ///
-/// The two row flavors keep one fixed column layout each.  Analytic
-/// (Result) rows carry five simulation columns — max/mean/p99 latency,
-/// completion, messages — as constant zeros, so their CSV and JSONL
-/// bytes stay compatible with existing journals and scripts.
+/// Sinks are the one place the batch path is polymorphic over the row
+/// type at run time: ResultSink has one consume() per kind, and a sink
+/// class overrides the kinds it handles.  The two row flavors keep one
+/// fixed column layout each.  Analytic (Result) rows carry five
+/// simulation columns — max/mean/p99 latency, completion, messages — as
+/// constant zeros, so their CSV and JSONL bytes stay compatible with
+/// existing journals and scripts.
 
 #include <cstdint>
 #include <cstdio>
@@ -45,8 +48,7 @@ struct BatchMeta {
 
 /// Consumer of a streamed result batch.  Override the consume overload(s)
 /// for the result type(s) the sink handles; the defaults ignore results
-/// of the other type so one sink class can serve both run_stream and
-/// run_sims_stream.
+/// of the other type, so one sink class can serve batches of both kinds.
 class ResultSink {
  public:
   virtual ~ResultSink() = default;
@@ -91,7 +93,7 @@ void checked_close(std::FILE* f, const char* what);
 // ---------------------------------------------------------------------------
 // Row formatting shared by the sinks.
 
-[[nodiscard]] const char* csv_header(bool sim);
+// The CSV header of each row type is ScenarioKind<Scen>::kCsvHeader.
 [[nodiscard]] std::string csv_row(const Result& r);
 [[nodiscard]] std::string csv_row(const SimResult& r);
 /// One JSON object per result.  wall_ms is deliberately excluded so the
@@ -108,20 +110,21 @@ void checked_close(std::FILE* f, const char* what);
 // ---------------------------------------------------------------------------
 // Concrete sinks.
 
-/// Collects results into caller-owned vectors (the in-memory terminal
-/// sink Engine::run / run_sims are built on).  Pass only the vector(s)
-/// the batch type needs.
+/// Collects one row type into a caller-owned vector (the in-memory
+/// terminal sink Engine::run is built on); rows of the other type are
+/// ignored.  `CollectSink collect(&rows)` deduces the row type.
+template <class Row>
 class CollectSink final : public ResultSink {
  public:
-  explicit CollectSink(std::vector<Result>* out) : results_(out) {}
-  explicit CollectSink(std::vector<SimResult>* out) : sim_results_(out) {}
-  void begin(std::size_t total) override;
-  void consume(const Result& r) override;
-  void consume(const SimResult& r) override;
+  explicit CollectSink(std::vector<Row>* out) : out_(out) {}
+  using ResultSink::consume;
+  void begin(std::size_t total) override {
+    out_->reserve(out_->size() + total);
+  }
+  void consume(const Row& r) override { out_->push_back(r); }
 
  private:
-  std::vector<Result>* results_ = nullptr;
-  std::vector<SimResult>* sim_results_ = nullptr;
+  std::vector<Row>* out_;
 };
 
 /// Streams RFC-4180 CSV rows to a FILE* (header emitted lazily when the
@@ -135,9 +138,9 @@ class CsvSink final : public ResultSink {
   void end() override;
 
  private:
-  void write_row(bool sim, const std::string& row);
+  void write_row(const char* header, const std::string& row);
   std::FILE* out_;
-  int header_state_ = 0;  // 0 = none yet, 1 = Result header, 2 = SimResult
+  const char* header_ = nullptr;  // the header of the row type last written
 };
 
 /// Streams one JSON object per line per result (wall_ms excluded, so the

@@ -279,10 +279,10 @@ std::string QueryEngine::handle_sim(const JsonObject& q, std::uint64_t id) {
   (void)q.get_u64("seed", s.seed);
   (void)q.get_str("label", s.label);
 
-  // Same code path as the benches (Engine::evaluate_sim), same index 0 —
+  // Same code path as the benches (Engine::evaluate), same index 0 —
   // so the embedded row is byte-identical to an in-process evaluation of
   // the same request (the CI probe diffs exactly this).
-  engine::SimResult r = engine_.evaluate_sim(s, 0);
+  engine::SimResult r = engine_.evaluate(s, 0);
   if (!r.ok) throw std::runtime_error("sim failed: " + r.error);
 
   std::string row = engine::jsonl_row(r);

@@ -6,7 +6,7 @@
 //
 //   route — walk one src->dst packet under minimal/Valiant/UGAL over the
 //           cached tables (optionally over a failed-link overlay);
-//   sim   — evaluate one SimScenario through Engine::evaluate_sim and
+//   sim   — evaluate one SimScenario through Engine::evaluate and
 //           return the journaled SimResult row verbatim, so a service
 //           answer is byte-identical to the batch/bench answer;
 //   rank  — score registered topologies for a job size via the existing

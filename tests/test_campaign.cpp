@@ -268,7 +268,7 @@ TEST(RunStream, SinksSeeBatchOrderIdenticallyAtOneAndFourThreads) {
 TEST(RunStream, RunIsStreamWithCollectSink) {
   auto batch = small_sim_batch();
   auto eng = engine_with(2);
-  auto direct = eng->run_sims(batch);
+  auto direct = eng->run(batch);
   std::vector<SimResult> streamed;
   CollectSink collect(&streamed);
   eng->run_sims_stream(batch, {&collect});
@@ -356,7 +356,7 @@ TEST(CsvSink, SimResultFilePathMatchesStringPath) {
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
   std::fclose(f);
-  std::string expect = csv_header(true);
+  std::string expect = ScenarioKind<SimScenario>::kCsvHeader;
   for (const auto& r : results) expect += csv_row(r);
   EXPECT_EQ(text, expect);
   EXPECT_EQ(text.rfind("index,topology,label", 0), 0u);

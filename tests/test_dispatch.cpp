@@ -6,9 +6,12 @@
 // single-process to the same bytes; a worker whose binary expands the
 // campaign differently from the parent (stale build) is refused, never
 // silently mixed in; a worker that cannot even say HELLO exhausts the
-// respawn budget instead of hanging the fleet.  Plus the row-index
-// check the wire protocol rides on, the sfly_merge output-names-an-input
-// refusal, and the --phase-json run record's work counts.
+// respawn budget instead of hanging the fleet; a layout phase, whose
+// rows a journal line cannot carry, is refused before any runner sees
+// it.  Plus the row-index check the wire protocol rides on, the
+// sfly_merge output-names-an-input refusal, the --phase-json run
+// record's work counts, and the campaign example's thread-invariant
+// stdout.
 
 #include "engine/dispatch.hpp"
 
@@ -21,7 +24,9 @@
 #include <string>
 #include <vector>
 
+#include "engine/campaign.hpp"
 #include "engine/journal.hpp"
+#include "topo/paley.hpp"
 
 namespace sfly::engine {
 namespace {
@@ -105,6 +110,59 @@ TEST(Dispatch, AdaptiveSweepWorkersMatchSingleProcessBytes) {
             0);
   EXPECT_EQ(slurp(rj), slurp(wj));
   EXPECT_EQ(slurp(ro), slurp(wo));
+}
+
+TEST(Dispatch, AnalyticPhasesWorkersMatchSingleProcessBytes) {
+  // Three plain analytic Campaign phases (no adaptive waves): Scenario
+  // batches through the same one runner path the sim benches take.
+  const std::string bench = bin_dir() + "/bench_ablation_topology ";
+  const std::string rj = tmp("abref.jsonl"), ro = tmp("abref.out");
+  const std::string wj = tmp("abw.jsonl"), wo = tmp("abw.out");
+  ASSERT_EQ(run(bench + "--threads 1 --json " + rj + " > " + ro +
+                " 2> /dev/null"),
+            0);
+  ASSERT_EQ(run(bench + "--workers 2 --json " + wj + " > " + wo +
+                " 2> /dev/null"),
+            0);
+  ASSERT_FALSE(slurp(rj).empty());
+  EXPECT_EQ(slurp(rj), slurp(wj));
+  EXPECT_EQ(slurp(ro), slurp(wo));
+}
+
+// A runner that must never be reached.
+class UnreachableRunner final : public BatchRunner {
+ public:
+  std::size_t run_batch(const BatchMeta&, const Batch&,
+                        const std::vector<ResultSink*>&,
+                        const StreamOptions&) override {
+    ADD_FAILURE() << "a layout batch reached the runner";
+    return 0;
+  }
+};
+
+TEST(Dispatch, LayoutPhasesAreRefusedUnderARunner) {
+  // A worker streams rows back as journal lines, which never carry a
+  // layout row's placement: the batch is refused before the runner sees
+  // it, by the same check that refuses to replay layout rows.
+  Engine eng(EngineConfig{.threads = 1});
+  Campaign camp(eng, "layout_runner");
+  CampaignBuilder g;
+  g.proto().kind = Kind::kLayout;
+  g.topologies({{"Paley(13)", [] { return topo::paley_graph({13}); }}});
+  camp.analytic("layouts", std::move(g));
+  UnreachableRunner runner;
+  RunControl ctl;
+  ctl.runner = &runner;
+  try {
+    camp.run({}, ctl);
+    FAIL() << "a layout phase ran under a BatchRunner";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("layout phases cannot run under "
+                                         "--workers"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(ctl.evaluated, 0u);
 }
 
 TEST(Dispatch, SigkilledWorkerSliceIsReassignedBytesIdentical) {
@@ -219,7 +277,7 @@ TEST(Dispatch, WorkerDyingBeforeHelloHitsRespawnBudget) {
   m.scenarios = m.rows = 4;
   const std::vector<Scenario> batch(4);
   try {
-    (void)d.run_batch(eng, m, batch, {}, Engine::StreamOptions{});
+    (void)d.run_batch(m, BatchRunner::Batch(eng, batch), {}, StreamOptions{});
     FAIL() << "a crash-looping fleet returned instead of throwing";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("died 3 times"), std::string::npos)
@@ -290,10 +348,10 @@ Work journal_work(const std::string& path) {
   const CampaignJournal journal = CampaignJournal::load(path);
   for (const auto& seg : journal.segments())
     for (const auto& row : seg.rows)
-      if (row.sim && row.sim_result.ok) {
-        w.events += row.sim_result.events;
-        w.packets += row.sim_result.packets;
-        w.messages += row.sim_result.messages;
+      if (const auto* r = std::get_if<SimResult>(&row.result); r && r->ok) {
+        w.events += r->events;
+        w.packets += r->packets;
+        w.messages += r->messages;
       }
   return w;
 }
@@ -362,6 +420,26 @@ TEST(PhaseRecord, StoppedRunAndItsResumeAddUpToOneRun) {
                  stopped.messages + resumed.messages};
   EXPECT_TRUE(sum == record_work(ref));
   EXPECT_TRUE(sum == journal_work(j));
+}
+
+// ---------------------------------------------------------------------
+// examples/experiment_sweep: the documented campaign walkthrough streams
+// JSON lines, so its stdout is the same at any thread count.
+
+TEST(Example, ExperimentSweepStdoutIsThreadInvariant) {
+  const std::string exe = bin_dir() + "/experiment_sweep";
+  if (::access(exe.c_str(), X_OK) != 0) GTEST_SKIP() << "examples not built";
+  const std::string o1 = tmp("sweep1.out"), o4 = tmp("sweep4.out");
+  ASSERT_EQ(run(exe + " 1 > " + o1), 0);
+  ASSERT_EQ(run(exe + " 4 > " + o4), 0);
+  const std::string out = slurp(o1);
+  EXPECT_EQ(out, slurp(o4));
+  // Both phases stream behind their batch headers.
+  for (const char* batch : {"failures", "routing"})
+    EXPECT_NE(out.find("{\"batch\":\"" + std::string(batch) +
+                       "\",\"campaign\":\"quickstart\""),
+              std::string::npos)
+        << batch;
 }
 
 }  // namespace

@@ -222,8 +222,9 @@ TEST(Engine, ArtifactCacheReturnsSamePointers) {
 }
 
 // ---------------------------------------------------------------------
-// Simulation-scenario (SimScenario/run_sims) pins, mirroring the analytic
-// ones above: bitwise serial==parallel determinism and artifact sharing.
+// Simulation-scenario (SimScenario through Engine::run) pins, mirroring
+// the analytic ones above: bitwise serial==parallel determinism and
+// artifact sharing.
 
 std::unique_ptr<Engine> make_sim_engine(unsigned threads) {
   EngineConfig cfg;
@@ -265,8 +266,8 @@ std::vector<SimScenario> sim_batch() {
 
 TEST(Engine, SimSerialAndParallelResultsIdentical) {
   auto batch = sim_batch();
-  auto serial = make_sim_engine(1)->run_sims(batch);
-  auto parallel = make_sim_engine(4)->run_sims(batch);
+  auto serial = make_sim_engine(1)->run(batch);
+  auto parallel = make_sim_engine(4)->run(batch);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     const auto& a = serial[i];
@@ -288,14 +289,14 @@ TEST(Engine, SimSerialAndParallelResultsIdentical) {
 TEST(Engine, SimRunsShareCachedArtifacts) {
   auto eng = make_sim_engine(4);
   auto batch = sim_batch();
-  (void)eng->run_sims(batch);
+  (void)eng->run(batch);
   auto paley = eng->artifacts().get("Paley(13)");
   auto df = eng->artifacts().get("DF(12)");
   auto paley_tables = paley->tables();
   auto df_tables = df->tables();
   // A second multi-threaded campaign over the same topologies must reuse
   // the exact cached artifact objects — no rebuild, same pointers.
-  (void)eng->run_sims(batch);
+  (void)eng->run(batch);
   EXPECT_EQ(eng->artifacts().get("Paley(13)").get(), paley.get());
   EXPECT_EQ(eng->artifacts().get("DF(12)").get(), df.get());
   EXPECT_EQ(paley->tables().get(), paley_tables.get());
@@ -357,7 +358,7 @@ TEST(Engine, ThrowingArtifactBuilderRunsOnce) {
   });
   std::vector<SimScenario> batch(4, sim_batch()[0]);
   for (auto& s : batch) s.topology = "Broken";
-  const auto rows = eng.run_sims(batch);
+  const auto rows = eng.run(batch);
   EXPECT_EQ(calls.load(), 1);
   ASSERT_EQ(rows.size(), 4u);
   for (const auto& r : rows) {
@@ -380,7 +381,7 @@ TEST(Engine, SimScenarioMatchesDirectNetworkRun) {
   s.workload.nranks = 32;
   s.workload.messages_per_rank = 8;
   s.seed = 42;
-  auto engine_result = make_sim_engine(2)->run_sims({s});
+  auto engine_result = make_sim_engine(2)->run(std::vector{s});
   ASSERT_TRUE(engine_result[0].ok) << engine_result[0].error;
 
   core::NetworkOptions opts;
@@ -416,8 +417,8 @@ TEST(Engine, LayoutScenarioProducesWiringAndPower) {
   s.seed = 11;
   auto serial_eng = Engine({.threads = 1});
   serial_eng.register_topology("Paley(13)", [] { return topo::paley_graph({13}); });
-  auto r = eng.run({s, s});
-  auto r1 = serial_eng.run({s});
+  auto r = eng.run(std::vector{s, s});
+  auto r1 = serial_eng.run(std::vector{s});
   ASSERT_TRUE(r[0].ok) << r[0].error;
   EXPECT_EQ(r[0].placement.cabinet_of.size(), 13u);
   EXPECT_GT(r[0].mean_wire_m, 0.0);
@@ -437,7 +438,7 @@ TEST(Engine, UnknownTopologyYieldsErrorResultNotThrow) {
   Engine eng(cfg);
   Scenario s;
   s.topology = "nope";
-  auto results = eng.run({s});
+  auto results = eng.run(std::vector{s});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].ok);
   EXPECT_NE(results[0].error.find("nope"), std::string::npos);
@@ -456,7 +457,7 @@ TEST(Engine, PaperVcSizingAppliedWhenVcsZero) {
   s.workload.nranks = 128;
   s.workload.messages_per_rank = 2;
   s.seed = 5;
-  auto r = eng.run_sims({s});
+  auto r = eng.run(std::vector{s});
   ASSERT_TRUE(r[0].ok) << r[0].error;
   EXPECT_EQ(r[0].diameter, eng.artifacts().get("LPS(3,5)")->tables()->diameter());
   EXPECT_GT(r[0].messages, 0u);

@@ -77,14 +77,14 @@ TEST(JournalRoundTrip, SimResultFieldsSurviveParse) {
   batch[0].churn.start_ns = 100.0;
   batch[0].churn.window_ns = 500.0;
   batch.push_back({"NoSuchTopology"});  // an ok=false row with an error field
-  auto results = eng.run_sims(batch);
+  auto results = eng.run(batch);
   ASSERT_FALSE(results.back().ok);
   EXPECT_GT(results[0].post_churn_p99_ns, 0.0);  // churn actually fired
 
   for (const auto& r : results) {
     const std::string line = jsonl_row(r);
     ASSERT_EQ(line.back(), '\n');
-    auto parsed = CampaignJournal::parse_sim_result(
+    auto parsed = ScenarioKind<SimScenario>::parse(
         line.substr(0, line.size() - 1));
     ASSERT_TRUE(parsed.has_value()) << line;
     EXPECT_EQ(parsed->index, r.index);
@@ -107,7 +107,7 @@ TEST(JournalRoundTrip, SimResultFieldsSurviveParse) {
     // And re-serialization is the identity — the property resume rests on.
     EXPECT_EQ(jsonl_row(*parsed), line);
     // A sim row must not parse as an analytic row.
-    EXPECT_FALSE(CampaignJournal::parse_result(line.substr(0, line.size() - 1))
+    EXPECT_FALSE(ScenarioKind<Scenario>::parse(line.substr(0, line.size() - 1))
                      .has_value());
   }
 }
@@ -146,7 +146,7 @@ TEST(JournalRoundTrip, ResultFieldsSurviveParseAcrossKinds) {
   for (const auto& r : results) {
     const std::string line = jsonl_row(r);
     auto parsed =
-        CampaignJournal::parse_result(line.substr(0, line.size() - 1));
+        ScenarioKind<Scenario>::parse(line.substr(0, line.size() - 1));
     ASSERT_TRUE(parsed.has_value()) << line;
     EXPECT_EQ(parsed->index, r.index);
     EXPECT_EQ(parsed->topology, r.topology);
@@ -181,7 +181,7 @@ TEST(JournalRoundTrip, ResultFieldsSurviveParseAcrossKinds) {
       const std::size_t at = bad.find(zero);
       ASSERT_NE(at, std::string::npos) << col;
       bad.replace(at, zero.size(), std::string("\"") + col + "\":7,");
-      EXPECT_FALSE(CampaignJournal::parse_result(bad).has_value()) << bad;
+      EXPECT_FALSE(ScenarioKind<Scenario>::parse(bad).has_value()) << bad;
     }
   }
 }
@@ -695,7 +695,8 @@ TEST(AdaptiveSweepResume, RowOfAnotherKindIsRejected) {
   auto journal = CampaignJournal::load(path);
   ASSERT_FALSE(journal.empty());
   ASSERT_FALSE(journal.segments()[0].rows.empty());
-  EXPECT_EQ(journal.segments()[0].rows[0].result.kind, Kind::kSpectral);
+  EXPECT_EQ(std::get<Result>(journal.segments()[0].rows[0].result).kind,
+            Kind::kSpectral);
 
   RunControl ctl;
   ctl.journal = &journal;

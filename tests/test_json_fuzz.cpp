@@ -297,10 +297,12 @@ std::vector<std::string> journal_corpus() {
 
 TEST(JsonFuzz, JournalParsersRejectOrRoundTripMutants) {
   using engine::CampaignJournal;
+  using Analytic = engine::ScenarioKind<engine::Scenario>;
+  using Sim = engine::ScenarioKind<engine::SimScenario>;
   const auto corpus = journal_corpus();
-  ASSERT_TRUE(CampaignJournal::parse_result(corpus[0]));
-  ASSERT_TRUE(CampaignJournal::parse_sim_result(corpus[1]));
-  ASSERT_TRUE(CampaignJournal::parse_sim_result(corpus[2]));
+  ASSERT_TRUE(Analytic::parse(corpus[0]));
+  ASSERT_TRUE(Sim::parse(corpus[1]));
+  ASSERT_TRUE(Sim::parse(corpus[2]));
   ASSERT_TRUE(CampaignJournal::parse_meta(corpus[3]));
   ASSERT_TRUE(CampaignJournal::parse_meta(corpus[4]));
   std::size_t accepted = 0;
@@ -311,11 +313,11 @@ TEST(JsonFuzz, JournalParsersRejectOrRoundTripMutants) {
         const std::string mutant = mutate(base, rng);
         // Every parser sees every mutant; whatever one accepts must be
         // the exact serialization of what it parsed.
-        if (auto r = CampaignJournal::parse_result(mutant)) {
+        if (auto r = Analytic::parse(mutant)) {
           EXPECT_EQ(engine::jsonl_row(*r), mutant + "\n") << "seed=" << seed;
           ++accepted;
         }
-        if (auto r = CampaignJournal::parse_sim_result(mutant)) {
+        if (auto r = Sim::parse(mutant)) {
           EXPECT_EQ(engine::jsonl_row(*r), mutant + "\n") << "seed=" << seed;
           ++accepted;
         }

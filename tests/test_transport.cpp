@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "util/rng.hpp"
+
 namespace sfly::net {
 namespace {
 
@@ -128,6 +130,106 @@ TEST(FrameReader, OversizeLengthAndUnknownTypeAreCorruption) {
     EXPECT_FALSE(fr.next(f));
     EXPECT_TRUE(fr.corrupt());
   }
+}
+
+// Seeded byte mutants of a valid multi-frame stream, each fed whole and
+// in random chunk sizes.  Whatever the bytes, the reader must not crash
+// (the sanitizer jobs run this), must pop the same frames however the
+// stream is chunked, and once corrupt must stay corrupt and pop nothing.
+struct Popped {
+  std::vector<Frame> frames;
+  bool corrupt = false;
+};
+
+bool same_frames(const std::vector<Frame>& a, const std::vector<Frame>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].type != b[i].type || a[i].seq != b[i].seq ||
+        a[i].payload != b[i].payload)
+      return false;
+  return true;
+}
+
+// Feeds `bytes` in chunks of 1..max_chunk bytes (max_chunk 0 = whole),
+// draining after every feed.
+Popped feed_chunked(const std::string& bytes, std::size_t max_chunk,
+                    Rng& rng) {
+  Popped out;
+  FrameReader fr;
+  Frame f;
+  for (std::size_t at = 0; at < bytes.size();) {
+    const std::size_t n =
+        max_chunk == 0 ? bytes.size()
+                       : std::min<std::size_t>(
+                             bytes.size() - at,
+                             1 + uniform_below(rng, max_chunk));
+    fr.feed(bytes.data() + at, n);
+    at += n;
+    const bool was_corrupt = out.corrupt;
+    while (fr.next(f)) {
+      EXPECT_FALSE(was_corrupt) << "a corrupt reader popped a frame";
+      out.frames.push_back(f);
+    }
+    EXPECT_FALSE(was_corrupt && !fr.corrupt()) << "corruption was cleared";
+    out.corrupt = fr.corrupt();
+  }
+  if (out.corrupt) EXPECT_FALSE(fr.next(f));
+  return out;
+}
+
+TEST(FrameReader, MutatedStreamsPopTheSameFramesAtAnyChunking) {
+  std::string valid;
+  valid += wire(FrameType::kHello, 0, R"({"v":2,"role":"worker"})");
+  valid += wire(FrameType::kWelcome, 0, R"({"lease_ms":5000})");
+  valid += wire(FrameType::kData, 1,
+                R"({"batch":"p","campaign":"c","scenarios":2,"decl":"00"})");
+  valid += wire(FrameType::kData, 2, R"({"slice":[0,2]})");
+  valid += wire(FrameType::kHeartbeat, 0, "");
+  valid += wire(FrameType::kData, 3, R"({"index":0,"topology":"DF","ok":true})");
+  valid += wire(FrameType::kData, 4, R"j({"index":1,"topology":"LPS(3,5)"})j");
+  valid += wire(FrameType::kStop, 5, "");
+  valid += wire(FrameType::kBye, 6, "");
+  {
+    Rng rng(1);
+    const Popped whole = feed_chunked(valid, 0, rng);
+    ASSERT_EQ(whole.frames.size(), 9u);
+    ASSERT_FALSE(whole.corrupt);
+  }
+  std::size_t corrupt_mutants = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    Rng rng(split_seed(0xF4A3E, seed));
+    std::string m = valid;
+    const int edits = 1 + static_cast<int>(uniform_below(rng, 4));
+    for (int e = 0; e < edits && !m.empty(); ++e) {
+      const std::size_t pos = uniform_below(rng, m.size());
+      switch (uniform_below(rng, 4)) {
+        case 0:  // flip a byte (lengths and types included)
+          m[pos] = static_cast<char>(uniform_below(rng, 256));
+          break;
+        case 1:  // insert a byte
+          m.insert(m.begin() + static_cast<std::ptrdiff_t>(pos),
+                   static_cast<char>(uniform_below(rng, 256)));
+          break;
+        case 2:  // delete a span
+          m.erase(pos, 1 + uniform_below(rng, 8));
+          break;
+        case 3:  // truncate
+          m.resize(pos);
+          break;
+      }
+    }
+    const Popped whole = feed_chunked(m, 0, rng);
+    corrupt_mutants += whole.corrupt ? 1 : 0;
+    for (std::size_t max_chunk : {1, 3, 16, 64}) {
+      const Popped chunked = feed_chunked(m, max_chunk, rng);
+      EXPECT_EQ(chunked.corrupt, whole.corrupt)
+          << "seed=" << seed << " chunk<=" << max_chunk;
+      EXPECT_TRUE(same_frames(chunked.frames, whole.frames))
+          << "seed=" << seed << " chunk<=" << max_chunk;
+    }
+  }
+  // The mutator does reach the corruption path, not only torn tails.
+  EXPECT_GT(corrupt_mutants, 0u);
 }
 
 TEST(HostPort, ParsesValidAndRejectsMalformed) {
