@@ -6,6 +6,7 @@
 
 #include "graph/failures.hpp"
 #include "partition/recursive_bisection.hpp"
+#include "topo/bundlefly.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/lps.hpp"
 #include "topo/slimfly.hpp"
@@ -273,6 +274,41 @@ TEST(BisectionPins, RecursiveBisectionCells) {
   EXPECT_EQ(part.num_cells, 16u);
   const std::uint64_t digest = fnv1a(part.cell_of);
   EXPECT_EQ(digest, 0x64875e6c66726ccaull) << std::hex << "0x" << digest;
+}
+
+// fig5's large point: LPS(29,17), 4896 vertices of degree 18.
+TEST(BisectionPins, LpsLargeThirtyPercentFailed) {
+  expect_pin(delete_random_edges(topo::lps_graph({29, 17}), 0.3, 7),
+             {17755, 0x5df06d62b58cc1d3ull});
+}
+
+// Irregular degrees: BundleFly's Paley x MMS product after failures.
+TEST(BisectionPins, BundleFlyTenPercentFailed) {
+  expect_pin(delete_random_edges(
+                 topo::bundlefly_graph({37, 3, topo::BundleShift::kAffine}), 0.1, 7),
+             {555, 0x3e7dc73fc6147c84ull});
+}
+
+// Star K_{1,m} plus a ring over its leaves.
+Graph hub_ring(Vertex m) {
+  std::vector<std::pair<Vertex, Vertex>> e;
+  for (Vertex i = 1; i <= m; ++i) {
+    e.emplace_back(0, i);
+    e.emplace_back(i, i % m + 1);
+  }
+  return Graph::from_edges(m + 1, std::move(e));
+}
+
+// The hub's gain spans +-2000 and coarsening makes a few very heavy
+// vertices, so FM's weight-capped pick skips entries that do not fit.
+TEST(BisectionPins, HubRing) { expect_pin(hub_ring(2000), {1002, 0x8a86714641408687ull}); }
+
+TEST(BisectionPins, RecursiveBisectionCellsDragonFly) {
+  const auto part = partition::recursive_bisection(
+      topo::dragonfly_graph(topo::DragonFlyParams::canonical(24)));
+  EXPECT_EQ(part.num_cells, 16u);
+  const std::uint64_t digest = fnv1a(part.cell_of);
+  EXPECT_EQ(digest, 0x93c6ad4a58ff9775ull) << std::hex << "0x" << digest;
 }
 
 }  // namespace
