@@ -5,10 +5,13 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "partition/gain_buckets.hpp"
 #include "util/rng.hpp"
 
 namespace sfly {
 namespace {
+
+using detail::GainBuckets;
 
 // Weighted graph used internally during coarsening.
 struct WGraph {
@@ -165,137 +168,31 @@ std::vector<std::uint8_t> grow_partition(const WGraph& g, Rng& rng) {
   return side;
 }
 
-// Addressable 4-ary max-heap over one side's unlocked vertices, keyed by
-// (gain, vertex) and ordered like std::pair: higher gain first, ties to the
-// higher vertex id.  Every vertex owns one slot (`pos`, shared by both
-// sides' heaps because a vertex sits in exactly one), so a gain change is an
-// in-place sift and no stale entry ever exists.
-class GainHeap {
- public:
-  // (gain, v) packed so one unsigned compare is the pair compare: biased
-  // gain in the high word, vertex in the low word.  |gain| is at most a
-  // vertex's weighted degree, at most |E| <= 2^30 (bisect's edge guard).
-  using Entry = std::uint64_t;
-  static Vertex vertex(Entry e) { return static_cast<Vertex>(e); }
-  static std::int64_t gain(Entry e) { return static_cast<std::int64_t>(e >> 32) - kBias; }
-  static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-  static constexpr std::int64_t kBias = std::int64_t{1} << 31;
-
-  explicit GainHeap(std::vector<std::uint32_t>& pos) : pos_(pos) {}
-
-  // Refill: clear(), append() every entry, then heapify().
-  void clear() { h_.clear(); }
-  void append(std::int64_t gain, Vertex v) {
-    pos_[v] = static_cast<std::uint32_t>(h_.size());
-    h_.push_back((static_cast<std::uint64_t>(gain + kBias) << 32) | v);
-  }
-  void heapify() {
-    for (std::size_t i = h_.size(); i-- > 0;) sift_down(i);
-  }
-
-  void add(Vertex v, std::int64_t delta) {
-    const std::uint32_t i = pos_[v];
-    h_[i] += static_cast<std::uint64_t>(delta) << 32;
-    if (delta > 0)
-      sift_up(i);
-    else
-      sift_down(i);
-  }
-
-  // Drops v's slot; pos[v] becomes kNone (the pass's "locked" mark).
-  void erase(Vertex v) {
-    const std::uint32_t i = pos_[v];
-    pos_[v] = kNone;
-    const Entry last = h_.back();
-    h_.pop_back();
-    if (i == h_.size()) return;
-    put(i, last);
-    if (i > 0 && last > h_[(i - 1) / kArity])
-      sift_up(i);
-    else
-      sift_down(i);
-  }
-
-  // The best entry whose vertex weighs at most `cap` and that ranks above
-  // `*floor` (when given), or nullptr.  A root that fits answers in O(1);
-  // otherwise the walk prunes every subtree whose root ranks at or below
-  // the best fit so far.  The heap is never reordered.
-  const Entry* best_fit(const std::vector<std::uint32_t>& vwgt, std::uint64_t cap,
-                        const Entry* floor) {
-    if (h_.empty()) return nullptr;
-    if (vwgt[vertex(h_[0])] <= cap) return !floor || h_[0] > *floor ? &h_[0] : nullptr;
-    const Entry* best = floor;
-    walk_.assign(1, 0);
-    while (!walk_.empty()) {
-      const std::size_t i = walk_.back();
-      walk_.pop_back();
-      if (best && h_[i] <= *best) continue;
-      if (vwgt[vertex(h_[i])] <= cap) {
-        best = &h_[i];
-        continue;
-      }
-      for (std::size_t c = kArity * i + 1; c <= kArity * i + kArity && c < h_.size(); ++c)
-        walk_.push_back(c);
-    }
-    return best == floor ? nullptr : best;
-  }
-
- private:
-  static constexpr std::size_t kArity = 4;
-  void put(std::size_t i, Entry e) {
-    h_[i] = e;
-    pos_[vertex(e)] = static_cast<std::uint32_t>(i);
-  }
-  void sift_up(std::size_t i) {
-    const Entry e = h_[i];
-    while (i > 0 && e > h_[(i - 1) / kArity]) {
-      put(i, h_[(i - 1) / kArity]);
-      i = (i - 1) / kArity;
-    }
-    put(i, e);
-  }
-  void sift_down(std::size_t i) {
-    const Entry e = h_[i];
-    for (std::size_t first; (first = kArity * i + 1) < h_.size();) {
-      std::size_t c = first;
-      const std::size_t end = std::min(first + kArity, h_.size());
-      for (std::size_t k = first + 1; k < end; ++k)
-        if (h_[k] > h_[c]) c = k;
-      if (h_[c] <= e) break;
-      put(i, h_[c]);
-      i = c;
-    }
-    put(i, e);
-  }
-
-  std::vector<Entry> h_;
-  std::vector<std::uint32_t>& pos_;
-  std::vector<std::size_t> walk_;
-};
-
-// Fiduccia–Mattheyses refinement with one gain heap per side.  A pass
-// tentatively moves every vertex once, each step taking the largest
+// Fiduccia–Mattheyses refinement over gain buckets with rows per side.  A
+// pass tentatively moves every vertex once, each step taking the largest
 // (gain, vertex) among the moves the balance bound allows, then rolls back
 // to the best prefix.  An unlocked vertex never changes side during a
-// pass, so "best feasible entry of either heap" is the same pick a single
-// heap over all unlocked vertices would make.
+// pass, so "best feasible entry of either side" is the same pick a single
+// ordered set over all unlocked vertices would make.
 class FmRefiner {
  public:
-  explicit FmRefiner(const WGraph& g) : g_(g), pos_(g.n()), heap_{GainHeap(pos_), GainHeap(pos_)} {
+  explicit FmRefiner(const WGraph& g) : g_(g) {
     const auto [lo, hi] = std::minmax_element(g.vwgt.begin(), g.vwgt.end());
     min_vwgt_ = *lo;
     max_side_ = (g.total_vwgt() + 1) / 2 + *hi;
+    std::vector<std::int64_t> wdeg(g.n());
+    for (Vertex u = 0; u < g.n(); ++u)
+      for (std::uint32_t e = g.offsets[u]; e < g.offsets[u + 1]; ++e) wdeg[u] += g.ewgt[e];
+    const std::int64_t bound = GainBuckets::row_bound(g.n(), g.adj.size(), std::move(wdeg));
+    buckets_.reset(g.n(), bound);
     moves_.reserve(g.n());
   }
-  FmRefiner(const FmRefiner&) = delete;  // heap_ refers to this object's pos_
-  FmRefiner& operator=(const FmRefiner&) = delete;
 
   // One pass; returns true if the cut improved.
   bool pass(std::vector<std::uint8_t>& side) {
     const Vertex n = g_.n();
     std::uint64_t wgt[2] = {0, 0};
-    heap_[0].clear();
-    heap_[1].clear();
+    buckets_.clear();
     for (Vertex u = 0; u < n; ++u) {
       wgt[side[u]] += g_.vwgt[u];
       // +w per cut edge, -w per uncut one (branch-free: sides are 0/1).
@@ -303,41 +200,35 @@ class FmRefiner {
       const int su = side[u];
       for (std::uint32_t e = g_.offsets[u]; e < g_.offsets[u + 1]; ++e)
         gn += (2 * (side[g_.adj[e]] ^ su) - 1) * static_cast<std::int64_t>(g_.ewgt[e]);
-      heap_[side[u]].append(gn, u);
+      buckets_.insert(u, su, gn);
     }
-    heap_[0].heapify();
-    heap_[1].heapify();
 
     moves_.clear();
     std::int64_t cum = 0, best_cum = 0;
     std::size_t best_prefix = 0;
     for (Vertex step = 0; step < n; ++step) {
-      const GainHeap::Entry* best = nullptr;
+      GainBuckets::Entry best = GainBuckets::kNone;
       for (int s = 0; s < 2; ++s) {
         const std::uint64_t other = wgt[1 - s];
         if (other + min_vwgt_ > max_side_) continue;  // nothing on side s fits
-        if (const auto* e = heap_[s].best_fit(g_.vwgt, max_side_ - other, best)) best = e;
+        best = buckets_.best_fit(s, g_.vwgt.data(), max_side_ - other, best);
       }
-      if (!best) break;
-      const Vertex pick = GainHeap::vertex(*best);
-      cum += GainHeap::gain(*best);
+      if (best == GainBuckets::kNone) break;
+      const Vertex pick = GainBuckets::vertex(best);
+      cum += GainBuckets::gain(best);
       const std::uint8_t from = side[pick];
-      heap_[from].erase(pick);
+      const std::uint8_t to = static_cast<std::uint8_t>(1 - from);
+      buckets_.erase(pick);
       wgt[from] -= g_.vwgt[pick];
-      wgt[1 - from] += g_.vwgt[pick];
-      side[pick] = static_cast<std::uint8_t>(1 - from);
+      wgt[to] += g_.vwgt[pick];
+      side[pick] = to;
       moves_.push_back(pick);
       if (cum > best_cum) {
         best_cum = cum;
         best_prefix = moves_.size();
       }
-      // v's gain changes by ±2w depending on whether pick now matches v.
-      for (std::uint32_t e = g_.offsets[pick]; e < g_.offsets[pick + 1]; ++e) {
-        const Vertex v = g_.adj[e];
-        if (pos_[v] == GainHeap::kNone) continue;  // locked
-        const std::int64_t w2 = 2 * static_cast<std::int64_t>(g_.ewgt[e]);
-        heap_[side[v]].add(v, side[v] == side[pick] ? -w2 : w2);
-      }
+      const std::uint32_t first = g_.offsets[pick];
+      buckets_.moved_to(to, &g_.adj[first], &g_.ewgt[first], g_.offsets[pick + 1] - first);
     }
 
     // Roll back moves past the best prefix.
@@ -348,8 +239,7 @@ class FmRefiner {
 
  private:
   const WGraph& g_;
-  std::vector<std::uint32_t> pos_;
-  GainHeap heap_[2];
+  GainBuckets buckets_;
   std::vector<Vertex> moves_;
   std::uint64_t min_vwgt_ = 0;
   std::uint64_t max_side_ = 0;
@@ -488,6 +378,10 @@ std::vector<std::uint8_t> multilevel_run(const WGraph& g0, const BisectionOption
 
 BisectionResult bisect(const Graph& g, const BisectionOptions& opts) {
   if (opts.restarts < 1) throw std::invalid_argument("bisect: restarts must be >= 1");
+  // A gain is at most a vertex's weighted degree, and coarsening only sums
+  // edge weights, so |gain| <= |E| at every level.  Up to 2^30 edges the
+  // biased gain in GainBuckets::Entry fits its 32 bits and every gain fits
+  // the buckets' int32 slots.
   if (g.num_edges() > (std::size_t{1} << 30))
     throw std::length_error("bisect: more than 2^30 edges overflow the FM gain keys");
   BisectionResult best;

@@ -8,12 +8,13 @@
 // partitions, and Fiduccia–Mattheyses refinement at every level, with
 // randomized restarts.
 //
-// FM keeps one addressable max-heap per side keyed by (gain, vertex); a
-// neighbour's gain change sifts its single slot in place.  Each step moves
-// the largest (gain, vertex) the balance bound allows, ties to the higher
-// vertex id, so the picks (and every cut and side vector) are those of one
-// max-heap over all unlocked vertices; tests/test_partition.cpp pins them
-// by digest.
+// FM keeps its gains in buckets (partition/gain_buckets.hpp): per side and
+// gain value, a bitset over vertex ids, so a neighbour's gain change moves
+// one bit and the best entry of a bucket is its highest set bit.  Each step
+// moves the largest (gain, vertex) the balance bound allows, ties to the
+// higher vertex id, so the picks (and every cut and side vector) are those
+// of one ordered set over all unlocked vertices; tests/test_partition.cpp
+// pins them by digest.
 
 #include <cstdint>
 #include <vector>

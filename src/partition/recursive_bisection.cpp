@@ -21,9 +21,11 @@ CellPartition recursive_bisection(const Graph& g,
   out.members.reserve(n);
   if (n == 0) return out;
 
-  // Scratch global -> local map, reused across splits (reset lazily by
-  // overwriting only the touched entries).
+  // Scratch global -> local map and membership flags, reused across
+  // splits: `local` is overwritten only where a split reads it, and
+  // `in_node` is cleared again over the split's own vertices.
   std::vector<Vertex> local(n, 0);
+  std::vector<std::uint8_t> in_node(n, 0);
 
   // Pre-order walk, side 0 first; split seeds are keyed by the node's
   // pre-order id so the tree shape never depends on traversal bookkeeping.
@@ -58,7 +60,6 @@ CellPartition recursive_bisection(const Graph& g,
     // global order, so `side` maps back positionally).
     const Vertex ln = static_cast<Vertex>(node.verts.size());
     for (Vertex i = 0; i < ln; ++i) local[node.verts[i]] = i;
-    std::vector<std::uint8_t> in_node(n, 0);
     for (Vertex v : node.verts) in_node[v] = 1;
     std::vector<std::pair<Vertex, Vertex>> edges;
     for (Vertex i = 0; i < ln; ++i) {
@@ -66,6 +67,7 @@ CellPartition recursive_bisection(const Graph& g,
       for (Vertex w : g.neighbors(u))
         if (in_node[w] && w > u) edges.emplace_back(i, local[w]);
     }
+    for (Vertex v : node.verts) in_node[v] = 0;
     const Graph sub = Graph::from_edges(ln, std::move(edges));
 
     BisectionOptions bopts;

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "graph/failures.hpp"
+#include "partition/gain_buckets.hpp"
 #include "partition/recursive_bisection.hpp"
 #include "topo/bundlefly.hpp"
 #include "topo/dragonfly.hpp"
@@ -207,6 +209,154 @@ TEST(BisectionDisconnected, DeterministicForSeed) {
   auto b = bisect(g, {.restarts = 2, .seed = 7});
   EXPECT_EQ(a.cut_edges, b.cut_edges);
   EXPECT_EQ(a.side, b.side);
+}
+
+// Differential test of FM's gain buckets against a linear scan: seeded
+// random sequences of insert / add / moved_to / erase / clear and capped,
+// floored best_fit queries, over vertex counts that need one and several
+// summary words, row bounds from 0 up, and gains well past the rows (the
+// ordered overflow set), as on a hub's coarse levels.
+struct GainModel {
+  std::vector<int> side;  // -1 absent
+  std::vector<std::int64_t> gain;
+
+  using Entry = detail::GainBuckets::Entry;
+  Entry best_fit(int s, const std::vector<std::uint32_t>& vwgt, std::uint64_t cap,
+                 Entry floor) const {
+    Entry best = floor;
+    for (Vertex v = 0; v < side.size(); ++v)
+      if (side[v] == s && vwgt[v] <= cap)
+        best = std::max(best, detail::GainBuckets::entry(gain[v], v));
+    return best;
+  }
+};
+
+void run_gain_buckets_case(std::uint64_t seed) {
+  using detail::GainBuckets;
+  Rng rng(seed);
+  const Vertex sizes[] = {1, 7, 64, 65, 300, 4100, 9000};
+  const Vertex n = sizes[uniform_below(rng, std::size(sizes))];
+  const std::int64_t bound = static_cast<std::int64_t>(uniform_below(rng, 4) == 0
+                                                           ? uniform_below(rng, 2500)
+                                                           : uniform_below(rng, 40));
+  // Gains stay within +-span; a hub-sized span leaves most entries beyond
+  // the rows.
+  const std::int64_t span = uniform_below(rng, 2) == 0 ? 60 : 3000;
+  std::vector<std::uint32_t> vwgt(n);
+  for (auto& w : vwgt) w = 1 + static_cast<std::uint32_t>(uniform_below(rng, 6));
+
+  GainBuckets b;
+  b.reset(n, bound);
+  GainModel m{std::vector<int>(n, -1), std::vector<std::int64_t>(n, 0)};
+  auto random_gain = [&] {
+    return static_cast<std::int64_t>(uniform_below(rng, 2 * span + 1)) - span;
+  };
+  // A delta that keeps the gain within +-span.
+  auto random_delta = [&](std::int64_t g) {
+    const std::int64_t w2 = 2 * (1 + static_cast<std::int64_t>(uniform_below(rng, span / 4)));
+    return g + w2 > span ? -w2 : g - w2 < -span ? w2 : uniform_below(rng, 2) ? w2 : -w2;
+  };
+  auto check_vertex = [&](Vertex v) {
+    ASSERT_EQ(b.contains(v), m.side[v] >= 0) << "v=" << v;
+    if (m.side[v] < 0) return;
+    ASSERT_EQ(b.side_of(v), m.side[v]) << "v=" << v;
+    ASSERT_EQ(b.gain_of(v), m.gain[v]) << "v=" << v;
+  };
+
+  for (int op = 0; op < 4000; ++op) {
+    const Vertex v = static_cast<Vertex>(uniform_below(rng, n));
+    switch (uniform_below(rng, 16)) {
+      case 0: case 1: case 2: case 3:  // insert
+        if (m.side[v] >= 0) break;
+        m.side[v] = static_cast<int>(uniform_below(rng, 2));
+        m.gain[v] = random_gain();
+        b.insert(v, m.side[v], m.gain[v]);
+        break;
+      case 4: case 5: case 6: {  // add, present or absent
+        const std::int64_t d = random_delta(m.gain[v]);
+        if (m.side[v] >= 0) m.gain[v] += d;
+        b.add(v, d);
+        break;
+      }
+      case 7: case 8: {  // one FM move's neighbour updates
+        const int to = static_cast<int>(uniform_below(rng, 2));
+        std::vector<Vertex> nbr;
+        std::vector<std::uint32_t> ew;
+        for (int k = 0, deg = static_cast<int>(uniform_below(rng, 12)); k < deg; ++k) {
+          const Vertex u = static_cast<Vertex>(uniform_below(rng, n));
+          const std::int64_t w = 1 + static_cast<std::int64_t>(uniform_below(rng, 4));
+          if (m.side[u] >= 0) {
+            const std::int64_t d = m.side[u] == to ? -2 * w : 2 * w;
+            if (std::abs(m.gain[u] + d) > span + 8) continue;  // stay in range
+            m.gain[u] += d;
+          }
+          nbr.push_back(u);
+          ew.push_back(static_cast<std::uint32_t>(w));
+        }
+        b.moved_to(to, nbr.data(), ew.data(), nbr.size());
+        break;
+      }
+      case 9: case 10:  // erase
+        if (m.side[v] < 0) break;
+        m.side[v] = -1;
+        b.erase(v);
+        break;
+      case 11:
+        if (uniform_below(rng, 50) != 0) break;
+        std::fill(m.side.begin(), m.side.end(), -1);
+        b.clear();
+        break;
+      default: {  // best_fit with a random side, cap and floor
+        const int s = static_cast<int>(uniform_below(rng, 2));
+        const std::uint64_t cap = uniform_below(rng, 3) == 0 ? ~std::uint64_t{0}
+                                                            : uniform_below(rng, 8);
+        GainBuckets::Entry floor = GainBuckets::kNone;
+        if (uniform_below(rng, 2) == 0)
+          floor = GainBuckets::entry(random_gain(), static_cast<Vertex>(uniform_below(rng, n)));
+        const auto want = m.best_fit(s, vwgt, cap, floor);
+        ASSERT_EQ(b.best_fit(s, vwgt.data(), cap, floor), want)
+            << "seed=" << seed << " op=" << op << " n=" << n << " bound=" << bound;
+        break;
+      }
+    }
+    check_vertex(v);
+  }
+  for (Vertex v = 0; v < n; ++v) check_vertex(v);
+}
+
+TEST(GainBuckets, MatchesLinearScan) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    run_gain_buckets_case(seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// row_bound keeps both sides' rows within n + 2|E| words each and stops at
+// the (n/64+1)-th largest weighted degree.
+TEST(GainBuckets, RowBoundFitsTheLevel) {
+  using detail::GainBuckets;
+  const auto words = [](std::size_t bits) { return (bits + 63) / 64; };
+  // Star K_{1,20000} plus a leaf ring: the hub alone is past the bound.
+  const Vertex n = 20001;
+  std::vector<std::int64_t> wdeg(n, 3);
+  wdeg[0] = 20000;
+  EXPECT_EQ(GainBuckets::row_bound(n, 80000, wdeg), 3);
+  Rng rng(5);
+  for (int t = 0; t < 200; ++t) {
+    const Vertex vn = 1 + static_cast<Vertex>(uniform_below(rng, 6000));
+    std::vector<std::int64_t> d(vn);
+    std::size_t adjacency = 0;
+    for (auto& x : d) {
+      x = static_cast<std::int64_t>(uniform_below(rng, 5000));
+      adjacency += uniform_below(rng, 40);
+    }
+    const std::int64_t g = GainBuckets::row_bound(vn, adjacency, d);
+    const std::size_t row_words = words(vn) + words(words(vn));
+    EXPECT_LE(static_cast<std::size_t>(2 * g + 1) * row_words,
+              std::max<std::size_t>(row_words, vn + adjacency));
+    std::sort(d.begin(), d.end(), std::greater<>());
+    EXPECT_LE(g, d[vn / 64]);
+  }
 }
 
 // Byte pins for the bisector's picks: cut plus an FNV-1a fold of the side
