@@ -152,17 +152,23 @@ class GainBuckets {
       if (*it <= floor) return floor;
       if (vwgt[vertex(*it)] <= cap) return *it;
     }
-    // Walk the rows down from top_; top_ drops past rows found empty.
+    // Walk the rows down from top_, skipping rows whose summary is clear;
+    // top_ drops to the first row that holds an entry.
     std::size_t& top = top_[side];
+    const std::size_t base = static_cast<std::size_t>(side) * rows_;
+    bool at_top = true;
     for (std::size_t r = top + 1; r-- > 0;) {
+      const std::uint64_t* summary = &sums_[(base + r) * s_];
+      if (std::all_of(summary, summary + s_, [](std::uint64_t x) { return x == 0; })) continue;
       const std::int64_t rg = static_cast<std::int64_t>(r) - g_;
+      if (at_top) top = r;
       if (entry(rg, kMaxVertex) <= floor) return floor;
       bool any = false;
-      const Entry e =
-          best_in_row(static_cast<std::size_t>(side) * rows_ + r, rg, vwgt, cap, floor, any);
+      const Entry e = best_in_row(base + r, rg, vwgt, cap, floor, any);
       if (e != kNone) return e;
-      if (!any && r == top && r > 0) --top;
+      at_top = at_top && !any;
     }
+    if (at_top) top = 0;
     for (; it != over.rend(); ++it) {
       if (*it <= floor) return floor;
       if (vwgt[vertex(*it)] <= cap) return *it;
