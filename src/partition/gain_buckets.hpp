@@ -5,9 +5,9 @@
 // Each side holds a set of (gain, vertex) entries, at most one per vertex
 // overall, ordered like std::pair: higher gain first, ties to the higher
 // vertex id.  Gains in [-G, G] live in rows, one per side and gain value,
-// each a bitset over vertex ids with a summary bitset over its words, so a
-// row's best entry is its highest set bit and a gain change is one bit
-// moved between two rows.  Entries with |gain| > G live in `over_`, a small
+// each a bitset over vertex ids with a one-word summary of which chunks of
+// it hold entries, so a row's best entry is its highest set bit and a gain
+// change is one bit moved between two rows.  Entries with |gain| > G live in `over_`, a small
 // ordered set per side: they rank above (gain > G) or below (gain < -G)
 // every row.  G comes from row_bound(), which keeps the rows within the
 // size of the level being refined.
@@ -41,9 +41,9 @@ class GainBuckets {
   /// The row bound G for a level with n vertices, `adjacency` CSR entries
   /// (2|E|) and weighted degrees `wdeg` (|gain(v)| <= wdeg[v]).
   ///
-  /// Storage.  Rows take 2(2G+1)(W+S) words, W = ceil(n/64) bitset words
-  /// and S = ceil(W/64) summary words per row; the first cap below keeps
-  /// that at most 2(n + 2|E|).  Gains and flags add 5n/8 words, and
+  /// Storage.  Rows take 2(2G+1)(W+1) words, W = ceil(n/64) bitset words
+  /// and one summary word per row; the first cap below keeps that at most
+  /// 2(n + 2|E|).  Gains and flags add 5n/8 words, and
   /// `over_` at most n nodes (a vertex sits on one side) of 6 words with
   /// the allocator's header: under 9(n + 2|E|) words at every level.
   ///
@@ -53,7 +53,7 @@ class GainBuckets {
   static std::int64_t row_bound(Vertex n, std::size_t adjacency,
                                 std::vector<std::int64_t> wdeg) {
     if (n == 0) return 0;
-    const std::size_t row_words = words_for(n) + words_for(words_for(n));
+    const std::size_t row_words = words_for(n) + 1;
     const std::size_t rows = std::max<std::size_t>(1, (n + adjacency) / row_words);
     const std::int64_t by_size = static_cast<std::int64_t>((rows - 1) / 2);
     const auto kth = wdeg.begin() + n / 64;
@@ -66,23 +66,26 @@ class GainBuckets {
   void reset(Vertex n, std::int64_t bound) {
     g_ = bound;
     w_ = words_for(n);
-    s_ = words_for(w_);
+    for (chunk_ = 0; (w_ + (std::size_t{1} << chunk_) - 1) >> chunk_ > 64;) ++chunk_;
     rows_ = static_cast<std::size_t>(2 * bound + 1);
     bits_.assign(2 * rows_ * w_, 0);
-    sums_.assign(2 * rows_ * s_, 0);
+    sums_.assign(2 * rows_, 0);
     gain_.assign(n, 0);
     where_.assign(n, 0);
     clear();
   }
 
-  /// Removes every entry; keeps the layout.  Zeroes only the words the
+  /// Removes every entry; keeps the layout.  Zeroes only the chunks the
   /// summaries flag.
   void clear() {
-    for (std::size_t j = 0; j < sums_.size(); ++j) {
-      const std::size_t first = j / s_ * w_ + j % s_ * 64;
-      for (std::uint64_t m = sums_[j]; m != 0; m &= m - 1)
-        bits_[first + static_cast<std::size_t>(std::countr_zero(m))] = 0;
-      sums_[j] = 0;
+    for (std::size_t r = 0; r < sums_.size(); ++r) {
+      for (std::uint64_t m = sums_[r]; m != 0; m &= m - 1) {
+        const std::size_t lo = static_cast<std::size_t>(std::countr_zero(m)) << chunk_;
+        const auto row = bits_.begin() + static_cast<std::ptrdiff_t>(r * w_);
+        std::fill(row + static_cast<std::ptrdiff_t>(lo),
+                  row + static_cast<std::ptrdiff_t>(std::min(w_, lo + (std::size_t{1} << chunk_))), 0);
+      }
+      sums_[r] = 0;
     }
     std::fill(where_.begin(), where_.end(), 0);
     over_[0].clear();
@@ -104,7 +107,7 @@ class GainBuckets {
     }
     const std::size_t r = static_cast<std::size_t>(side) * rows_ + row(gain);
     bits_[r * w_ + v / 64] |= bit(v);
-    sums_[r * s_ + v / 4096] |= std::uint64_t{1} << (v / 64 % 64);
+    sums_[r] |= std::uint64_t{1} << (v / 64 >> chunk_);
     top_[side] = std::max(top_[side], row(gain));
   }
 
@@ -158,8 +161,7 @@ class GainBuckets {
     const std::size_t base = static_cast<std::size_t>(side) * rows_;
     bool at_top = true;
     for (std::size_t r = top + 1; r-- > 0;) {
-      const std::uint64_t* summary = &sums_[(base + r) * s_];
-      if (std::all_of(summary, summary + s_, [](std::uint64_t x) { return x == 0; })) continue;
+      if (sums_[base + r] == 0) continue;
       const std::int64_t rg = static_cast<std::int64_t>(r) - g_;
       if (at_top) top = r;
       if (entry(rg, kMaxVertex) <= floor) return floor;
@@ -192,7 +194,7 @@ class GainBuckets {
   // them in registers instead of reloading them after every bit store.
   struct Hot {
     std::int64_t g;
-    std::size_t w, s, rows;
+    std::size_t w, chunk, rows;
     std::uint64_t* bits;
     std::uint64_t* sums;
     std::int32_t* gain;
@@ -200,7 +202,7 @@ class GainBuckets {
     std::size_t top[2];
   };
   Hot hot() {
-    return {g_,           w_,           s_,           rows_,
+    return {g_,           w_,           chunk_,       rows_,
             bits_.data(), sums_.data(), gain_.data(),
             where_.data(), {top_[0], top_[1]}};
   }
@@ -231,28 +233,25 @@ class GainBuckets {
     const std::size_t base = side * h.rows;
     h.bits[(base + from) * h.w + v / 64] ^= bit(v) & on;
     h.bits[(base + to) * h.w + v / 64] ^= bit(v) & on;
-    h.sums[(base + to) * h.s + v / 4096] |= (std::uint64_t{1} << (v / 64 % 64)) & on;
+    h.sums[base + to] |= (std::uint64_t{1} << (v / 64 >> h.chunk)) & on;
     h.top[side] = std::max(h.top[side], to & on);
   }
 
   // The best entry of row r (counting both sides' rows) that ranks above
   // floor and whose vertex fits the cap, or kNone; `any` reports whether
-  // the row holds an entry at all.  Summary bits of words found empty are
-  // cleared here, not when the word empties.
+  // the row holds an entry at all.  Summary bits of chunks found empty are
+  // cleared here, not when the chunk empties.
   Entry best_in_row(std::size_t r, std::int64_t rg, const std::uint32_t* vwgt,
                     std::uint64_t cap, Entry floor, bool& any) {
     const std::uint64_t* words = &bits_[r * w_];
-    std::uint64_t* sums = &sums_[r * s_];
-    for (std::size_t j = s_; j-- > 0;)
-      for (std::uint64_t sm = sums[j]; sm != 0;) {
-        const int hs = 63 - std::countl_zero(sm);
-        sm &= ~(std::uint64_t{1} << hs);
-        const std::size_t w = 64 * j + static_cast<std::size_t>(hs);
-        if (words[w] == 0) {
-          sums[j] &= ~(std::uint64_t{1} << hs);
-          continue;
-        }
-        any = true;
+    for (std::uint64_t sm = sums_[r]; sm != 0;) {
+      const int hs = 63 - std::countl_zero(sm);
+      sm &= ~(std::uint64_t{1} << hs);
+      const std::size_t lo = static_cast<std::size_t>(hs) << chunk_;
+      bool held = false;
+      for (std::size_t w = std::min(w_, lo + (std::size_t{1} << chunk_)); w-- > lo;) {
+        if (words[w] == 0) continue;
+        held = any = true;
         for (std::uint64_t bits = words[w]; bits != 0;) {
           const int hb = 63 - std::countl_zero(bits);
           bits &= ~(std::uint64_t{1} << hb);
@@ -262,13 +261,16 @@ class GainBuckets {
           if (vwgt[v] <= cap) return e;
         }
       }
+      if (!held) sums_[r] &= ~(std::uint64_t{1} << hs);
+    }
     return kNone;
   }
 
   std::int64_t g_ = 0;                    // rows cover gains [-g_, g_]
-  std::size_t w_ = 0, s_ = 0, rows_ = 0;  // words per row; rows per side
+  std::size_t w_ = 0, rows_ = 0;  // words per row; rows per side
+  std::size_t chunk_ = 0;         // a summary bit covers 2^chunk_ words
   std::vector<std::uint64_t> bits_;  // side s, row r at [(s*rows_+r)*w_, +w_)
-  std::vector<std::uint64_t> sums_;  // bit k of a row's summary: word k may be non-zero
+  std::vector<std::uint64_t> sums_;  // row s*rows_+r: bit k = chunk k may hold entries
   std::size_t top_[2] = {0, 0};      // no row of side s above top_[s] has an entry
   std::vector<std::int32_t> gain_;   // gain of each present vertex
   std::vector<std::uint8_t> where_;  // kLive | side << 1 while present, else 0

@@ -213,8 +213,8 @@ TEST(BisectionDisconnected, DeterministicForSeed) {
 
 // Differential test of FM's gain buckets against a linear scan: seeded
 // random sequences of insert / add / moved_to / erase / clear and capped,
-// floored best_fit queries, over vertex counts that need one and several
-// summary words, row bounds from 0 up, and gains well past the rows (the
+// floored best_fit queries, over vertex counts whose summary bits cover
+// one word and several, row bounds from 0 up, and gains well past the rows (the
 // ordered overflow set), as on a hub's coarse levels.
 struct GainModel {
   std::vector<int> side;  // -1 absent
@@ -351,7 +351,7 @@ TEST(GainBuckets, RowBoundFitsTheLevel) {
       adjacency += uniform_below(rng, 40);
     }
     const std::int64_t g = GainBuckets::row_bound(vn, adjacency, d);
-    const std::size_t row_words = words(vn) + words(words(vn));
+    const std::size_t row_words = words(vn) + 1;
     EXPECT_LE(static_cast<std::size_t>(2 * g + 1) * row_words,
               std::max<std::size_t>(row_words, vn + adjacency));
     std::sort(d.begin(), d.end(), std::greater<>());
