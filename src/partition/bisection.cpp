@@ -228,7 +228,8 @@ class FmRefiner {
         best_prefix = moves_.size();
       }
       const std::uint32_t first = g_.offsets[pick];
-      buckets_.moved_to(to, &g_.adj[first], &g_.ewgt[first], g_.offsets[pick + 1] - first);
+      buckets_.moved_to(to, g_.adj.data() + first, g_.ewgt.data() + first,
+                        g_.offsets[pick + 1] - first);
     }
 
     // Roll back moves past the best prefix.

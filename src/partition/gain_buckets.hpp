@@ -7,10 +7,10 @@
 // vertex id.  Gains in [-G, G] live in rows, one per side and gain value,
 // each a bitset over vertex ids with a one-word summary of which chunks of
 // it hold entries, so a row's best entry is its highest set bit and a gain
-// change is one bit moved between two rows.  Entries with |gain| > G live in `over_`, a small
-// ordered set per side: they rank above (gain > G) or below (gain < -G)
-// every row.  G comes from row_bound(), which keeps the rows within the
-// size of the level being refined.
+// change is one bit moved between two rows.  Entries with |gain| > G live
+// in `over_`, a small ordered set per side: they rank above (gain > G) or
+// below (gain < -G) every row.  G comes from row_bound(), which keeps the
+// rows within the size of the level being refined.
 
 #include <algorithm>
 #include <bit>
@@ -43,9 +43,9 @@ class GainBuckets {
   ///
   /// Storage.  Rows take 2(2G+1)(W+1) words, W = ceil(n/64) bitset words
   /// and one summary word per row; the first cap below keeps that at most
-  /// 2(n + 2|E|).  Gains and flags add 5n/8 words, and
-  /// `over_` at most n nodes (a vertex sits on one side) of 6 words with
-  /// the allocator's header: under 9(n + 2|E|) words at every level.
+  /// 2(n + 2|E|).  Gains and flags add 5n/8 words, and `over_` at most n
+  /// nodes (a vertex sits on one side) of 6 words with the allocator's
+  /// header: under 9(n + 2|E|) words at every level.
   ///
   /// Time.  Rows past the (n/64 + 1)-th largest weighted degree would
   /// serve at most n/64 vertices, so G stops there: a star's hub keeps its
@@ -79,11 +79,10 @@ class GainBuckets {
   /// summaries flag.
   void clear() {
     for (std::size_t r = 0; r < sums_.size(); ++r) {
+      std::uint64_t* words = bits_.data() + r * w_;
       for (std::uint64_t m = sums_[r]; m != 0; m &= m - 1) {
         const std::size_t lo = static_cast<std::size_t>(std::countr_zero(m)) << chunk_;
-        const auto row = bits_.begin() + static_cast<std::ptrdiff_t>(r * w_);
-        std::fill(row + static_cast<std::ptrdiff_t>(lo),
-                  row + static_cast<std::ptrdiff_t>(std::min(w_, lo + (std::size_t{1} << chunk_))), 0);
+        std::fill(words + lo, words + std::min(w_, lo + (std::size_t{1} << chunk_)), 0);
       }
       sums_[r] = 0;
     }
@@ -120,14 +119,6 @@ class GainBuckets {
       bits_[(side * rows_ + row(g)) * w_ + v / 64] ^= bit(v);
     else
       over_[side].erase(entry(g, v));
-  }
-
-  /// Changes v's gain by delta; a no-op when v is absent.
-  void add(Vertex v, std::int64_t delta) {
-    Hot h = hot();
-    step(h, v, delta);
-    top_[0] = h.top[0];
-    top_[1] = h.top[1];
   }
 
   /// FM's update after a vertex moved to side `to`: each neighbour nbr[i]

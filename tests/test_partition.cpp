@@ -212,7 +212,7 @@ TEST(BisectionDisconnected, DeterministicForSeed) {
 }
 
 // Differential test of FM's gain buckets against a linear scan: seeded
-// random sequences of insert / add / moved_to / erase / clear and capped,
+// random sequences of insert / moved_to / erase / clear and capped,
 // floored best_fit queries, over vertex counts whose summary bits cover
 // one word and several, row bounds from 0 up, and gains well past the rows (the
 // ordered overflow set), as on a hub's coarse levels.
@@ -272,10 +272,14 @@ void run_gain_buckets_case(std::uint64_t seed) {
         m.gain[v] = random_gain();
         b.insert(v, m.side[v], m.gain[v]);
         break;
-      case 4: case 5: case 6: {  // add, present or absent
+      case 4: case 5: case 6: {  // one neighbour, present or absent
         const std::int64_t d = random_delta(m.gain[v]);
+        // v loses 2w when it sits on `to` and gains 2w otherwise.
+        const int to = m.side[v] < 0 ? static_cast<int>(uniform_below(rng, 2))
+                                     : (d < 0 ? m.side[v] : 1 - m.side[v]);
         if (m.side[v] >= 0) m.gain[v] += d;
-        b.add(v, d);
+        const auto w = static_cast<std::uint32_t>(std::abs(d) / 2);
+        b.moved_to(to, &v, &w, 1);
         break;
       }
       case 7: case 8: {  // one FM move's neighbour updates
