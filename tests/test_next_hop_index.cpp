@@ -2,13 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
 #include <vector>
 
+#include "graph/failures.hpp"
+#include "graph/metrics.hpp"
 #include "routing/policy.hpp"
 #include "routing/tables.hpp"
+#include "topo/bundlefly.hpp"
 #include "topo/dragonfly.hpp"
+#include "topo/lps.hpp"
 #include "topo/mms.hpp"
 #include "topo/paley.hpp"
+#include "topo/slimfly.hpp"
+#include "util/parallel.hpp"
 
 namespace sfly::routing {
 namespace {
@@ -81,6 +89,77 @@ TEST(NextHopIndex, SamplingOrderMatchesScanOnMms5) {
 TEST(NextHopIndex, SamplingOrderMatchesScanOnDragonFly12) {
   expect_sampling_matches(
       topo::dragonfly_graph(topo::DragonFlyParams::canonical(12)), 8);
+}
+
+TEST(NextHopIndex, MatchesScanOnPaley137) {
+  // Radix 68 > 64 and n = 137 is not a multiple of 8.
+  const Graph g = topo::paley_graph({137});
+  ASSERT_EQ(g.degree(0), 68u);
+  expect_matches_scan(g);
+}
+
+TEST(NextHopIndex, MatchesScanOnLpsWithFailedLinks) {
+  // An irregular graph: LPS(11,7) with 10% of its links deleted.
+  const Graph g = delete_random_edges(topo::lps_graph({11, 7}), 0.1, 3);
+  ASSERT_TRUE(is_connected(g));
+  EXPECT_FALSE(g.is_regular());
+  expect_matches_scan(g);
+}
+
+// Byte pins of the built artifacts: FNV-1a of the distance matrix plus the
+// diameter, and of the index's offsets, vertex and slot arrays, for the
+// six topologies of the sim_sweep benchmark, at pool widths 1 and 4.  The
+// digests fold integers only, so they hold across compilers.
+template <class T>
+std::uint64_t fnv1a(std::span<const T> xs,
+                    std::uint64_t h = 14695981039346656037ull) {
+  for (T x : xs) {
+    h ^= static_cast<std::uint64_t>(x);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(NextHopIndex, ArtifactDigestsPinned) {
+  struct Pin {
+    std::string name;
+    Graph (*build)();
+    std::uint64_t tables, offsets, verts, slots;
+  };
+  const std::vector<Pin> pins = {
+      {"LPS(11,7)", [] { return topo::lps_graph({11, 7}); },
+       0x656c67df56a983da, 0x55b5ad177de25a99, 0xcddca3d209ec5ba3, 0x033423f780297651},
+      {"DF(8,4,21)", [] { return topo::dragonfly_graph({8, 4, 21}); },
+       0x478b90b5e4453f3a, 0x46a06a1ec1fbb695, 0xfce9b940ecfa8587, 0x51e62981a8839651},
+      {"SF(9)", [] { return topo::slimfly_graph({9}); },
+       0xbf7d8a6a83c85133, 0x32054fdca0681844, 0x24e5a387a6a6cb24, 0x9414ec10ed06b925},
+      {"BF(13,3)",
+       [] { return topo::bundlefly_graph({13, 3, topo::BundleShift::kOptimized}); },
+       0xd81703d298ea8c9a, 0x431305b11c7e0843, 0x5929653dad767f12, 0xfa0b93a3f268aa16},
+      {"LPS(23,13)", [] { return topo::lps_graph({23, 13}); },
+       0xf6eea54f73d3b0a2, 0x31d4206737d0b1cf, 0x4b88247c2d1cbc9b, 0x49dcefc533f35171},
+      {"DF(16,8,69)", [] { return topo::dragonfly_graph({16, 8, 69}); },
+       0xaa0b86b6f47699be, 0xaf2e01cce78df1b5, 0xe968eb3f3d255c5b, 0x323f93b1d19cf97f},
+  };
+  for (const Pin& pin : pins) {
+    const Graph g = pin.build();
+    for (unsigned w : {1u, 4u}) {
+      SCOPED_TRACE(pin.name + " width " + std::to_string(w));
+      TaskPool pool(w);
+      const Tables t = Tables::build(g, &pool);
+      const NextHopIndex idx = NextHopIndex::build(g, t, &pool);
+      const std::uint8_t diameter = t.diameter();
+      const std::uint64_t tables = fnv1a(std::span<const std::uint8_t>(&diameter, 1),
+                                         fnv1a(t.raw_distances()));
+      EXPECT_EQ(tables, pin.tables) << std::hex << "0x" << tables;
+      EXPECT_EQ(fnv1a(idx.raw_offsets()), pin.offsets)
+          << std::hex << "0x" << fnv1a(idx.raw_offsets());
+      EXPECT_EQ(fnv1a(idx.raw_verts()), pin.verts)
+          << std::hex << "0x" << fnv1a(idx.raw_verts());
+      EXPECT_EQ(fnv1a(idx.raw_slots()), pin.slots)
+          << std::hex << "0x" << fnv1a(idx.raw_slots());
+    }
+  }
 }
 
 TEST(NextHopIndex, MismatchedTablesThrow) {

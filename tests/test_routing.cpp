@@ -8,7 +8,10 @@
 #include <set>
 #include <stdexcept>
 
+#include "graph/failures.hpp"
+#include "graph/metrics.hpp"
 #include "topo/lps.hpp"
+#include "topo/paley.hpp"
 #include "util/parallel.hpp"
 
 namespace sfly::routing {
@@ -196,6 +199,69 @@ TEST(Tables, BitwiseEqualAtEveryPoolWidth) {
     EXPECT_THROW(Tables::build(Graph::from_edges(40, {{0, 1}}), &pool),
                  std::runtime_error);
   }
+}
+
+TEST(Tables, DistancesEqualBfsAtEveryPoolWidth) {
+  // Paley(137) has radix 68 and n not a multiple of 8; LPS(11,7) with 10%
+  // of its links deleted is irregular.
+  const std::vector<Graph> graphs = {
+      topo::paley_graph({137}),
+      delete_random_edges(topo::lps_graph({11, 7}), 0.1, 3)};
+  for (const Graph& g : graphs) {
+    ASSERT_TRUE(is_connected(g));
+    const Vertex n = g.num_vertices();
+    for (unsigned w : {1u, 2u, 4u}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " width " + std::to_string(w));
+      TaskPool pool(w);
+      const Tables t = Tables::build(g, &pool);
+      std::int32_t diameter = 0;
+      for (Vertex u = 0; u < n; ++u) {
+        const auto d = bfs_distances(g, u);
+        for (Vertex v = 0; v < n; ++v) ASSERT_EQ(t.distance(u, v), d[v]);
+        diameter = std::max(diameter, *std::ranges::max_element(d));
+      }
+      EXPECT_EQ(t.diameter(), diameter);
+    }
+  }
+}
+
+// The exception a failing build throws is the one the lowest failing
+// source throws: "distance overflow" if some vertex lies 254 or more hops
+// from it, else "graph disconnected".
+TEST(Tables, ExceptionIsTheLowestFailingSources) {
+  auto path = [](Vertex first, Vertex last, Vertex n) {
+    std::vector<std::pair<Vertex, Vertex>> e;
+    for (Vertex i = first; i < last; ++i) e.emplace_back(i, i + 1);
+    return Graph::from_edges(n, std::move(e));
+  };
+  const std::string overflow = "routing::Tables: distance overflow";
+  const std::string disconnected = "routing::Tables: graph disconnected";
+  struct Case {
+    Graph g;
+    std::string what;
+  };
+  const std::vector<Case> cases = {
+      {path(0, 299, 300), overflow},
+      {Graph::from_edges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}}), disconnected},
+      {path(0, 299, 301), overflow},      // plus an isolated vertex 300
+      {path(1, 300, 301), disconnected},  // isolated vertex 0 plus a path
+  };
+  for (unsigned w : {1u, 4u}) {
+    TaskPool pool(w);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      SCOPED_TRACE("case " + std::to_string(i) + " width " + std::to_string(w));
+      try {
+        (void)Tables::build(cases[i].g, &pool);
+        ADD_FAILURE() << "no exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(e.what(), cases[i].what);
+      }
+    }
+  }
+  // A path of 254 vertices spans 253 hops, the deepest a build stores.
+  const Tables t = Tables::build(path(0, 253, 254));
+  EXPECT_EQ(t.diameter(), 253);
+  EXPECT_THROW(Tables::build(path(0, 254, 255)), std::runtime_error);
 }
 
 }  // namespace
