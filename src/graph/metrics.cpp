@@ -1,9 +1,11 @@
 #include "graph/metrics.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
+#include <cstdint>
 #include <numeric>
+
+#include "graph/msbfs.hpp"
 
 namespace sfly {
 namespace {
@@ -41,52 +43,15 @@ std::vector<std::int32_t> bfs_distances(const Graph& g, Vertex src) {
 }
 
 std::vector<std::uint64_t> hop_histogram(const Graph& g, std::span<const Vertex> sources) {
-  // Bit-parallel multi-source BFS (Then et al., VLDB 2015): a batch packs
-  // 256 sources into 4 words per vertex, one bit lane per source, so one
-  // pull sweep over the CSR advances all 256 searches by a level.
-  constexpr std::size_t kWords = 4;
-  constexpr std::size_t kLanes = 64 * kWords;
-  using Lanes = std::array<std::uint64_t, kWords>;
-  const Vertex n = g.num_vertices();
   std::vector<std::uint64_t> hist(1, 0);
-  std::vector<Lanes> seen, frontier, next;  // 3 * n * 32 bytes
-
-  for (std::size_t first = 0; first < sources.size(); first += kLanes) {
-    const std::size_t cnt = std::min(kLanes, sources.size() - first);
-    // Lanes past cnt start seen, so they never join a frontier and a
-    // vertex every search has reached is exactly an all-ones word set.
-    Lanes unused{};
-    for (std::size_t i = cnt; i < kLanes; ++i) unused[i / 64] |= std::uint64_t{1} << (i % 64);
-    seen.assign(n, unused);
-    frontier.assign(n, Lanes{});
-    next.resize(n);
-    for (std::size_t i = 0; i < cnt; ++i) {
-      const Vertex s = sources[first + i];
-      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-      seen[s][i / 64] |= bit;
-      frontier[s][i / 64] |= bit;
-    }
-    for (std::size_t d = 1;; ++d) {
-      std::uint64_t count = 0;
-      for (Vertex v = 0; v < n; ++v) {
-        Lanes& sv = seen[v];
-        Lanes w{};
-        if ((sv[0] & sv[1] & sv[2] & sv[3]) != ~std::uint64_t{0}) {
-          for (Vertex u : g.neighbors(v))
-            for (std::size_t k = 0; k < kWords; ++k) w[k] |= frontier[u][k];
-          for (std::size_t k = 0; k < kWords; ++k) {
-            w[k] &= ~sv[k];
-            sv[k] |= w[k];
-            count += static_cast<std::uint64_t>(std::popcount(w[k]));
-          }
-        }
-        next[v] = w;
-      }
-      if (count == 0) break;
+  detail::MsBfs bfs;
+  for (std::size_t first = 0; first < sources.size(); first += detail::MsBfs::kLanes) {
+    const auto batch =
+        sources.subspan(first, std::min(detail::MsBfs::kLanes, sources.size() - first));
+    bfs.run(g, batch, SIZE_MAX, [&](std::size_t d, Vertex, const detail::MsBfs::Lanes& w) {
       if (hist.size() <= d) hist.resize(d + 1, 0);
-      hist[d] += count;
-      frontier.swap(next);
-    }
+      for (std::uint64_t word : w) hist[d] += static_cast<std::uint64_t>(std::popcount(word));
+    });
   }
   return hist;
 }

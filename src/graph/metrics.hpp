@@ -3,12 +3,12 @@
 // length, girth, connectivity, bipartiteness.
 //
 // All-sources distance counts run as a bit-parallel multi-source BFS
-// (hop_histogram): sources go in batches of 256, one bit lane each, and
-// every vertex holds seen/frontier/next bitsets of 4 x 64-bit words.  A
-// level is one pull sweep over the CSR, next[v] = OR of frontier[u] over
-// neighbors u, minus seen[v]; its popcount is that level's pair count, and
-// a batch ends at the first empty level.  Batches run serially over
-// 3 * n * 32 bytes of scratch (campaigns run scenarios in parallel).
+// (hop_histogram over the sweep in graph/msbfs.hpp, which
+// routing::Tables::build shares): sources go in batches of 256, one bit
+// lane each, and a level's pair count is the popcount of the lanes it
+// newly reaches; a batch ends at the first empty level.  Batches run
+// serially over 3 * n * 32 bytes of scratch (campaigns run scenarios in
+// parallel).
 // girth and the single-source routines stay scalar BFS.
 
 #include <cstdint>

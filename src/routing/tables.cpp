@@ -1,8 +1,14 @@
 #include "routing/tables.hpp"
+// Tables::build fills the distance matrix with the bit-parallel
+// multi-source BFS sweep of graph/msbfs.hpp (the one hop_histogram runs),
+// one pool chunk per batch of 256 sources.
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <stdexcept>
 
+#include "graph/msbfs.hpp"
 #include "util/parallel.hpp"
 
 namespace sfly::routing {
@@ -15,43 +21,53 @@ std::uint64_t Tables::builds() { return g_table_builds.load(); }
 
 Tables Tables::build(const Graph& g, TaskPool* pool) {
   g_table_builds.fetch_add(1, std::memory_order_relaxed);
+  using detail::MsBfs;
   Tables t;
   const Vertex n = g.num_vertices();
   t.n_ = n;
-  std::vector<std::uint8_t> dist_mat(static_cast<std::size_t>(n) * n, 0xFF);
+  std::vector<std::uint8_t> dist_mat(static_cast<std::size_t>(n) * n, 0);
+  std::vector<Vertex> sources(n);
+  std::iota(sources.begin(), sources.end(), Vertex{0});
 
-  // A chunk that fails throws; parallel_for rethrows the lowest one's.
-  // The CSR spans and the queue are held by value: a byte store may alias
-  // anything reached through a reference, so the edge loop would reload it.
-  const auto offsets = g.raw_offsets();
-  const auto adj = g.raw_adjacency();
+  // One chunk per batch of MsBfs::kLanes consecutive sources [first, ...).
+  // The graph is undirected, so dist(first + i, v) = dist(v, first + i):
+  // a vertex v reached by lane i at level d gets byte d in row v's window
+  // [first, first + lanes).  A vertex 254 hops out overflows the byte
+  // range, so the sweep stops there.  A chunk that fails throws for its
+  // lowest failing source; parallel_for rethrows the lowest chunk's.
+  constexpr std::size_t kOverflow = 0xFE;
+  std::uint8_t* const dist = dist_mat.data();
   const auto diameters = TaskPool::parallel_for(
-      pool, n, 8, [&, offsets, adj](std::size_t lo, std::size_t hi) {
+      pool, (n + MsBfs::kLanes - 1) / MsBfs::kLanes, 1,
+      [&, dist](std::size_t lo, std::size_t hi) {
         std::uint8_t diameter = 0;
-        std::vector<Vertex> queue_buf(n);
-        Vertex* const queue = queue_buf.data();
-        for (std::size_t s = lo; s < hi; ++s) {
-          std::uint8_t* dist = dist_mat.data() + s * n;
-          std::size_t tail = 0;
-          queue[tail++] = static_cast<Vertex>(s);
-          dist[s] = 0;
-          for (std::size_t head = 0; head < tail; ++head) {
-            const Vertex u = queue[head];
-            const std::uint8_t du = dist[u];
-            if (du >= 0xFE)
+        MsBfs bfs;
+        for (std::size_t b = lo; b < hi; ++b) {
+          const std::size_t first = b * MsBfs::kLanes;
+          const auto batch = std::span<const Vertex>(sources).subspan(
+              first, std::min(MsBfs::kLanes, n - first));
+          MsBfs::Lanes overflow{};
+          const std::size_t depth = bfs.run(
+              g, batch, kOverflow,
+              [&, dist](std::size_t d, Vertex v, const MsBfs::Lanes& w) {
+                if (d == kOverflow) {
+                  for (std::size_t k = 0; k < MsBfs::kWords; ++k) overflow[k] |= w[k];
+                  return;
+                }
+                std::uint8_t* const row = dist + static_cast<std::size_t>(v) * n + first;
+                for (std::size_t k = 0; k < MsBfs::kWords; ++k)
+                  for (std::uint64_t bits = w[k]; bits != 0; bits &= bits - 1)
+                    row[64 * k + std::countr_zero(bits)] = static_cast<std::uint8_t>(d);
+              });
+          const MsBfs::Lanes reached = bfs.reached_all();
+          for (std::size_t k = 0; k < MsBfs::kWords; ++k) {
+            const std::uint64_t failing = overflow[k] | ~reached[k];
+            if (failing == 0) continue;
+            if (overflow[k] & failing & -failing)
               throw std::runtime_error("routing::Tables: distance overflow");
-            for (std::uint32_t e = offsets[u]; e < offsets[u + 1]; ++e) {
-              const Vertex v = adj[e];
-              if (dist[v] == 0xFF) {
-                dist[v] = static_cast<std::uint8_t>(du + 1);
-                queue[tail++] = v;
-              }
-            }
-          }
-          if (tail != n)
             throw std::runtime_error("routing::Tables: graph disconnected");
-          // BFS visits by distance, so the last vertex is the farthest.
-          diameter = std::max(diameter, dist[queue[n - 1]]);
+          }
+          diameter = std::max(diameter, static_cast<std::uint8_t>(depth));
         }
         return diameter;
       });
