@@ -337,19 +337,21 @@ std::vector<std::uint8_t> components_first_run(
 
 std::vector<std::uint8_t> multilevel_run(const WGraph& g0, const BisectionOptions& opts,
                                          Rng& rng) {
-  // Coarsen.
-  std::vector<WGraph> levels;
+  // Coarsen.  Level 0 is g0 itself, read through the reference, and
+  // coarse[i] is level i + 1 (maps[i] takes level i onto it).
+  std::vector<WGraph> coarse;
   std::vector<std::vector<Vertex>> maps;
-  levels.push_back(g0);
-  while (levels.back().n() > opts.coarsen_to) {
-    CoarseLevel cl = coarsen(levels.back(), rng);
-    if (cl.graph.n() >= levels.back().n() * 95 / 100) break;  // stalled
+  auto level = [&](std::size_t i) -> const WGraph& { return i == 0 ? g0 : coarse[i - 1]; };
+  while (level(coarse.size()).n() > opts.coarsen_to) {
+    const WGraph& finest = level(coarse.size());
+    CoarseLevel cl = coarsen(finest, rng);
+    if (cl.graph.n() >= finest.n() * 95 / 100) break;  // stalled
     maps.push_back(std::move(cl.map));
-    levels.push_back(std::move(cl.graph));
+    coarse.push_back(std::move(cl.graph));
   }
 
   // Initial partition on the coarsest level: several grows, keep best.
-  const WGraph& coarsest = levels.back();
+  const WGraph& coarsest = level(coarse.size());
   std::vector<std::uint8_t> side;
   std::uint64_t best_cut = std::numeric_limits<std::uint64_t>::max();
   for (int t = 0; t < 4; ++t) {
@@ -363,15 +365,16 @@ std::vector<std::uint8_t> multilevel_run(const WGraph& g0, const BisectionOption
   }
 
   // Uncoarsen + refine.
-  for (std::size_t lvl = levels.size() - 1; lvl-- > 0;) {
-    std::vector<std::uint8_t> fine(levels[lvl].n());
-    for (Vertex v = 0; v < levels[lvl].n(); ++v) fine[v] = side[maps[lvl][v]];
+  for (std::size_t lvl = coarse.size(); lvl-- > 0;) {
+    const WGraph& g = level(lvl);
+    std::vector<std::uint8_t> fine(g.n());
+    for (Vertex v = 0; v < g.n(); ++v) fine[v] = side[maps[lvl][v]];
     side = std::move(fine);
-    refine(levels[lvl], side, opts.fm_passes);
+    refine(g, side, opts.fm_passes);
   }
-  strict_balance(levels[0], side);
-  refine(levels[0], side, 2);      // FM with slack may re-skew slightly...
-  strict_balance(levels[0], side);  // ...so force exact balance last.
+  strict_balance(g0, side);
+  refine(g0, side, 2);      // FM with slack may re-skew slightly...
+  strict_balance(g0, side);  // ...so force exact balance last.
   return side;
 }
 
