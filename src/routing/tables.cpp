@@ -29,47 +29,39 @@ Tables Tables::build(const Graph& g, TaskPool* pool) {
   std::vector<Vertex> sources(n);
   std::iota(sources.begin(), sources.end(), Vertex{0});
 
-  // One chunk per batch of MsBfs::kLanes consecutive sources [first, ...).
+  // One chunk per batch of MsBfs::kLanes consecutive sources [first, last).
   // The graph is undirected, so dist(first + i, v) = dist(v, first + i):
   // a vertex v reached by lane i at level d gets byte d in row v's window
-  // [first, first + lanes).  A vertex 254 hops out overflows the byte
-  // range, so the sweep stops there.  A chunk that fails throws for its
-  // lowest failing source; parallel_for rethrows the lowest chunk's.
+  // [first, last).  A vertex 254 hops out overflows the byte range, so the
+  // sweep stops there.  A chunk that fails throws for its lowest failing
+  // source; parallel_for rethrows the lowest chunk's.
   constexpr std::size_t kOverflow = 0xFE;
   std::uint8_t* const dist = dist_mat.data();
   const auto diameters = TaskPool::parallel_for(
-      pool, (n + MsBfs::kLanes - 1) / MsBfs::kLanes, 1,
-      [&, dist](std::size_t lo, std::size_t hi) {
-        std::uint8_t diameter = 0;
+      pool, n, MsBfs::kLanes, [&, dist](std::size_t first, std::size_t last) {
         MsBfs bfs;
-        for (std::size_t b = lo; b < hi; ++b) {
-          const std::size_t first = b * MsBfs::kLanes;
-          const auto batch = std::span<const Vertex>(sources).subspan(
-              first, std::min(MsBfs::kLanes, n - first));
-          MsBfs::Lanes overflow{};
-          const std::size_t depth = bfs.run(
-              g, batch, kOverflow,
-              [&, dist](std::size_t d, Vertex v, const MsBfs::Lanes& w) {
-                if (d == kOverflow) {
-                  for (std::size_t k = 0; k < MsBfs::kWords; ++k) overflow[k] |= w[k];
-                  return;
-                }
-                std::uint8_t* const row = dist + static_cast<std::size_t>(v) * n + first;
-                for (std::size_t k = 0; k < MsBfs::kWords; ++k)
-                  for (std::uint64_t bits = w[k]; bits != 0; bits &= bits - 1)
-                    row[64 * k + std::countr_zero(bits)] = static_cast<std::uint8_t>(d);
-              });
-          const MsBfs::Lanes reached = bfs.reached_all();
-          for (std::size_t k = 0; k < MsBfs::kWords; ++k) {
-            const std::uint64_t failing = overflow[k] | ~reached[k];
-            if (failing == 0) continue;
-            if (overflow[k] & failing & -failing)
-              throw std::runtime_error("routing::Tables: distance overflow");
-            throw std::runtime_error("routing::Tables: graph disconnected");
-          }
-          diameter = std::max(diameter, static_cast<std::uint8_t>(depth));
+        MsBfs::Lanes overflow{};
+        const std::size_t depth = bfs.run(
+            g, std::span<const Vertex>(sources).subspan(first, last - first), kOverflow,
+            [&, dist](std::size_t d, Vertex v, const MsBfs::Lanes& w) {
+              if (d == kOverflow) {
+                for (std::size_t k = 0; k < MsBfs::kWords; ++k) overflow[k] |= w[k];
+                return;
+              }
+              std::uint8_t* const row = dist + static_cast<std::size_t>(v) * n + first;
+              for (std::size_t k = 0; k < MsBfs::kWords; ++k)
+                for (std::uint64_t bits = w[k]; bits != 0; bits &= bits - 1)
+                  row[64 * k + std::countr_zero(bits)] = static_cast<std::uint8_t>(d);
+            });
+        const MsBfs::Lanes reached = bfs.reached_all();
+        for (std::size_t k = 0; k < MsBfs::kWords; ++k) {
+          const std::uint64_t failing = overflow[k] | ~reached[k];
+          if (failing == 0) continue;
+          if (overflow[k] & failing & -failing)
+            throw std::runtime_error("routing::Tables: distance overflow");
+          throw std::runtime_error("routing::Tables: graph disconnected");
         }
-        return diameter;
+        return static_cast<std::uint8_t>(depth);
       });
   t.diameter_ = diameters.empty() ? 0 : *std::ranges::max_element(diameters);
   t.dist_ = std::move(dist_mat);
