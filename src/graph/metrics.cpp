@@ -1,4 +1,7 @@
 #include "graph/metrics.hpp"
+// hop_histogram counts the lanes the multi-source BFS sweep of
+// graph/msbfs.hpp reaches per level; routing::Tables::build runs the same
+// sweep and stores the levels as distances.
 
 #include <algorithm>
 #include <bit>

@@ -4,8 +4,8 @@
 // Tables recovers minimal next-hop sets by scanning a router's adjacency
 // and testing dist(w,v)+1 == dist(u,v) per neighbor — O(radix) distance-
 // matrix probes per hop, which is where the simulator's event loop spends
-// its time.  NextHopIndex runs that scan once per (router, dst-router)
-// pair at build time and stores the result as one CSR structure: for each
+// its time.  NextHopIndex computes every (router, dst-router) pair's set at
+// build time and stores the result as one CSR structure: for each
 // ordered pair, the minimal next hops in adjacency order, recorded both as
 // the neighbor vertex and as the *port slot* (position within the
 // router's adjacency list).  A routing query is then one offset lookup
@@ -13,10 +13,19 @@
 // and the simulator maps slot -> output port as net_port_base[u] + slot
 // without the per-hop lower_bound that port_toward used to do.
 //
+// The build is slot-major over whole rows of the distance matrix (the
+// distance rows come from Tables::build, which runs the same bit-parallel
+// BFS sweep as hop_histogram).  For each source u, pass 1 adds each
+// slot's matches dist[nb[s]][v] + 1 == dist[u][v] over every v into the
+// row counts; after the prefix sum, pass 2 takes a 64-bit match mask per
+// slot and 64 destinations and appends (nb[s], s) at each matching row's
+// cursor, slots in adjacency order.
+//
 // The stored order is exactly the scan order, so sample(u, v, e) returns
 // the same hop as Tables::sample_next_hop(g, u, v, e) bit for bit; the
 // golden-value pins in tests/test_sim.cpp hold across both paths, and
-// tests/test_next_hop_index.cpp pins set- and order-equality explicitly.
+// tests/test_next_hop_index.cpp pins set- and order-equality and the
+// built arrays' digests explicitly.
 
 #include <cstdint>
 #include <span>
@@ -41,7 +50,7 @@ class NextHopIndex {
     std::uint32_t count = 0;
   };
 
-  /// Scan every (u, v) pair once (parallel over sources on `pool`).  Throws
+  /// Build every (u, v) row (parallel over sources on `pool`).  Throws
   /// if `tables` was not built over `g` (size mismatch) or a radix
   /// exceeds the uint16 slot range.
   static NextHopIndex build(const Graph& g, const Tables& tables,

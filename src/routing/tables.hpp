@@ -20,8 +20,10 @@ namespace sfly::routing {
 
 class Tables {
  public:
-  /// BFS from every vertex (parallel over sources on `pool`). Throws if
-  /// any distance exceeds 255 or the graph is disconnected.
+  /// BFS from every vertex: the bit-parallel sweep of graph/msbfs.hpp,
+  /// parallel over batches of 256 sources on `pool`.  Throws for the
+  /// lowest failing source: "distance overflow" if a vertex lies 254 or
+  /// more hops from it, else "graph disconnected".
   static Tables build(const Graph& g, TaskPool* pool = nullptr);
 
   /// Zero-copy view over an externally owned n*n distance matrix (e.g. an
