@@ -53,14 +53,15 @@ void count_rows(const Graph& g, const std::uint8_t* dist, std::size_t lo,
 // adjacency order and appends (nb[s], s) at the cursor of every row v of
 // the block that slot s matches, so each row ends up in scan order.  Slot
 // w matches v iff dist[w][v] == want[v] = dist[u][v] - 1 and bit v of
-// `valid` (dist[u][v] != 0, v != u) is set.
+// `valid` (dist[u][v] != 0, v != u; clear past n, where the tail's zero
+// padding compares equal) is set.
 void fill_rows(const Graph& g, const std::uint8_t* dist, std::size_t lo,
                std::size_t hi, const std::uint32_t* offsets, Vertex* verts,
                std::uint16_t* slots) {
   const std::size_t n = g.num_vertices();
   const std::size_t blocks = (n + 63) / 64;
   std::vector<std::uint32_t> cursor_buf(n);
-  std::vector<std::uint8_t> want_buf(blocks * 64);
+  std::vector<std::uint8_t> want_buf(n);
   std::vector<std::uint64_t> valid_buf(blocks);
   std::uint32_t* const cursor = cursor_buf.data();
   std::uint8_t* const want = want_buf.data();
