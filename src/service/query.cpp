@@ -238,7 +238,7 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
     out += ",\"intermediate\":" + std::to_string(route.intermediate);
   out += ",\"hops\":" + std::to_string(path.size() - 1) + ",\"path\":[";
   for (std::size_t i = 0; i < path.size(); ++i)
-    out += (i ? "," : "") + std::to_string(path[i]);
+    out.append(i ? "," : "").append(std::to_string(path[i]));
   out += "]}";
   return out;
 }
@@ -399,7 +399,7 @@ std::string QueryEngine::handle_stats(const JsonObject&, std::uint64_t id) {
                     ",\"errors\":" + std::to_string(errors_.load()) +
                     ",\"topologies\":[";
   for (std::size_t i = 0; i < names.size(); ++i)
-    out += (i ? "," : "") + json_quote(names[i]);
+    out.append(i ? "," : "").append(json_quote(names[i]));
   out += "],\"tables_built\":" + std::to_string(routing::Tables::builds()) +
          ",\"index_built\":" + std::to_string(routing::NextHopIndex::builds()) +
          ",\"cells_built\":" + std::to_string(routing::CellIndex::builds()) +

@@ -104,7 +104,7 @@ TopologySpec parse_topology(const std::string& spec) {
     std::vector<std::uint32_t> dims(a.begin(), a.end());
     std::string name = "Torus(";
     for (std::size_t i = 0; i < dims.size(); ++i)
-      name += (i ? "," : "") + std::to_string(dims[i]);
+      name.append(i ? "," : "").append(std::to_string(dims[i]));
     name += ")";
     return {std::move(name), [dims] { return torus_graph(dims); }};
   }

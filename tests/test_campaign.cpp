@@ -188,7 +188,7 @@ TEST(CampaignBuilder, EmptyAxisYieldsEmptyGridNotAThrow) {
 TEST(CampaignBuilder, FiltersAndLimitsSelectTopologies) {
   std::vector<TopologySpec> specs;
   for (std::uint32_t n = 10; n <= 100; n += 10)
-    specs.push_back({"T" + std::to_string(n), {}, 8, n, n / 10});
+    specs.push_back({std::string("T").append(std::to_string(n)), {}, 8, n, n / 10});
   CampaignBuilder grid;
   grid.topologies(
       specs,

@@ -220,7 +220,7 @@ TEST(Service, HelloVersionSkewIsRejectedWithBothVersions) {
   const auto err = c.next_payload();
   EXPECT_NE(err.find("version skew"), std::string::npos) << err;
   EXPECT_NE(err.find("v99"), std::string::npos) << err;
-  EXPECT_NE(err.find("v" + std::to_string(net::kProtocolVersion)),
+  EXPECT_NE(err.find(std::string("v").append(std::to_string(net::kProtocolVersion))),
             std::string::npos)
       << err;
   EXPECT_TRUE(c.closed_by_peer());

@@ -173,7 +173,9 @@ Popped feed_chunked(const std::string& bytes, std::size_t max_chunk,
     EXPECT_FALSE(was_corrupt && !fr.corrupt()) << "corruption was cleared";
     out.corrupt = fr.corrupt();
   }
-  if (out.corrupt) EXPECT_FALSE(fr.next(f));
+  if (out.corrupt) {
+    EXPECT_FALSE(fr.next(f));
+  }
   return out;
 }
 

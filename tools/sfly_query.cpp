@@ -1,9 +1,7 @@
 // sfly_query — thin scriptable client for sflyd (docs/SERVICE.md).
 //
-//   sfly_query --connect HOST:PORT route --topo 'Paley(13)' --src 0 --dst 7 \
-//              --algo ugal-l
-//   sfly_query --connect HOST:PORT sim --topo 'LPS(11,7)' --pattern random \
-//              --load 0.5
+//   sfly_query --connect HOST:PORT route --topo 'Paley(13)' --src 0 --dst 7 --algo ugal-l
+//   sfly_query --connect HOST:PORT sim --topo 'LPS(11,7)' --pattern random --load 0.5
 //   sfly_query --connect HOST:PORT rank --topos 'LPS(11,7),SF(9)' --job-size 512
 //   sfly_query --connect HOST:PORT stats
 //
@@ -110,7 +108,7 @@ std::string build_request(const std::string& kind, const sfly::bench::Flags& f) 
     req += ",\"topos\":[";
     const auto specs = sfly::topo::split_spec_list(f.get_str("--topos"));
     for (std::size_t i = 0; i < specs.size(); ++i)
-      req += (i ? "," : "") + json_quote(specs[i]);
+      req.append(i ? "," : "").append(json_quote(specs[i]));
     req += "]";
   }
   add_u64("--job-size", "job_size");
