@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace sfly::routing {
 
@@ -31,44 +32,21 @@ std::uint64_t zero_bytes(std::uint64_t x) {
   return ((z >> 7) * 0x0102040810204080ull) >> 56;
 }
 
-// Pass 1, sources [lo, hi): adds each slot's matches over the whole row
-// dist[u] into the row counts at offsets[u * n + v + 1], so the prefix sum
-// lands each row's base at offsets[u * n + v].  Row (u, u) stays empty.
-void count_rows(const Graph& g, const std::uint8_t* dist, std::size_t lo,
-                std::size_t hi, std::uint32_t* offsets) {
-  const std::size_t n = g.num_vertices();
-  for (std::size_t u = lo; u < hi; ++u) {
-    const std::uint8_t* du = dist + u * n;
-    std::uint32_t* count = offsets + u * n + 1;
-    for (const Vertex w : g.neighbors(static_cast<Vertex>(u))) {
-      const std::uint8_t* dw = dist + static_cast<std::size_t>(w) * n;
-      for (std::size_t v = 0; v < n; ++v)
-        count[v] += (du[v] != 0) & (static_cast<std::uint8_t>(dw[v] + 1) == du[v]);
-    }
-    count[u] = 0;
-  }
-}
-
-// Pass 2, sources [lo, hi): for each block of 64 rows, walks u's slots in
-// adjacency order and appends (nb[s], s) at the cursor of every row v of
-// the block that slot s matches, so each row ends up in scan order.  Slot
-// w matches v iff dist[w][v] == want[v] = dist[u][v] - 1 and bit v of
-// `valid` (dist[u][v] != 0, v != u; clear past n, where the tail's zero
-// padding compares equal) is set.
-void fill_rows(const Graph& g, const std::uint8_t* dist, std::size_t lo,
-               std::size_t hi, const std::uint32_t* offsets, Vertex* verts,
-               std::uint16_t* slots) {
+// Sources [lo, hi): for each block of 64 destinations and each slot s of
+// u, ORs bit s into the (zeroed) mask row of every destination v of the
+// block that s matches.  Slot w matches v iff dist[w][v] == want[v] =
+// dist[u][v] - 1 and bit v of `valid` (dist[u][v] != 0, v != u; clear
+// past n, where the tail's zero padding compares equal) is set.
+void fill_masks(const Graph& g, const std::uint8_t* dist, std::size_t lo,
+                std::size_t hi, std::size_t words, std::uint64_t* masks) {
   const std::size_t n = g.num_vertices();
   const std::size_t blocks = (n + 63) / 64;
-  std::vector<std::uint32_t> cursor_buf(n);
   std::vector<std::uint8_t> want_buf(n);
   std::vector<std::uint64_t> valid_buf(blocks);
-  std::uint32_t* const cursor = cursor_buf.data();
   std::uint8_t* const want = want_buf.data();
   std::uint64_t* const valid = valid_buf.data();
   for (std::size_t u = lo; u < hi; ++u) {
     const std::uint8_t* du = dist + u * n;
-    std::copy_n(offsets + u * n, n, cursor);
     std::fill_n(valid, blocks, 0);
     for (std::size_t v = 0; v < n; ++v) {
       want[v] = static_cast<std::uint8_t>(du[v] - 1);
@@ -77,6 +55,7 @@ void fill_rows(const Graph& g, const std::uint8_t* dist, std::size_t lo,
     const auto nb = g.neighbors(static_cast<Vertex>(u));
     for (std::size_t base = 0; base < n; base += 64) {
       const std::size_t len = std::min<std::size_t>(64, n - base);
+      std::uint64_t* const rows = masks + (u * n + base) * words;
       for (std::size_t s = 0; s < nb.size(); ++s) {
         const std::uint8_t* dw = dist + static_cast<std::size_t>(nb[s]) * n + base;
         std::uint64_t m = 0;
@@ -86,11 +65,10 @@ void fill_rows(const Graph& g, const std::uint8_t* dist, std::size_t lo,
         if (j < len)
           m |= zero_bytes(load_bytes(dw + j, len - j) ^
                           load_bytes(want + base + j, len - j)) << j;
-        for (m &= valid[base / 64]; m != 0; m &= m - 1) {
-          const std::uint32_t at = cursor[base + std::countr_zero(m)]++;
-          verts[at] = nb[s];
-          slots[at] = static_cast<std::uint16_t>(s);
-        }
+        const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+        std::uint64_t* const word = rows + s / 64;
+        for (m &= valid[base / 64]; m != 0; m &= m - 1)
+          word[static_cast<std::size_t>(std::countr_zero(m)) * words] |= bit;
       }
     }
   }
@@ -98,6 +76,13 @@ void fill_rows(const Graph& g, const std::uint8_t* dist, std::size_t lo,
 }  // namespace
 
 std::uint64_t NextHopIndex::builds() { return g_index_builds.load(); }
+
+std::size_t NextHopIndex::words_for(const Graph& g) {
+  std::size_t max_degree = 0;
+  for (Vertex u = 0; u < g.num_vertices(); ++u)
+    max_degree = std::max<std::size_t>(max_degree, g.degree(u));
+  return std::max<std::size_t>(1, (max_degree + 63) / 64);
+}
 
 NextHopIndex NextHopIndex::build(const Graph& g, const Tables& tables,
                                  TaskPool* pool) {
@@ -112,43 +97,31 @@ NextHopIndex NextHopIndex::build(const Graph& g, const Tables& tables,
 
   NextHopIndex idx;
   idx.n_ = n;
-  const std::size_t rows = static_cast<std::size_t>(n) * n;
-  std::vector<std::uint32_t> offsets(rows + 1, 0);
+  idx.words_ = words_for(g);
+  idx.graph_ = g;
+  std::vector<std::uint64_t> masks(static_cast<std::size_t>(n) * n * idx.words_);
 
-  // The passes take raw pointers as plain arguments: reached through a
+  // The fill takes raw pointers as plain arguments: reached through a
   // closure, they would be reloaded after every store.
   const std::uint8_t* dist = tables.raw_distances().data();
   TaskPool::parallel_for(pool, n, 8, [&](std::size_t lo, std::size_t hi) {
-    count_rows(g, dist, lo, hi, offsets.data());
+    fill_masks(g, dist, lo, hi, idx.words_, masks.data());
   });
-  for (std::size_t r = 0; r < rows; ++r) offsets[r + 1] += offsets[r];
-
-  const std::size_t entries = offsets[rows];
-  std::vector<Vertex> verts(entries);
-  std::vector<std::uint16_t> slots(entries);
-  TaskPool::parallel_for(pool, n, 8, [&](std::size_t lo, std::size_t hi) {
-    fill_rows(g, dist, lo, hi, offsets.data(), verts.data(), slots.data());
-  });
-  idx.offsets_ = std::move(offsets);
-  idx.verts_ = std::move(verts);
-  idx.slots_ = std::move(slots);
+  idx.masks_ = std::move(masks);
   return idx;
 }
 
-NextHopIndex NextHopIndex::from_view(Vertex n,
-                                     std::span<const std::uint32_t> offsets,
-                                     std::span<const Vertex> verts,
-                                     std::span<const std::uint16_t> slots) {
-  const std::size_t rows = static_cast<std::size_t>(n) * n;
-  if (offsets.size() != rows + 1)
-    throw std::invalid_argument("NextHopIndex::from_view: offsets size != n*n+1");
-  if (rows > 0 && (verts.size() != offsets[rows] || slots.size() != offsets[rows]))
-    throw std::invalid_argument("NextHopIndex::from_view: entry count mismatch");
+NextHopIndex NextHopIndex::from_view(const Graph& g,
+                                     std::span<const std::uint64_t> masks) {
+  const std::size_t n = g.num_vertices();
+  const std::size_t words = words_for(g);
+  if (masks.size() != n * n * words)
+    throw std::invalid_argument("NextHopIndex::from_view: masks size != n*n*words");
   NextHopIndex idx;
-  idx.n_ = n;
-  idx.offsets_ = OwnedSpan<std::uint32_t>::view(offsets.data(), offsets.size());
-  idx.verts_ = OwnedSpan<Vertex>::view(verts.data(), verts.size());
-  idx.slots_ = OwnedSpan<std::uint16_t>::view(slots.data(), slots.size());
+  idx.n_ = g.num_vertices();
+  idx.words_ = words;
+  idx.graph_ = g;
+  idx.masks_ = OwnedSpan<std::uint64_t>::view(masks.data(), masks.size());
   return idx;
 }
 

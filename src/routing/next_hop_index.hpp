@@ -5,31 +5,36 @@
 // and testing dist(w,v)+1 == dist(u,v) per neighbor — O(radix) distance-
 // matrix probes per hop, which is where the simulator's event loop spends
 // its time.  NextHopIndex computes every (router, dst-router) pair's set at
-// build time and stores the result as one CSR structure: for each
-// ordered pair, the minimal next hops in adjacency order, recorded both as
-// the neighbor vertex and as the *port slot* (position within the
-// router's adjacency list).  A routing query is then one offset lookup
-// plus an `entropy % count` pick — no scan, no search, no allocation —
-// and the simulator maps slot -> output port as net_port_base[u] + slot
-// without the per-hop lower_bound that port_toward used to do.
+// build time and stores it as one slot mask per ordered pair: W =
+// max(1, ceil(max_degree / 64)) 64-bit words, bit s set iff neighbor slot
+// s of u (position s in u's adjacency list) is a minimal next hop toward
+// v.  Row (u, u) is empty.  The index keeps the graph's CSR (a copy when
+// built, a view of the snapshot's graph blobs when loaded) to map a slot
+// back to its neighbor vertex.  A routing query is one row lookup, a
+// popcount and an `entropy % count` select — no scan, no search, no
+// allocation — and the simulator maps slot -> output port as
+// net_port_base[u] + slot without the per-hop lower_bound that
+// port_toward used to do.  Memory is n^2 * W words however many hops a
+// pair has, so path-diverse LPS graphs cost what DragonFly does.
 //
-// The build is slot-major over whole rows of the distance matrix (the
-// distance rows come from Tables::build, which runs the same bit-parallel
-// BFS sweep as hop_histogram).  For each source u, pass 1 adds each
-// slot's matches dist[nb[s]][v] + 1 == dist[u][v] over every v into the
-// row counts; after the prefix sum, pass 2 takes a 64-bit match mask per
-// slot and 64 destinations and appends (nb[s], s) at each matching row's
-// cursor, slots in adjacency order.
+// The build is one slot-major pass over whole rows of the distance matrix
+// (the distance rows come from Tables::build, which runs the same
+// bit-parallel BFS sweep as hop_histogram).  For each source u, each block
+// of 64 destinations and each slot s, an 8-byte SWAR compare of
+// dist[nb[s]] against dist[u] - 1 yields a 64-bit match mask over the
+// block, and bit s is ORed into each matching destination's row.
 //
-// The stored order is exactly the scan order, so sample(u, v, e) returns
-// the same hop as Tables::sample_next_hop(g, u, v, e) bit for bit; the
-// golden-value pins in tests/test_sim.cpp hold across both paths, and
+// Set bits in slot order are the adjacency scan order, so pick(u, v, e)
+// — the (e % popcount)-th set bit — returns the same hop as
+// Tables::sample_next_hop(g, u, v, e) bit for bit; the golden-value pins
+// in tests/test_sim.cpp hold across both paths, and
 // tests/test_next_hop_index.cpp pins set- and order-equality and the
-// built arrays' digests explicitly.
+// digests of the hop lists enumerated from the masks.
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "graph/graph.hpp"
 #include "routing/policy.hpp"
@@ -38,17 +43,52 @@
 
 namespace sfly::routing {
 
+namespace detail {
+// Inline SWAR bit counting: without -march, std::popcount compiles to a
+// libgcc call on x86-64.
+inline constexpr std::uint64_t kOnes8 = 0x0101010101010101ull;
+
+/// Byte i = popcount of bytes 0..i of x (each at most 64); the top byte
+/// is popcount(x).
+[[nodiscard]] inline std::uint64_t byte_prefix(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  return ((x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full) * kOnes8;
+}
+
+[[nodiscard]] inline std::uint32_t popcount64(std::uint64_t x) {
+  return static_cast<std::uint32_t>(byte_prefix(x) >> 56);
+}
+
+/// kSelectInByte[b][r]: position of the r-th (0-based) set bit of byte b.
+inline constexpr auto kSelectInByte = [] {
+  std::array<std::array<std::uint8_t, 8>, 256> t{};
+  for (unsigned b = 0; b < 256; ++b)
+    for (unsigned i = 0, r = 0; i < 8; ++i)
+      if (b >> i & 1) t[b][r++] = static_cast<std::uint8_t>(i);
+  return t;
+}();
+
+/// Position of the k-th (0-based) set bit of x, given prefix =
+/// byte_prefix(x); requires k < popcount(x).  Broadword select: the byte
+/// prefix sums locate the byte holding the bit, a table the bit in it.
+[[nodiscard]] inline std::uint32_t select64(std::uint64_t x, std::uint64_t prefix,
+                                            std::uint64_t k) {
+  // Bit 7 of byte i is set iff k >= prefix byte i; no byte borrows, since
+  // k + 128 - prefix >= 64.
+  const std::uint64_t below =
+      ((k * kOnes8 | 0x8080808080808080ull) - prefix) & 0x8080808080808080ull;
+  const std::uint32_t at =
+      static_cast<std::uint32_t>(((below >> 7) * kOnes8) >> 56) * 8;
+  const std::uint64_t rank = k - (((prefix << 8) >> at) & 0xFF);
+  return at + kSelectInByte[(x >> at) & 0xFF][rank];
+}
+}  // namespace detail
+
 class NextHopIndex {
  public:
   /// One (vertex, port-slot) next-hop entry.
   using Hop = routing::Hop;
-
-  /// A (u, v) row: minimal next hops in adjacency order.
-  struct HopList {
-    const Vertex* verts = nullptr;
-    const std::uint16_t* slots = nullptr;
-    std::uint32_t count = 0;
-  };
 
   /// Build every (u, v) row (parallel over sources on `pool`).  Throws
   /// if `tables` was not built over `g` (size mismatch) or a radix
@@ -56,67 +96,80 @@ class NextHopIndex {
   static NextHopIndex build(const Graph& g, const Tables& tables,
                             TaskPool* pool = nullptr);
 
-  /// Zero-copy view over externally owned CSR arrays (e.g. an mmap'd
-  /// snapshot): `offsets` must hold n*n+1 entries, `verts`/`slots` the
-  /// offsets[n*n] parallel hop entries.  The backing memory must outlive
-  /// the index and every copy of it.
-  static NextHopIndex from_view(Vertex n, std::span<const std::uint32_t> offsets,
-                                std::span<const Vertex> verts,
-                                std::span<const std::uint16_t> slots);
+  /// Zero-copy view over an externally owned mask array (e.g. an mmap'd
+  /// snapshot): `masks` must hold n*n*words_for(g) words.  `g` is copied,
+  /// so a graph view stays a view.  The backing memory of `masks` (and of
+  /// a viewed `g`) must outlive the index and every copy of it.
+  static NextHopIndex from_view(const Graph& g,
+                                std::span<const std::uint64_t> masks);
+
+  /// Mask words per router pair: max(1, ceil(max_degree / 64)).
+  [[nodiscard]] static std::size_t words_for(const Graph& g);
 
   /// Process-wide count of build() calls — warm-restart assertions check
   /// that snapshot-served queries never trigger an index rebuild.
   static std::uint64_t builds();
 
   [[nodiscard]] Vertex num_vertices() const { return n_; }
-  [[nodiscard]] std::size_t num_entries() const { return verts_.size(); }
+  [[nodiscard]] std::size_t words() const { return words_; }
 
-  /// Raw CSR arrays (snapshot serialization; read-only).
-  [[nodiscard]] std::span<const std::uint32_t> raw_offsets() const {
-    return {offsets_.data(), offsets_.size()};
-  }
-  [[nodiscard]] std::span<const Vertex> raw_verts() const {
-    return {verts_.data(), verts_.size()};
-  }
-  [[nodiscard]] std::span<const std::uint16_t> raw_slots() const {
-    return {slots_.data(), slots_.size()};
+  /// The raw n*n*words() mask array (snapshot serialization; read-only).
+  [[nodiscard]] std::span<const std::uint64_t> raw_masks() const {
+    return {masks_.data(), masks_.size()};
   }
   [[nodiscard]] std::size_t memory_bytes() const {
-    return offsets_.size() * sizeof(std::uint32_t) +
-           verts_.size() * sizeof(Vertex) + slots_.size() * sizeof(std::uint16_t);
+    return masks_.size() * sizeof(std::uint64_t) + graph_.memory_bytes();
   }
-  [[nodiscard]] bool is_view() const { return offsets_.is_view(); }
-
-  [[nodiscard]] HopList hops(Vertex u, Vertex v) const {
-    const std::size_t row = static_cast<std::size_t>(u) * n_ + v;
-    const std::uint32_t b = offsets_[row];
-    return {verts_.data() + b, slots_.data() + b, offsets_[row + 1] - b};
-  }
+  [[nodiscard]] bool is_view() const { return masks_.is_view(); }
 
   [[nodiscard]] std::uint32_t count(Vertex u, Vertex v) const {
-    const std::size_t row = static_cast<std::size_t>(u) * n_ + v;
-    return offsets_[row + 1] - offsets_[row];
+    const std::uint64_t* m = row(u, v);
+    std::uint32_t c = 0;
+    for (std::size_t w = 0; w < words_; ++w) c += detail::popcount64(m[w]);
+    return c;
+  }
+
+  /// Calls f(slot) for each minimal next-hop slot of (u, v), in
+  /// adjacency order.
+  template <class F>
+  void for_each_slot(Vertex u, Vertex v, F&& f) const {
+    const std::uint64_t* m = row(u, v);
+    for (std::size_t w = 0; w < words_; ++w)
+      for (std::uint64_t b = m[w]; b != 0; b &= b - 1)
+        f(static_cast<std::uint16_t>(w * 64 + std::countr_zero(b)));
   }
 
   /// The (entropy % count)-th minimal next hop — identical to the hop
   /// Tables::sample_next_hop picks.  Requires u != v (count > 0).
   [[nodiscard]] Hop pick(Vertex u, Vertex v, std::uint64_t entropy) const {
-    const std::size_t row = static_cast<std::size_t>(u) * n_ + v;
-    const std::uint32_t b = offsets_[row];
-    const std::uint32_t c = offsets_[row + 1] - b;
-    const std::uint32_t at = b + static_cast<std::uint32_t>(entropy % c);
-    return {verts_[at], slots_[at]};
+    const std::uint64_t* m = row(u, v);
+    std::uint32_t slot;
+    if (words_ == 1) {
+      const std::uint64_t prefix = detail::byte_prefix(m[0]);
+      slot = detail::select64(m[0], prefix, entropy % (prefix >> 56));
+    } else {
+      std::uint64_t k = entropy % count(u, v);
+      std::size_t w = 0;
+      for (std::uint32_t c; k >= (c = detail::popcount64(m[w])); ++w) k -= c;
+      slot = static_cast<std::uint32_t>(w * 64) +
+             detail::select64(m[w], detail::byte_prefix(m[w]), k);
+    }
+    return {graph_.neighbors(u)[slot], static_cast<std::uint16_t>(slot)};
   }
 
  private:
+  [[nodiscard]] const std::uint64_t* row(Vertex u, Vertex v) const {
+    return masks_.data() + (static_cast<std::size_t>(u) * n_ + v) * words_;
+  }
+
   Vertex n_ = 0;
-  OwnedSpan<std::uint32_t> offsets_;  // n*n + 1
-  OwnedSpan<Vertex> verts_;           // next-hop router ids
-  OwnedSpan<std::uint16_t> slots_;    // parallel port slots
+  std::size_t words_ = 1;
+  Graph graph_;                       // slot -> neighbor vertex
+  OwnedSpan<std::uint64_t> masks_;    // n*n*words_, row-major by (u, v)
 };
 
 /// The exact minimal-hop oracle: distances from the all-pairs tables,
-/// next hops from the precomputed index (one offset lookup per pick).
+/// next hops from the precomputed index (one mask select per pick).
 /// This is what the simulator routes over.
 struct ExactOracle {
   const Tables& tables;

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -32,7 +33,7 @@ struct Header {
 static_assert(sizeof(Header) == kHeaderBytes);
 
 // Entry artifact flags: which routing representation the entry carries.
-constexpr std::uint32_t kFlagExact = 1u;  // dist_off / nh_* blobs present
+constexpr std::uint32_t kFlagExact = 1u;  // dist_off / nh_masks_off blobs present
 constexpr std::uint32_t kFlagCell = 2u;   // cell_* / ov_* blobs present
 
 struct EntryDesc {
@@ -45,10 +46,8 @@ struct EntryDesc {
   std::uint64_t graph_adj_off;      // graph_adj_count u32
   std::uint64_t graph_adj_count;
   std::uint64_t dist_off;           // n*n u8
-  std::uint64_t nh_offsets_off;     // n*n+1 u32
-  std::uint64_t nh_verts_off;       // nh_entry_count u32
-  std::uint64_t nh_slots_off;       // nh_entry_count u16
-  std::uint64_t nh_entry_count;
+  std::uint64_t nh_masks_off;       // n*n*nh_words u64 (v3: slot masks)
+  std::uint64_t nh_words;           // mask words per router pair
   std::uint64_t spectra_off;        // one SpectraBlob
   // --- v2: routing representation flags + cell-index blobs ---
   std::uint32_t flags;               // kFlagExact | kFlagCell
@@ -70,7 +69,7 @@ struct EntryDesc {
   std::uint64_t ov_w_off;             // ov_edge_count u8
   std::uint64_t ov_edge_count;
 };
-static_assert(sizeof(EntryDesc) == 264);
+static_assert(sizeof(EntryDesc) == 248);
 
 // Spectra is an in-memory struct with padding; the blob spells the fields
 // out so the file carries no indeterminate bytes.
@@ -143,7 +142,7 @@ void write_snapshot(const std::string& path, engine::ArtifactCache& cache) {
     d.graph_adj_count = ga.size();
 
     if (cell->exact()) {
-      // Small topology: exact all-pairs blobs, as in v1.
+      // Small topology: exact all-pairs blobs.
       const auto tables = art->tables();
       const auto next_hops = art->next_hops();
       d.flags = kFlagExact;
@@ -152,13 +151,9 @@ void write_snapshot(const std::string& path, engine::ArtifactCache& cache) {
       const auto dist = tables->raw_distances();
       d.dist_off = blob_off(dist.data(), dist.size_bytes());
 
-      const auto no = next_hops->raw_offsets();
-      const auto nv = next_hops->raw_verts();
-      const auto ns = next_hops->raw_slots();
-      d.nh_offsets_off = blob_off(no.data(), no.size_bytes());
-      d.nh_verts_off = blob_off(nv.data(), nv.size_bytes());
-      d.nh_slots_off = blob_off(ns.data(), ns.size_bytes());
-      d.nh_entry_count = nv.size();
+      const auto masks = next_hops->raw_masks();
+      d.nh_masks_off = blob_off(masks.data(), masks.size_bytes());
+      d.nh_words = next_hops->words();
     } else {
       // 50k+-router topology: hierarchical cell-index blobs; the O(V^2)
       // tables are never materialized.
@@ -275,40 +270,99 @@ std::shared_ptr<Snapshot> Snapshot::open(const std::string& path) {
       fail("bad entry name: " + path);
     const std::size_t n = d.n;
     const std::size_t rows = n * n;
-    auto check = [&](std::uint64_t off, std::size_t bytes, const char* what) {
-      if (off % 8 != 0 || off < kHeaderBytes || bytes > size ||
-          off > size - bytes)
+    // `count` elements of `elem` bytes at `off`; divides rather than
+    // multiplies, so a crafted count cannot wrap the size.
+    auto check = [&](std::uint64_t off, std::uint64_t count, std::size_t elem,
+                     const char* what) {
+      if (off % 8 != 0 || off < kHeaderBytes || off > size ||
+          count > (size - off) / elem)
         fail(std::string("entry blob out of bounds: ") + what + ": " + path);
+    };
+    auto bad = [&](const char* what) {
+      fail(std::string("bad entry ") + d.name + ": " + what + ": " + path);
     };
     if (d.flags == 0 || (d.flags & ~(kFlagExact | kFlagCell)) != 0)
       fail("unknown entry flags: " + path);
-    check(d.graph_offsets_off, (n + 1) * sizeof(std::uint32_t), "graph offsets");
-    check(d.graph_adj_off, d.graph_adj_count * sizeof(std::uint32_t), "graph adj");
+    check(d.graph_offsets_off, n + 1, sizeof(std::uint32_t), "graph offsets");
+    check(d.graph_adj_off, d.graph_adj_count, sizeof(std::uint32_t), "graph adj");
+
+    // The fingerprint only proves the file is the one written; a crafted
+    // file carries a matching one.  So check every value a lookup indexes
+    // by before any view is handed out.
+    const auto* go =
+        reinterpret_cast<const std::uint32_t*>(snap->base_ + d.graph_offsets_off);
+    const auto* adj =
+        reinterpret_cast<const Vertex*>(snap->base_ + d.graph_adj_off);
+    if (go[0] != 0) bad("graph offsets do not start at 0");
+    for (std::size_t u = 0; u < n; ++u)
+      if (go[u + 1] < go[u]) bad("graph offsets not monotone");
+    if (go[n] != d.graph_adj_count) bad("graph offsets do not end at graph_adj_count");
+    for (std::size_t i = 0; i < d.graph_adj_count; ++i)
+      if (adj[i] >= n) bad("graph adjacency id out of range");
+
     if (d.flags & kFlagExact) {
-      check(d.dist_off, rows, "distances");
-      check(d.nh_offsets_off, (rows + 1) * sizeof(std::uint32_t), "nh offsets");
-      check(d.nh_verts_off, d.nh_entry_count * sizeof(std::uint32_t), "nh verts");
-      check(d.nh_slots_off, d.nh_entry_count * sizeof(std::uint16_t), "nh slots");
+      check(d.dist_off, rows, 1, "distances");
+      const Graph g = Graph::from_csr_view(d.n, {go, n + 1},
+                                           {adj, d.graph_adj_count});
+      for (Vertex u = 0; u < d.n; ++u)
+        if (g.degree(u) > 65536) bad("radix exceeds uint16 slots");
+      const std::size_t words = routing::NextHopIndex::words_for(g);
+      if (d.nh_words != words) bad("next-hop mask width does not fit the radix");
+      check(d.nh_masks_off, rows, words * sizeof(std::uint64_t),
+            "next-hop masks");
+      // pick() selects among a row's set bits: a bit past the degree names
+      // no port, and an empty off-diagonal row divides by zero.  Every hop
+      // must also be one step closer by the entry's own distances, so a
+      // route cannot cycle.
+      const auto* mask =
+          reinterpret_cast<const std::uint64_t*>(snap->base_ + d.nh_masks_off);
+      const auto* dist =
+          reinterpret_cast<const std::uint8_t*>(snap->base_ + d.dist_off);
+      for (Vertex u = 0; u < d.n; ++u) {
+        const std::size_t deg = g.degree(u);
+        const auto nbs = g.neighbors(u);
+        for (Vertex v = 0; v < d.n; ++v, mask += words) {
+          std::uint64_t any = 0;
+          for (std::size_t w = 0; w < words; ++w) {
+            const std::size_t lo = w * 64;
+            const std::uint64_t past =
+                deg <= lo ? ~0ull : deg - lo >= 64 ? 0 : ~0ull << (deg - lo);
+            if (mask[w] & past) bad("next-hop mask bit at or past degree(u)");
+            any |= mask[w];
+          }
+          if (u == v) {
+            if (any != 0) bad("next-hop row (u, u) not empty");
+            continue;
+          }
+          if (any == 0) bad("empty next-hop row");
+          for (std::size_t w = 0; w < words; ++w)
+            for (std::uint64_t b = mask[w]; b != 0; b &= b - 1) {
+              const Vertex next = nbs[w * 64 + std::countr_zero(b)];
+              if (dist[next * n + v] + 1 != dist[u * n + v])
+                bad("next-hop mask bit is not a minimal hop");
+            }
+        }
+      }
     }
     if (d.flags & kFlagCell) {
       const std::size_t cells1 = static_cast<std::size_t>(d.num_cells) + 1;
       const std::size_t nb = d.num_boundary;
-      check(d.cell_of_off, n * sizeof(std::uint32_t), "cell of");
-      check(d.cell_offsets_off, cells1 * sizeof(std::uint32_t), "cell offsets");
-      check(d.members_off, n * sizeof(std::uint32_t), "cell members");
-      check(d.local_index_off, n * sizeof(std::uint16_t), "cell local index");
-      check(d.intra_offsets_off, cells1 * sizeof(std::uint32_t), "intra offsets");
-      check(d.intra_off, d.intra_count, "intra matrices");
-      check(d.boundary_offsets_off, cells1 * sizeof(std::uint32_t),
+      check(d.cell_of_off, n, sizeof(std::uint32_t), "cell of");
+      check(d.cell_offsets_off, cells1, sizeof(std::uint32_t), "cell offsets");
+      check(d.members_off, n, sizeof(std::uint32_t), "cell members");
+      check(d.local_index_off, n, sizeof(std::uint16_t), "cell local index");
+      check(d.intra_offsets_off, cells1, sizeof(std::uint32_t), "intra offsets");
+      check(d.intra_off, d.intra_count, 1, "intra matrices");
+      check(d.boundary_offsets_off, cells1, sizeof(std::uint32_t),
             "boundary offsets");
-      check(d.boundary_local_off, nb * sizeof(std::uint16_t), "boundary local");
-      check(d.overlay_id_off, n * sizeof(std::uint32_t), "overlay id");
-      check(d.overlay_vertex_off, nb * sizeof(std::uint32_t), "overlay vertex");
-      check(d.ov_offsets_off, (nb + 1) * sizeof(std::uint32_t), "overlay offsets");
-      check(d.ov_adj_off, d.ov_edge_count * sizeof(std::uint32_t), "overlay adj");
-      check(d.ov_w_off, d.ov_edge_count, "overlay weights");
+      check(d.boundary_local_off, nb, sizeof(std::uint16_t), "boundary local");
+      check(d.overlay_id_off, n, sizeof(std::uint32_t), "overlay id");
+      check(d.overlay_vertex_off, nb, sizeof(std::uint32_t), "overlay vertex");
+      check(d.ov_offsets_off, nb + 1, sizeof(std::uint32_t), "overlay offsets");
+      check(d.ov_adj_off, d.ov_edge_count, sizeof(std::uint32_t), "overlay adj");
+      check(d.ov_w_off, d.ov_edge_count, 1, "overlay weights");
     }
-    check(d.spectra_off, sizeof(SpectraBlob), "spectra");
+    check(d.spectra_off, 1, sizeof(SpectraBlob), "spectra");
   }
   return snap;
 }
@@ -350,13 +404,9 @@ void Snapshot::load_into(const std::shared_ptr<Snapshot>& self,
           keep);
       next_hops = std::shared_ptr<const routing::NextHopIndex>(
           new routing::NextHopIndex(routing::NextHopIndex::from_view(
-              d.n,
-              {reinterpret_cast<const std::uint32_t*>(at(d.nh_offsets_off)),
-               rows + 1},
-              {reinterpret_cast<const Vertex*>(at(d.nh_verts_off)),
-               d.nh_entry_count},
-              {reinterpret_cast<const std::uint16_t*>(at(d.nh_slots_off)),
-               d.nh_entry_count})),
+              *graph,
+              {reinterpret_cast<const std::uint64_t*>(at(d.nh_masks_off)),
+               rows * d.nh_words})),
           keep);
     }
 

@@ -31,7 +31,9 @@ namespace sfly::service {
 /// v2: per-entry artifact flags + hierarchical cell-index blobs, so
 /// 50k+-router topologies snapshot their CellIndex instead of the
 /// impractical O(V^2) tables.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// v3: the next-hop blob is the slot-mask array (n*n*nh_words u64) in
+/// place of the CSR offsets/verts/slots triple.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// 64-bit FNV-1a over `n` bytes (the snapshot fingerprint hash).
 [[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t n);
@@ -49,8 +51,12 @@ void write_snapshot(const std::string& path, engine::ArtifactCache& cache);
 class Snapshot {
  public:
   /// Map and validate `path`: magic, format version, size bounds,
-  /// fingerprint, and per-entry offset bounds.  Throws std::runtime_error
-  /// with a reason on any mismatch (version skew names both versions).
+  /// fingerprint, per-entry offset bounds, and the contents lookups index
+  /// by (graph offsets monotone and ending at the adjacency count,
+  /// adjacency ids below n, next-hop mask bits below degree(u), row
+  /// (u, u) empty, every other row non-empty, and every hop one step
+  /// closer by the entry's distances).  Throws std::runtime_error with a
+  /// reason on any mismatch (version skew names both versions).
   [[nodiscard]] static std::shared_ptr<Snapshot> open(const std::string& path);
 
   ~Snapshot();

@@ -212,17 +212,16 @@ void Simulator::handle_arrival(std::uint32_t pkt_id, Vertex router) {
     // Per-hop adaptivity within the minimal next-hop set: follow the
     // least-congested local output port (first-in-adjacency-order wins
     // ties, matching the scan the index replaced).
-    const auto row = idx.hops(router, dst_router);
     const std::uint32_t base = net_port_base_[router];
-    slot = row.slots[0];
+    slot = 0;
     std::uint64_t best_q = ~0ull;
-    for (std::uint32_t i = 0; i < row.count; ++i) {
-      const std::uint64_t q = ports_[base + row.slots[i]].total_bytes;
+    idx.for_each_slot(router, dst_router, [&](std::uint16_t s) {
+      const std::uint64_t q = ports_[base + s].total_bytes;
       if (q < best_q) {
         best_q = q;
-        slot = row.slots[i];
+        slot = s;
       }
-    }
+    });
   } else {
     slot = routing::next_hop(oracle, router, dst_router, pkt.route, entropy).slot;
   }
@@ -540,29 +539,32 @@ std::uint32_t Simulator::churn_output_port(Packet& pkt, Vertex router,
     // Pristine-minimal next hops filtered to live links.  With every link
     // up this picks exactly what the static path picks (same set, same
     // entropy % count draw), so recovered runs converge back bitwise.
-    const auto row = index_->hops(router, target);
+    const routing::NextHopIndex& idx = *index_;
     if (cfg_.algo == routing::Algo::kAdaptiveMin) {
       std::uint64_t best_q = ~0ull;
       std::uint32_t best = kNoPort;
-      for (std::uint32_t i = 0; i < row.count; ++i) {
-        const std::uint32_t port = base + row.slots[i];
-        if (link_down_[port]) continue;
+      idx.for_each_slot(router, target, [&](std::uint16_t s) {
+        const std::uint32_t port = base + s;
+        if (link_down_[port]) return;
         if (ports_[port].total_bytes < best_q) {
           best_q = ports_[port].total_bytes;
           best = port;
         }
-      }
+      });
       if (best != kNoPort) return best;
     } else {
       std::uint32_t live = 0;
-      for (std::uint32_t i = 0; i < row.count; ++i)
-        live += link_down_[base + row.slots[i]] == 0;
+      idx.for_each_slot(router, target, [&](std::uint16_t s) {
+        live += link_down_[base + s] == 0;
+      });
       if (live > 0) {
+        // k wraps below zero at the pick, so no later live slot matches.
         std::uint32_t k = static_cast<std::uint32_t>(entropy % live);
-        for (std::uint32_t i = 0; i < row.count; ++i) {
-          if (link_down_[base + row.slots[i]]) continue;
-          if (k-- == 0) return base + row.slots[i];
-        }
+        std::uint32_t pick = kNoPort;
+        idx.for_each_slot(router, target, [&](std::uint16_t s) {
+          if (link_down_[base + s] == 0 && k-- == 0) pick = base + s;
+        });
+        return pick;
       }
     }
   }

@@ -11,11 +11,12 @@
 // sized per routing::required_vcs.
 //
 // Hot-path structure (DESIGN.md §4): every routing decision is one
-// NextHopIndex pick (no adjacency scan, no distance-matrix probes), every
-// queue probe reads a per-port running byte counter (no per-VC sum, no
-// lower_bound), and the per-VC FIFOs are intrusive singly-linked lists
-// threaded through the pooled Packet records — after warm-up the event
-// loop performs zero allocations per simulated event.
+// NextHopIndex pick, a bit select in the router pair's port-slot mask (no
+// adjacency scan, no distance-matrix probes), every queue probe reads a
+// per-port running byte counter (no per-VC sum, no lower_bound), and the
+// per-VC FIFOs are intrusive singly-linked lists threaded through the
+// pooled Packet records — after warm-up the event loop performs zero
+// allocations per simulated event.
 
 #include <cstdint>
 #include <functional>

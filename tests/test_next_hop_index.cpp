@@ -11,6 +11,7 @@
 #include "routing/policy.hpp"
 #include "routing/tables.hpp"
 #include "topo/bundlefly.hpp"
+#include "topo/classic.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/lps.hpp"
 #include "topo/mms.hpp"
@@ -26,10 +27,18 @@ namespace {
 // entropy value — because the simulator's golden pins depend on the
 // sampling order bit for bit.
 
+// The (u, v) row's slots in adjacency order.
+std::vector<std::uint16_t> slots_of(const NextHopIndex& idx, Vertex u, Vertex v) {
+  std::vector<std::uint16_t> slots;
+  idx.for_each_slot(u, v, [&](std::uint16_t s) { slots.push_back(s); });
+  return slots;
+}
+
 void expect_matches_scan(const Graph& g) {
   const Tables t = Tables::build(g);
   const NextHopIndex idx = NextHopIndex::build(g, t);
   ASSERT_EQ(idx.num_vertices(), g.num_vertices());
+  ASSERT_EQ(idx.words(), NextHopIndex::words_for(g));
 
   std::vector<Vertex> scan;
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
@@ -40,15 +49,18 @@ void expect_matches_scan(const Graph& g) {
         continue;
       }
       t.minimal_next_hops(g, u, v, scan);
-      const auto row = idx.hops(u, v);
-      ASSERT_EQ(row.count, scan.size()) << "u=" << u << " v=" << v;
-      ASSERT_GT(row.count, 0u);
-      for (std::uint32_t i = 0; i < row.count; ++i) {
-        // Order-equality against the scan, and slot/vertex consistency
-        // against the adjacency list.
-        EXPECT_EQ(row.verts[i], scan[i]) << "u=" << u << " v=" << v;
-        ASSERT_LT(row.slots[i], nb.size());
-        EXPECT_EQ(nb[row.slots[i]], row.verts[i]);
+      const auto slots = slots_of(idx, u, v);
+      ASSERT_EQ(idx.count(u, v), scan.size()) << "u=" << u << " v=" << v;
+      ASSERT_EQ(slots.size(), scan.size()) << "u=" << u << " v=" << v;
+      ASSERT_GT(slots.size(), 0u);
+      for (std::uint32_t i = 0; i < slots.size(); ++i) {
+        // Order-equality against the scan, slot/vertex consistency
+        // against the adjacency list, and the i-th pick is the i-th hop.
+        ASSERT_LT(slots[i], nb.size());
+        EXPECT_EQ(nb[slots[i]], scan[i]) << "u=" << u << " v=" << v;
+        const Hop hop = idx.pick(u, v, i);
+        EXPECT_EQ(hop.slot, slots[i]) << "u=" << u << " v=" << v;
+        EXPECT_EQ(hop.vert, scan[i]) << "u=" << u << " v=" << v;
       }
     }
   }
@@ -98,6 +110,33 @@ TEST(NextHopIndex, MatchesScanOnPaley137) {
   expect_matches_scan(g);
 }
 
+TEST(NextHopIndex, MatchesScanAcrossMaskWords) {
+  // Same-side pairs of K(c,c) have every one of the c neighbors as a
+  // minimal next hop: c = 64 fills one mask word, c = 65 spills one bit
+  // into a second.  Picks must walk across the word boundary.
+  for (std::uint32_t c : {64u, 65u}) {
+    SCOPED_TRACE("K(" + std::to_string(c) + "," + std::to_string(c) + ")");
+    const Graph g = topo::complete_bipartite_graph(c, c);
+    const Tables t = Tables::build(g);
+    const NextHopIndex idx = NextHopIndex::build(g, t);
+    EXPECT_EQ(idx.words(), c == 64 ? 1u : 2u);
+    expect_matches_scan(g);
+    std::vector<std::uint64_t> entropies = {std::uint64_t{1} << 40, ~std::uint64_t{0},
+                                            0x9E3779B97F4A7C15, c * 1000ull + 63};
+    for (std::uint64_t e = 0; e < c; ++e) entropies.push_back(e);
+    for (const auto& [u, v] : {std::pair<Vertex, Vertex>{0, 1}, {c - 1, 0},
+                               {c, 2 * c - 1}, {0, c}}) {
+      EXPECT_EQ(idx.count(u, v), u / c == v / c ? c : 1u) << u << "->" << v;
+      for (std::uint64_t e : entropies) {
+        const Hop hop = idx.pick(u, v, e);
+        ASSERT_EQ(hop.vert, t.sample_next_hop(g, u, v, e))
+            << u << "->" << v << " e=" << e;
+        ASSERT_EQ(g.neighbors(u)[hop.slot], hop.vert);
+      }
+    }
+  }
+}
+
 TEST(NextHopIndex, MatchesScanOnLpsWithFailedLinks) {
   // An irregular graph: LPS(11,7) with 10% of its links deleted.
   const Graph g = delete_random_edges(topo::lps_graph({11, 7}), 0.1, 3);
@@ -107,8 +146,10 @@ TEST(NextHopIndex, MatchesScanOnLpsWithFailedLinks) {
 }
 
 // Byte pins of the built artifacts: FNV-1a of the distance matrix plus the
-// diameter, and of the index's offsets, vertex and slot arrays, for the
-// six topologies of the sim_sweep benchmark, at pool widths 1 and 4.  The
+// diameter, and of the hop lists enumerated from the index in the CSR
+// layout an earlier index stored (offsets = prefix sums of the row counts,
+// then every row's vertices and slots in pick order), for the six
+// topologies of the sim_sweep benchmark, at pool widths 1 and 4.  The
 // digests fold integers only, so they hold across compilers.
 template <class T>
 std::uint64_t fnv1a(std::span<const T> xs,
@@ -152,12 +193,25 @@ TEST(NextHopIndex, ArtifactDigestsPinned) {
       const std::uint64_t tables = fnv1a(std::span<const std::uint8_t>(&diameter, 1),
                                          fnv1a(t.raw_distances()));
       EXPECT_EQ(tables, pin.tables) << std::hex << "0x" << tables;
-      EXPECT_EQ(fnv1a(idx.raw_offsets()), pin.offsets)
-          << std::hex << "0x" << fnv1a(idx.raw_offsets());
-      EXPECT_EQ(fnv1a(idx.raw_verts()), pin.verts)
-          << std::hex << "0x" << fnv1a(idx.raw_verts());
-      EXPECT_EQ(fnv1a(idx.raw_slots()), pin.slots)
-          << std::hex << "0x" << fnv1a(idx.raw_slots());
+      std::vector<std::uint32_t> offsets{0};
+      std::vector<Vertex> verts;
+      std::vector<std::uint16_t> slots;
+      for (Vertex u = 0; u < g.num_vertices(); ++u)
+        for (Vertex v = 0; v < g.num_vertices(); ++v) {
+          const std::uint32_t c = idx.count(u, v);
+          offsets.push_back(offsets.back() + c);
+          for (std::uint32_t k = 0; k < c; ++k) {
+            const Hop hop = idx.pick(u, v, k);
+            verts.push_back(hop.vert);
+            slots.push_back(hop.slot);
+          }
+        }
+      const std::uint64_t d_offsets = fnv1a(std::span<const std::uint32_t>(offsets));
+      const std::uint64_t d_verts = fnv1a(std::span<const Vertex>(verts));
+      const std::uint64_t d_slots = fnv1a(std::span<const std::uint16_t>(slots));
+      EXPECT_EQ(d_offsets, pin.offsets) << std::hex << "0x" << d_offsets;
+      EXPECT_EQ(d_verts, pin.verts) << std::hex << "0x" << d_verts;
+      EXPECT_EQ(d_slots, pin.slots) << std::hex << "0x" << d_slots;
     }
   }
 }

@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,9 +91,8 @@ TEST(Snapshot, RoundTripIsBitwiseEqualAndZeroCopy) {
     expect_span_eq(ta->raw_distances(), tb->raw_distances(), "distances");
 
     auto na = a->next_hops(), nb = b->next_hops();
-    expect_span_eq(na->raw_offsets(), nb->raw_offsets(), "next-hop offsets");
-    expect_span_eq(na->raw_verts(), nb->raw_verts(), "next-hop verts");
-    expect_span_eq(na->raw_slots(), nb->raw_slots(), "next-hop slots");
+    EXPECT_EQ(na->words(), nb->words()) << name;
+    expect_span_eq(na->raw_masks(), nb->raw_masks(), "next-hop masks");
 
     auto sa = a->spectra(), sb = b->spectra();
     EXPECT_EQ(sa->radix, sb->radix) << name;
@@ -109,7 +111,7 @@ TEST(Snapshot, RoundTripIsBitwiseEqualAndZeroCopy) {
     EXPECT_FALSE(ga->is_view()) << name;
     EXPECT_TRUE(snap->contains(gb->raw_adjacency().data())) << name;
     EXPECT_TRUE(snap->contains(tb->raw_distances().data())) << name;
-    EXPECT_TRUE(snap->contains(nb->raw_verts().data())) << name;
+    EXPECT_TRUE(snap->contains(nb->raw_masks().data())) << name;
     EXPECT_FALSE(snap->contains(ta->raw_distances().data())) << name;
   }
 }
@@ -192,6 +194,106 @@ TEST(Snapshot, VersionSkewRejectedByName) {
     EXPECT_NE(what.find(std::to_string(kSnapshotVersion + 1)), std::string::npos)
         << what;
   }
+}
+
+TEST(Snapshot, Version2FileRefused) {
+  // A v2 file (CSR next-hop blobs) must not be read as v3 slot masks.
+  const auto path = tmp("v2");
+  engine::ArtifactCache cache;
+  populate(cache, {"Paley(13)"});
+  write_snapshot(path, cache);
+
+  auto bytes = slurp(path);
+  const std::uint32_t v2 = 2;
+  std::memcpy(&bytes[8], &v2, sizeof(v2));  // Header.version
+  spew(path, bytes);
+  try {
+    (void)Snapshot::open(path);
+    FAIL() << "v2 snapshot was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("format version skew: file v2, reader v" +
+                        std::to_string(kSnapshotVersion)),
+              std::string::npos)
+        << what;
+  }
+}
+
+// Byte position of a cold artifact's array inside a snapshot file; the
+// array's bytes must occur exactly once.
+template <class T>
+std::size_t find_blob(const std::string& file, std::span<const T> blob) {
+  const std::string needle(reinterpret_cast<const char*>(blob.data()),
+                           blob.size_bytes());
+  const std::size_t at = file.find(needle);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(file.find(needle, at + 1), std::string::npos);
+  return at;
+}
+
+template <class T>
+void poke(std::string& file, std::size_t at, T value) {
+  std::memcpy(&file[at], &value, sizeof(value));
+}
+
+TEST(Snapshot, CraftedContentsRejectedByName) {
+  // A crafted file carries a fingerprint that matches its bytes, so each
+  // case flips one value a lookup indexes by, re-seals the header
+  // fingerprint, and expects open() to name what is wrong.
+  const auto path = tmp("crafted");
+  engine::ArtifactCache cache;
+  populate(cache, {"Paley(13)"});
+  write_snapshot(path, cache);
+  const std::string clean = slurp(path);
+
+  auto art = cache.get("Paley(13)");
+  const auto g = art->graph();
+  const auto idx = art->next_hops();
+  ASSERT_EQ(g->degree(0), 6u);
+  ASSERT_EQ(idx->words(), 1u);
+  const std::size_t offsets = find_blob(clean, g->raw_offsets());
+  const std::size_t adj = find_blob(clean, g->raw_adjacency());
+  const std::size_t masks = find_blob(clean, idx->raw_masks());
+  const auto row = [&](Vertex u, Vertex v) { return masks + 8 * (u * 13 + v); };
+  const std::uint32_t adj_count = g->raw_offsets()[13];
+
+  struct Case {
+    const char* what;
+    std::function<void(std::string&)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"graph offsets not monotone",
+       [&](std::string& f) { poke<std::uint32_t>(f, offsets + 4, 100); }},
+      {"graph offsets do not end at graph_adj_count",
+       [&](std::string& f) { poke<std::uint32_t>(f, offsets + 4 * 13, adj_count - 1); }},
+      {"graph adjacency id out of range",
+       [&](std::string& f) { poke<std::uint32_t>(f, adj + 4 * 5, 13); }},
+      {"next-hop mask bit at or past degree(u)",
+       [&](std::string& f) { f[row(0, 1)] |= 0x40; }},  // bit 6, degree 6
+      {"next-hop mask bit is not a minimal hop",  // slot 1 of 0 is 3, two hops from 1
+       [&](std::string& f) { f[row(0, 1)] |= 0x02; }},
+      {"next-hop row (u, u) not empty",
+       [&](std::string& f) { f[row(3, 3)] |= 0x01; }},
+      {"empty next-hop row",
+       [&](std::string& f) { poke<std::uint64_t>(f, row(0, 1), 0); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::string bytes = clean;
+    c.mutate(bytes);
+    ASSERT_NE(bytes, clean);
+    poke(bytes, 24, fnv1a64(bytes.data() + 64, bytes.size() - 64));  // Header.fingerprint
+    spew(path, bytes);
+    try {
+      (void)Snapshot::open(path);
+      ADD_FAILURE() << "crafted snapshot was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.what), std::string::npos) << e.what();
+    }
+  }
+  // The clean bytes still open: the checks accept what write_snapshot wrote.
+  spew(path, clean);
+  EXPECT_NO_THROW((void)Snapshot::open(path));
 }
 
 TEST(Snapshot, TruncationAndForeignFilesRejected) {
