@@ -98,7 +98,7 @@ std::vector<EndpointId> place_ranks_policy(PlacementPolicy policy,
   return place_ranks(nranks, num_endpoints, seed);
 }
 
-LoadResult run_synthetic(Simulator& sim, const SyntheticLoad& load) {
+void submit_synthetic(Simulator& sim, const SyntheticLoad& load) {
   if ((load.nranks & (load.nranks - 1)) != 0 || load.nranks < 2)
     throw std::invalid_argument("run_synthetic: nranks must be a power of two");
   if (!std::isfinite(load.offered_load) || load.offered_load <= 0.0)
@@ -124,7 +124,10 @@ LoadResult run_synthetic(Simulator& sim, const SyntheticLoad& load) {
       sim.send(ranks[r], ranks[dst], load.message_bytes, t);
     }
   }
+}
 
+LoadResult run_synthetic(Simulator& sim, const SyntheticLoad& load) {
+  submit_synthetic(sim, load);
   if (!sim.run())
     throw std::runtime_error("run_synthetic: simulation did not drain");
 

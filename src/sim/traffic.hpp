@@ -68,10 +68,14 @@ struct LoadResult {
   std::uint64_t messages = 0;
 };
 
-/// Drive a synthetic pattern through the simulator: per-rank Poisson
-/// arrivals at rate offered_load * bandwidth / message_bytes.  The paper's
+/// Schedule a synthetic pattern's sends: per-rank Poisson arrivals at
+/// rate offered_load * bandwidth / message_bytes.  Throws
+/// std::invalid_argument unless nranks is a power of two >= 2 and
+/// offered_load is finite and > 0.
+void submit_synthetic(Simulator& sim, const SyntheticLoad& load);
+
+/// submit_synthetic, then run the simulator until it drains.  The paper's
 /// Fig. 6/7 metric is the maximum time taken across all messages.
-/// Throws std::invalid_argument unless offered_load is finite and > 0.
 [[nodiscard]] LoadResult run_synthetic(Simulator& sim, const SyntheticLoad& load);
 
 }  // namespace sfly::sim

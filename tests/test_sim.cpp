@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <tuple>
+#include <cstring>
+#include <limits>
+#include <ostream>
+#include <string>
 
 #include "core/spectralfly_net.hpp"
 #include "sim/motifs.hpp"
@@ -29,6 +32,12 @@ SimConfig small_cfg() {
   cfg.vcs = 4;
   cfg.packet_bytes = 4096;
   return cfg;
+}
+
+// Runs `sim` until its event queue drains, one event per run() call.
+void run_stepwise(Simulator& sim) {
+  while (!sim.run(std::numeric_limits<double>::infinity(), 1)) {
+  }
 }
 
 TEST(Simulator, SingleMessageLatencyAnalytic) {
@@ -394,46 +403,92 @@ TEST(Churn, ScheduleValidation) {
                std::invalid_argument);  // diagonal: not an edge
 }
 
-// Golden pins for a seed-derived churn scenario on a small topology: the
-// exact delivered/reroute/drop counters, twice (bitwise run-to-run
-// determinism).  Values recorded from the seed implementation.
+// One churned synthetic run: the simulator built by Network::from_graph
+// (paper VC sizing, seed 42), a seed-7 failure schedule, and 32 ranks of
+// bit-shuffle traffic, stepped one event at a time.
+struct ChurnCounters {
+  std::uint64_t delivered, reroutes, drops, undeliverable, events;
+  std::uint64_t completion_bits;  // bit pattern of completion_time()
+  bool operator==(const ChurnCounters&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ChurnCounters& c) {
+  return os << "{" << c.delivered << ", " << c.reroutes << ", " << c.drops
+            << ", " << c.undeliverable << ", " << c.events << ", 0x" << std::hex
+            << c.completion_bits << std::dec << "}";
+}
+
+ChurnCounters churn_run(const std::string& name, const Graph& g,
+                        routing::Algo algo, const ChurnSpec& spec) {
+  core::NetworkOptions opts;
+  opts.concentration = 4;
+  opts.routing = algo;
+  auto net = core::Network::from_graph(name, g, opts);
+  auto sim = net.make_simulator(42);
+  sim->inject_failures(make_failure_schedule(g, spec, 7));
+  SyntheticLoad sl;
+  sl.pattern = Pattern::kShuffle;
+  sl.nranks = 32;
+  sl.messages_per_rank = 16;
+  sl.offered_load = 0.5;
+  sl.seed = 42;
+  submit_synthetic(*sim, sl);
+  run_stepwise(*sim);
+  const double completion = sim->completion_time();
+  std::uint64_t bits;
+  std::memcpy(&bits, &completion, sizeof bits);
+  return {sim->messages_delivered(), sim->packets_rerouted(), sim->packets_dropped(),
+          sim->messages_undeliverable(), sim->events_processed(), bits};
+}
+
+// Golden pins for seed-derived churn scenarios on two small topologies,
+// every routing algorithm: the exact counters, twice (bitwise run-to-run
+// determinism).  Paley(137) has radix 68, so its slot masks span two
+// words.  Values recorded from the two-implementation forwarding code
+// (pristine picks beside a filtered churn scan) that one masked select
+// replaced; any drift in the churn engine's event interleaving, reroute
+// picks or drop policy trips these.
 TEST(ChurnGolden, PaleyCountersPinnedAndDeterministic) {
-  constexpr std::uint64_t kChurnGoldenDelivered = 486;
-  constexpr std::uint64_t kChurnGoldenReroutes = 6;
-  constexpr std::uint64_t kChurnGoldenDrops = 26;
-  auto g = topo::paley_graph({13});
-  auto run_once = [&] {
-    core::NetworkOptions opts;
-    opts.concentration = 4;
-    opts.routing = routing::Algo::kUgalL;
-    auto net = core::Network::from_graph("Paley(13)", g, opts);
-    auto sim = net.make_simulator(42);
-    ChurnSpec spec;
-    spec.link_kills = 3;
-    spec.router_kills = 1;
-    spec.start_ns = 500.0;
-    spec.window_ns = 1500.0;
-    spec.repair_ns = 2500.0;
-    sim->inject_failures(make_failure_schedule(g, spec, 7));
-    SyntheticLoad sl;
-    sl.pattern = Pattern::kShuffle;
-    sl.nranks = 32;
-    sl.messages_per_rank = 16;
-    sl.offered_load = 0.5;
-    sl.seed = 42;
-    (void)run_synthetic(*sim, sl);
-    return std::tuple{sim->messages_delivered(), sim->packets_rerouted(),
-                      sim->packets_dropped(), sim->messages_undeliverable(),
-                      sim->completion_time()};
+  using routing::Algo;
+  ChurnSpec small;
+  small.link_kills = 3;
+  small.router_kills = 1;
+  small.start_ns = 500.0;
+  small.window_ns = 1500.0;
+  small.repair_ns = 2500.0;
+  ChurnSpec large = small;
+  large.link_kills = 40;
+  large.router_kills = 2;
+  struct Pin {
+    const char* topo;
+    Algo algo;
+    ChurnCounters want;
   };
-  const auto a = run_once();
-  EXPECT_EQ(a, run_once());  // bitwise determinism, including completion
-  EXPECT_EQ(std::get<0>(a) + std::get<3>(a), 32u * 16u);  // full accounting
-  // Golden counters (recorded values; any drift in the churn engine's
-  // event interleaving, reroute picks or drop policy trips these).
-  EXPECT_EQ(std::get<0>(a), kChurnGoldenDelivered);
-  EXPECT_EQ(std::get<1>(a), kChurnGoldenReroutes);
-  EXPECT_EQ(std::get<2>(a), kChurnGoldenDrops);
+  const std::vector<Pin> pins = {
+      {"Paley(13)", Algo::kMinimal, {486, 5, 26, 26, 4930, 0x40d0e9dfc7f72130}},
+      {"Paley(13)", Algo::kValiant, {485, 14, 27, 27, 6914, 0x40d238de6b7f78b8}},
+      {"Paley(13)", Algo::kUgalL, {486, 6, 26, 26, 5035, 0x40d0e9dfc7f72130}},
+      {"Paley(13)", Algo::kUgalG, {486, 6, 26, 26, 5062, 0x40d0e9dfc7f72130}},
+      {"Paley(13)", Algo::kAdaptiveMin, {486, 3, 26, 26, 4927, 0x40d0e9dfc7f72130}},
+      {"Paley(137)", Algo::kMinimal, {501, 4, 11, 11, 5369, 0x40d15d23fb869fee}},
+      {"Paley(137)", Algo::kValiant, {502, 1, 10, 10, 7648, 0x40d2502257534a26}},
+      {"Paley(137)", Algo::kUgalL, {501, 4, 11, 11, 5390, 0x40d15d23fb869fee}},
+      {"Paley(137)", Algo::kUgalG, {501, 4, 11, 11, 5390, 0x40d15d23fb869fee}},
+      {"Paley(137)", Algo::kAdaptiveMin, {501, 3, 11, 11, 5366, 0x40d15d23fb869fee}},
+  };
+  const Graph p13 = topo::paley_graph({13});
+  const Graph p137 = topo::paley_graph({137});
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.topo) + " " + routing::algo_name(pin.algo));
+    const bool is13 = std::string(pin.topo) == "Paley(13)";
+    const auto run = [&] {
+      return churn_run(pin.topo, is13 ? p13 : p137, pin.algo, is13 ? small : large);
+    };
+    const ChurnCounters a = run();
+    EXPECT_EQ(a, run());  // bitwise determinism, including completion
+    EXPECT_EQ(a.delivered + a.undeliverable, 32u * 16u);  // full accounting
+    EXPECT_EQ(a, pin.want);
+  }
 }
 
 TEST(Motifs, HaloMessageCountAndCompletion) {
