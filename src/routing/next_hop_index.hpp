@@ -129,31 +129,52 @@ class NextHopIndex {
     return c;
   }
 
-  /// Calls f(slot) for each minimal next-hop slot of (u, v), in
-  /// adjacency order.
+  /// select's answer when no minimal next hop is live.
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFF;
+  /// Mask words of a radix-65536 router, the most an index holds.
+  static constexpr std::size_t kMaxWords = 1024;
+  /// A down row with no slot down (every port up), for any words().
+  static constexpr std::array<std::uint64_t, kMaxWords> kNoneDown{};
+
+  /// Calls f(slot) for each live minimal next-hop slot of (u, v) in
+  /// adjacency order: the set bits of row(u, v) & ~down, where `down`
+  /// holds words() words and bit s marks slot s of u down.
   template <class F>
-  void for_each_slot(Vertex u, Vertex v, F&& f) const {
+  void for_each_slot(Vertex u, Vertex v, const std::uint64_t* down, F&& f) const {
     const std::uint64_t* m = row(u, v);
     for (std::size_t w = 0; w < words_; ++w)
-      for (std::uint64_t b = m[w]; b != 0; b &= b - 1)
+      for (std::uint64_t b = m[w] & ~down[w]; b != 0; b &= b - 1)
         f(static_cast<std::uint16_t>(w * 64 + std::countr_zero(b)));
   }
 
-  /// The (entropy % count)-th minimal next hop — identical to the hop
-  /// Tables::sample_next_hop picks.  Requires u != v (count > 0).
-  [[nodiscard]] Hop pick(Vertex u, Vertex v, std::uint64_t entropy) const {
+  /// The (entropy % live)-th live minimal next-hop slot of (u, v), live
+  /// slots as in for_each_slot; kNoSlot when none is live.
+  [[nodiscard]] std::uint32_t select(Vertex u, Vertex v, std::uint64_t entropy,
+                                     const std::uint64_t* down) const {
     const std::uint64_t* m = row(u, v);
-    std::uint32_t slot;
     if (words_ == 1) {
-      const std::uint64_t prefix = detail::byte_prefix(m[0]);
-      slot = detail::select64(m[0], prefix, entropy % (prefix >> 56));
-    } else {
-      std::uint64_t k = entropy % count(u, v);
-      std::size_t w = 0;
-      for (std::uint32_t c; k >= (c = detail::popcount64(m[w])); ++w) k -= c;
-      slot = static_cast<std::uint32_t>(w * 64) +
-             detail::select64(m[w], detail::byte_prefix(m[w]), k);
+      const std::uint64_t x = m[0] & ~down[0];
+      const std::uint64_t prefix = detail::byte_prefix(x);
+      if (x == 0) return kNoSlot;
+      return detail::select64(x, prefix, entropy % (prefix >> 56));
     }
+    std::uint64_t live = 0;
+    for (std::size_t w = 0; w < words_; ++w)
+      live += detail::popcount64(m[w] & ~down[w]);
+    if (live == 0) return kNoSlot;
+    std::uint64_t k = entropy % live;
+    std::size_t w = 0;
+    for (std::uint32_t c; k >= (c = detail::popcount64(m[w] & ~down[w])); ++w) k -= c;
+    const std::uint64_t x = m[w] & ~down[w];
+    return static_cast<std::uint32_t>(w * 64) +
+           detail::select64(x, detail::byte_prefix(x), k);
+  }
+
+  /// select with every port up: the (entropy % count)-th minimal next hop
+  /// — identical to the hop Tables::sample_next_hop picks.  Requires
+  /// u != v (count > 0).
+  [[nodiscard]] Hop pick(Vertex u, Vertex v, std::uint64_t entropy) const {
+    const std::uint32_t slot = select(u, v, entropy, kNoneDown.data());
     return {graph_.neighbors(u)[slot], static_cast<std::uint16_t>(slot)};
   }
 

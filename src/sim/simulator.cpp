@@ -57,6 +57,7 @@ Simulator::Simulator(const Graph& topo, const routing::Tables& tables,
   }
   port_bytes_.assign(ports_.size(), 0);
   link_down_.assign(ports_.size(), 0);
+  down_slots_.assign(static_cast<std::size_t>(n) * index_->words(), 0);
 
   // Flat per-(port, VC) queue state.  Network and injection ports push
   // into a downstream router input buffer and are credit-limited;
@@ -178,58 +179,24 @@ void Simulator::handle_arrival(std::uint32_t pkt_id, Vertex router) {
     return;
   }
 
-  const routing::NextHopIndex& idx = *index_;
-  const routing::ExactOracle oracle{tables_, idx};
   const std::uint64_t entropy = packet_entropy(pkt, router);
   if (pkt.hops == 0) {
     // Source-router routing decision (minimal vs Valiant vs UGAL); queue
     // probes address output ports directly by slot, O(1) each.
+    const routing::ExactOracle oracle{tables_, *index_};
     pkt.route = routing::source_decision(
         cfg_.algo, oracle, router, dst_router, entropy,
         [this](Vertex at, std::uint16_t slot) {
           return ports_[net_port_base_[at] + slot].total_bytes;
         });
   }
-  if (down_ports_ > 0) {
-    // Churn-aware forwarding: filter the minimal set to live links, fall
-    // back to non-minimal live-distance descent, drop when the
-    // destination is unreachable.  Reverts to the pristine path below the
-    // moment every link has recovered.
-    const std::uint32_t port = churn_output_port(pkt, router, dst_router, entropy);
-    if (port == kNoPort) {
-      drop_packet(pkt_id);
-      return;
-    }
-    const std::uint8_t vc = static_cast<std::uint8_t>(
-        std::min<std::uint32_t>(pkt.hops, cfg_.vcs - 1));
-    pkt.vc = vc;
-    enqueue(port, pkt_id, vc);
-    try_transmit(port);
+  const std::uint32_t port = output_port(pkt, router, dst_router, entropy);
+  if (port == kNoPort) {
+    drop_packet(pkt_id);
     return;
   }
-  std::uint32_t slot;
-  if (cfg_.algo == routing::Algo::kAdaptiveMin) {
-    // Per-hop adaptivity within the minimal next-hop set: follow the
-    // least-congested local output port (first-in-adjacency-order wins
-    // ties, matching the scan the index replaced).
-    const std::uint32_t base = net_port_base_[router];
-    slot = 0;
-    std::uint64_t best_q = ~0ull;
-    idx.for_each_slot(router, dst_router, [&](std::uint16_t s) {
-      const std::uint64_t q = ports_[base + s].total_bytes;
-      if (q < best_q) {
-        best_q = q;
-        slot = s;
-      }
-    });
-  } else {
-    slot = routing::next_hop(oracle, router, dst_router, pkt.route, entropy).slot;
-  }
-  std::uint8_t vc = static_cast<std::uint8_t>(
-      std::min<std::uint32_t>(pkt.hops, cfg_.vcs - 1));
-  pkt.vc = vc;
-  std::uint32_t port = net_port_base_[router] + slot;
-  enqueue(port, pkt_id, vc);
+  pkt.vc = static_cast<std::uint8_t>(std::min<std::uint32_t>(pkt.hops, cfg_.vcs - 1));
+  enqueue(port, pkt_id, pkt.vc);
   try_transmit(port);
 }
 
@@ -443,19 +410,27 @@ void Simulator::settle_fault(const std::uint32_t* ports, std::size_t count,
                              bool down) {
   // Depth-counted port state: a link failure and a router failure can
   // overlap on the same port, and the port is live only at depth 0.
+  // A port crossing depth 0 flips its bit in the owner's down-slot row.
   bool changed = false;
+  auto flip = [&](std::uint32_t port) {
+    const Vertex r = port_owner(port);
+    const std::uint32_t s = port - net_port_base_[r];
+    down_slots_[static_cast<std::size_t>(r) * index_->words() + s / 64] ^=
+        std::uint64_t{1} << (s % 64);
+    changed = true;
+  };
   if (down) {
     if (now_ < first_failure_ns_) first_failure_ns_ = now_;
     for (std::size_t i = 0; i < count; ++i)
       if (link_down_[ports[i]]++ == 0) {
         ++down_ports_;
-        changed = true;
+        flip(ports[i]);
       }
   } else {
     for (std::size_t i = 0; i < count; ++i)
       if (link_down_[ports[i]] && --link_down_[ports[i]] == 0) {
         --down_ports_;
-        changed = true;
+        flip(ports[i]);
       }
   }
   if (changed) rebuild_live_dist();
@@ -509,7 +484,7 @@ void Simulator::evacuate_port(std::uint32_t port_id) {
       p.total_bytes -= pkt.bytes;
       ++rerouted_;
       const std::uint32_t out =
-          churn_output_port(pkt, u, router_of(pkt.dst_ep), packet_entropy(pkt, u));
+          output_port(pkt, u, router_of(pkt.dst_ep), packet_entropy(pkt, u));
       if (out == kNoPort) {
         drop_packet(id);
       } else {
@@ -521,64 +496,50 @@ void Simulator::evacuate_port(std::uint32_t port_id) {
   }
 }
 
-std::uint32_t Simulator::churn_output_port(Packet& pkt, Vertex router,
-                                           Vertex dst_router,
-                                           std::uint64_t entropy) {
-  // Resolve the Valiant phase against the live topology: an unreachable
-  // intermediate is abandoned rather than chased.
+std::uint32_t Simulator::output_port(Packet& pkt, Vertex router, Vertex dst_router,
+                                     std::uint64_t entropy) {
+  // A Valiant packet heads for its intermediate until it gets there, or
+  // until churn cuts it off (the leg is abandoned rather than chased).
   Vertex target = dst_router;
   if (pkt.route.valiant && pkt.route.phase == 0) {
     if (router == pkt.route.intermediate ||
-        live_dist(router, pkt.route.intermediate) == kUnreachable)
+        (down_ports_ > 0 && live_dist(router, pkt.route.intermediate) == kUnreachable))
       pkt.route.phase = 1;
     else
       target = pkt.route.intermediate;
   }
   const std::uint32_t base = net_port_base_[router];
-  if (pkt.hops < kChurnHopLimit) {
-    // Pristine-minimal next hops filtered to live links.  With every link
-    // up this picks exactly what the static path picks (same set, same
-    // entropy % count draw), so recovered runs converge back bitwise.
+  if (down_ports_ == 0 || pkt.hops < kChurnHopLimit) {
+    // The minimal next hops with down ports masked out.  With every port
+    // up the router's down row is zero and this is the pristine pick, so
+    // recovered runs converge back bitwise.
     const routing::NextHopIndex& idx = *index_;
+    const std::uint64_t* down =
+        down_slots_.data() + static_cast<std::size_t>(router) * idx.words();
+    std::uint32_t slot = routing::NextHopIndex::kNoSlot;
     if (cfg_.algo == routing::Algo::kAdaptiveMin) {
+      // Per-hop adaptivity: the least-congested live minimal port (the
+      // first in adjacency order wins ties).
       std::uint64_t best_q = ~0ull;
-      std::uint32_t best = kNoPort;
-      idx.for_each_slot(router, target, [&](std::uint16_t s) {
-        const std::uint32_t port = base + s;
-        if (link_down_[port]) return;
-        if (ports_[port].total_bytes < best_q) {
-          best_q = ports_[port].total_bytes;
-          best = port;
+      idx.for_each_slot(router, target, down, [&](std::uint16_t s) {
+        const std::uint64_t q = ports_[base + s].total_bytes;
+        if (q < best_q) {
+          best_q = q;
+          slot = s;
         }
       });
-      if (best != kNoPort) return best;
     } else {
-      std::uint32_t live = 0;
-      idx.for_each_slot(router, target, [&](std::uint16_t s) {
-        live += link_down_[base + s] == 0;
-      });
-      if (live > 0) {
-        // k wraps below zero at the pick, so no later live slot matches.
-        std::uint32_t k = static_cast<std::uint32_t>(entropy % live);
-        std::uint32_t pick = kNoPort;
-        idx.for_each_slot(router, target, [&](std::uint16_t s) {
-          if (link_down_[base + s] == 0 && k-- == 0) pick = base + s;
-        });
-        return pick;
-      }
+      slot = idx.select(router, target, entropy, down);
     }
+    if (slot != routing::NextHopIndex::kNoSlot) return base + slot;
   }
   // Minimal set severed (or the hop cap fired): descend the live distance
   // field.  Every such hop strictly decreases the live distance, so mixed
   // minimal/detour trajectories terminate; past kChurnHopLimit only this
-  // rule runs.
-  if (live_dist(router, target) == kUnreachable) {
-    if (target != dst_router) {
-      pkt.route.phase = 1;  // abandon the unreachable Valiant leg
-      return churn_output_port(pkt, router, dst_router, entropy);
-    }
-    return kNoPort;
-  }
+  // rule runs.  The phase check leaves target == dst_router whenever the
+  // field cannot reach it, and with no port down an empty minimal set
+  // means the topology itself is disconnected: drop.
+  if (down_ports_ == 0 || live_dist(router, target) == kUnreachable) return kNoPort;
   const auto nbs = topo_.neighbors(router);
   std::uint16_t best = kUnreachable;
   std::uint32_t count = 0;

@@ -203,12 +203,11 @@ class Simulator {
   void settle_fault(const std::uint32_t* ports, std::size_t count, bool down);
   void rebuild_live_dist();
   void evacuate_port(std::uint32_t port);
-  // Churn-aware output choice from `router` (kNoPort = dst unreachable):
-  // live pristine-minimal hops first, greedy live-distance descent when
-  // the minimal set is severed (counted as a reroute).
-  [[nodiscard]] std::uint32_t churn_output_port(Packet& pkt, Vertex router,
-                                                Vertex dst_router,
-                                                std::uint64_t entropy);
+  // The one forwarding rule (kNoPort = dst unreachable: drop): the
+  // slot-mask pick over live minimal hops, greedy live-distance descent
+  // when churn severed them all (counted as a reroute).
+  [[nodiscard]] std::uint32_t output_port(Packet& pkt, Vertex router,
+                                          Vertex dst_router, std::uint64_t entropy);
   void drop_packet(std::uint32_t pkt_id);
   [[nodiscard]] std::uint64_t packet_entropy(const Packet& pkt,
                                              Vertex router) const;
@@ -246,6 +245,7 @@ class Simulator {
   // into preallocated storage) backs non-minimal fallback routing and the
   // unreachable-destination drop decision.
   std::vector<std::uint8_t> link_down_;
+  std::vector<std::uint64_t> down_slots_;  // per router: words() words, bit = slot down
   std::uint32_t down_ports_ = 0;       // network ports with depth > 0
   bool churn_enabled_ = false;
   std::vector<std::uint16_t> live_dist_;  // n*n; kUnreachable = severed

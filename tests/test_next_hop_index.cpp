@@ -30,7 +30,8 @@ namespace {
 // The (u, v) row's slots in adjacency order.
 std::vector<std::uint16_t> slots_of(const NextHopIndex& idx, Vertex u, Vertex v) {
   std::vector<std::uint16_t> slots;
-  idx.for_each_slot(u, v, [&](std::uint16_t s) { slots.push_back(s); });
+  idx.for_each_slot(u, v, NextHopIndex::kNoneDown.data(),
+                    [&](std::uint16_t s) { slots.push_back(s); });
   return slots;
 }
 
