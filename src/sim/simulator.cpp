@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -578,6 +579,34 @@ void Simulator::drop_packet(std::uint32_t pkt_id) {
     events_.push(now_, EventKind::kCreditReturn, pkt.upstream_port,
                  (static_cast<std::uint64_t>(pkt.upstream_vc) << 32) | pkt.bytes);
   free_packet(pkt_id);
+}
+
+void Simulator::audit() const {
+  const auto broken = [](const char* what) {
+    throw std::logic_error(std::string("Simulator::audit: ") + what);
+  };
+  const bool drained = events_.empty();
+  const auto buffer = static_cast<std::int64_t>(cfg_.vc_buffer_bytes);
+  for (std::size_t p = 0; p < ports_.size(); ++p) {
+    const bool limited = ports_[p].is_network || ports_[p].is_injection;
+    std::uint64_t queued = 0;
+    for (std::size_t lane = p * cfg_.vcs; lane < (p + 1) * cfg_.vcs; ++lane) {
+      for (std::uint32_t id = q_head_[lane]; id != kNil; id = packets_[id].next_in_q)
+        queued += packets_[id].bytes;
+      if (limited && (credits_[lane] < 0 || credits_[lane] > buffer))
+        broken("lane credit outside [0, vc_buffer_bytes]");
+      if (limited && drained && credits_[lane] != buffer)
+        broken("lane credit not back to vc_buffer_bytes once drained");
+    }
+    if (queued != ports_[p].total_bytes)
+      broken("port total_bytes differs from the bytes queued on its lanes");
+  }
+  if (!drained) return;
+  if (free_packets_.size() != packets_.size())
+    broken("packet record off the free list once drained");
+  for (std::size_t m = 0; m < msgs_.size(); ++m)
+    if (msgs_[m].delivered_ns < 0.0 && !msg_failed_[m])
+      broken("message neither delivered nor failed once drained");
 }
 
 LatencyStats Simulator::latency_since(double t0) const {

@@ -10,13 +10,14 @@
 // graph acyclic and the simulation deadlock-free when the VC pool is
 // sized per routing::required_vcs.
 //
-// Hot-path structure (DESIGN.md §4): every routing decision is one
-// NextHopIndex pick, a bit select in the router pair's port-slot mask (no
-// adjacency scan, no distance-matrix probes), every queue probe reads a
-// per-port running byte counter (no per-VC sum, no lower_bound), and the
-// per-VC FIFOs are intrusive singly-linked lists threaded through the
-// pooled Packet records — after warm-up the event loop performs zero
-// allocations per simulated event.
+// Hot-path structure (DESIGN.md §4): every hop goes through one
+// forwarding rule, output_port, whose minimal pick is a bit select in the
+// router pair's port-slot mask with the router's down-slot row masked out
+// (zero while every port is up; no adjacency scan, no distance-matrix
+// probes).  Every queue probe reads a per-port running byte counter (no
+// per-VC sum, no lower_bound), and the per-VC FIFOs are intrusive
+// singly-linked lists threaded through the pooled Packet records — after
+// warm-up the event loop performs zero allocations per simulated event.
 
 #include <cstdint>
 #include <functional>
@@ -135,6 +136,15 @@ class Simulator {
   /// own hot path addresses ports by slot and skips even that).
   [[nodiscard]] std::uint64_t queue_probe(Vertex router, Vertex neighbor) const;
 
+  /// Test aid: checks the conservation invariants and throws
+  /// std::logic_error naming the first broken one.  At any time, each
+  /// port's queued-byte counter equals the bytes queued on its lanes and
+  /// each credit-limited lane's credit lies in [0, vc_buffer_bytes].  Once
+  /// the event queue is empty, every such lane holds exactly
+  /// vc_buffer_bytes, every packet record is on the free list, and every
+  /// message is delivered or marked failed.
+  void audit() const;
+
   /// Per-network-link load: bytes forwarded over each directed router
   /// port.  The coefficient of variation quantifies hot links (the
   /// discrepancy property predicts a low CoV for SpectralFly).
@@ -240,12 +250,13 @@ class Simulator {
 
   // Dynamic-fault state.  link_down_ is a per-port down depth (a link and
   // a router failure can overlap; the port is live iff the depth is 0) —
-  // always sized, only ever nonzero after inject_failures.  The live
+  // always sized, only ever nonzero after inject_failures; down_slots_
+  // mirrors depth > 0 as bits in the next-hop mask layout.  The live
   // distance field (BFS over surviving links, rebuilt per churn event
   // into preallocated storage) backs non-minimal fallback routing and the
   // unreachable-destination drop decision.
   std::vector<std::uint8_t> link_down_;
-  std::vector<std::uint64_t> down_slots_;  // per router: words() words, bit = slot down
+  std::vector<std::uint64_t> down_slots_;  // per router, index_->words() words
   std::uint32_t down_ports_ = 0;       // network ports with depth > 0
   bool churn_enabled_ = false;
   std::vector<std::uint16_t> live_dist_;  // n*n; kUnreachable = severed

@@ -34,10 +34,13 @@ SimConfig small_cfg() {
   return cfg;
 }
 
-// Runs `sim` until its event queue drains, one event per run() call.
-void run_stepwise(Simulator& sim) {
-  while (!sim.run(std::numeric_limits<double>::infinity(), 1)) {
-  }
+// Runs `sim` until its event queue drains, one event per run() call,
+// auditing its conservation invariants before the first event, after
+// every event and once drained.
+void run_audited(Simulator& sim) {
+  sim.audit();
+  while (!sim.run(std::numeric_limits<double>::infinity(), 1)) sim.audit();
+  sim.audit();
 }
 
 TEST(Simulator, SingleMessageLatencyAnalytic) {
@@ -320,7 +323,7 @@ TEST(Churn, LinkDownReroutesWithoutLoss) {
   for (int m = 0; m < 40; ++m) sim.send(0, 3, 4096, 250.0 * m);
   sim.inject_failures({{2000.0, ChurnKind::kLinkDown, 1, 2},
                        {8000.0, ChurnKind::kLinkUp, 1, 2}});
-  EXPECT_TRUE(sim.run());
+  run_audited(sim);
   EXPECT_EQ(sim.messages_delivered(), 40u);
   EXPECT_EQ(sim.packets_dropped(), 0u);
   EXPECT_EQ(sim.messages_undeliverable(), 0u);
@@ -343,7 +346,7 @@ TEST(Churn, ZeroSurvivingMinimalNextHopsStillDelivers) {
   Simulator sim(g, t, cfg);
   sim.send(0, 2, 4096, 0.0);
   sim.inject_failures({{100.0, ChurnKind::kLinkDown, 1, 2}});
-  EXPECT_TRUE(sim.run());
+  run_audited(sim);
   EXPECT_EQ(sim.messages_delivered(), 1u);
   EXPECT_EQ(sim.packets_dropped(), 0u);
   EXPECT_GT(sim.packets_rerouted(), 0u);
@@ -364,7 +367,7 @@ TEST(Churn, RouterDownDropsReconcilesAndRecovers) {
   for (int m = 0; m < kAfter; ++m) sim.send(0, 1, 4096, 20000.0 + 10.0 * m);
   sim.inject_failures({{5000.0, ChurnKind::kRouterDown, 1, 0},
                        {12000.0, ChurnKind::kRouterUp, 1, 0}});
-  EXPECT_TRUE(sim.run());
+  run_audited(sim);
   EXPECT_EQ(sim.messages_undeliverable(), static_cast<std::uint64_t>(kDuring));
   EXPECT_EQ(sim.packets_dropped(), static_cast<std::uint64_t>(kDuring));
   EXPECT_EQ(sim.messages_delivered(),
@@ -383,7 +386,7 @@ TEST(Churn, SeveredLinkProbesStillAnswer) {
   Simulator sim(g, t, small_cfg());
   sim.inject_failures({{10.0, ChurnKind::kLinkDown, 1, 2}});
   for (int m = 0; m < 10; ++m) sim.send(0, 3, 4096, 5.0 * m);
-  EXPECT_TRUE(sim.run());
+  run_audited(sim);
   EXPECT_EQ(sim.queue_probe(1, 2), 0u);  // severed but adjacent: answers
   EXPECT_EQ(sim.queue_probe(2, 1), 0u);
   EXPECT_THROW((void)sim.queue_probe(0, 3), std::logic_error);  // non-edge
@@ -405,7 +408,7 @@ TEST(Churn, ScheduleValidation) {
 
 // One churned synthetic run: the simulator built by Network::from_graph
 // (paper VC sizing, seed 42), a seed-7 failure schedule, and 32 ranks of
-// bit-shuffle traffic, stepped one event at a time.
+// bit-shuffle traffic, run to the end or audited after every event.
 struct ChurnCounters {
   std::uint64_t delivered, reroutes, drops, undeliverable, events;
   std::uint64_t completion_bits;  // bit pattern of completion_time()
@@ -419,7 +422,7 @@ std::ostream& operator<<(std::ostream& os, const ChurnCounters& c) {
 }
 
 ChurnCounters churn_run(const std::string& name, const Graph& g,
-                        routing::Algo algo, const ChurnSpec& spec) {
+                        routing::Algo algo, const ChurnSpec& spec, bool audited) {
   core::NetworkOptions opts;
   opts.concentration = 4;
   opts.routing = algo;
@@ -433,7 +436,10 @@ ChurnCounters churn_run(const std::string& name, const Graph& g,
   sl.offered_load = 0.5;
   sl.seed = 42;
   submit_synthetic(*sim, sl);
-  run_stepwise(*sim);
+  if (audited)
+    run_audited(*sim);
+  else
+    EXPECT_TRUE(sim->run());
   const double completion = sim->completion_time();
   std::uint64_t bits;
   std::memcpy(&bits, &completion, sizeof bits);
@@ -481,11 +487,12 @@ TEST(ChurnGolden, PaleyCountersPinnedAndDeterministic) {
   for (const Pin& pin : pins) {
     SCOPED_TRACE(std::string(pin.topo) + " " + routing::algo_name(pin.algo));
     const bool is13 = std::string(pin.topo) == "Paley(13)";
-    const auto run = [&] {
-      return churn_run(pin.topo, is13 ? p13 : p137, pin.algo, is13 ? small : large);
+    const auto run = [&](bool audited) {
+      return churn_run(pin.topo, is13 ? p13 : p137, pin.algo, is13 ? small : large,
+                       audited);
     };
-    const ChurnCounters a = run();
-    EXPECT_EQ(a, run());  // bitwise determinism, including completion
+    const ChurnCounters a = run(true);
+    EXPECT_EQ(a, run(false));  // bitwise determinism, including completion
     EXPECT_EQ(a.delivered + a.undeliverable, 32u * 16u);  // full accounting
     EXPECT_EQ(a, pin.want);
   }
