@@ -17,6 +17,13 @@
 // port_toward used to do.  Memory is n^2 * W words however many hops a
 // pair has, so path-diverse LPS graphs cost what DragonFly does.
 //
+// There is one select and one slot iteration, each over the row with a
+// caller's *down row* (W words, bit s = slot s of u is down) masked out:
+// select(u, v, e, down) is the (e % live)-th set bit of row & ~down, or
+// kNoSlot when none is live.  The simulator passes its per-router
+// down-slot row, zero while every port is up; pick(u, v, e) is select
+// with kNoneDown.
+//
 // The build is one slot-major pass over whole rows of the distance matrix
 // (the distance rows come from Tables::build, which runs the same
 // bit-parallel BFS sweep as hop_histogram).  For each source u, each block

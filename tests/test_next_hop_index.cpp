@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,11 +28,12 @@ namespace {
 // entropy value — because the simulator's golden pins depend on the
 // sampling order bit for bit.
 
-// The (u, v) row's slots in adjacency order.
-std::vector<std::uint16_t> slots_of(const NextHopIndex& idx, Vertex u, Vertex v) {
+// The (u, v) row's live slots in adjacency order.
+std::vector<std::uint16_t> slots_of(
+    const NextHopIndex& idx, Vertex u, Vertex v,
+    const std::uint64_t* down = NextHopIndex::kNoneDown.data()) {
   std::vector<std::uint16_t> slots;
-  idx.for_each_slot(u, v, NextHopIndex::kNoneDown.data(),
-                    [&](std::uint16_t s) { slots.push_back(s); });
+  idx.for_each_slot(u, v, down, [&](std::uint16_t s) { slots.push_back(s); });
   return slots;
 }
 
@@ -79,6 +81,60 @@ void expect_sampling_matches(const Graph& g, std::uint64_t entropies) {
     }
 }
 
+// With a down row, select and for_each_slot must equal the filtered
+// scan: the minimal hops whose slot is not down, in adjacency order, the
+// (e % live)-th of them picked, and no slot when every minimal slot is
+// down.  Per source: one row with exactly the minimal slots of each
+// (u, v) down, and three seeded random rows with about 1/2, 1/4 and 1/8
+// of the slots down.
+void expect_masked_matches_scan(const Graph& g) {
+  const Tables t = Tables::build(g);
+  const NextHopIndex idx = NextHopIndex::build(g, t);
+  const std::size_t words = idx.words();
+  std::vector<std::uint64_t> down(words);
+  std::vector<Vertex> scan;
+  std::vector<std::uint16_t> minimal, live;
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    const auto nb = g.neighbors(u);
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      if (u == v) continue;
+      t.minimal_next_hops(g, u, v, scan);
+      minimal.clear();
+      for (Vertex x : scan)
+        minimal.push_back(static_cast<std::uint16_t>(
+            std::lower_bound(nb.begin(), nb.end(), x) - nb.begin()));
+      std::vector<std::uint64_t> entropies = {std::uint64_t{1} << 40, ~std::uint64_t{0},
+                                              0x9E3779B97F4A7C15};
+      for (std::uint64_t e = 0; e < scan.size(); ++e) entropies.push_back(e);
+      for (unsigned density = 0; density <= 3; ++density) {
+        SCOPED_TRACE("u=" + std::to_string(u) + " v=" + std::to_string(v) +
+                     " density=" + std::to_string(density));
+        std::fill(down.begin(), down.end(), 0);
+        if (density == 0) {
+          for (std::uint16_t s : minimal) down[s / 64] |= std::uint64_t{1} << (s % 64);
+        } else {
+          for (std::size_t w = 0; w < words; ++w) {
+            down[w] = ~std::uint64_t{0};
+            for (unsigned d = 0; d < density; ++d)
+              down[w] &= split_seed(u * 4 + density, w * 4 + d);
+          }
+        }
+        live.clear();
+        for (std::uint16_t s : minimal)
+          if ((down[s / 64] >> (s % 64) & 1) == 0) live.push_back(s);
+        if (density == 0) {
+          ASSERT_TRUE(live.empty());
+        }
+        ASSERT_EQ(slots_of(idx, u, v, down.data()), live);
+        for (std::uint64_t e : entropies)
+          ASSERT_EQ(idx.select(u, v, e, down.data()),
+                    live.empty() ? NextHopIndex::kNoSlot : live[e % live.size()])
+              << "e=" << e;
+      }
+    }
+  }
+}
+
 TEST(NextHopIndex, MatchesScanOnPaley13) {
   expect_matches_scan(topo::paley_graph({13}));
 }
@@ -122,6 +178,7 @@ TEST(NextHopIndex, MatchesScanAcrossMaskWords) {
     const NextHopIndex idx = NextHopIndex::build(g, t);
     EXPECT_EQ(idx.words(), c == 64 ? 1u : 2u);
     expect_matches_scan(g);
+    expect_masked_matches_scan(g);
     std::vector<std::uint64_t> entropies = {std::uint64_t{1} << 40, ~std::uint64_t{0},
                                             0x9E3779B97F4A7C15, c * 1000ull + 63};
     for (std::uint64_t e = 0; e < c; ++e) entropies.push_back(e);
@@ -143,7 +200,9 @@ TEST(NextHopIndex, MatchesScanOnLpsWithFailedLinks) {
   const Graph g = delete_random_edges(topo::lps_graph({11, 7}), 0.1, 3);
   ASSERT_TRUE(is_connected(g));
   EXPECT_FALSE(g.is_regular());
+  EXPECT_EQ(NextHopIndex::words_for(g), 1u);
   expect_matches_scan(g);
+  expect_masked_matches_scan(g);
 }
 
 // Byte pins of the built artifacts: FNV-1a of the distance matrix plus the
