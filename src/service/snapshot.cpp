@@ -278,7 +278,7 @@ std::shared_ptr<Snapshot> Snapshot::open(const std::string& path) {
           count > (size - off) / elem)
         fail(std::string("entry blob out of bounds: ") + what + ": " + path);
     };
-    auto bad = [&](const char* what) {
+    auto bad = [&](const std::string& what) {
       fail(std::string("bad entry ") + d.name + ": " + what + ": " + path);
     };
     if (d.flags == 0 || (d.flags & ~(kFlagExact | kFlagCell)) != 0)
@@ -361,6 +361,48 @@ std::shared_ptr<Snapshot> Snapshot::open(const std::string& path) {
       check(d.ov_offsets_off, nb + 1, sizeof(std::uint32_t), "overlay offsets");
       check(d.ov_adj_off, d.ov_edge_count, sizeof(std::uint32_t), "overlay adj");
       check(d.ov_w_off, d.ov_edge_count, 1, "overlay weights");
+
+      // CellQuery indexes by each of these; it never reads members,
+      // overlay_id or overlay_vertex, so their sizes are enough.
+      const auto u32 = [&](std::uint64_t off) {
+        return reinterpret_cast<const std::uint32_t*>(snap->base_ + off);
+      };
+      const auto u16 = [&](std::uint64_t off) {
+        return reinterpret_cast<const std::uint16_t*>(snap->base_ + off);
+      };
+      const auto* cell_of = u32(d.cell_of_off);
+      const auto* cell_offsets = u32(d.cell_offsets_off);
+      const auto* intra_offsets = u32(d.intra_offsets_off);
+      const auto* boundary_offsets = u32(d.boundary_offsets_off);
+      const auto* local_index = u16(d.local_index_off);
+      const auto* boundary_local = u16(d.boundary_local_off);
+      const auto* ov_offsets = u32(d.ov_offsets_off);
+      const auto* ov_adj = u32(d.ov_adj_off);
+      auto offsets = [&](const std::uint32_t* o, std::size_t count, std::uint64_t end,
+                         const std::string& name, const char* end_name) {
+        if (o[0] != 0) bad(name + " do not start at 0");
+        for (std::size_t i = 1; i < count; ++i)
+          if (o[i] < o[i - 1]) bad(name + " not monotone");
+        if (o[count - 1] != end) bad(name + " do not end at " + end_name);
+      };
+      offsets(cell_offsets, cells1, n, "cell offsets", "n");
+      offsets(intra_offsets, cells1, d.intra_count, "intra offsets", "intra_count");
+      offsets(boundary_offsets, cells1, nb, "boundary offsets", "num_boundary");
+      offsets(ov_offsets, nb + 1, d.ov_edge_count, "overlay offsets", "ov_edge_count");
+      for (std::size_t c = 0; c < d.num_cells; ++c) {
+        const std::uint64_t size = cell_offsets[c + 1] - cell_offsets[c];
+        if (intra_offsets[c + 1] - intra_offsets[c] != size * size)
+          bad("cell intra span is not size^2 bytes");
+        for (std::size_t b = boundary_offsets[c]; b < boundary_offsets[c + 1]; ++b)
+          if (boundary_local[b] >= size) bad("boundary local index past its cell's size");
+      }
+      for (std::size_t v = 0; v < n; ++v) {
+        if (cell_of[v] >= d.num_cells) bad("cell_of id >= num_cells");
+        if (local_index[v] >= cell_offsets[cell_of[v] + 1] - cell_offsets[cell_of[v]])
+          bad("local index past its cell's size");
+      }
+      for (std::size_t e = 0; e < d.ov_edge_count; ++e)
+        if (ov_adj[e] >= nb) bad("overlay adjacency id >= num_boundary");
     }
     check(d.spectra_off, 1, sizeof(SpectraBlob), "spectra");
   }

@@ -236,10 +236,36 @@ void poke(std::string& file, std::size_t at, T value) {
   std::memcpy(&file[at], &value, sizeof(value));
 }
 
+struct CraftedCase {
+  const char* what;
+  std::function<void(std::string&)> mutate;
+};
+
+// Each case mutates the clean file, re-seals the header fingerprint and
+// expects open() to name what is wrong; the clean bytes must still open.
+void expect_rejected_by_name(const std::string& path, const std::string& clean,
+                             const std::vector<CraftedCase>& cases) {
+  for (const CraftedCase& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::string bytes = clean;
+    c.mutate(bytes);
+    ASSERT_NE(bytes, clean);
+    poke(bytes, 24, fnv1a64(bytes.data() + 64, bytes.size() - 64));  // Header.fingerprint
+    spew(path, bytes);
+    try {
+      (void)Snapshot::open(path);
+      ADD_FAILURE() << "crafted snapshot was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.what), std::string::npos) << e.what();
+    }
+  }
+  spew(path, clean);
+  EXPECT_NO_THROW((void)Snapshot::open(path));
+}
+
 TEST(Snapshot, CraftedContentsRejectedByName) {
   // A crafted file carries a fingerprint that matches its bytes, so each
-  // case flips one value a lookup indexes by, re-seals the header
-  // fingerprint, and expects open() to name what is wrong.
+  // case flips one value a lookup indexes by.
   const auto path = tmp("crafted");
   engine::ArtifactCache cache;
   populate(cache, {"Paley(13)"});
@@ -257,11 +283,7 @@ TEST(Snapshot, CraftedContentsRejectedByName) {
   const auto row = [&](Vertex u, Vertex v) { return masks + 8 * (u * 13 + v); };
   const std::uint32_t adj_count = g->raw_offsets()[13];
 
-  struct Case {
-    const char* what;
-    std::function<void(std::string&)> mutate;
-  };
-  const std::vector<Case> cases = {
+  expect_rejected_by_name(path, clean, {
       {"graph offsets not monotone",
        [&](std::string& f) { poke<std::uint32_t>(f, offsets + 4, 100); }},
       {"graph offsets do not end at graph_adj_count",
@@ -276,24 +298,80 @@ TEST(Snapshot, CraftedContentsRejectedByName) {
        [&](std::string& f) { f[row(3, 3)] |= 0x01; }},
       {"empty next-hop row",
        [&](std::string& f) { poke<std::uint64_t>(f, row(0, 1), 0); }},
+  });
+
+  // A cell-mode entry: Hypercube(13) has 8192 routers, past
+  // kCellExactThreshold.  Several of its blobs hold equal bytes (every
+  // vertex is a boundary vertex), so positions follow the write order
+  // from cell_of: each blob starts at the next 8-byte boundary.
+  const auto cell_path = tmp("crafted_cell");
+  QueryEngine cold;
+  cold.register_spec("Hypercube(13)");
+  auto cell_art = cold.engine().artifacts().get("Hypercube(13)");
+  (void)cell_art->spectra();
+  const auto cell = cell_art->cell_index();
+  ASSERT_FALSE(cell->exact());
+  write_snapshot(cell_path, cold.engine().artifacts());
+  const std::string cell_clean = slurp(cell_path);
+  const auto v = cell->views();
+  std::size_t at = find_blob(cell_clean, v.cell_of);
+  std::size_t bytes = v.cell_of.size_bytes();
+  const auto next = [&](auto blob) {
+    at = (at + bytes + 7) / 8 * 8;
+    bytes = blob.size_bytes();
+    EXPECT_EQ(cell_clean.compare(at, bytes, reinterpret_cast<const char*>(blob.data()),
+                                 bytes),
+              0);
+    return at;
   };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.what);
-    std::string bytes = clean;
-    c.mutate(bytes);
-    ASSERT_NE(bytes, clean);
-    poke(bytes, 24, fnv1a64(bytes.data() + 64, bytes.size() - 64));  // Header.fingerprint
-    spew(path, bytes);
-    try {
-      (void)Snapshot::open(path);
-      ADD_FAILURE() << "crafted snapshot was accepted";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(c.what), std::string::npos) << e.what();
-    }
-  }
-  // The clean bytes still open: the checks accept what write_snapshot wrote.
-  spew(path, clean);
-  EXPECT_NO_THROW((void)Snapshot::open(path));
+  const std::size_t cell_of = at;
+  const std::size_t cell_offsets = next(v.cell_offsets);
+  next(v.members);
+  const std::size_t local_index = next(v.local_index);
+  const std::size_t intra_offsets = next(v.intra_offsets);
+  next(v.intra);
+  const std::size_t boundary_offsets = next(v.boundary_offsets);
+  const std::size_t boundary_local = next(v.boundary_local);
+  next(v.overlay_id);
+  next(v.overlay_vertex);
+  const std::size_t ov_offsets = next(v.ov_offsets);
+  const std::size_t ov_adj = next(v.ov_adj);
+  const std::uint32_t cells = v.num_cells;
+  ASSERT_GT(cells, 1u);
+  ASSERT_GT(v.cell_offsets[1], 1u);  // cell 0 has room for a bad local index
+  const auto u32 = [](std::string& f, std::size_t blob, std::size_t i, std::uint32_t x) {
+    poke<std::uint32_t>(f, blob + 4 * i, x);
+  };
+  expect_rejected_by_name(cell_path, cell_clean, {
+      {"cell offsets do not start at 0",
+       [&](std::string& f) { u32(f, cell_offsets, 0, 1); }},
+      {"cell offsets not monotone",
+       [&](std::string& f) { u32(f, cell_offsets, 1, 0xFFFFFFFF); }},
+      {"cell offsets do not end at n",
+       [&](std::string& f) { u32(f, cell_offsets, cells, v.n - 1); }},
+      {"intra offsets not monotone",
+       [&](std::string& f) { u32(f, intra_offsets, 1, 0xFFFFFFFF); }},
+      {"intra offsets do not end at intra_count",
+       [&](std::string& f) { u32(f, intra_offsets, cells, v.intra_offsets[cells] - 1); }},
+      {"boundary offsets do not end at num_boundary",
+       [&](std::string& f) { u32(f, boundary_offsets, cells, v.num_boundary - 1); }},
+      {"overlay offsets not monotone",
+       [&](std::string& f) { u32(f, ov_offsets, 1, 0xFFFFFFFF); }},
+      {"overlay offsets do not end at ov_edge_count",
+       [&](std::string& f) {
+         u32(f, ov_offsets, v.num_boundary, v.ov_offsets[v.num_boundary] - 1);
+       }},
+      {"cell intra span is not size^2 bytes",
+       [&](std::string& f) { u32(f, intra_offsets, 1, v.intra_offsets[1] + 1); }},
+      {"cell_of id >= num_cells",
+       [&](std::string& f) { u32(f, cell_of, 0, cells); }},
+      {"local index past its cell's size",
+       [&](std::string& f) { poke<std::uint16_t>(f, local_index, 0xFFFF); }},
+      {"boundary local index past its cell's size",
+       [&](std::string& f) { poke<std::uint16_t>(f, boundary_local, 0xFFFF); }},
+      {"overlay adjacency id >= num_boundary",
+       [&](std::string& f) { u32(f, ov_adj, 0, v.num_boundary); }},
+  });
 }
 
 TEST(Snapshot, TruncationAndForeignFilesRejected) {
