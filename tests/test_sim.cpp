@@ -377,6 +377,28 @@ TEST(Churn, RouterDownDropsReconcilesAndRecovers) {
             static_cast<std::uint64_t>(kBefore + kAfter));
 }
 
+TEST(Churn, EvacuatedPacketsForADeadRouterDrop) {
+  // Two routers, two sources on router 0 sharing its one network port to
+  // router 1, so packets queue there.  Killing router 1 evacuates that
+  // queue; each evacuated packet's destination is unreachable, so it is
+  // dropped at router 0 with its credit handed back to the injection
+  // port.
+  auto g = pair_graph();
+  auto t = routing::Tables::build(g);
+  auto cfg = small_cfg();
+  cfg.concentration = 2;
+  Simulator sim(g, t, cfg);
+  for (int m = 0; m < 8; ++m) {
+    sim.send(0, 2, 4096, 0.0);
+    sim.send(1, 2, 4096, 0.0);
+  }
+  sim.inject_failures({{2000.0, ChurnKind::kRouterDown, 1, 0}});
+  run_audited(sim);
+  EXPECT_GT(sim.packets_rerouted(), 0u);  // only evacuations reroute here
+  EXPECT_GE(sim.packets_dropped(), sim.packets_rerouted());
+  EXPECT_EQ(sim.messages_delivered() + sim.messages_undeliverable(), 16u);
+}
+
 TEST(Churn, SeveredLinkProbesStillAnswer) {
   // Churn never mutates the Graph: a severed link keeps its ports, so
   // queue_probe on it stays legal (and reads an evacuated, empty queue);
