@@ -129,13 +129,6 @@ class NextHopIndex {
   }
   [[nodiscard]] bool is_view() const { return masks_.is_view(); }
 
-  [[nodiscard]] std::uint32_t count(Vertex u, Vertex v) const {
-    const std::uint64_t* m = row(u, v);
-    std::uint32_t c = 0;
-    for (std::size_t w = 0; w < words_; ++w) c += detail::popcount64(m[w]);
-    return c;
-  }
-
   /// select's answer when no minimal next hop is live.
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFF;
   /// Mask words of a radix-65536 router, the most an index holds.
