@@ -29,20 +29,20 @@ void EventQueue::settle() {
   // Any key of `from` can be the base: they all match the old base beyond
   // digit l and share their digit at l, so higher buckets stay valid.
   if (from.head == from.tail) {
-    // One chunk: a stable insertion sort makes it the run.
+    // One chunk: an insertion sort by (key, seq) makes it the run.
     for (std::uint32_t k = 0; k < from.end; ++k) {
       const Item it = chunks_[from.head].items[k];
       std::size_t j = run_.size();
       run_.push_back(it);
-      for (; j > 0 && run_[j - 1].key > it.key; --j) run_[j] = run_[j - 1];
+      for (; j > 0 && before(it, run_[j - 1]); --j) run_[j] = run_[j - 1];
       run_[j] = it;
     }
     base_ = run_.back().key;
     free_chunks_.push_back(from.head);
     return;
   }
-  // Redistribute around the minimum: its equals form the run, and every
-  // other event lands in a lower bucket than b.
+  // Redistribute around the minimum: its equals form the run, sorted by
+  // seq, and every other event lands in a lower bucket than b.
   base_ = from.min.key;
   for (std::uint32_t c = from.head; c != kNone;) {
     const std::uint32_t n = c == from.tail ? from.end : kChunkItems;
@@ -57,6 +57,9 @@ void EventQueue::settle() {
     free_chunks_.push_back(c);
     c = next;
   }
+  const auto by_seq = [this](const Item& x, const Item& y) { return before(x, y); };
+  if (!std::is_sorted(run_.begin(), run_.end(), by_seq))
+    std::sort(run_.begin(), run_.end(), by_seq);
 }
 
 }  // namespace sfly::sim

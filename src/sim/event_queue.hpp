@@ -1,26 +1,32 @@
 #pragma once
-// Deterministic discrete-event queue: events pop in (time, insertion
-// sequence) order, so simultaneous events fire in insertion order.
+// Deterministic discrete-event queue: events pop in (time, seq) order.
+// push() takes the next seq, so simultaneous events fire in push order;
+// draw_seq() takes one without pushing, and push_drawn() later pushes an
+// event under that earlier seq, exactly where a push at draw time would
+// have put it among its ties.
 //
 // It is a monotone radix queue (DESIGN.md §4). Each time maps to a 64-bit
 // key by an order-preserving bit transform (-0.0 and +0.0 share a key),
 // read as 16 hex digits. The events due next form the run: an array sorted
-// by key, ties in push order, read front to back. Every later event sits
-// in a radix bucket relative to the base, the run's last key: such a key
-// first differs from the base at some digit l, where its own digit d is
-// the larger, and goes to bucket 16*l + d, so every event in a lower
-// bucket is earlier. That only holds while no event is pushed before the
-// last pop, so push rejects such a time (and NaN, which has no place in
-// the order); the simulator never schedules into its past. A push at or
-// below the base joins the run at its upper bound, after every equal key.
+// by (key, seq), read front to back. Every later event sits in a radix
+// bucket relative to the base, the run's last key: such a key first
+// differs from the base at some digit l, where its own digit d is the
+// larger, and goes to bucket 16*l + d, so every event in a lower bucket is
+// earlier. That only holds while no event is pushed before the last pop,
+// so a push rejects such a time (and NaN, which has no place in the
+// order); the simulator never schedules into its past. A push at or below
+// the base joins the run at its (key, seq) upper bound.
 //
 // When the run is empty, pop takes the lowest non-empty bucket. One that
 // fits in a chunk is insertion-sorted into the run, and its largest key
 // becomes the base. A larger one is redistributed by digit around its
 // minimum (each bucket keeps its own as events arrive): the events equal
-// to it form the run, the rest move to lower buckets. Equal times always
-// share a bucket, every move keeps bucket order and the sort is stable,
-// so ties pop in push order, exactly as a (time, seq) heap would.
+// to it form the run, sorted by seq, and the rest move to lower buckets.
+// Equal times always share a bucket, and equal keys compare the seq
+// stored in the slab wherever the order is decided (the run's insert, the
+// insertion sort, each bucket's minimum), so the pops are exactly those of
+// a (time, seq) heap. A fresh seq is the largest yet, so a push() still
+// lands after every equal key.
 //
 // Buckets are chains of 32-item chunks drawn from one pool; event payloads
 // live in a slab with a free list. The pool, the run and the slab grow
@@ -30,6 +36,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -38,7 +45,7 @@ namespace sfly::sim {
 
 enum class EventKind : std::uint8_t {
   kInjectMessage,  // a = message id
-  kArrival,        // a = packet id, b = router id
+  kArrival,        // a = packet id, b = port it arrives through
   kTryTransmit,    // a = port id
   kCreditReturn,   // a = port id, b = (vc << 32) | bytes
   kDeliver,        // a = packet id
@@ -49,6 +56,7 @@ enum class EventKind : std::uint8_t {
   kRouterDown,     // a = router
   kRouterUp,       // a = router
 };
+inline constexpr std::size_t kEventKinds = 9;  // one per EventKind
 
 struct Event {
   double time = 0.0;
@@ -60,18 +68,19 @@ struct Event {
 
 class EventQueue {
  public:
-  /// Schedule an event. Throws std::invalid_argument if `time` is NaN or
-  /// earlier than the last popped event's time.
+  /// Schedule an event under the next seq. Throws std::invalid_argument
+  /// if `time` is NaN or earlier than the last popped event's time.
   void push(double time, EventKind kind, std::uint64_t a, std::uint64_t b = 0) {
-    const std::uint64_t key = order_key(time);
-    if (key < last_)
-      throw std::invalid_argument("EventQueue::push: time before the last pop");
-    if (++size_ > high_water_) reserve();
-    const Item item{key, alloc_slot(Event{time, seq_++, kind, a, b})};
-    if (key <= base_)
-      run_insert(item);
-    else
-      append(bucket_of(key), item);
+    insert(time, seq_++, kind, a, b);
+  }
+  /// Take the next seq without pushing anything.
+  [[nodiscard]] std::uint64_t draw_seq() { return seq_++; }
+  /// Schedule an event under a seq drawn earlier by draw_seq() and not
+  /// pushed yet; it pops among equal times by that seq. Throws as push()
+  /// does.
+  void push_drawn(double time, std::uint64_t seq, EventKind kind, std::uint64_t a,
+                  std::uint64_t b = 0) {
+    insert(time, seq, kind, a, b);
   }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   /// The event pop() returns next. Requires !empty().
@@ -110,13 +119,31 @@ class EventQueue {
     Item items[kChunkItems];
   };
   // A FIFO chain of chunks; `end` is the fill of the tail chunk, and `min`
-  // the first-pushed item of least key.
+  // the item of least (key, seq).
   struct Bucket {
     std::uint32_t head = kNone;
     std::uint32_t tail = kNone;
     std::uint32_t end = 0;
     Item min{UINT64_MAX, 0};  // no event has this key: it would be a NaN
   };
+
+  void insert(double time, std::uint64_t seq, EventKind kind, std::uint64_t a,
+              std::uint64_t b) {
+    const std::uint64_t key = order_key(time);
+    if (key < last_)
+      throw std::invalid_argument("EventQueue::push: time before the last pop");
+    if (++size_ > high_water_) reserve();
+    const Item item{key, alloc_slot(Event{time, seq, kind, a, b})};
+    if (key <= base_)
+      run_insert(item);
+    else
+      append(bucket_of(key), item);
+  }
+
+  // (key, seq) order; the seq is read only to break a tie.
+  bool before(const Item& x, const Item& y) const {
+    return x.key < y.key || (x.key == y.key && slab_[x.slot].seq < slab_[y.slot].seq);
+  }
 
   static std::uint64_t order_key(double time) {
     if (std::isnan(time)) throw std::invalid_argument("EventQueue::push: NaN time");
@@ -176,11 +203,12 @@ class EventQueue {
       q.end = 0;
     }
     chunks_[q.tail].items[q.end++] = item;
-    // Strict: of equal keys, the first pushed stays the minimum.
-    if (item.key < q.min.key) q.min = item;
+    // min.key is UINT64_MAX, which no event has, until the first append.
+    if (before(item, q.min)) q.min = item;
   }
 
-  // Requires base_ >= item.key >= last_. Pushes at the base append.
+  // Requires base_ >= item.key >= last_. An item after the run's last
+  // appends, as every push at the base does.
   void run_insert(Item item) {
     if (run_.size() == run_.capacity()) {
       // The run never holds more than size_ <= capacity unread items, so
@@ -189,9 +217,9 @@ class EventQueue {
       front_ = 0;
     }
     auto at = run_.end();
-    if (item.key < base_)
-      at = std::upper_bound(run_.begin() + front_, at, item.key,
-                            [](std::uint64_t k, const Item& x) { return k < x.key; });
+    if (!run_.empty() && before(item, run_.back()))
+      at = std::upper_bound(run_.begin() + front_, at, item,
+                            [this](const Item& x, const Item& y) { return before(x, y); });
     run_.insert(at, item);
   }
   void reserve();

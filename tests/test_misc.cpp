@@ -11,6 +11,8 @@
 #include <limits>
 #include <queue>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "layout/cabinets.hpp"
@@ -56,6 +58,10 @@ TEST(EventQueue, FifoAmongSimultaneous) {
 // keys (one bucket, settled just under, at, or just over one chunk), then
 // pushes land strictly between the last pop and top(), on keys tied with
 // queued ones, and at exactly the last popped time after a full drain.
+// The last rounds draw seqs with draw_seq() and push them later with
+// push_drawn(), after fresh pushes that tie with them: into the run, at
+// exactly the last popped time, on keys tied with queued ones, and into a
+// burst bucket that settles as one chunk or is redistributed.
 TEST(EventQueue, MatchesReferenceHeap) {
   struct Later {
     bool operator()(const sim::Event& x, const sim::Event& y) const {
@@ -80,12 +86,18 @@ TEST(EventQueue, MatchesReferenceHeap) {
       q.push(t, kind, a, b);
       ref.push(sim::Event{t, seq++, kind, a, b});
     };
+    // A mismatch throws: the queue and the heap have diverged, and the
+    // loops below would otherwise keep popping one of them past empty.
+    const auto check = [&](const sim::Event& e, const char* what) {
+      if (!same(e, ref.top()))
+        throw std::logic_error(std::string(what) + " differs from the reference: seed " +
+                               std::to_string(seed) + ", seq " + std::to_string(e.seq) +
+                               " against " + std::to_string(ref.top().seq));
+    };
     const auto pop = [&] {
-      if (rng() % 4 == 0) {
-        ASSERT_TRUE(same(q.top(), ref.top())) << "seed " << seed;
-      }
+      if (rng() % 4 == 0) check(q.top(), "top()");
       const sim::Event e = q.pop();
-      ASSERT_TRUE(same(e, ref.top())) << "seed " << seed << " seq " << e.seq;
+      check(e, "pop()");
       ref.pop();
       last = e.time;
     };
@@ -139,6 +151,74 @@ TEST(EventQueue, MatchesReferenceHeap) {
       while (!ref.empty()) pop();
       push(last);
       pop();
+      ASSERT_TRUE(q.empty());
+    }
+    // Drawn events wait here until pushed; one whose time has passed is
+    // dropped unpushed, as the simulator applies it instead.
+    std::vector<sim::Event> drawn;
+    const auto draw = [&](double t) {
+      const auto kind = static_cast<sim::EventKind>(rng() % 9);
+      const std::uint64_t a = rng(), b = rng();
+      ASSERT_EQ(q.draw_seq(), seq);
+      drawn.push_back(sim::Event{t, seq++, kind, a, b});
+    };
+    const auto push_drawn = [&](std::size_t i) {
+      const sim::Event e = drawn[i];
+      drawn.erase(drawn.begin() + static_cast<std::ptrdiff_t>(i));
+      if (e.time < last) return;
+      q.push_drawn(e.time, e.seq, e.kind, e.a, e.b);
+      ref.push(e);
+    };
+    const auto tie = [&] { return drawn[rng() % drawn.size()].time; };
+    for (int step = 0; step < 20000; ++step) {
+      const double top = ref.empty() ? last : ref.top().time;
+      switch (rng() % 10) {
+        case 0:
+        case 1:
+          if (!ref.empty()) pop();
+          break;
+        case 2: draw(last); break;
+        case 3: draw(top); break;
+        case 4: draw(last + static_cast<double>(rng() % 4)); break;
+        case 5:
+        case 6:
+          if (!drawn.empty()) push_drawn(rng() % drawn.size());
+          break;
+        case 7: push(drawn.empty() ? top : std::max(last, tie())); break;
+        case 8: push(last); break;
+        default: push(top); break;
+      }
+    }
+    while (!drawn.empty()) push_drawn(drawn.size() - 1);
+    while (!ref.empty()) pop();
+    for (const std::uint64_t burst : {31, 32, 33, 64, 33, 32, 31}) {
+      // As above, one bucket; a third of the burst is drawn first, a third
+      // pushed fresh on a drawn key, and the drawn ones pushed last.
+      const double x = std::max(1.0, last + std::max(1000.0, std::abs(last) * 1e-6));
+      const std::uint64_t s = (std::bit_cast<std::uint64_t>(x) | 0xFF) + 1;
+      const auto near = [&] { return std::bit_cast<double>(s + rng() % burst); };
+      for (std::uint64_t k = 0; k < burst; ++k) {
+        const auto r = rng() % 3;
+        if (r == 0 || k == 0)
+          draw(near());
+        else
+          push(r == 1 ? tie() : near());
+      }
+      while (!drawn.empty()) push_drawn(rng() % drawn.size());
+      ASSERT_EQ(q.size(), burst);
+      for (int step = 0; step < 4000 && !ref.empty(); ++step) {
+        switch (rng() % 5) {
+          case 0:
+          case 1: pop(); break;
+          case 2: draw(rng() % 2 ? last : ref.top().time); break;
+          case 3: push(drawn.empty() ? last : std::max(last, tie())); break;
+          default:
+            if (!drawn.empty()) push_drawn(rng() % drawn.size());
+            break;
+        }
+      }
+      while (!drawn.empty()) push_drawn(drawn.size() - 1);
+      while (!ref.empty()) pop();
       ASSERT_TRUE(q.empty());
     }
   }
