@@ -97,14 +97,15 @@ struct PhaseStat {
 /// Write the per-run record (the BENCH_full.json per-bench format):
 /// campaign identity, worker count, shard/resume accounting, artifact
 /// pre-build and evaluation time, the simulator work this run evaluated
-/// (journal-replayed rows excluded) and its events/sec, each registered
-/// topology's artifact footprint in `cache`, and one entry per phase.
-/// Used by `--phase-json`; committed as BENCH_full.json for the
-/// paper-scale `--full` runs, and CI's perf smoke reads its
-/// `events_per_sec`.  Under `--workers` the parent evaluates nothing
-/// itself: its `eval_s` includes spawning and feeding the fleet, so a
-/// fleet's rate is not comparable with a single-process one, and its
-/// footprints count only what the parent itself built.
+/// (journal-replayed rows excluded) with its events/sec and messages/sec,
+/// the events split by kind, each registered topology's artifact
+/// footprint in `cache`, and one entry per phase.  Used by
+/// `--phase-json`; committed as BENCH_full.json for the paper-scale
+/// `--full` runs, and CI's perf smoke reads its `messages_per_sec`.
+/// Under `--workers` the parent evaluates nothing itself: its `eval_s`
+/// includes spawning and feeding the fleet, so a fleet's rate is not
+/// comparable with a single-process one, its per-kind counts are zero,
+/// and its footprints count only what the parent itself built.
 inline void write_phase_record(const std::string& path,
                                const std::string& campaign,
                                const StandardOptions& opts,
@@ -124,12 +125,13 @@ inline void write_phase_record(const std::string& path,
     sum.events += ph.tally.events;
     sum.packets += ph.tally.packets;
     sum.messages += ph.tally.messages;
+    for (std::size_t k = 0; k < sim::kEventKinds; ++k)
+      sum.events_by_kind[k] += ph.tally.events_by_kind[k];
     total += ph.scenarios;
   }
-  const double events_per_sec =
-      sum.eval_seconds > 0
-          ? static_cast<double>(sum.events) / sum.eval_seconds
-          : 0.0;
+  const auto per_sec = [&](std::uint64_t n) {
+    return sum.eval_seconds > 0 ? static_cast<double>(n) / sum.eval_seconds : 0.0;
+  };
   std::fprintf(f,
                "{\n"
                "  \"campaign\": \"%s\",\n"
@@ -149,7 +151,8 @@ inline void write_phase_record(const std::string& path,
                "  \"packets_forwarded\": %llu,\n"
                "  \"messages\": %llu,\n"
                "  \"events_per_sec\": %.1f,\n"
-               "  \"artifacts\": [",
+               "  \"messages_per_sec\": %.1f,\n"
+               "  \"events_by_kind\": {",
                campaign.c_str(), hardware_threads(), opts.threads(),
                opts.workers(), opts.full() ? "true" : "false",
                ctl.shard_index, ctl.shard_count, total, ctl.replayed,
@@ -158,7 +161,15 @@ inline void write_phase_record(const std::string& path,
                sum.build_seconds + sum.eval_seconds,
                static_cast<unsigned long long>(sum.events),
                static_cast<unsigned long long>(sum.packets),
-               static_cast<unsigned long long>(sum.messages), events_per_sec);
+               static_cast<unsigned long long>(sum.messages), per_sec(sum.events),
+               per_sec(sum.messages));
+  static constexpr const char* kKindNames[sim::kEventKinds] = {
+      "inject_message", "arrival",  "try_transmit", "credit_return", "deliver",
+      "link_down",      "link_up",  "router_down",  "router_up"};
+  for (std::size_t k = 0; k < sim::kEventKinds; ++k)
+    std::fprintf(f, "%s\"%s\": %llu", k ? ", " : "", kKindNames[k],
+                 static_cast<unsigned long long>(sum.events_by_kind[k]));
+  std::fprintf(f, "},\n  \"artifacts\": [");
   // Bytes per materialized component (zero for one never built).
   const auto names = cache.names();
   std::size_t artifact_bytes = 0;

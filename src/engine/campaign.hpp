@@ -26,6 +26,7 @@
 /// execution inherits the engine's serial==parallel bitwise contract —
 /// which extends across kill/resume cycles and shard splits.
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -216,12 +217,14 @@ class CampaignBuilder {
 /// pre-build time, the evaluation time with that pre-build excluded, and
 /// the simulator work of the ok sim rows it evaluated.  Journal-replayed
 /// rows add no work, so events / eval_seconds is this run's rate.
+/// events_by_kind counts only rows this process simulated itself.
 struct RunTally {
   double build_seconds = 0.0;
   double eval_seconds = 0.0;
   std::uint64_t events = 0;
   std::uint64_t packets = 0;
   std::uint64_t messages = 0;
+  std::array<std::uint64_t, sim::kEventKinds> events_by_kind{};
 };
 
 /// One named grid inside a Campaign: the builder, its expanded batch of

@@ -22,6 +22,7 @@
 /// bitwise (ScenarioKind::parse), which is what makes a `--json` stream
 /// a resume checkpoint.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -31,6 +32,7 @@
 #include "graph/failures.hpp"
 #include "layout/cabinets.hpp"
 #include "routing/policy.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/motifs.hpp"
 #include "sim/traffic.hpp"
 
@@ -183,6 +185,9 @@ struct SimResult {
   // processed and packet-hops forwarded by this scenario's run.
   std::uint64_t events = 0;
   std::uint64_t packets = 0;
+  // `events` split by sim::EventKind.  Not journaled: a row parsed from a
+  // journal or a fleet worker's stream reads all zeros here.
+  std::array<std::uint64_t, sim::kEventKinds> events_by_kind{};
 
   double wall_ms = 0.0;  // evaluation wall-clock (excluded from comparisons)
 };

@@ -39,7 +39,7 @@ Simulator::Simulator(const Graph& topo, const routing::Tables& tables,
   for (Vertex r = 0; r < n; ++r)
     for (Vertex nb : topo_.neighbors(r)) {
       Port p;
-      p.is_network = true;
+      p.role = Role::kNetwork;
       p.to_router = nb;
       ports_.push_back(p);
     }
@@ -48,13 +48,11 @@ Simulator::Simulator(const Graph& topo, const routing::Tables& tables,
   for (EndpointId e = 0; e < eps; ++e) {
     inject_port_[e] = static_cast<std::uint32_t>(ports_.size());
     Port inj;
-    inj.is_injection = true;
+    inj.role = Role::kInjection;
     inj.to_router = router_of(e);
     ports_.push_back(inj);
     eject_port_[e] = static_cast<std::uint32_t>(ports_.size());
-    Port ej;
-    ej.eject_ep = e;
-    ports_.push_back(ej);
+    ports_.emplace_back();  // ejection
   }
   port_bytes_.assign(ports_.size(), 0);
   link_down_.assign(ports_.size(), 0);
@@ -68,10 +66,9 @@ Simulator::Simulator(const Graph& topo, const routing::Tables& tables,
   q_tail_.assign(lanes, kNil);
   credits_.resize(lanes);
   for (std::size_t p = 0; p < ports_.size(); ++p) {
-    const std::int64_t c =
-        ports_[p].is_network || ports_[p].is_injection
-            ? static_cast<std::int64_t>(cfg_.vc_buffer_bytes)
-            : -1;
+    const std::int64_t c = ports_[p].role != Role::kEjection
+                               ? static_cast<std::int64_t>(cfg_.vc_buffer_bytes)
+                               : -1;
     for (std::uint32_t vc = 0; vc < cfg_.vcs; ++vc)
       credits_[p * cfg_.vcs + vc] = c;
   }
@@ -154,6 +151,7 @@ void Simulator::handle_inject(MessageId m) {
     p.vc = 0;
     p.hops = 0;
     enqueue(inj, alloc_packet(p), 0);
+    ++packets_injected_;
   }
   try_transmit(inj);
 }
@@ -169,8 +167,12 @@ void Simulator::enqueue(std::uint32_t port, std::uint32_t pkt, std::uint8_t vc) 
   ports_[port].total_bytes += packets_[pkt].bytes;
 }
 
-void Simulator::handle_arrival(std::uint32_t pkt_id, Vertex router) {
+void Simulator::handle_arrival(std::uint32_t pkt_id, std::uint32_t in_port) {
+  fold_credit(pkt_id);
   Packet& pkt = packets_[pkt_id];
+  pkt.upstream_port = in_port;
+  pkt.upstream_vc = pkt.vc;
+  const Vertex router = ports_[in_port].to_router;
   const Vertex dst_router = router_of(pkt.dst_ep);
 
   if (router == dst_router) {
@@ -204,16 +206,26 @@ void Simulator::handle_arrival(std::uint32_t pkt_id, Vertex router) {
 void Simulator::try_transmit(std::uint32_t port_id) {
   Port& p = ports_[port_id];
   if (link_down_[port_id]) return;  // severed: recovery re-arms this port
+  // Only an enqueue makes a port non-empty, and each is followed by this
+  // call, so here a port's first enqueue settles what waited on it.
+  if (p.total_bytes > 0 && (p.retry == Retry::kDeferred || p.credits != kNil))
+    wake(port_id);
   const std::size_t lane0 = static_cast<std::size_t>(port_id) * cfg_.vcs;
   while (true) {
     if (now_ < p.busy_until) {
       // Coalesce wake-ups: one pending retry per port, re-armed when it
       // fires.  (Without this, every arrival at a hot port would clone a
       // retry event per serialization slot and the event queue would grow
-      // quadratically under congestion.)
-      if (!p.retry_scheduled) {
-        p.retry_scheduled = true;
-        events_.push(p.busy_until, EventKind::kTryTransmit, port_id);
+      // quadratically under congestion.)  At an empty port it would only
+      // find nothing to send, so it waits for an enqueue instead.
+      if (p.retry == Retry::kNone) {
+        if (p.total_bytes > 0) {
+          p.retry = Retry::kPushed;
+          events_.push(p.busy_until, EventKind::kTryTransmit, port_id);
+        } else {
+          p.retry = Retry::kDeferred;
+          p.retry_seq = events_.draw_seq();
+        }
       }
       return;
     }
@@ -231,7 +243,7 @@ void Simulator::try_transmit(std::uint32_t port_id) {
       }
     }
     if (chosen_vc == cfg_.vcs) return;  // nothing sendable now
-    p.rr = (chosen_vc + 1) % cfg_.vcs;
+    p.rr = static_cast<std::uint16_t>((chosen_vc + 1) % cfg_.vcs);
 
     const std::size_t lane = lane0 + chosen_vc;
     std::uint32_t pkt_id = q_head_[lane];
@@ -249,18 +261,27 @@ void Simulator::try_transmit(std::uint32_t port_id) {
 
     // This packet leaving the port frees the buffer it occupied at *this*
     // router's input; return the credit upstream at transmit completion.
-    if (pkt.upstream_port != kNoPort)
-      events_.push(done, EventKind::kCreditReturn, pkt.upstream_port,
-                   (static_cast<std::uint64_t>(pkt.upstream_vc) << 32) | pkt.bytes);
+    // An upstream port with nothing queued could only add it: the packet
+    // carries it instead, on that port's deferred list.
+    if (pkt.upstream_port != kNoPort) {
+      Port& up = ports_[pkt.upstream_port];
+      if (up.total_bytes > 0) {
+        events_.push(done, EventKind::kCreditReturn, pkt.upstream_port,
+                     (static_cast<std::uint64_t>(pkt.upstream_vc) << 32) | pkt.bytes);
+      } else {
+        pkt.credit_deferred = true;
+        pkt.credit_time = done;
+        pkt.credit_seq = events_.draw_seq();
+        pkt.next_in_q = up.credits;
+        up.credits = pkt_id;
+      }
+    }
 
-    if (p.is_network || p.is_injection) {
-      pkt.upstream_port = port_id;
-      pkt.upstream_vc = pkt.vc;
-      if (p.is_network) ++pkt.hops;
+    if (p.role != Role::kEjection) {
+      if (p.role == Role::kNetwork) ++pkt.hops;
       events_.push(done + cfg_.link_latency_ns + cfg_.router_latency_ns,
-                   EventKind::kArrival, pkt_id, p.to_router);
+                   EventKind::kArrival, pkt_id, port_id);
     } else {
-      pkt.upstream_port = kNoPort;
       events_.push(done + cfg_.nic_latency_ns, EventKind::kDeliver, pkt_id);
     }
     // Loop to fill the next idle slot (busy_until just moved forward, so
@@ -268,7 +289,42 @@ void Simulator::try_transmit(std::uint32_t port_id) {
   }
 }
 
+void Simulator::wake(std::uint32_t port_id) {
+  Port& p = ports_[port_id];
+  if (p.retry == Retry::kDeferred) {
+    if (passed(p.busy_until, p.retry_seq)) {
+      p.retry = Retry::kNone;
+    } else {
+      p.retry = Retry::kPushed;
+      events_.push_drawn(p.busy_until, p.retry_seq, EventKind::kTryTransmit, port_id);
+    }
+  }
+  for (std::uint32_t id = p.credits; id != kNil; id = packets_[id].next_in_q) {
+    Packet& pkt = packets_[id];
+    pkt.credit_deferred = false;
+    if (passed(pkt.credit_time, pkt.credit_seq))
+      credits_[static_cast<std::size_t>(port_id) * cfg_.vcs + pkt.upstream_vc] += pkt.bytes;
+    else
+      events_.push_drawn(pkt.credit_time, pkt.credit_seq, EventKind::kCreditReturn,
+                         port_id,
+                         (static_cast<std::uint64_t>(pkt.upstream_vc) << 32) | pkt.bytes);
+  }
+  p.credits = kNil;
+}
+
+void Simulator::fold_credit(std::uint32_t pkt_id) {
+  Packet& pkt = packets_[pkt_id];
+  if (!pkt.credit_deferred) return;
+  pkt.credit_deferred = false;
+  std::uint32_t* at = &ports_[pkt.upstream_port].credits;
+  while (*at != pkt_id) at = &packets_[*at].next_in_q;
+  *at = pkt.next_in_q;
+  credits_[static_cast<std::size_t>(pkt.upstream_port) * cfg_.vcs + pkt.upstream_vc] +=
+      pkt.bytes;
+}
+
 void Simulator::handle_deliver(std::uint32_t pkt_id) {
+  fold_credit(pkt_id);
   const Packet& pkt = packets_[pkt_id];
   MessageRecord& rec = msgs_[pkt.msg];
   // A message with any dropped packet never completes: its surviving
@@ -293,17 +349,19 @@ bool Simulator::run(double until, std::uint64_t max_events) {
     if (events_.top().time > until) return false;
     Event e = events_.pop();
     now_ = e.time;
+    now_seq_ = e.seq;
     ++processed;
     ++events_processed_;
+    ++events_by_kind_[static_cast<std::size_t>(e.kind)];
     switch (e.kind) {
       case EventKind::kInjectMessage:
         handle_inject(static_cast<MessageId>(e.a));
         break;
       case EventKind::kArrival:
-        handle_arrival(static_cast<std::uint32_t>(e.a), static_cast<Vertex>(e.b));
+        handle_arrival(static_cast<std::uint32_t>(e.a), static_cast<std::uint32_t>(e.b));
         break;
       case EventKind::kTryTransmit:
-        ports_[e.a].retry_scheduled = false;
+        ports_[e.a].retry = Retry::kNone;
         try_transmit(static_cast<std::uint32_t>(e.a));
         break;
       case EventKind::kCreditReturn: {
@@ -331,7 +389,13 @@ bool Simulator::run(double until, std::uint64_t max_events) {
         break;
     }
   }
-  return events_.empty();
+  if (!events_.empty()) return false;
+  // Each deferred credit folded at its packet's last event.  A deferred
+  // retry lies at or before the event that ended the run, so each would
+  // have run by now and found nothing to send.
+  for (Port& p : ports_)
+    if (p.retry == Retry::kDeferred) p.retry = Retry::kNone;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -587,23 +651,50 @@ void Simulator::audit() const {
   };
   const bool drained = events_.empty();
   const auto buffer = static_cast<std::int64_t>(cfg_.vc_buffer_bytes);
+  std::vector<std::uint8_t> is_free(packets_.size(), 0);
+  for (const std::uint32_t id : free_packets_) is_free[id] = 1;
+  std::vector<std::uint8_t> listed(packets_.size(), 0);
+  std::vector<std::int64_t> passed_credit(cfg_.vcs);
   for (std::size_t p = 0; p < ports_.size(); ++p) {
-    const bool limited = ports_[p].is_network || ports_[p].is_injection;
+    const Port& port = ports_[p];
+    const bool limited = port.role != Role::kEjection;
+    const bool deferred = port.retry == Retry::kDeferred || port.credits != kNil;
+    if (deferred && port.total_bytes > 0)
+      broken("port with queued bytes holds deferred events");
+    if (deferred && drained) broken("deferred event left once drained");
+    std::fill(passed_credit.begin(), passed_credit.end(), 0);
+    for (std::uint32_t id = port.credits; id != kNil; id = packets_[id].next_in_q) {
+      const Packet& pkt = packets_[id];
+      if (is_free[id]) broken("deferred credit held by a freed packet");
+      if (listed[id]++ || !pkt.credit_deferred || pkt.upstream_port != p)
+        broken("deferred credit not on exactly its own port's list");
+      if (passed(pkt.credit_time, pkt.credit_seq))
+        passed_credit[pkt.upstream_vc] += pkt.bytes;
+    }
     std::uint64_t queued = 0;
-    for (std::size_t lane = p * cfg_.vcs; lane < (p + 1) * cfg_.vcs; ++lane) {
+    for (std::uint32_t vc = 0; vc < cfg_.vcs; ++vc) {
+      const std::size_t lane = p * cfg_.vcs + vc;
       for (std::uint32_t id = q_head_[lane]; id != kNil; id = packets_[id].next_in_q)
         queued += packets_[id].bytes;
-      if (limited && (credits_[lane] < 0 || credits_[lane] > buffer))
+      const std::int64_t credit = credits_[lane] + passed_credit[vc];
+      if (limited && (credit < 0 || credit > buffer))
         broken("lane credit outside [0, vc_buffer_bytes]");
       if (limited && drained && credits_[lane] != buffer)
         broken("lane credit not back to vc_buffer_bytes once drained");
     }
-    if (queued != ports_[p].total_bytes)
+    if (queued != port.total_bytes)
       broken("port total_bytes differs from the bytes queued on its lanes");
   }
+  for (std::size_t id = 0; id < packets_.size(); ++id)
+    if (!is_free[id] && packets_[id].credit_deferred && !listed[id])
+      broken("deferred credit on no port's list");
+  const std::uint64_t live = packets_.size() - free_packets_.size();
+  const std::uint64_t delivered =
+      events_by_kind_[static_cast<std::size_t>(EventKind::kDeliver)];
+  if (packets_injected_ != delivered + dropped_ + live)
+    broken("packets injected differ from delivered + dropped + live");
   if (!drained) return;
-  if (free_packets_.size() != packets_.size())
-    broken("packet record off the free list once drained");
+  if (live != 0) broken("packet record off the free list once drained");
   for (std::size_t m = 0; m < msgs_.size(); ++m)
     if (msgs_[m].delivered_ns < 0.0 && !msg_failed_[m])
       broken("message neither delivered nor failed once drained");

@@ -18,7 +18,20 @@
 // per-VC sum, no lower_bound), and the per-VC FIFOs are intrusive
 // singly-linked lists threaded through the pooled Packet records — after
 // warm-up the event loop performs zero allocations per simulated event.
+//
+// Deferred no-op events (DESIGN.md §4): a port retry armed at a port with
+// nothing queued, and a credit return to an upstream port with nothing
+// queued, would find every lane empty and do nothing but clear the retry
+// or add the credit.  Such an event is not pushed: it draws the seq it
+// would have had and waits on its port (the retry in Port, the credit in
+// the Packet that freed it).  The port's next enqueue settles it against
+// the event being handled: one that has passed is applied, one still due
+// is pushed under its own (time, seq).  A deferred credit that no enqueue
+// claimed folds in at its packet's next event, which always comes later.
+// Every event that runs therefore runs at the same point as if all had
+// been pushed, so every result but events_processed() is unchanged.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -87,8 +100,12 @@ class Simulator {
     on_delivery_ = std::move(cb);
   }
 
-  /// Process events until the queue drains or `until` is reached.
-  /// Returns true if the queue drained (all traffic delivered).
+  /// Process events until the queue drains, the next event lies past
+  /// `until`, or `max_events` events have run.  Returns true if the queue
+  /// drained (all traffic delivered).  Deferred no-op events never run:
+  /// they count toward neither `max_events` nor events_processed(), and a
+  /// stop at a finite `until` leaves now() at the last event that ran,
+  /// which can be earlier than a deferred one's time.
   bool run(double until = std::numeric_limits<double>::infinity(),
            std::uint64_t max_events = std::numeric_limits<std::uint64_t>::max());
 
@@ -97,6 +114,10 @@ class Simulator {
   [[nodiscard]] double completion_time() const { return completion_; }
   [[nodiscard]] std::uint64_t packets_forwarded() const { return packets_forwarded_; }
   [[nodiscard]] std::uint64_t events_processed() const { return events_processed_; }
+  /// events_processed() split by EventKind (indexed by its value).
+  [[nodiscard]] const std::array<std::uint64_t, kEventKinds>& events_by_kind() const {
+    return events_by_kind_;
+  }
 
   /// Schedule a deterministic link/router churn timeline (DESIGN.md §7).
   /// Call before (or between) run()s; events land in the ordinary event
@@ -138,11 +159,15 @@ class Simulator {
 
   /// Test aid: checks the conservation invariants and throws
   /// std::logic_error naming the first broken one.  At any time, each
-  /// port's queued-byte counter equals the bytes queued on its lanes and
-  /// each credit-limited lane's credit lies in [0, vc_buffer_bytes].  Once
-  /// the event queue is empty, every such lane holds exactly
-  /// vc_buffer_bytes, every packet record is on the free list, and every
-  /// message is delivered or marked failed.
+  /// port's queued-byte counter equals the bytes queued on its lanes; a
+  /// port holding a deferred retry or deferred credits has nothing queued;
+  /// each deferred credit belongs to a live packet on exactly one port's
+  /// list; each credit-limited lane's credit, plus its deferred credits
+  /// that have passed, lies in [0, vc_buffer_bytes]; and packets injected
+  /// = delivered + dropped + live records.  Once the event queue is empty,
+  /// nothing is deferred, every such lane holds exactly vc_buffer_bytes,
+  /// every packet record is on the free list, and every message is
+  /// delivered or marked failed.
   void audit() const;
 
   /// Per-network-link load: bytes forwarded over each directed router
@@ -166,25 +191,48 @@ class Simulator {
     routing::PacketRoute route;
     std::uint8_t vc = 0;
     std::uint8_t hops = 0;
-    std::uint32_t upstream_port = kNoPort;  // credit return target
+    // The port (and its VC) the packet arrived through, whose buffer it
+    // holds: the target of its credit return.  Set on arrival, so while
+    // the packet is in flight it still names the buffer it just left.
     std::uint8_t upstream_vc = 0;
-    std::uint32_t next_in_q = kNil;  // intrusive per-VC FIFO link
+    bool credit_deferred = false;  // that credit waits on upstream_port
+    std::uint32_t upstream_port = kNoPort;
+    // Intrusive link: the per-VC FIFO while queued, the upstream port's
+    // deferred-credit list while in flight with credit_deferred.
+    std::uint32_t next_in_q = kNil;
+    double credit_time = 0.0;     // of a deferred credit
+    std::uint64_t credit_seq = 0;
   };
+
+  enum class Role : std::uint8_t { kNetwork, kInjection, kEjection };
+  // kDeferred: armed at busy_until under retry_seq, but not pushed.
+  enum class Retry : std::uint8_t { kNone, kPushed, kDeferred };
 
   struct Port {
-    Vertex to_router = 0;        // network ports
-    EndpointId eject_ep = 0;     // ejection ports
-    bool is_network = false;
-    bool is_injection = false;
-    bool retry_scheduled = false;  // at most one pending kTryTransmit
     double busy_until = 0.0;
-    std::uint32_t rr = 0;          // round-robin VC scan start
-    std::uint64_t total_bytes = 0; // queued bytes across VCs (queue_probe)
+    std::uint64_t total_bytes = 0;    // queued bytes across VCs (queue_probe)
+    std::uint64_t retry_seq = 0;      // of a kDeferred retry
+    Vertex to_router = 0;             // network and injection ports
+    std::uint32_t credits = kNil;     // deferred-credit list head (packet id)
+    std::uint16_t rr = 0;             // round-robin VC scan start
+    Role role = Role::kEjection;
+    Retry retry = Retry::kNone;       // at most one kTryTransmit per port
   };
+  // A paper-scale run holds a port per directed link and endpoint in each
+  // of its concurrent simulators: keep a port within five words.
+  static_assert(sizeof(Port) == 40, "Port grew");
 
   void handle_inject(MessageId m);
-  void handle_arrival(std::uint32_t pkt, Vertex router);
+  void handle_arrival(std::uint32_t pkt, std::uint32_t in_port);
   void try_transmit(std::uint32_t port);
+  // Settles a port's deferred events against the event being handled.
+  void wake(std::uint32_t port);
+  // Applies a packet's deferred credit, if no enqueue settled it first.
+  void fold_credit(std::uint32_t pkt);
+  // (time, seq) before the event being handled: it would have run.
+  [[nodiscard]] bool passed(double time, std::uint64_t seq) const {
+    return time < now_ || (time == now_ && seq < now_seq_);
+  }
   void handle_deliver(std::uint32_t pkt);
   void enqueue(std::uint32_t port, std::uint32_t pkt, std::uint8_t vc);
   [[nodiscard]] std::uint32_t port_toward(Vertex router, Vertex neighbor) const;
@@ -269,9 +317,12 @@ class Simulator {
 
   EventQueue events_;
   double now_ = 0.0;
+  std::uint64_t now_seq_ = 0;  // seq of the event being (or last) handled
   double completion_ = 0.0;
+  std::uint64_t packets_injected_ = 0;
   std::uint64_t packets_forwarded_ = 0;
   std::uint64_t events_processed_ = 0;
+  std::array<std::uint64_t, kEventKinds> events_by_kind_{};
   LatencyStats latency_;
   std::function<void(const MessageRecord&)> on_delivery_;
 };
