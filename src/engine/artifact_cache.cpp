@@ -54,15 +54,8 @@ std::shared_ptr<const routing::NextHopIndex> Artifacts::next_hops(TaskPool* pool
 
 std::shared_ptr<const routing::CellIndex> Artifacts::cell_index(TaskPool* pool) {
   build_once(cell_once_, [this, pool] {
-    if (cell_) return;
-    const auto g = graph();
-    if (g->num_vertices() <= kCellExactThreshold) {
-      cell_ = std::make_shared<const routing::CellIndex>(
-          routing::CellIndex::wrap_exact(tables(pool)));
-    } else {
-      cell_ = std::make_shared<const routing::CellIndex>(
-          routing::CellIndex::build(*g, {}, pool));
-    }
+    cell_ = std::make_shared<const routing::CellIndex>(
+        routing::CellIndex::build(*graph(), {}, pool));
   });
   return cell_;
 }

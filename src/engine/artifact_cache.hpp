@@ -5,6 +5,11 @@
 // the engine computes each artifact once (thread-safe, lazily) and hands
 // out shared pointers.  Failure-perturbed scenarios reuse the cached
 // pristine graph as their base and derive the rest per scenario.
+//
+// The O(V^2) tables are built only where they fit, at or below
+// kCellExactThreshold routers; sflyd routes above it over BFS distance
+// rows of the graph alone (routing/distance_rows.hpp).  cell_index()
+// remains only for perfbench's cell probe.
 
 #include <cstdint>
 #include <exception>
@@ -25,9 +30,10 @@
 namespace sfly::engine {
 
 /// Vertex-count ceiling for exact all-pairs routing artifacts.  At or
-/// below it, cell_index() wraps the shared Tables (same answers, no extra
-/// memory); above it, the O(V^2) tables are impractical and cell_index()
-/// builds the hierarchical routing::CellIndex instead.
+/// below it sflyd routes over rows of the shared Tables and snapshots
+/// carry them; above it the O(V^2) tables are impractical, so routes run
+/// one BFS row per destination and snapshots carry the graph and spectra
+/// only.
 inline constexpr Vertex kCellExactThreshold = 4096;
 
 /// Lazily materialized per-topology artifacts.  Thread-safe: concurrent
@@ -44,7 +50,7 @@ class Artifacts {
     std::size_t tables_bytes = 0;
     std::size_t next_hops_bytes = 0;
     std::size_t spectra_bytes = 0;
-    std::size_t cells_bytes = 0;  // 0 when cell_index() wraps exact tables
+    std::size_t cells_bytes = 0;  // 0 unless cell_index() was called
     [[nodiscard]] std::size_t total() const {
       return graph_bytes + tables_bytes + next_hops_bytes + spectra_bytes +
              cells_bytes;
@@ -60,14 +66,12 @@ class Artifacts {
   Artifacts(std::shared_ptr<const Graph> graph,
             std::shared_ptr<const routing::Tables> tables,
             std::shared_ptr<const routing::NextHopIndex> next_hops,
-            std::shared_ptr<const Spectra> spectra, std::uint32_t concentration,
-            std::shared_ptr<const routing::CellIndex> cell = nullptr)
+            std::shared_ptr<const Spectra> spectra, std::uint32_t concentration)
       : concentration_(concentration),
         graph_(std::move(graph)),
         tables_(std::move(tables)),
         next_hops_(std::move(next_hops)),
-        spectra_(std::move(spectra)),
-        cell_(std::move(cell)) {}
+        spectra_(std::move(spectra)) {}
 
   [[nodiscard]] std::uint32_t concentration() const { return concentration_; }
 
@@ -79,12 +83,15 @@ class Artifacts {
       TaskPool* pool = nullptr);
   [[nodiscard]] std::shared_ptr<const Spectra> spectra();
 
-  /// Scale-adaptive routing artifact: wraps the exact tables at or below
-  /// kCellExactThreshold vertices (bitwise the same answers, no extra
-  /// build), builds the hierarchical cell index above it.  This is the
-  /// only routing accessor that is safe to force at 50k+ routers.
+  /// The hierarchical cell index, built on first call at any size.  Its
+  /// last caller is perfbench's cell probe (perfbench/src/probes.cpp);
+  /// nothing in src/ or tools/ calls it (ROADMAP item 13(c)).
   [[nodiscard]] std::shared_ptr<const routing::CellIndex> cell_index(
       TaskPool* pool = nullptr);
+  /// Process-wide routing::CellIndex build count (sflyd's stats).
+  [[nodiscard]] static std::uint64_t cells_built() {
+    return routing::CellIndex::builds();
+  }
 
   /// A core::Network sharing the cached graph, all-pairs tables, and
   /// next-hop index (Network::from_shared — no per-call BFS rebuild, no

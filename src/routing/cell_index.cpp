@@ -13,15 +13,6 @@ std::atomic<std::uint64_t> g_cell_builds{0};
 
 std::uint64_t CellIndex::builds() { return g_cell_builds.load(); }
 
-CellIndex CellIndex::wrap_exact(std::shared_ptr<const Tables> tables) {
-  if (!tables)
-    throw std::invalid_argument("CellIndex::wrap_exact: null tables");
-  CellIndex x;
-  x.n_ = tables->num_vertices();
-  x.tables_ = std::move(tables);
-  return x;
-}
-
 CellIndex CellIndex::build(const Graph& g, const Options& opts,
                            TaskPool* pool) {
   if (opts.max_cell_size == 0 || opts.max_cell_size > 255)
@@ -293,16 +284,14 @@ CellIndex::Views CellIndex::views() const {
 }
 
 CellQuery::CellQuery(const CellIndex* index, const Graph* graph)
-    : index_(index), graph_(graph), dst_(index->num_vertices()) {
-  if (!index_->exact()) {
-    label_.resize(index_->num_boundary_);
-    buckets_.resize(256);
-  }
-}
+    : index_(index),
+      graph_(graph),
+      dst_(index->num_vertices()),
+      label_(index->num_boundary_),
+      buckets_(256) {}
 
 void CellQuery::prepare(Vertex dst) {
   dst_ = dst;
-  if (index_->exact()) return;
   const CellIndex& x = *index_;
   label_.assign(x.num_boundary_, 0xFF);
   for (auto& b : buckets_) b.clear();
@@ -346,7 +335,6 @@ void CellQuery::prepare(Vertex dst) {
 }
 
 std::uint8_t CellQuery::distance(Vertex u) const {
-  if (index_->exact()) return index_->tables_->distance(u, dst_);
   if (u == dst_) return 0;
   const CellIndex& x = *index_;
   const std::uint32_t cu = x.cell_of_[u];
@@ -377,22 +365,8 @@ void CellQuery::minimal_next_hops(Vertex u, std::vector<Vertex>& out) const {
 }
 
 Hop CellQuery::pick(Vertex u, std::uint64_t entropy) const {
-  const std::uint8_t du = distance(u);
-  const auto nb = graph_->neighbors(u);
-  // Same two-pass count-then-pick as Tables::sample_next_hop — the picked
-  // hop is bitwise identical wherever both representations exist.
-  std::uint32_t count = 0;
-  for (Vertex w : nb)
-    if (distance(w) + 1 == du) ++count;
-  if (count == 0) throw std::logic_error("sample_next_hop: u == v or no path");
-  std::uint32_t k = static_cast<std::uint32_t>(entropy % count);
-  for (std::size_t s = 0; s < nb.size(); ++s) {
-    if (distance(nb[s]) + 1 == du) {
-      if (k == 0) return {nb[s], static_cast<std::uint16_t>(s)};
-      --k;
-    }
-  }
-  throw std::logic_error("sample_next_hop: unreachable");
+  return scan_pick(graph_->neighbors(u), distance(u),
+                   [this](Vertex w) { return distance(w); }, entropy);
 }
 
 Vertex CellQuery::num_vertices() const { return index_->num_vertices(); }

@@ -1,8 +1,11 @@
 #pragma once
-// Hierarchical cell-based routing index — the sub-quadratic replacement
-// for the all-pairs Tables/NextHopIndex pair past a few thousand routers
-// (ROADMAP "100k-router scale"; OSRM's partition/customize split is the
-// blueprint).
+// Hierarchical cell-based routing index (OSRM's partition/customize split
+// is the blueprint).  Nothing in src/, tools/ or the service routes over
+// it any more: every route is answered from distance rows
+// (routing/distance_rows.hpp, DESIGN.md §9).  It stays only because its
+// last caller, perfbench's cell probe (perfbench/src/probes.cpp), times
+// CellIndex::build, CellQuery::prepare and a cell-mode walk; ROADMAP item
+// 13(b) moves that probe to rows and 13(c) deletes this file.
 //
 // The topology is cut into leaf cells by recursive bisection
 // (partition/recursive_bisection.hpp).  Per cell we store the
@@ -26,31 +29,18 @@
 // is exact for every pair.  A CellQuery materializes d(., dst) on the
 // overlay once per destination (bucket-queue Dijkstra over <= 255-hop
 // labels) and answers distance / minimal-next-hop / pick queries per
-// vertex in O(cell size).  Minimal next-hop sets are computed with the
-// same neighbor scan and the same (entropy % count) pick as
-// Tables::sample_next_hop, and pick() reports the scan position as the
-// port slot, so at any scale where both exist the picked (vertex, slot)
-// agrees bit for bit with NextHopIndex::pick (tests/test_cell_index.cpp
-// pins this).  That makes CellQuery a routing::MinimalHopOracle: the
-// shared source_decision / next_hop in policy.hpp route over it.
-//
-// Memory is O(V * cell + cut) instead of O(V^2): ~40 MB where the exact
-// tables would need ~2.7 GB of distances alone at 52k routers.
-//
-// Below `exact_threshold` vertices a CellIndex simply wraps the shared
-// all-pairs Tables (wrap_exact) and delegates — small topologies keep the
-// exact artifact and its pinned bytes, large ones switch representation
-// behind the same engine::Artifacts accessor.
+// vertex in O(cell size).  pick() is scan_pick (distance_rows.hpp) over
+// those distances, so the picked (vertex, slot) agrees bit for bit with
+// Tables::sample_next_hop and NextHopIndex::pick (tests/test_cell_index.cpp
+// pins this), and CellQuery is a routing::MinimalHopOracle.
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "routing/policy.hpp"
-#include "routing/tables.hpp"
+#include "routing/distance_rows.hpp"
 #include "util/owned_span.hpp"
 
 namespace sfly::routing {
@@ -64,8 +54,7 @@ class CellIndex;
 class CellQuery {
  public:
   /// Materialize exact distances-to-`dst` on the boundary overlay.
-  /// Must be called before the per-vertex queries; O(overlay) in cell
-  /// mode, O(1) when the index wraps exact tables.
+  /// Must be called before the per-vertex queries; O(overlay).
   void prepare(Vertex dst);
 
   /// Destination of the last prepare() (num_vertices() when unprepared).
@@ -119,9 +108,9 @@ class CellIndex {
     int fm_passes = 4;          // per-split FM passes
   };
 
-  /// The raw array set (snapshot serialization and from_view): every span
-  /// is a zero-copy window into the index (or, for from_view, into
-  /// externally owned memory such as an mmap'd snapshot).
+  /// The raw array set (views() and from_view): every span is a zero-copy
+  /// window into the index (or, for from_view, into externally owned
+  /// memory).
   struct Views {
     Vertex n = 0;
     std::uint32_t num_cells = 0;
@@ -149,33 +138,19 @@ class CellIndex {
                          TaskPool* pool = nullptr);
   static CellIndex build(const Graph& g) { return build(g, Options{}); }
 
-  /// Exact mode: share an already-built all-pairs table and delegate every
-  /// query to it bitwise.  No arrays are built (memory_bytes() is 0).
-  static CellIndex wrap_exact(std::shared_ptr<const Tables> tables);
-
-  /// Zero-copy view over externally owned arrays (mmap'd snapshot).  The
-  /// backing memory must outlive the index and every copy of it.
+  /// Zero-copy view over externally owned arrays.  The backing memory must
+  /// outlive the index and every copy of it.
   static CellIndex from_view(const Views& v);
 
-  /// Process-wide count of build() calls — warm-restart assertions check
-  /// that snapshot-served queries never trigger a cell rebuild.
+  /// Process-wide count of build() calls (sflyd's stats report it; no
+  /// query builds a cell index, so it stays 0 there).
   static std::uint64_t builds();
-
-  /// True when this index delegates to exact all-pairs tables.
-  [[nodiscard]] bool exact() const { return tables_ != nullptr; }
-  /// The wrapped tables in exact mode (nullptr in cell mode).
-  [[nodiscard]] const std::shared_ptr<const Tables>& exact_tables() const {
-    return tables_;
-  }
 
   [[nodiscard]] Vertex num_vertices() const { return n_; }
   [[nodiscard]] std::uint32_t num_cells() const { return num_cells_; }
   [[nodiscard]] std::uint32_t num_boundary() const { return num_boundary_; }
-  /// Upper bound on the graph diameter (2 * ecc(vertex 0), capped at 254);
-  /// exact-mode indexes report the wrapped tables' true diameter.
-  [[nodiscard]] std::uint8_t diameter_bound() const {
-    return tables_ ? tables_->diameter() : diameter_bound_;
-  }
+  /// Upper bound on the graph diameter (2 * ecc(vertex 0), capped at 254).
+  [[nodiscard]] std::uint8_t diameter_bound() const { return diameter_bound_; }
 
   /// A query workspace bound to `g` — which must be the graph this index
   /// was built over (same vertex set and adjacency).
@@ -183,12 +158,11 @@ class CellIndex {
     return CellQuery(this, &g);
   }
 
-  /// Bytes of owned/viewed cell arrays (0 in exact mode — the wrapped
-  /// tables are accounted by their own owner).
+  /// Bytes of owned/viewed cell arrays.
   [[nodiscard]] std::size_t memory_bytes() const;
   [[nodiscard]] bool is_view() const { return cell_of_.is_view(); }
 
-  /// Raw arrays (snapshot serialization; read-only).
+  /// Raw arrays (read-only).
   [[nodiscard]] Views views() const;
 
  private:
@@ -214,7 +188,6 @@ class CellIndex {
   OwnedSpan<std::uint32_t> ov_offsets_;
   OwnedSpan<std::uint32_t> ov_adj_;
   OwnedSpan<std::uint8_t> ov_w_;
-  std::shared_ptr<const Tables> tables_;  // exact mode only
 };
 
 }  // namespace sfly::routing

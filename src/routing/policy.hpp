@@ -12,8 +12,8 @@
 // The per-packet rule is written once, over a *minimal-hop oracle* (see
 // MinimalHopOracle below).  The simulator runs it over ExactOracle
 // (next_hop_index.hpp: all-pairs Tables + NextHopIndex), sflyd's route
-// handler over CellQuery (cell_index.hpp), which wraps the exact tables at
-// small scale and answers from the hierarchical cell index above it.
+// handler over DistanceRows (distance_rows.hpp), which views rows of the
+// exact tables at small scale and runs one BFS per destination above it.
 
 #include <concepts>
 #include <cstdint>

@@ -9,7 +9,8 @@
 
 #include "engine/sink.hpp"
 #include "graph/failures.hpp"
-#include "routing/cell_index.hpp"
+#include "graph/metrics.hpp"
+#include "routing/distance_rows.hpp"
 #include "routing/next_hop_index.hpp"
 #include "routing/policy.hpp"
 #include "sim/motifs.hpp"
@@ -167,16 +168,11 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
   const std::string name = register_spec(topo);
   auto art = engine_.artifacts().get(name);
   std::shared_ptr<const Graph> g = art->graph();
-  // Scale-adaptive routing index: wraps the exact all-pairs tables at
-  // small scale, hierarchical cells above it (Artifacts::cell_index).
-  std::shared_ptr<const routing::CellIndex> index = art->cell_index();
   const Vertex n = g->num_vertices();
 
-  // Failed-link overlay: "fail":[u1,v1,u2,v2,...].  The overlay's routing
-  // index is query-local (never cached) — this is the "what if these
-  // links die" probe, so a freshly built index is the point.  A scratch
-  // Artifacts over the overlay graph picks exact or cell mode the same way
-  // the cached topology does.
+  // Failed-link overlay: "fail":[u1,v1,u2,v2,...].  This is the "what if
+  // these links die" probe, so its rows are BFS rows over the overlay
+  // graph, never cached.
   std::vector<std::uint64_t> fail;
   if (q.has("fail")) {
     if (!q.get_u64_array("fail", fail) || fail.size() % 2 != 0)
@@ -199,11 +195,10 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
         edges.erase(it);
       }
       auto overlay = std::make_shared<const Graph>(Graph::from_edges(n, std::move(edges)));
-      // Throws "graph disconnected" -> error frame when the overlay cuts
-      // the destination off; the daemon stays up.
-      engine::Artifacts scratch(overlay, nullptr, nullptr, nullptr,
-                                art->concentration());
-      index = scratch.cell_index();
+      // An overlay that splits the topology is an error frame; the daemon
+      // stays up.
+      if (!is_connected(*overlay))
+        throw std::runtime_error("failed links leave the graph disconnected");
       g = std::move(overlay);
     }
   }
@@ -211,21 +206,24 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
   if (src >= n || dst >= n)
     throw std::invalid_argument("src/dst out of range (n=" + std::to_string(n) + ")");
 
+  // Distance rows: rows of the cached all-pairs tables at or below the
+  // exact threshold, one BFS per destination above it or over an overlay.
+  std::shared_ptr<const routing::Tables> tables;
+  if (fail.empty() && n <= engine::kCellExactThreshold) tables = art->tables();
+
   // Zero-occupancy queue probe: with no live traffic every UGAL decision
   // is minimal (q_min == 0), which keeps route answers reproducible.
+  // Rows hold exact distances (Snapshot::open checks a mapped matrix), so
+  // every hop is one step closer to its target and the walk ends.
   const auto from = static_cast<Vertex>(src), to = static_cast<Vertex>(dst);
-  routing::CellQuery oracle = index->make_query(*g);
+  routing::DistanceRows oracle(*g, tables.get());
   routing::PacketRoute route = routing::source_decision(
       algo, oracle, from, to, seed,
       [](Vertex, std::uint16_t) { return std::uint64_t{0}; });
   std::vector<Vertex> path{from};
-  const std::size_t max_hops = 4u * index->diameter_bound() + 16;
-  for (std::uint64_t hop = 0; path.back() != to; ++hop) {
-    if (hop >= max_hops)
-      throw std::runtime_error("routing loop (exceeded hop budget)");
+  for (std::uint64_t hop = 0; path.back() != to; ++hop)
     path.push_back(
         routing::next_hop(oracle, path.back(), to, route, split_seed(seed, hop)).vert);
-  }
 
   std::string out = "{\"id\":" + std::to_string(id) +
                     ",\"ok\":true,\"kind\":\"route\",\"topology\":" +
@@ -402,7 +400,7 @@ std::string QueryEngine::handle_stats(const JsonObject&, std::uint64_t id) {
     out.append(i ? "," : "").append(json_quote(names[i]));
   out += "],\"tables_built\":" + std::to_string(routing::Tables::builds()) +
          ",\"index_built\":" + std::to_string(routing::NextHopIndex::builds()) +
-         ",\"cells_built\":" + std::to_string(routing::CellIndex::builds()) +
+         ",\"cells_built\":" + std::to_string(engine::Artifacts::cells_built()) +
          ",\"graph_bytes\":" + std::to_string(graph_b) +
          ",\"tables_bytes\":" + std::to_string(tables_b) +
          ",\"next_hops_bytes\":" + std::to_string(nh_b) +

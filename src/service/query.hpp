@@ -4,16 +4,18 @@
 // One QueryEngine wraps one engine::Engine and answers flat-JSON requests
 // through a per-kind handler registry:
 //
-//   route — walk one src->dst packet under minimal/Valiant/UGAL over the
-//           cached tables (optionally over a failed-link overlay);
+//   route — walk one src->dst packet under minimal/Valiant/UGAL over
+//           distance rows (routing/distance_rows.hpp): rows of the cached
+//           tables at or below the exact threshold, one BFS per
+//           destination above it or over a failed-link overlay;
 //   sim   — evaluate one SimScenario through Engine::evaluate and
 //           return the journaled SimResult row verbatim, so a service
 //           answer is byte-identical to the batch/bench answer;
 //   rank  — score registered topologies for a job size via the existing
 //           structure + spectral metrics;
 //   stats — daemon counters (queries, errors, artifact footprints, and
-//           the Tables/NextHopIndex build counters the warm-restart
-//           checks assert on).
+//           the table, next-hop and cell build counters the
+//           warm-restart checks assert on).
 //
 // handle() never throws: a malformed or throwing query becomes an
 // {"ok":false,"error":...} response, which the server forwards as an

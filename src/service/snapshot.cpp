@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -32,16 +33,18 @@ struct Header {
 };
 static_assert(sizeof(Header) == kHeaderBytes);
 
-// Entry artifact flags: which routing representation the entry carries.
+// Entry artifact flags: kFlagExact when the entry carries the all-pairs
+// blobs (n <= engine::kCellExactThreshold); an entry without it carries
+// the graph and spectra only, and routes over BFS rows of the graph.
 constexpr std::uint32_t kFlagExact = 1u;  // dist_off / nh_masks_off blobs present
-constexpr std::uint32_t kFlagCell = 2u;   // cell_* / ov_* blobs present
 
 struct EntryDesc {
   char name[kNameBytes];       // NUL-terminated topology name
   std::uint32_t concentration;
   std::uint32_t n;             // vertices
-  std::uint8_t diameter;       // exact: true diameter; cell: diameter bound
-  std::uint8_t pad[7];
+  std::uint8_t diameter;       // exact entries: the distance matrix's maximum
+  std::uint8_t pad[3];
+  std::uint32_t flags;         // kFlagExact or 0
   std::uint64_t graph_offsets_off;  // n+1 u32
   std::uint64_t graph_adj_off;      // graph_adj_count u32
   std::uint64_t graph_adj_count;
@@ -49,27 +52,8 @@ struct EntryDesc {
   std::uint64_t nh_masks_off;       // n*n*nh_words u64 (v3: slot masks)
   std::uint64_t nh_words;           // mask words per router pair
   std::uint64_t spectra_off;        // one SpectraBlob
-  // --- v2: routing representation flags + cell-index blobs ---
-  std::uint32_t flags;               // kFlagExact | kFlagCell
-  std::uint32_t num_cells;
-  std::uint64_t num_boundary;
-  std::uint64_t cell_of_off;          // n u32
-  std::uint64_t cell_offsets_off;     // num_cells+1 u32
-  std::uint64_t members_off;          // n u32
-  std::uint64_t local_index_off;      // n u16
-  std::uint64_t intra_offsets_off;    // num_cells+1 u32
-  std::uint64_t intra_off;            // intra_count u8
-  std::uint64_t intra_count;
-  std::uint64_t boundary_offsets_off; // num_cells+1 u32
-  std::uint64_t boundary_local_off;   // num_boundary u16
-  std::uint64_t overlay_id_off;       // n u32
-  std::uint64_t overlay_vertex_off;   // num_boundary u32
-  std::uint64_t ov_offsets_off;       // num_boundary+1 u32
-  std::uint64_t ov_adj_off;           // ov_edge_count u32
-  std::uint64_t ov_w_off;             // ov_edge_count u8
-  std::uint64_t ov_edge_count;
 };
-static_assert(sizeof(EntryDesc) == 248);
+static_assert(sizeof(EntryDesc) == 112);
 
 // Spectra is an in-memory struct with padding; the blob spells the fields
 // out so the file carries no indeterminate bytes.
@@ -119,7 +103,6 @@ void write_snapshot(const std::string& path, engine::ArtifactCache& cache) {
     auto art = cache.get(name);
     const auto graph = art->graph();
     const auto spectra = art->spectra();
-    const auto cell = art->cell_index();
 
     EntryDesc& d = descs[e];
     std::memset(&d, 0, sizeof(d));
@@ -141,8 +124,9 @@ void write_snapshot(const std::string& path, engine::ArtifactCache& cache) {
     d.graph_adj_off = blob_off(ga.data(), ga.size_bytes());
     d.graph_adj_count = ga.size();
 
-    if (cell->exact()) {
-      // Small topology: exact all-pairs blobs.
+    if (d.n <= engine::kCellExactThreshold) {
+      // Small topology: exact all-pairs blobs.  Above the threshold the
+      // entry is the graph and spectra only; routes run BFS rows.
       const auto tables = art->tables();
       const auto next_hops = art->next_hops();
       d.flags = kFlagExact;
@@ -154,37 +138,6 @@ void write_snapshot(const std::string& path, engine::ArtifactCache& cache) {
       const auto masks = next_hops->raw_masks();
       d.nh_masks_off = blob_off(masks.data(), masks.size_bytes());
       d.nh_words = next_hops->words();
-    } else {
-      // 50k+-router topology: hierarchical cell-index blobs; the O(V^2)
-      // tables are never materialized.
-      const auto v = cell->views();
-      d.flags = kFlagCell;
-      d.diameter = v.diameter_bound;
-      d.num_cells = v.num_cells;
-      d.num_boundary = v.num_boundary;
-      d.cell_of_off = blob_off(v.cell_of.data(), v.cell_of.size_bytes());
-      d.cell_offsets_off =
-          blob_off(v.cell_offsets.data(), v.cell_offsets.size_bytes());
-      d.members_off = blob_off(v.members.data(), v.members.size_bytes());
-      d.local_index_off =
-          blob_off(v.local_index.data(), v.local_index.size_bytes());
-      d.intra_offsets_off =
-          blob_off(v.intra_offsets.data(), v.intra_offsets.size_bytes());
-      d.intra_off = blob_off(v.intra.data(), v.intra.size_bytes());
-      d.intra_count = v.intra.size();
-      d.boundary_offsets_off =
-          blob_off(v.boundary_offsets.data(), v.boundary_offsets.size_bytes());
-      d.boundary_local_off =
-          blob_off(v.boundary_local.data(), v.boundary_local.size_bytes());
-      d.overlay_id_off =
-          blob_off(v.overlay_id.data(), v.overlay_id.size_bytes());
-      d.overlay_vertex_off =
-          blob_off(v.overlay_vertex.data(), v.overlay_vertex.size_bytes());
-      d.ov_offsets_off =
-          blob_off(v.ov_offsets.data(), v.ov_offsets.size_bytes());
-      d.ov_adj_off = blob_off(v.ov_adj.data(), v.ov_adj.size_bytes());
-      d.ov_w_off = blob_off(v.ov_w.data(), v.ov_w.size_bytes());
-      d.ov_edge_count = v.ov_adj.size();
     }
 
     SpectraBlob sb{};
@@ -281,8 +234,7 @@ std::shared_ptr<Snapshot> Snapshot::open(const std::string& path) {
     auto bad = [&](const std::string& what) {
       fail(std::string("bad entry ") + d.name + ": " + what + ": " + path);
     };
-    if (d.flags == 0 || (d.flags & ~(kFlagExact | kFlagCell)) != 0)
-      fail("unknown entry flags: " + path);
+    if ((d.flags & ~kFlagExact) != 0) fail("unknown entry flags: " + path);
     check(d.graph_offsets_off, n + 1, sizeof(std::uint32_t), "graph offsets");
     check(d.graph_adj_off, d.graph_adj_count, sizeof(std::uint32_t), "graph adj");
 
@@ -310,14 +262,38 @@ std::shared_ptr<Snapshot> Snapshot::open(const std::string& path) {
       if (d.nh_words != words) bad("next-hop mask width does not fit the radix");
       check(d.nh_masks_off, rows, words * sizeof(std::uint64_t),
             "next-hop masks");
-      // pick() selects among a row's set bits: a bit past the degree names
-      // no port, and an empty off-diagonal row divides by zero.  Every hop
-      // must also be one step closer by the entry's own distances, so a
-      // route cannot cycle.
-      const auto* mask =
-          reinterpret_cast<const std::uint64_t*>(snap->base_ + d.nh_masks_off);
+      // Routes read whole distance rows, so every byte must be the true
+      // hop distance: d(u, u) = 0 and, off the diagonal, d(u, v) = 1 + the
+      // minimum of d(w, v) over u's neighbours w.  With a zero diagonal
+      // these equations have one solution, the BFS distances, so a cyclic
+      // or disconnected matrix cannot pass.  The row minimum runs over
+      // whole rows so it vectorizes: n * |E| byte ops in all.
       const auto* dist =
           reinterpret_cast<const std::uint8_t*>(snap->base_ + d.dist_off);
+      for (std::size_t u = 0; u < n; ++u)
+        if (dist[u * n + u] != 0) bad("distance diagonal not zero");
+      std::vector<std::uint8_t> nearest(n);
+      std::uint8_t max = 0;
+      for (Vertex u = 0; u < d.n; ++u) {
+        std::fill(nearest.begin(), nearest.end(), std::uint8_t{0xFF});
+        for (Vertex w : g.neighbors(u)) {
+          const std::uint8_t* rw = dist + std::size_t{w} * n;
+          for (std::size_t v = 0; v < n; ++v) nearest[v] = std::min(nearest[v], rw[v]);
+        }
+        const std::uint8_t* ru = dist + std::size_t{u} * n;
+        for (std::size_t v = 0; v < n; ++v) {
+          if (v != u && ru[v] != nearest[v] + 1)
+            bad("distance is not 1 + its nearest neighbour's");
+          max = std::max(max, ru[v]);
+        }
+      }
+      if (d.diameter != max) bad("diameter byte is not the distance maximum");
+      // pick() selects among a row's set bits: a bit past the degree names
+      // no port, and an empty off-diagonal row divides by zero.  Every hop
+      // must also be one step closer by the entry's distances, so a route
+      // cannot cycle.
+      const auto* mask =
+          reinterpret_cast<const std::uint64_t*>(snap->base_ + d.nh_masks_off);
       for (Vertex u = 0; u < d.n; ++u) {
         const std::size_t deg = g.degree(u);
         const auto nbs = g.neighbors(u);
@@ -343,66 +319,6 @@ std::shared_ptr<Snapshot> Snapshot::open(const std::string& path) {
             }
         }
       }
-    }
-    if (d.flags & kFlagCell) {
-      const std::size_t cells1 = static_cast<std::size_t>(d.num_cells) + 1;
-      const std::size_t nb = d.num_boundary;
-      check(d.cell_of_off, n, sizeof(std::uint32_t), "cell of");
-      check(d.cell_offsets_off, cells1, sizeof(std::uint32_t), "cell offsets");
-      check(d.members_off, n, sizeof(std::uint32_t), "cell members");
-      check(d.local_index_off, n, sizeof(std::uint16_t), "cell local index");
-      check(d.intra_offsets_off, cells1, sizeof(std::uint32_t), "intra offsets");
-      check(d.intra_off, d.intra_count, 1, "intra matrices");
-      check(d.boundary_offsets_off, cells1, sizeof(std::uint32_t),
-            "boundary offsets");
-      check(d.boundary_local_off, nb, sizeof(std::uint16_t), "boundary local");
-      check(d.overlay_id_off, n, sizeof(std::uint32_t), "overlay id");
-      check(d.overlay_vertex_off, nb, sizeof(std::uint32_t), "overlay vertex");
-      check(d.ov_offsets_off, nb + 1, sizeof(std::uint32_t), "overlay offsets");
-      check(d.ov_adj_off, d.ov_edge_count, sizeof(std::uint32_t), "overlay adj");
-      check(d.ov_w_off, d.ov_edge_count, 1, "overlay weights");
-
-      // CellQuery indexes by each of these; it never reads members,
-      // overlay_id or overlay_vertex, so their sizes are enough.
-      const auto u32 = [&](std::uint64_t off) {
-        return reinterpret_cast<const std::uint32_t*>(snap->base_ + off);
-      };
-      const auto u16 = [&](std::uint64_t off) {
-        return reinterpret_cast<const std::uint16_t*>(snap->base_ + off);
-      };
-      const auto* cell_of = u32(d.cell_of_off);
-      const auto* cell_offsets = u32(d.cell_offsets_off);
-      const auto* intra_offsets = u32(d.intra_offsets_off);
-      const auto* boundary_offsets = u32(d.boundary_offsets_off);
-      const auto* local_index = u16(d.local_index_off);
-      const auto* boundary_local = u16(d.boundary_local_off);
-      const auto* ov_offsets = u32(d.ov_offsets_off);
-      const auto* ov_adj = u32(d.ov_adj_off);
-      auto offsets = [&](const std::uint32_t* o, std::size_t count, std::uint64_t end,
-                         const std::string& name, const char* end_name) {
-        if (o[0] != 0) bad(name + " do not start at 0");
-        for (std::size_t i = 1; i < count; ++i)
-          if (o[i] < o[i - 1]) bad(name + " not monotone");
-        if (o[count - 1] != end) bad(name + " do not end at " + end_name);
-      };
-      offsets(cell_offsets, cells1, n, "cell offsets", "n");
-      offsets(intra_offsets, cells1, d.intra_count, "intra offsets", "intra_count");
-      offsets(boundary_offsets, cells1, nb, "boundary offsets", "num_boundary");
-      offsets(ov_offsets, nb + 1, d.ov_edge_count, "overlay offsets", "ov_edge_count");
-      for (std::size_t c = 0; c < d.num_cells; ++c) {
-        const std::uint64_t size = cell_offsets[c + 1] - cell_offsets[c];
-        if (intra_offsets[c + 1] - intra_offsets[c] != size * size)
-          bad("cell intra span is not size^2 bytes");
-        for (std::size_t b = boundary_offsets[c]; b < boundary_offsets[c + 1]; ++b)
-          if (boundary_local[b] >= size) bad("boundary local index past its cell's size");
-      }
-      for (std::size_t v = 0; v < n; ++v) {
-        if (cell_of[v] >= d.num_cells) bad("cell_of id >= num_cells");
-        if (local_index[v] >= cell_offsets[cell_of[v] + 1] - cell_offsets[cell_of[v]])
-          bad("local index past its cell's size");
-      }
-      for (std::size_t e = 0; e < d.ov_edge_count; ++e)
-        if (ov_adj[e] >= nb) bad("overlay adjacency id >= num_boundary");
     }
     check(d.spectra_off, 1, sizeof(SpectraBlob), "spectra");
   }
@@ -452,47 +368,6 @@ void Snapshot::load_into(const std::shared_ptr<Snapshot>& self,
           keep);
     }
 
-    std::shared_ptr<const routing::CellIndex> cell;
-    if (d.flags & kFlagCell) {
-      routing::CellIndex::Views v;
-      v.n = d.n;
-      v.num_cells = d.num_cells;
-      v.num_boundary = static_cast<std::uint32_t>(d.num_boundary);
-      v.diameter_bound = d.diameter;
-      const std::size_t cells1 = static_cast<std::size_t>(d.num_cells) + 1;
-      const std::size_t nb = d.num_boundary;
-      v.cell_of = {reinterpret_cast<const std::uint32_t*>(at(d.cell_of_off)), n};
-      v.cell_offsets = {
-          reinterpret_cast<const std::uint32_t*>(at(d.cell_offsets_off)),
-          cells1};
-      v.members = {reinterpret_cast<const std::uint32_t*>(at(d.members_off)),
-                   n};
-      v.local_index = {
-          reinterpret_cast<const std::uint16_t*>(at(d.local_index_off)), n};
-      v.intra_offsets = {
-          reinterpret_cast<const std::uint32_t*>(at(d.intra_offsets_off)),
-          cells1};
-      v.intra = {reinterpret_cast<const std::uint8_t*>(at(d.intra_off)),
-                 d.intra_count};
-      v.boundary_offsets = {
-          reinterpret_cast<const std::uint32_t*>(at(d.boundary_offsets_off)),
-          cells1};
-      v.boundary_local = {
-          reinterpret_cast<const std::uint16_t*>(at(d.boundary_local_off)), nb};
-      v.overlay_id = {
-          reinterpret_cast<const std::uint32_t*>(at(d.overlay_id_off)), n};
-      v.overlay_vertex = {
-          reinterpret_cast<const std::uint32_t*>(at(d.overlay_vertex_off)), nb};
-      v.ov_offsets = {
-          reinterpret_cast<const std::uint32_t*>(at(d.ov_offsets_off)), nb + 1};
-      v.ov_adj = {reinterpret_cast<const std::uint32_t*>(at(d.ov_adj_off)),
-                  d.ov_edge_count};
-      v.ov_w = {reinterpret_cast<const std::uint8_t*>(at(d.ov_w_off)),
-                d.ov_edge_count};
-      cell = std::shared_ptr<const routing::CellIndex>(
-          new routing::CellIndex(routing::CellIndex::from_view(v)), keep);
-    }
-
     SpectraBlob sb{};
     std::memcpy(&sb, at(d.spectra_off), sizeof(sb));
     auto* sp = new Spectra();
@@ -508,7 +383,7 @@ void Snapshot::load_into(const std::shared_ptr<Snapshot>& self,
     cache.adopt(d.name, std::make_shared<engine::Artifacts>(
                             std::move(graph), std::move(tables),
                             std::move(next_hops), std::move(spectra),
-                            d.concentration, std::move(cell)));
+                            d.concentration));
   }
 }
 

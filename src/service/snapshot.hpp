@@ -1,9 +1,10 @@
 #pragma once
 // Versioned artifact snapshot store (docs/SERVICE.md §Snapshots).
 //
-// A snapshot serializes every fully materialized topology in an
-// ArtifactCache — graph CSR, all-pairs distance matrix, minimal next-hop
-// index, spectra — into one relocatable, fingerprinted binary file:
+// A snapshot serializes every topology in an ArtifactCache — graph CSR
+// and spectra, plus the all-pairs distance matrix and minimal next-hop
+// index at or below engine::kCellExactThreshold routers — into one
+// relocatable, fingerprinted binary file:
 //
 //     [Header 64B] [EntryDesc x entry_count] [8-byte-aligned blobs ...]
 //
@@ -13,7 +14,9 @@
 // version bump rejects stale files instead of misreading them.  Byte
 // order and struct layout are native: a snapshot is a warm-restart /
 // multi-process vehicle on one machine (OSRM's shared-memory store is
-// the blueprint), not an interchange format.
+// the blueprint), not an interchange format.  An entry above the
+// threshold carries no routing blob at all: sflyd routes it over one BFS
+// distance row of the graph per destination.
 //
 // Snapshot::load_into installs each entry as pre-materialized Artifacts
 // whose component deleters hold the Snapshot shared_ptr, so the mapping
@@ -29,20 +32,21 @@ namespace sfly::service {
 
 /// Snapshot file format version; bumped on any layout change.
 /// v2: per-entry artifact flags + hierarchical cell-index blobs, so
-/// 50k+-router topologies snapshot their CellIndex instead of the
+/// 50k+-router topologies snapshot a cell index instead of the
 /// impractical O(V^2) tables.
 /// v3: the next-hop blob is the slot-mask array (n*n*nh_words u64) in
 /// place of the CSR offsets/verts/slots triple.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// v4: the cell-index blobs are gone (112-byte entry descriptors); an
+/// entry above the exact threshold is graph + spectra only.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// 64-bit FNV-1a over `n` bytes (the snapshot fingerprint hash).
 [[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t n);
 
 /// Serialize every topology in `cache` to `path` (written to a temp file
-/// and renamed, so readers never see a torn snapshot).  Forces graph,
-/// spectra, and the scale-appropriate routing artifact per entry (the
-/// one Artifacts::cell_index picks): exact tables + next-hop index for
-/// small topologies, the hierarchical cell index for large ones.  Throws
+/// and renamed, so readers never see a torn snapshot).  Forces graph and
+/// spectra per entry, and the exact tables + next-hop index at or below
+/// engine::kCellExactThreshold routers.  Throws
 /// std::runtime_error on I/O failure or an unserializable entry (e.g. a
 /// topology name too long for the fixed-width descriptor).
 void write_snapshot(const std::string& path, engine::ArtifactCache& cache);
@@ -53,9 +57,11 @@ class Snapshot {
   /// Map and validate `path`: magic, format version, size bounds,
   /// fingerprint, per-entry offset bounds, and the contents lookups index
   /// by (graph offsets monotone and ending at the adjacency count,
-  /// adjacency ids below n, next-hop mask bits below degree(u), row
-  /// (u, u) empty, every other row non-empty, and every hop one step
-  /// closer by the entry's distances).  Throws std::runtime_error with a
+  /// adjacency ids below n; every distance byte the true hop distance,
+  /// i.e. a zero diagonal and d(u, v) = 1 + min over u's neighbours w of
+  /// d(w, v), and the diameter byte their maximum; next-hop mask bits
+  /// below degree(u), row (u, u) empty, every other row non-empty, and
+  /// every hop one step closer).  Throws std::runtime_error with a
   /// reason on any mismatch (version skew names both versions).
   [[nodiscard]] static std::shared_ptr<Snapshot> open(const std::string& path);
 

@@ -3,17 +3,16 @@
 // CellIndex (tiny forced cells, so the hierarchy is actually exercised)
 // must reproduce the Tables answers exactly — distances, minimal next-hop
 // sets, the sampled next hop bit for bit, and every route the shared
-// routing decision builds over it.  This is the pin that lets the
-// 50k+-router path ship without a 50k-router oracle.
+// routing decision builds over it.  The index's last caller is
+// perfbench's cell probe; test_distance_rows.cpp pins the oracle that
+// routes serve from.
 
 #include "routing/cell_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 
-#include "engine/artifact_cache.hpp"
 #include "routing/next_hop_index.hpp"
 #include "routing/policy.hpp"
 #include "routing/tables.hpp"
@@ -76,7 +75,6 @@ TEST(CellIndex, MatchesTablesOnRandomGraphs) {
     const Graph g = random_connected_graph(n, 2 * n, seed);
     const Tables t = Tables::build(g);
     const CellIndex x = CellIndex::build(g, tiny_cells(seed));
-    ASSERT_FALSE(x.exact());
     ASSERT_GT(x.num_cells(), 1u);
     expect_equivalent(g, t, x);
   }
@@ -88,7 +86,6 @@ TEST(CellIndex, MatchesTablesOnRegisteredTopologies) {
     const Graph g = parsed.build();
     const Tables t = Tables::build(g);
     const CellIndex x = CellIndex::build(g, tiny_cells());
-    ASSERT_FALSE(x.exact()) << spec;
     expect_equivalent(g, t, x);
   }
 }
@@ -103,17 +100,6 @@ TEST(CellIndex, SingleCellGraphStillAnswers) {
   EXPECT_EQ(x.num_cells(), 1u);
   EXPECT_EQ(x.num_boundary(), 0u);
   expect_equivalent(g, t, x);
-}
-
-TEST(CellIndex, WrapExactDelegatesBitwise) {
-  const Graph g = random_connected_graph(40, 80, 3);
-  auto t = std::make_shared<const Tables>(Tables::build(g));
-  const CellIndex x = CellIndex::wrap_exact(t);
-  EXPECT_TRUE(x.exact());
-  EXPECT_EQ(x.exact_tables().get(), t.get());
-  EXPECT_EQ(x.memory_bytes(), 0u);
-  EXPECT_EQ(x.diameter_bound(), t->diameter());
-  expect_equivalent(g, *t, x);
 }
 
 TEST(CellIndex, ViewRoundTripAnswersIdentically) {
@@ -197,41 +183,6 @@ TEST(CellIndex, BitwiseEqualAtEveryPoolWidth) {
   }
 }
 
-TEST(CellIndex, ArtifactsWrapExactBelowThreshold) {
-  // Small topologies keep the exact representation behind the Artifacts
-  // accessor: same Tables object, zero extra bytes, zero cell builds.
-  engine::ArtifactCache cache;
-  auto parsed = topo::parse_topology("Paley(13)");
-  cache.register_topology(parsed.name, std::move(parsed.build));
-  auto art = cache.get("Paley(13)");
-  const std::uint64_t builds_before = CellIndex::builds();
-  auto cell = art->cell_index();
-  ASSERT_TRUE(cell->exact());
-  EXPECT_EQ(cell->exact_tables().get(), art->tables().get());
-  EXPECT_EQ(CellIndex::builds(), builds_before);
-  EXPECT_EQ(art->footprint().cells_bytes, 0u);
-
-  // The walk a cell-mode route would take is byte-identical to the exact
-  // one — sample-by-sample over every pair at a fixed seed.
-  auto g = art->graph();
-  auto t = art->tables();
-  CellQuery q = cell->make_query(*g);
-  for (Vertex dst = 0; dst < g->num_vertices(); ++dst) {
-    q.prepare(dst);
-    for (Vertex u = 0; u < g->num_vertices(); ++u) {
-      if (u == dst) continue;
-      Vertex at_exact = u, at_cell = u;
-      std::uint64_t hop = 0;
-      while (at_exact != dst) {
-        const std::uint64_t e = split_seed(11, hop++);
-        at_exact = t->sample_next_hop(*g, at_exact, dst, e);
-        at_cell = q.sample_next_hop(at_cell, e);
-        ASSERT_EQ(at_cell, at_exact);
-      }
-    }
-  }
-}
-
 // Cross-oracle equivalence: routing::source_decision plus the next_hop
 // walk over a cell-mode CellQuery must reproduce the exact oracle's route
 // and every (vertex, slot) hop, for all five algorithms and every ordered
@@ -283,7 +234,6 @@ TEST(CellIndex, RoutesMatchExactOracle) {
     SCOPED_TRACE(spec);
     const Graph g = topo::parse_topology(spec).build();
     const CellIndex x = CellIndex::build(g, tiny_cells());
-    ASSERT_FALSE(x.exact());
     ASSERT_GT(x.num_cells(), 1u);
     expect_same_routes(g, x);
   }

@@ -7,8 +7,10 @@
 // HELLO each get a reasoned error frame followed by a close; and a
 // server warm-started from a snapshot serves the same answers as the
 // cold engine without one table or index rebuild.  Route answers for all
-// five algorithms are pinned by digest in exact and cell mode, and ids or
-// counts too large for their 32-bit fields get error frames.
+// five algorithms are pinned by digest below and above the exact-tables
+// threshold (rows of the tables, BFS rows), also from a snapshot entry
+// that carries only the graph and spectra, and ids or counts too large
+// for their 32-bit fields get error frames.
 
 #include "service/server.hpp"
 
@@ -21,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "routing/cell_index.hpp"
 #include "service/query.hpp"
 #include "service/snapshot.hpp"
 #include "util/net.hpp"
@@ -282,8 +285,7 @@ TEST(Service, WarmRestartedServerServesIdenticalBytesWithoutRebuilds) {
 // algorithm x a fixed (src, dst, seed) grid on `topo`, plus one Valiant
 // query over a failed-link overlay (the link between vertex 0 and its
 // first neighbor).  Every answer must be ok.
-std::uint64_t route_digest(const std::string& topo) {
-  QueryEngine queries;
+std::uint64_t route_digest(QueryEngine& queries, const std::string& topo) {
   const std::string name = queries.register_spec(topo);
   const auto g = queries.engine().artifacts().get(name)->graph();
   const std::uint64_t n = g->num_vertices();
@@ -314,14 +316,61 @@ std::uint64_t route_digest(const std::string& topo) {
   return h;
 }
 
+std::uint64_t route_digest(const std::string& topo) {
+  QueryEngine queries;
+  return route_digest(queries, topo);
+}
+
 TEST(Service, RouteAnswersPinnedInExactMode) {
   EXPECT_EQ(route_digest("Paley(13)"), 0x314b6c83a30e1052ull);
   EXPECT_EQ(route_digest("LPS(11,7)"), 0x53116bf383316736ull);
 }
 
 TEST(Service, RouteAnswersPinnedInCellMode) {
-  // Hypercube(13): 8192 routers, above the exact-tables threshold.
+  // Hypercube(13): 8192 routers, above the exact-tables threshold, so
+  // routes run BFS rows (the digest was pinned when a cell index served
+  // them).
   EXPECT_EQ(route_digest("Hypercube(13)"), 0x7facc30a1566389cull);
+}
+
+TEST(DistanceRows, SnapshotEntryAboveThresholdServesWithoutBuilds) {
+  // Above the threshold a snapshot entry is the graph and spectra, no
+  // routing blob, and a warm engine answers routes from BFS rows of the
+  // mapped graph: the same bytes, and not one table, next-hop or cell
+  // build.
+  const std::string path =
+      std::string(::testing::TempDir()) + "service_rows.snap";
+  QueryEngine cold;
+  const std::string name = cold.register_spec("Hypercube(13)");
+  auto art = cold.engine().artifacts().get(name);
+  const auto g = art->graph();
+  ASSERT_GT(g->num_vertices(), engine::kCellExactThreshold);
+  (void)art->spectra();
+  write_snapshot(path, cold.engine().artifacts());
+
+  auto snap = Snapshot::open(path);
+  const auto round8 = [](std::size_t b) { return (b + 7) / 8 * 8; };
+  EXPECT_EQ(snap->size_bytes(), 64 + 112 + round8(g->raw_offsets().size_bytes()) +
+                                    round8(g->raw_adjacency().size_bytes()) + 40)
+      << "header, one entry descriptor, graph CSR and spectra only";
+  QueryEngine warm;
+  Snapshot::load_into(snap, warm.engine().artifacts());
+  const auto f = warm.engine().artifacts().get(name)->footprint();
+  EXPECT_EQ(f.tables_bytes, 0u);
+  EXPECT_EQ(f.next_hops_bytes, 0u);
+  EXPECT_EQ(f.cells_bytes, 0u);
+
+  const auto tables_before = routing::Tables::builds();
+  const auto index_before = routing::NextHopIndex::builds();
+  const auto cells_before = routing::CellIndex::builds();
+  EXPECT_EQ(route_digest(warm, name), 0x7facc30a1566389cull);
+  EXPECT_EQ(routing::Tables::builds(), tables_before);
+  EXPECT_EQ(routing::NextHopIndex::builds(), index_before);
+  EXPECT_EQ(routing::CellIndex::builds(), cells_before);
+  const std::string stats = warm.handle(R"({"id":1,"kind":"stats"})");
+  EXPECT_NE(stats.find("\"cells_built\":" + std::to_string(cells_before)),
+            std::string::npos)
+      << stats;
 }
 
 TEST(Service, StopIsIdempotentAndStartReportsPort) {

@@ -196,27 +196,37 @@ TEST(Snapshot, VersionSkewRejectedByName) {
   }
 }
 
-TEST(Snapshot, Version2FileRefused) {
-  // A v2 file (CSR next-hop blobs) must not be read as v3 slot masks.
-  const auto path = tmp("v2");
+// A file stamped with an older format version is refused, naming both.
+void expect_old_version_refused(std::uint32_t version) {
+  const auto path = tmp("v" + std::to_string(version));
   engine::ArtifactCache cache;
   populate(cache, {"Paley(13)"});
   write_snapshot(path, cache);
 
   auto bytes = slurp(path);
-  const std::uint32_t v2 = 2;
-  std::memcpy(&bytes[8], &v2, sizeof(v2));  // Header.version
+  std::memcpy(&bytes[8], &version, sizeof(version));  // Header.version
   spew(path, bytes);
   try {
     (void)Snapshot::open(path);
-    FAIL() << "v2 snapshot was accepted";
+    FAIL() << "v" << version << " snapshot was accepted";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("format version skew: file v2, reader v" +
-                        std::to_string(kSnapshotVersion)),
+    EXPECT_NE(what.find("format version skew: file v" + std::to_string(version) +
+                        ", reader v" + std::to_string(kSnapshotVersion)),
               std::string::npos)
         << what;
   }
+}
+
+TEST(Snapshot, Version2FileRefused) {
+  // A v2 file (CSR next-hop blobs) must not be read as slot masks.
+  expect_old_version_refused(2);
+}
+
+TEST(Snapshot, Version3FileRefused) {
+  // A v3 file (248-byte descriptors with cell-index blobs) must not be
+  // read as v4's 112-byte descriptors.
+  expect_old_version_refused(3);
 }
 
 // Byte position of a cold artifact's array inside a snapshot file; the
@@ -280,6 +290,9 @@ TEST(Snapshot, CraftedContentsRejectedByName) {
   const std::size_t offsets = find_blob(clean, g->raw_offsets());
   const std::size_t adj = find_blob(clean, g->raw_adjacency());
   const std::size_t masks = find_blob(clean, idx->raw_masks());
+  const std::size_t dist = find_blob(clean, art->tables()->raw_distances());
+  ASSERT_EQ(art->tables()->diameter(), 2u);
+  ASSERT_EQ(clean[112], 2);
   const auto row = [&](Vertex u, Vertex v) { return masks + 8 * (u * 13 + v); };
   const std::uint32_t adj_count = g->raw_offsets()[13];
 
@@ -298,79 +311,14 @@ TEST(Snapshot, CraftedContentsRejectedByName) {
        [&](std::string& f) { f[row(3, 3)] |= 0x01; }},
       {"empty next-hop row",
        [&](std::string& f) { poke<std::uint64_t>(f, row(0, 1), 0); }},
-  });
-
-  // A cell-mode entry: Hypercube(13) has 8192 routers, past
-  // kCellExactThreshold.  Several of its blobs hold equal bytes (every
-  // vertex is a boundary vertex), so positions follow the write order
-  // from cell_of: each blob starts at the next 8-byte boundary.
-  const auto cell_path = tmp("crafted_cell");
-  QueryEngine cold;
-  cold.register_spec("Hypercube(13)");
-  auto cell_art = cold.engine().artifacts().get("Hypercube(13)");
-  (void)cell_art->spectra();
-  const auto cell = cell_art->cell_index();
-  ASSERT_FALSE(cell->exact());
-  write_snapshot(cell_path, cold.engine().artifacts());
-  const std::string cell_clean = slurp(cell_path);
-  const auto v = cell->views();
-  std::size_t at = find_blob(cell_clean, v.cell_of);
-  std::size_t bytes = v.cell_of.size_bytes();
-  const auto next = [&](auto blob) {
-    at = (at + bytes + 7) / 8 * 8;
-    bytes = blob.size_bytes();
-    EXPECT_EQ(cell_clean.compare(at, bytes, reinterpret_cast<const char*>(blob.data()),
-                                 bytes),
-              0);
-    return at;
-  };
-  const std::size_t cell_of = at;
-  const std::size_t cell_offsets = next(v.cell_offsets);
-  next(v.members);
-  const std::size_t local_index = next(v.local_index);
-  const std::size_t intra_offsets = next(v.intra_offsets);
-  next(v.intra);
-  const std::size_t boundary_offsets = next(v.boundary_offsets);
-  const std::size_t boundary_local = next(v.boundary_local);
-  next(v.overlay_id);
-  next(v.overlay_vertex);
-  const std::size_t ov_offsets = next(v.ov_offsets);
-  const std::size_t ov_adj = next(v.ov_adj);
-  const std::uint32_t cells = v.num_cells;
-  ASSERT_GT(cells, 1u);
-  ASSERT_GT(v.cell_offsets[1], 1u);  // cell 0 has room for a bad local index
-  const auto u32 = [](std::string& f, std::size_t blob, std::size_t i, std::uint32_t x) {
-    poke<std::uint32_t>(f, blob + 4 * i, x);
-  };
-  expect_rejected_by_name(cell_path, cell_clean, {
-      {"cell offsets do not start at 0",
-       [&](std::string& f) { u32(f, cell_offsets, 0, 1); }},
-      {"cell offsets not monotone",
-       [&](std::string& f) { u32(f, cell_offsets, 1, 0xFFFFFFFF); }},
-      {"cell offsets do not end at n",
-       [&](std::string& f) { u32(f, cell_offsets, cells, v.n - 1); }},
-      {"intra offsets not monotone",
-       [&](std::string& f) { u32(f, intra_offsets, 1, 0xFFFFFFFF); }},
-      {"intra offsets do not end at intra_count",
-       [&](std::string& f) { u32(f, intra_offsets, cells, v.intra_offsets[cells] - 1); }},
-      {"boundary offsets do not end at num_boundary",
-       [&](std::string& f) { u32(f, boundary_offsets, cells, v.num_boundary - 1); }},
-      {"overlay offsets not monotone",
-       [&](std::string& f) { u32(f, ov_offsets, 1, 0xFFFFFFFF); }},
-      {"overlay offsets do not end at ov_edge_count",
-       [&](std::string& f) {
-         u32(f, ov_offsets, v.num_boundary, v.ov_offsets[v.num_boundary] - 1);
-       }},
-      {"cell intra span is not size^2 bytes",
-       [&](std::string& f) { u32(f, intra_offsets, 1, v.intra_offsets[1] + 1); }},
-      {"cell_of id >= num_cells",
-       [&](std::string& f) { u32(f, cell_of, 0, cells); }},
-      {"local index past its cell's size",
-       [&](std::string& f) { poke<std::uint16_t>(f, local_index, 0xFFFF); }},
-      {"boundary local index past its cell's size",
-       [&](std::string& f) { poke<std::uint16_t>(f, boundary_local, 0xFFFF); }},
-      {"overlay adjacency id >= num_boundary",
-       [&](std::string& f) { u32(f, ov_adj, 0, v.num_boundary); }},
+      // Routes read whole distance rows, not only the bytes a mask bit
+      // points at.  0 and 1 are adjacent (1 is a square mod 13).
+      {"distance diagonal not zero",
+       [&](std::string& f) { f[dist + 5 * 13 + 5] = 1; }},
+      {"distance is not 1 + its nearest neighbour's",
+       [&](std::string& f) { f[dist + 0 * 13 + 1] = 2; }},
+      {"diameter byte is not the distance maximum",
+       [&](std::string& f) { f[112] = 3; }},  // entry 0's EntryDesc.diameter
   });
 }
 
@@ -442,62 +390,6 @@ TEST(Snapshot, WarmRestartAnswersByteIdenticallyWithoutRebuilding) {
   }
   EXPECT_EQ(routing::Tables::builds(), tables_before);
   EXPECT_EQ(routing::NextHopIndex::builds(), index_before);
-}
-
-TEST(Snapshot, CellModeEntryRoundTripsAndServesWithoutRebuilding) {
-  // Hypercube(13) has 8192 routers — past kCellExactThreshold, so its
-  // snapshot entry carries cell-index blobs and no O(V^2) tables.  The
-  // warm engine must answer routes byte-identically to the cold one with
-  // zero table/index/cell builds.
-  const auto path = tmp("cellmode");
-  const std::string spec = "Hypercube(13)";
-
-  QueryEngine cold;
-  cold.register_spec(spec);
-  auto cold_art = cold.engine().artifacts().get(spec);
-  (void)cold_art->graph();
-  (void)cold_art->spectra();
-  auto cold_cell = cold_art->cell_index();
-  ASSERT_FALSE(cold_cell->exact());
-  ASSERT_FALSE(cold_cell->is_view());
-  EXPECT_EQ(cold_art->footprint().tables_bytes, 0u);
-  EXPECT_GT(cold_art->footprint().cells_bytes, 0u);
-  write_snapshot(path, cold.engine().artifacts());
-
-  const std::vector<std::string> requests = {
-      R"js({"id":1,"kind":"route","topo":"Hypercube(13)","src":0,"dst":8191,"algo":"minimal"})js",
-      R"js({"id":2,"kind":"route","topo":"Hypercube(13)","src":5,"dst":4000,"algo":"ugal-l","seed":3})js",
-      R"js({"id":3,"kind":"route","topo":"Hypercube(13)","src":17,"dst":1234,"algo":"valiant","seed":7})js",
-  };
-  std::vector<std::string> expected;
-  for (const auto& r : requests) expected.push_back(cold.handle(r));
-
-  QueryEngine warm;
-  auto snap = Snapshot::open(path);
-  Snapshot::load_into(snap, warm.engine().artifacts());
-  auto warm_art = warm.engine().artifacts().get(spec);
-  auto warm_cell = warm_art->cell_index();
-  ASSERT_FALSE(warm_cell->exact());
-  EXPECT_TRUE(warm_cell->is_view());
-  EXPECT_EQ(warm_cell->num_cells(), cold_cell->num_cells());
-  EXPECT_EQ(warm_cell->num_boundary(), cold_cell->num_boundary());
-  const auto va = cold_cell->views();
-  const auto vb = warm_cell->views();
-  expect_span_eq(va.intra, vb.intra, "intra matrices");
-  expect_span_eq(va.ov_adj, vb.ov_adj, "overlay adjacency");
-  EXPECT_TRUE(snap->contains(vb.intra.data()));
-
-  const auto tables_before = routing::Tables::builds();
-  const auto index_before = routing::NextHopIndex::builds();
-  const auto cells_before = routing::CellIndex::builds();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(warm.handle(requests[i]), expected[i]) << requests[i];
-    EXPECT_NE(expected[i].find("\"ok\":true"), std::string::npos)
-        << expected[i];
-  }
-  EXPECT_EQ(routing::Tables::builds(), tables_before);
-  EXPECT_EQ(routing::NextHopIndex::builds(), index_before);
-  EXPECT_EQ(routing::CellIndex::builds(), cells_before);
 }
 
 }  // namespace

@@ -90,16 +90,13 @@ int main(int argc, char** argv) {
                                            concentration);
         // Materialize everything now, routing artifacts on a
         // --threads-wide pool: daemons take the build cost at startup,
-        // not on the first unlucky query.  Above the cell threshold the
-        // route artifact is the hierarchical cell index; forcing the
-        // O(V^2) tables there would be gigabytes (a sim query on such a
-        // topology still builds them lazily).
+        // not on the first unlucky query.  Above the exact threshold
+        // routes need only the graph (one BFS row per destination);
+        // forcing the O(V^2) tables there would be gigabytes (a sim query
+        // on such a topology still builds them lazily).
         auto art = queries.engine().artifacts().get(parsed.name);
-        if (art->graph()->num_vertices() > sfly::engine::kCellExactThreshold) {
-          (void)art->cell_index(&pool);
-        } else {
+        if (art->graph()->num_vertices() <= sfly::engine::kCellExactThreshold)
           (void)art->next_hops(&pool);
-        }
         (void)art->spectra();
         const auto f = art->footprint();
         std::fprintf(stderr, "# sflyd: built %s (%zu bytes of artifacts)\n",
