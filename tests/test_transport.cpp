@@ -639,6 +639,19 @@ TEST(Tcp, WorkerFlagsAreStrict) {
             2);
 }
 
+TEST(Tcp, ProxyFlagsAreStrict) {
+  // flaky_proxy parses its flags the same way: a port past 65535 is not
+  // truncated to a bindable one (70000 used to bind 4464) and "5x" is not
+  // read as 5.  Each exits 2 before binding and names the flag;
+  // --max-conns 0 makes a proxy that did start exit 0 at once.
+  const std::string err = tmp("proxy_flags.err");
+  const std::string proxy = bin_dir() + "/flaky_proxy --to 127.0.0.1:1 --max-conns 0 ";
+  EXPECT_EQ(run(proxy + "--listen 70000 > /dev/null 2> " + err), 2);
+  EXPECT_NE(slurp(err).find("--listen"), std::string::npos) << slurp(err);
+  EXPECT_EQ(run(proxy + "--listen 0 --latency-ms 5x > /dev/null 2> " + err), 2);
+  EXPECT_NE(slurp(err).find("--latency-ms"), std::string::npos) << slurp(err);
+}
+
 // ---------------------------------------------------------------------
 // Graceful signal stop and checked-I/O exits ride along with the
 // transport work: both protect the same resumable-journal contract.

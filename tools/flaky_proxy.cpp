@@ -50,11 +50,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <list>
 #include <string>
 #include <vector>
 
 #include "util/net.hpp"
+#include "util/options.hpp"
 
 namespace net = sfly::net;
 using Clock = std::chrono::steady_clock;
@@ -127,50 +129,58 @@ void set_nonblocking(int fd) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Opts o;
-  bool have_listen = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flaky_proxy: %s expects a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") return usage(0);
-    if (arg == "--listen") {
-      o.listen_port = static_cast<std::uint16_t>(std::atoi(value()));
-      have_listen = true;
-    } else if (arg == "--port-file") {
-      o.port_file = value();
-    } else if (arg == "--to") {
-      if (!net::parse_hostport(value(), o.to_host, o.to_port)) {
-        std::fprintf(stderr, "flaky_proxy: bad --to HOST:PORT\n");
-        return 2;
-      }
-    } else if (arg == "--latency-ms") {
-      o.latency_ms = std::atoi(value());
-    } else if (arg == "--conn") {
-      o.conn = std::atol(value());
-    } else if (arg == "--fault") {
-      o.fault = value();
-    } else if (arg == "--after") {
-      o.after = static_cast<std::size_t>(std::atol(value()));
-    } else if (arg == "--stall-ms") {
-      o.stall_ms = std::atoi(value());
-    } else if (arg == "--dup-every") {
-      o.dup_every = static_cast<std::size_t>(std::atol(value()));
-    } else if (arg == "--max-conns") {
-      o.max_conns = std::atol(value());
-    } else {
-      std::fprintf(stderr, "flaky_proxy: unknown flag '%s'\n", arg.c_str());
-      return usage(2);
-    }
+  // The same strict parser as the benches, sflyd and sfly_worker: unknown
+  // or repeated flags and malformed numbers ("5x") exit 2.
+  const sfly::bench::Flags flags(
+      std::vector<std::string>(argv + 1, argv + argc),
+      {{"--listen", true, "port to accept workers on"},
+       {"--port-file", true, "write the bound port here"},
+       {"--to", true, "the real campaign parent"},
+       {"--latency-ms", true, "delay all forwarded bytes"},
+       {"--conn", true, "which connection the fault hits"},
+       {"--fault", true, "stall | stall-up | cut | dup | handshake-cut"},
+       {"--after", true, "DATA frames forwarded before the fault fires"},
+       {"--stall-ms", true, "partition duration"},
+       {"--dup-every", true, "duplicate every Kth DATA frame"},
+       {"--max-conns", true, "exit once N connections have closed"},
+       {"--help", false, "this text"},
+       {"-h", false, "this text"}});
+  if (!flags.error().empty()) {
+    std::fprintf(stderr, "flaky_proxy: %s\n", flags.error().c_str());
+    return usage(2);
   }
-  if (!have_listen || o.to_host.empty()) {
+  if (flags.has("--help") || flags.has("-h")) return usage(0);
+  // A number must also fit the field it lands in: --listen 70000 is an
+  // error, not port 4464.
+  auto number = [&](const char* name, std::uint64_t max) {
+    const std::uint64_t v = flags.get(name, 0);
+    if (v > max) {
+      std::fprintf(stderr, "flaky_proxy: %s %llu is out of range (max %llu)\n",
+                   name, static_cast<unsigned long long>(v),
+                   static_cast<unsigned long long>(max));
+      std::exit(2);
+    }
+    return v;
+  };
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+  Opts o;
+  o.listen_port = static_cast<std::uint16_t>(number("--listen", 65535));
+  o.port_file = flags.get_str("--port-file");
+  o.latency_ms = static_cast<int>(number("--latency-ms", kIntMax));
+  if (flags.has("--conn")) o.conn = static_cast<long>(number("--conn", kIntMax));
+  o.fault = flags.get_str("--fault");
+  o.after = number("--after", kIntMax);
+  o.stall_ms = static_cast<int>(number("--stall-ms", kIntMax));
+  o.dup_every = number("--dup-every", kIntMax);
+  if (flags.has("--max-conns"))
+    o.max_conns = static_cast<long>(number("--max-conns", kIntMax));
+  if (!flags.has("--listen") || !flags.has("--to")) {
     std::fprintf(stderr, "flaky_proxy: --listen and --to are required\n");
     return usage(2);
+  }
+  if (!net::parse_hostport(flags.get_str("--to"), o.to_host, o.to_port)) {
+    std::fprintf(stderr, "flaky_proxy: bad --to HOST:PORT\n");
+    return 2;
   }
   const bool known_fault =
       o.fault.empty() || o.fault == "stall" || o.fault == "stall-up" ||
