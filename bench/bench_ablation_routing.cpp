@@ -22,10 +22,9 @@ int main(int argc, char** argv) {
        "#   --threads N  engine worker threads (default: all hardware threads)",
        {{"--ranks", true, "MPI ranks (default 512; --full = 2048)"},
         {"--msgs", true, "messages per rank (default 16)"}}});
-  const std::uint32_t nranks = static_cast<std::uint32_t>(
-      opts.flags().get("--ranks", opts.full() ? 2048 : 512));
-  const std::uint32_t msgs =
-      static_cast<std::uint32_t>(opts.flags().get("--msgs", 16));
+  const auto nranks = opts.flags().get<std::uint32_t>(
+      "--ranks", opts.full() ? 2048 : 512);
+  const auto msgs = opts.flags().get<std::uint32_t>("--msgs", 16);
 
   const auto sf = bench::simulation_topologies(false)[0];  // SpectralFly
   const std::uint64_t seed = opts.seed_or(42);

@@ -37,10 +37,9 @@ int main(int argc, char** argv) {
         {"--start", true, "churn window start in ns (default 1000)"},
         {"--window", true, "churn window length in ns (default 4000)"},
         {"--repair", true, "repair delay in ns for '~' levels (default 4000)"}}});
-  const std::uint32_t nranks = static_cast<std::uint32_t>(
-      opts.flags().get("--ranks", opts.full() ? 8192 : 1024));
-  const std::uint32_t msgs =
-      static_cast<std::uint32_t>(opts.flags().get("--msgs", 24));
+  const auto nranks = opts.flags().get<std::uint32_t>(
+      "--ranks", opts.full() ? 8192 : 1024);
+  const auto msgs = opts.flags().get<std::uint32_t>("--msgs", 24);
   const double load = opts.flags().get_f64("--load", 0.5);
   const double start_ns = opts.flags().get_f64("--start", 1000.0);
   const double window_ns = opts.flags().get_f64("--window", 4000.0);

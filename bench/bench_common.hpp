@@ -153,8 +153,9 @@ inline void write_phase_record(const std::string& path,
                "  \"events_per_sec\": %.1f,\n"
                "  \"messages_per_sec\": %.1f,\n"
                "  \"events_by_kind\": {",
-               campaign.c_str(), hardware_threads(), opts.threads(),
-               opts.workers(), opts.full() ? "true" : "false",
+               campaign.c_str(), hardware_threads(),
+               opts.engine_config().threads, opts.workers(),
+               opts.full() ? "true" : "false",
                ctl.shard_index, ctl.shard_count, total, ctl.replayed,
                ctl.evaluated, ctl.stopped ? "true" : "false",
                sum.build_seconds, sum.eval_seconds,

@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
        "#   --threads N  engine worker threads (default: all hardware threads)",
        {{"--samples", true,
          "subset pairs sampled per topology (default 150; --full = 600)"}}});
-  const std::uint32_t samples = static_cast<std::uint32_t>(
-      opts.flags().get("--samples", opts.full() ? 600 : 150));
+  const auto samples = opts.flags().get<std::uint32_t>(
+      "--samples", opts.full() ? 600 : 150);
 
   // Part (b) declared up front so --dry-run can plan it without running
   // part (a)'s sampling loop.  Topology-major, placement-minor: each

@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
          "SkyWalk instantiations averaged (default 3, paper 20)"}}});
   const std::size_t npairs =
       opts.full() ? 4 : std::min<std::size_t>(opts.flags().get("--pairs", 2), 4);
-  const int skywalks = static_cast<int>(
-      opts.flags().get("--skywalks", opts.full() ? 20 : 3));
+  const auto skywalks = opts.flags().get<int>(
+      "--skywalks", opts.full() ? 20 : 3);
 
   const std::pair<topo::LpsParams, topo::SlimFlyParams> pairs[] = {
       {{11, 7}, {9}}, {{19, 7}, {13}}, {{23, 11}, {17}}, {{29, 13}, {23}}};
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       st != bench::RunStatus::kDone)
     return bench::exit_code(st);
   const auto& layouts = phase.results();
-  TaskPool pool(opts.threads());
+  TaskPool pool(opts.engine_config().threads);
 
   for (std::size_t i = 0; i < npairs; ++i) {
     // Shared-size SkyWalk reference, averaged over instantiations, sized

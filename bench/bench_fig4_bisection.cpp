@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
        "#   --threads N  engine worker threads (default: all hardware threads)",
        {{"--classes", true, "size classes to run (default 3, --full = 5)"}}});
   const std::size_t nclasses =
-      opts.full() ? 5 : static_cast<std::size_t>(opts.flags().get("--classes", 3));
+      opts.full() ? 5 : opts.flags().get<std::size_t>("--classes", 3);
 
   const std::size_t run_classes =
       std::min(nclasses, topo::table1_classes().size());

@@ -17,10 +17,9 @@ int main(int argc, char** argv) {
        "#   --threads N  engine worker threads (default: all hardware threads)",
        {{"--ranks", true, "MPI ranks (default 1024; --full = 8192)"},
         {"--msgs", true, "messages per rank (default 24)"}}});
-  const std::uint32_t nranks = static_cast<std::uint32_t>(
-      opts.flags().get("--ranks", opts.full() ? 8192 : 1024));
-  const std::uint32_t msgs =
-      static_cast<std::uint32_t>(opts.flags().get("--msgs", 24));
+  const auto nranks = opts.flags().get<std::uint32_t>(
+      "--ranks", opts.full() ? 8192 : 1024);
+  const auto msgs = opts.flags().get<std::uint32_t>("--msgs", 24);
 
   auto topos = bench::simulation_topologies(opts.full());
   const auto loads = bench::load_points();

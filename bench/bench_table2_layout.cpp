@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const std::size_t npairs =
       opts.full() ? 4 : std::min<std::size_t>(opts.flags().get("--pairs", 2), 4);
   const int skywalks =
-      static_cast<int>(opts.flags().get("--skywalks", opts.full() ? 20 : 5));
+      opts.flags().get<int>("--skywalks", opts.full() ? 20 : 5);
 
   struct Pair {
     topo::LpsParams lps;

@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "util/json.hpp"
+#include "util/parse.hpp"
 
 namespace sfly::net {
 
@@ -129,12 +130,10 @@ bool parse_hostport(const std::string& spec, std::string& host,
   const auto colon = spec.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size())
     return false;
-  const std::string p = spec.substr(colon + 1);
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(p.c_str(), &end, 10);
-  if (end != p.c_str() + p.size() || v == 0 || v > 65535) return false;
+  const auto v = parse_u64(std::string_view(spec).substr(colon + 1));
+  if (!v || *v == 0 || *v > 65535) return false;
   host = spec.substr(0, colon);
-  port = static_cast<std::uint16_t>(v);
+  port = static_cast<std::uint16_t>(*v);
   return true;
 }
 

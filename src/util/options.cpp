@@ -1,8 +1,6 @@
 #include "util/options.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -15,15 +13,6 @@
 #include "util/parallel.hpp"
 
 namespace sfly::bench {
-
-std::optional<std::uint64_t> parse_u64(const std::string& s) {
-  if (s.empty() || s[0] < '0' || s[0] > '9') return std::nullopt;
-  std::uint64_t v = 0;
-  const char* end = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return v;
-}
 
 Flags::Flags(std::vector<std::string> args, std::vector<FlagSpec> known)
     : known_(std::move(known)) {
@@ -70,13 +59,31 @@ bool Flags::has(const std::string& name) const {
   return false;
 }
 
-std::uint64_t Flags::get(const std::string& name, std::uint64_t dflt) const {
+void Flags::exit_on_error_or_help(const char* prefix,
+                                  const std::string& headline) const {
+  if (!error_.empty()) {
+    std::fprintf(stderr, "%s: %s\n", prefix, error_.c_str());
+    std::exit(2);
+  }
+  if (has("--help") || has("-h")) {
+    std::printf("# %s\n", headline.c_str());
+    for (const auto& f : known_)
+      std::printf("#   %-12s %s%s\n", f.name.c_str(),
+                  f.takes_value ? "<value>  " : "", f.help.c_str());
+    std::exit(0);
+  }
+}
+
+std::uint64_t Flags::get_in(const std::string& name, std::uint64_t dflt,
+                            std::uint64_t lo, std::uint64_t hi) const {
   for (const auto& [flag, value] : values_)
     if (flag == name) {
-      if (auto v = parse_u64(value)) return *v;
-      std::fprintf(stderr,
-                   "error: %s expects a non-negative number, got '%s'\n",
-                   name.c_str(), value.c_str());
+      const auto v = parse_u64(value);
+      if (v && *v >= lo && *v <= hi) return *v;
+      std::fprintf(stderr, "error: %s expects an integer in %llu..%llu, "
+                   "got '%s'\n", name.c_str(),
+                   static_cast<unsigned long long>(lo),
+                   static_cast<unsigned long long>(hi), value.c_str());
       std::exit(2);
     }
   return dflt;
@@ -191,17 +198,8 @@ std::vector<FlagSpec> merge_flags(std::vector<FlagSpec> extra) {
 StandardOptions::StandardOptions(int argc, char** argv, Spec spec)
     : flags_(argv_vec(argc, argv), merge_flags(std::move(spec.extra_flags))),
       args_(argv_vec(argc, argv)) {
-  if (!flags_.error().empty()) {
-    std::fprintf(stderr, "error: %s\n", flags_.error().c_str());
-    std::exit(2);
-  }
-  if (flags_.has("--help")) {
-    std::printf("# %s\n", spec.banner);
-    for (const auto& f : flags_.known())
-      std::printf("#   %-12s %s%s\n", f.name.c_str(),
-                  f.takes_value ? "<value>  " : "", f.help.c_str());
-    std::exit(0);
-  }
+  flags_.exit_on_error_or_help("error", spec.banner);
+  cfg_.threads = flags_.get<unsigned>("--threads", 0);
   // From here on a SIGTERM/SIGINT is a graceful stop request: finish at
   // the next row boundary, flush sinks, exit 75 with the journal
   // resumable — the operator-initiated twin of --max-seconds.
@@ -219,6 +217,21 @@ StandardOptions::StandardOptions(int argc, char** argv, Spec spec)
                  "drop --json\n");
     std::exit(2);
   }
+  if (const auto r = flags_.get_str("--resume");
+      flags_.has("--resume") && (r.empty() || r == "-")) {
+    std::fprintf(stderr, "error: --resume needs a journal file path\n");
+    std::exit(2);
+  }
+  // Seconds, so "--max-seconds 1.5" works; get_f64 already rejects NaN,
+  // inf and garbage, and 0 disables the budget.
+  max_seconds_ = flags_.get_f64("--max-seconds", 0.0);
+  if (max_seconds_ < 0.0) {
+    std::fprintf(stderr,
+                 "error: --max-seconds expects a non-negative seconds "
+                 "budget (0 = no budget), got %g\n",
+                 max_seconds_);
+    std::exit(2);
+  }
   if (flags_.has("--shard")) {
     const std::string spec_str = flags_.get_str("--shard");
     const auto slash = spec_str.find('/');
@@ -233,15 +246,11 @@ StandardOptions::StandardOptions(int argc, char** argv, Spec spec)
                    spec_str.c_str());
       std::exit(2);
     }
-    shard_index_ = static_cast<std::size_t>(*i);
-    shard_count_ = static_cast<std::size_t>(*n);
+    shard_index_ = *i;
+    shard_count_ = *n;
   }
   if (flags_.has("--workers")) {
-    workers_ = static_cast<std::size_t>(flags_.get("--workers", 0));
-    if (workers_ == 0) {
-      std::fprintf(stderr, "error: --workers expects N >= 1\n");
-      std::exit(2);
-    }
+    workers_ = flags_.get<std::size_t>("--workers", 0, 1);
     // The dispatcher slices every batch itself and its merged output IS
     // the unsharded stream — combining with --shard would shard twice,
     // and --resume's replay cursor has no meaning across a fleet whose
@@ -273,23 +282,10 @@ StandardOptions::StandardOptions(int argc, char** argv, Spec spec)
                    "joins make a full fleet)\n");
       std::exit(2);
     }
-    const std::uint64_t p = flags_.get("--listen", 0);
-    if (p > 65535) {
-      std::fprintf(stderr, "error: --listen expects a port (0..65535)\n");
-      std::exit(2);
-    }
-    listen_port_ = static_cast<int>(p);
+    listen_port_ = flags_.get<std::uint16_t>("--listen", 0);
   }
-  if (flags_.has("--lease-ms")) {
-    const std::uint64_t ms = flags_.get("--lease-ms", 10000);
-    if (ms < 100) {
-      std::fprintf(stderr,
-                   "error: --lease-ms expects >= 100 (the fleet "
-                   "heartbeats at a third of it)\n");
-      std::exit(2);
-    }
-    lease_ms_ = static_cast<int>(ms);
-  }
+  // At least 100: the fleet heartbeats at a third of the lease.
+  lease_ms_ = flags_.get<int>("--lease-ms", lease_ms_, 100);
   if (flags_.has("--connect")) {
     const std::string spec_str = flags_.get_str("--connect");
     if (!net::parse_hostport(spec_str, connect_.host, connect_.port)) {
@@ -313,13 +309,7 @@ StandardOptions::StandardOptions(int argc, char** argv, Spec spec)
     }
   }
   if (flags_.has("--worker-fd")) {
-    const auto fd = parse_u64(flags_.get_str("--worker-fd"));
-    if (!fd || *fd > static_cast<std::uint64_t>(INT_MAX)) {
-      std::fprintf(stderr,
-                   "error: --worker-fd expects a socket file descriptor "
-                   "(this flag is passed by the --workers parent)\n");
-      std::exit(2);
-    }
+    const int fd = flags_.get<int>("--worker-fd", -1);
     if (flags_.has("--shard") || flags_.has("--resume")) {
       std::fprintf(stderr,
                    "error: --worker-fd cannot combine with --shard or "
@@ -330,7 +320,7 @@ StandardOptions::StandardOptions(int argc, char** argv, Spec spec)
     // handshake (and the heartbeats) must come before this bench
     // declares its campaign.  A --connect joiner's lease starts at its
     // HELLO; it dials from run_control().
-    channel_ = join_fleet(static_cast<int>(*fd));
+    channel_ = join_fleet(fd);
   }
 }
 
@@ -342,12 +332,6 @@ StandardOptions::~StandardOptions() {
     if (f && f != stdout) engine::checked_close(f, "result file");
 }
 
-engine::EngineConfig StandardOptions::engine_config() const {
-  engine::EngineConfig cfg;
-  cfg.threads = threads();
-  return cfg;
-}
-
 // Load the --resume journal and truncate the file to its last complete
 // line (a hard kill can leave a half-written tail) so the JsonlSink can
 // append from a clean prefix.  Shared by sinks() and run_control() —
@@ -356,13 +340,7 @@ void StandardOptions::prepare_resume() {
   if (resume_prepared_) return;
   resume_prepared_ = true;
   const std::string path = flags_.get_str("--resume");
-  if (path.empty() || path == "-") {
-    if (flags_.has("--resume")) {
-      std::fprintf(stderr, "error: --resume needs a journal file path\n");
-      std::exit(2);
-    }
-    return;
-  }
+  if (path.empty()) return;
   try {
     journal_ = std::make_unique<engine::CampaignJournal>(
         engine::CampaignJournal::load(path));
@@ -428,24 +406,13 @@ engine::RunControl& StandardOptions::run_control() {
     control_->journal = journal_ && !journal_->empty() ? journal_.get() : nullptr;
     control_->shard_index = shard_index_;
     control_->shard_count = shard_count_;
-    // Strict double parse: the budget is documented as seconds, so
-    // "--max-seconds 1.5" must work; get_f64 already rejects NaN/inf and
-    // garbage, and negatives are refused here (0 disables the budget).
-    const double budget = flags_.get_f64("--max-seconds", 0.0);
-    if (budget < 0.0) {
-      std::fprintf(stderr,
-                   "error: --max-seconds expects a non-negative seconds "
-                   "budget (0 = no budget), got %g\n",
-                   budget);
-      std::exit(2);
-    }
-    control_->max_seconds = budget;
+    control_->max_seconds = max_seconds_;
     if (workers_ > 0) {
       engine::CampaignDispatcher::Config dc;
       dc.workers = workers_;
       dc.listen_port = listen_port_;
       dc.lease_ms = lease_ms_;
-      dc.max_seconds = budget;
+      dc.max_seconds = max_seconds_;
       dc.start = control_->start;
       // Local workers share this machine, so they split its engine
       // threads; a --listen fleet's probe replies do not (each joining
@@ -512,7 +479,7 @@ std::vector<std::string> StandardOptions::worker_args(
   }
   if (split_threads) {
     const unsigned t =
-        threads() ? threads() : static_cast<unsigned>(hardware_threads());
+        cfg_.threads ? cfg_.threads : static_cast<unsigned>(hardware_threads());
     out.push_back("--threads");
     out.push_back(std::to_string(
         std::max<std::size_t>(1, t / std::max<std::size_t>(1, workers_))));

@@ -3,20 +3,24 @@
 /// One options surface for every bench harness (see DESIGN.md §6 and
 /// docs/CAMPAIGNS.md).
 ///
-/// Flags is a strict CLI parser: every flag a bench accepts is declared up
-/// front, unknown flags, repeated flags, and malformed values are errors
-/// (exit 2), and numeric values must parse exactly — "12x" is rejected,
-/// not truncated to 12.  StandardOptions layers the flag set shared by
-/// all benches (--threads/--full/--seed/--csv/--json/--resume/--shard/
-/// --workers/--max-seconds/--phase-json/--dry-run/--help) on top, owns the file-backed streaming sinks and the campaign
-/// RunControl those flags select, and prints the bench banner exactly as
-/// the harnesses always have.
+/// Flags is a strict CLI parser and the one statement of a binary's flags:
+/// every flag is declared up front in a FlagSpec table, which `--help`
+/// renders.  Unknown flags, repeated flags, malformed values and numbers
+/// that do not fit their field are errors (exit 2): "12x" is rejected,
+/// not truncated to 12, and a port of 70000 is rejected, not narrowed to
+/// 4464.  StandardOptions layers the flag set shared by all benches
+/// (--threads/--full/--seed/--csv/--json/--resume/--shard/--workers/
+/// --max-seconds/--phase-json/--dry-run/--help) on top, owns the
+/// file-backed streaming sinks and the campaign RunControl those flags
+/// select, and prints the bench banner exactly as the harnesses always
+/// have.
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
-#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "engine/campaign.hpp"
@@ -24,12 +28,9 @@
 #include "engine/journal.hpp"
 #include "engine/sink.hpp"
 #include "engine/transport_tcp.hpp"
+#include "util/parse.hpp"
 
 namespace sfly::bench {
-
-/// Strict full-string parse of a non-negative decimal integer; rejects
-/// empty strings, signs, and trailing garbage ("12x" -> nullopt).
-[[nodiscard]] std::optional<std::uint64_t> parse_u64(const std::string& s);
 
 struct FlagSpec {
   std::string name;         // "--ranks"
@@ -49,11 +50,27 @@ class Flags {
   Flags(std::vector<std::string> args, std::vector<FlagSpec> known);
 
   [[nodiscard]] const std::string& error() const { return error_; }
+  /// A usage error prints one stderr line `PREFIX: error` and exits 2;
+  /// `--help` (or a declared `-h`) prints `headline` and the flag table,
+  /// one `#   --flag  help` line each, to stdout and exits 0.  Otherwise
+  /// returns.
+  void exit_on_error_or_help(const char* prefix,
+                             const std::string& headline) const;
   [[nodiscard]] bool has(const std::string& name) const;
-  /// Value of a numeric flag; prints an error and exits 2 when the value
-  /// does not parse exactly as a non-negative integer.
-  [[nodiscard]] std::uint64_t get(const std::string& name,
-                                  std::uint64_t dflt) const;
+  /// Value of an integer flag as the field type T, `dflt` when absent.
+  /// Prints one error naming the flag and the range, and exits 2, when
+  /// the value does not parse exactly as a non-negative integer in
+  /// [lo, hi] (by default: anything T holds).
+  template <typename T = std::uint64_t>
+  [[nodiscard]] T get(const std::string& name, std::type_identity_t<T> dflt,
+                      std::type_identity_t<T> lo = T{},
+                      std::type_identity_t<T> hi =
+                          std::numeric_limits<T>::max()) const {
+    static_assert(std::is_integral_v<T>);
+    return static_cast<T>(get_in(name, static_cast<std::uint64_t>(dflt),
+                                 static_cast<std::uint64_t>(lo),
+                                 static_cast<std::uint64_t>(hi)));
+  }
   /// Value of a real-valued flag (e.g. --load 0.5); prints an error and
   /// exits 2 when the value does not parse exactly as a finite double.
   [[nodiscard]] double get_f64(const std::string& name, double dflt) const;
@@ -63,6 +80,9 @@ class Flags {
 
  private:
   [[nodiscard]] const FlagSpec* spec(const std::string& name) const;
+  [[nodiscard]] std::uint64_t get_in(const std::string& name,
+                                     std::uint64_t dflt, std::uint64_t lo,
+                                     std::uint64_t hi) const;
   std::vector<FlagSpec> known_;
   std::vector<std::string> present_;  // flag names seen (each at most once:
                                       // a repeated flag is a parse error)
@@ -89,14 +109,12 @@ class StandardOptions {
   [[nodiscard]] const Flags& flags() const { return flags_; }
   [[nodiscard]] bool full() const { return flags_.has("--full"); }
   [[nodiscard]] bool dry_run() const { return flags_.has("--dry-run"); }
-  [[nodiscard]] unsigned threads() const {
-    return static_cast<unsigned>(flags_.get("--threads", 0));
-  }
   /// --seed override, else the bench's default campaign seed.
   [[nodiscard]] std::uint64_t seed_or(std::uint64_t dflt) const {
     return flags_.get("--seed", dflt);
   }
-  [[nodiscard]] engine::EngineConfig engine_config() const;
+  /// `--threads` (0 = all hardware), checked while the flags are parsed.
+  [[nodiscard]] engine::EngineConfig engine_config() const { return cfg_; }
 
   /// The streaming sinks the flags select: CsvSink for `--csv PATH`,
   /// JsonlSink for `--json PATH` ("-" = stdout) or appending to the
@@ -132,6 +150,7 @@ class StandardOptions {
       const;
 
   Flags flags_;
+  engine::EngineConfig cfg_;
   std::vector<std::string> args_;  // raw argv[1..], for worker re-exec
   std::vector<engine::ResultSink*> sinks_;
   std::vector<std::unique_ptr<engine::ResultSink>> owned_;
@@ -141,6 +160,7 @@ class StandardOptions {
   std::size_t workers_ = 0;
   int listen_port_ = -1;      // -1 = no --listen (0 = ephemeral port)
   int lease_ms_ = 10000;      // --lease-ms (any --workers parent)
+  double max_seconds_ = 0.0;  // --max-seconds (0 = no budget)
   engine::SocketChannel::Config connect_;  // --connect (host "" = none)
   // A --worker-fd child's link, joined from the constructor on;
   // run_control() hands it (or a fresh --connect link) to the worker.

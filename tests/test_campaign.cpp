@@ -517,14 +517,14 @@ TEST(CovPrefix, TargetIsAStrictBound) {
 // Strict flag parsing (the bench::Flags rewrite).
 
 TEST(Flags, RejectsTrailingGarbageInNumbers) {
-  EXPECT_FALSE(bench::parse_u64("12x").has_value());
-  EXPECT_FALSE(bench::parse_u64("").has_value());
-  EXPECT_FALSE(bench::parse_u64("-1").has_value());
-  EXPECT_FALSE(bench::parse_u64("0x10").has_value());
-  EXPECT_FALSE(bench::parse_u64(" 7").has_value());
-  ASSERT_TRUE(bench::parse_u64("12").has_value());
-  EXPECT_EQ(*bench::parse_u64("12"), 12u);
-  EXPECT_EQ(*bench::parse_u64("0"), 0u);
+  EXPECT_FALSE(parse_u64("12x").has_value());
+  EXPECT_FALSE(parse_u64("").has_value());
+  EXPECT_FALSE(parse_u64("-1").has_value());
+  EXPECT_FALSE(parse_u64("0x10").has_value());
+  EXPECT_FALSE(parse_u64(" 7").has_value());
+  ASSERT_TRUE(parse_u64("12").has_value());
+  EXPECT_EQ(*parse_u64("12"), 12u);
+  EXPECT_EQ(*parse_u64("0"), 0u);
 }
 
 TEST(Flags, UnknownFlagsAreErrorsNotIgnored) {
@@ -578,6 +578,38 @@ TEST(Flags, GetF64AcceptsFractionsRejectsGarbage) {
   bench::Flags junk({"--max-seconds", "1.5x"}, known);
   EXPECT_EXIT((void)junk.get_f64("--max-seconds", 0.0),
               ::testing::ExitedWithCode(2), "finite");
+}
+
+TEST(Flags, NumbersMustFitTheirField) {
+  // get<T> checks the value against the field it lands in; a narrowing
+  // cast would turn a port of 70000 into 4464 and --msgs 4294967297
+  // into 1.
+  std::vector<bench::FlagSpec> known = {{"--port", true, ""},
+                                        {"--msgs", true, ""},
+                                        {"--lease-ms", true, ""}};
+  auto flags = [&](const char* port, const char* msgs, const char* lease) {
+    return bench::Flags({"--port", port, "--msgs", msgs, "--lease-ms", lease},
+                        known);
+  };
+  const auto max = flags("65535", "4294967295", "2147483647");
+  EXPECT_EQ(max.get<std::uint16_t>("--port", 0), 65535u);
+  EXPECT_EQ(max.get<std::uint32_t>("--msgs", 24), 4294967295u);
+  EXPECT_EQ(max.get<int>("--lease-ms", 10000, 100), 2147483647);
+  const auto low = flags("0", "0", "100");
+  EXPECT_EQ(low.get<int>("--lease-ms", 10000, 100), 100);
+  EXPECT_EQ(bench::Flags({}, known).get<int>("--lease-ms", 10000, 100), 10000);
+
+  const auto past = flags("65536", "4294967296", "2147483648");
+  EXPECT_EXIT((void)past.get<std::uint16_t>("--port", 0),
+              ::testing::ExitedWithCode(2), "--port expects .*0\\.\\.65535");
+  EXPECT_EXIT((void)past.get<std::uint32_t>("--msgs", 24),
+              ::testing::ExitedWithCode(2),
+              "--msgs expects .*0\\.\\.4294967295");
+  EXPECT_EXIT((void)past.get<int>("--lease-ms", 10000, 100),
+              ::testing::ExitedWithCode(2),
+              "--lease-ms expects .*100\\.\\.2147483647");
+  EXPECT_EXIT((void)flags("0", "0", "99").get<int>("--lease-ms", 10000, 100),
+              ::testing::ExitedWithCode(2), "--lease-ms expects .*100");
 }
 
 TEST(Flags, OptionalValueFlagsDefaultToStdout) {

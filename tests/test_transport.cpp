@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -248,6 +249,8 @@ TEST(HostPort, ParsesValidAndRejectsMalformed) {
   EXPECT_FALSE(parse_hostport(":9000", host, port));
   EXPECT_FALSE(parse_hostport("host:notaport", host, port));
   EXPECT_FALSE(parse_hostport("host:70000", host, port));
+  EXPECT_FALSE(parse_hostport("host:+80", host, port));
+  EXPECT_FALSE(parse_hostport("host: 80", host, port));
 }
 
 TEST(Handshake, HelloAndWelcomeRoundTrip) {
@@ -650,6 +653,86 @@ TEST(Tcp, ProxyFlagsAreStrict) {
   EXPECT_NE(slurp(err).find("--listen"), std::string::npos) << slurp(err);
   EXPECT_EQ(run(proxy + "--listen 0 --latency-ms 5x > /dev/null 2> " + err), 2);
   EXPECT_NE(slurp(err).find("--latency-ms"), std::string::npos) << slurp(err);
+}
+
+TEST(Tcp, ServiceNumbersMustFitTheirField) {
+  // sflyd and sfly_query check every number against its field before
+  // they build, bind or dial; narrowed, --port 70000 would serve on port
+  // 4464 and --timeout-ms 4294967296 would give up at once.  `timeout 20`
+  // ends a daemon that did start serving.
+  const std::string err = tmp("service_flags.err");
+  const std::string dir = bin_dir();
+  const struct {
+    std::string cmd, flag;
+  } rows[] = {
+      {"/sflyd --topos 'Paley(13)' --port 70000", "--port"},
+      {"/sflyd --topos 'Paley(13)' --concentration 4294967304",
+       "--concentration"},
+      {"/sfly_query --connect 127.0.0.1:1 --timeout-ms 4294967296 stats",
+       "--timeout-ms"},
+  };
+  for (const auto& r : rows) {
+    EXPECT_EQ(run("timeout 20 " + dir + r.cmd + " > /dev/null 2> " + err), 2)
+        << r.cmd;
+    const std::string msg = slurp(err);
+    EXPECT_NE(msg.find(r.flag), std::string::npos) << r.cmd << ": " << msg;
+    EXPECT_EQ(msg.find("# sflyd: built"), std::string::npos) << msg;
+  }
+}
+
+TEST(Tcp, ToolsPrintHelpFromTheFlagTableAndExitZero) {
+  // --help renders each binary's FlagSpec table to stdout and exits 0.
+  const std::string out = tmp("tool_help.out");
+  for (const char* tool : {"sflyd", "sfly_query", "sfly_worker",
+                           "flaky_proxy", "bench_fig6_ugal"}) {
+    EXPECT_EQ(run(bin_dir() + "/" + tool + " --help > " + out +
+                  " 2> /dev/null"),
+              0)
+        << tool;
+    EXPECT_NE(slurp(out).find("#   --help"), std::string::npos) << tool;
+  }
+}
+
+TEST(Tcp, BenchFlagRejectionsExitWhileParsing) {
+  // Every rejection of the shared bench surface exits 2 naming its flag
+  // before the bench plans, builds, spawns or dials anything: stdout
+  // never reaches the --dry-run plan.  No row asks for more than two
+  // workers, so an accepted row could not start a large fleet.
+  const std::string out = tmp("bench_flags.out"), err = tmp("bench_flags.err");
+  const struct {
+    std::string args, flag;
+  } rows[] = {
+      {"--rnaks 64", "--rnaks"},
+      {"--msgs 4294967297", "--msgs"},
+      {"--threads 4294967297", "--threads"},
+      {"--shard 2/2", "--shard"},
+      {"--resume P --json Q", "--resume"},
+      {"--resume -", "--resume"},
+      {"--max-seconds -1", "--max-seconds"},
+      {"--workers 0", "--workers"},
+      {"--workers 2 --shard 0/2", "--shard"},
+      {"--workers 2 --resume P", "--resume"},
+      {"--listen 7000", "--listen"},
+      {"--workers 2 --lease-ms 99", "--lease-ms"},
+      {"--workers 2 --lease-ms 4294967396", "--lease-ms"},
+      {"--connect nohost", "--connect"},
+      {"--connect h:1 --workers 2", "--connect"},
+      {"--connect h:1 --shard 0/2", "--connect"},
+      {"--worker-fd x", "--worker-fd"},
+      {"--worker-fd 3 --shard 0/2", "--worker-fd"},
+      {"--workers 2 --worker-fd 3", "--worker-fd"},
+  };
+  for (const auto& r : rows) {
+    EXPECT_EQ(run("timeout 20 " + bin_dir() + "/bench_fig6_ugal --ranks 64 " +
+                  r.args + " --dry-run > " + out + " 2> " + err),
+              2)
+        << r.args;
+    const std::string msg = slurp(err);
+    EXPECT_NE(msg.find(r.flag), std::string::npos) << r.args << ": " << msg;
+    EXPECT_EQ(std::count(msg.begin(), msg.end(), '\n'), 1)
+        << r.args << ": " << msg;
+    EXPECT_EQ(slurp(out).find("campaign plan"), std::string::npos) << r.args;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -50,7 +50,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <limits>
 #include <list>
 #include <string>
 #include <vector>
@@ -62,23 +61,6 @@ namespace net = sfly::net;
 using Clock = std::chrono::steady_clock;
 
 namespace {
-
-int usage(int rc) {
-  std::printf(
-      "usage: flaky_proxy --listen PORT --to HOST:PORT [fault options]\n"
-      "deterministic fault-injecting TCP proxy for campaign dispatch\n"
-      "  --listen PORT     port to accept workers on (0 = ephemeral)\n"
-      "  --port-file PATH  write the bound port here (for --listen 0)\n"
-      "  --to HOST:PORT    the real campaign parent\n"
-      "  --latency-ms L    delay all forwarded bytes by L ms\n"
-      "  --conn C          which connection the fault hits (see header)\n"
-      "  --fault KIND      stall | stall-up | cut | dup | handshake-cut\n"
-      "  --after N         DATA frames forwarded before the fault fires\n"
-      "  --stall-ms M      partition duration for stall/stall-up\n"
-      "  --dup-every K     duplicate every Kth DATA frame (fault dup)\n"
-      "  --max-conns N     exit once N connections have closed (tests)\n");
-  return rc;
-}
 
 struct Opts {
   std::uint16_t listen_port = 0;
@@ -133,50 +115,39 @@ int main(int argc, char** argv) {
   // or repeated flags and malformed numbers ("5x") exit 2.
   const sfly::bench::Flags flags(
       std::vector<std::string>(argv + 1, argv + argc),
-      {{"--listen", true, "port to accept workers on"},
-       {"--port-file", true, "write the bound port here"},
-       {"--to", true, "the real campaign parent"},
-       {"--latency-ms", true, "delay all forwarded bytes"},
-       {"--conn", true, "which connection the fault hits"},
+      {{"--listen", true, "port to accept workers on (0 = ephemeral)"},
+       {"--port-file", true, "write the bound port to this file (--listen 0)"},
+       {"--to", true, "the real campaign parent's HOST:PORT"},
+       {"--latency-ms", true, "delay all forwarded bytes by this many ms"},
+       {"--conn", true,
+        "which connection the fault hits: the Nth accepted for "
+        "handshake-cut, else the Nth that sent a DATA frame"},
        {"--fault", true, "stall | stall-up | cut | dup | handshake-cut"},
        {"--after", true, "DATA frames forwarded before the fault fires"},
-       {"--stall-ms", true, "partition duration"},
-       {"--dup-every", true, "duplicate every Kth DATA frame"},
-       {"--max-conns", true, "exit once N connections have closed"},
-       {"--help", false, "this text"},
-       {"-h", false, "this text"}});
-  if (!flags.error().empty()) {
-    std::fprintf(stderr, "flaky_proxy: %s\n", flags.error().c_str());
-    return usage(2);
-  }
-  if (flags.has("--help") || flags.has("-h")) return usage(0);
+       {"--stall-ms", true, "partition duration for stall/stall-up in ms"},
+       {"--dup-every", true, "duplicate every Kth DATA frame (fault dup)"},
+       {"--max-conns", true, "exit once N connections have closed (tests)"},
+       {"--help", false, "this help"},
+       {"-h", false, "this help"}});
+  flags.exit_on_error_or_help(
+      "flaky_proxy",
+      "flaky_proxy --listen PORT --to HOST:PORT [fault options]: "
+      "deterministic fault-injecting TCP proxy for campaign dispatch");
   // A number must also fit the field it lands in: --listen 70000 is an
   // error, not port 4464.
-  auto number = [&](const char* name, std::uint64_t max) {
-    const std::uint64_t v = flags.get(name, 0);
-    if (v > max) {
-      std::fprintf(stderr, "flaky_proxy: %s %llu is out of range (max %llu)\n",
-                   name, static_cast<unsigned long long>(v),
-                   static_cast<unsigned long long>(max));
-      std::exit(2);
-    }
-    return v;
-  };
-  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
   Opts o;
-  o.listen_port = static_cast<std::uint16_t>(number("--listen", 65535));
+  o.listen_port = flags.get<std::uint16_t>("--listen", 0);
   o.port_file = flags.get_str("--port-file");
-  o.latency_ms = static_cast<int>(number("--latency-ms", kIntMax));
-  if (flags.has("--conn")) o.conn = static_cast<long>(number("--conn", kIntMax));
+  o.latency_ms = flags.get<int>("--latency-ms", 0);
+  o.conn = flags.get<int>("--conn", -1);
   o.fault = flags.get_str("--fault");
-  o.after = number("--after", kIntMax);
-  o.stall_ms = static_cast<int>(number("--stall-ms", kIntMax));
-  o.dup_every = number("--dup-every", kIntMax);
-  if (flags.has("--max-conns"))
-    o.max_conns = static_cast<long>(number("--max-conns", kIntMax));
+  o.after = flags.get<std::size_t>("--after", 0);
+  o.stall_ms = flags.get<int>("--stall-ms", 0);
+  o.dup_every = flags.get<std::size_t>("--dup-every", 0);
+  o.max_conns = flags.get<int>("--max-conns", -1);
   if (!flags.has("--listen") || !flags.has("--to")) {
     std::fprintf(stderr, "flaky_proxy: --listen and --to are required\n");
-    return usage(2);
+    return 2;
   }
   if (!net::parse_hostport(flags.get_str("--to"), o.to_host, o.to_port)) {
     std::fprintf(stderr, "flaky_proxy: bad --to HOST:PORT\n");

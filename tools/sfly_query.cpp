@@ -32,21 +32,6 @@ namespace {
 
 using sfly::json_quote;
 
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s (--connect HOST:PORT | --local [SNAPSHOT]) KIND [flags]\n"
-      "  KIND: route | sim | rank | stats\n"
-      "  route: --topo SPEC --src N --dst N [--algo A] [--seed N] [--fail u-v,u-v]\n"
-      "  sim:   --topo SPEC [--algo A] [--pattern P | --motif M(..)] [--load F]\n"
-      "         [--nranks N] [--messages N] [--bytes N] [--placement P] [--vcs N]\n"
-      "         [--failure-fraction F] [--seed N] [--label S]\n"
-      "  rank:  --topos 'SPEC,SPEC,...' [--job-size N] [--seed N]\n"
-      "  common: --id N (request id, default 1), --timeout-ms N (default 30000)\n",
-      argv0);
-  return 2;
-}
-
 // Build the request object from the parsed flags.  Only flags that are
 // present are serialized, so server-side defaults stay authoritative and
 // a --connect request equals the --local request byte for byte.
@@ -167,31 +152,38 @@ int main(int argc, char** argv) {
   // form puts --connect first); pull out the first token that is neither
   // a flag nor a flag's value.
   static const std::vector<sfly::bench::FlagSpec> kSpecs = {
-      {"--connect", true, "daemon HOST:PORT"},
-      {"--local", true, "evaluate in-process (value: snapshot file, '' = none)",
+      {"--connect", true, "the daemon's HOST:PORT"},
+      {"--local", true,
+       "evaluate in-process over a snapshot file ('' or omitted = build "
+       "topologies on the fly)",
        /*value_optional=*/true},
       {"--id", true, "request id (default 1)"},
-      {"--timeout-ms", true, "response timeout (default 30000)"},
-      {"--topo", true, "topology spec"},
-      {"--topos", true, "topology spec list (rank)"},
-      {"--src", true, "source router"},
-      {"--dst", true, "destination router"},
-      {"--algo", true, "minimal|valiant|ugal-l|ugal-g|adaptive-min"},
-      {"--seed", true, "deterministic seed"},
-      {"--fail", true, "failed links u-v,u-v (route overlay)"},
-      {"--pattern", true, "random|bit-shuffle|bit-reverse|transpose|neighbor|hotspot"},
-      {"--motif", true, "Halo3D26(nx,ny,nz,it)|Sweep3D(px,py,s)|FFT(px,py)"},
-      {"--load", true, "offered load 0..1"},
-      {"--nranks", true, "job ranks"},
-      {"--messages", true, "messages per rank"},
-      {"--bytes", true, "message bytes"},
-      {"--placement", true, "random|linear"},
-      {"--vcs", true, "virtual channels (0 = auto)"},
-      {"--failure-fraction", true, "static link-failure fraction"},
-      {"--label", true, "row label"},
-      {"--compute-ns", true, "motif compute grain"},
+      {"--timeout-ms", true,
+       "response timeout in milliseconds (default 30000)"},
+      {"--topo", true, "route, sim: topology spec, e.g. 'Paley(13)'"},
+      {"--topos", true, "rank: topology spec list, 'SPEC,SPEC,...'"},
+      {"--src", true, "route: source router"},
+      {"--dst", true, "route: destination router"},
+      {"--algo", true,
+       "route, sim: minimal | valiant | ugal-l | ugal-g | adaptive-min"},
+      {"--seed", true, "route, sim, rank: deterministic seed"},
+      {"--fail", true, "route: failed links u-v,u-v (an overlay)"},
+      {"--pattern", true,
+       "sim: random | bit-shuffle | bit-reverse | transpose | neighbor | "
+       "hotspot (or --motif)"},
+      {"--motif", true,
+       "sim: Halo3D26(nx,ny,nz,it) | Sweep3D(px,py,s) | FFT(px,py)"},
+      {"--load", true, "sim: offered load 0..1"},
+      {"--nranks", true, "sim: job ranks"},
+      {"--messages", true, "sim: messages per rank"},
+      {"--bytes", true, "sim: message bytes"},
+      {"--placement", true, "sim: random | linear"},
+      {"--vcs", true, "sim: virtual channels (0 = auto)"},
+      {"--failure-fraction", true, "sim: static link-failure fraction"},
+      {"--label", true, "sim: row label"},
+      {"--compute-ns", true, "sim: motif compute grain in ns"},
       {"--job-size", true, "rank: job size in ranks"},
-      {"--help", false, "this text"}};
+      {"--help", false, "this help"}};
 
   std::string kind;
   std::vector<std::string> args;
@@ -217,29 +209,32 @@ int main(int argc, char** argv) {
       }
     }
   }
-  sfly::bench::Flags flags(std::move(args), kSpecs);
-  if (!flags.error().empty()) {
-    std::fprintf(stderr, "sfly_query: %s\n", flags.error().c_str());
-    return usage(argv[0]);
-  }
-  if (flags.has("--help") || kind.empty()) return usage(argv[0]);
+  const sfly::bench::Flags flags(std::move(args), kSpecs);
+  flags.exit_on_error_or_help(
+      "sfly_query",
+      "sfly_query (--connect HOST:PORT | --local [SNAPSHOT]) KIND [flags], "
+      "KIND = route | sim | rank | stats; prints the response JSON");
   if (kind != "route" && kind != "sim" && kind != "rank" && kind != "stats") {
-    std::fprintf(stderr, "sfly_query: unknown query kind '%s'\n", kind.c_str());
-    return usage(argv[0]);
+    std::fprintf(stderr,
+                 "sfly_query: expects a KIND of route | sim | rank | stats, "
+                 "got '%s'\n",
+                 kind.c_str());
+    return 2;
   }
   const bool remote = flags.has("--connect");
   const bool local = flags.has("--local");
   if (remote == local) {
-    std::fprintf(stderr, "sfly_query: need exactly one of --connect / --local\n");
-    return usage(argv[0]);
+    std::fprintf(stderr,
+                 "sfly_query: need exactly one of --connect / --local\n");
+    return 2;
   }
+  const int timeout_ms = flags.get<int>("--timeout-ms", 30000);
 
   const std::string request = build_request(kind, flags);
   std::string payload;
   if (remote) {
     const int rc =
-        run_remote(flags.get_str("--connect"), request,
-                   static_cast<int>(flags.get("--timeout-ms", 30000)), payload);
+        run_remote(flags.get_str("--connect"), request, timeout_ms, payload);
     if (rc != 0 && payload.empty()) {
       std::fprintf(stderr, "sfly_query: transport failure\n");
       return rc;

@@ -42,23 +42,6 @@ namespace net = sfly::net;
 
 namespace {
 
-int usage(int rc) {
-  std::printf(
-      "usage: sfly_worker --connect HOST:PORT [options]\n"
-      "join a --listen campaign parent as a worker machine\n"
-      "  --connect HOST:PORT  the parent's listen address (required)\n"
-      "  --bin-dir DIR        where bench binaries live (default: the\n"
-      "                       directory sfly_worker itself runs from)\n"
-      "  --attempts N         dial attempts per (re)connect (default 40)\n"
-      "  --base-ms MS         backoff base delay (default 200)\n"
-      "  --crash-budget N     bench crashes tolerated before giving up\n"
-      "                       (default 8)\n"
-      "  --once               no reconnect loop: run the bench once and\n"
-      "                       exit with its status (tests)\n"
-      "  --verbose            log probe/exec/restart decisions\n");
-  return rc;
-}
-
 struct Args {
   std::string host;
   std::uint16_t port = 0;
@@ -158,20 +141,23 @@ int main(int argc, char** argv) {
   // or repeated flags and malformed numbers ("12x") exit 2.
   const sfly::bench::Flags flags(
       std::vector<std::string>(argv + 1, argv + argc),
-      {{"--connect", true, "the parent's listen address"},
-       {"--bin-dir", true, "where bench binaries live"},
-       {"--attempts", true, "dial attempts per (re)connect"},
-       {"--base-ms", true, "backoff base delay"},
-       {"--crash-budget", true, "bench crashes tolerated"},
-       {"--once", false, "run the bench once"},
+      {{"--connect", true, "the parent's HOST:PORT listen address (required)"},
+       {"--bin-dir", true,
+        "where bench binaries live (default: the directory sfly_worker "
+        "itself runs from)"},
+       {"--attempts", true, "dial attempts per (re)connect (default 40)"},
+       {"--base-ms", true, "backoff base delay in ms (default 200)"},
+       {"--crash-budget", true,
+        "bench crashes tolerated before giving up (default 8)"},
+       {"--once", false,
+        "no reconnect loop: run the bench once and exit with its status"},
        {"--verbose", false, "log probe/exec/restart decisions"},
-       {"--help", false, "this text"},
-       {"-h", false, "this text"}});
-  if (!flags.error().empty()) {
-    std::fprintf(stderr, "sfly_worker: %s\n", flags.error().c_str());
-    return usage(2);
-  }
-  if (flags.has("--help") || flags.has("-h")) return usage(0);
+       {"--help", false, "this help"},
+       {"-h", false, "this help"}});
+  flags.exit_on_error_or_help(
+      "sfly_worker",
+      "sfly_worker --connect HOST:PORT: join a --listen campaign parent as "
+      "a worker machine");
   Args a;
   a.bin_dir = flags.get_str("--bin-dir");
   a.attempts = std::max<std::size_t>(1, flags.get("--attempts", a.attempts));
@@ -182,7 +168,7 @@ int main(int argc, char** argv) {
   const std::string spec = flags.get_str("--connect");
   if (spec.empty() || !net::parse_hostport(spec, a.host, a.port)) {
     std::fprintf(stderr, "sfly_worker: --connect HOST:PORT is required\n");
-    return usage(2);
+    return 2;
   }
   if (a.bin_dir.empty()) {
     // Default to our own directory: fleets deploy sfly_worker next to

@@ -29,44 +29,35 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void on_signal(int) { g_stop = 1; }
 
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--topos SPECS] [--snapshot FILE] [--concentration N]\n"
-      "          [--port N] [--threads N] [--save-snapshot FILE] [--build-only]\n"
-      "  --topos SPECS        comma/semicolon list, e.g. 'LPS(11,7),SF(9)'\n"
-      "  --snapshot FILE      warm start: mmap a snapshot written earlier\n"
-      "  --concentration N    endpoints per router for --topos (default 8)\n"
-      "  --port N             listen port (default 0 = ephemeral)\n"
-      "  --threads N          query worker threads (default: hardware)\n"
-      "  --save-snapshot FILE serialize the registered artifacts and exit-able\n"
-      "  --build-only         build/save, then exit without serving\n",
-      argv0);
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
-  sfly::bench::Flags flags(
+  const sfly::bench::Flags flags(
       std::move(args),
-      {{"--topos", true, "topology spec list"},
-       {"--snapshot", true, "warm-start snapshot file"},
-       {"--concentration", true, "endpoints per router (default 8)"},
-       {"--port", true, "listen port (0 = ephemeral)"},
-       {"--threads", true, "query worker threads"},
-       {"--save-snapshot", true, "write artifacts to this snapshot file"},
-       {"--build-only", false, "build/save then exit"},
-       {"--help", false, "this text"}});
-  if (!flags.error().empty()) {
-    std::fprintf(stderr, "sflyd: %s\n", flags.error().c_str());
-    return usage(argv[0]);
-  }
-  if (flags.has("--help")) return usage(argv[0]);
-
+      {{"--topos", true,
+        "topologies to build (comma/semicolon list, e.g. "
+        "'LPS(11,7),SF(9)')"},
+       {"--snapshot", true, "warm start: mmap a snapshot file written earlier"},
+       {"--concentration", true,
+        "endpoints per router for --topos (default 8)"},
+       {"--port", true, "listen port (default 0 = ephemeral)"},
+       {"--threads", true, "query worker threads (default: hardware)"},
+       {"--save-snapshot", true,
+        "serialize the registered artifacts to this file"},
+       {"--build-only", false, "build (and save), then exit without serving"},
+       {"--help", false, "this help"}});
+  flags.exit_on_error_or_help(
+      "sflyd", "sflyd: serve route/sim/rank/stats queries over topologies "
+               "built from --topos and/or mmap'd from --snapshot");
+  // Every number is checked before anything is built or bound.
   sfly::engine::EngineConfig cfg;
-  cfg.threads = static_cast<unsigned>(flags.get("--threads", 0));
+  cfg.threads = flags.get<unsigned>("--threads", 0);
+  const auto concentration = flags.get<std::uint32_t>("--concentration", 8);
+  sfly::service::ServerConfig scfg;
+  scfg.port = flags.get<std::uint16_t>("--port", 0);
+  scfg.threads = cfg.threads;
+
   sfly::service::QueryEngine queries(cfg);
 
   try {
@@ -80,8 +71,6 @@ int main(int argc, char** argv) {
     }
     if (flags.has("--topos")) {
       sfly::TaskPool pool(cfg.threads);
-      const auto concentration =
-          static_cast<std::uint32_t>(flags.get("--concentration", 8));
       for (const auto& spec :
            sfly::topo::split_spec_list(flags.get_str("--topos"))) {
         auto parsed = sfly::topo::parse_topology(spec);
@@ -118,9 +107,6 @@ int main(int argc, char** argv) {
   }
   if (flags.has("--build-only")) return 0;
 
-  sfly::service::ServerConfig scfg;
-  scfg.port = static_cast<std::uint16_t>(flags.get("--port", 0));
-  scfg.threads = cfg.threads;
   sfly::service::Server server(queries, scfg);
   if (!server.start()) {
     std::fprintf(stderr, "sflyd: cannot bind port %u\n", scfg.port);
