@@ -31,6 +31,20 @@ double seconds_since(std::chrono::steady_clock::time_point t) {
       .count();
 }
 
+// Reaps a child that is exiting on its own (it closed its end, or was
+// sent BYE and SIGTERM).  A blocking waitpid on a stopped child never
+// returns, and a SIGSTOP can land at any moment of its exit, so each
+// wait is preceded by a SIGCONT.  Returns the wait status.
+int reap_exiting(pid_t pid) {
+  int st = 0;
+  for (;;) {
+    ::kill(pid, SIGCONT);
+    const pid_t r = ::waitpid(pid, &st, WNOHANG);
+    if (r == pid || (r < 0 && errno != EINTR)) return st;
+    ::poll(nullptr, 0, 5);
+  }
+}
+
 }  // namespace
 
 // --- TcpTransport (parent) --------------------------------------------------
@@ -338,9 +352,13 @@ void TcpTransport::sweep(const Hooks& hooks) {
       // A child that closed its end is exiting: reap it as it is.  One
       // we gave up on (write failure, corrupt stream, expired lease —
       // possibly SIGSTOPped) is SIGKILLed first.
-      if (!c.hup) ::kill(c.pid, SIGKILL);
       int st = 0;
-      ::waitpid(c.pid, &st, 0);
+      if (c.hup) {
+        st = reap_exiting(c.pid);
+      } else {
+        ::kill(c.pid, SIGKILL);
+        ::waitpid(c.pid, &st, 0);
+      }
       // EX_TEMPFAIL: the worker's own --max-seconds budget fired.
       graceful = graceful || (WIFEXITED(st) && WEXITSTATUS(st) == 75);
     }
@@ -474,9 +492,7 @@ void TcpTransport::shutdown() {
     // it is stopped) so teardown does not wait out a long scenario
     // whose output nobody will read.
     ::kill(c.pid, SIGTERM);
-    ::kill(c.pid, SIGCONT);
-    int st = 0;
-    ::waitpid(c.pid, &st, 0);
+    (void)reap_exiting(c.pid);
     c.pid = -1;
   }
   conns_.clear();

@@ -240,18 +240,23 @@ TEST(Dispatch, StoppedLocalWorkerIsFencedAndRespawned) {
             0);
   // A SIGSTOPped worker neither dies nor heartbeats, so only its lease
   // can notice it: after 0.5 s of silence the parent must SIGKILL it,
-  // respawn the slot, and finish with no row lost or duplicated.
+  // respawn the slot, and finish with no row lost or duplicated.  The
+  // whole fleet run takes well under a second, so a stop after a fixed
+  // sleep can land after the worker's slice is done (no lease owed, no
+  // expiry): stop it the moment it exists, while it owes every row of
+  // its slice.  `--threads 2` gives each worker one thread, which keeps
+  // the slice's length independent of the host's core count.
   const std::string sh = tmp("stop.sh");
   std::ofstream(sh) << "timeout -s KILL 120 " << bench
-                    << " --workers 2 --lease-ms 500 --json " << sj << " > "
-                    << so << " 2> " << err << " &\n"
+                    << " --workers 2 --threads 2 --lease-ms 500 --json "
+                    << sj << " > " << so << " 2> " << err << " &\n"
                     << "P=$!; W=; i=0\n"
-                    << "while [ -z \"$W\" ] && [ $i -lt 200 ]; do\n"
-                    << "  sleep 0.02; i=$((i+1))\n"
+                    << "while [ -z \"$W\" ] && [ $i -lt 400 ]; do\n"
+                    << "  sleep 0.01; i=$((i+1))\n"
                     << "  B=$(pgrep -P $P | head -1)\n"
                     << "  [ -n \"$B\" ] && W=$(pgrep -P $B | head -1)\n"
                     << "done\n"
-                    << "sleep 0.3; [ -n \"$W\" ] && kill -STOP $W\n"
+                    << "[ -n \"$W\" ] && kill -STOP $W\n"
                     << "wait $P\n";
   ASSERT_EQ(run("sh " + sh), 0) << slurp(err);
   EXPECT_NE(slurp(err).find("lease expired"), std::string::npos)

@@ -528,7 +528,7 @@ TEST(Tcp, StaleWorkerDeclarationIsRefusedOverSocket) {
 }
 
 TEST(Tcp, BudgetStopsFleetGracefullyAndResumesSingleProcess) {
-  // ~2 s of work, 0.4 s budget: the TCP fleet must stop with exit 75
+  // ~1 s of work, 0.2 s budget: the TCP fleet must stop with exit 75
   // and a journal that is a line-aligned prefix of the reference, then
   // a plain single-process --resume loop finishes it byte-identically.
   const std::string big = "--ranks 512 --msgs 16 --seed 1";
@@ -537,10 +537,18 @@ TEST(Tcp, BudgetStopsFleetGracefullyAndResumesSingleProcess) {
   ASSERT_EQ(run(bench + big + " --threads 1 --json " + rj + " > " + ro +
                 " 2>/dev/null"),
             0);
+  // A worker checks its budget only between deliveries and keeps
+  // max(16, 4 x its threads) rows in flight, so it can stop only before
+  // its 48-row slice is fully submitted.  With a 0.4 s budget the
+  // workers, which join after the parent has listened and then build
+  // their own artifacts, often submitted everything in time and the
+  // fleet exited 0.  A 0.2 s budget and `--threads 1` (one engine
+  // thread per worker, whatever the host's core count) make each
+  // worker stop on its first window.
   Fleet fl;
   fl.name = "budget";
-  fl.campaign = big;
-  fl.parent_extra = "--max-seconds 0.4";
+  fl.campaign = big + " --threads 1";
+  fl.parent_extra = "--max-seconds 0.2";
   ASSERT_EQ(run_fleet(fl), 75) << slurp(tmp("budget.err"));
   const std::string ref = slurp(rj), part = slurp(tmp("budget.jsonl"));
   ASSERT_FALSE(part.empty());
