@@ -13,11 +13,15 @@ double mismatch(const Target& t, std::uint64_t routers, std::uint32_t radix) {
   return dr + t.radix_weight * dk;
 }
 
-std::optional<topo::LpsParams> closest_lps(const Target& t, std::uint64_t max_p,
-                                           std::uint64_t max_q) {
-  std::optional<topo::LpsParams> best;
+namespace {
+
+// The first of `candidates` with the lowest mismatch against `t`.
+template <typename Params>
+std::optional<Params> closest(const Target& t,
+                              const std::vector<Params>& candidates) {
+  std::optional<Params> best;
   double best_score = std::numeric_limits<double>::infinity();
-  for (const auto& params : topo::lps_instances(max_p, max_q)) {
+  for (const auto& params : candidates) {
     double s = mismatch(t, params.num_vertices(), params.radix());
     if (s < best_score) {
       best_score = s;
@@ -27,52 +31,30 @@ std::optional<topo::LpsParams> closest_lps(const Target& t, std::uint64_t max_p,
   return best;
 }
 
+}  // namespace
+
+std::optional<topo::LpsParams> closest_lps(const Target& t, std::uint64_t max_p,
+                                           std::uint64_t max_q) {
+  return closest(t, topo::lps_instances(max_p, max_q));
+}
+
 std::optional<topo::SlimFlyParams> closest_slimfly(const Target& t,
                                                    std::uint64_t max_q) {
-  std::optional<topo::SlimFlyParams> best;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (const auto& params : topo::slimfly_instances(max_q)) {
-    double s = mismatch(t, params.num_vertices(), params.radix());
-    if (s < best_score) {
-      best_score = s;
-      best = params;
-    }
-  }
-  return best;
+  return closest(t, topo::slimfly_instances(max_q));
 }
 
 std::optional<topo::BundleFlyParams> closest_bundlefly(const Target& t,
                                                        std::uint64_t max_p,
                                                        std::uint64_t max_s) {
-  std::optional<topo::BundleFlyParams> best;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (const auto& pt : topo::feasible_bundlefly(max_p, max_s)) {
-    double s = mismatch(t, pt.vertices, pt.radix);
-    if (s < best_score) {
-      best_score = s;
-      // Re-derive (p, s) from the point name "BF(p,s)".
-      auto comma = pt.name.find(',');
-      topo::BundleFlyParams params;
-      params.p = std::stoull(pt.name.substr(3, comma - 3));
-      params.s = std::stoull(pt.name.substr(comma + 1));
-      best = params;
-    }
-  }
-  return best;
+  return closest(t, topo::bundlefly_instances(max_p, max_s));
 }
 
 std::optional<topo::DragonFlyParams> closest_dragonfly(const Target& t,
                                                        std::uint64_t max_a) {
-  std::optional<topo::DragonFlyParams> best;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (std::uint64_t a = 2; a <= max_a; ++a) {
-    double s = mismatch(t, a * (a + 1), static_cast<std::uint32_t>(a));
-    if (s < best_score) {
-      best_score = s;
-      best = topo::DragonFlyParams::canonical(a);
-    }
-  }
-  return best;
+  std::vector<topo::DragonFlyParams> candidates;
+  for (std::uint64_t a = 2; a <= max_a; ++a)
+    candidates.push_back(topo::DragonFlyParams::canonical(a));
+  return closest(t, candidates);
 }
 
 ComparisonClass assemble_class(const Target& t) {

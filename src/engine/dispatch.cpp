@@ -9,21 +9,18 @@
 #include "engine/journal.hpp"
 #include "util/json.hpp"
 #include "util/net.hpp"
+#include "util/parse.hpp"
 
 namespace sfly::engine {
 
 namespace dispatch_detail {
 
 std::optional<std::size_t> row_index(const std::string& line) {
-  static constexpr char kPrefix[] = "{\"index\":";
-  static constexpr std::size_t kLen = sizeof(kPrefix) - 1;
-  if (line.rfind(kPrefix, 0) != 0) return std::nullopt;
-  const char* p = line.c_str() + kLen;
-  if (*p < '0' || *p > '9') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(p, &end, 10);
-  if (end == p) return std::nullopt;
-  return static_cast<std::size_t>(v);
+  static constexpr std::string_view kPrefix = "{\"index\":";
+  if (!line.starts_with(kPrefix)) return std::nullopt;
+  const std::string_view rest = std::string_view(line).substr(kPrefix.size());
+  return parse_uint<std::size_t>(
+      rest.substr(0, rest.find_first_not_of("0123456789")));
 }
 
 }  // namespace dispatch_detail

@@ -54,8 +54,8 @@ std::optional<Result> ScenarioKind<Scenario>::parse(const std::string& line) {
       j.get_f64("fiedler_bisection_lb", r.fiedler_bisection_lb) &&
       j.get_f64("mean_wire_m", r.mean_wire_m) &&
       j.get_f64("max_wire_m", r.max_wire_m) &&
-      j.get_u64("wires_electrical", r.wires_electrical) &&
-      j.get_u64("wires_optical", r.wires_optical) &&
+      j.get_uint("wires_electrical", r.wires_electrical) &&
+      j.get_uint("wires_optical", r.wires_optical) &&
       j.get_f64("power_watts", r.power_watts) &&
       j.get_f64("mw_per_gbps", r.mw_per_gbps);
   if (!fields) return std::nullopt;
@@ -82,11 +82,11 @@ std::optional<SimResult> ScenarioKind<SimScenario>::parse(
       j.get_f64("mean_latency_ns", r.mean_latency_ns) &&
       j.get_f64("p99_latency_ns", r.p99_latency_ns) &&
       j.get_f64("completion_ns", r.completion_ns) &&
-      j.get_u64("messages", r.messages) &&
+      j.get_uint("messages", r.messages) &&
       j.get_f64("delivered", r.delivered) &&
-      j.get_u64("reroutes", r.reroutes) && j.get_u64("drops", r.drops) &&
+      j.get_uint("reroutes", r.reroutes) && j.get_uint("drops", r.drops) &&
       j.get_f64("post_churn_p99_ns", r.post_churn_p99_ns) &&
-      j.get_u64("events", r.events) && j.get_u64("packets", r.packets);
+      j.get_uint("events", r.events) && j.get_uint("packets", r.packets);
   if (!fields) return std::nullopt;
   if (jsonl_row(r) != line + "\n") return std::nullopt;
   return r;

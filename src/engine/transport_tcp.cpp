@@ -12,10 +12,15 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <string_view>
+#include <tuple>
+
+#include "util/parse.hpp"
 
 namespace sfly::engine {
 
@@ -29,6 +34,17 @@ void set_nonblocking(int fd) {
 double seconds_since(std::chrono::steady_clock::time_point t) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t)
       .count();
+}
+
+// A numeric environment hook: nullopt when unset or empty, and a value
+// `parse` refuses exits 2 with one line naming the variable.
+template <typename Parse>
+auto env_hook(const char* name, const char* want, Parse parse) {
+  const char* e = std::getenv(name);
+  decltype(parse(e)) v;
+  if (!e || !*e || (v = parse(e))) return v;
+  std::fprintf(stderr, "error: %s expects %s, got '%s'\n", name, want, e);
+  std::exit(2);
 }
 
 // Reaps a child that is exiting on its own (it closed its end, or was
@@ -50,19 +66,14 @@ int reap_exiting(pid_t pid) {
 // --- TcpTransport (parent) --------------------------------------------------
 
 TcpTransport::RowHook::RowHook(const char* env) {
-  if (const char* spec = std::getenv(env)) {
-    unsigned long k = 0;
-    if (std::sscanf(spec, "%ld:%lu", &slot, &k) == 2)
-      after = static_cast<std::size_t>(k);
-    else
-      slot = -1;
-  }
+  const auto v = env_hook(env, "SLOT:ROWS", [](std::string_view s) {
+    return parse_uint_pair<std::size_t>(s, ':');
+  });
+  if (v) std::tie(slot, after) = *v;
 }
 
 bool TcpTransport::RowHook::due(std::size_t s, std::size_t rows) {
-  if (fired || slot < 0 || static_cast<std::size_t>(slot) != s ||
-      rows < after)
-    return false;
+  if (fired || slot != s || rows < after) return false;
   fired = true;
   return true;
 }
@@ -523,12 +534,12 @@ bool SocketChannel::handshake(int fd) {
 
 SocketChannel::SocketChannel(const Config& cfg) {
   ::signal(SIGPIPE, SIG_IGN);
-  std::size_t attempts = cfg.attempts;
-  std::uint64_t base_ms = cfg.backoff_base_ms;
-  if (const char* e = std::getenv("SFLY_CONNECT_ATTEMPTS"); e && *e)
-    attempts = static_cast<std::size_t>(std::strtoul(e, nullptr, 10));
-  if (const char* e = std::getenv("SFLY_CONNECT_BASE_MS"); e && *e)
-    base_ms = std::strtoull(e, nullptr, 10);
+  const std::uint64_t attempts =
+      env_hook("SFLY_CONNECT_ATTEMPTS", "a non-negative integer", parse_u64)
+          .value_or(cfg.attempts);
+  const std::uint64_t base_ms =
+      env_hook("SFLY_CONNECT_BASE_MS", "a non-negative integer", parse_u64)
+          .value_or(cfg.backoff_base_ms);
   const auto seed = static_cast<std::uint64_t>(::getpid());
 
   for (std::size_t k = 0;; ++k) {

@@ -43,6 +43,7 @@
 #include <functional>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -150,7 +151,7 @@ class TcpTransport {
   /// Test hook "S:K" from the environment: act once on slot S after the
   /// parent has accepted K of its rows.
   struct RowHook {
-    long slot = -1;
+    std::optional<std::size_t> slot;  // unset: the hook never fires
     std::size_t after = 0;
     bool fired = false;
     explicit RowHook(const char* env);
@@ -181,7 +182,8 @@ class TcpTransport {
   std::vector<std::size_t> slot_rows_;
   // SFLY_DISPATCH_TEST_KILL SIGKILLs a local worker and
   // SFLY_TCP_TEST_FENCE fences a slot's epoch: deterministic death and
-  // lease-expiry tests without real crashes or stalls.
+  // lease-expiry tests without real crashes or stalls.  Each reads
+  // SLOT:ROWS; a malformed value exits 2 naming the variable.
   RowHook kill_hook_{"SFLY_DISPATCH_TEST_KILL"};
   RowHook fence_hook_{"SFLY_TCP_TEST_FENCE"};
 };

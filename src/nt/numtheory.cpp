@@ -165,7 +165,7 @@ std::vector<FourSquare> lps_four_squares(u64 p) {
 
 std::optional<std::pair<u64, unsigned>> prime_power(u64 n) {
   if (n < 2) return std::nullopt;
-  for (u64 p = 2; p * p <= n; ++p) {
+  for (u64 p = 2; p <= n / p; ++p) {  // p * p wraps once p reaches 2^32
     if (n % p) continue;
     u64 m = n;
     unsigned k = 0;

@@ -1,10 +1,8 @@
 #include "service/query.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
 
 #include "engine/sink.hpp"
@@ -15,6 +13,7 @@
 #include "routing/policy.hpp"
 #include "sim/motifs.hpp"
 #include "topo/factory.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace sfly::service {
@@ -41,10 +40,8 @@ routing::Algo parse_algo(const std::string& name) {
 // are rejected, never narrowed.
 void get_u32(const JsonObject& q, const std::string& key, std::uint32_t& out) {
   std::uint64_t u = 0;
-  if (!q.get_u64(key, u)) return;
-  if (u > std::numeric_limits<std::uint32_t>::max())
+  if (q.get_uint(key, u) && !q.get_uint(key, out))
     throw std::invalid_argument("\"" + key + "\" out of range: " + std::to_string(u));
-  out = static_cast<std::uint32_t>(u);
 }
 
 sim::Pattern parse_pattern(const std::string& name) {
@@ -65,28 +62,12 @@ sim::PlacementPolicy parse_placement(const std::string& name) {
 // Mirrors bench/ember_common.hpp's instances; byte counts use the motif
 // defaults so service and bench runs agree.
 std::function<std::unique_ptr<sim::Motif>()> parse_motif(const std::string& spec) {
-  const auto open = spec.find('(');
-  const auto close = spec.rfind(')');
-  if (open == std::string::npos || close != spec.size() - 1 || close < open)
-    throw std::invalid_argument("motif spec must look like Name(a,b,...): " + spec);
-  std::string family = spec.substr(0, open);
-  std::transform(family.begin(), family.end(), family.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  std::vector<std::uint32_t> a;
-  std::string tok;
-  for (std::size_t i = open + 1; i <= close; ++i) {
-    const char c = spec[i];
-    if (c == ',' || c == ')') {
-      if (tok.empty()) throw std::invalid_argument("bad motif args: " + spec);
-      const unsigned long v = std::stoul(tok);
-      if (v > std::numeric_limits<std::uint32_t>::max())
-        throw std::invalid_argument("bad motif args: " + spec);
-      a.push_back(static_cast<std::uint32_t>(v));
-      tok.clear();
-    } else if (c != ' ') {
-      tok += c;
-    }
-  }
+  auto parts = parse_spec(spec);
+  if (!parts)
+    throw std::invalid_argument(std::string("bad motif args (want ") +
+                                kSpecGrammar + "): " + spec);
+  const std::string& family = parts->family;
+  const std::vector<std::uint32_t>& a = parts->args;
   if (family == "halo3d26" && a.size() == 4)
     return [a] { return std::make_unique<sim::Halo3D26>(a[0], a[1], a[2], a[3]); };
   if (family == "sweep3d" && a.size() == 3)
@@ -135,7 +116,7 @@ std::string QueryEngine::handle(const std::string& request) {
     JsonObject q;
     if (!JsonObject::scan(request, q))
       throw std::invalid_argument("malformed request (not a flat JSON object)");
-    (void)q.get_u64("id", id);
+    (void)q.get_uint("id", id);
     std::string kind;
     if (!q.get_str("kind", kind))
       throw std::invalid_argument("request is missing \"kind\"");
@@ -157,13 +138,13 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
   if (!q.get_str("topo", topo))
     throw std::invalid_argument("route needs \"topo\"");
   std::uint64_t src = 0, dst = 0;
-  if (!q.get_u64("src", src) || !q.get_u64("dst", dst))
+  if (!q.get_uint("src", src) || !q.get_uint("dst", dst))
     throw std::invalid_argument("route needs numeric \"src\" and \"dst\"");
   std::string algo_str = "minimal";
   (void)q.get_str("algo", algo_str);
   const routing::Algo algo = parse_algo(algo_str);
   std::uint64_t seed = 1;
-  (void)q.get_u64("seed", seed);
+  (void)q.get_uint("seed", seed);
 
   const std::string name = register_spec(topo);
   auto art = engine_.artifacts().get(name);
@@ -274,7 +255,7 @@ std::string QueryEngine::handle_sim(const JsonObject& q, std::uint64_t id) {
     s.workload.placement = parse_placement(placement);
   get_u32(q, "vcs", s.vcs);
   (void)q.get_f64("failure_fraction", s.failure_fraction);
-  (void)q.get_u64("seed", s.seed);
+  (void)q.get_uint("seed", s.seed);
   (void)q.get_str("label", s.label);
 
   // Same code path as the benches (Engine::evaluate), same index 0 —
@@ -294,9 +275,9 @@ std::string QueryEngine::handle_rank(const JsonObject& q, std::uint64_t id) {
   if (!q.get_str_array("topos", topos) || topos.empty())
     throw std::invalid_argument("rank needs a non-empty \"topos\" array");
   std::uint64_t job_size = 0;
-  (void)q.get_u64("job_size", job_size);
+  (void)q.get_uint("job_size", job_size);
   std::uint64_t seed = 1;
-  (void)q.get_u64("seed", seed);
+  (void)q.get_uint("seed", seed);
 
   struct Entry {
     std::string name;

@@ -113,4 +113,15 @@ Graph bundlefly_graph(const BundleFlyParams& params) {
   return g;
 }
 
+std::vector<BundleFlyParams> bundlefly_instances(std::uint64_t max_p,
+                                                 std::uint64_t max_s) {
+  std::vector<BundleFlyParams> out;
+  for (std::uint64_t p = 5; p <= max_p; ++p) {
+    if (!PaleyParams{p}.valid()) continue;
+    for (std::uint64_t s = 3; s <= max_s; ++s)
+      if (MmsParams{s}.valid()) out.push_back({p, s});
+  }
+  return out;
+}
+
 }  // namespace sfly::topo

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "topo/mms.hpp"
@@ -49,5 +50,9 @@ struct BundleFlyParams {
 
 /// Vertex numbering: mms_vertex * p + bundle_index.
 [[nodiscard]] Graph bundlefly_graph(const BundleFlyParams& params);
+
+/// All valid BF(p,s) with 5 <= p <= max_p and 3 <= s <= max_s, p-major.
+[[nodiscard]] std::vector<BundleFlyParams> bundlefly_instances(
+    std::uint64_t max_p, std::uint64_t max_s);
 
 }  // namespace sfly::topo

@@ -1,53 +1,23 @@
 #include "topo/factory.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <initializer_list>
 #include <stdexcept>
 
 #include "nt/numtheory.hpp"
 #include "topo/classic.hpp"
 #include "topo/paley.hpp"
+#include "util/parse.hpp"
 
 namespace sfly::topo {
 
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
-}
-
-// "LPS(11, 7)" -> family "lps", args {11, 7}.
-std::pair<std::string, std::vector<std::uint64_t>> split_spec(
-    const std::string& spec) {
-  const auto open = spec.find('(');
-  const auto close = spec.rfind(')');
-  if (open == std::string::npos || close == std::string::npos || close < open ||
-      close != spec.size() - 1)
-    throw std::invalid_argument("topology spec must look like Family(a,b): " + spec);
-  std::vector<std::uint64_t> args;
-  std::string tok;
-  for (std::size_t i = open + 1; i <= close; ++i) {
-    const char c = spec[i];
-    if (c == ',' || c == ')') {
-      std::size_t used = 0;
-      std::uint64_t v = 0;
-      try {
-        v = std::stoull(tok, &used);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("bad topology argument '" + tok + "' in " + spec);
-      }
-      if (used != tok.size() || tok.empty())
-        throw std::invalid_argument("bad topology argument '" + tok + "' in " + spec);
-      args.push_back(v);
-      tok.clear();
-    } else if (!std::isspace(static_cast<unsigned char>(c))) {
-      tok += c;
-    }
-  }
-  return {lower(spec.substr(0, open)), std::move(args)};
+// "Torus", {4, 4, 4} -> "Torus(4,4,4)": a classic family's canonical name.
+std::string canonical(const char* family, const std::vector<std::uint32_t>& a) {
+  std::string name = family;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    name.append(i ? "," : "(").append(std::to_string(a[i]));
+  return name + ")";
 }
 
 void want_args(const std::string& spec, std::size_t got,
@@ -70,7 +40,11 @@ TopologySpec spec_of(const Params& p, Graph (*build)(const Params&)) {
 }  // namespace
 
 TopologySpec parse_topology(const std::string& spec) {
-  auto [family, a] = split_spec(spec);
+  auto parts = parse_spec(spec);
+  if (!parts)
+    throw std::invalid_argument(std::string("topology spec must look like ") +
+                                kSpecGrammar + ": " + spec);
+  auto& [family, a] = *parts;
   if (family == "lps") {
     want_args(spec, a.size(), {2});
     return spec_of(LpsParams{a[0], a[1]}, lps_graph);
@@ -96,36 +70,25 @@ TopologySpec parse_topology(const std::string& spec) {
   }
   if (family == "hypercube") {
     want_args(spec, a.size(), {1});
-    const auto d = static_cast<unsigned>(a[0]);
-    return {"Hypercube(" + std::to_string(d) + ")",
-            [d] { return hypercube_graph(d); }};
+    return {canonical("Hypercube", a),
+            [d = a[0]] { return hypercube_graph(d); }};
   }
-  if (family == "torus") {  // split_spec rejects an empty argument list
-    std::vector<std::uint32_t> dims(a.begin(), a.end());
-    std::string name = "Torus(";
-    for (std::size_t i = 0; i < dims.size(); ++i)
-      name.append(i ? "," : "").append(std::to_string(dims[i]));
-    name += ")";
-    return {std::move(name), [dims] { return torus_graph(dims); }};
-  }
+  if (family == "torus")  // parse_spec rejects an empty argument list
+    return {canonical("Torus", a), [dims = a] { return torus_graph(dims); }};
   if (family == "completebipartite") {
     want_args(spec, a.size(), {2});
-    const auto x = static_cast<std::uint32_t>(a[0]);
-    const auto y = static_cast<std::uint32_t>(a[1]);
-    return {"CompleteBipartite(" + std::to_string(x) + "," + std::to_string(y) + ")",
-            [x, y] { return complete_bipartite_graph(x, y); }};
+    return {canonical("CompleteBipartite", a),
+            [x = a[0], y = a[1]] { return complete_bipartite_graph(x, y); }};
   }
   if (family == "flattenedbutterfly") {
     want_args(spec, a.size(), {2});
-    const auto x = static_cast<std::uint32_t>(a[0]);
-    const auto y = static_cast<std::uint32_t>(a[1]);
-    return {"FlattenedButterfly(" + std::to_string(x) + "," + std::to_string(y) + ")",
-            [x, y] { return flattened_butterfly_graph(x, y); }};
+    return {canonical("FlattenedButterfly", a),
+            [x = a[0], y = a[1]] { return flattened_butterfly_graph(x, y); }};
   }
   if (family == "fattree") {
     want_args(spec, a.size(), {1});
-    const auto k = static_cast<std::uint32_t>(a[0]);
-    return {"FatTree(" + std::to_string(k) + ")", [k] { return fat_tree_graph(k); }};
+    return {canonical("FatTree", a),
+            [k = a[0]] { return fat_tree_graph(k); }};
   }
   throw std::invalid_argument("unknown topology family in spec: " + spec);
 }
@@ -187,12 +150,8 @@ std::vector<TopologySpec> feasible_dragonfly(std::uint64_t max_a) {
 std::vector<TopologySpec> feasible_bundlefly(std::uint64_t max_p,
                                              std::uint64_t max_s) {
   std::vector<TopologySpec> out;
-  for (std::uint64_t p = 5; p <= max_p; ++p) {
-    if (!PaleyParams{p}.valid()) continue;
-    for (std::uint64_t s = 3; s <= max_s; ++s)
-      if (MmsParams{s}.valid())
-        out.push_back(spec_of(BundleFlyParams{p, s}, bundlefly_graph));
-  }
+  for (const auto& p : bundlefly_instances(max_p, max_s))
+    out.push_back(spec_of(p, bundlefly_graph));
   return out;
 }
 

@@ -12,14 +12,15 @@
 // same bytes.  No streaming: a malformed object scans to false and the
 // caller rejects it rather than guessing.
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+#include "util/parse.hpp"
 
 namespace sfly {
 
@@ -142,27 +143,14 @@ class JsonObject {
     return r && unescape(*r, out);
   }
 
-  [[nodiscard]] bool get_u64(const std::string& key, std::uint64_t& out) const {
-    const std::string* r = raw(key);
-    if (!r || r->empty() || (*r)[0] < '0' || (*r)[0] > '9') return false;
-    char* end = nullptr;
-    errno = 0;
-    const std::uint64_t v = std::strtoull(r->c_str(), &end, 10);
-    if (errno != 0 || end != r->c_str() + r->size()) return false;
-    out = v;
-    return true;
-  }
-
-  /// get_u64 narrowed to `T`: a value that does not fit is rejected,
-  /// never truncated.
+  /// A parse_uint number that fits `out`'s type: a value that does not
+  /// fit is rejected, never truncated.
   template <class T>
   [[nodiscard]] bool get_uint(const std::string& key, T& out) const {
-    std::uint64_t v = 0;
-    if (!get_u64(key, v) ||
-        v > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
-      return false;
-    out = static_cast<T>(v);
-    return true;
+    const std::string* r = raw(key);
+    const auto v = r ? parse_uint<T>(*r) : std::nullopt;
+    if (v) out = *v;
+    return v.has_value();
   }
 
   [[nodiscard]] bool get_f64(const std::string& key, double& out) const {
@@ -183,31 +171,17 @@ class JsonObject {
     return false;
   }
 
-  /// "[1,2,3]" (whitespace tolerated) -> values; empty array is valid.
+  /// "[1, 2,3]" (whitespace around items tolerated, no signs) -> values;
+  /// the empty array is valid.
   [[nodiscard]] bool get_u64_array(const std::string& key,
                                    std::vector<std::uint64_t>& out) const {
     const std::string* r = raw(key);
     if (!r || r->size() < 2 || r->front() != '[' || r->back() != ']')
       return false;
-    out.clear();
-    std::string tok;
-    for (std::size_t i = 1; i < r->size(); ++i) {
-      const char c = (*r)[i];
-      if (c == ',' || c == ']') {
-        if (tok.empty()) {
-          if (c == ']' && out.empty()) return true;  // "[]"
-          return false;
-        }
-        char* end = nullptr;
-        errno = 0;
-        out.push_back(std::strtoull(tok.c_str(), &end, 10));
-        if (errno != 0 || end != tok.c_str() + tok.size()) return false;
-        tok.clear();
-      } else if (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
-        tok += c;
-      }
-    }
-    return true;
+    auto v = parse_uint_list<std::uint64_t>(
+        std::string_view(*r).substr(1, r->size() - 2));
+    if (v) out = std::move(*v);
+    return v.has_value();
   }
 
   /// ["a","b"] -> unescaped strings; empty array is valid.

@@ -130,10 +130,11 @@ bool parse_hostport(const std::string& spec, std::string& host,
   const auto colon = spec.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size())
     return false;
-  const auto v = parse_u64(std::string_view(spec).substr(colon + 1));
-  if (!v || *v == 0 || *v > 65535) return false;
+  const auto v =
+      parse_uint<std::uint16_t>(std::string_view(spec).substr(colon + 1), 1);
+  if (!v) return false;
   host = spec.substr(0, colon);
-  port = static_cast<std::uint16_t>(*v);
+  port = *v;
   return true;
 }
 

@@ -66,49 +66,47 @@ void Flags::exit_on_error_or_help(const char* prefix,
     std::exit(2);
   }
   if (has("--help") || has("-h")) {
+    // One column for names as wide as the longest, and one for the
+    // "<value>" marker, so every help text starts in the same column.
+    std::size_t width = 0;
+    for (const auto& f : known_) width = std::max(width, f.name.size());
     std::printf("# %s\n", headline.c_str());
     for (const auto& f : known_)
-      std::printf("#   %-12s %s%s\n", f.name.c_str(),
-                  f.takes_value ? "<value>  " : "", f.help.c_str());
+      std::printf("#   %-*s %-9s%s\n", static_cast<int>(width), f.name.c_str(),
+                  f.takes_value ? "<value>" : "", f.help.c_str());
     std::exit(0);
   }
 }
 
-std::uint64_t Flags::get_in(const std::string& name, std::uint64_t dflt,
-                            std::uint64_t lo, std::uint64_t hi) const {
+const std::string* Flags::value(const std::string& name) const {
   for (const auto& [flag, value] : values_)
-    if (flag == name) {
-      const auto v = parse_u64(value);
-      if (v && *v >= lo && *v <= hi) return *v;
-      std::fprintf(stderr, "error: %s expects an integer in %llu..%llu, "
-                   "got '%s'\n", name.c_str(),
-                   static_cast<unsigned long long>(lo),
-                   static_cast<unsigned long long>(hi), value.c_str());
-      std::exit(2);
-    }
-  return dflt;
+    if (flag == name) return &value;
+  return nullptr;
+}
+
+void Flags::exit_out_of_range(const std::string& name, const std::string& value,
+                              const std::string& lo, const std::string& hi) {
+  std::fprintf(stderr, "error: %s expects an integer in %s..%s, got '%s'\n",
+               name.c_str(), lo.c_str(), hi.c_str(), value.c_str());
+  std::exit(2);
 }
 
 double Flags::get_f64(const std::string& name, double dflt) const {
-  for (const auto& [flag, value] : values_)
-    if (flag == name) {
-      char* end = nullptr;
-      const double v = std::strtod(value.c_str(), &end);
-      if (!value.empty() && end == value.c_str() + value.size() &&
-          std::isfinite(v))
-        return v;
-      std::fprintf(stderr, "error: %s expects a finite number, got '%s'\n",
-                   name.c_str(), value.c_str());
-      std::exit(2);
-    }
-  return dflt;
+  const std::string* v = value(name);
+  if (!v) return dflt;
+  char* end = nullptr;
+  const double x = std::strtod(v->c_str(), &end);
+  if (!v->empty() && end == v->c_str() + v->size() && std::isfinite(x))
+    return x;
+  std::fprintf(stderr, "error: %s expects a finite number, got '%s'\n",
+               name.c_str(), v->c_str());
+  std::exit(2);
 }
 
 std::string Flags::get_str(const std::string& name,
                            const std::string& dflt) const {
-  for (const auto& [flag, value] : values_)
-    if (flag == name) return value;
-  return dflt;
+  const std::string* v = value(name);
+  return v ? *v : dflt;
 }
 
 // --- StandardOptions -------------------------------------------------------
@@ -234,20 +232,15 @@ StandardOptions::StandardOptions(int argc, char** argv, Spec spec)
   }
   if (flags_.has("--shard")) {
     const std::string spec_str = flags_.get_str("--shard");
-    const auto slash = spec_str.find('/');
-    std::optional<std::uint64_t> i, n;
-    if (slash != std::string::npos) {
-      i = parse_u64(spec_str.substr(0, slash));
-      n = parse_u64(spec_str.substr(slash + 1));
-    }
-    if (!i || !n || *n == 0 || *i >= *n) {
+    const auto in = parse_uint_pair<std::size_t>(spec_str, '/');
+    if (!in || in->first >= in->second) {
       std::fprintf(stderr,
                    "error: --shard expects I/N with 0 <= I < N, got '%s'\n",
                    spec_str.c_str());
       std::exit(2);
     }
-    shard_index_ = *i;
-    shard_count_ = *n;
+    shard_index_ = in->first;
+    shard_count_ = in->second;
   }
   if (flags_.has("--workers")) {
     workers_ = flags_.get<std::size_t>("--workers", 0, 1);

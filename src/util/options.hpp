@@ -61,15 +61,15 @@ class Flags {
   /// Prints one error naming the flag and the range, and exits 2, when
   /// the value does not parse exactly as a non-negative integer in
   /// [lo, hi] (by default: anything T holds).
-  template <typename T = std::uint64_t>
+  template <std::integral T = std::uint64_t>
   [[nodiscard]] T get(const std::string& name, std::type_identity_t<T> dflt,
                       std::type_identity_t<T> lo = T{},
                       std::type_identity_t<T> hi =
                           std::numeric_limits<T>::max()) const {
-    static_assert(std::is_integral_v<T>);
-    return static_cast<T>(get_in(name, static_cast<std::uint64_t>(dflt),
-                                 static_cast<std::uint64_t>(lo),
-                                 static_cast<std::uint64_t>(hi)));
+    const std::string* v = value(name);
+    if (!v) return dflt;
+    if (const auto x = parse_uint<T>(*v, lo, hi)) return *x;
+    exit_out_of_range(name, *v, std::to_string(lo), std::to_string(hi));
   }
   /// Value of a real-valued flag (e.g. --load 0.5); prints an error and
   /// exits 2 when the value does not parse exactly as a finite double.
@@ -80,9 +80,12 @@ class Flags {
 
  private:
   [[nodiscard]] const FlagSpec* spec(const std::string& name) const;
-  [[nodiscard]] std::uint64_t get_in(const std::string& name,
-                                     std::uint64_t dflt, std::uint64_t lo,
-                                     std::uint64_t hi) const;
+  /// The value given for `name`, nullptr when absent.
+  [[nodiscard]] const std::string* value(const std::string& name) const;
+  [[noreturn]] static void exit_out_of_range(const std::string& name,
+                                             const std::string& value,
+                                             const std::string& lo,
+                                             const std::string& hi);
   std::vector<FlagSpec> known_;
   std::vector<std::string> present_;  // flag names seen (each at most once:
                                       // a repeated flag is a parse error)

@@ -525,6 +525,20 @@ TEST(Flags, RejectsTrailingGarbageInNumbers) {
   ASSERT_TRUE(parse_u64("12").has_value());
   EXPECT_EQ(*parse_u64("12"), 12u);
   EXPECT_EQ(*parse_u64("0"), 0u);
+  // parse_uint checks the field and range instead of narrowing.
+  EXPECT_FALSE(parse_uint<std::uint32_t>("4294967301").has_value());
+  EXPECT_EQ(parse_uint<std::uint32_t>("4294967295"), 4294967295u);
+  EXPECT_FALSE(parse_uint<int>("2147483648").has_value());
+  EXPECT_FALSE(parse_uint<std::uint16_t>("0", 1).has_value());
+  // parse_spec: lower-cased family, uint32_t arguments, whitespace only
+  // around an argument.
+  const auto spec = parse_spec("LPS( 11 ,\t7 )");
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_EQ(spec->family, "lps");
+  EXPECT_EQ(spec->args, (std::vector<std::uint32_t>{11, 7}));
+  for (const char* bad : {"LPS", "LPS()", "LPS(11,7)x", "LPS(1 1,7)",
+                          "LPS(+11,7)", "LPS(11,4294967296)", "(", ""})
+    EXPECT_FALSE(parse_spec(bad).has_value()) << bad;
 }
 
 TEST(Flags, UnknownFlagsAreErrorsNotIgnored) {

@@ -82,6 +82,10 @@ TEST(RowIndex, ParsesJournalRowsRejectsEverythingElse) {
   EXPECT_FALSE(dispatch_detail::row_index(R"({"error":"boom"})"));
   EXPECT_FALSE(dispatch_detail::row_index(R"({"index":)"));
   EXPECT_FALSE(dispatch_detail::row_index(""));
+  // An index is one parse_uint: no sign, and no value past size_t.
+  EXPECT_FALSE(dispatch_detail::row_index(R"({"index":-1})"));
+  EXPECT_FALSE(
+      dispatch_detail::row_index(R"({"index":99999999999999999999999})"));
 }
 
 // ---------------------------------------------------------------------

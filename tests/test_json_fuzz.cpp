@@ -130,9 +130,9 @@ bool resource_safe(const std::string& req) {
   // telling those apart isn't worth a motif-parser duplicate here).
   if (q.get_str("motif", s) && s != "FFT(4,4)") return false;
   std::uint64_t u = 0;
-  if (q.get_u64("messages", u) && u > 1000) return false;
-  if (q.get_u64("nranks", u) && u > 4096) return false;
-  if (q.get_u64("bytes", u) && u > (1u << 20)) return false;
+  if (q.get_uint("messages", u) && u > 1000) return false;
+  if (q.get_uint("nranks", u) && u > 4096) return false;
+  if (q.get_uint("bytes", u) && u > (1u << 20)) return false;
   double d = 0;
   if (q.get_f64("load", d) && !(d <= 8.0)) return false;
   if (q.get_f64("compute_ns", d) && !(d <= 1e9)) return false;
@@ -157,7 +157,7 @@ TEST(JsonFuzz, ScannerNeverCrashesOnMutants) {
         for (const char* key : {"id", "kind", "topo", "src", "fail", "topos"}) {
           (void)q.has(key);
           (void)q.get_str(key, sv);
-          (void)q.get_u64(key, uv);
+          (void)q.get_uint(key, uv);
           (void)q.get_f64(key, dv);
           (void)q.get_bool(key, bv);
           (void)q.get_u64_array(key, av);
@@ -241,6 +241,34 @@ TEST(JsonFuzz, HostileHandcraftedRequests) {
         "\"motif\":\"FFT(4,4)\",\"compute_ns\":-5}"}) {
     const std::string resp = engine.handle(sim + tail);
     EXPECT_NE(resp.find("\"ok\":false"), std::string::npos) << tail << " -> " << resp;
+  }
+  // Every number in a request is one parse_uint: signed array elements,
+  // spec arguments past uint32_t (once narrowed to Hypercube(5)), and a
+  // Paley argument past 2^64 (once a prime_power loop that never ended)
+  // are refused, each at once.
+  const std::string route = "{\"kind\":\"route\",\"src\":0,\"dst\":1,";
+  for (const std::string& req :
+       {route + "\"topo\":\"Paley(13)\",\"fail\":[-1,0]}",
+        route + "\"topo\":\"Paley(13)\",\"fail\":[+0,1]}",
+        route + "\"topo\":\"Hypercube(4294967301)\"}",
+        route + "\"topo\":\"Paley(18446744073709551557)\"}",
+        sim + "\"motif\":\"FFT(+4,4)\"}", sim + "\"motif\":\"FFT(4,-4)\"}"}) {
+    const std::string resp = engine.handle(req);
+    EXPECT_NE(resp.find("\"ok\":false"), std::string::npos) << req << " -> " << resp;
+  }
+  // get_u64_array: whitespace around items is fine, signs and empty or
+  // split items are not.
+  const struct {
+    const char* array;
+    bool ok;
+  } arrays[] = {{"[]", true},      {"[ ]", true},     {"[ 1 , 2 ]", true},
+                {"[-1,0]", false}, {"[+0,1]", false}, {"[1,-0]", false},
+                {"[1 2]", false},  {"[1,]", false},   {"[,1]", false}};
+  for (const auto& a : arrays) {
+    JsonObject j;
+    std::vector<std::uint64_t> v;
+    ASSERT_TRUE(JsonObject::scan(std::string("{\"a\":") + a.array + "}", j));
+    EXPECT_EQ(j.get_u64_array("a", v), a.ok) << a.array;
   }
 }
 
@@ -371,7 +399,8 @@ TEST(JsonFuzz, HandshakeParsersNeverCrashOnMutants) {
 TEST(JsonCodec, EveryByteRoundTripsThroughQuoteAndUnescape) {
   std::string all;
   for (int b = 0; b < 256; ++b) {
-    const std::string s = "<" + std::string(1, static_cast<char>(b)) + ">";
+    const std::string s =
+        std::string("<").append(1, static_cast<char>(b)).append(">");
     const std::string quoted = json_quote(s);
     for (const char c : quoted)
       EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "byte " << b;

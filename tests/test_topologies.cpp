@@ -425,6 +425,16 @@ TEST(Factory, ParseTopologyEveryFamily) {
   EXPECT_THROW((void)parse_topology("LPS(11)"), std::invalid_argument);
   EXPECT_THROW((void)parse_topology("DF(8,4)"), std::invalid_argument);
   EXPECT_THROW((void)parse_topology("Torus()"), std::invalid_argument);
+  // Every argument is a parse_u64 number that fits a uint32_t: no sign,
+  // no narrowing (Hypercube(4294967301) is not Hypercube(5)), and an
+  // argument past 2^64 is refused before any number theory runs on it.
+  for (const char* bad :
+       {"Hypercube(4294967301)", "Torus(4294967298,2)", "FatTree(+4)",
+        "Paley(-3)", "Paley(18446744073709551557)", "LPS(1 1,7)",
+        "LPS(11,7)x", "LPS(11,,7)"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)parse_topology(bad), std::invalid_argument);
+  }
   EXPECT_EQ(split_spec_list("LPS(11,7), SF(9);Paley(13)"),
             (std::vector<std::string>{"LPS(11,7)", "SF(9)", "Paley(13)"}));
 }

@@ -20,6 +20,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -650,6 +652,32 @@ TEST(Tcp, WorkerFlagsAreStrict) {
             2);
 }
 
+TEST(Tcp, MalformedEnvHooksExitTwoNamingTheVariable) {
+  // The transport's numeric environment hooks parse like flags: a value
+  // that is not an integer (or SLOT:ROWS) exits 2 naming the variable
+  // before the worker dials or the parent spawns, where it was once read
+  // as 0 (one dial attempt) or ignored.
+  const std::string err = tmp("env_hooks.err");
+  const std::string bench = bin_dir() + "/bench_fig6_ugal --ranks 64 --msgs 4 ";
+  const struct {
+    std::string env, args;
+  } rows[] = {
+      {"SFLY_CONNECT_ATTEMPTS=3x", "--connect 127.0.0.1:1"},
+      {"SFLY_CONNECT_BASE_MS=-5", "--connect 127.0.0.1:1"},
+      {"SFLY_TCP_TEST_FENCE=0", "--workers 1"},
+      {"SFLY_DISPATCH_TEST_KILL=0:+2", "--workers 1"},
+  };
+  for (const auto& r : rows) {
+    EXPECT_EQ(run("timeout 20 env " + r.env + " " + bench + r.args +
+                  " > /dev/null 2> " + err),
+              2)
+        << r.env;
+    const std::string var = r.env.substr(0, r.env.find('='));
+    EXPECT_NE(slurp(err).find(var), std::string::npos) << r.env << ": "
+                                                       << slurp(err);
+  }
+}
+
 TEST(Tcp, ProxyFlagsAreStrict) {
   // flaky_proxy parses its flags the same way: a port past 65535 is not
   // truncated to a bindable one (70000 used to bind 4464) and "5x" is not
@@ -678,6 +706,9 @@ TEST(Tcp, ServiceNumbersMustFitTheirField) {
        "--concentration"},
       {"/sfly_query --connect 127.0.0.1:1 --timeout-ms 4294967296 stats",
        "--timeout-ms"},
+      {"/sfly_query --local '' route --topo 'Paley(13)' --src 0 --dst 1 "
+       "--fail '0-1,x-3'",
+       "--fail"},
   };
   for (const auto& r : rows) {
     EXPECT_EQ(run("timeout 20 " + dir + r.cmd + " > /dev/null 2> " + err), 2)
@@ -698,6 +729,19 @@ TEST(Tcp, ToolsPrintHelpFromTheFlagTableAndExitZero) {
               0)
         << tool;
     EXPECT_NE(slurp(out).find("#   --help"), std::string::npos) << tool;
+    // Every flag's help text starts in one column, past the longest name
+    // and the "<value>" marker.
+    std::istringstream lines(slurp(out));
+    std::set<std::size_t> columns;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("#   --", 0) != 0) continue;
+      std::size_t at = line.find(' ', 4);
+      at = line.find_first_not_of(' ', at);
+      if (line.compare(at, 7, "<value>") == 0)
+        at = line.find_first_not_of(' ', at + 7);
+      columns.insert(at);
+    }
+    EXPECT_EQ(columns.size(), 1u) << tool << ":\n" << slurp(out);
   }
 }
 

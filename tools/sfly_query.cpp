@@ -17,8 +17,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/query.hpp"
@@ -27,6 +29,7 @@
 #include "util/json.hpp"
 #include "util/net.hpp"
 #include "util/options.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -59,22 +62,26 @@ std::string build_request(const std::string& kind, const sfly::bench::Flags& f) 
   add_str("--algo", "algo");
   add_u64("--seed", "seed");
   if (f.has("--fail")) {
-    // "0-1,2-3" -> [0,1,2,3]
+    // "0-1,2-3" -> [0,1,2,3]; every endpoint a parse_u64 number
+    const std::string links = f.get_str("--fail");
     req += ",\"fail\":[";
-    const std::string spec = f.get_str("--fail");
-    std::string tok;
-    bool first = true;
-    for (std::size_t i = 0; i <= spec.size(); ++i) {
-      const char c = i < spec.size() ? spec[i] : ',';
-      if (c == ',' || c == '-') {
-        if (!tok.empty()) {
-          req += (first ? "" : ",") + tok;
-          first = false;
-          tok.clear();
-        }
-      } else {
-        tok += c;
+    for (std::size_t at = 0; !links.empty();) {
+      const std::size_t comma = links.find(',', at);
+      const auto uv = sfly::parse_uint_pair<std::uint64_t>(
+          std::string_view(links).substr(at, comma - at), '-');
+      if (!uv) {
+        std::fprintf(stderr,
+                     "error: --fail expects links u-v,u-v of non-negative "
+                     "integers, got '%s'\n",
+                     links.c_str());
+        std::exit(2);
       }
+      req.append(at ? "," : "")
+          .append(std::to_string(uv->first))
+          .append(",")
+          .append(std::to_string(uv->second));
+      if (comma == std::string::npos) break;
+      at = comma + 1;
     }
     req += "]";
   }
