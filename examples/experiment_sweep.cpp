@@ -10,18 +10,25 @@
 // any thread count, so this program's stdout is too.
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "engine/campaign.hpp"
 #include "engine/sink.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/lps.hpp"
+#include "util/parse.hpp"
 
 using namespace sfly;
 
 int main(int argc, char** argv) {
+  const auto threads =
+      argc > 1 ? parse_uint<unsigned>(argv[1]) : std::optional<unsigned>(0);
+  if (!threads) {
+    std::fprintf(stderr, "usage: experiment_sweep [threads]\n");
+    return 2;
+  }
   engine::EngineConfig cfg;
-  cfg.threads = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 0;
+  cfg.threads = *threads;
   engine::Engine eng(cfg);
   engine::Campaign camp(eng, "quickstart");
 

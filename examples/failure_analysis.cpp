@@ -6,20 +6,27 @@
 //   $ ./examples/failure_analysis [p] [q]
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "graph/failures.hpp"
 #include "graph/metrics.hpp"
 #include "partition/bisection.hpp"
 #include "topo/lps.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace sfly;
-  topo::LpsParams params;
-  params.p = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 23;
-  params.q = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 11;
+  const auto p = argc > 1 ? parse_uint<std::uint64_t>(argv[1])
+                           : std::optional<std::uint64_t>(23);
+  const auto q = argc > 2 ? parse_uint<std::uint64_t>(argv[2])
+                           : std::optional<std::uint64_t>(11);
+  if (!p || !q) {
+    std::fprintf(stderr, "usage: failure_analysis [p] [q]\n");
+    return 2;
+  }
+  topo::LpsParams params{*p, *q};
   auto g = topo::lps_graph(params);
   std::printf("%s: %u routers, %zu links\n\n", params.name().c_str(),
               g.num_vertices(), g.num_edges());

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "spectralfly.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -51,9 +52,19 @@ int main(int argc, char** argv) {
     else pos.push_back(args[i]);
   }
 
+  // Every parameter is a spec argument (kSpecGrammar: 0..4294967295).
   const std::string family = pos[0];
-  auto num = [&](std::size_t i) -> std::uint64_t {
-    return i < pos.size() ? std::stoull(pos[i]) : 0;
+  std::vector<std::uint32_t> nums{0};
+  for (std::size_t i = 1; i < pos.size(); ++i) {
+    const auto v = parse_uint<std::uint32_t>(pos[i]);
+    if (!v) {
+      usage();
+      return 2;
+    }
+    nums.push_back(*v);
+  }
+  auto num = [&](std::size_t i) -> std::uint32_t {
+    return i < nums.size() ? nums[i] : 0;
   };
 
   Graph g;
@@ -82,30 +93,28 @@ int main(int argc, char** argv) {
       g = topo::paley_graph(p);
       name = p.name();
     } else if (family == "jellyfish") {
-      topo::JellyfishParams p{static_cast<std::uint32_t>(num(1)),
-                              static_cast<std::uint32_t>(num(2)), 1};
+      topo::JellyfishParams p{num(1), num(2), 1};
       g = topo::jellyfish_graph(p);
       name = p.name();
     } else if (family == "margulis") {
-      topo::MargulisParams p{static_cast<std::uint32_t>(num(1))};
+      topo::MargulisParams p{num(1)};
       g = topo::margulis_graph(p);
       name = p.name();
     } else if (family == "xpander") {
-      topo::XpanderParams p{static_cast<std::uint32_t>(num(1)),
-                            static_cast<std::uint32_t>(num(2))};
+      topo::XpanderParams p{num(1), num(2)};
       g = topo::xpander_graph(p);
       name = p.name();
     } else if (family == "hypercube") {
-      g = topo::hypercube_graph(static_cast<unsigned>(num(1)));
+      g = topo::hypercube_graph(num(1));
       name = "Q" + pos[1];
     } else if (family == "torus") {
       std::vector<std::uint32_t> dims;
       for (std::size_t i = 1; i < pos.size(); ++i)
-        dims.push_back(static_cast<std::uint32_t>(num(i)));
+        dims.push_back(num(i));
       g = topo::torus_graph(dims);
       name = "Torus";
     } else if (family == "fattree") {
-      g = topo::fat_tree_graph(static_cast<std::uint32_t>(num(1)));
+      g = topo::fat_tree_graph(num(1));
       name = "FatTree(" + pos[1] + ")";
     } else {
       usage();

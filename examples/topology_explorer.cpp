@@ -5,20 +5,29 @@
 //   $ ./examples/topology_explorer [routers] [radix]
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "core/design_space.hpp"
 #include "graph/metrics.hpp"
 #include "partition/bisection.hpp"
 #include "spectral/spectra.hpp"
 #include "topo/factory.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace sfly;
+  const auto routers = argc > 1 ? parse_uint<std::uint64_t>(argv[1])
+                                 : std::optional<std::uint64_t>(650);
+  const auto radix = argc > 2 ? parse_uint<std::uint32_t>(argv[2])
+                              : std::optional<std::uint32_t>(24);
+  if (!routers || !radix) {
+    std::fprintf(stderr, "usage: topology_explorer [routers] [radix]\n");
+    return 2;
+  }
   core::Target target;
-  target.routers = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 650;
-  target.radix = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 24;
+  target.routers = *routers;
+  target.radix = *radix;
   std::printf("Searching all families near %llu routers of radix %u...\n\n",
               static_cast<unsigned long long>(target.routers), target.radix);
 

@@ -20,9 +20,8 @@ void Artifacts::build_once(Once& once, Build&& build) {
 }
 
 std::shared_ptr<const Graph> Artifacts::graph() {
-  // The `if (x_) return` guards keep the builders from clobbering
-  // components that the pre-materialized (snapshot) constructor already
-  // installed.
+  // The `if (x_) return` guards keep the builders from clobbering the
+  // graph and spectra that the snapshot constructor installed.
   build_once(graph_once_, [this] {
     if (graph_) return;
     // The builder (and any graph copy captured in its closure) is dead
@@ -36,7 +35,6 @@ std::shared_ptr<const Graph> Artifacts::graph() {
 
 std::shared_ptr<const routing::Tables> Artifacts::tables(TaskPool* pool) {
   build_once(tables_once_, [this, pool] {
-    if (tables_) return;
     tables_ = std::make_shared<const routing::Tables>(
         routing::Tables::build(*graph(), pool));
   });
@@ -45,9 +43,12 @@ std::shared_ptr<const routing::Tables> Artifacts::tables(TaskPool* pool) {
 
 std::shared_ptr<const routing::NextHopIndex> Artifacts::next_hops(TaskPool* pool) {
   build_once(next_hops_once_, [this, pool] {
-    if (next_hops_) return;
-    next_hops_ = std::make_shared<const routing::NextHopIndex>(
-        routing::NextHopIndex::build(*graph(), *tables(pool), pool));
+    // The index keeps a copy of the graph, which is a view when the graph
+    // came from a snapshot: its deleter holds the graph, and so the mapping.
+    auto g = graph();
+    next_hops_ = std::shared_ptr<const routing::NextHopIndex>(
+        new routing::NextHopIndex(routing::NextHopIndex::build(*g, *tables(pool), pool)),
+        [g](const routing::NextHopIndex* p) { delete p; });
   });
   return next_hops_;
 }
@@ -66,6 +67,11 @@ std::shared_ptr<const Spectra> Artifacts::spectra() {
     spectra_ = std::make_shared<const Spectra>(compute_spectra(*graph()));
   });
   return spectra_;
+}
+
+void Artifacts::materialize(TaskPool* pool) {
+  if (graph()->num_vertices() <= kCellExactThreshold) (void)next_hops(pool);
+  (void)spectra();
 }
 
 Artifacts::Footprint Artifacts::footprint() const {

@@ -30,10 +30,9 @@
 namespace sfly::engine {
 
 /// Vertex-count ceiling for exact all-pairs routing artifacts.  At or
-/// below it sflyd routes over rows of the shared Tables and snapshots
-/// carry them; above it the O(V^2) tables are impractical, so routes run
-/// one BFS row per destination and snapshots carry the graph and spectra
-/// only.
+/// below it sflyd builds the Tables and next-hop index at startup and
+/// routes over rows of the shared Tables; above it the O(V^2) tables are
+/// impractical, so routes run one BFS row per destination.
 inline constexpr Vertex kCellExactThreshold = 4096;
 
 /// Lazily materialized per-topology artifacts.  Thread-safe: concurrent
@@ -60,17 +59,12 @@ class Artifacts {
   Artifacts(std::function<Graph()> build, std::uint32_t concentration)
       : build_(std::move(build)), concentration_(concentration) {}
 
-  /// Pre-materialized construction (snapshot restore): the components are
-  /// adopted as-is and the lazy builders never run.  Any nullptr component
-  /// falls back to lazy building from the graph (which must be non-null).
+  /// Snapshot restore: the graph and spectra are adopted as-is; the
+  /// routing components are built from the graph on first use.
   Artifacts(std::shared_ptr<const Graph> graph,
-            std::shared_ptr<const routing::Tables> tables,
-            std::shared_ptr<const routing::NextHopIndex> next_hops,
             std::shared_ptr<const Spectra> spectra, std::uint32_t concentration)
       : concentration_(concentration),
         graph_(std::move(graph)),
-        tables_(std::move(tables)),
-        next_hops_(std::move(next_hops)),
         spectra_(std::move(spectra)) {}
 
   [[nodiscard]] std::uint32_t concentration() const { return concentration_; }
@@ -82,6 +76,13 @@ class Artifacts {
   [[nodiscard]] std::shared_ptr<const routing::NextHopIndex> next_hops(
       TaskPool* pool = nullptr);
   [[nodiscard]] std::shared_ptr<const Spectra> spectra();
+
+  /// Build what serving needs, so no query pays for a build: at or below
+  /// kCellExactThreshold routers the next-hop index and the tables under
+  /// it (on `pool`), then the spectra.  Above it routes need only the
+  /// graph, and the O(V^2) tables would be gigabytes.  sflyd calls this
+  /// for every topology, from --topos or --snapshot alike.
+  void materialize(TaskPool* pool = nullptr);
 
   /// The hierarchical cell index, built on first call at any size.  Its
   /// last caller is perfbench's cell probe (perfbench/src/probes.cpp);
@@ -134,7 +135,7 @@ class ArtifactCache {
   void register_topology(std::string name, std::function<Graph()> build,
                          std::uint32_t concentration = 8);
 
-  /// Install pre-materialized artifacts under `name` (snapshot restore).
+  /// Install prebuilt artifacts under `name` (snapshot restore).
   /// Re-adopting a name replaces the entry, same as register_topology.
   void adopt(std::string name, std::shared_ptr<Artifacts> artifacts);
 

@@ -111,20 +111,4 @@ NextHopIndex NextHopIndex::build(const Graph& g, const Tables& tables,
   return idx;
 }
 
-NextHopIndex NextHopIndex::from_view(const Graph& g,
-                                     std::span<const std::uint64_t> masks) {
-  const std::size_t n = g.num_vertices();
-  const std::size_t words = words_for(g);
-  if (words > kMaxWords)
-    throw std::invalid_argument("NextHopIndex::from_view: radix exceeds uint16 slots");
-  if (masks.size() != n * n * words)
-    throw std::invalid_argument("NextHopIndex::from_view: masks size != n*n*words");
-  NextHopIndex idx;
-  idx.n_ = g.num_vertices();
-  idx.words_ = words;
-  idx.graph_ = g;
-  idx.masks_ = OwnedSpan<std::uint64_t>::view(masks.data(), masks.size());
-  return idx;
-}
-
 }  // namespace sfly::routing

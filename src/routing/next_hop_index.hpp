@@ -8,14 +8,13 @@
 // build time and stores it as one slot mask per ordered pair: W =
 // max(1, ceil(max_degree / 64)) 64-bit words, bit s set iff neighbor slot
 // s of u (position s in u's adjacency list) is a minimal next hop toward
-// v.  Row (u, u) is empty.  The index keeps the graph's CSR (a copy when
-// built, a view of the snapshot's graph blobs when loaded) to map a slot
-// back to its neighbor vertex.  A routing query is one row lookup, a
-// popcount and an `entropy % count` select — no scan, no search, no
-// allocation — and the simulator maps slot -> output port as
-// net_port_base[u] + slot without the per-hop lower_bound that
-// port_toward used to do.  Memory is n^2 * W words however many hops a
-// pair has, so path-diverse LPS graphs cost what DragonFly does.
+// v.  Row (u, u) is empty.  The index keeps a copy of the graph (a view
+// stays a view) to map a slot back to its neighbor vertex.  A routing
+// query is one row lookup, a popcount and an `entropy % count` select —
+// no scan, no search, no allocation — and the simulator maps slot ->
+// output port as net_port_base[u] + slot without the per-hop lower_bound
+// that port_toward used to do.  Memory is n^2 * W words however many
+// hops a pair has, so path-diverse LPS graphs cost what DragonFly does.
 //
 // There is one select and one slot iteration, each over the row with a
 // caller's *down row* (W words, bit s = slot s of u is down) masked out:
@@ -42,11 +41,11 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "routing/policy.hpp"
 #include "routing/tables.hpp"
-#include "util/owned_span.hpp"
 
 namespace sfly::routing {
 
@@ -103,31 +102,23 @@ class NextHopIndex {
   static NextHopIndex build(const Graph& g, const Tables& tables,
                             TaskPool* pool = nullptr);
 
-  /// Zero-copy view over an externally owned mask array (e.g. an mmap'd
-  /// snapshot): `masks` must hold n*n*words_for(g) words.  `g` is copied,
-  /// so a graph view stays a view.  The backing memory of `masks` (and of
-  /// a viewed `g`) must outlive the index and every copy of it.
-  static NextHopIndex from_view(const Graph& g,
-                                std::span<const std::uint64_t> masks);
-
   /// Mask words per router pair: max(1, ceil(max_degree / 64)).
   [[nodiscard]] static std::size_t words_for(const Graph& g);
 
-  /// Process-wide count of build() calls — warm-restart assertions check
-  /// that snapshot-served queries never trigger an index rebuild.
+  /// Process-wide count of build() calls (sflyd's stats: one per exact
+  /// topology, built at startup, warm or cold).
   static std::uint64_t builds();
 
   [[nodiscard]] Vertex num_vertices() const { return n_; }
   [[nodiscard]] std::size_t words() const { return words_; }
 
-  /// The raw n*n*words() mask array (snapshot serialization; read-only).
+  /// The raw n*n*words() mask array (row-major by (u, v); read-only).
   [[nodiscard]] std::span<const std::uint64_t> raw_masks() const {
     return {masks_.data(), masks_.size()};
   }
   [[nodiscard]] std::size_t memory_bytes() const {
     return masks_.size() * sizeof(std::uint64_t) + graph_.memory_bytes();
   }
-  [[nodiscard]] bool is_view() const { return masks_.is_view(); }
 
   /// select's answer when no minimal next hop is live.
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFF;
@@ -186,7 +177,7 @@ class NextHopIndex {
   Vertex n_ = 0;
   std::size_t words_ = 1;
   Graph graph_;                       // slot -> neighbor vertex
-  OwnedSpan<std::uint64_t> masks_;    // n*n*words_, row-major by (u, v)
+  std::vector<std::uint64_t> masks_;  // n*n*words_, row-major by (u, v)
 };
 
 /// The exact minimal-hop oracle: distances from the all-pairs tables,

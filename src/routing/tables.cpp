@@ -68,17 +68,6 @@ Tables Tables::build(const Graph& g, TaskPool* pool) {
   return t;
 }
 
-Tables Tables::from_view(Vertex n, std::uint8_t diameter,
-                         std::span<const std::uint8_t> dist) {
-  if (dist.size() != static_cast<std::size_t>(n) * n)
-    throw std::invalid_argument("Tables::from_view: dist size != n*n");
-  Tables t;
-  t.n_ = n;
-  t.diameter_ = diameter;
-  t.dist_ = OwnedSpan<std::uint8_t>::view(dist.data(), dist.size());
-  return t;
-}
-
 void Tables::minimal_next_hops(const Graph& g, Vertex u, Vertex v,
                                std::vector<Vertex>& out) const {
   out.clear();

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "util/owned_span.hpp"
 #include "util/parallel.hpp"
 
 namespace sfly::routing {
@@ -26,13 +25,8 @@ class Tables {
   /// more hops from it, else "graph disconnected".
   static Tables build(const Graph& g, TaskPool* pool = nullptr);
 
-  /// Zero-copy view over an externally owned n*n distance matrix (e.g. an
-  /// mmap'd snapshot).  The memory must outlive the Tables and every copy.
-  static Tables from_view(Vertex n, std::uint8_t diameter,
-                          std::span<const std::uint8_t> dist);
-
-  /// Process-wide count of build() calls — warm-restart assertions check
-  /// that snapshot-served queries never trigger an all-pairs rebuild.
+  /// Process-wide count of build() calls (sflyd's stats: one per exact
+  /// topology, built at startup, warm or cold).
   static std::uint64_t builds();
 
   [[nodiscard]] std::uint8_t distance(Vertex u, Vertex v) const {
@@ -50,17 +44,16 @@ class Tables {
   [[nodiscard]] Vertex sample_next_hop(const Graph& g, Vertex u, Vertex v,
                                        std::uint64_t entropy) const;
 
-  /// Raw n*n distance matrix (snapshot serialization; read-only).
+  /// Raw n*n distance matrix (row-major; read-only).
   [[nodiscard]] std::span<const std::uint8_t> raw_distances() const {
     return {dist_.data(), dist_.size()};
   }
   [[nodiscard]] std::size_t memory_bytes() const { return dist_.size(); }
-  [[nodiscard]] bool is_view() const { return dist_.is_view(); }
 
  private:
   Vertex n_ = 0;
   std::uint8_t diameter_ = 0;
-  OwnedSpan<std::uint8_t> dist_;
+  std::vector<std::uint8_t> dist_;
 };
 
 }  // namespace sfly::routing

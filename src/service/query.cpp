@@ -194,8 +194,9 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
 
   // Zero-occupancy queue probe: with no live traffic every UGAL decision
   // is minimal (q_min == 0), which keeps route answers reproducible.
-  // Rows hold exact distances (Snapshot::open checks a mapped matrix), so
-  // every hop is one step closer to its target and the walk ends.
+  // Rows hold BFS distances of a simple undirected graph (Snapshot::open
+  // checks a mapped one), so every hop is one step closer to its target
+  // and the walk ends.
   const auto from = static_cast<Vertex>(src), to = static_cast<Vertex>(dst);
   routing::DistanceRows oracle(*g, tables.get());
   routing::PacketRoute route = routing::source_decision(

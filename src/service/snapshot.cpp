@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -33,27 +32,16 @@ struct Header {
 };
 static_assert(sizeof(Header) == kHeaderBytes);
 
-// Entry artifact flags: kFlagExact when the entry carries the all-pairs
-// blobs (n <= engine::kCellExactThreshold); an entry without it carries
-// the graph and spectra only, and routes over BFS rows of the graph.
-constexpr std::uint32_t kFlagExact = 1u;  // dist_off / nh_masks_off blobs present
-
 struct EntryDesc {
   char name[kNameBytes];       // NUL-terminated topology name
   std::uint32_t concentration;
   std::uint32_t n;             // vertices
-  std::uint8_t diameter;       // exact entries: the distance matrix's maximum
-  std::uint8_t pad[3];
-  std::uint32_t flags;         // kFlagExact or 0
   std::uint64_t graph_offsets_off;  // n+1 u32
   std::uint64_t graph_adj_off;      // graph_adj_count u32
   std::uint64_t graph_adj_count;
-  std::uint64_t dist_off;           // n*n u8
-  std::uint64_t nh_masks_off;       // n*n*nh_words u64 (v3: slot masks)
-  std::uint64_t nh_words;           // mask words per router pair
   std::uint64_t spectra_off;        // one SpectraBlob
 };
-static_assert(sizeof(EntryDesc) == 112);
+static_assert(sizeof(EntryDesc) == 80);
 
 // Spectra is an in-memory struct with padding; the blob spells the fields
 // out so the file carries no indeterminate bytes.
@@ -123,22 +111,6 @@ void write_snapshot(const std::string& path, engine::ArtifactCache& cache) {
     d.graph_offsets_off = blob_off(go.data(), go.size_bytes());
     d.graph_adj_off = blob_off(ga.data(), ga.size_bytes());
     d.graph_adj_count = ga.size();
-
-    if (d.n <= engine::kCellExactThreshold) {
-      // Small topology: exact all-pairs blobs.  Above the threshold the
-      // entry is the graph and spectra only; routes run BFS rows.
-      const auto tables = art->tables();
-      const auto next_hops = art->next_hops();
-      d.flags = kFlagExact;
-      d.diameter = tables->diameter();
-
-      const auto dist = tables->raw_distances();
-      d.dist_off = blob_off(dist.data(), dist.size_bytes());
-
-      const auto masks = next_hops->raw_masks();
-      d.nh_masks_off = blob_off(masks.data(), masks.size_bytes());
-      d.nh_words = next_hops->words();
-    }
 
     SpectraBlob sb{};
     sb.radix = spectra->radix;
@@ -222,7 +194,6 @@ std::shared_ptr<Snapshot> Snapshot::open(const std::string& path) {
     if (d.name[kNameBytes - 1] != '\0' || d.name[0] == '\0')
       fail("bad entry name: " + path);
     const std::size_t n = d.n;
-    const std::size_t rows = n * n;
     // `count` elements of `elem` bytes at `off`; divides rather than
     // multiplies, so a crafted count cannot wrap the size.
     auto check = [&](std::uint64_t off, std::uint64_t count, std::size_t elem,
@@ -234,13 +205,14 @@ std::shared_ptr<Snapshot> Snapshot::open(const std::string& path) {
     auto bad = [&](const std::string& what) {
       fail(std::string("bad entry ") + d.name + ": " + what + ": " + path);
     };
-    if ((d.flags & ~kFlagExact) != 0) fail("unknown entry flags: " + path);
     check(d.graph_offsets_off, n + 1, sizeof(std::uint32_t), "graph offsets");
     check(d.graph_adj_off, d.graph_adj_count, sizeof(std::uint32_t), "graph adj");
 
     // The fingerprint only proves the file is the one written; a crafted
     // file carries a matching one.  So check every value a lookup indexes
-    // by before any view is handed out.
+    // by before any view is handed out, and that the graph is what Graph
+    // promises (simple and undirected), so the routing tables built from
+    // it later hold true hop distances.
     const auto* go =
         reinterpret_cast<const std::uint32_t*>(snap->base_ + d.graph_offsets_off);
     const auto* adj =
@@ -249,77 +221,20 @@ std::shared_ptr<Snapshot> Snapshot::open(const std::string& path) {
     for (std::size_t u = 0; u < n; ++u)
       if (go[u + 1] < go[u]) bad("graph offsets not monotone");
     if (go[n] != d.graph_adj_count) bad("graph offsets do not end at graph_adj_count");
-    for (std::size_t i = 0; i < d.graph_adj_count; ++i)
-      if (adj[i] >= n) bad("graph adjacency id out of range");
-
-    if (d.flags & kFlagExact) {
-      check(d.dist_off, rows, 1, "distances");
-      const Graph g = Graph::from_csr_view(d.n, {go, n + 1},
-                                           {adj, d.graph_adj_count});
-      for (Vertex u = 0; u < d.n; ++u)
-        if (g.degree(u) > 65536) bad("radix exceeds uint16 slots");
-      const std::size_t words = routing::NextHopIndex::words_for(g);
-      if (d.nh_words != words) bad("next-hop mask width does not fit the radix");
-      check(d.nh_masks_off, rows, words * sizeof(std::uint64_t),
-            "next-hop masks");
-      // Routes read whole distance rows, so every byte must be the true
-      // hop distance: d(u, u) = 0 and, off the diagonal, d(u, v) = 1 + the
-      // minimum of d(w, v) over u's neighbours w.  With a zero diagonal
-      // these equations have one solution, the BFS distances, so a cyclic
-      // or disconnected matrix cannot pass.  The row minimum runs over
-      // whole rows so it vectorizes: n * |E| byte ops in all.
-      const auto* dist =
-          reinterpret_cast<const std::uint8_t*>(snap->base_ + d.dist_off);
-      for (std::size_t u = 0; u < n; ++u)
-        if (dist[u * n + u] != 0) bad("distance diagonal not zero");
-      std::vector<std::uint8_t> nearest(n);
-      std::uint8_t max = 0;
-      for (Vertex u = 0; u < d.n; ++u) {
-        std::fill(nearest.begin(), nearest.end(), std::uint8_t{0xFF});
-        for (Vertex w : g.neighbors(u)) {
-          const std::uint8_t* rw = dist + std::size_t{w} * n;
-          for (std::size_t v = 0; v < n; ++v) nearest[v] = std::min(nearest[v], rw[v]);
-        }
-        const std::uint8_t* ru = dist + std::size_t{u} * n;
-        for (std::size_t v = 0; v < n; ++v) {
-          if (v != u && ru[v] != nearest[v] + 1)
-            bad("distance is not 1 + its nearest neighbour's");
-          max = std::max(max, ru[v]);
-        }
-      }
-      if (d.diameter != max) bad("diameter byte is not the distance maximum");
-      // pick() selects among a row's set bits: a bit past the degree names
-      // no port, and an empty off-diagonal row divides by zero.  Every hop
-      // must also be one step closer by the entry's distances, so a route
-      // cannot cycle.
-      const auto* mask =
-          reinterpret_cast<const std::uint64_t*>(snap->base_ + d.nh_masks_off);
-      for (Vertex u = 0; u < d.n; ++u) {
-        const std::size_t deg = g.degree(u);
-        const auto nbs = g.neighbors(u);
-        for (Vertex v = 0; v < d.n; ++v, mask += words) {
-          std::uint64_t any = 0;
-          for (std::size_t w = 0; w < words; ++w) {
-            const std::size_t lo = w * 64;
-            const std::uint64_t past =
-                deg <= lo ? ~0ull : deg - lo >= 64 ? 0 : ~0ull << (deg - lo);
-            if (mask[w] & past) bad("next-hop mask bit at or past degree(u)");
-            any |= mask[w];
-          }
-          if (u == v) {
-            if (any != 0) bad("next-hop row (u, u) not empty");
-            continue;
-          }
-          if (any == 0) bad("empty next-hop row");
-          for (std::size_t w = 0; w < words; ++w)
-            for (std::uint64_t b = mask[w]; b != 0; b &= b - 1) {
-              const Vertex next = nbs[w * 64 + std::countr_zero(b)];
-              if (dist[next * n + v] + 1 != dist[u * n + v])
-                bad("next-hop mask bit is not a minimal hop");
-            }
-        }
+    for (std::size_t u = 0; u < n; ++u) {
+      if (go[u + 1] - go[u] > 65536) bad("radix exceeds uint16 slots");
+      for (std::uint32_t i = go[u]; i < go[u + 1]; ++i) {
+        if (adj[i] >= n) bad("graph adjacency id out of range");
+        if (adj[i] == u) bad("graph self-loop");
+        if (i > go[u] && adj[i - 1] >= adj[i])
+          bad("graph adjacency not strictly increasing");
       }
     }
+    // Every list is sorted now, so each edge finds its reverse by search.
+    for (std::size_t u = 0; u < n; ++u)
+      for (std::uint32_t i = go[u]; i < go[u + 1]; ++i)
+        if (!std::binary_search(adj + go[adj[i]], adj + go[adj[i] + 1], u))
+          bad("graph edge has no reverse");
     check(d.spectra_off, 1, sizeof(SpectraBlob), "spectra");
   }
   return snap;
@@ -336,7 +251,6 @@ void Snapshot::load_into(const std::shared_ptr<Snapshot>& self,
   for (std::uint32_t e = 0; e < self->entry_count_; ++e) {
     const EntryDesc& d = descs[e];
     const std::size_t n = d.n;
-    const std::size_t rows = n * n;
     auto at = [&](std::uint64_t off) { return self->base_ + off; };
 
     // Each component is heap-allocated view machinery over the mapping;
@@ -352,22 +266,6 @@ void Snapshot::load_into(const std::shared_ptr<Snapshot>& self,
             {reinterpret_cast<const Vertex*>(at(d.graph_adj_off)),
              d.graph_adj_count})),
         keep);
-    std::shared_ptr<const routing::Tables> tables;
-    std::shared_ptr<const routing::NextHopIndex> next_hops;
-    if (d.flags & kFlagExact) {
-      tables = std::shared_ptr<const routing::Tables>(
-          new routing::Tables(routing::Tables::from_view(
-              d.n, d.diameter,
-              {reinterpret_cast<const std::uint8_t*>(at(d.dist_off)), rows})),
-          keep);
-      next_hops = std::shared_ptr<const routing::NextHopIndex>(
-          new routing::NextHopIndex(routing::NextHopIndex::from_view(
-              *graph,
-              {reinterpret_cast<const std::uint64_t*>(at(d.nh_masks_off)),
-               rows * d.nh_words})),
-          keep);
-    }
-
     SpectraBlob sb{};
     std::memcpy(&sb, at(d.spectra_off), sizeof(sb));
     auto* sp = new Spectra();
@@ -381,8 +279,7 @@ void Snapshot::load_into(const std::shared_ptr<Snapshot>& self,
     std::shared_ptr<const Spectra> spectra(sp, keep);
 
     cache.adopt(d.name, std::make_shared<engine::Artifacts>(
-                            std::move(graph), std::move(tables),
-                            std::move(next_hops), std::move(spectra),
+                            std::move(graph), std::move(spectra),
                             d.concentration));
   }
 }

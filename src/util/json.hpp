@@ -184,40 +184,38 @@ class JsonObject {
     return v.has_value();
   }
 
-  /// ["a","b"] -> unescaped strings; empty array is valid.
+  /// ["a", "b"] -> unescaped strings, parse_uint_list's item rule: one
+  /// item per comma, whitespace around items tolerated, nothing else
+  /// between ("[\"a\" \"b\"]", "[,\"a\"]" and "[\"a\",]" are refused);
+  /// the empty array is valid.
   [[nodiscard]] bool get_str_array(const std::string& key,
                                    std::vector<std::string>& out) const {
     const std::string* r = raw(key);
     if (!r || r->size() < 2 || r->front() != '[' || r->back() != ']')
       return false;
-    out.clear();
-    std::size_t i = 1;
     const std::string& s = *r;
+    const std::size_t end = s.size() - 1;  // the closing ']'
+    std::size_t i = 1;
     auto skip_ws = [&] {
-      while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                              s[i] == '\r' || s[i] == ','))
+      while (i < end && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r'))
         ++i;
     };
+    out.clear();
     skip_ws();
-    while (i < s.size() - 1) {
-      if (s[i] != '"') return false;
+    if (i == end) return true;
+    for (;;) {
+      skip_ws();
+      if (i >= end || s[i] != '"') return false;
       const std::size_t start = i++;
-      while (i < s.size() && s[i] != '"') {
-        if (s[i] == '\\') {
-          if (i + 1 >= s.size()) return false;
-          i += 2;
-        } else {
-          ++i;
-        }
-      }
-      if (i >= s.size()) return false;
-      ++i;  // closing quote
+      while (i < end && s[i] != '"') i += s[i] == '\\' ? 2 : 1;
+      if (i >= end) return false;
       std::string plain;
-      if (!unescape(s.substr(start, i - start), plain)) return false;
+      if (!unescape(s.substr(start, ++i - start), plain)) return false;
       out.push_back(std::move(plain));
       skip_ws();
+      if (i == end) return true;
+      if (s[i++] != ',') return false;
     }
-    return true;
   }
 
   /// Inverse of json_quote: `raw` includes the surrounding quotes.

@@ -3,12 +3,12 @@
 // in a std::vector) or borrowed (zero-copy views over externally owned
 // memory, e.g. an mmap'd artifact snapshot — see src/service/snapshot.hpp).
 //
-// The accessor surface is the read-only slice of std::vector, so Graph /
-// routing::Tables / routing::NextHopIndex keep their hot-path code
-// unchanged while gaining view construction.  Copying an owning span
+// The accessor surface is the read-only slice of std::vector, so Graph
+// and routing::CellIndex keep their hot-path code unchanged while gaining
+// view construction.  Copying an owning span
 // deep-copies; copying a view copies the pointer — the borrowed memory
 // must outlive every view over it (the snapshot loader guarantees this by
-// keeping the mapping alive through the artifact shared_ptrs' deleters).
+// keeping the mapping alive through the graph shared_ptr's deleter).
 
 #include <cstddef>
 #include <utility>

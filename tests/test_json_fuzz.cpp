@@ -270,6 +270,37 @@ TEST(JsonFuzz, HostileHandcraftedRequests) {
     ASSERT_TRUE(JsonObject::scan(std::string("{\"a\":") + a.array + "}", j));
     EXPECT_EQ(j.get_u64_array("a", v), a.ok) << a.array;
   }
+  // get_str_array takes the same item rule: one string per comma, and a
+  // comma inside a string is part of it.
+  const struct {
+    const char* array;
+    std::size_t items;  // 0 with ok false: refused
+    bool ok;
+  } strings[] = {{"[]", 0, true},
+                 {"[ ]", 0, true},
+                 {R"([ "x" , "y" ])", 2, true},
+                 {R"(["a,b"])", 1, true},
+                 {R"(["x" "y"])", 0, false},
+                 {R"([,,"x",])", 0, false},
+                 {R"(["x",])", 0, false},
+                 {R"([,"x"])", 0, false},
+                 {R"(["x",,"y"])", 0, false}};
+  for (const auto& a : strings) {
+    JsonObject j;
+    std::vector<std::string> v;
+    ASSERT_TRUE(JsonObject::scan(std::string("{\"a\":") + a.array + "}", j));
+    EXPECT_EQ(j.get_str_array("a", v), a.ok) << a.array;
+    if (a.ok) {
+      EXPECT_EQ(v.size(), a.items) << a.array;
+    }
+  }
+  // ...and a rank request whose topos break it is refused as a whole.
+  for (const char* topos : {R"js(["Paley(13)" "Paley(13)"])js",
+                            R"js([,,"Paley(13)",])js", R"js(["Paley(13)",])js"}) {
+    const std::string resp = engine.handle(
+        std::string(R"js({"kind":"rank","job_size":64,"topos":)js") + topos + "}");
+    EXPECT_NE(resp.find("\"ok\":false"), std::string::npos) << topos << " -> " << resp;
+  }
 }
 
 // Real journal lines: structure and sim rows (one ok:false with control

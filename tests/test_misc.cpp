@@ -1,13 +1,17 @@
 // Edge-case and utility coverage: event queue ordering (checked against a
 // reference heap), latency stats, table rendering, simulator argument
 // validation, cabinet grids, and the odd corners of the topology parameter
-// space.
+// space; and the examples' argument parsing.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <queue>
 #include <random>
@@ -464,6 +468,33 @@ TEST(ParamCorners, SmallestMms) {
   std::uint32_t k = 0;
   EXPECT_TRUE(g.is_regular(&k));
   EXPECT_EQ(k, 5u);
+}
+
+// ---------------- examples ----------------
+
+// The example binaries live next to this test binary (single-directory
+// CMake build); ctest may run us from anywhere, so resolve via
+// /proc/self/exe.
+std::string bin_dir() {
+  char buf[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+  if (n <= 0) return ".";
+  buf[n] = '\0';
+  std::string path(buf);
+  const auto slash = path.rfind('/');
+  return slash == std::string::npos ? "." : path.substr(0, slash);
+}
+
+TEST(Examples, MalformedArgumentExitsTwoWithUsage) {
+  // "12x" is not 12 routers (atoi's answer): parse_uint refuses it.
+  const std::string err = std::string(::testing::TempDir()) + "examples_usage.err";
+  const int st = std::system(
+      (bin_dir() + "/topology_explorer 12x > /dev/null 2> " + err).c_str());
+  ASSERT_TRUE(WIFEXITED(st));
+  EXPECT_EQ(WEXITSTATUS(st), 2);
+  std::ifstream in(err);
+  const std::string msg{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  EXPECT_NE(msg.find("usage: topology_explorer"), std::string::npos) << msg;
 }
 
 }  // namespace

@@ -275,6 +275,30 @@ TEST(NextHopIndex, ArtifactDigestsPinned) {
   }
 }
 
+TEST(NextHopIndex, BuildsAreByteEqualAtPoolWidthsOneAndFour) {
+  // Raw bytes rather than digests of picks, and Paley(137) (radix 68, two
+  // mask words per pair), which the one-word pins above do not reach.
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"Paley(13)", topo::paley_graph({13})},
+      {"DF(4)", topo::dragonfly_graph(topo::DragonFlyParams::canonical(4))},
+      {"LPS(11,7)", topo::lps_graph({11, 7})},
+      {"Paley(137)", topo::paley_graph({137})},
+  };
+  TaskPool one(1), four(4);
+  for (const auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
+    const Tables t1 = Tables::build(g, &one);
+    const Tables t4 = Tables::build(g, &four);
+    EXPECT_EQ(t1.diameter(), t4.diameter());
+    EXPECT_TRUE(std::ranges::equal(t1.raw_distances(), t4.raw_distances()));
+    const NextHopIndex i1 = NextHopIndex::build(g, t1, &one);
+    const NextHopIndex i4 = NextHopIndex::build(g, t4, &four);
+    EXPECT_EQ(i1.words(), i4.words());
+    EXPECT_TRUE(std::ranges::equal(i1.raw_masks(), i4.raw_masks()));
+  }
+  EXPECT_EQ(NextHopIndex::words_for(graphs.back().second), 2u);
+}
+
 TEST(NextHopIndex, MismatchedTablesThrow) {
   auto g = topo::paley_graph({13});
   auto other = topo::paley_graph({17});

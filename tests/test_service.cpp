@@ -5,12 +5,13 @@
 // to a single sequential client's.  A malformed request costs one error
 // frame and never the connection; HELLO version skew and DATA-before-
 // HELLO each get a reasoned error frame followed by a close; and a
-// server warm-started from a snapshot serves the same answers as the
-// cold engine without one table or index rebuild.  Route answers for all
-// five algorithms are pinned by digest below and above the exact-tables
-// threshold (rows of the tables, BFS rows), also from a snapshot entry
-// that carries only the graph and spectra, and ids or counts too large
-// for their 32-bit fields get error frames.
+// server warm-started from a snapshot builds each exact topology's
+// routing tables once at startup, as sflyd does, then serves the same
+// answers as the cold engine without one table or index rebuild.  Route
+// answers for all five algorithms are pinned by digest below and above
+// the exact-tables threshold (rows of the tables, BFS rows), also from a
+// snapshot entry above the threshold, and ids or counts too large for
+// their 32-bit fields get error frames.
 
 #include "service/server.hpp"
 
@@ -249,13 +250,7 @@ TEST(Service, WarmRestartedServerServesIdenticalBytesWithoutRebuilds) {
   std::vector<std::string> expected;
   {
     Fixture cold;
-    {
-      auto art = cold.queries.engine().artifacts().get("Paley(13)");
-      (void)art->graph();
-      (void)art->tables();
-      (void)art->next_hops();
-      (void)art->spectra();
-    }
+    cold.queries.engine().artifacts().get("Paley(13)")->materialize();
     write_snapshot(snap_path, cold.queries.engine().artifacts());
     Client c(cold.server->port());
     ASSERT_TRUE(c.greet());
@@ -263,10 +258,12 @@ TEST(Service, WarmRestartedServerServesIdenticalBytesWithoutRebuilds) {
     cold.server->stop();
   }
 
-  // Warm daemon: mmap the snapshot instead of registering topologies.
+  // Warm daemon: mmap the snapshot instead of registering topologies,
+  // then build the routing tables at startup, as sflyd does.
   QueryEngine warm;
   auto snap = Snapshot::open(snap_path);
   Snapshot::load_into(snap, warm.engine().artifacts());
+  warm.engine().artifacts().get("Paley(13)")->materialize();
   Server server(warm, {});
   ASSERT_TRUE(server.start());
 
@@ -350,7 +347,7 @@ TEST(DistanceRows, SnapshotEntryAboveThresholdServesWithoutBuilds) {
 
   auto snap = Snapshot::open(path);
   const auto round8 = [](std::size_t b) { return (b + 7) / 8 * 8; };
-  EXPECT_EQ(snap->size_bytes(), 64 + 112 + round8(g->raw_offsets().size_bytes()) +
+  EXPECT_EQ(snap->size_bytes(), 64 + 80 + round8(g->raw_offsets().size_bytes()) +
                                     round8(g->raw_adjacency().size_bytes()) + 40)
       << "header, one entry descriptor, graph CSR and spectra only";
   QueryEngine warm;

@@ -1,9 +1,10 @@
-// Snapshot store pins: a serialized ArtifactCache mmaps back as
-// zero-copy views that are bitwise-equal to freshly built artifacts —
-// same distance matrix, same next-hop index, same spectra — without
-// running a single table build.  Corruption (any flipped body byte),
-// format-version skew, truncation, and foreign files are all rejected
-// with a reason instead of being misread.  A warm-restarted QueryEngine
+// Snapshot store pins: a serialized ArtifactCache mmaps back as a
+// zero-copy graph view and the stored spectra, bitwise-equal to the cold
+// artifacts, and the routing tables built from the mapped graph are
+// bitwise-equal to the cold ones.  Corruption (any flipped body byte),
+// format-version skew, truncation, foreign files and crafted graphs are
+// all rejected with a reason instead of being misread, and no mutated
+// file crashes the loader or the builders.  A warm-restarted QueryEngine
 // answers route/sim/rank byte-identically to the cold engine the
 // snapshot came from.
 
@@ -22,6 +23,7 @@
 #include "engine/artifact_cache.hpp"
 #include "service/query.hpp"
 #include "topo/factory.hpp"
+#include "util/rng.hpp"
 
 namespace sfly::service {
 namespace {
@@ -40,8 +42,8 @@ void spew(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// Register `specs` and force every artifact so write_snapshot has a fully
-// materialized cache (the daemon does the same at startup).
+// Register `specs` and build what serving needs, as sflyd does at
+// startup; every spec here is at or below the exact threshold.
 void populate(engine::ArtifactCache& cache,
               const std::vector<std::string>& specs,
               std::uint32_t concentration = 8) {
@@ -49,13 +51,7 @@ void populate(engine::ArtifactCache& cache,
     auto parsed = topo::parse_topology(spec);
     cache.register_topology(parsed.name, std::move(parsed.build), concentration);
   }
-  for (const auto& name : cache.names()) {
-    auto art = cache.get(name);
-    (void)art->graph();
-    (void)art->tables();
-    (void)art->next_hops();
-    (void)art->spectra();
-  }
+  for (const auto& name : cache.names()) cache.get(name)->materialize();
 }
 
 template <typename A, typename B>
@@ -68,13 +64,24 @@ void expect_span_eq(A a, B b, const char* what) {
 TEST(Snapshot, RoundTripIsBitwiseEqualAndZeroCopy) {
   const auto path = tmp("roundtrip");
   engine::ArtifactCache cold;
-  populate(cold, {"Paley(13)", "DF(4)", "Hypercube(4)"});
+  populate(cold, {"Paley(13)", "DF(4)", "Hypercube(4)", "Paley(137)"});
   write_snapshot(path, cold);
 
   auto snap = Snapshot::open(path);
   engine::ArtifactCache warm;
   Snapshot::load_into(snap, warm);
   ASSERT_EQ(warm.names(), cold.names());
+
+  // Every entry is a descriptor, the graph CSR and the spectra, whatever
+  // its size: no routing bytes.
+  const auto round8 = [](std::size_t b) { return (b + 7) / 8 * 8; };
+  std::size_t expected_bytes = 64;
+  for (const auto& name : cold.names()) {
+    const auto g = cold.get(name)->graph();
+    expected_bytes += 80 + round8(g->raw_offsets().size_bytes()) +
+                      round8(g->raw_adjacency().size_bytes()) + 40;
+  }
+  EXPECT_EQ(snap->size_bytes(), expected_bytes);
 
   for (const auto& name : cold.names()) {
     auto a = cold.get(name);
@@ -103,39 +110,44 @@ TEST(Snapshot, RoundTripIsBitwiseEqualAndZeroCopy) {
     EXPECT_EQ(sa->bipartite, sb->bipartite) << name;
     EXPECT_EQ(sa->ramanujan, sb->ramanujan) << name;
 
-    // Zero-copy: the loaded components are views whose storage lives
-    // inside the mapped file, not heap copies of it.
+    // Zero-copy: the loaded graph is a view whose storage lives inside
+    // the mapped file; the tables built from it are heap arrays.
     EXPECT_TRUE(gb->is_view()) << name;
-    EXPECT_TRUE(tb->is_view()) << name;
-    EXPECT_TRUE(nb->is_view()) << name;
     EXPECT_FALSE(ga->is_view()) << name;
+    EXPECT_TRUE(snap->contains(gb->raw_offsets().data())) << name;
     EXPECT_TRUE(snap->contains(gb->raw_adjacency().data())) << name;
-    EXPECT_TRUE(snap->contains(tb->raw_distances().data())) << name;
-    EXPECT_TRUE(snap->contains(nb->raw_masks().data())) << name;
-    EXPECT_FALSE(snap->contains(ta->raw_distances().data())) << name;
+    EXPECT_FALSE(snap->contains(tb->raw_distances().data())) << name;
+    EXPECT_FALSE(snap->contains(nb->raw_masks().data())) << name;
   }
 }
 
-TEST(Snapshot, LoadAndQueryRebuildNothing) {
-  const auto path = tmp("norebuild");
+TEST(Snapshot, LoadBuildsEachExactEntryOnceEqualToCold) {
+  // Opening and loading build nothing; the first use of an exact entry's
+  // routing tables builds them once, and later uses share that build.
+  const auto path = tmp("onebuild");
   engine::ArtifactCache cold;
-  populate(cold, {"Paley(13)"});
+  populate(cold, {"Paley(13)", "DF(4)"});
   write_snapshot(path, cold);
 
   const auto tables_before = routing::Tables::builds();
   const auto index_before = routing::NextHopIndex::builds();
-
   auto snap = Snapshot::open(path);
   engine::ArtifactCache warm;
   Snapshot::load_into(snap, warm);
-  auto art = warm.get("Paley(13)");
-  (void)art->graph();
-  (void)art->tables();
-  (void)art->next_hops();
-  (void)art->spectra();
-
   EXPECT_EQ(routing::Tables::builds(), tables_before);
   EXPECT_EQ(routing::NextHopIndex::builds(), index_before);
+
+  for (int round = 0; round < 2; ++round)
+    for (const auto& name : warm.names()) {
+      auto art = warm.get(name);
+      art->materialize();
+      expect_span_eq(art->tables()->raw_distances(),
+                     cold.get(name)->tables()->raw_distances(), "distances");
+      expect_span_eq(art->next_hops()->raw_masks(),
+                     cold.get(name)->next_hops()->raw_masks(), "next-hop masks");
+    }
+  EXPECT_EQ(routing::Tables::builds(), tables_before + 2);
+  EXPECT_EQ(routing::NextHopIndex::builds(), index_before + 2);
 }
 
 TEST(Snapshot, MappingOutlivesTheSnapshotHandle) {
@@ -144,17 +156,32 @@ TEST(Snapshot, MappingOutlivesTheSnapshotHandle) {
   populate(cold, {"Paley(13)"});
   write_snapshot(path, cold);
 
-  std::shared_ptr<const routing::Tables> tables;
+  std::shared_ptr<const Graph> graph;
+  std::shared_ptr<const routing::NextHopIndex> next_hops;
   {
     auto snap = Snapshot::open(path);
     engine::ArtifactCache warm;
     Snapshot::load_into(snap, warm);
-    tables = warm.get("Paley(13)")->tables();
-    // snap and warm both die here; the component deleter keeps the map.
+    auto art = warm.get("Paley(13)");
+    graph = art->graph();
+    ASSERT_TRUE(snap->contains(graph->raw_adjacency().data()));
+    next_hops = art->next_hops();
+    // snap and warm both die here; the graph's deleter keeps the map.
   }
-  auto fresh = cold.get("Paley(13)")->tables();
-  expect_span_eq(tables->raw_distances(), fresh->raw_distances(),
-                 "distances after handle drop");
+  auto fresh = cold.get("Paley(13)");
+  expect_span_eq(graph->raw_offsets(), fresh->graph()->raw_offsets(),
+                 "graph offsets after handle drop");
+  expect_span_eq(graph->raw_adjacency(), fresh->graph()->raw_adjacency(),
+                 "graph adjacency after handle drop");
+  // The index maps slots to neighbours through its own copy of the graph
+  // view, so it alone must keep the mapping too.
+  graph.reset();
+  const auto cold_hops = fresh->next_hops();
+  for (Vertex u = 0; u < 13; ++u)
+    for (Vertex v = 0; v < 13; ++v) {
+      if (u == v) continue;
+      ASSERT_EQ(next_hops->pick(u, v, u + v).vert, cold_hops->pick(u, v, u + v).vert);
+    }
 }
 
 TEST(Snapshot, FingerprintRejectsCorruption) {
@@ -225,8 +252,14 @@ TEST(Snapshot, Version2FileRefused) {
 
 TEST(Snapshot, Version3FileRefused) {
   // A v3 file (248-byte descriptors with cell-index blobs) must not be
-  // read as v4's 112-byte descriptors.
+  // read as v5's 80-byte descriptors.
   expect_old_version_refused(3);
+}
+
+TEST(Snapshot, Version4FileRefused) {
+  // A v4 file (112-byte descriptors, distance and next-hop blobs) must
+  // not be read as v5's 80-byte descriptors.
+  expect_old_version_refused(4);
 }
 
 // Byte position of a cold artifact's array inside a snapshot file; the
@@ -275,51 +308,97 @@ void expect_rejected_by_name(const std::string& path, const std::string& clean,
 
 TEST(Snapshot, CraftedContentsRejectedByName) {
   // A crafted file carries a fingerprint that matches its bytes, so each
-  // case flips one value a lookup indexes by.
+  // case changes one value a lookup indexes by, or breaks the simple
+  // undirected graph the routing tables are built from.
   const auto path = tmp("crafted");
   engine::ArtifactCache cache;
   populate(cache, {"Paley(13)"});
   write_snapshot(path, cache);
   const std::string clean = slurp(path);
 
-  auto art = cache.get("Paley(13)");
-  const auto g = art->graph();
-  const auto idx = art->next_hops();
+  const auto g = cache.get("Paley(13)")->graph();
   ASSERT_EQ(g->degree(0), 6u);
-  ASSERT_EQ(idx->words(), 1u);
   const std::size_t offsets = find_blob(clean, g->raw_offsets());
   const std::size_t adj = find_blob(clean, g->raw_adjacency());
-  const std::size_t masks = find_blob(clean, idx->raw_masks());
-  const std::size_t dist = find_blob(clean, art->tables()->raw_distances());
-  ASSERT_EQ(art->tables()->diameter(), 2u);
-  ASSERT_EQ(clean[112], 2);
-  const auto row = [&](Vertex u, Vertex v) { return masks + 8 * (u * 13 + v); };
   const std::uint32_t adj_count = g->raw_offsets()[13];
+  // Vertex 0's neighbours are the squares mod 13: 1, 3, 4, 9, 10, 12.
+  ASSERT_EQ(g->neighbors(0)[0], 1u);
+  ASSERT_EQ(g->neighbors(0)[1], 3u);
 
   expect_rejected_by_name(path, clean, {
+      {"graph offsets do not start at 0",
+       [&](std::string& f) { poke<std::uint32_t>(f, offsets, 1); }},
       {"graph offsets not monotone",
        [&](std::string& f) { poke<std::uint32_t>(f, offsets + 4, 100); }},
       {"graph offsets do not end at graph_adj_count",
        [&](std::string& f) { poke<std::uint32_t>(f, offsets + 4 * 13, adj_count - 1); }},
       {"graph adjacency id out of range",
        [&](std::string& f) { poke<std::uint32_t>(f, adj + 4 * 5, 13); }},
-      {"next-hop mask bit at or past degree(u)",
-       [&](std::string& f) { f[row(0, 1)] |= 0x40; }},  // bit 6, degree 6
-      {"next-hop mask bit is not a minimal hop",  // slot 1 of 0 is 3, two hops from 1
-       [&](std::string& f) { f[row(0, 1)] |= 0x02; }},
-      {"next-hop row (u, u) not empty",
-       [&](std::string& f) { f[row(3, 3)] |= 0x01; }},
-      {"empty next-hop row",
-       [&](std::string& f) { poke<std::uint64_t>(f, row(0, 1), 0); }},
-      // Routes read whole distance rows, not only the bytes a mask bit
-      // points at.  0 and 1 are adjacent (1 is a square mod 13).
-      {"distance diagonal not zero",
-       [&](std::string& f) { f[dist + 5 * 13 + 5] = 1; }},
-      {"distance is not 1 + its nearest neighbour's",
-       [&](std::string& f) { f[dist + 0 * 13 + 1] = 2; }},
-      {"diameter byte is not the distance maximum",
-       [&](std::string& f) { f[112] = 3; }},  // entry 0's EntryDesc.diameter
+      {"graph self-loop",
+       [&](std::string& f) { poke<std::uint32_t>(f, adj, 0); }},
+      {"graph adjacency not strictly increasing",
+       [&](std::string& f) { poke<std::uint32_t>(f, adj + 4, 1); }},
+      {"graph edge has no reverse",  // 2 is not a square mod 13
+       [&](std::string& f) { poke<std::uint32_t>(f, adj, 2); }},
   });
+}
+
+TEST(Snapshot, MutatedFilesRefuseOrLoadGraphsTheBuildersSurvive) {
+  // Random byte mutations of a clean file, resealed so the fingerprint
+  // matches: open and load_into either refuse with std::runtime_error or
+  // hand out graphs on which the routing builders return or throw.
+  // Nothing may crash (the sanitizer jobs run this too).
+  const auto path = tmp("mutated");
+  engine::ArtifactCache cache;
+  populate(cache, {"Paley(13)", "DF(4)", "Hypercube(5)"});
+  write_snapshot(path, cache);
+  const std::string clean = slurp(path);
+  const std::size_t table_end = 64 + 3 * 80;  // header + entry descriptors
+  ASSERT_GT(clean.size(), table_end);
+
+  Rng rng(0x5A4F);
+  int refused = 0, loaded = 0, built = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bytes = clean;
+    for (int k = 0, edits = 1 + static_cast<int>(rng() % 4); k < edits; ++k) {
+      // Half of the edits land in the descriptors, where the offsets and
+      // counts are; small aligned words look like plausible ids and counts.
+      const std::size_t end = rng() % 2 ? table_end : bytes.size();
+      const std::size_t at = 64 + rng() % (end - 64);
+      switch (rng() % 3) {
+        case 0: bytes[at] ^= static_cast<char>(1u << (rng() % 8)); break;
+        case 1: bytes[at] = static_cast<char>(rng()); break;
+        default:
+          if (at / 4 * 4 + 4 <= bytes.size())
+            poke<std::uint32_t>(bytes, at / 4 * 4, static_cast<std::uint32_t>(rng() % 64));
+      }
+    }
+    poke(bytes, 24, fnv1a64(bytes.data() + 64, bytes.size() - 64));  // Header.fingerprint
+    spew(path, bytes);
+    std::shared_ptr<Snapshot> snap;
+    engine::ArtifactCache warm;
+    try {
+      snap = Snapshot::open(path);
+      Snapshot::load_into(snap, warm);
+    } catch (const std::runtime_error&) {
+      ++refused;
+      continue;
+    }
+    ++loaded;
+    for (const auto& name : warm.names()) {
+      const auto g = warm.get(name)->graph();
+      try {
+        const auto tables = routing::Tables::build(*g);
+        (void)routing::NextHopIndex::build(*g, tables);
+        ++built;
+      } catch (const std::exception&) {
+      }
+    }
+  }
+  // Both outcomes occur, so the mutations reach past the fingerprint.
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(built, 0);
 }
 
 TEST(Snapshot, TruncationAndForeignFilesRejected) {
@@ -356,17 +435,12 @@ TEST(Snapshot, FootprintSumsComponentBytes) {
 }
 
 TEST(Snapshot, WarmRestartAnswersByteIdenticallyWithoutRebuilding) {
+  // A warm engine builds each exact entry's routing tables once at
+  // startup, as sflyd does; the queries after that rebuild nothing.
   const auto path = tmp("warmqueries");
   QueryEngine cold;
   cold.register_spec("Paley(13)");
-  // Materialize through the engine so the snapshot has every component.
-  {
-    auto art = cold.engine().artifacts().get("Paley(13)");
-    (void)art->graph();
-    (void)art->tables();
-    (void)art->next_hops();
-    (void)art->spectra();
-  }
+  cold.engine().artifacts().get("Paley(13)")->materialize();
   write_snapshot(path, cold.engine().artifacts());
 
   const std::vector<std::string> requests = {
@@ -383,13 +457,16 @@ TEST(Snapshot, WarmRestartAnswersByteIdenticallyWithoutRebuilding) {
   Snapshot::load_into(snap, warm.engine().artifacts());
   const auto tables_before = routing::Tables::builds();
   const auto index_before = routing::NextHopIndex::builds();
+  warm.engine().artifacts().get("Paley(13)")->materialize();
+  EXPECT_EQ(routing::Tables::builds(), tables_before + 1);
+  EXPECT_EQ(routing::NextHopIndex::builds(), index_before + 1);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(warm.handle(requests[i]), expected[i]) << requests[i];
     EXPECT_NE(expected[i].find("\"ok\":true"), std::string::npos)
         << expected[i];
   }
-  EXPECT_EQ(routing::Tables::builds(), tables_before);
-  EXPECT_EQ(routing::NextHopIndex::builds(), index_before);
+  EXPECT_EQ(routing::Tables::builds(), tables_before + 1);
+  EXPECT_EQ(routing::NextHopIndex::builds(), index_before + 1);
 }
 
 }  // namespace

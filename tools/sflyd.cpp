@@ -1,11 +1,13 @@
 // sflyd — the long-lived topology-evaluation daemon (docs/SERVICE.md).
 //
-// Cold start registers topologies from --topos (building graphs, all-pairs
-// tables, next-hop indexes, and spectra up front so the first query is not
-// a build stall); warm start mmaps a --snapshot written by a previous run
-// and serves zero-copy views without rebuilding anything.  Either way the
-// daemon then answers route/sim/rank/stats queries over the frame protocol
-// until SIGTERM/SIGINT.
+// Cold start registers topologies from --topos; warm start mmaps a
+// --snapshot written by a previous run, adopting its graphs and spectra
+// (the spectra are the costly part).  Either way the daemon then builds
+// what serving needs for every topology on one --threads-wide pool (the
+// all-pairs tables and next-hop index at or below the exact threshold,
+// the spectra if missing), so the first query is not a build stall, and
+// answers route/sim/rank/stats queries over the frame protocol until
+// SIGTERM/SIGINT.
 //
 //   sflyd --topos 'LPS(11,7),SF(9)' --save-snapshot topo.snap --build-only
 //   sflyd --snapshot topo.snap --port 7100
@@ -60,45 +62,40 @@ int main(int argc, char** argv) {
 
   sfly::service::QueryEngine queries(cfg);
 
+  auto& cache = queries.engine().artifacts();
   try {
     if (flags.has("--snapshot")) {
       const std::string path = flags.get_str("--snapshot");
       auto snap = sfly::service::Snapshot::open(path);
-      sfly::service::Snapshot::load_into(snap, queries.engine().artifacts());
+      sfly::service::Snapshot::load_into(snap, cache);
       std::fprintf(stderr, "# sflyd: warm start from %s (%zu bytes, %zu topologies)\n",
-                   path.c_str(), snap->size_bytes(),
-                   queries.engine().artifacts().names().size());
+                   path.c_str(), snap->size_bytes(), cache.names().size());
     }
-    if (flags.has("--topos")) {
-      sfly::TaskPool pool(cfg.threads);
+    if (flags.has("--topos"))
       for (const auto& spec :
            sfly::topo::split_spec_list(flags.get_str("--topos"))) {
         auto parsed = sfly::topo::parse_topology(spec);
-        if (queries.engine().artifacts().contains(parsed.name)) continue;
+        if (cache.contains(parsed.name)) continue;
         queries.engine().register_topology(parsed.name, std::move(parsed.build),
                                            concentration);
-        // Materialize everything now, routing artifacts on a
-        // --threads-wide pool: daemons take the build cost at startup,
-        // not on the first unlucky query.  Above the exact threshold
-        // routes need only the graph (one BFS row per destination);
-        // forcing the O(V^2) tables there would be gigabytes (a sim query
-        // on such a topology still builds them lazily).
-        auto art = queries.engine().artifacts().get(parsed.name);
-        if (art->graph()->num_vertices() <= sfly::engine::kCellExactThreshold)
-          (void)art->next_hops(&pool);
-        (void)art->spectra();
-        const auto f = art->footprint();
-        std::fprintf(stderr, "# sflyd: built %s (%zu bytes of artifacts)\n",
-                     parsed.name.c_str(), f.total());
       }
-    }
-    if (queries.engine().artifacts().names().empty()) {
+    if (cache.names().empty()) {
       std::fprintf(stderr, "sflyd: nothing to serve (need --topos and/or --snapshot)\n");
       return 2;
     }
+    // One materialization loop for --snapshot and --topos entries alike,
+    // routing artifacts on a --threads-wide pool: daemons take the build
+    // cost at startup, not on the first unlucky query.
+    sfly::TaskPool pool(cfg.threads);
+    for (const auto& name : cache.names()) {
+      auto art = cache.get(name);
+      art->materialize(&pool);
+      std::fprintf(stderr, "# sflyd: built %s (%zu bytes of artifacts)\n",
+                   name.c_str(), art->footprint().total());
+    }
     if (flags.has("--save-snapshot")) {
       const std::string path = flags.get_str("--save-snapshot");
-      sfly::service::write_snapshot(path, queries.engine().artifacts());
+      sfly::service::write_snapshot(path, cache);
       std::fprintf(stderr, "# sflyd: snapshot written to %s\n", path.c_str());
     }
   } catch (const std::exception& e) {
@@ -115,7 +112,7 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
   std::fprintf(stderr, "# sflyd: serving %zu topologies on port %u\n",
-               queries.engine().artifacts().names().size(), server.port());
+               cache.names().size(), server.port());
 
   while (!g_stop) {
     struct timespec ts{0, 200 * 1000 * 1000};
