@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <system_error>
+#include <type_traits>
 
 #include "util/json.hpp"
 
@@ -19,77 +20,51 @@ std::pair<std::size_t, std::size_t> shard_range(std::size_t n,
 
 namespace {
 
-// ok rows carry no "error" field; !ok rows must.
-bool get_ok_error(const JsonObject& j, bool& ok, std::string& error) {
-  if (!j.get_bool("ok", ok)) return false;
-  return ok ? !j.has("error") : j.get_str("error", error);
+bool parse_kind(const std::string& name, Kind& out) {
+  for (Kind k : {Kind::kStructure, Kind::kSpectral, Kind::kLayout})
+    if (name == kind_name(k)) return out = k, true;
+  return false;
 }
 
-Kind parse_kind(const std::string& name, bool& valid) {
-  for (Kind k : {Kind::kStructure, Kind::kSpectral, Kind::kLayout})
-    if (name == kind_name(k)) return k;
-  valid = false;
-  return Kind::kStructure;
+template <class Row>
+std::optional<Row> parse_row(const std::string& line) {
+  JsonObject j;
+  if (!JsonObject::scan(line, j)) return std::nullopt;
+  Row r;
+  bool good = true;
+  for_each_field(r, [&](const char* name, auto& v, Col c = Col::kAll) {
+    if (!good || c == Col::kCsvOnly) return;
+    using T = std::remove_reference_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, std::string>) {
+      good = j.get_str(name, v);
+    } else if constexpr (std::is_same_v<T, Kind>) {
+      std::string kind;
+      good = j.get_str(name, kind) && parse_kind(kind, v);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      good = j.get_bool(name, v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      good = j.get_f64(name, v);
+    } else {
+      good = j.get_uint(name, v);
+    }
+  });
+  // The round-trip seal: a row counts as parsed only if re-serializing it
+  // reproduces the line exactly, so the parsed values are bitwise
+  // faithful (json_f64 is lossless), and keys out of order, repeated or
+  // extra, and nonzero constant-zero columns are refused.
+  if (!good || jsonl_row(r) != line + "\n") return std::nullopt;
+  return r;
 }
 
 }  // namespace
 
 std::optional<Result> ScenarioKind<Scenario>::parse(const std::string& line) {
-  JsonObject j;
-  if (!JsonObject::scan(line, j)) return std::nullopt;
-  Result r;
-  std::string kind;
-  bool kind_valid = true;
-  const bool fields =
-      j.get_uint("index", r.index) && j.get_str("topology", r.topology) &&
-      j.get_str("kind", kind) && get_ok_error(j, r.ok, r.error) &&
-      j.get_uint("vertices", r.vertices) && j.get_uint("radix", r.radix) &&
-      j.get_bool("connected", r.connected) &&
-      j.get_f64("diameter", r.diameter) &&
-      j.get_f64("mean_hops", r.mean_hops) && j.get_uint("girth", r.girth) &&
-      j.get_f64("bisection", r.bisection) &&
-      j.get_f64("normalized_bisection", r.normalized_bisection) &&
-      j.get_f64("lambda", r.lambda) && j.get_f64("mu1", r.mu1) &&
-      j.get_bool("ramanujan", r.ramanujan) &&
-      j.get_f64("fiedler_bisection_lb", r.fiedler_bisection_lb) &&
-      j.get_f64("mean_wire_m", r.mean_wire_m) &&
-      j.get_f64("max_wire_m", r.max_wire_m) &&
-      j.get_uint("wires_electrical", r.wires_electrical) &&
-      j.get_uint("wires_optical", r.wires_optical) &&
-      j.get_f64("power_watts", r.power_watts) &&
-      j.get_f64("mw_per_gbps", r.mw_per_gbps);
-  if (!fields) return std::nullopt;
-  r.kind = parse_kind(kind, kind_valid);
-  if (!kind_valid) return std::nullopt;
-  // The round-trip seal: a row counts as parsed only if re-serializing it
-  // reproduces the line exactly (%.17g makes doubles lossless, so this
-  // also certifies the parsed values are bitwise faithful, and that the
-  // constant-zero simulation columns are zeros).
-  if (jsonl_row(r) != line + "\n") return std::nullopt;
-  return r;
+  return parse_row<Result>(line);
 }
 
 std::optional<SimResult> ScenarioKind<SimScenario>::parse(
     const std::string& line) {
-  JsonObject j;
-  if (!JsonObject::scan(line, j)) return std::nullopt;
-  SimResult r;
-  const bool fields =
-      j.get_uint("index", r.index) && j.get_str("topology", r.topology) &&
-      j.get_str("label", r.label) && get_ok_error(j, r.ok, r.error) &&
-      j.get_f64("diameter", r.diameter) &&
-      j.get_f64("max_latency_ns", r.max_latency_ns) &&
-      j.get_f64("mean_latency_ns", r.mean_latency_ns) &&
-      j.get_f64("p99_latency_ns", r.p99_latency_ns) &&
-      j.get_f64("completion_ns", r.completion_ns) &&
-      j.get_uint("messages", r.messages) &&
-      j.get_f64("delivered", r.delivered) &&
-      j.get_uint("reroutes", r.reroutes) && j.get_uint("drops", r.drops) &&
-      j.get_f64("post_churn_p99_ns", r.post_churn_p99_ns) &&
-      j.get_uint("events", r.events) && j.get_uint("packets", r.packets);
-  if (!fields) return std::nullopt;
-  if (jsonl_row(r) != line + "\n") return std::nullopt;
-  return r;
+  return parse_row<SimResult>(line);
 }
 
 std::optional<BatchMeta> CampaignJournal::parse_meta(const std::string& line) {

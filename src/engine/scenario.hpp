@@ -17,10 +17,10 @@
 /// the sinks, BatchRunner, the journal and Campaign phases are templates
 /// (or one type-erased batch) over the scenario type, and
 /// ScenarioKind<Scen> (end of this file) holds the few things that
-/// really differ between the kinds.  Both row types serialize losslessly
-/// to CSV and JSONL rows (engine/sink.hpp); the JSONL form parses back
-/// bitwise (ScenarioKind::parse), which is what makes a `--json` stream
-/// a resume checkpoint.
+/// really differ between the kinds.  Each row type lists its CSV and
+/// JSONL columns once (for_each_field, below); the sinks' formatters and
+/// ScenarioKind::parse walk that list, and the JSONL form parses back
+/// bitwise, which is what makes a `--json` stream a resume checkpoint.
 
 #include <array>
 #include <cstdint>
@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "graph/failures.hpp"
 #include "layout/cabinets.hpp"
@@ -193,10 +194,85 @@ struct SimResult {
 };
 
 // ---------------------------------------------------------------------------
+// The serialized columns of each row type, in order: `f(name, field)` or
+// `f(name, field, Col::kCsvOnly)` once per column, R const or not, so the
+// journal parse writes through the walk the writers read.  Adding a
+// column is one line here plus a deliberate re-pin of the goldens; older
+// journals then stop replaying.  Result::placement and
+// SimResult::events_by_kind are not serialized.
+
+/// Where a column is written: CSV and JSONL, or CSV only.
+enum class Col { kAll, kCsvOnly };
+
+template <class R, class F>
+  requires std::is_same_v<std::remove_const_t<R>, Result>
+void for_each_field(R& r, F&& f) {
+  f("index", r.index);
+  f("topology", r.topology);
+  f("kind", r.kind);
+  f("ok", r.ok);
+  // JSONL carries the error of failed rows only (the parse has read `ok`
+  // by this line).
+  f("error", r.error, r.ok ? Col::kCsvOnly : Col::kAll);
+  f("vertices", r.vertices);
+  f("radix", r.radix);
+  f("connected", r.connected);
+  f("diameter", r.diameter);
+  f("mean_hops", r.mean_hops);
+  f("girth", r.girth);
+  f("bisection", r.bisection);
+  f("normalized_bisection", r.normalized_bisection);
+  f("lambda", r.lambda);
+  f("mu1", r.mu1);
+  f("ramanujan", r.ramanujan);
+  f("fiedler_bisection_lb", r.fiedler_bisection_lb);
+  // Five simulation columns no analytic kind fills, kept as constant
+  // zeros for the layout existing journals and scripts hold; the parse's
+  // round-trip seal refuses anything else there.
+  double zero = 0.0;
+  f("max_latency_ns", zero);
+  f("mean_latency_ns", zero);
+  f("p99_latency_ns", zero);
+  f("completion_ns", zero);
+  f("messages", zero);
+  f("mean_wire_m", r.mean_wire_m);
+  f("max_wire_m", r.max_wire_m);
+  f("wires_electrical", r.wires_electrical);
+  f("wires_optical", r.wires_optical);
+  f("power_watts", r.power_watts);
+  f("mw_per_gbps", r.mw_per_gbps);
+  // Thread-dependent, so not journaled: journals are --threads-invariant.
+  f("wall_ms", r.wall_ms, Col::kCsvOnly);
+}
+
+template <class R, class F>
+  requires std::is_same_v<std::remove_const_t<R>, SimResult>
+void for_each_field(R& r, F&& f) {
+  f("index", r.index);
+  f("topology", r.topology);
+  f("label", r.label);
+  f("ok", r.ok);
+  f("error", r.error, r.ok ? Col::kCsvOnly : Col::kAll);  // as for Result
+  f("diameter", r.diameter);
+  f("max_latency_ns", r.max_latency_ns);
+  f("mean_latency_ns", r.mean_latency_ns);
+  f("p99_latency_ns", r.p99_latency_ns);
+  f("completion_ns", r.completion_ns);
+  f("messages", r.messages);
+  f("delivered", r.delivered);
+  f("reroutes", r.reroutes);
+  f("drops", r.drops);
+  f("post_churn_p99_ns", r.post_churn_p99_ns);
+  f("events", r.events);
+  f("packets", r.packets);
+  f("wall_ms", r.wall_ms, Col::kCsvOnly);  // as for Result
+}
+
+// ---------------------------------------------------------------------------
 // What differs between the two kinds, and nothing else.  Engine::evaluate
-// and the row codecs (csv_row / jsonl_row, engine/sink.hpp) are
-// overloaded per kind; everything else the batch path needs from a kind
-// is here.
+// is overloaded per kind and the row codecs (engine/sink.hpp) walk
+// for_each_field; everything else the batch path needs from a kind is
+// here.
 
 struct BatchMeta;  // engine/sink.hpp
 struct RunTally;   // engine/campaign.hpp
@@ -208,7 +284,6 @@ struct ScenarioKind;
 template <>
 struct ScenarioKind<Scenario> {
   using Row = Result;
-  static const char* const kCsvHeader;  // engine/sink.cpp
   /// One journal row line.  nullopt unless re-serializing the parsed row
   /// reproduces `line` byte for byte (engine/journal.cpp).
   [[nodiscard]] static std::optional<Result> parse(const std::string& line);
@@ -231,7 +306,6 @@ struct ScenarioKind<Scenario> {
 template <>
 struct ScenarioKind<SimScenario> {
   using Row = SimResult;
-  static const char* const kCsvHeader;
   [[nodiscard]] static std::optional<SimResult> parse(const std::string& line);
   /// Replay match rule, beyond index and topology: the same label.
   [[nodiscard]] static bool matches(const SimResult& r, const SimScenario& s) {

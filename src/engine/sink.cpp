@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <type_traits>
 
 #include "util/json.hpp"
 
@@ -12,33 +13,15 @@ namespace sfly::engine {
 
 namespace {
 
-std::string fmt(double v) {
+std::string csv_f64(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
 }
 
-// JSON numbers print with enough digits to round-trip a double exactly,
-// so the JSONL stream can serve as a lossless result archive.
-std::string jnum(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-// Analytic rows keep five simulation columns (max/mean/p99 latency,
-// completion, messages) as constant zeros: no analytic kind fills them,
-// but the CSV and JSONL layouts that existing journals and scripts hold
-// stay byte-identical.  A journaled analytic row with anything else
-// there fails the round-trip seal (ScenarioKind<Scenario>::parse).
-constexpr const char* kZeroSimCsv = "0,0,0,0,0,";
-constexpr const char* kZeroSimJson =
-    ",\"max_latency_ns\":0,\"mean_latency_ns\":0,\"p99_latency_ns\":0"
-    ",\"completion_ns\":0,\"messages\":0";
-
 // Topology names legitimately contain commas ("LPS(3,5)"); quote them
 // and the free-text error/label fields per RFC 4180.
-std::string quoted(const std::string& s) {
+std::string csv_quote(const std::string& s) {
   std::string out = "\"";
   for (char c : s) {
     if (c == '"') out += '"';
@@ -46,6 +29,56 @@ std::string quoted(const std::string& s) {
   }
   out += '"';
   return out;
+}
+
+// One value: in CSV `%.6g` doubles, 1/0 bools and quoted strings; in
+// JSON json_f64 doubles (lossless, so a journal is a result archive and
+// a resume checkpoint), true/false and json_quote.
+template <class T>
+void put(std::string& out, const T& v, bool json) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out += json ? json_quote(v) : csv_quote(v);
+  } else if constexpr (std::is_same_v<T, Kind>) {
+    out += json ? json_quote(kind_name(v)) : kind_name(v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out += json ? (v ? "true" : "false") : (v ? "1" : "0");
+  } else if constexpr (std::is_same_v<T, double>) {
+    out += json ? json_f64(v) : csv_f64(v);
+  } else {
+    static_assert(std::is_unsigned_v<T>);
+    out += std::to_string(v);
+  }
+}
+
+// A row as one CSV line or, with `json`, one JSONL object line, which
+// leaves out the Col::kCsvOnly columns.
+template <class Row>
+std::string row_line(const Row& r, bool json) {
+  std::string out = json ? "{" : "";
+  for_each_field(r, [&](const char* name, const auto& v, Col c = Col::kAll) {
+    if (json && c == Col::kCsvOnly) return;
+    if (json) out.append("\"").append(name).append("\":");
+    put(out, v, json);
+    out += ',';
+  });
+  out.back() = json ? '}' : '\n';
+  if (json) out += '\n';
+  return out;
+}
+
+template <class Row>
+const std::string& csv_header() {
+  static const std::string header = [] {
+    std::string h;
+    const Row row{};
+    for_each_field(row, [&](const char* name, const auto&, Col = Col::kAll) {
+      h += name;
+      h += ',';
+    });
+    h.back() = '\n';
+    return h;
+  }();
+  return header;
 }
 
 [[noreturn]] void io_die(const char* what) {
@@ -74,91 +107,10 @@ void checked_close(std::FILE* f, const char* what) {
   if (std::fclose(f) != 0) io_die(what);
 }
 
-const char* const ScenarioKind<Scenario>::kCsvHeader =
-    "index,topology,kind,ok,error,vertices,radix,connected,diameter,"
-    "mean_hops,girth,bisection,normalized_bisection,lambda,mu1,"
-    "ramanujan,fiedler_bisection_lb,"
-    "max_latency_ns,mean_latency_ns,p99_latency_ns,completion_ns,"
-    "messages,"
-    "mean_wire_m,max_wire_m,wires_electrical,wires_optical,"
-    "power_watts,mw_per_gbps,wall_ms\n";
-
-const char* const ScenarioKind<SimScenario>::kCsvHeader =
-    "index,topology,label,ok,error,diameter,max_latency_ns,"
-    "mean_latency_ns,p99_latency_ns,completion_ns,messages,"
-    "delivered,reroutes,drops,post_churn_p99_ns,events,"
-    "packets,wall_ms\n";
-
-std::string csv_row(const Result& r) {
-  std::ostringstream out;
-  out << r.index << ',' << quoted(r.topology) << ',' << kind_name(r.kind) << ','
-      << (r.ok ? 1 : 0) << ',' << quoted(r.error) << ',' << r.vertices << ','
-      << r.radix << ',' << (r.connected ? 1 : 0) << ',' << fmt(r.diameter)
-      << ',' << fmt(r.mean_hops) << ',' << r.girth << ',' << fmt(r.bisection)
-      << ',' << fmt(r.normalized_bisection) << ',' << fmt(r.lambda) << ','
-      << fmt(r.mu1) << ',' << (r.ramanujan ? 1 : 0) << ','
-      << fmt(r.fiedler_bisection_lb) << ','
-      << kZeroSimCsv << fmt(r.mean_wire_m) << ',' << fmt(r.max_wire_m)
-      << ',' << r.wires_electrical << ',' << r.wires_optical << ','
-      << fmt(r.power_watts) << ',' << fmt(r.mw_per_gbps) << ','
-      << fmt(r.wall_ms) << '\n';
-  return out.str();
-}
-
-std::string csv_row(const SimResult& r) {
-  std::ostringstream out;
-  out << r.index << ',' << quoted(r.topology) << ',' << quoted(r.label) << ','
-      << (r.ok ? 1 : 0) << ',' << quoted(r.error) << ',' << fmt(r.diameter)
-      << ',' << fmt(r.max_latency_ns) << ',' << fmt(r.mean_latency_ns) << ','
-      << fmt(r.p99_latency_ns) << ',' << fmt(r.completion_ns) << ','
-      << r.messages << ',' << fmt(r.delivered) << ',' << r.reroutes << ','
-      << r.drops << ',' << fmt(r.post_churn_p99_ns) << ','
-      << r.events << ',' << r.packets << ',' << fmt(r.wall_ms) << '\n';
-  return out.str();
-}
-
-std::string jsonl_row(const Result& r) {
-  std::ostringstream out;
-  out << "{\"index\":" << r.index << ",\"topology\":" << json_quote(r.topology)
-      << ",\"kind\":\"" << kind_name(r.kind) << '"'
-      << ",\"ok\":" << (r.ok ? "true" : "false");
-  if (!r.ok) out << ",\"error\":" << json_quote(r.error);
-  out << ",\"vertices\":" << r.vertices << ",\"radix\":" << r.radix
-      << ",\"connected\":" << (r.connected ? "true" : "false")
-      << ",\"diameter\":" << jnum(r.diameter)
-      << ",\"mean_hops\":" << jnum(r.mean_hops) << ",\"girth\":" << r.girth
-      << ",\"bisection\":" << jnum(r.bisection)
-      << ",\"normalized_bisection\":" << jnum(r.normalized_bisection)
-      << ",\"lambda\":" << jnum(r.lambda) << ",\"mu1\":" << jnum(r.mu1)
-      << ",\"ramanujan\":" << (r.ramanujan ? "true" : "false")
-      << ",\"fiedler_bisection_lb\":" << jnum(r.fiedler_bisection_lb)
-      << kZeroSimJson << ",\"mean_wire_m\":" << jnum(r.mean_wire_m)
-      << ",\"max_wire_m\":" << jnum(r.max_wire_m)
-      << ",\"wires_electrical\":" << r.wires_electrical
-      << ",\"wires_optical\":" << r.wires_optical
-      << ",\"power_watts\":" << jnum(r.power_watts)
-      << ",\"mw_per_gbps\":" << jnum(r.mw_per_gbps) << "}\n";
-  return out.str();
-}
-
-std::string jsonl_row(const SimResult& r) {
-  std::ostringstream out;
-  out << "{\"index\":" << r.index << ",\"topology\":" << json_quote(r.topology)
-      << ",\"label\":" << json_quote(r.label)
-      << ",\"ok\":" << (r.ok ? "true" : "false");
-  if (!r.ok) out << ",\"error\":" << json_quote(r.error);
-  out << ",\"diameter\":" << jnum(r.diameter)
-      << ",\"max_latency_ns\":" << jnum(r.max_latency_ns)
-      << ",\"mean_latency_ns\":" << jnum(r.mean_latency_ns)
-      << ",\"p99_latency_ns\":" << jnum(r.p99_latency_ns)
-      << ",\"completion_ns\":" << jnum(r.completion_ns)
-      << ",\"messages\":" << r.messages
-      << ",\"delivered\":" << jnum(r.delivered)
-      << ",\"reroutes\":" << r.reroutes << ",\"drops\":" << r.drops
-      << ",\"post_churn_p99_ns\":" << jnum(r.post_churn_p99_ns)
-      << ",\"events\":" << r.events << ",\"packets\":" << r.packets << "}\n";
-  return out.str();
-}
+std::string csv_row(const Result& r) { return row_line(r, false); }
+std::string csv_row(const SimResult& r) { return row_line(r, false); }
+std::string jsonl_row(const Result& r) { return row_line(r, true); }
+std::string jsonl_row(const SimResult& r) { return row_line(r, true); }
 
 std::string jsonl_meta(const BatchMeta& m) {
   std::ostringstream out;
@@ -177,19 +129,19 @@ std::string jsonl_meta(const BatchMeta& m) {
 
 // --- CsvSink ---------------------------------------------------------------
 
-void CsvSink::write_row(const char* header, const std::string& row) {
-  if (header_ != header) {
+void CsvSink::write_row(const std::string& header, const std::string& row) {
+  if (header_ != &header) {
     checked_write(out_, "CSV output", header);
-    header_ = header;
+    header_ = &header;
   }
   checked_write(out_, "CSV output", row);
 }
 
 void CsvSink::consume(const Result& r) {
-  write_row(ScenarioKind<Scenario>::kCsvHeader, csv_row(r));
+  write_row(csv_header<Result>(), csv_row(r));
 }
 void CsvSink::consume(const SimResult& r) {
-  write_row(ScenarioKind<SimScenario>::kCsvHeader, csv_row(r));
+  write_row(csv_header<SimResult>(), csv_row(r));
 }
 void CsvSink::end() { checked_flush(out_, "CSV output"); }
 

@@ -12,11 +12,9 @@
 ///
 /// Sinks are the one place the batch path is polymorphic over the row
 /// type at run time: ResultSink has one consume() per kind, and a sink
-/// class overrides the kinds it handles.  The two row flavors keep one
-/// fixed column layout each.  Analytic (Result) rows carry five
-/// simulation columns — max/mean/p99 latency, completion, messages — as
-/// constant zeros, so their CSV and JSONL bytes stay compatible with
-/// existing journals and scripts.
+/// class overrides the kinds it handles.  Each row type's columns are
+/// the for_each_field list in engine/scenario.hpp; the header and row
+/// formatters below walk it and hold no per-column code.
 
 #include <cstdint>
 #include <cstdio>
@@ -93,12 +91,11 @@ void checked_close(std::FILE* f, const char* what);
 // ---------------------------------------------------------------------------
 // Row formatting shared by the sinks.
 
-// The CSV header of each row type is ScenarioKind<Scen>::kCsvHeader.
+/// One CSV line per result, `%.6g` doubles.
 [[nodiscard]] std::string csv_row(const Result& r);
 [[nodiscard]] std::string csv_row(const SimResult& r);
-/// One JSON object per result.  wall_ms is deliberately excluded so the
-/// stream is byte-identical at any thread count (CI diffs it at 1 vs 4).
-/// Analytic rows write the simulation columns as literal zeros.
+/// One JSON object per result, `%.17g` doubles.  wall_ms (Col::kCsvOnly)
+/// is excluded so the stream is byte-identical at any thread count.
 [[nodiscard]] std::string jsonl_row(const Result& r);
 [[nodiscard]] std::string jsonl_row(const SimResult& r);
 /// The batch header line: `{"batch":...,"campaign":...,"scenarios":N}`,
@@ -138,9 +135,9 @@ class CsvSink final : public ResultSink {
   void end() override;
 
  private:
-  void write_row(const char* header, const std::string& row);
+  void write_row(const std::string& header, const std::string& row);
   std::FILE* out_;
-  const char* header_ = nullptr;  // the header of the row type last written
+  const std::string* header_ = nullptr;  // of the row type last written
 };
 
 /// Streams one JSON object per line per result (wall_ms excluded, so the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "engine/sink.hpp"
@@ -19,14 +18,6 @@
 namespace sfly::service {
 
 namespace {
-
-// Shortest-exact double: %.17g round-trips every value; responses must be
-// byte-stable across runs and thread counts, not pretty.
-std::string fmt17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 routing::Algo parse_algo(const std::string& name) {
   using routing::Algo;
@@ -351,11 +342,11 @@ std::string QueryEngine::handle_rank(const JsonObject& q, std::uint64_t id) {
            ",\"radix\":" + std::to_string(e.radix) +
            ",\"endpoints\":" +
            std::to_string(static_cast<std::uint64_t>(e.vertices) * e.concentration) +
-           ",\"diameter\":" + fmt17(e.diameter) +
-           ",\"mean_hops\":" + fmt17(e.mean_hops) + ",\"mu1\":" + fmt17(e.mu1) +
-           ",\"lambda\":" + fmt17(e.lambda) +
+           ",\"diameter\":" + json_f64(e.diameter) +
+           ",\"mean_hops\":" + json_f64(e.mean_hops) + ",\"mu1\":" + json_f64(e.mu1) +
+           ",\"lambda\":" + json_f64(e.lambda) +
            ",\"ramanujan\":" + (e.ramanujan ? "true" : "false") +
-           ",\"fiedler_bisection_lb\":" + fmt17(e.fiedler_lb) +
+           ",\"fiedler_bisection_lb\":" + json_f64(e.fiedler_lb) +
            ",\"fits\":" + (e.fits ? "true" : "false") + "}";
   }
   out += "]}";

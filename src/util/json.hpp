@@ -8,8 +8,8 @@
 // unsigned integers or strings, and containers nested at most two deep
 // (the sim response's embedded row, the rank response's array of rows).
 // JsonObject is the only scanner and unescaper, json_quote the only
-// escaper; both are header-only so every consumer parses and writes the
-// same bytes.  No streaming: a malformed object scans to false and the
+// escaper, json_f64 the only double writer; all are header-only so every
+// consumer parses and writes the same bytes.  No streaming: a malformed object scans to false and the
 // caller rejects it rather than guessing.
 
 #include <cstdint>
@@ -282,6 +282,14 @@ inline std::string json_quote(const std::string& s) {
   }
   out += '"';
   return out;
+}
+
+/// `v` as a JSON number that parses back to the same double (`%.17g`):
+/// journal rows and sflyd answers are built from this, a pinned format.
+inline std::string json_f64(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
 }
 
 }  // namespace sfly

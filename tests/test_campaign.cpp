@@ -342,24 +342,126 @@ TEST(JsonlSink, ByteIdenticalAcrossThreadCountsAndRoundTrips) {
   }
 }
 
-TEST(CsvSink, SimResultFilePathMatchesStringPath) {
-  auto batch = small_sim_batch();
+// CSV byte pins: the headers and one row of each kind, as every CSV so
+// far was written.  `%.6g` doubles, 1/0 bools, RFC-4180-quoted strings.
+const char* const kAnalyticCsvHeader =
+    "index,topology,kind,ok,error,vertices,radix,connected,diameter,"
+    "mean_hops,girth,bisection,normalized_bisection,lambda,mu1,ramanujan,"
+    "fiedler_bisection_lb,max_latency_ns,mean_latency_ns,p99_latency_ns,"
+    "completion_ns,messages,mean_wire_m,max_wire_m,wires_electrical,"
+    "wires_optical,power_watts,mw_per_gbps,wall_ms\n";
+const char* const kSimCsvHeader =
+    "index,topology,label,ok,error,diameter,max_latency_ns,mean_latency_ns,"
+    "p99_latency_ns,completion_ns,messages,delivered,reroutes,drops,"
+    "post_churn_p99_ns,events,packets,wall_ms\n";
+
+// Everything `feed` makes a CsvSink write, read back from a temp file.
+template <class Feed>
+std::string csv_sink_bytes(Feed feed) {
   std::FILE* f = std::tmpfile();
-  ASSERT_NE(f, nullptr);
+  if (!f) return "<tmpfile failed>";
   CsvSink csv(f);
-  std::vector<SimResult> results;
-  CollectSink collect(&results);
-  engine_with(2)->run_sims_stream(batch, {&csv, &collect});
+  feed(csv);
+  csv.end();
   std::fseek(f, 0, SEEK_SET);
   std::string text;
   char buf[4096];
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
   std::fclose(f);
-  std::string expect = ScenarioKind<SimScenario>::kCsvHeader;
+  return text;
+}
+
+TEST(CsvSink, SimResultFilePathMatchesStringPath) {
+  auto batch = small_sim_batch();
+  std::vector<SimResult> results;
+  CollectSink collect(&results);
+  const std::string text = csv_sink_bytes([&](CsvSink& csv) {
+    engine_with(2)->run_sims_stream(batch, {&csv, &collect});
+  });
+  std::string expect = kSimCsvHeader;
   for (const auto& r : results) expect += csv_row(r);
   EXPECT_EQ(text, expect);
   EXPECT_EQ(text.rfind("index,topology,label", 0), 0u);
+}
+
+Result pinned_analytic_row() {
+  Result r;
+  r.index = 7;
+  r.topology = "LPS(3,5)";
+  r.kind = Kind::kSpectral;
+  r.ok = false;
+  r.error = "bad \"cut\"";
+  r.vertices = 120;
+  r.radix = 4;
+  r.connected = true;
+  r.diameter = 4;
+  r.mean_hops = 2.718281828459045;
+  r.normalized_bisection = 0.1234567;
+  r.lambda = 3.4641016151377544;
+  r.mu1 = 0.5358983848622456;
+  r.ramanujan = true;
+  r.fiedler_bisection_lb = 1e-7;
+  r.mean_wire_m = 7.25;
+  r.max_wire_m = 31.0000004;
+  r.wires_electrical = 12;
+  r.wires_optical = 5000000000ull;
+  r.power_watts = 1234567.0;
+  r.wall_ms = 12.3456789;
+  return r;
+}
+
+SimResult pinned_sim_row() {
+  SimResult s;
+  s.index = 3;
+  s.topology = "SlimFly(5,1)";
+  s.label = "ugal-l/random";
+  s.ok = false;
+  s.error = "sim \"x\" failed";
+  s.diameter = 2;
+  s.max_latency_ns = 1234.56789;
+  s.mean_latency_ns = 1000;
+  s.p99_latency_ns = 2e-7;
+  s.completion_ns = 123456789.0;
+  s.messages = 64;
+  s.delivered = 0.99609375;
+  s.reroutes = 5;
+  s.drops = 1;
+  s.events = 6000000000ull;
+  s.packets = 4294967296ull;
+  s.wall_ms = 0.5;
+  return s;
+}
+
+const char* const kPinnedAnalyticCsvRow =
+    "7,\"LPS(3,5)\",spectral,0,\"bad \"\"cut\"\"\",120,4,1,4,2.71828,0,0,"
+    "0.123457,3.4641,0.535898,1,1e-07,0,0,0,0,0,7.25,31,12,5000000000,"
+    "1.23457e+06,0,12.3457\n";
+const char* const kPinnedSimCsvRow =
+    "3,\"SlimFly(5,1)\",\"ugal-l/random\",0,\"sim \"\"x\"\" failed\",2,"
+    "1234.57,1000,2e-07,1.23457e+08,64,0.996094,5,1,0,6000000000,"
+    "4294967296,0.5\n";
+
+TEST(CsvSink, HeadersAndRowsArePinned) {
+  EXPECT_EQ(csv_row(pinned_analytic_row()), kPinnedAnalyticCsvRow);
+  EXPECT_EQ(csv_row(pinned_sim_row()), kPinnedSimCsvRow);
+  EXPECT_EQ(csv_sink_bytes([](CsvSink& c) { c.consume(pinned_analytic_row()); }),
+            std::string(kAnalyticCsvHeader) + kPinnedAnalyticCsvRow);
+  EXPECT_EQ(csv_sink_bytes([](CsvSink& c) { c.consume(pinned_sim_row()); }),
+            std::string(kSimCsvHeader) + kPinnedSimCsvRow);
+}
+
+TEST(CsvSink, HeaderIsReEmittedWhenTheRowTypeSwitches) {
+  const Result a = pinned_analytic_row();
+  const SimResult s = pinned_sim_row();
+  const std::string text = csv_sink_bytes([&](CsvSink& c) {
+    c.consume(a);
+    c.consume(a);
+    c.consume(s);
+    c.consume(a);
+  });
+  const std::string ha = kAnalyticCsvHeader, ra = kPinnedAnalyticCsvRow;
+  EXPECT_EQ(text, ha + ra + ra + kSimCsvHeader + kPinnedSimCsvRow + ha + ra);
 }
 
 // ---------------------------------------------------------------------

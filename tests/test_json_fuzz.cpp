@@ -445,10 +445,27 @@ TEST(JsonCodec, EveryByteRoundTripsThroughQuoteAndUnescape) {
   EXPECT_EQ(back, all);
 }
 
+// Journal rows as every journal so far was written, one per kind (no
+// terminator): named escapes for " \ \n \t \r, lowercase \u00xx for the
+// other control bytes.  Journal bytes are the resume/merge spec.
+const char* const kPinnedSimRow =
+    R"json({"index":3,"topology":"LPS(3,5)","label":"a\u0001\"q\"\\z\u001f\n",)json"
+    R"json("ok":false,"error":"a\u0001\"q\"\\z\u001f\n","diameter":2,)json"
+    R"json("max_latency_ns":0,"mean_latency_ns":0,"p99_latency_ns":0,)json"
+    R"json("completion_ns":0,"messages":7,"delivered":1,"reroutes":0,)json"
+    R"json("drops":0,"post_churn_p99_ns":0,"events":0,"packets":0})json";
+const char* const kPinnedAnalyticRow =
+    R"json({"index":4,"topology":"a\u0001\"q\"\\z\u001f\n","kind":"structure",)json"
+    R"json("ok":false,"error":"a\u0001\"q\"\\z\u001f\n","vertices":0,)json"
+    R"json("radix":0,"connected":true,"diameter":0,"mean_hops":0,"girth":0,)json"
+    R"json("bisection":0,"normalized_bisection":0,"lambda":0,"mu1":0,)json"
+    R"json("ramanujan":false,"fiedler_bisection_lb":0,"max_latency_ns":0,)json"
+    R"json("mean_latency_ns":0,"p99_latency_ns":0,"completion_ns":0,)json"
+    R"json("messages":0,"mean_wire_m":0,"max_wire_m":0,)json"
+    R"json("wires_electrical":0,"wires_optical":0,"power_watts":0,)json"
+    R"json("mw_per_gbps":0})json";
+
 TEST(JsonCodec, JournalEscapesArePinned) {
-  // Literals captured from the escaper every journal so far was written
-  // with: named escapes for " \ \n \t \r, lowercase \u00xx for the other
-  // control bytes.  Journal bytes are the resume/merge spec.
   const std::string odd = std::string("a\x01") + "\"q\"\\z\x1f\n";
   engine::SimResult s;
   s.index = 3;
@@ -458,30 +475,14 @@ TEST(JsonCodec, JournalEscapesArePinned) {
   s.error = odd;
   s.diameter = 2;
   s.messages = 7;
-  EXPECT_EQ(engine::jsonl_row(s),
-            R"json({"index":3,"topology":"LPS(3,5)","label":"a\u0001\"q\"\\z\u001f\n",)json"
-            R"json("ok":false,"error":"a\u0001\"q\"\\z\u001f\n","diameter":2,)json"
-            R"json("max_latency_ns":0,"mean_latency_ns":0,"p99_latency_ns":0,)json"
-            R"json("completion_ns":0,"messages":7,"delivered":1,"reroutes":0,)json"
-            R"json("drops":0,"post_churn_p99_ns":0,"events":0,"packets":0})json"
-            "\n");
+  EXPECT_EQ(engine::jsonl_row(s), std::string(kPinnedSimRow) + "\n");
   engine::Result r;
   r.index = 4;
   r.topology = odd;
   r.ok = false;
   r.error = odd;
   r.kind = engine::Kind::kStructure;
-  EXPECT_EQ(engine::jsonl_row(r),
-            R"json({"index":4,"topology":"a\u0001\"q\"\\z\u001f\n","kind":"structure",)json"
-            R"json("ok":false,"error":"a\u0001\"q\"\\z\u001f\n","vertices":0,)json"
-            R"json("radix":0,"connected":true,"diameter":0,"mean_hops":0,"girth":0,)json"
-            R"json("bisection":0,"normalized_bisection":0,"lambda":0,"mu1":0,)json"
-            R"json("ramanujan":false,"fiedler_bisection_lb":0,"max_latency_ns":0,)json"
-            R"json("mean_latency_ns":0,"p99_latency_ns":0,"completion_ns":0,)json"
-            R"json("messages":0,"mean_wire_m":0,"max_wire_m":0,)json"
-            R"json("wires_electrical":0,"wires_optical":0,"power_watts":0,)json"
-            R"json("mw_per_gbps":0})json"
-            "\n");
+  EXPECT_EQ(engine::jsonl_row(r), std::string(kPinnedAnalyticRow) + "\n");
   engine::BatchMeta m;
   m.batch = odd;
   m.campaign = "c";
@@ -494,6 +495,66 @@ TEST(JsonCodec, JournalEscapesArePinned) {
             R"json({"batch":"a\u0001\"q\"\\z\u001f\n","campaign":"c","scenarios":5,)json"
             R"json("shard":[1,2],"rows":2,"decl":"0000000000001234"})json"
             "\n");
+}
+
+// The top-level `"key":value` members of a flat JSON object line, split
+// at the commas outside strings.
+std::vector<std::string> members(const std::string& line) {
+  std::vector<std::string> out(1);
+  bool in_string = false;
+  for (std::size_t i = 1; i + 1 < line.size(); ++i) {
+    const char c = line[i];
+    if (!in_string && c == ',') {
+      out.emplace_back();
+      continue;
+    }
+    out.back() += c;
+    if (in_string && c == '\\') {
+      out.back() += line[++i];
+    } else if (c == '"') {
+      in_string = !in_string;
+    }
+  }
+  return out;
+}
+
+std::string object(const std::vector<std::string>& m) {
+  std::string out = "{";
+  for (std::size_t i = 0; i < m.size(); ++i) out += (i ? "," : "") + m[i];
+  return out + "}";
+}
+
+TEST(JsonCodec, JournalRowParsersRefuseEveryDroppedDuplicatedOrSwappedKey) {
+  using Analytic = engine::ScenarioKind<engine::Scenario>;
+  using Sim = engine::ScenarioKind<engine::SimScenario>;
+  auto check = [](const char* row, auto parse, std::size_t columns) {
+    const std::vector<std::string> m = members(row);
+    ASSERT_EQ(m.size(), columns);
+    ASSERT_EQ(object(m), row);
+    ASSERT_TRUE(parse(row));
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      auto dropped = m;
+      dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(i));
+      EXPECT_FALSE(parse(object(dropped))) << "dropped " << m[i];
+      auto duplicated = m;
+      duplicated.insert(duplicated.begin() + static_cast<std::ptrdiff_t>(i),
+                        m[i]);
+      EXPECT_FALSE(parse(object(duplicated))) << "duplicated " << m[i];
+      if (i + 1 < m.size()) {
+        auto swapped = m;
+        std::swap(swapped[i], swapped[i + 1]);
+        EXPECT_FALSE(parse(object(swapped)))
+            << "swapped " << m[i] << " and " << m[i + 1];
+      }
+    }
+  };
+  // Every column but wall_ms; both rows are failed ones, so they carry
+  // "error".
+  check(kPinnedAnalyticRow,
+        [](const std::string& l) { return Analytic::parse(l).has_value(); },
+        28);
+  check(kPinnedSimRow,
+        [](const std::string& l) { return Sim::parse(l).has_value(); }, 17);
 }
 
 TEST(JsonCodec, ServiceAnswersEscapeControlBytes) {

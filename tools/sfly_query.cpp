@@ -33,6 +33,7 @@
 
 namespace {
 
+using sfly::json_f64;
 using sfly::json_quote;
 
 // Build the request object from the parsed flags.  Only flags that are
@@ -50,11 +51,8 @@ std::string build_request(const std::string& kind, const sfly::bench::Flags& f) 
       req += ",\"" + std::string(key) + "\":" + std::to_string(f.get(flag, 0));
   };
   auto add_f64 = [&](const char* flag, const char* key) {
-    if (f.has(flag)) {
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.17g", f.get_f64(flag, 0.0));
-      req += ",\"" + std::string(key) + "\":" + buf;
-    }
+    if (f.has(flag))
+      req += ",\"" + std::string(key) + "\":" + json_f64(f.get_f64(flag, 0.0));
   };
   add_str("--topo", "topo");
   add_u64("--src", "src");
