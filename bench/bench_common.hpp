@@ -99,9 +99,10 @@ struct PhaseStat {
 /// pre-build and evaluation time, the simulator work this run evaluated
 /// (journal-replayed rows excluded) with its events/sec and messages/sec,
 /// the events split by kind, each registered topology's artifact
-/// footprint in `cache`, and one entry per phase.  Used by
-/// `--phase-json`; committed as BENCH_full.json for the paper-scale
-/// `--full` runs, and CI's perf smoke reads its `messages_per_sec`.
+/// footprint in `cache`, the process's peak RSS so far, and one entry
+/// per phase.  Used by `--phase-json`; committed as BENCH_full.json for
+/// the paper-scale `--full` runs, and CI's perf smoke reads its
+/// `messages_per_sec`.
 /// Under `--workers` the parent evaluates nothing itself: its `eval_s`
 /// includes spawning and feeding the fleet, so a fleet's rate is not
 /// comparable with a single-process one, its per-kind counts are zero,
@@ -185,8 +186,9 @@ inline void write_phase_record(const std::string& path,
                  fp.tables_bytes, fp.next_hops_bytes, fp.spectra_bytes,
                  fp.cells_bytes, fp.total());
   }
-  std::fprintf(f, "%s],\n  \"artifact_bytes\": %zu,\n  \"phases\": [",
-               names.empty() ? "" : "\n  ", artifact_bytes);
+  std::fprintf(f, "%s],\n  \"artifact_bytes\": %zu,\n  \"peak_rss_mb\": %.1f,\n"
+                  "  \"phases\": [",
+               names.empty() ? "" : "\n  ", artifact_bytes, peak_rss_mb());
   for (std::size_t i = 0; i < phases.size(); ++i)
     std::fprintf(f, "%s\n    {\"name\": \"%s\", \"scenarios\": %zu, "
                     "\"eval_s\": %.3f}",

@@ -23,8 +23,6 @@
 // step closer by the row, so the walk reaches the destination in exactly
 // distance(src) hops.
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -49,13 +47,6 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-// The process's peak resident set so far (getrusage reports KiB).
-double peak_rss_mb() {
-  struct rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
 struct ScaleRow {
@@ -138,7 +129,7 @@ ScaleRow run_one(const std::string& name, const Graph& g, double graph_s,
       hops_total ? hop_s * 1e9 / static_cast<double>(hops_total) : 0;
   row.walk_hops_mean =
       walks ? static_cast<double>(hops_total) / static_cast<double>(walks) : 0;
-  row.peak_rss_mb = peak_rss_mb();
+  row.peak_rss_mb = bench::peak_rss_mb();
   return row;
 }
 

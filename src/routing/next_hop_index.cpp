@@ -13,6 +13,13 @@ namespace sfly::routing {
 namespace {
 std::atomic<std::uint64_t> g_index_builds{0};
 
+std::size_t max_degree(const Graph& g) {
+  std::size_t d = 0;
+  for (Vertex u = 0; u < g.num_vertices(); ++u)
+    d = std::max<std::size_t>(d, g.degree(u));
+  return d;
+}
+
 constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
 
 // Bytes p[0, len) as a word, byte i in bits [8i, 8i + 8) (len <= 8).
@@ -33,12 +40,14 @@ std::uint64_t zero_bytes(std::uint64_t x) {
 }
 
 // Sources [lo, hi): for each block of 64 destinations and each slot s of
-// u, ORs bit s into the (zeroed) mask row of every destination v of the
-// block that s matches.  Slot w matches v iff dist[w][v] == want[v] =
-// dist[u][v] - 1 and bit v of `valid` (dist[u][v] != 0, v != u; clear
-// past n, where the tail's zero padding compares equal) is set.
+// u, ORs bit s into the (zeroed) mask of every destination v of the block
+// that s matches: bit s % 8 of the mask's byte s / 8, so each store stays
+// inside source u's own run of n * pair_bytes bytes.  Slot w matches v
+// iff dist[w][v] == want[v] = dist[u][v] - 1 and bit v of `valid`
+// (dist[u][v] != 0, v != u; clear past n, where the tail's zero padding
+// compares equal) is set.
 void fill_masks(const Graph& g, const std::uint8_t* dist, std::size_t lo,
-                std::size_t hi, std::size_t words, std::uint64_t* masks) {
+                std::size_t hi, std::size_t pair_bytes, std::uint8_t* masks) {
   const std::size_t n = g.num_vertices();
   const std::size_t blocks = (n + 63) / 64;
   std::vector<std::uint8_t> want_buf(n);
@@ -55,7 +64,7 @@ void fill_masks(const Graph& g, const std::uint8_t* dist, std::size_t lo,
     const auto nb = g.neighbors(static_cast<Vertex>(u));
     for (std::size_t base = 0; base < n; base += 64) {
       const std::size_t len = std::min<std::size_t>(64, n - base);
-      std::uint64_t* const rows = masks + (u * n + base) * words;
+      std::uint8_t* const rows = masks + (u * n + base) * pair_bytes;
       for (std::size_t s = 0; s < nb.size(); ++s) {
         const std::uint8_t* dw = dist + static_cast<std::size_t>(nb[s]) * n + base;
         std::uint64_t m = 0;
@@ -65,10 +74,10 @@ void fill_masks(const Graph& g, const std::uint8_t* dist, std::size_t lo,
         if (j < len)
           m |= zero_bytes(load_bytes(dw + j, len - j) ^
                           load_bytes(want + base + j, len - j)) << j;
-        const std::uint64_t bit = std::uint64_t{1} << (s % 64);
-        std::uint64_t* const word = rows + s / 64;
+        const auto bit = static_cast<std::uint8_t>(1u << (s % 8));
+        std::uint8_t* const byte = rows + s / 8;
         for (m &= valid[base / 64]; m != 0; m &= m - 1)
-          word[static_cast<std::size_t>(std::countr_zero(m)) * words] |= bit;
+          byte[static_cast<std::size_t>(std::countr_zero(m)) * pair_bytes] |= bit;
       }
     }
   }
@@ -78,10 +87,12 @@ void fill_masks(const Graph& g, const std::uint8_t* dist, std::size_t lo,
 std::uint64_t NextHopIndex::builds() { return g_index_builds.load(); }
 
 std::size_t NextHopIndex::words_for(const Graph& g) {
-  std::size_t max_degree = 0;
-  for (Vertex u = 0; u < g.num_vertices(); ++u)
-    max_degree = std::max<std::size_t>(max_degree, g.degree(u));
-  return std::max<std::size_t>(1, (max_degree + 63) / 64);
+  return std::max<std::size_t>(1, (max_degree(g) + 63) / 64);
+}
+
+std::size_t NextHopIndex::pair_bytes_for(const Graph& g) {
+  const std::size_t d = max_degree(g);
+  return d <= 64 ? std::max<std::size_t>(1, (d + 7) / 8) : 8 * words_for(g);
 }
 
 NextHopIndex NextHopIndex::build(const Graph& g, const Tables& tables,
@@ -98,14 +109,18 @@ NextHopIndex NextHopIndex::build(const Graph& g, const Tables& tables,
   NextHopIndex idx;
   idx.n_ = n;
   idx.words_ = words_for(g);
+  idx.pair_bytes_ = pair_bytes_for(g);
+  idx.keep_ = idx.pair_bytes_ >= 8 ? ~std::uint64_t{0}
+                                   : (std::uint64_t{1} << (8 * idx.pair_bytes_)) - 1;
   idx.graph_ = g;
-  std::vector<std::uint64_t> masks(static_cast<std::size_t>(n) * n * idx.words_);
+  std::vector<std::uint8_t> masks(static_cast<std::size_t>(n) * n * idx.pair_bytes_ +
+                                  kPadding);
 
   // The fill takes raw pointers as plain arguments: reached through a
   // closure, they would be reloaded after every store.
   const std::uint8_t* dist = tables.raw_distances().data();
   TaskPool::parallel_for(pool, n, 8, [&](std::size_t lo, std::size_t hi) {
-    fill_masks(g, dist, lo, hi, idx.words_, masks.data());
+    fill_masks(g, dist, lo, hi, idx.pair_bytes_, masks.data());
   });
   idx.masks_ = std::move(masks);
   return idx;

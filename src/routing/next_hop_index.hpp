@@ -5,20 +5,27 @@
 // and testing dist(w,v)+1 == dist(u,v) per neighbor — O(radix) distance-
 // matrix probes per hop, which is where the simulator's event loop spends
 // its time.  NextHopIndex computes every (router, dst-router) pair's set at
-// build time and stores it as one slot mask per ordered pair: W =
-// max(1, ceil(max_degree / 64)) 64-bit words, bit s set iff neighbor slot
-// s of u (position s in u's adjacency list) is a minimal next hop toward
-// v.  Row (u, u) is empty.  The index keeps a copy of the graph (a view
-// stays a view) to map a slot back to its neighbor vertex.  A routing
-// query is one row lookup, a popcount and an `entropy % count` select —
-// no scan, no search, no allocation — and the simulator maps slot ->
-// output port as net_port_base[u] + slot without the per-hop lower_bound
-// that port_toward used to do.  Memory is n^2 * W words however many
-// hops a pair has, so path-diverse LPS graphs cost what DragonFly does.
+// build time and stores it as one slot mask per ordered pair: bit s set
+// iff neighbor slot s of u (position s in u's adjacency list) is a
+// minimal next hop toward v.  Mask (u, u) is empty.  The index keeps a
+// copy of the graph (a view stays a view) to map a slot back to its
+// neighbor vertex.  A routing query is one mask lookup, a popcount and an
+// `entropy % count` select — no scan, no search, no allocation — and the
+// simulator maps slot -> output port as net_port_base[u] + slot without
+// the per-hop lower_bound that port_toward used to do.
 //
-// There is one select and one slot iteration, each over the row with a
+// Memory is n^2 * B bytes plus 7 bytes of padding, however many hops a
+// pair has, so path-diverse LPS graphs cost what DragonFly does.  B =
+// ceil(max_degree / 8) up to degree 64 (3 bytes per pair at radix 24),
+// and 8 * W above it, where W = ceil(max_degree / 64) is the mask's
+// 64-bit word count.  A mask is read one word at a time with an unaligned
+// 8-byte load masked to its B bytes (the padding keeps the last pair's
+// load inside the array), so every query sees the same W-word mask a
+// word-per-pair layout held.
+//
+// There is one select and one slot iteration, each over the mask with a
 // caller's *down row* (W words, bit s = slot s of u is down) masked out:
-// select(u, v, e, down) is the (e % live)-th set bit of row & ~down, or
+// select(u, v, e, down) is the (e % live)-th set bit of mask & ~down, or
 // kNoSlot when none is live.  The simulator passes its per-router
 // down-slot row, zero while every port is up; pick(u, v, e) is select
 // with kNoneDown.
@@ -28,7 +35,9 @@
 // bit-parallel BFS sweep as hop_histogram).  For each source u, each block
 // of 64 destinations and each slot s, an 8-byte SWAR compare of
 // dist[nb[s]] against dist[u] - 1 yields a 64-bit match mask over the
-// block, and bit s is ORed into each matching destination's row.
+// block, and bit s is ORed into byte s / 8 of each matching destination's
+// mask.  A source's masks are one contiguous run of the array, so the
+// parallel build's chunks never store into each other's bytes.
 //
 // Set bits in slot order are the adjacency scan order, so pick(u, v, e)
 // — the (e % popcount)-th set bit — returns the same hop as
@@ -40,6 +49,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -104,6 +114,9 @@ class NextHopIndex {
 
   /// Mask words per router pair: max(1, ceil(max_degree / 64)).
   [[nodiscard]] static std::size_t words_for(const Graph& g);
+  /// Mask bytes per router pair: max(1, ceil(max_degree / 8)) up to
+  /// degree 64, 8 * words_for(g) above it.
+  [[nodiscard]] static std::size_t pair_bytes_for(const Graph& g);
 
   /// Process-wide count of build() calls (sflyd's stats: one per exact
   /// topology, built at startup, warm or cold).
@@ -111,15 +124,19 @@ class NextHopIndex {
 
   [[nodiscard]] Vertex num_vertices() const { return n_; }
   [[nodiscard]] std::size_t words() const { return words_; }
+  [[nodiscard]] std::size_t pair_bytes() const { return pair_bytes_; }
 
-  /// The raw n*n*words() mask array (row-major by (u, v); read-only).
-  [[nodiscard]] std::span<const std::uint64_t> raw_masks() const {
-    return {masks_.data(), masks_.size()};
+  /// The raw n*n*pair_bytes() mask bytes (row-major by (u, v), bit s of
+  /// a mask in bit s % 8 of its byte s / 8; read-only, padding excluded).
+  [[nodiscard]] std::span<const std::uint8_t> raw_masks() const {
+    return {masks_.data(), masks_.size() - kPadding};
   }
   [[nodiscard]] std::size_t memory_bytes() const {
-    return masks_.size() * sizeof(std::uint64_t) + graph_.memory_bytes();
+    return masks_.size() + graph_.memory_bytes();
   }
 
+  /// Bytes past the last mask, so its 8-byte load stays in the array.
+  static constexpr std::size_t kPadding = 7;
   /// select's answer when no minimal next hop is live.
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFF;
   /// Mask words of a radix-65536 router, the most an index holds.
@@ -128,13 +145,13 @@ class NextHopIndex {
   static constexpr std::array<std::uint64_t, kMaxWords> kNoneDown{};
 
   /// Calls f(slot) for each live minimal next-hop slot of (u, v) in
-  /// adjacency order: the set bits of row(u, v) & ~down, where `down`
+  /// adjacency order: the set bits of mask(u, v) & ~down, where `down`
   /// holds words() words and bit s marks slot s of u down.
   template <class F>
   void for_each_slot(Vertex u, Vertex v, const std::uint64_t* down, F&& f) const {
-    const std::uint64_t* m = row(u, v);
+    const std::uint8_t* m = mask(u, v);
     for (std::size_t w = 0; w < words_; ++w)
-      for (std::uint64_t b = m[w] & ~down[w]; b != 0; b &= b - 1)
+      for (std::uint64_t b = word(m, w) & ~down[w]; b != 0; b &= b - 1)
         f(static_cast<std::uint16_t>(w * 64 + std::countr_zero(b)));
   }
 
@@ -142,21 +159,22 @@ class NextHopIndex {
   /// slots as in for_each_slot; kNoSlot when none is live.
   [[nodiscard]] std::uint32_t select(Vertex u, Vertex v, std::uint64_t entropy,
                                      const std::uint64_t* down) const {
-    const std::uint64_t* m = row(u, v);
+    const std::uint8_t* m = mask(u, v);
     if (words_ == 1) {
-      const std::uint64_t x = m[0] & ~down[0];
+      const std::uint64_t x = word(m, 0) & ~down[0];
       const std::uint64_t prefix = detail::byte_prefix(x);
       if (x == 0) return kNoSlot;
       return detail::select64(x, prefix, entropy % (prefix >> 56));
     }
     std::uint64_t live = 0;
     for (std::size_t w = 0; w < words_; ++w)
-      live += detail::popcount64(m[w] & ~down[w]);
+      live += detail::popcount64(word(m, w) & ~down[w]);
     if (live == 0) return kNoSlot;
     std::uint64_t k = entropy % live;
     std::size_t w = 0;
-    for (std::uint32_t c; k >= (c = detail::popcount64(m[w] & ~down[w])); ++w) k -= c;
-    const std::uint64_t x = m[w] & ~down[w];
+    for (std::uint32_t c; k >= (c = detail::popcount64(word(m, w) & ~down[w])); ++w)
+      k -= c;
+    const std::uint64_t x = word(m, w) & ~down[w];
     return static_cast<std::uint32_t>(w * 64) +
            detail::select64(x, detail::byte_prefix(x), k);
   }
@@ -170,14 +188,28 @@ class NextHopIndex {
   }
 
  private:
-  [[nodiscard]] const std::uint64_t* row(Vertex u, Vertex v) const {
-    return masks_.data() + (static_cast<std::size_t>(u) * n_ + v) * words_;
+  NextHopIndex() = default;  // build() is the one constructor
+
+  static_assert(std::endian::native == std::endian::little,
+                "mask byte i holds bits [8i, 8i + 8) of its word");
+
+  [[nodiscard]] const std::uint8_t* mask(Vertex u, Vertex v) const {
+    return masks_.data() + (static_cast<std::size_t>(u) * n_ + v) * pair_bytes_;
+  }
+  // Word w of mask m: one unaligned load, cut to the mask's bytes (a
+  // multi-word mask fills every byte it loads, so keep_ is all ones).
+  [[nodiscard]] std::uint64_t word(const std::uint8_t* m, std::size_t w) const {
+    std::uint64_t x;
+    std::memcpy(&x, m + 8 * w, sizeof x);
+    return x & keep_;
   }
 
   Vertex n_ = 0;
   std::size_t words_ = 1;
-  Graph graph_;                       // slot -> neighbor vertex
-  std::vector<std::uint64_t> masks_;  // n*n*words_, row-major by (u, v)
+  std::size_t pair_bytes_ = 1;
+  std::uint64_t keep_ = 0xFF;        // low pair_bytes_ bytes (all, from 8)
+  Graph graph_;                      // slot -> neighbor vertex
+  std::vector<std::uint8_t> masks_;  // n*n*pair_bytes_ + kPadding
 };
 
 /// The exact minimal-hop oracle: distances from the all-pairs tables,

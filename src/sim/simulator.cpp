@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/rng.hpp"
 
@@ -58,20 +59,19 @@ Simulator::Simulator(const Graph& topo, const routing::Tables& tables,
   link_down_.assign(ports_.size(), 0);
   down_slots_.assign(static_cast<std::size_t>(n) * index_->words(), 0);
 
-  // Flat per-(port, VC) queue state.  Network and injection ports push
-  // into a downstream router input buffer and are credit-limited;
-  // ejection drains into the NIC freely (credit -1 = infinite).
-  const std::size_t lanes = ports_.size() * cfg_.vcs;
-  q_head_.assign(lanes, kNil);
-  q_tail_.assign(lanes, kNil);
-  credits_.resize(lanes);
-  for (std::size_t p = 0; p < ports_.size(); ++p) {
-    const std::int64_t c = ports_[p].role != Role::kEjection
-                               ? static_cast<std::int64_t>(cfg_.vc_buffer_bytes)
-                               : -1;
-    for (std::uint32_t vc = 0; vc < cfg_.vcs; ++vc)
-      credits_[p * cfg_.vcs + vc] = c;
+  // Flat per-lane queue state: vcs lanes per network port, one per NIC
+  // port.  Network and injection ports push into a downstream router
+  // input buffer and are credit-limited; ejection drains into the NIC
+  // freely (try_transmit ignores an ejection lane's credit).
+  std::uint64_t nlanes = 0;
+  for (Port& p : ports_) {
+    p.lane0 = static_cast<std::uint32_t>(nlanes);
+    nlanes += lanes(p);
   }
+  if (nlanes > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("Simulator: more lanes than uint32 lane ids");
+  q_tail_.assign(nlanes, kNil);
+  credits_.assign(nlanes, cfg_.vc_buffer_bytes);
 }
 
 Simulator::LinkLoad Simulator::link_load() const {
@@ -157,13 +157,14 @@ void Simulator::handle_inject(MessageId m) {
 }
 
 void Simulator::enqueue(std::uint32_t port, std::uint32_t pkt, std::uint8_t vc) {
-  const std::size_t lane = static_cast<std::size_t>(port) * cfg_.vcs + vc;
-  packets_[pkt].next_in_q = kNil;
-  if (q_tail_[lane] == kNil)
-    q_head_[lane] = pkt;
-  else
-    packets_[q_tail_[lane]].next_in_q = pkt;
-  q_tail_[lane] = pkt;
+  std::uint32_t& tail = q_tail_[lane(port, vc)];
+  if (tail == kNil) {
+    packets_[pkt].next_in_q = pkt;
+  } else {
+    packets_[pkt].next_in_q = packets_[tail].next_in_q;
+    packets_[tail].next_in_q = pkt;
+  }
+  tail = pkt;
   ports_[port].total_bytes += packets_[pkt].bytes;
 }
 
@@ -210,7 +211,8 @@ void Simulator::try_transmit(std::uint32_t port_id) {
   // call, so here a port's first enqueue settles what waited on it.
   if (p.total_bytes > 0 && (p.retry == Retry::kDeferred || p.credits != kNil))
     wake(port_id);
-  const std::size_t lane0 = static_cast<std::size_t>(port_id) * cfg_.vcs;
+  const std::size_t lane0 = p.lane0;
+  const std::uint32_t nvc = lanes(p);
   while (true) {
     if (now_ < p.busy_until) {
       // Coalesce wake-ups: one pending retry per port, re-armed when it
@@ -229,29 +231,33 @@ void Simulator::try_transmit(std::uint32_t port_id) {
       }
       return;
     }
-    // Round-robin across VCs for a head packet with available credit.
-    std::uint32_t chosen_vc = cfg_.vcs;
-    for (std::uint32_t i = 0; i < cfg_.vcs; ++i) {
-      std::uint32_t vc = (p.rr + i) % cfg_.vcs;
-      const std::uint32_t head_id = q_head_[lane0 + vc];
-      if (head_id == kNil) continue;
-      const Packet& head = packets_[head_id];
-      const std::int64_t credit = credits_[lane0 + vc];
-      if (credit < 0 || credit >= static_cast<std::int64_t>(head.bytes)) {
+    // Round-robin across the port's lanes for a head packet with
+    // available credit.
+    const bool unlimited = p.role == Role::kEjection;
+    std::uint32_t chosen_vc = nvc;
+    std::uint32_t vc = p.rr;
+    for (std::uint32_t i = 0; i < nvc; ++i, vc = vc + 1 < nvc ? vc + 1 : 0) {
+      const std::uint32_t tail = q_tail_[lane0 + vc];
+      if (tail == kNil) continue;
+      const Packet& head = packets_[packets_[tail].next_in_q];
+      if (unlimited || credits_[lane0 + vc] >= head.bytes) {
         chosen_vc = vc;
         break;
       }
     }
-    if (chosen_vc == cfg_.vcs) return;  // nothing sendable now
-    p.rr = static_cast<std::uint16_t>((chosen_vc + 1) % cfg_.vcs);
+    if (chosen_vc == nvc) return;  // nothing sendable now
+    p.rr = static_cast<std::uint16_t>(chosen_vc + 1 < nvc ? chosen_vc + 1 : 0);
 
     const std::size_t lane = lane0 + chosen_vc;
-    std::uint32_t pkt_id = q_head_[lane];
+    std::uint32_t& tail = q_tail_[lane];
+    const std::uint32_t pkt_id = packets_[tail].next_in_q;
     Packet& pkt = packets_[pkt_id];
-    q_head_[lane] = pkt.next_in_q;
-    if (q_head_[lane] == kNil) q_tail_[lane] = kNil;
+    if (pkt_id == tail)
+      tail = kNil;
+    else
+      packets_[tail].next_in_q = pkt.next_in_q;
     p.total_bytes -= pkt.bytes;
-    if (credits_[lane] >= 0) credits_[lane] -= pkt.bytes;
+    if (!unlimited) credits_[lane] -= pkt.bytes;
 
     const double ser = pkt.bytes / cfg_.bandwidth_bytes_per_ns;
     const double done = now_ + ser;
@@ -303,7 +309,7 @@ void Simulator::wake(std::uint32_t port_id) {
     Packet& pkt = packets_[id];
     pkt.credit_deferred = false;
     if (passed(pkt.credit_time, pkt.credit_seq))
-      credits_[static_cast<std::size_t>(port_id) * cfg_.vcs + pkt.upstream_vc] += pkt.bytes;
+      credits_[lane(port_id, pkt.upstream_vc)] += pkt.bytes;
     else
       events_.push_drawn(pkt.credit_time, pkt.credit_seq, EventKind::kCreditReturn,
                          port_id,
@@ -319,8 +325,7 @@ void Simulator::fold_credit(std::uint32_t pkt_id) {
   std::uint32_t* at = &ports_[pkt.upstream_port].credits;
   while (*at != pkt_id) at = &packets_[*at].next_in_q;
   *at = pkt.next_in_q;
-  credits_[static_cast<std::size_t>(pkt.upstream_port) * cfg_.vcs + pkt.upstream_vc] +=
-      pkt.bytes;
+  credits_[lane(pkt.upstream_port, pkt.upstream_vc)] += pkt.bytes;
 }
 
 void Simulator::handle_deliver(std::uint32_t pkt_id) {
@@ -367,8 +372,8 @@ bool Simulator::run(double until, std::uint64_t max_events) {
       case EventKind::kCreditReturn: {
         std::uint32_t vc = static_cast<std::uint32_t>(e.b >> 32);
         std::uint32_t bytes = static_cast<std::uint32_t>(e.b & 0xFFFFFFFF);
-        const std::size_t lane = e.a * cfg_.vcs + vc;
-        if (credits_[lane] >= 0) credits_[lane] += bytes;
+        const std::size_t l = lane(static_cast<std::uint32_t>(e.a), vc);
+        credits_[l] += bytes;
         try_transmit(static_cast<std::uint32_t>(e.a));
         break;
       }
@@ -538,11 +543,11 @@ void Simulator::evacuate_port(std::uint32_t port_id) {
   Port& p = ports_[port_id];
   if (p.total_bytes == 0) return;
   const Vertex u = port_owner(port_id);
-  const std::size_t lane0 = static_cast<std::size_t>(port_id) * cfg_.vcs;
-  for (std::uint32_t vc = 0; vc < cfg_.vcs; ++vc) {
-    std::uint32_t id = q_head_[lane0 + vc];
-    q_head_[lane0 + vc] = kNil;
-    q_tail_[lane0 + vc] = kNil;
+  for (std::uint32_t vc = 0; vc < lanes(p); ++vc) {
+    const std::uint32_t tail = std::exchange(q_tail_[lane(port_id, vc)], kNil);
+    if (tail == kNil) continue;
+    // Cut the ring after the tail and walk it from the head.
+    std::uint32_t id = std::exchange(packets_[tail].next_in_q, kNil);
     while (id != kNil) {
       const std::uint32_t next = packets_[id].next_in_q;
       Packet& pkt = packets_[id];
@@ -672,14 +677,19 @@ void Simulator::audit() const {
         passed_credit[pkt.upstream_vc] += pkt.bytes;
     }
     std::uint64_t queued = 0;
-    for (std::uint32_t vc = 0; vc < cfg_.vcs; ++vc) {
-      const std::size_t lane = p * cfg_.vcs + vc;
-      for (std::uint32_t id = q_head_[lane]; id != kNil; id = packets_[id].next_in_q)
-        queued += packets_[id].bytes;
-      const std::int64_t credit = credits_[lane] + passed_credit[vc];
+    for (std::uint32_t vc = 0; vc < lanes(port); ++vc) {
+      const std::size_t l = lane(static_cast<std::uint32_t>(p), vc);
+      if (const std::uint32_t tail = q_tail_[l]; tail != kNil) {
+        std::uint32_t id = tail;
+        do {
+          id = packets_[id].next_in_q;
+          queued += packets_[id].bytes;
+        } while (id != tail);
+      }
+      const std::int64_t credit = std::int64_t{credits_[l]} + passed_credit[vc];
       if (limited && (credit < 0 || credit > buffer))
         broken("lane credit outside [0, vc_buffer_bytes]");
-      if (limited && drained && credits_[lane] != buffer)
+      if (limited && drained && credits_[l] != buffer)
         broken("lane credit not back to vc_buffer_bytes once drained");
     }
     if (queued != port.total_bytes)

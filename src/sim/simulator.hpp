@@ -16,7 +16,7 @@
 // (zero while every port is up; no adjacency scan, no distance-matrix
 // probes).  Every queue probe reads a per-port running byte counter (no
 // per-VC sum, no lower_bound), and the per-VC FIFOs are intrusive
-// singly-linked lists threaded through the pooled Packet records — after
+// singly-linked rings threaded through the pooled Packet records — after
 // warm-up the event loop performs zero allocations per simulated event.
 //
 // Deferred no-op events (DESIGN.md §4): a port retry armed at a port with
@@ -214,6 +214,7 @@ class Simulator {
     std::uint64_t retry_seq = 0;      // of a kDeferred retry
     Vertex to_router = 0;             // network and injection ports
     std::uint32_t credits = kNil;     // deferred-credit list head (packet id)
+    std::uint32_t lane0 = 0;          // its first lane (see lane())
     std::uint16_t rr = 0;             // round-robin VC scan start
     Role role = Role::kEjection;
     Retry retry = Retry::kNone;       // at most one kTryTransmit per port
@@ -235,6 +236,14 @@ class Simulator {
   }
   void handle_deliver(std::uint32_t pkt);
   void enqueue(std::uint32_t port, std::uint32_t pkt, std::uint8_t vc);
+  // The one lane rule: a network port has a lane per VC, a NIC port one
+  // (injection and ejection enqueue on VC 0 only).
+  [[nodiscard]] std::size_t lane(std::uint32_t port, std::uint32_t vc) const {
+    return ports_[port].lane0 + vc;
+  }
+  [[nodiscard]] std::uint32_t lanes(const Port& p) const {
+    return p.role == Role::kNetwork ? cfg_.vcs : 1;
+  }
   [[nodiscard]] std::uint32_t port_toward(Vertex router, Vertex neighbor) const;
   [[nodiscard]] Vertex router_of(EndpointId ep) const {
     return static_cast<Vertex>(ep / cfg_.concentration);
@@ -280,12 +289,12 @@ class Simulator {
   std::vector<std::uint32_t> inject_port_;     // per endpoint
   std::vector<std::uint32_t> eject_port_;      // per endpoint
 
-  // Per-(port, VC) FIFO state, flat at port * vcs + vc: intrusive list
-  // head/tail into packets_ and downstream credits.  (Queued-byte totals
-  // live per port — Port::total_bytes — since nothing probes per VC.)
-  std::vector<std::uint32_t> q_head_;
+  // Per-lane FIFO state, flat at lane(port, vc): the tail of an intrusive
+  // ring through packets_ (the tail's next_in_q is the head; kNil when
+  // empty) and the downstream credits.  (Queued-byte totals live per
+  // port — Port::total_bytes — since nothing probes per VC.)
   std::vector<std::uint32_t> q_tail_;
-  std::vector<std::int64_t> credits_;  // bytes; -1 = infinite (ejection)
+  std::vector<std::uint32_t> credits_;  // bytes (ejection lanes: unlimited)
 
   std::vector<Packet> packets_;
   std::vector<std::uint32_t> free_packets_;

@@ -1,5 +1,7 @@
 #include "util/options.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -478,6 +480,12 @@ std::vector<std::string> StandardOptions::worker_args(
         std::max<std::size_t>(1, t / std::max<std::size_t>(1, workers_))));
   }
   return out;
+}
+
+double peak_rss_mb() {
+  struct rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux reports KiB
 }
 
 }  // namespace sfly::bench

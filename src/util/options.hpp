@@ -174,4 +174,7 @@ class StandardOptions {
   bool resume_prepared_ = false;
 };
 
+/// The process's peak resident set so far, in MiB (getrusage ru_maxrss).
+[[nodiscard]] double peak_rss_mb();
+
 }  // namespace sfly::bench

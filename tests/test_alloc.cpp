@@ -4,48 +4,28 @@
 // congested workload without a single heap allocation — the acceptance
 // bar for the hot-path overhaul (DESIGN.md §4).
 //
-// The counter instruments this binary's global operator new/delete; the
-// steady-state window contains nothing but Simulator::run, so any
-// allocation inside it is the simulator's.
+// The counter instruments this binary's global operator new/delete
+// (tests/alloc_counter.hpp); the steady-state window contains nothing but
+// Simulator::run, so any allocation inside it is the simulator's.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <memory>
-#include <new>
 #include <random>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "core/spectralfly_net.hpp"
 #include "sim/traffic.hpp"
 #include "topo/paley.hpp"
 #include "util/rng.hpp"
 
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<bool> g_counting{false};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed))
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace sfly::sim {
 namespace {
+
+using test::g_allocs;
+using test::g_counting;
 
 // A congested fig6-style load point: UGAL-L on Paley(13), every rank
 // firing shuffle-pattern messages at high offered load.

@@ -395,6 +395,7 @@ TEST(PhaseRecord, WorkCountsAreTheEvaluatedOkRows) {
     total += std::strtod(rec.c_str() + at + key.size(), nullptr);
   EXPECT_EQ(entries, 4u);
   EXPECT_GT(record_field(rec, "next_hops_bytes"), 0.0);
+  EXPECT_GT(record_field(rec, "peak_rss_mb"), 0.0);
   EXPECT_GT(total, 0.0);
   EXPECT_EQ(record_field(rec, "artifact_bytes"), total);
 

@@ -19,6 +19,7 @@
 #include "topo/paley.hpp"
 #include "topo/slimfly.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace sfly::routing {
 namespace {
@@ -202,6 +203,71 @@ TEST(NextHopIndex, MatchesScanOnLpsWithFailedLinks) {
   EXPECT_EQ(NextHopIndex::words_for(g), 1u);
   expect_matches_scan(g);
   expect_masked_matches_scan(g);
+}
+
+TEST(NextHopIndex, EveryMaskWidthMatchesFilteredScan) {
+  // One graph per mask width: 1, 2, 3 and 8 bytes per pair, and two
+  // words.  Under a seeded random down row per source (about 1/4 of the
+  // slots down), select must equal the down-filtered scan for every
+  // ordered pair: the minimal hops in adjacency order (the order
+  // Tables::sample_next_hop picks in), less the down slots, the
+  // (e % live)-th picked.  The loop ends at the array's last pair, (n-1,
+  // n-1), whose 8-byte load reads into the padding.
+  struct Case {
+    std::string name;
+    Graph g;
+    std::size_t degree, bytes, words;
+  };
+  const std::vector<Case> cases = {
+      {"Hypercube(8)", topo::hypercube_graph(8), 8, 1, 1},
+      {"LPS(11,7)", topo::lps_graph({11, 7}), 12, 2, 1},
+      {"LPS(23,13)", topo::lps_graph({23, 13}), 24, 3, 1},
+      {"K(64,64)", topo::complete_bipartite_graph(64, 64), 64, 8, 1},
+      {"K(65,65)", topo::complete_bipartite_graph(65, 65), 65, 16, 2},
+  };
+  TaskPool pool(4);
+  std::vector<Vertex> scan;
+  std::vector<std::uint16_t> live;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Graph& g = c.g;
+    const std::size_t n = g.num_vertices();
+    ASSERT_TRUE(g.is_regular());
+    ASSERT_EQ(g.degree(0), c.degree);
+    const Tables t = Tables::build(g, &pool);
+    const NextHopIndex idx = NextHopIndex::build(g, t, &pool);
+    EXPECT_EQ(NextHopIndex::pair_bytes_for(g), c.bytes);
+    EXPECT_EQ(idx.pair_bytes(), c.bytes);
+    EXPECT_EQ(idx.words(), c.words);
+    EXPECT_EQ(idx.raw_masks().size(), n * n * c.bytes);
+    EXPECT_EQ(idx.memory_bytes(),
+              n * n * c.bytes + NextHopIndex::kPadding + g.memory_bytes());
+    std::vector<std::uint64_t> down(c.words);
+    for (Vertex u = 0; u < n; ++u) {
+      for (std::size_t w = 0; w < c.words; ++w)
+        down[w] = split_seed(7, u * 2 * c.words + w) &
+                  split_seed(7, (u * 2 + 1) * c.words + w);
+      const auto nb = g.neighbors(u);
+      for (Vertex v = 0; v < n; ++v) {
+        live.clear();
+        if (u != v) {
+          t.minimal_next_hops(g, u, v, scan);
+          for (Vertex x : scan) {
+            const auto s = static_cast<std::uint16_t>(
+                std::lower_bound(nb.begin(), nb.end(), x) - nb.begin());
+            if ((down[s / 64] >> (s % 64) & 1) == 0) live.push_back(s);
+          }
+        }
+        const std::uint64_t e = split_seed(u, v);
+        ASSERT_EQ(idx.select(u, v, e, down.data()),
+                  live.empty() ? NextHopIndex::kNoSlot : live[e % live.size()])
+            << "u=" << u << " v=" << v;
+        if (u != v) {
+          ASSERT_EQ(idx.pick(u, v, e).vert, t.sample_next_hop(g, u, v, e));
+        }
+      }
+    }
+  }
 }
 
 // Byte pins of the built artifacts: FNV-1a of the distance matrix plus the

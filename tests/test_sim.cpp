@@ -104,6 +104,17 @@ TEST(Simulator, PacketCountDoesNotWrapNear4GiB) {
   EXPECT_EQ(sim.messages_delivered(), 1u);
 }
 
+TEST(Simulator, LaneIdsPastUint32AreRejected) {
+  // Lanes are numbered in 32 bits: two network ports with 2^31 VCs each
+  // (plus one lane per NIC port) need more ids than that, which the
+  // constructor refuses before it sizes any lane array.
+  auto g = pair_graph();
+  auto t = routing::Tables::build(g);
+  auto cfg = small_cfg();
+  cfg.vcs = 1u << 31;
+  EXPECT_THROW((void)Simulator(g, t, cfg), std::invalid_argument);
+}
+
 TEST(Simulator, FifoSerializationUnderContention) {
   // Two sources send to the same destination endpoint: the ejection link
   // serializes; completion reflects the bottleneck.
