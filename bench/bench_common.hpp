@@ -98,9 +98,10 @@ struct PhaseStat {
 /// campaign identity, worker count, shard/resume accounting, artifact
 /// pre-build and evaluation time, the simulator work this run evaluated
 /// (journal-replayed rows excluded) with its events/sec and messages/sec,
-/// the events split by kind, each registered topology's artifact
-/// footprint in `cache`, the process's peak RSS so far, and one entry
-/// per phase.  Used by `--phase-json`; committed as BENCH_full.json for
+/// the events split by kind, the retries and credit returns among them
+/// that forwarded nothing (`noops_by_kind`), each registered topology's
+/// artifact footprint in `cache`, the process's peak RSS so far, and one
+/// entry per phase.  Used by `--phase-json`; committed as BENCH_full.json for
 /// the paper-scale `--full` runs, and CI's perf smoke reads its
 /// `messages_per_sec`.
 /// Under `--workers` the parent evaluates nothing itself: its `eval_s`
@@ -126,8 +127,10 @@ inline void write_phase_record(const std::string& path,
     sum.events += ph.tally.events;
     sum.packets += ph.tally.packets;
     sum.messages += ph.tally.messages;
-    for (std::size_t k = 0; k < sim::kEventKinds; ++k)
+    for (std::size_t k = 0; k < sim::kEventKinds; ++k) {
       sum.events_by_kind[k] += ph.tally.events_by_kind[k];
+      sum.noops_by_kind[k] += ph.tally.noops_by_kind[k];
+    }
     total += ph.scenarios;
   }
   const auto per_sec = [&](std::uint64_t n) {
@@ -171,6 +174,13 @@ inline void write_phase_record(const std::string& path,
   for (std::size_t k = 0; k < sim::kEventKinds; ++k)
     std::fprintf(f, "%s\"%s\": %llu", k ? ", " : "", kKindNames[k],
                  static_cast<unsigned long long>(sum.events_by_kind[k]));
+  // The retries and credit returns that forwarded no packet.
+  std::fprintf(f, "},\n  \"noops_by_kind\": {");
+  for (const auto kind : {sim::EventKind::kTryTransmit, sim::EventKind::kCreditReturn}) {
+    const auto k = static_cast<std::size_t>(kind);
+    std::fprintf(f, "%s\"%s\": %llu", kind == sim::EventKind::kTryTransmit ? "" : ", ",
+                 kKindNames[k], static_cast<unsigned long long>(sum.noops_by_kind[k]));
+  }
   std::fprintf(f, "},\n  \"artifacts\": [");
   // Bytes per materialized component (zero for one never built).
   const auto names = cache.names();

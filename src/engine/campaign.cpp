@@ -267,8 +267,10 @@ void ScenarioKind<SimScenario>::tally(RunTally& t, const SimResult& r) {
   t.events += r.events;
   t.packets += r.packets;
   t.messages += r.messages;
-  for (std::size_t k = 0; k < sim::kEventKinds; ++k)
+  for (std::size_t k = 0; k < sim::kEventKinds; ++k) {
     t.events_by_kind[k] += r.events_by_kind[k];
+    t.noops_by_kind[k] += r.noops_by_kind[k];
+  }
 }
 
 namespace {

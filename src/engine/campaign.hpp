@@ -217,7 +217,8 @@ class CampaignBuilder {
 /// pre-build time, the evaluation time with that pre-build excluded, and
 /// the simulator work of the ok sim rows it evaluated.  Journal-replayed
 /// rows add no work, so events / eval_seconds is this run's rate.
-/// events_by_kind counts only rows this process simulated itself.
+/// events_by_kind and noops_by_kind count only rows this process
+/// simulated itself.
 struct RunTally {
   double build_seconds = 0.0;
   double eval_seconds = 0.0;
@@ -225,6 +226,7 @@ struct RunTally {
   std::uint64_t packets = 0;
   std::uint64_t messages = 0;
   std::array<std::uint64_t, sim::kEventKinds> events_by_kind{};
+  std::array<std::uint64_t, sim::kEventKinds> noops_by_kind{};
 };
 
 /// One named grid inside a Campaign: the builder, its expanded batch of

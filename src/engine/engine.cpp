@@ -175,6 +175,7 @@ SimResult Engine::evaluate(const SimScenario& s, std::size_t index) {
     }
     r.events = sim->events_processed();
     r.events_by_kind = sim->events_by_kind();
+    r.noops_by_kind = sim->noops_by_kind();
     r.packets = sim->packets_forwarded();
     r.reroutes = sim->packets_rerouted();
     r.drops = sim->packets_dropped();

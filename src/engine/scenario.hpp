@@ -186,9 +186,12 @@ struct SimResult {
   // processed and packet-hops forwarded by this scenario's run.
   std::uint64_t events = 0;
   std::uint64_t packets = 0;
-  // `events` split by sim::EventKind.  Not journaled: a row parsed from a
-  // journal or a fleet worker's stream reads all zeros here.
+  // `events` split by sim::EventKind, and the retries and credit returns
+  // among them that forwarded nothing (Simulator::noops_by_kind).  Not
+  // journaled: a row parsed from a journal or a fleet worker's stream
+  // reads all zeros here.
   std::array<std::uint64_t, sim::kEventKinds> events_by_kind{};
+  std::array<std::uint64_t, sim::kEventKinds> noops_by_kind{};
 
   double wall_ms = 0.0;  // evaluation wall-clock (excluded from comparisons)
 };
@@ -199,7 +202,7 @@ struct SimResult {
 // journal parse writes through the walk the writers read.  Adding a
 // column is one line here plus a deliberate re-pin of the goldens; older
 // journals then stop replaying.  Result::placement and
-// SimResult::events_by_kind are not serialized.
+// SimResult::events_by_kind / noops_by_kind are not serialized.
 
 /// Where a column is written: CSV and JSONL, or CSV only.
 enum class Col { kAll, kCsvOnly };

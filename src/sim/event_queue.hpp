@@ -102,6 +102,16 @@ class EventQueue {
     return slab_[item.slot];
   }
   [[nodiscard]] std::size_t size() const { return size_; }
+  /// Calls fn(const Event&) once per queued event, in no set order.  A
+  /// test aid (Simulator::audit); it allocates nothing.
+  template <class F>
+  void for_each(F&& fn) const {
+    for (std::size_t i = front_; i < run_.size(); ++i) fn(slab_[run_[i].slot]);
+    for (const Bucket& q : buckets_)
+      for (std::uint32_t c = q.head; c != kNone; c = chunks_[c].next)
+        for (std::uint32_t i = 0; i < (c == q.tail ? q.end : kChunkItems); ++i)
+          fn(slab_[chunks_[c].items[i].slot]);
+  }
 
  private:
   static constexpr std::uint32_t kChunkItems = 32;

@@ -208,9 +208,19 @@ void Simulator::try_transmit(std::uint32_t port_id) {
   Port& p = ports_[port_id];
   if (link_down_[port_id]) return;  // severed: recovery re-arms this port
   // Only an enqueue makes a port non-empty, and each is followed by this
-  // call, so here a port's first enqueue settles what waited on it.
-  if (p.total_bytes > 0 && (p.retry == Retry::kDeferred || p.credits != kNil))
-    wake(port_id);
+  // call, so here a port's first enqueue settles its deferred retry.
+  if (p.retry == Retry::kDeferred && p.total_bytes > 0) {
+    if (passed(p.busy_until, p.retry_seq)) {
+      p.retry = Retry::kNone;
+    } else {
+      p.retry = Retry::kPushed;
+      events_.push_drawn(p.busy_until, p.retry_seq, EventKind::kTryTransmit, port_id);
+    }
+  }
+  // The lane scan below sees every parked credit that would have run by
+  // now.  (At a busy or empty port they can wait: nothing scans.)
+  if (p.credits != kNil && p.total_bytes > 0 && now_ >= p.busy_until)
+    apply_passed_credits(port_id);
   const std::size_t lane0 = p.lane0;
   const std::uint32_t nvc = lanes(p);
   while (true) {
@@ -221,15 +231,16 @@ void Simulator::try_transmit(std::uint32_t port_id) {
       // quadratically under congestion.)  At an empty port it would only
       // find nothing to send, so it waits for an enqueue instead.
       if (p.retry == Retry::kNone) {
+        p.retry_seq = events_.draw_seq();
         if (p.total_bytes > 0) {
           p.retry = Retry::kPushed;
-          events_.push(p.busy_until, EventKind::kTryTransmit, port_id);
+          events_.push_drawn(p.busy_until, p.retry_seq, EventKind::kTryTransmit,
+                             port_id);
         } else {
           p.retry = Retry::kDeferred;
-          p.retry_seq = events_.draw_seq();
         }
       }
-      return;
+      break;
     }
     // Round-robin across the port's lanes for a head packet with
     // available credit.
@@ -245,7 +256,7 @@ void Simulator::try_transmit(std::uint32_t port_id) {
         break;
       }
     }
-    if (chosen_vc == nvc) return;  // nothing sendable now
+    if (chosen_vc == nvc) break;  // nothing sendable now
     p.rr = static_cast<std::uint16_t>(chosen_vc + 1 < nvc ? chosen_vc + 1 : 0);
 
     const std::size_t lane = lane0 + chosen_vc;
@@ -267,19 +278,20 @@ void Simulator::try_transmit(std::uint32_t port_id) {
 
     // This packet leaving the port frees the buffer it occupied at *this*
     // router's input; return the credit upstream at transmit completion.
-    // An upstream port with nothing queued could only add it: the packet
-    // carries it instead, on that port's deferred list.
+    // Only a severed or credit-blocked upstream port gets it as an event;
+    // at any other the packet parks it on that port's list, where the
+    // port's next try_transmit settles it.
     if (pkt.upstream_port != kNoPort) {
-      Port& up = ports_[pkt.upstream_port];
-      if (up.total_bytes > 0) {
-        events_.push(done, EventKind::kCreditReturn, pkt.upstream_port,
+      const std::uint32_t up = pkt.upstream_port;
+      if (credit_blocked(ports_[up]) || (down_ports_ > 0 && link_down_[up])) {
+        events_.push(done, EventKind::kCreditReturn, up,
                      (static_cast<std::uint64_t>(pkt.upstream_vc) << 32) | pkt.bytes);
       } else {
         pkt.credit_deferred = true;
         pkt.credit_time = done;
         pkt.credit_seq = events_.draw_seq();
-        pkt.next_in_q = up.credits;
-        up.credits = pkt_id;
+        pkt.next_in_q = ports_[up].credits;
+        ports_[up].credits = pkt_id;
       }
     }
 
@@ -291,41 +303,39 @@ void Simulator::try_transmit(std::uint32_t port_id) {
       events_.push(done + cfg_.nic_latency_ns, EventKind::kDeliver, pkt_id);
     }
     // Loop to fill the next idle slot (busy_until just moved forward, so
-    // the next iteration schedules a retry event instead of spinning).
+    // the next iteration arms a retry instead of spinning).
+  }
+  // The settle rule: push each parked credit the port could act on when
+  // it comes due.  A credit-blocked port can act on any.  One with bytes
+  // queued and a pushed retry (busy, or idle with the retry due now) can
+  // act only on those due at busy_until that pop before its retry, which
+  // find it idle.  Every other credit pops while the port is busy, or
+  // after its next try_transmit, which settles again.  An empty port
+  // acts on none.
+  if (p.credits != kNil && p.total_bytes > 0) {
+    const bool blocked = credit_blocked(p);
+    take_credits(port_id, [&](const Packet& c) {
+      if (!blocked && !(c.credit_time == p.busy_until && c.credit_seq < p.retry_seq))
+        return false;
+      events_.push_drawn(c.credit_time, c.credit_seq, EventKind::kCreditReturn,
+                         port_id,
+                         (static_cast<std::uint64_t>(c.upstream_vc) << 32) | c.bytes);
+      return true;
+    });
   }
 }
 
-void Simulator::wake(std::uint32_t port_id) {
-  Port& p = ports_[port_id];
-  if (p.retry == Retry::kDeferred) {
-    if (passed(p.busy_until, p.retry_seq)) {
-      p.retry = Retry::kNone;
-    } else {
-      p.retry = Retry::kPushed;
-      events_.push_drawn(p.busy_until, p.retry_seq, EventKind::kTryTransmit, port_id);
-    }
-  }
-  for (std::uint32_t id = p.credits; id != kNil; id = packets_[id].next_in_q) {
-    Packet& pkt = packets_[id];
-    pkt.credit_deferred = false;
-    if (passed(pkt.credit_time, pkt.credit_seq))
-      credits_[lane(port_id, pkt.upstream_vc)] += pkt.bytes;
-    else
-      events_.push_drawn(pkt.credit_time, pkt.credit_seq, EventKind::kCreditReturn,
-                         port_id,
-                         (static_cast<std::uint64_t>(pkt.upstream_vc) << 32) | pkt.bytes);
-  }
-  p.credits = kNil;
+void Simulator::apply_passed_credits(std::uint32_t port_id) {
+  take_credits(port_id, [&](const Packet& c) {
+    if (!passed(c.credit_time, c.credit_seq)) return false;
+    credits_[lane(port_id, c.upstream_vc)] += c.bytes;
+    return true;
+  });
 }
 
 void Simulator::fold_credit(std::uint32_t pkt_id) {
-  Packet& pkt = packets_[pkt_id];
-  if (!pkt.credit_deferred) return;
-  pkt.credit_deferred = false;
-  std::uint32_t* at = &ports_[pkt.upstream_port].credits;
-  while (*at != pkt_id) at = &packets_[*at].next_in_q;
-  *at = pkt.next_in_q;
-  credits_[lane(pkt.upstream_port, pkt.upstream_vc)] += pkt.bytes;
+  const Packet& pkt = packets_[pkt_id];
+  if (pkt.credit_deferred) apply_passed_credits(pkt.upstream_port);
 }
 
 void Simulator::handle_deliver(std::uint32_t pkt_id) {
@@ -358,6 +368,7 @@ bool Simulator::run(double until, std::uint64_t max_events) {
     ++processed;
     ++events_processed_;
     ++events_by_kind_[static_cast<std::size_t>(e.kind)];
+    const std::uint64_t forwarded = packets_forwarded_;
     switch (e.kind) {
       case EventKind::kInjectMessage:
         handle_inject(static_cast<MessageId>(e.a));
@@ -393,6 +404,9 @@ bool Simulator::run(double until, std::uint64_t max_events) {
         fault_router(static_cast<Vertex>(e.a), false);
         break;
     }
+    if ((e.kind == EventKind::kTryTransmit || e.kind == EventKind::kCreditReturn) &&
+        packets_forwarded_ == forwarded)
+      ++noops_by_kind_[static_cast<std::size_t>(e.kind)];
   }
   if (!events_.empty()) return false;
   // Each deferred credit folded at its packet's last event.  A deferred
@@ -655,45 +669,65 @@ void Simulator::audit() const {
     throw std::logic_error(std::string("Simulator::audit: ") + what);
   };
   const bool drained = events_.empty();
-  const auto buffer = static_cast<std::int64_t>(cfg_.vc_buffer_bytes);
   std::vector<std::uint8_t> is_free(packets_.size(), 0);
   for (const std::uint32_t id : free_packets_) is_free[id] = 1;
   std::vector<std::uint8_t> listed(packets_.size(), 0);
-  std::vector<std::int64_t> passed_credit(cfg_.vcs);
+  // Credit bytes each lane's buffer space is out as: credit-return events
+  // and packets in flight toward it (arrival events) here, then parked
+  // credits and queued packets that it holds, per port below.
+  std::vector<std::int64_t> held(credits_.size(), 0);
+  events_.for_each([&](const Event& e) {
+    if (e.kind == EventKind::kCreditReturn)
+      held[lane(static_cast<std::uint32_t>(e.a), static_cast<std::uint32_t>(e.b >> 32))] +=
+          static_cast<std::int64_t>(e.b & 0xFFFFFFFF);
+    else if (e.kind == EventKind::kArrival)
+      held[lane(static_cast<std::uint32_t>(e.b), packets_[e.a].vc)] += packets_[e.a].bytes;
+  });
   for (std::size_t p = 0; p < ports_.size(); ++p) {
     const Port& port = ports_[p];
-    const bool limited = port.role != Role::kEjection;
-    const bool deferred = port.retry == Retry::kDeferred || port.credits != kNil;
-    if (deferred && port.total_bytes > 0)
-      broken("port with queued bytes holds deferred events");
-    if (deferred && drained) broken("deferred event left once drained");
-    std::fill(passed_credit.begin(), passed_credit.end(), 0);
+    const bool live = link_down_[p] == 0;
+    if (port.total_bytes > 0 && port.retry == Retry::kDeferred)
+      broken("port with queued bytes holds a deferred retry");
+    if (live && now_ < port.busy_until && port.retry == Retry::kNone)
+      broken("busy port with no retry armed");
+    if (live && credit_blocked(port) && port.credits != kNil)
+      broken("credit-blocked port holds parked credits");
+    if ((port.retry == Retry::kDeferred || port.credits != kNil) && drained)
+      broken("deferred event left once drained");
     for (std::uint32_t id = port.credits; id != kNil; id = packets_[id].next_in_q) {
       const Packet& pkt = packets_[id];
       if (is_free[id]) broken("deferred credit held by a freed packet");
       if (listed[id]++ || !pkt.credit_deferred || pkt.upstream_port != p)
         broken("deferred credit not on exactly its own port's list");
-      if (passed(pkt.credit_time, pkt.credit_seq))
-        passed_credit[pkt.upstream_vc] += pkt.bytes;
+      // One due at busy_until before the retry would find the port idle.
+      if (live && port.total_bytes > 0 && pkt.credit_time == port.busy_until &&
+          pkt.credit_seq < port.retry_seq)
+        broken("parked credit pops before its port's retry");
+      held[lane(static_cast<std::uint32_t>(p), pkt.upstream_vc)] += pkt.bytes;
     }
     std::uint64_t queued = 0;
     for (std::uint32_t vc = 0; vc < lanes(port); ++vc) {
-      const std::size_t l = lane(static_cast<std::uint32_t>(p), vc);
-      if (const std::uint32_t tail = q_tail_[l]; tail != kNil) {
-        std::uint32_t id = tail;
-        do {
-          id = packets_[id].next_in_q;
-          queued += packets_[id].bytes;
-        } while (id != tail);
-      }
-      const std::int64_t credit = std::int64_t{credits_[l]} + passed_credit[vc];
-      if (limited && (credit < 0 || credit > buffer))
-        broken("lane credit outside [0, vc_buffer_bytes]");
-      if (limited && drained && credits_[l] != buffer)
-        broken("lane credit not back to vc_buffer_bytes once drained");
+      const std::uint32_t tail = q_tail_[lane(static_cast<std::uint32_t>(p), vc)];
+      if (tail == kNil) continue;
+      std::uint32_t id = tail;
+      do {
+        id = packets_[id].next_in_q;
+        const Packet& pkt = packets_[id];
+        queued += pkt.bytes;
+        if (pkt.upstream_port != kNoPort)
+          held[lane(pkt.upstream_port, pkt.upstream_vc)] += pkt.bytes;
+      } while (id != tail);
     }
     if (queued != port.total_bytes)
       broken("port total_bytes differs from the bytes queued on its lanes");
+  }
+  for (std::size_t p = 0; p < ports_.size(); ++p) {
+    if (ports_[p].role == Role::kEjection) continue;  // not credit-limited
+    for (std::uint32_t vc = 0; vc < lanes(ports_[p]); ++vc) {
+      const std::size_t l = lane(static_cast<std::uint32_t>(p), vc);
+      if (std::int64_t{credits_[l]} + held[l] != std::int64_t{cfg_.vc_buffer_bytes})
+        broken("lane credit plus the credit held downstream is not vc_buffer_bytes");
+    }
   }
   for (std::size_t id = 0; id < packets_.size(); ++id)
     if (!is_free[id] && packets_[id].credit_deferred && !listed[id])

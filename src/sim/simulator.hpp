@@ -20,16 +20,23 @@
 // warm-up the event loop performs zero allocations per simulated event.
 //
 // Deferred no-op events (DESIGN.md §4): a port retry armed at a port with
-// nothing queued, and a credit return to an upstream port with nothing
-// queued, would find every lane empty and do nothing but clear the retry
-// or add the credit.  Such an event is not pushed: it draws the seq it
-// would have had and waits on its port (the retry in Port, the credit in
-// the Packet that freed it).  The port's next enqueue settles it against
-// the event being handled: one that has passed is applied, one still due
-// is pushed under its own (time, seq).  A deferred credit that no enqueue
-// claimed folds in at its packet's next event, which always comes later.
-// Every event that runs therefore runs at the same point as if all had
-// been pushed, so every result but events_processed() is unchanged.
+// nothing queued would find every lane empty and only clear itself, and a
+// credit return to an upstream port that cannot act on it would only add
+// the credit.  Neither is pushed: it draws the seq it would have had and
+// waits on its port (the retry in Port, the credit in the Packet that
+// freed it).  A credit is pushed at once only to a severed port or to a
+// credit-blocked one (bytes queued, idle, no retry pushed).  Every change
+// to a port's state runs try_transmit on it, and one settle rule runs
+// there: parked credits that have passed are applied before the lane
+// scan; on exit, a credit-blocked port pushes every parked credit under
+// its own (time, seq), and a busy one only those due exactly at
+// busy_until with a seq below its pushed retry's, which would pop first
+// and find it idle.  Every other parked credit would pop while the port
+// is busy or empty, or after the port's next try_transmit, which settles
+// again.  A credit that no rule claimed folds in at its packet's next
+// event, which always comes later.  So every event that runs, runs at
+// the same (time, seq) as if all had been pushed, and every result but
+// events_processed() is unchanged.
 
 #include <array>
 #include <cstdint>
@@ -118,6 +125,12 @@ class Simulator {
   [[nodiscard]] const std::array<std::uint64_t, kEventKinds>& events_by_kind() const {
     return events_by_kind_;
   }
+  /// The retries (kTryTransmit) and credit returns among those events
+  /// that forwarded no packet, indexed as events_by_kind(); every other
+  /// kind reads 0.
+  [[nodiscard]] const std::array<std::uint64_t, kEventKinds>& noops_by_kind() const {
+    return noops_by_kind_;
+  }
 
   /// Schedule a deterministic link/router churn timeline (DESIGN.md §7).
   /// Call before (or between) run()s; events land in the ordinary event
@@ -160,14 +173,17 @@ class Simulator {
   /// Test aid: checks the conservation invariants and throws
   /// std::logic_error naming the first broken one.  At any time, each
   /// port's queued-byte counter equals the bytes queued on its lanes; a
-  /// port holding a deferred retry or deferred credits has nothing queued;
-  /// each deferred credit belongs to a live packet on exactly one port's
-  /// list; each credit-limited lane's credit, plus its deferred credits
-  /// that have passed, lies in [0, vc_buffer_bytes]; and packets injected
-  /// = delivered + dropped + live records.  Once the event queue is empty,
-  /// nothing is deferred, every such lane holds exactly vc_buffer_bytes,
-  /// every packet record is on the free list, and every message is
-  /// delivered or marked failed.
+  /// port with bytes queued holds no deferred retry; a live port that is
+  /// busy has a retry armed; a live credit-blocked port holds no parked
+  /// credit, and a live port with bytes queued none due at busy_until
+  /// with a seq below its retry's; each parked credit belongs to a live
+  /// packet on exactly one port's list; each credit-limited lane's credit
+  /// plus the bytes out of its buffer (parked credits, credit-return
+  /// events, queued packets that arrived through it, packets in flight on
+  /// its link) is exactly vc_buffer_bytes; and packets injected =
+  /// delivered + dropped + live records.  Once the event queue is empty,
+  /// nothing is deferred, every packet record is on the free list, and
+  /// every message is delivered or marked failed.
   void audit() const;
 
   /// Per-network-link load: bytes forwarded over each directed router
@@ -211,7 +227,7 @@ class Simulator {
   struct Port {
     double busy_until = 0.0;
     std::uint64_t total_bytes = 0;    // queued bytes across VCs (queue_probe)
-    std::uint64_t retry_seq = 0;      // of a kDeferred retry
+    std::uint64_t retry_seq = 0;      // of the armed retry, pushed or not
     Vertex to_router = 0;             // network and injection ports
     std::uint32_t credits = kNil;     // deferred-credit list head (packet id)
     std::uint32_t lane0 = 0;          // its first lane (see lane())
@@ -226,9 +242,29 @@ class Simulator {
   void handle_inject(MessageId m);
   void handle_arrival(std::uint32_t pkt, std::uint32_t in_port);
   void try_transmit(std::uint32_t port);
-  // Settles a port's deferred events against the event being handled.
-  void wake(std::uint32_t port);
-  // Applies a packet's deferred credit, if no enqueue settled it first.
+  // Bytes queued, idle and no retry pushed: only a credit can unblock it.
+  [[nodiscard]] bool credit_blocked(const Port& p) const {
+    return p.total_bytes > 0 && now_ >= p.busy_until && p.retry != Retry::kPushed;
+  }
+  // Unlinks each credit parked on `port` whose packet `take` accepts.
+  template <class Take>
+  void take_credits(std::uint32_t port, Take&& take) {
+    std::uint32_t* at = &ports_[port].credits;
+    while (*at != kNil) {
+      Packet& c = packets_[*at];
+      if (take(c)) {
+        c.credit_deferred = false;
+        *at = c.next_in_q;
+      } else {
+        at = &c.next_in_q;
+      }
+    }
+  }
+  // Adds the credits parked on `port` that have passed.
+  void apply_passed_credits(std::uint32_t port);
+  // Applies a packet's parked credit at its next event, which was pushed
+  // after the credit's seq was drawn, at a time no earlier: it has passed.
+  // (The packet's link then leaves the list for a FIFO.)
   void fold_credit(std::uint32_t pkt);
   // (time, seq) before the event being handled: it would have run.
   [[nodiscard]] bool passed(double time, std::uint64_t seq) const {
@@ -332,6 +368,7 @@ class Simulator {
   std::uint64_t packets_forwarded_ = 0;
   std::uint64_t events_processed_ = 0;
   std::array<std::uint64_t, kEventKinds> events_by_kind_{};
+  std::array<std::uint64_t, kEventKinds> noops_by_kind_{};
   LatencyStats latency_;
   std::function<void(const MessageRecord&)> on_delivery_;
 };

@@ -398,6 +398,12 @@ TEST(PhaseRecord, WorkCountsAreTheEvaluatedOkRows) {
   EXPECT_GT(record_field(rec, "peak_rss_mb"), 0.0);
   EXPECT_GT(total, 0.0);
   EXPECT_EQ(record_field(rec, "artifact_bytes"), total);
+  // The retries and credit returns that forwarded nothing, each a part of
+  // its kind's count in events_by_kind (the first block with those keys).
+  const auto noops = rec.find("\"noops_by_kind\": {");
+  ASSERT_NE(noops, std::string::npos);
+  for (const char* kind : {"try_transmit", "credit_return"})
+    EXPECT_LE(record_field(rec.substr(noops), kind), record_field(rec, kind)) << kind;
 
   // A --workers fleet returns the same rows, and its record says it ran
   // as a fleet (its eval_s includes the fleet's startup).

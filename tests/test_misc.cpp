@@ -84,11 +84,28 @@ TEST(EventQueue, MatchesReferenceHeap) {
     std::priority_queue<sim::Event, std::vector<sim::Event>, Later> ref;
     std::uint64_t seq = 0;
     double last = 0.0;
+    // Sums over the queued events' seqs and their squares: for_each must
+    // visit each queued event exactly once.
+    std::uint64_t sum = 0, sum2 = 0, pops = 0;
     const auto push = [&](double t) {
       const auto kind = static_cast<sim::EventKind>(rng() % 9);
       const std::uint64_t a = rng(), b = rng();
       q.push(t, kind, a, b);
+      sum += seq;
+      sum2 += seq * seq;
       ref.push(sim::Event{t, seq++, kind, a, b});
+    };
+    const auto visit = [&] {
+      std::size_t n = 0;
+      std::uint64_t s = 0, s2 = 0;
+      q.for_each([&](const sim::Event& e) {
+        ++n;
+        s += e.seq;
+        s2 += e.seq * e.seq;
+      });
+      if (n != q.size() || s != sum || s2 != sum2)
+        throw std::logic_error("for_each differs from the queued events: seed " +
+                               std::to_string(seed));
     };
     // A mismatch throws: the queue and the heap have diverged, and the
     // loops below would otherwise keep popping one of them past empty.
@@ -103,7 +120,10 @@ TEST(EventQueue, MatchesReferenceHeap) {
       const sim::Event e = q.pop();
       check(e, "pop()");
       ref.pop();
+      sum -= e.seq;
+      sum2 -= e.seq * e.seq;
       last = e.time;
+      if (++pops % 64 == 0) visit();
     };
     for (double t : {0.0, -0.0, -1e300, -kSub, kSub, 1e300, 3.0, -2.5, -2.5}) push(t);
     for (const std::uint64_t push_percent : {50, 60, 75}) {
@@ -171,6 +191,8 @@ TEST(EventQueue, MatchesReferenceHeap) {
       drawn.erase(drawn.begin() + static_cast<std::ptrdiff_t>(i));
       if (e.time < last) return;
       q.push_drawn(e.time, e.seq, e.kind, e.a, e.b);
+      sum += e.seq;
+      sum2 += e.seq * e.seq;
       ref.push(e);
     };
     const auto tie = [&] { return drawn[rng() % drawn.size()].time; };

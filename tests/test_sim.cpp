@@ -9,6 +9,7 @@
 #include <ostream>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "core/spectralfly_net.hpp"
 #include "sim/motifs.hpp"
@@ -307,10 +308,12 @@ TEST(SimGolden, DragonFlyUgalGAndAdaptiveMinPinned) {
 }
 
 // The DF(12) UGAL-L transpose pin again, stepped one event per run() call
-// with the conservation audit after every event (lane credits against
-// deferred ones, deferred retries and credits only at empty ports, packet
-// accounting), and its events counted by kind.  Stepping changes nothing:
-// the same max message time and the same counts as one run() call.
+// with the conservation audit after every event (each lane's credit plus
+// the credit held downstream is its buffer; deferred retries only at empty
+// ports; no parked credit at a port that could act on it; packet
+// accounting), and its events counted by kind, with the retries and
+// credit returns that forwarded nothing.  Stepping changes nothing: the
+// same max message time and the same counts as one run() call.
 TEST(SimGolden, DragonFlyUgalLAuditedStepByStep) {
   core::NetworkOptions opts;
   opts.concentration = 2;
@@ -334,13 +337,15 @@ TEST(SimGolden, DragonFlyUgalLAuditedStepByStep) {
     const auto counts = sim->events_by_kind();
     EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
               sim->events_processed());
-    return counts;
+    return std::pair(counts, sim->noops_by_kind());
   };
-  const auto counts = by_kind(true);
-  EXPECT_EQ(counts, by_kind(false));
+  const auto [counts, noops] = by_kind(true);
+  EXPECT_EQ(std::pair(counts, noops), by_kind(false));
   // inject, arrival, retry, credit return, deliver; no faults.
-  const std::array<std::uint64_t, kEventKinds> want = {512, 1859, 991, 813, 512, 0, 0, 0, 0};
+  const std::array<std::uint64_t, kEventKinds> want = {512, 1859, 991, 3, 512, 0, 0, 0, 0};
   EXPECT_EQ(counts, want);
+  const std::array<std::uint64_t, kEventKinds> want_noops = {0, 0, 682, 0, 0, 0, 0, 0, 0};
+  EXPECT_EQ(noops, want_noops);
 }
 
 // --------------------------------------------------------------------------
@@ -526,7 +531,8 @@ ChurnCounters churn_run(const std::string& name, const Graph& g,
 // words.  Values recorded from the two-implementation forwarding code
 // (pristine picks beside a filtered churn scan) that one masked select
 // replaced, with `events` re-pinned when no-op retries and credit returns
-// stopped running as events; any drift in the churn engine's event
+// stopped running as events, and again when only the credit returns a
+// port can act on kept running; any drift in the churn engine's event
 // interleaving, reroute picks or drop policy trips these.
 TEST(ChurnGolden, PaleyCountersPinnedAndDeterministic) {
   using routing::Algo;
@@ -545,16 +551,16 @@ TEST(ChurnGolden, PaleyCountersPinnedAndDeterministic) {
     ChurnCounters want;
   };
   const std::vector<Pin> pins = {
-      {"Paley(13)", Algo::kMinimal, {486, 5, 26, 26, 3351, 0x40d0e9dfc7f72130}},
-      {"Paley(13)", Algo::kValiant, {485, 14, 27, 27, 4614, 0x40d238de6b7f78b8}},
-      {"Paley(13)", Algo::kUgalL, {486, 6, 26, 26, 3378, 0x40d0e9dfc7f72130}},
-      {"Paley(13)", Algo::kUgalG, {486, 6, 26, 26, 3406, 0x40d0e9dfc7f72130}},
-      {"Paley(13)", Algo::kAdaptiveMin, {486, 3, 26, 26, 3484, 0x40d0e9dfc7f72130}},
-      {"Paley(137)", Algo::kMinimal, {501, 4, 11, 11, 3279, 0x40d15d23fb869fee}},
-      {"Paley(137)", Algo::kValiant, {502, 1, 10, 10, 3815, 0x40d2502257534a26}},
-      {"Paley(137)", Algo::kUgalL, {501, 4, 11, 11, 3281, 0x40d15d23fb869fee}},
-      {"Paley(137)", Algo::kUgalG, {501, 4, 11, 11, 3281, 0x40d15d23fb869fee}},
-      {"Paley(137)", Algo::kAdaptiveMin, {501, 3, 11, 11, 3632, 0x40d15d23fb869fee}},
+      {"Paley(13)", Algo::kMinimal, {486, 5, 26, 26, 2855, 0x40d0e9dfc7f72130}},
+      {"Paley(13)", Algo::kValiant, {485, 14, 27, 27, 3821, 0x40d238de6b7f78b8}},
+      {"Paley(13)", Algo::kUgalL, {486, 6, 26, 26, 2888, 0x40d0e9dfc7f72130}},
+      {"Paley(13)", Algo::kUgalG, {486, 6, 26, 26, 2907, 0x40d0e9dfc7f72130}},
+      {"Paley(13)", Algo::kAdaptiveMin, {486, 3, 26, 26, 2925, 0x40d0e9dfc7f72130}},
+      {"Paley(137)", Algo::kMinimal, {501, 4, 11, 11, 2933, 0x40d15d23fb869fee}},
+      {"Paley(137)", Algo::kValiant, {502, 1, 10, 10, 3563, 0x40d2502257534a26}},
+      {"Paley(137)", Algo::kUgalL, {501, 4, 11, 11, 2933, 0x40d15d23fb869fee}},
+      {"Paley(137)", Algo::kUgalG, {501, 4, 11, 11, 2933, 0x40d15d23fb869fee}},
+      {"Paley(137)", Algo::kAdaptiveMin, {501, 3, 11, 11, 3094, 0x40d15d23fb869fee}},
   };
   const Graph p13 = topo::paley_graph({13});
   const Graph p137 = topo::paley_graph({137});
