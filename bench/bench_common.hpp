@@ -175,13 +175,13 @@ inline void write_phase_record(const std::string& path,
     std::fprintf(f, "%s\"%s\": %llu", k ? ", " : "", kKindNames[k],
                  static_cast<unsigned long long>(sum.events_by_kind[k]));
   // The retries and credit returns that forwarded no packet.
-  std::fprintf(f, "},\n  \"noops_by_kind\": {");
-  for (const auto kind : {sim::EventKind::kTryTransmit, sim::EventKind::kCreditReturn}) {
-    const auto k = static_cast<std::size_t>(kind);
-    std::fprintf(f, "%s\"%s\": %llu", kind == sim::EventKind::kTryTransmit ? "" : ", ",
-                 kKindNames[k], static_cast<unsigned long long>(sum.noops_by_kind[k]));
-  }
-  std::fprintf(f, "},\n  \"artifacts\": [");
+  const auto noops = [&](sim::EventKind k) {
+    return static_cast<unsigned long long>(sum.noops_by_kind[static_cast<std::size_t>(k)]);
+  };
+  std::fprintf(f,
+               "},\n  \"noops_by_kind\": {\"try_transmit\": %llu, "
+               "\"credit_return\": %llu},\n  \"artifacts\": [",
+               noops(sim::EventKind::kTryTransmit), noops(sim::EventKind::kCreditReturn));
   // Bytes per materialized component (zero for one never built).
   const auto names = cache.names();
   std::size_t artifact_bytes = 0;
