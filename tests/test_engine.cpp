@@ -370,6 +370,37 @@ TEST(Engine, ThrowingArtifactBuilderRunsOnce) {
   EXPECT_EQ(calls.load(), 1);
 }
 
+// A sink that throws mid-delivery: run_stream drains the scenarios it
+// has in flight before unwinding and rethrows the sink's own exception,
+// and the same engine then runs the batch as a fresh serial one does.
+TEST(Engine, ThrowingSinkDrainsAndEngineRunsOn) {
+  struct SinkError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+  };
+  struct ThrowOnRow5 : ResultSink {
+    using ResultSink::consume;
+    void consume(const SimResult& r) override {
+      if (r.index == 5) throw SinkError("sink failed on row 5");
+    }
+  } thrower;
+  std::vector<SimScenario> batch(64, sim_batch()[0]);  // Paley(13)
+  for (std::size_t i = 0; i < batch.size(); ++i) batch[i].seed = i + 1;
+
+  auto eng = make_sim_engine(4);
+  try {
+    (void)eng->run_stream(batch, {&thrower});
+    FAIL() << "run_stream swallowed the sink's exception";
+  } catch (const SinkError& e) {
+    EXPECT_STREQ(e.what(), "sink failed on row 5");
+  }
+  const auto rows = eng->run(batch);
+  const auto ref = make_sim_engine(1)->run(batch);
+  ASSERT_EQ(rows.size(), batch.size());
+  ASSERT_EQ(ref.size(), batch.size());
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    EXPECT_EQ(jsonl_row(rows[i]), jsonl_row(ref[i])) << i;
+}
+
 TEST(Engine, SimScenarioMatchesDirectNetworkRun) {
   // The engine's cached-tables path must reproduce the benches' original
   // Network::from_graph + run_synthetic code path bitwise.
