@@ -99,11 +99,11 @@ struct PhaseStat {
 /// pre-build and evaluation time, the simulator work this run evaluated
 /// (journal-replayed rows excluded) with its events/sec and messages/sec,
 /// the events split by kind, the retries and credit returns among them
-/// that forwarded nothing (`noops_by_kind`), each registered topology's
-/// artifact footprint in `cache`, the process's peak RSS so far, and one
-/// entry per phase.  Used by `--phase-json`; committed as BENCH_full.json for
-/// the paper-scale `--full` runs, and CI's perf smoke reads its
-/// `messages_per_sec`.
+/// that forwarded nothing (`noops_by_kind`), each topology's artifact
+/// footprint, the process's peak RSS so far, and one entry per phase;
+/// `threads` is `eng`'s pool width.  Used by `--phase-json`; committed as
+/// BENCH_full.json for the paper-scale `--full` runs, and CI's perf smoke
+/// reads its `messages_per_sec`.
 /// Under `--workers` the parent evaluates nothing itself: its `eval_s`
 /// includes spawning and feeding the fleet, so a fleet's rate is not
 /// comparable with a single-process one, its per-kind counts are zero,
@@ -113,7 +113,7 @@ inline void write_phase_record(const std::string& path,
                                const StandardOptions& opts,
                                const engine::RunControl& ctl,
                                const std::vector<PhaseStat>& phases,
-                               const engine::ArtifactCache& cache) {
+                               const engine::Engine& eng) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
@@ -158,7 +158,7 @@ inline void write_phase_record(const std::string& path,
                "  \"messages_per_sec\": %.1f,\n"
                "  \"events_by_kind\": {",
                campaign.c_str(), hardware_threads(),
-               opts.engine_config().threads, opts.workers(),
+               eng.pool().width(), opts.workers(),
                opts.full() ? "true" : "false",
                ctl.shard_index, ctl.shard_count, total, ctl.replayed,
                ctl.evaluated, ctl.stopped ? "true" : "false",
@@ -183,10 +183,10 @@ inline void write_phase_record(const std::string& path,
                "\"credit_return\": %llu},\n  \"artifacts\": [",
                noops(sim::EventKind::kTryTransmit), noops(sim::EventKind::kCreditReturn));
   // Bytes per materialized component (zero for one never built).
-  const auto names = cache.names();
+  const auto names = eng.artifacts().names();
   std::size_t artifact_bytes = 0;
   for (std::size_t i = 0; i < names.size(); ++i) {
-    const auto fp = cache.get(names[i])->footprint();
+    const auto fp = eng.artifacts().get(names[i])->footprint();
     artifact_bytes += fp.total();
     std::fprintf(f, "%s\n    {\"name\": %s, \"graph_bytes\": %zu, "
                     "\"tables_bytes\": %zu, \"next_hops_bytes\": %zu, "
@@ -271,8 +271,7 @@ inline RunStatus execute_campaign(engine::Campaign& camp,
     std::vector<PhaseStat> stats;
     for (const auto& ph : camp.phases())
       stats.push_back({ph->name(), ph->size(), ph->tally()});
-    write_phase_record(path, camp.name(), opts, ctl, stats,
-                       camp.engine().artifacts());
+    write_phase_record(path, camp.name(), opts, ctl, stats, camp.engine());
   }
   const RunStatus st = finish_run(ctl, /*final_run=*/true);
   if (st == RunStatus::kDone && opts.shard().second > 1)

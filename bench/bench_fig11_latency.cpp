@@ -7,13 +7,12 @@
 // every subject's layout is independent — a pair-major topology axis of
 // kLayout scenarios fanned over --threads.  The cheap parts (SkyWalk
 // instantiations, Dijkstra latency sweeps over the returned placements)
-// stay bench-side; the sweeps run on a --threads-wide pool of their own.
+// stay bench-side; the sweeps run on the engine's --threads-wide pool.
 
 #include "bench_common.hpp"
 
 #include "layout/latency.hpp"
 #include "topo/skywalk.hpp"
-#include "util/parallel.hpp"
 
 using namespace sfly;
 
@@ -59,7 +58,6 @@ int main(int argc, char** argv) {
       st != bench::RunStatus::kDone)
     return bench::exit_code(st);
   const auto& layouts = phase.results();
-  TaskPool pool(opts.engine_config().threads);
 
   for (std::size_t i = 0; i < npairs; ++i) {
     // Shared-size SkyWalk reference, averaged over instantiations, sized
@@ -76,7 +74,8 @@ int main(int argc, char** argv) {
     for (double sl : switch_lat) {
       double sky_avg = 0, sky_max = 0;
       for (const auto& sky : skies) {
-        auto lat = layout::physical_latency(sky.graph, sky.placement, sl, &pool);
+        auto lat =
+            layout::physical_latency(sky.graph, sky.placement, sl, &eng.pool());
         sky_avg += lat.mean_ns;
         sky_max += lat.max_ns;
       }
@@ -93,7 +92,7 @@ int main(int argc, char** argv) {
         // The cached pristine graph the layout ran on (built once).
         auto lat = layout::physical_latency(
             *eng.artifacts().get(lay->topology)->graph(), lay->placement, sl,
-            &pool);
+            &eng.pool());
         row.push_back(Table::num(lat.mean_ns / sky_avg, 3));
         row.push_back(Table::num(lat.max_ns / sky_max, 3));
       }

@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     if (const auto path = opts.phase_json_path();
         !path.empty() && !opts.dry_run())
       bench::write_phase_record(path, "fig5_failures", opts,
-                                opts.run_control(), stats, eng.artifacts());
+                                opts.run_control(), stats, eng);
   };
   if (const auto st = sweep(eng, opts, "fig5_small", small,
                             {0.0, 0.1, 0.2, 0.3, 0.4, 0.5}, max_trials,

@@ -33,30 +33,30 @@ std::shared_ptr<const Graph> Artifacts::graph() {
   return graph_;
 }
 
-std::shared_ptr<const routing::Tables> Artifacts::tables(TaskPool* pool) {
-  build_once(tables_once_, [this, pool] {
+std::shared_ptr<const routing::Tables> Artifacts::tables() {
+  build_once(tables_once_, [this] {
     tables_ = std::make_shared<const routing::Tables>(
-        routing::Tables::build(*graph(), pool));
+        routing::Tables::build(*graph(), pool_));
   });
   return tables_;
 }
 
-std::shared_ptr<const routing::NextHopIndex> Artifacts::next_hops(TaskPool* pool) {
-  build_once(next_hops_once_, [this, pool] {
+std::shared_ptr<const routing::NextHopIndex> Artifacts::next_hops() {
+  build_once(next_hops_once_, [this] {
     // The index keeps a copy of the graph, which is a view when the graph
     // came from a snapshot: its deleter holds the graph, and so the mapping.
     auto g = graph();
     next_hops_ = std::shared_ptr<const routing::NextHopIndex>(
-        new routing::NextHopIndex(routing::NextHopIndex::build(*g, *tables(pool), pool)),
+        new routing::NextHopIndex(routing::NextHopIndex::build(*g, *tables(), pool_)),
         [g](const routing::NextHopIndex* p) { delete p; });
   });
   return next_hops_;
 }
 
-std::shared_ptr<const routing::CellIndex> Artifacts::cell_index(TaskPool* pool) {
-  build_once(cell_once_, [this, pool] {
+std::shared_ptr<const routing::CellIndex> Artifacts::cell_index() {
+  build_once(cell_once_, [this] {
     cell_ = std::make_shared<const routing::CellIndex>(
-        routing::CellIndex::build(*graph(), {}, pool));
+        routing::CellIndex::build(*graph(), {}, pool_));
   });
   return cell_;
 }
@@ -69,8 +69,8 @@ std::shared_ptr<const Spectra> Artifacts::spectra() {
   return spectra_;
 }
 
-void Artifacts::materialize(TaskPool* pool) {
-  if (graph()->num_vertices() <= kCellExactThreshold) (void)next_hops(pool);
+void Artifacts::materialize() {
+  if (graph()->num_vertices() <= kCellExactThreshold) (void)next_hops();
   (void)spectra();
 }
 
@@ -92,14 +92,18 @@ core::Network Artifacts::make_network(std::string name, core::NetworkOptions opt
 
 void ArtifactCache::register_topology(std::string name, std::function<Graph()> build,
                                       std::uint32_t concentration) {
-  auto entry = std::make_shared<Artifacts>(std::move(build), concentration);
+  auto entry = std::make_shared<Artifacts>(std::move(build), concentration, pool_);
   std::unique_lock lock(mu_);
   entries_[std::move(name)] = std::move(entry);
 }
 
-void ArtifactCache::adopt(std::string name, std::shared_ptr<Artifacts> artifacts) {
+void ArtifactCache::adopt(std::string name, std::shared_ptr<const Graph> graph,
+                          std::shared_ptr<const Spectra> spectra,
+                          std::uint32_t concentration) {
+  auto entry = std::make_shared<Artifacts>(std::move(graph), std::move(spectra),
+                                           concentration, pool_);
   std::unique_lock lock(mu_);
-  entries_[std::move(name)] = std::move(artifacts);
+  entries_[std::move(name)] = std::move(entry);
 }
 
 std::shared_ptr<Artifacts> ArtifactCache::get(const std::string& name) const {

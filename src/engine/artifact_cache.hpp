@@ -39,6 +39,8 @@ inline constexpr Vertex kCellExactThreshold = 4096;
 /// callers block until the single builder finishes, then share the result.
 /// Each component is built at most once: a builder that throws stores its
 /// exception, and every later request for that component rethrows it.
+/// Routing builds run on `pool` (its cache's, an Engine's; null: serially),
+/// so request none after that engine is gone.
 class Artifacts {
  public:
   /// Per-component byte sizes of the materialized artifacts (zero for
@@ -56,39 +58,38 @@ class Artifacts {
     }
   };
 
-  Artifacts(std::function<Graph()> build, std::uint32_t concentration)
-      : build_(std::move(build)), concentration_(concentration) {}
+  Artifacts(std::function<Graph()> build, std::uint32_t concentration,
+            TaskPool* pool = nullptr)
+      : build_(std::move(build)), concentration_(concentration), pool_(pool) {}
 
   /// Snapshot restore: the graph and spectra are adopted as-is; the
   /// routing components are built from the graph on first use.
   Artifacts(std::shared_ptr<const Graph> graph,
-            std::shared_ptr<const Spectra> spectra, std::uint32_t concentration)
+            std::shared_ptr<const Spectra> spectra, std::uint32_t concentration,
+            TaskPool* pool = nullptr)
       : concentration_(concentration),
+        pool_(pool),
         graph_(std::move(graph)),
         spectra_(std::move(spectra)) {}
 
   [[nodiscard]] std::uint32_t concentration() const { return concentration_; }
 
   [[nodiscard]] std::shared_ptr<const Graph> graph();
-  /// `pool` parallelizes the build if this call is the one that builds.
-  [[nodiscard]] std::shared_ptr<const routing::Tables> tables(
-      TaskPool* pool = nullptr);
-  [[nodiscard]] std::shared_ptr<const routing::NextHopIndex> next_hops(
-      TaskPool* pool = nullptr);
+  [[nodiscard]] std::shared_ptr<const routing::Tables> tables();
+  [[nodiscard]] std::shared_ptr<const routing::NextHopIndex> next_hops();
   [[nodiscard]] std::shared_ptr<const Spectra> spectra();
 
   /// Build what serving needs, so no query pays for a build: at or below
   /// kCellExactThreshold routers the next-hop index and the tables under
-  /// it (on `pool`), then the spectra.  Above it routes need only the
+  /// it, then the spectra.  Above it routes need only the
   /// graph, and the O(V^2) tables would be gigabytes.  sflyd calls this
   /// for every topology, from --topos or --snapshot alike.
-  void materialize(TaskPool* pool = nullptr);
+  void materialize();
 
   /// The hierarchical cell index, built on first call at any size.  Its
   /// last caller is perfbench's cell probe (perfbench/src/probes.cpp);
   /// nothing in src/ or tools/ calls it (ROADMAP item 13(c)).
-  [[nodiscard]] std::shared_ptr<const routing::CellIndex> cell_index(
-      TaskPool* pool = nullptr);
+  [[nodiscard]] std::shared_ptr<const routing::CellIndex> cell_index();
   /// Process-wide routing::CellIndex build count (sflyd's stats).
   [[nodiscard]] static std::uint64_t cells_built() {
     return routing::CellIndex::builds();
@@ -119,6 +120,7 @@ class Artifacts {
 
   std::function<Graph()> build_;
   std::uint32_t concentration_;
+  TaskPool* pool_;
   Once graph_once_, tables_once_, next_hops_once_, spectra_once_, cell_once_;
   std::shared_ptr<const Graph> graph_;
   std::shared_ptr<const routing::Tables> tables_;
@@ -129,15 +131,19 @@ class Artifacts {
 
 class ArtifactCache {
  public:
+  /// Every entry registered or adopted here builds on `pool` (null: serially).
+  explicit ArtifactCache(TaskPool* pool = nullptr) : pool_(pool) {}
+
   /// Register a topology under `name`; `build` is deferred until the first
   /// scenario needs the graph.  Re-registering a name replaces the entry
   /// (and drops the old artifacts).
   void register_topology(std::string name, std::function<Graph()> build,
                          std::uint32_t concentration = 8);
 
-  /// Install prebuilt artifacts under `name` (snapshot restore).
+  /// Install a prebuilt graph and spectra under `name` (snapshot restore).
   /// Re-adopting a name replaces the entry, same as register_topology.
-  void adopt(std::string name, std::shared_ptr<Artifacts> artifacts);
+  void adopt(std::string name, std::shared_ptr<const Graph> graph,
+             std::shared_ptr<const Spectra> spectra, std::uint32_t concentration);
 
   /// Shared artifact set for `name`; throws std::out_of_range if unknown.
   [[nodiscard]] std::shared_ptr<Artifacts> get(const std::string& name) const;
@@ -146,6 +152,7 @@ class ArtifactCache {
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
+  TaskPool* pool_;
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<Artifacts>> entries_;
 };

@@ -19,7 +19,6 @@
 #include "layout/wiring.hpp"
 #include "partition/bisection.hpp"
 #include "sim/traffic.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace sfly::engine {
@@ -106,7 +105,7 @@ const char* kind_name(Kind k) {
   return "?";
 }
 
-Engine::Engine(EngineConfig cfg) : cfg_(cfg) {}
+Engine::Engine(EngineConfig cfg) : cfg_(cfg), cache_(&pool_), pool_(cfg.threads) {}
 
 void Engine::register_topology(std::string name, std::function<Graph()> build,
                                std::uint32_t concentration) {
@@ -257,43 +256,40 @@ std::size_t Engine::run_stream(const std::vector<Scen>& batch,
                                const StreamOptions& opts) {
   using Row = RowOf<Scen>;
   for (auto* s : sinks) s->begin(batch.size());
-  std::size_t next_deliver = 0;
-  {
-    // Declared before the pool: if a sink throws mid-delivery, the pool
-    // destructs FIRST and drains its queued tasks while the shared
-    // mutex/cv/reorder buffer are still alive.
-    std::mutex mu;
-    std::condition_variable cv;
-    std::map<std::size_t, Row> done;  // completed, not yet delivered
-    std::size_t next_submit = 0;
-    bool stopping = false;  // stop_after fired: drain, don't submit
-    TaskPool pool(cfg_.threads);
-    if constexpr (std::is_same_v<Scen, SimScenario>) prebuild(batch, pool);
-    const std::size_t window =
-        std::max<std::size_t>(16, std::size_t{4} * pool.width());
+  if constexpr (std::is_same_v<Scen, SimScenario>) prebuild(batch);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::map<std::size_t, Row> done;  // completed, not yet delivered
+  std::size_t next_submit = 0, next_deliver = 0;
+  std::size_t finished = 0;  // tasks past their last use of mu, cv, done
+  bool stopping = false;     // stop_after fired: drain, don't submit
+  const std::size_t window =
+      std::max<std::size_t>(16, std::size_t{4} * pool_.width());
 
-    auto submit_one = [&](std::size_t i) {
-      pool.submit([&, i] {
-        // evaluate() turns scenario failures into ok=false results; this
-        // catch covers only infrastructure failures (e.g. bad_alloc) that
-        // would otherwise leave a hole in the reorder buffer and deadlock
-        // the delivery loop.
-        Row r;
-        try {
-          r = evaluate(batch[i], opts.index_base + i);
-        } catch (const std::exception& e) {
-          r.index = opts.index_base + i;
-          r.error = e.what();
-        } catch (...) {
-          r.index = opts.index_base + i;
-          r.error = "unknown evaluation failure";
-        }
-        std::lock_guard lock(mu);
-        done.emplace(i, std::move(r));
-        cv.notify_one();
-      });
-    };
+  auto submit_one = [&](std::size_t i) {
+    pool_.submit([&, i] {
+      // evaluate() turns scenario failures into ok=false results; this
+      // catch covers only infrastructure failures (e.g. bad_alloc) that
+      // would otherwise leave a hole in the reorder buffer and deadlock
+      // the delivery loop.
+      Row r;
+      try {
+        r = evaluate(batch[i], opts.index_base + i);
+      } catch (const std::exception& e) {
+        r.index = opts.index_base + i;
+        r.error = e.what();
+      } catch (...) {
+        r.index = opts.index_base + i;
+        r.error = "unknown evaluation failure";
+      }
+      std::lock_guard lock(mu);
+      done.emplace(i, std::move(r));
+      ++finished;
+      cv.notify_one();
+    });
+  };
 
+  try {
     while (next_deliver < (stopping ? next_submit : batch.size())) {
       while (!stopping && next_submit < batch.size() &&
              next_submit < next_deliver + window)
@@ -313,7 +309,11 @@ std::size_t Engine::run_stream(const std::vector<Scen>& batch,
       // the batch is contiguous — exactly what a resume journal needs.
       if (!stopping && opts.stop_after && opts.stop_after()) stopping = true;
     }
-    pool.wait();  // drained; rethrows an (unexpected) infrastructure error
+  } catch (...) {
+    // A sink threw: wait out the tasks still using this frame's state.
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return finished == next_submit; });
+    throw;
   }
   for (auto* s : sinks) s->end();
   return next_deliver;
@@ -322,14 +322,14 @@ std::size_t Engine::run_stream(const std::vector<Scen>& batch,
 // Built lazily, a topology's shared tables and next-hop index would be
 // built by its first scenario task on one core while the tasks behind it
 // wait.  A build that throws is left to the scenarios to report.
-void Engine::prebuild(const std::vector<SimScenario>& batch, TaskPool& pool) {
+void Engine::prebuild(const std::vector<SimScenario>& batch) {
   const auto t0 = std::chrono::steady_clock::now();
   std::set<std::string> done;
   for (const auto& s : batch) {
     if (s.failure_fraction > 0.0 || !done.insert(s.topology).second)
       continue;
     try {
-      (void)cache_.get(s.topology)->next_hops(&pool);
+      (void)cache_.get(s.topology)->next_hops();
     } catch (const std::exception&) {
     }
   }

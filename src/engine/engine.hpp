@@ -4,7 +4,7 @@
 //
 // The paper's figures are sweeps: topology x routing x traffic x failure
 // rate x seed, each point independent given its seed.  The engine
-// evaluates a batch of such points across a TaskPool through one
+// evaluates a batch of such points across its TaskPool through one
 // run()/run_stream() template over the scenario type (analytic Scenarios
 // and simulated SimScenarios alike; only evaluate() is overloaded per
 // kind), shares expensive per-topology artifacts (graph, routing tables,
@@ -24,13 +24,14 @@
 #include "engine/artifact_cache.hpp"
 #include "engine/scenario.hpp"
 #include "sim/simulator.hpp"
+#include "util/parallel.hpp"
 
 namespace sfly::engine {
 
 class ResultSink;
 
 struct EngineConfig {
-  unsigned threads = 0;  // 0 = hardware_threads()
+  unsigned threads = 0;  // pool width; 0 = hardware_threads()
   /// Base simulator knobs (bandwidth, latencies, buffers).  Per-scenario
   /// fields (algo, vcs, seed, concentration, packet size) are overridden
   /// from the Scenario and its topology registration.
@@ -62,6 +63,12 @@ class Engine {
   [[nodiscard]] const ArtifactCache& artifacts() const { return cache_; }
   [[nodiscard]] const EngineConfig& config() const { return cfg_; }
 
+  /// The one worker pool, EngineConfig::threads wide, alive as long as the
+  /// engine: batches, the cache's builds and sflyd's queries run on it.
+  /// Build from outside it only before submitting (DESIGN.md §6).
+  [[nodiscard]] TaskPool& pool() { return pool_; }
+  [[nodiscard]] const TaskPool& pool() const { return pool_; }
+
   /// Evaluate one scenario on the calling thread (no pool).  A scenario
   /// that throws (unknown topology, disconnected graph, ...) yields
   /// ok=false with the error text.  A SimScenario runs a synthetic
@@ -83,7 +90,9 @@ class Engine {
   /// O(batch)).  Sinks are invoked from the calling thread only.  A
   /// SimScenario batch first builds the routing tables and next-hop
   /// index of every pristine scenario's topology across the pool, before
-  /// any scenario starts (timed into artifact_build_seconds()).
+  /// any scenario starts (timed into artifact_build_seconds()).  A sink
+  /// that throws ends the batch: the scenarios in flight are drained,
+  /// then the sink's exception propagates.
   /// \return the number of results delivered — less than batch.size()
   ///         only when opts.stop_after fired.
   template <class Scen>
@@ -105,10 +114,11 @@ class Engine {
   }
 
  private:
-  void prebuild(const std::vector<SimScenario>& batch, TaskPool& pool);
+  void prebuild(const std::vector<SimScenario>& batch);
 
   EngineConfig cfg_;
   ArtifactCache cache_;
+  TaskPool pool_;  // after cache_: joined before the cache it builds into
   std::atomic<std::int64_t> build_ns_{0};
 };
 

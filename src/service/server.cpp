@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "util/net.hpp"
-#include "util/parallel.hpp"
 
 namespace sfly::service {
 
@@ -46,14 +45,12 @@ struct Conn {
 struct Server::Impl {
   int listen_fd = -1;
   int wake_fd = -1;  // eventfd: stop() pokes the poll loop
-  std::atomic<bool> stop{false};
   std::atomic<bool> running{false};
   std::vector<std::shared_ptr<Conn>> conns;
-  std::unique_ptr<TaskPool> pool;
 };
 
-Server::Server(QueryEngine& queries, ServerConfig cfg)
-    : queries_(queries), cfg_(cfg), impl_(new Impl) {}
+Server::Server(QueryEngine& queries, std::uint16_t port)
+    : queries_(queries), port_(port), impl_(new Impl) {}
 
 Server::~Server() { stop(); }
 
@@ -61,7 +58,7 @@ bool Server::running() const { return impl_->running.load(); }
 
 bool Server::start() {
   ::signal(SIGPIPE, SIG_IGN);
-  impl_->listen_fd = net::tcp_listen(cfg_.port, port_);
+  impl_->listen_fd = net::tcp_listen(port_, port_);
   if (impl_->listen_fd < 0) return false;
   impl_->wake_fd = ::eventfd(0, EFD_CLOEXEC);
   if (impl_->wake_fd < 0) {
@@ -69,7 +66,6 @@ bool Server::start() {
     impl_->listen_fd = -1;
     return false;
   }
-  impl_->pool = std::make_unique<TaskPool>(cfg_.threads);
   impl_->running.store(true);
   thread_ = std::thread([this] { loop(); });
   return true;
@@ -80,7 +76,6 @@ void Server::stop() {
     if (thread_.joinable()) thread_.join();
     return;
   }
-  impl_->stop.store(true);
   if (impl_->wake_fd >= 0) {
     const std::uint64_t one = 1;
     (void)!::write(impl_->wake_fd, &one, sizeof one);
@@ -94,7 +89,7 @@ void Server::stop() {
 
 void Server::loop() {
   auto& im = *impl_;
-  while (!im.stop.load()) {
+  while (im.running.load()) {
     std::vector<pollfd> fds;
     fds.push_back({im.listen_fd, POLLIN, 0});
     fds.push_back({im.wake_fd, POLLIN, 0});
@@ -103,7 +98,7 @@ void Server::loop() {
       if (errno == EINTR) continue;
       break;
     }
-    if (im.stop.load()) break;
+    if (!im.running.load()) break;
 
     // Connections accepted below grow im.conns past what this poll
     // round covered; remember the polled prefix so the read loop never
@@ -176,10 +171,10 @@ void Server::loop() {
                 // error frame.
                 auto conn = c;
                 std::string request = std::move(f.payload);
-                auto* qe = &queries_;
-                im.pool->submit([conn, request = std::move(request), qe] {
-                  (void)conn->send(net::FrameType::kData, qe->handle(request));
-                });
+                queries_.engine().pool().submit(
+                    [conn, request = std::move(request), &qe = queries_] {
+                      (void)conn->send(net::FrameType::kData, qe.handle(request));
+                    });
                 break;
               }
               case net::FrameType::kHeartbeat:
@@ -207,9 +202,9 @@ void Server::loop() {
   }
 
   // Drain in-flight queries (their response writes hit closing fds at
-  // worst), then close everything.
-  im.pool->wait();
-  im.pool.reset();
+  // worst), then close everything.  Once serving, queries are all the
+  // engine's pool runs, so waiting for it to go idle drains them.
+  queries_.engine().pool().wait();
   for (auto& c : im.conns) {
     std::unique_lock lock(c->write_mu);
     c->closing = true;

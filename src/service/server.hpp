@@ -9,7 +9,7 @@
 // "id" (responses may complete out of order under concurrency).
 //
 // A poll loop owns every fd and does all reads; decoded requests are
-// dispatched onto a TaskPool, and each worker writes its response frame
+// dispatched onto Engine::pool(), and each worker writes its response frame
 // directly under a per-connection write mutex.  Per-query isolation is
 // QueryEngine::handle's no-throw contract: a malformed or throwing query
 // costs one error frame, never the connection or the daemon.  Version
@@ -24,17 +24,10 @@
 
 namespace sfly::service {
 
-struct ServerConfig {
-  std::uint16_t port = 0;  ///< 0 = ephemeral (see port() after start)
-  unsigned threads = 0;    ///< query worker width; 0 = hardware_threads()
-  /// Handshake/read patience for half-open peers, milliseconds.
-  int idle_timeout_ms = 30000;
-};
-
 class Server {
  public:
-  /// The query engine must outlive the server.
-  Server(QueryEngine& queries, ServerConfig cfg = {});
+  /// `queries` must outlive the server; `port` 0 binds an ephemeral one.
+  explicit Server(QueryEngine& queries, std::uint16_t port = 0);
   ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -57,8 +50,7 @@ class Server {
   void loop();
 
   QueryEngine& queries_;
-  ServerConfig cfg_;
-  std::uint16_t port_ = 0;
+  std::uint16_t port_;
   std::unique_ptr<Impl> impl_;
   std::thread thread_;
 };

@@ -278,9 +278,7 @@ void Snapshot::load_into(const std::shared_ptr<Snapshot>& self,
     sp->mu1 = sb.mu1;
     std::shared_ptr<const Spectra> spectra(sp, keep);
 
-    cache.adopt(d.name, std::make_shared<engine::Artifacts>(
-                            std::move(graph), std::move(spectra),
-                            d.concentration));
+    cache.adopt(d.name, std::move(graph), std::move(spectra), d.concentration);
   }
 }
 

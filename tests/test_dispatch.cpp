@@ -379,6 +379,7 @@ TEST(PhaseRecord, WorkCountsAreTheEvaluatedOkRows) {
   EXPECT_TRUE(record_work(p) == w);
   const std::string rec = slurp(p);
   EXPECT_EQ(record_field(rec, "workers"), 0.0);
+  EXPECT_EQ(record_field(rec, "threads"), 2.0);
   // The engine's own pre-build is timed.
   EXPECT_GT(record_field(rec, "artifact_build_s"), 0.0);
   // One footprint per registered topology, each holding the graph,
@@ -412,6 +413,18 @@ TEST(PhaseRecord, WorkCountsAreTheEvaluatedOkRows) {
             0);
   EXPECT_TRUE(record_work(pw) == w);
   EXPECT_EQ(record_field(slurp(pw), "workers"), 2.0);
+}
+
+// Without --threads the record holds the width the engine's pool ran at,
+// hardware_threads() (the record's nproc), not the flag's default of 0.
+TEST(PhaseRecord, ThreadsIsThePoolWidth) {
+  const std::string p = tmp("rec_width.json");
+  ASSERT_EQ(run(bin_dir() + "/bench_fig6_ugal --ranks 64 --msgs 2 --phase-json " +
+                p + " >/dev/null 2>&1"),
+            0);
+  const std::string rec = slurp(p);
+  EXPECT_GE(record_field(rec, "threads"), 1.0);
+  EXPECT_EQ(record_field(rec, "threads"), record_field(rec, "nproc"));
 }
 
 TEST(PhaseRecord, StoppedRunAndItsResumeAddUpToOneRun) {

@@ -1,12 +1,16 @@
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -399,6 +403,46 @@ TEST(Engine, ThrowingSinkDrainsAndEngineRunsOn) {
   ASSERT_EQ(ref.size(), batch.size());
   for (std::size_t i = 0; i < rows.size(); ++i)
     EXPECT_EQ(jsonl_row(rows[i]), jsonl_row(ref[i])) << i;
+}
+
+// The engine's pool lives as long as the engine: two batches at width 4
+// run on at most four kernel threads, each still alive after the second
+// batch.  Each scenario names its own topology, so its builder runs once,
+// on the worker that evaluates it.  The pool is EngineConfig::threads
+// wide, 0 meaning hardware_threads().
+TEST(Engine, BatchesRunOnThePersistentPool) {
+  EngineConfig cfg;
+  cfg.threads = 4;
+  Engine eng(cfg);
+  EXPECT_EQ(eng.pool().width(), 4u);
+  std::mutex mu;
+  std::set<pid_t> tids;
+  std::vector<Scenario> batches[2];
+  for (int i = 0; i < 32; ++i) {
+    const std::string name = "Paley(13)#" + std::to_string(i);
+    eng.register_topology(name, [&] {
+      std::lock_guard lock(mu);
+      tids.insert(::gettid());
+      return topo::paley_graph({13});
+    });
+    Scenario s;
+    s.topology = name;
+    batches[i % 2].push_back(s);
+  }
+  for (const auto& batch : batches)
+    for (const auto& r : eng.run(batch)) EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_GE(tids.size(), 1u);
+  EXPECT_LE(tids.size(), 4u);
+  for (pid_t tid : tids)
+    EXPECT_EQ(::access(("/proc/self/task/" + std::to_string(tid)).c_str(), F_OK), 0)
+        << "worker " << tid << " exited after its batch";
+
+  for (unsigned w : {0u, 1u, 3u}) {
+    cfg.threads = w;
+    EXPECT_EQ(Engine(cfg).pool().width(),
+              w ? w : static_cast<unsigned>(hardware_threads()))
+        << w;
+  }
 }
 
 TEST(Engine, SimScenarioMatchesDirectNetworkRun) {

@@ -93,11 +93,10 @@ struct Fixture {
   QueryEngine queries;
   std::unique_ptr<Server> server;
 
-  explicit Fixture(unsigned threads = 2) {
+  explicit Fixture(unsigned threads = 2)
+      : queries(engine::EngineConfig{.threads = threads}) {
     queries.register_spec("Paley(13)");
-    ServerConfig cfg;
-    cfg.threads = threads;
-    server = std::make_unique<Server>(queries, cfg);
+    server = std::make_unique<Server>(queries);
     EXPECT_TRUE(server->start());
   }
 };
@@ -264,7 +263,7 @@ TEST(Service, WarmRestartedServerServesIdenticalBytesWithoutRebuilds) {
   auto snap = Snapshot::open(snap_path);
   Snapshot::load_into(snap, warm.engine().artifacts());
   warm.engine().artifacts().get("Paley(13)")->materialize();
-  Server server(warm, {});
+  Server server(warm);
   ASSERT_TRUE(server.start());
 
   const auto tables_before = routing::Tables::builds();
@@ -373,7 +372,7 @@ TEST(DistanceRows, SnapshotEntryAboveThresholdServesWithoutBuilds) {
 TEST(Service, StopIsIdempotentAndStartReportsPort) {
   QueryEngine queries;
   queries.register_spec("Paley(13)");
-  Server server(queries, {});
+  Server server(queries);
   ASSERT_TRUE(server.start());
   EXPECT_GT(server.port(), 0);
   EXPECT_TRUE(server.running());

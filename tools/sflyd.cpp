@@ -3,11 +3,11 @@
 // Cold start registers topologies from --topos; warm start mmaps a
 // --snapshot written by a previous run, adopting its graphs and spectra
 // (the spectra are the costly part).  Either way the daemon then builds
-// what serving needs for every topology on one --threads-wide pool (the
-// all-pairs tables and next-hop index at or below the exact threshold,
-// the spectra if missing), so the first query is not a build stall, and
-// answers route/sim/rank/stats queries over the frame protocol until
-// SIGTERM/SIGINT.
+// what serving needs for every topology on the engine's --threads-wide
+// pool (the all-pairs tables and next-hop index at or below the exact
+// threshold, the spectra if missing), so the first query is not a build
+// stall, and answers route/sim/rank/stats queries over the frame protocol
+// on that same pool until SIGTERM/SIGINT.
 //
 //   sflyd --topos 'LPS(11,7),SF(9)' --save-snapshot topo.snap --build-only
 //   sflyd --snapshot topo.snap --port 7100
@@ -24,7 +24,6 @@
 #include "service/snapshot.hpp"
 #include "topo/factory.hpp"
 #include "util/options.hpp"
-#include "util/parallel.hpp"
 
 namespace {
 
@@ -44,7 +43,7 @@ int main(int argc, char** argv) {
        {"--concentration", true,
         "endpoints per router for --topos (default 8)"},
        {"--port", true, "listen port (default 0 = ephemeral)"},
-       {"--threads", true, "query worker threads (default: hardware)"},
+       {"--threads", true, "startup build and query threads (default: hardware)"},
        {"--save-snapshot", true,
         "serialize the registered artifacts to this file"},
        {"--build-only", false, "build (and save), then exit without serving"},
@@ -53,14 +52,11 @@ int main(int argc, char** argv) {
       "sflyd", "sflyd: serve route/sim/rank/stats queries over topologies "
                "built from --topos and/or mmap'd from --snapshot");
   // Every number is checked before anything is built or bound.
-  sfly::engine::EngineConfig cfg;
-  cfg.threads = flags.get<unsigned>("--threads", 0);
+  const auto threads = flags.get<unsigned>("--threads", 0);
   const auto concentration = flags.get<std::uint32_t>("--concentration", 8);
-  sfly::service::ServerConfig scfg;
-  scfg.port = flags.get<std::uint16_t>("--port", 0);
-  scfg.threads = cfg.threads;
+  const auto port = flags.get<std::uint16_t>("--port", 0);
 
-  sfly::service::QueryEngine queries(cfg);
+  sfly::service::QueryEngine queries({.threads = threads});
 
   auto& cache = queries.engine().artifacts();
   try {
@@ -84,12 +80,11 @@ int main(int argc, char** argv) {
       return 2;
     }
     // One materialization loop for --snapshot and --topos entries alike,
-    // routing artifacts on a --threads-wide pool: daemons take the build
-    // cost at startup, not on the first unlucky query.
-    sfly::TaskPool pool(cfg.threads);
+    // on the engine's pool before any query is submitted to it: daemons
+    // take the build cost at startup, not on the first unlucky query.
     for (const auto& name : cache.names()) {
       auto art = cache.get(name);
-      art->materialize(&pool);
+      art->materialize();
       std::fprintf(stderr, "# sflyd: built %s (%zu bytes of artifacts)\n",
                    name.c_str(), art->footprint().total());
     }
@@ -104,9 +99,9 @@ int main(int argc, char** argv) {
   }
   if (flags.has("--build-only")) return 0;
 
-  sfly::service::Server server(queries, scfg);
+  sfly::service::Server server(queries, port);
   if (!server.start()) {
-    std::fprintf(stderr, "sflyd: cannot bind port %u\n", scfg.port);
+    std::fprintf(stderr, "sflyd: cannot bind port %u\n", port);
     return 1;
   }
   std::signal(SIGTERM, on_signal);
