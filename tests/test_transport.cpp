@@ -5,7 +5,9 @@
 // holder's epoch and its late rows are discarded exactly once; a worker
 // that reconnects after a partition rejoins under a fresh epoch; a
 // stale worker build is refused over the socket exactly as in a local
-// fleet; --max-seconds and SIGTERM stop the fleet resumably, even before
+// fleet; a raw client's skewed HELLO or DATA before HELLO is closed
+// without a WELCOME, and a join past the slot count gets a busy one;
+// --max-seconds and SIGTERM stop the fleet resumably, even before
 // it assembles; a worker with no parent to join exits 76.  Plus unit pins for the
 // length-delimited framing, the handshake payloads, and the
 // deterministic reconnect backoff the wire rides on.
@@ -13,6 +15,9 @@
 #include "util/net.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -527,6 +533,108 @@ TEST(Tcp, StaleWorkerDeclarationIsRefusedOverSocket) {
   EXPECT_NE(slurp(tmp("skew.err")).find("declaration mismatch"),
             std::string::npos)
       << slurp(tmp("skew.err"));
+}
+
+// A `--listen` parent with `slots` worker slots and a 10 s lease (so a
+// raw client holding a slot is not fenced mid-test), run in the
+// background for raw clients to speak the wire to.
+struct ListenParent {
+  pid_t pid = -1;
+  std::uint16_t port = 0;
+
+  ListenParent(const std::string& name, int slots) {
+    const std::string pf = tmp(name + ".port");
+    std::remove(pf.c_str());
+    const std::string cmd =
+        "exec env SFLY_LISTEN_PORT_FILE=" + pf + " " + bin_dir() +
+        "/bench_fig6_ugal --ranks 64 --msgs 4 --seed 1 --workers " +
+        std::to_string(slots) + " --listen 0 --lease-ms 10000 > /dev/null 2> " +
+        tmp(name + ".err");
+    pid = ::fork();
+    if (pid == 0) {
+      ::execl("/bin/sh", "sh", "-c", cmd.c_str(), static_cast<char*>(nullptr));
+      ::_exit(127);
+    }
+    for (int i = 0; i < 200 && port == 0; ++i) {
+      ::poll(nullptr, 0, 50);
+      const std::string s = slurp(pf);
+      if (!s.empty() && s.back() == '\n') port = static_cast<std::uint16_t>(std::stoi(s));
+    }
+  }
+  ~ListenParent() {
+    if (pid <= 0) return;
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+  }
+};
+
+// Everything the peer sends before it closes the connection; nullopt if
+// it is still open after 10 s.
+std::optional<std::string> bytes_until_close(int fd) {
+  std::string got;
+  for (;;) {
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, 10000) <= 0) return std::nullopt;
+    char buf[4096];
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n <= 0) return got;
+    got.append(buf, static_cast<std::size_t>(n));
+  }
+}
+
+TEST(Tcp, ListenParentClosesVersionSkewedHelloWithoutWelcome) {
+  ListenParent parent("rawskew", 1);
+  ASSERT_GT(parent.port, 0) << slurp(tmp("rawskew.err"));
+  const int fd = tcp_connect("127.0.0.1", parent.port);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_frame(fd, FrameType::kHello, 1,
+                         "{\"v\":99,\"role\":\"worker\"}"));
+  EXPECT_EQ(bytes_until_close(fd), std::optional<std::string>(""));
+  ::close(fd);
+}
+
+TEST(Tcp, ListenParentClosesDataBeforeHello) {
+  ListenParent parent("rawdata", 1);
+  ASSERT_GT(parent.port, 0) << slurp(tmp("rawdata.err"));
+  const int fd = tcp_connect("127.0.0.1", parent.port);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_frame(fd, FrameType::kData, 1, "{\"slice\":[0,1]}"));
+  EXPECT_EQ(bytes_until_close(fd), std::optional<std::string>(""));
+  ::close(fd);
+}
+
+TEST(Tcp, JoinBeyondSlotCountGetsBusyWelcome) {
+  ListenParent parent("rawbusy", 1);
+  ASSERT_GT(parent.port, 0) << slurp(tmp("rawbusy.err"));
+  // The first join takes the only slot.
+  const int first = tcp_connect("127.0.0.1", parent.port);
+  ASSERT_GE(first, 0);
+  ASSERT_TRUE(send_frame(first, FrameType::kHello, 1, hello_payload("worker")));
+  FrameReader fr;
+  Frame f;
+  Welcome w;
+  ASSERT_TRUE(read_frame_blocking(first, f, fr, 10000));
+  ASSERT_EQ(f.type, FrameType::kWelcome);
+  ASSERT_TRUE(parse_welcome(f.payload, w));
+  EXPECT_FALSE(w.busy);
+  EXPECT_EQ(w.lease_ms, 10000);
+
+  // The second gets one busy WELCOME, then the parent closes it.
+  const int second = tcp_connect("127.0.0.1", parent.port);
+  ASSERT_GE(second, 0);
+  ASSERT_TRUE(send_frame(second, FrameType::kHello, 1, hello_payload("worker")));
+  const auto got = bytes_until_close(second);
+  ASSERT_TRUE(got.has_value()) << "busy join was not closed";
+  FrameReader busy_fr;
+  busy_fr.feed(got->data(), got->size());
+  ASSERT_TRUE(busy_fr.next(f));
+  EXPECT_EQ(f.type, FrameType::kWelcome);
+  ASSERT_TRUE(parse_welcome(f.payload, w));
+  EXPECT_TRUE(w.busy);
+  EXPECT_FALSE(busy_fr.next(f));
+  EXPECT_EQ(busy_fr.pending_bytes(), 0u);
+  ::close(second);
+  ::close(first);
 }
 
 TEST(Tcp, BudgetStopsFleetGracefullyAndResumesSingleProcess) {
