@@ -1,8 +1,6 @@
 #include "engine/transport_tcp.hpp"
 
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -14,7 +12,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <string_view>
@@ -25,11 +22,6 @@
 namespace sfly::engine {
 
 namespace {
-
-void set_nonblocking(int fd) {
-  const int fl = ::fcntl(fd, F_GETFL, 0);
-  if (fl >= 0) ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t)
@@ -47,8 +39,8 @@ auto env_hook(const char* name, const char* want, Parse parse) {
   std::exit(2);
 }
 
-// Reaps a child that is exiting on its own (it closed its end, or was
-// sent BYE and SIGTERM).  A blocking waitpid on a stopped child never
+// Reaps a child that is exiting (it closed its end, or was sent SIGKILL,
+// or BYE and SIGTERM).  A blocking waitpid on a stopped child never
 // returns, and a SIGSTOP can land at any moment of its exit, so each
 // wait is preceded by a SIGCONT.  Returns the wait status.
 int reap_exiting(pid_t pid) {
@@ -92,12 +84,9 @@ TcpTransport::TcpTransport(Config cfg) : cfg_(std::move(cfg)) {
   if (local()) return;
 
   std::uint16_t port = 0;
-  listen_fd_ = net::tcp_listen(static_cast<std::uint16_t>(cfg_.listen_port),
-                               port);
-  if (listen_fd_ < 0)
+  if (!links_.listen(static_cast<std::uint16_t>(cfg_.listen_port), port))
     throw std::runtime_error("--listen: cannot bind port " +
                              std::to_string(cfg_.listen_port));
-  set_nonblocking(listen_fd_);
   std::fprintf(stderr,
                "# --listen: accepting worker connections on port %u "
                "(%zu slot(s), lease %dms)\n",
@@ -111,10 +100,8 @@ void TcpTransport::start(const Hooks& hooks) {
     for (std::size_t wi = 0; wi < slot_.size(); ++wi) spawn(wi, hooks);
     return;
   }
-  auto bound = [&] {
-    std::size_t k = 0;
-    for (const auto* c : slot_) k += (c != nullptr);
-    return k;
+  const auto bound = [&] {
+    return cfg_.workers - std::count(slot_.begin(), slot_.end(), nullptr);
   };
   auto last_notice = std::chrono::steady_clock::now();
   while (bound() < cfg_.workers) {
@@ -144,47 +131,14 @@ double TcpTransport::idle_seconds(std::size_t slot) const {
 
 void TcpTransport::queue_frame(Conn& c, net::FrameType type,
                                std::string_view payload) {
-  if (c.fd < 0 || c.dead) return;
-  net::append_frame(c.outbox, type, c.next_seq_out++, payload);
-  try_flush(c);
-  // A peer that stopped reading while we keep queueing is wedged; cap
-  // the buffered bytes so one zombie cannot balloon the parent.
-  if (c.outbox.size() > net::kMaxFramePayload) c.dead = true;
-}
-
-void TcpTransport::try_flush(Conn& c) {
-  while (!c.outbox.empty()) {
-    const ssize_t w = ::write(c.fd, c.outbox.data(), c.outbox.size());
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      c.dead = true;
-      return;
-    }
-    c.outbox.erase(0, static_cast<std::size_t>(w));
-  }
+  c.queue(type, payload);
+  // A worker that stopped reading while we keep queueing is wedged; cap
+  // its unsent bytes so one zombie cannot balloon the parent.
+  if (c.unsent() > net::kMaxFramePayload) c.dead = true;
 }
 
 void TcpTransport::send(std::size_t slot, const std::string& line) {
   if (Conn* c = slot_[slot]) queue_frame(*c, net::FrameType::kData, line);
-}
-
-TcpTransport::Conn& TcpTransport::add_conn(int fd) {
-  set_nonblocking(fd);
-  Conn& c = conns_.emplace_back();
-  c.fd = fd;
-  c.last_heard = c.last_hb_sent = std::chrono::steady_clock::now();
-  return c;
-}
-
-void TcpTransport::accept_new() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    add_conn(fd);
-  }
 }
 
 void TcpTransport::spawn(std::size_t slot, const Hooks& hooks) {
@@ -221,7 +175,7 @@ void TcpTransport::spawn(std::size_t slot, const Hooks& hooks) {
     ::_exit(127);
   }
   ::close(sv[1]);
-  Conn& c = add_conn(sv[0]);
+  Conn& c = links_.adopt(sv[0]);
   c.pid = pid;
   bind(c, slot, hooks);
 }
@@ -256,23 +210,17 @@ void TcpTransport::bind_join(Conn& c, const Hooks& hooks) {
 }
 
 void TcpTransport::handle_frame(Conn& c, const net::Frame& f,
+                                const std::string& refusal,
                                 const Hooks& hooks) {
   c.last_heard = std::chrono::steady_clock::now();
+  if (!refusal.empty()) {  // the set closes it, unanswered
+    std::fprintf(stderr, "# --listen: rejecting connection: %s\n",
+                 refusal.c_str());
+    return;
+  }
   switch (f.type) {
-    case net::FrameType::kHello: {
-      int version = 0;
-      std::string role;
-      if (!net::parse_hello(f.payload, version, role) ||
-          version != net::kProtocolVersion) {
-        std::fprintf(stderr,
-                     "# --listen: rejecting connection with protocol "
-                     "version %d (this parent speaks %d)\n",
-                     version, net::kProtocolVersion);
-        c.dead = true;
-        return;
-      }
-      c.greeted = true;
-      if (role == "probe") {
+    case net::FrameType::kHello:
+      if (c.role == "probe") {
         // A sfly_worker supervisor asking what to exec on its machine.
         net::Welcome w;
         std::error_code ec;
@@ -283,143 +231,77 @@ void TcpTransport::handle_frame(Conn& c, const net::Frame& f,
         w.args = cfg_.worker_argv;
         queue_frame(c, net::FrameType::kWelcome, net::welcome_payload(w));
         c.close_when_flushed = true;
-        return;
+      } else if (c.slot < 0) {
+        // Local children are bound at spawn; joins bind on their HELLO.
+        bind_join(c, hooks);
       }
-      // Local children are bound at spawn; joins bind on their HELLO.
-      if (c.slot < 0 && !c.zombie) bind_join(c, hooks);
       return;
-    }
     case net::FrameType::kData: {
-      if (!c.greeted || c.slot < 0) {  // data before a hello: not ours
+      if (c.slot < 0) {  // never bound to a slot: no rows to give
         c.dead = true;
         return;
       }
       if (f.seq <= c.last_seq_in) {
         // A duplicated frame (misbehaving middlebox, fault injection):
-        // the sequence number catches it before any line reaches the
-        // row path.
-        ++dup_frames_;
+        // the sequence number drops it before any line reaches the row
+        // path.
         return;
       }
       c.last_seq_in = f.seq;
       const auto wi = static_cast<std::size_t>(c.slot);
-      if (c.zombie || slot_[wi] != &c) {
+      if (!current(c)) {
         if (hooks.on_zombie_line) hooks.on_zombie_line(wi, f.payload);
       } else if (hooks.on_line) {
         hooks.on_line(wi, f.payload);
       }
       return;
     }
-    case net::FrameType::kHeartbeat:
-      return;  // last_heard already refreshed
     case net::FrameType::kStop:
       c.said_stop = true;
       return;
     default:
-      return;
-  }
-}
-
-void TcpTransport::read_conn(Conn& c, const Hooks& hooks) {
-  char buf[65536];
-  for (;;) {
-    const ssize_t rd = ::read(c.fd, buf, sizeof buf);
-    if (rd < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      c.dead = c.hup = true;
-      break;
-    }
-    if (rd == 0) {  // EOF; a torn frame in c.frames is simply dropped
-      c.dead = c.hup = true;
-      break;
-    }
-    c.frames.feed(buf, static_cast<std::size_t>(rd));
-    net::Frame f;
-    while (c.frames.next(f)) handle_frame(c, f, hooks);
-    if (c.frames.corrupt()) {
-      std::fprintf(stderr,
-                   "# --listen: corrupt frame stream from slot %ld — "
-                   "treating the connection as dead\n",
-                   c.slot);
-      c.dead = true;
-      break;
-    }
+      return;  // a heartbeat only refreshes last_heard
   }
 }
 
 void TcpTransport::sweep(const Hooks& hooks) {
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    Conn& c = *it;
-    if (!c.dead && c.close_when_flushed && c.outbox.empty()) c.dead = true;
-    if (!c.dead) {
-      ++it;
-      continue;
-    }
-    if (c.fd >= 0) ::close(c.fd);
-    c.fd = -1;
+  links_.sweep([&](Conn& c) {
+    if (c.frames.corrupt())
+      std::fprintf(stderr,
+                   "# --listen: corrupt frame stream from slot %ld — "
+                   "treating the connection as dead\n",
+                   c.slot);
     bool graceful = c.said_stop;
     if (c.pid > 0) {
       // A child that closed its end is exiting: reap it as it is.  One
       // we gave up on (write failure, corrupt stream, expired lease —
       // possibly SIGSTOPped) is SIGKILLed first.
-      int st = 0;
-      if (c.hup) {
-        st = reap_exiting(c.pid);
-      } else {
-        ::kill(c.pid, SIGKILL);
-        ::waitpid(c.pid, &st, 0);
-      }
+      if (!c.hup) ::kill(c.pid, SIGKILL);
+      const int st = reap_exiting(c.pid);
       // EX_TEMPFAIL: the worker's own --max-seconds budget fired.
       graceful = graceful || (WIFEXITED(st) && WEXITSTATUS(st) == 75);
     }
-    if (c.slot >= 0 && slot_[static_cast<std::size_t>(c.slot)] == &c) {
+    if (current(c)) {
       slot_[static_cast<std::size_t>(c.slot)] = nullptr;
       if (hooks.on_down)
         hooks.on_down(static_cast<std::size_t>(c.slot), graceful);
     }
-    it = conns_.erase(it);
-  }
+  });
 }
 
 void TcpTransport::pump(int timeout_ms, const Hooks& hooks) {
   sweep(hooks);  // reap conns killed by send() since the last pump
-
-  std::vector<pollfd> fds;
-  std::vector<Conn*> who;
-  if (listen_fd_ >= 0) {
-    fds.push_back({listen_fd_, POLLIN, 0});
-    who.push_back(nullptr);
-  }
-  for (auto& c : conns_) {
-    short ev = POLLIN;
-    if (!c.outbox.empty()) ev |= POLLOUT;
-    fds.push_back({c.fd, ev, 0});
-    who.push_back(&c);
-  }
-  const int pr =
-      ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
-  if (pr < 0 && errno != EINTR)
+  if (!links_.poll(timeout_ms,
+                   [&](Conn& c, const net::Frame& f, const std::string& why) {
+                     handle_frame(c, f, why, hooks);
+                   }))
     throw std::runtime_error("--workers: poll() failed");
-  if (pr > 0) {
-    for (std::size_t k = 0; k < fds.size(); ++k) {
-      if (!who[k]) {
-        if (fds[k].revents & POLLIN) accept_new();
-        continue;
-      }
-      Conn& c = *who[k];
-      if (c.dead) continue;
-      if (fds[k].revents & POLLOUT) try_flush(c);
-      if (fds[k].revents & (POLLIN | POLLHUP | POLLERR)) read_conn(c, hooks);
-    }
-  }
 
   // Keep-alives: the worker's lease logic mirrors ours, so a silent
   // parent would look like a partition.  Zombies get none — a fenced
   // worker should time out, exit 76, and reconnect for a fresh slice.
-  for (auto& c : conns_) {
-    if (c.dead || c.slot < 0 || c.zombie) continue;
-    if (slot_[static_cast<std::size_t>(c.slot)] != &c) continue;
+  for (auto& [id, c] : links_.conns()) {
+    if (c.dead || !current(c)) continue;
     if (seconds_since(c.last_hb_sent) * 1000.0 >= heartbeat_ms_) {
       c.last_hb_sent = std::chrono::steady_clock::now();
       queue_frame(c, net::FrameType::kHeartbeat, "");
@@ -428,24 +310,14 @@ void TcpTransport::pump(int timeout_ms, const Hooks& hooks) {
   sweep(hooks);
 }
 
-void TcpTransport::fence(std::size_t slot) {
-  Conn* c = slot_[slot];
-  if (!c) return;
-  c->zombie = true;
-  slot_[slot] = nullptr;
-}
-
 void TcpTransport::replace(std::size_t slot, const Hooks& hooks) {
-  if (!local()) {
-    // Passive: fence the current epoch (if any) and let the next
-    // --connect join — routed through bind_join/on_join — take over.
-    fence(slot);
-    return;
-  }
-  if (Conn* c = slot_[slot]) {  // lease expired: the next sweep kills it
-    c->dead = true;
-    slot_[slot] = nullptr;
-  }
+  // Fence the slot's current conn, if any (it is a zombie from here
+  // on).  A --listen slot then waits for the next --connect join —
+  // routed through bind_join/on_join — to take over; a local worker is
+  // killed by the next sweep and respawned now.
+  if (Conn* c = slot_[slot]; c && local()) c->dead = true;
+  slot_[slot] = nullptr;
+  if (!local()) return;
   if (++respawns_ > cfg_.max_respawns) {
     shutdown();
     throw std::runtime_error(
@@ -465,48 +337,38 @@ void TcpTransport::note_row(std::size_t slot) {
                  "# --workers: test fence firing on slot %zu after %zu "
                  "row(s)\n",
                  slot, rows);
-    fence(slot);
+    slot_[slot] = nullptr;  // its conn is a zombie from here on
   }
 }
 
 void TcpTransport::shutdown() {
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  links_.close_listener();
   // BYE tells each worker the fleet is done: its next EOF is graceful
   // (exit 75), not a lost link to reconnect across.
-  for (auto& c : conns_) {
-    if (c.fd < 0 || c.dead) continue;
-    if (c.slot >= 0 && !c.zombie &&
-        slot_[static_cast<std::size_t>(c.slot)] == &c)
-      queue_frame(c, net::FrameType::kBye, "");
-  }
+  auto& conns = links_.conns();
+  for (auto& [id, c] : conns)
+    if (current(c)) queue_frame(c, net::FrameType::kBye, "");
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(2);
   for (;;) {
     bool pending = false;
-    for (auto& c : conns_) {
-      if (c.fd < 0 || c.dead) continue;
-      try_flush(c);
-      if (!c.outbox.empty()) pending = true;
+    for (auto& [id, c] : conns) {
+      if (!c.dead) c.flush();
+      pending = pending || (!c.dead && c.unsent() > 0);
     }
     if (!pending || std::chrono::steady_clock::now() > deadline) break;
     ::poll(nullptr, 0, 10);
   }
-  for (auto& c : conns_) {
-    if (c.fd >= 0) ::close(c.fd);
-    c.fd = -1;
-    if (c.pid <= 0) continue;
+  for (auto& [id, c] : conns) c.dead = true;
+  links_.sweep([](Conn& c) {
+    if (c.pid <= 0) return;
     // A local worker blocked on its next header reads BYE + EOF and
     // exits 75; one mid-evaluation gets SIGTERM (and SIGCONT, in case
     // it is stopped) so teardown does not wait out a long scenario
     // whose output nobody will read.
     ::kill(c.pid, SIGTERM);
     (void)reap_exiting(c.pid);
-    c.pid = -1;
-  }
-  conns_.clear();
+  });
   for (auto& s : slot_) s = nullptr;
 }
 
@@ -653,22 +515,13 @@ bool SocketChannel::read_line(std::string& line) {
       continue;
     }
     if (pr > 0 && (p.revents & (POLLIN | POLLHUP | POLLERR))) {
-      char buf[65536];
-      const ssize_t rd = ::read(fd_, buf, sizeof buf);
-      if (rd < 0) {
-        if (errno == EINTR || errno == EAGAIN) continue;
-        lost_.store(true, std::memory_order_relaxed);
-        continue;
+      // At EOF (or a socket error) what already arrived is drained, then
+      // the end is classified via bye_.
+      if (net::read_some(fd_, frames_, ended_)) {
+        net::Frame f;
+        while (frames_.next(f)) process_frame(f);
+        if (frames_.corrupt()) lost_.store(true, std::memory_order_relaxed);
       }
-      if (rd == 0) {
-        // EOF: drain what already arrived, then classify via bye_.
-        ended_ = true;
-        continue;
-      }
-      frames_.feed(buf, static_cast<std::size_t>(rd));
-      net::Frame f;
-      while (frames_.next(f)) process_frame(f);
-      if (frames_.corrupt()) lost_.store(true, std::memory_order_relaxed);
       continue;
     }
     if (silent_s() >= deadline_s) lost_.store(true, std::memory_order_relaxed);

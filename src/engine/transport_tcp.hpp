@@ -25,6 +25,11 @@
 /// should exec, then closed: that is how `sfly_worker` learns what to
 /// run without shipping binaries.
 ///
+/// The parent's sockets live in a net::ConnSet (util/conn_set.hpp), as
+/// sflyd's do, so no write blocks the dispatcher.  A worker whose unsent
+/// bytes pass kMaxFramePayload has stopped reading: it is closed and its
+/// slice re-run elsewhere, where sflyd pauses a client until it catches up.
+///
 /// SocketChannel is the worker side of the same wire: it dials with
 /// exponential backoff + jitter (or takes the inherited `--worker-fd`
 /// socket), handshakes (HELLO/WELCOME carries the protocol version,
@@ -41,7 +46,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -49,6 +53,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/conn_set.hpp"
 #include "util/net.hpp"
 
 namespace sfly::engine {
@@ -130,23 +135,17 @@ class TcpTransport {
   void shutdown();
 
  private:
-  struct Conn {
-    int fd = -1;
+  /// A worker connection (framing, outbox and handshake are net::Link's).
+  struct Conn : net::Link {
+    Conn() { seq_out = 1; }
     pid_t pid = -1;  ///< local child on the other end (-1 = TCP peer)
-    net::FrameReader frames;
-    std::string outbox;
     std::uint64_t epoch = 0;
     long slot = -1;  ///< bound worker slot; -1 = pending hello / probe
-    bool greeted = false;     ///< valid HELLO seen: DATA is acceptable
-    bool zombie = false;      ///< fenced: lines go to on_zombie_line
     bool said_stop = false;   ///< STOP frame seen: EOF will be graceful
-    bool close_when_flushed = false;  ///< probes / busy rejections
-    bool dead = false;        ///< reap on next sweep
-    bool hup = false;         ///< the peer closed (vs. we gave up on it)
     std::uint32_t last_seq_in = 0;
-    std::uint32_t next_seq_out = 1;
-    std::chrono::steady_clock::time_point last_heard;
-    std::chrono::steady_clock::time_point last_hb_sent;
+    std::chrono::steady_clock::time_point last_heard =
+        std::chrono::steady_clock::now();
+    std::chrono::steady_clock::time_point last_hb_sent = last_heard;
   };
   /// Test hook "S:K" from the environment: act once on slot S after the
   /// parent has accepted K of its rows.
@@ -159,26 +158,25 @@ class TcpTransport {
   };
 
   [[nodiscard]] bool local() const { return cfg_.listen_port < 0; }
+  /// Bound to its slot and not fenced or replaced since (a fenced conn
+  /// is a zombie: its lines go to on_zombie_line).
+  [[nodiscard]] bool current(const Conn& c) const {
+    return c.slot >= 0 && slot_[static_cast<std::size_t>(c.slot)] == &c;
+  }
   void spawn(std::size_t slot, const Hooks& hooks);
-  Conn& add_conn(int fd);
-  void accept_new();
-  void read_conn(Conn& c, const Hooks& hooks);
-  void handle_frame(Conn& c, const net::Frame& f, const Hooks& hooks);
+  void handle_frame(Conn& c, const net::Frame& f, const std::string& refusal,
+                    const Hooks& hooks);
   void bind(Conn& c, std::size_t slot, const Hooks& hooks);
   void bind_join(Conn& c, const Hooks& hooks);
   void queue_frame(Conn& c, net::FrameType type, std::string_view payload);
-  void try_flush(Conn& c);
-  void fence(std::size_t slot);
   void sweep(const Hooks& hooks);  ///< reap dead/EOF conns, fire on_down
 
   Config cfg_;
-  int listen_fd_ = -1;
   int heartbeat_ms_ = 0;
-  std::list<Conn> conns_;
+  net::ConnSet<Conn> links_;
   std::vector<Conn*> slot_;  ///< current conn per slot (null = down)
   std::uint64_t epoch_counter_ = 0;
   std::size_t respawns_ = 0;
-  std::size_t dup_frames_ = 0;  ///< duplicate DATA frames dropped by seq
   std::vector<std::size_t> slot_rows_;
   // SFLY_DISPATCH_TEST_KILL SIGKILLs a local worker and
   // SFLY_TCP_TEST_FENCE fences a slot's epoch: deterministic death and
@@ -234,7 +232,7 @@ class SocketChannel {
   net::FrameReader frames_;
   std::deque<std::string> ready_;
   bool bye_ = false;    ///< parent said BYE: stream end is graceful
-  bool ended_ = false;  ///< EOF seen
+  bool ended_ = false;  ///< EOF (or a read error) seen
   std::atomic<bool> lost_{false};  ///< link died / deadline blown
   int lease_ms_ = 10000;
   int heartbeat_ms_ = 3333;

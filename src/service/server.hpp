@@ -8,13 +8,16 @@
 // per frame, one flat-JSON response per frame, matched by the request's
 // "id" (responses may complete out of order under concurrency).
 //
-// A poll loop owns every fd and does all reads; decoded requests are
-// dispatched onto Engine::pool(), and each worker writes its response frame
-// directly under a per-connection write mutex.  Per-query isolation is
-// QueryEngine::handle's no-throw contract: a malformed or throwing query
-// costs one error frame, never the connection or the daemon.  Version
-// skew in HELLO gets an error frame and a close; a corrupt frame stream
-// closes the connection (frames cannot be resynchronized).
+// One thread owns every fd, on a net::ConnSet (util/conn_set.hpp), and
+// alone writes and closes sockets.  Requests run on Engine::pool(); a
+// worker posts its answer back to the loop, which queues it on the
+// connection's outbox.  A connection stops being read while 256 of its
+// requests are unanswered (running, or queued in an outbox it has not
+// drained), which bounds what a client that never reads can hold and
+// what stop() drains.  Per-query isolation is QueryEngine::handle's
+// no-throw contract: a bad query costs one error frame, never the
+// connection or the daemon.  A refused handshake gets an error frame and
+// a close; a corrupt frame stream closes the connection.
 
 #include <cstdint>
 #include <memory>

@@ -96,6 +96,17 @@ bool FrameReader::next(Frame& out) {
   return true;
 }
 
+bool read_some(int fd, FrameReader& fr, bool& closed) {
+  char buf[64 * 1024];
+  ssize_t rd;
+  while ((rd = ::read(fd, buf, sizeof buf)) < 0 && errno == EINTR) {
+  }
+  if (rd > 0) fr.feed(buf, static_cast<std::size_t>(rd));
+  if (rd == 0 || (rd < 0 && errno != EAGAIN && errno != EWOULDBLOCK))
+    closed = true;
+  return rd > 0;
+}
+
 bool read_frame_blocking(int fd, Frame& out, FrameReader& fr,
                          int timeout_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
@@ -114,14 +125,8 @@ bool read_frame_blocking(int fd, Frame& out, FrameReader& fr,
       return false;
     }
     if (pr == 0) return false;
-    char buf[4096];
-    const ssize_t rd = ::read(fd, buf, sizeof buf);
-    if (rd < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return false;
-    }
-    if (rd == 0) return false;
-    fr.feed(buf, static_cast<std::size_t>(rd));
+    bool closed = false;
+    if (!read_some(fd, fr, closed) && closed) return false;
   }
 }
 

@@ -16,12 +16,7 @@
 /// journal's truncate-the-torn-tail rule.  DATA frames carry a
 /// per-sender monotonic sequence number so a duplicated frame is
 /// detected and dropped before its payload can reach the row path.
-/// HELLO/WELCOME carry a tiny JSON handshake (protocol version, role,
-/// lease parameters, remaining --max-seconds budget); HEARTBEAT keeps
-/// leases alive in both directions; STOP announces a graceful budget
-/// stop before close; BYE is the parent's fleet-shutdown signal (EOF
-/// *after* BYE is graceful, EOF without it means the link died and the
-/// worker should reconnect).
+/// Servers run their sockets on util/conn_set.hpp.
 
 #include <cstddef>
 #include <cstdint>
@@ -47,7 +42,8 @@ enum class FrameType : std::uint8_t {
   kData = 3,       ///< protocol lines (headers, slices, rows, broadcasts)
   kHeartbeat = 4,  ///< lease keep-alive, both directions
   kStop = 5,       ///< worker -> parent: stopping gracefully (budget)
-  kBye = 6,        ///< parent -> worker: fleet is done, exit 75
+  kBye = 6,        ///< parent -> worker: fleet is done; EOF after it is
+                   ///< graceful (exit 75), EOF without it a lost link
 };
 
 /// Largest payload a well-formed peer ever sends (a full-batch row
@@ -91,6 +87,11 @@ class FrameReader {
   std::string buf_;
   bool corrupt_ = false;
 };
+
+/// One read() of up to 64 KiB from `fd` into `fr`, retrying EINTR: true
+/// if bytes arrived; false if none were ready, or with `closed` set at EOF
+/// or on a socket error (a torn frame then never pops).
+[[nodiscard]] bool read_some(int fd, FrameReader& fr, bool& closed);
 
 /// Block (via poll) until one complete frame arrives on `fd`, feeding
 /// `fr`; false on EOF, error, corruption, or after timeout_ms of

@@ -4,7 +4,9 @@
 // interleaving the same requests each receive responses byte-identical
 // to a single sequential client's.  A malformed request costs one error
 // frame and never the connection; HELLO version skew and DATA-before-
-// HELLO each get a reasoned error frame followed by a close; and a
+// HELLO each get a reasoned error frame followed by a close; a client
+// that pipelines requests and never reads stalls neither other clients
+// nor stop(), and one that reads slowly still gets every answer; and a
 // server warm-started from a snapshot builds each exact topology's
 // routing tables once at startup, as sflyd does, then serves the same
 // answers as the cold engine without one table or index rebuild.  Route
@@ -15,10 +17,18 @@
 
 #include "service/server.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -238,6 +248,121 @@ TEST(Service, DataBeforeHelloIsRejectedAndClosed) {
   const auto err = c.next_payload();
   EXPECT_NE(err.find("DATA before HELLO"), std::string::npos) << err;
   EXPECT_TRUE(c.closed_by_peer());
+}
+
+TEST(Service, NonReadingClientDoesNotStallOthersOrStop) {
+  // One client sends HELLO and then 400k pipelined route requests (34 MB)
+  // from a non-blocking writer, and never reads an answer.  The server
+  // stops reading it (the writer stalls before the end), another
+  // client's stats query is still answered within 2 s, and stop()
+  // returns within 2 s.  When a check fails the flood socket is closed
+  // first, so a server that wedges fails these checks instead of hanging
+  // the suite.
+  using namespace std::chrono_literals;
+  Fixture fx(/*threads=*/2);
+  Client flood(fx.server->port());
+  ASSERT_TRUE(flood.greet());
+  std::string bytes;
+  for (int i = 0; i < 400000; ++i)
+    net::append_frame(
+        bytes, net::FrameType::kData, 1,
+        R"js({"id":1,"kind":"route","topo":"Paley(13)","src":0,"dst":7,"algo":"minimal"})js");
+  ASSERT_EQ(
+      ::fcntl(flood.fd, F_SETFL, ::fcntl(flood.fd, F_GETFL) | O_NONBLOCK), 0);
+  std::atomic<bool> halt{false};
+  std::atomic<std::size_t> written{0};
+  std::thread writer([&] {
+    std::size_t at = 0;
+    while (at < bytes.size() && !halt.load()) {
+      const ssize_t n = ::write(flood.fd, bytes.data() + at, bytes.size() - at);
+      if (n > 0) {
+        written.store(at += static_cast<std::size_t>(n));
+      } else if (n < 0 && errno != EAGAIN && errno != EINTR) {
+        return;
+      } else {
+        pollfd p{flood.fd, POLLOUT, 0};
+        ::poll(&p, 1, 50);
+      }
+    }
+  });
+  const auto close_flood = [&] {
+    halt.store(true);
+    if (writer.joinable()) writer.join();
+    if (flood.fd >= 0) ::close(flood.fd);
+    flood.fd = -1;
+  };
+  // Let the flood run until the writer is done or stuck for 300 ms.
+  for (std::size_t last = 0;; last = written.load()) {
+    std::this_thread::sleep_for(300ms);
+    if (written.load() == bytes.size() || written.load() == last) break;
+  }
+  // Socket buffers hold the answers to a fraction of 400k requests: on
+  // loopback with 32 MB receive and 4 MB send limits, 7 of 34 MB went out.
+  EXPECT_LT(written.load(), bytes.size())
+      << "the server read every request of a client that reads nothing";
+
+  // No ASSERT from here on: the writer thread must be joined.
+  Client probe(fx.server->port());
+  EXPECT_TRUE(probe.greet());
+  EXPECT_TRUE(net::send_frame(probe.fd, net::FrameType::kData, 1,
+                              R"js({"id":7,"kind":"stats"})js"));
+  net::Frame f;
+  const bool answered =
+      net::read_frame_blocking(probe.fd, f, probe.reader, 2000);
+  if (!answered) close_flood();
+  EXPECT_TRUE(answered) << "stats got no answer within 2 s behind the flood";
+  EXPECT_NE(f.payload.find("\"id\":7,\"ok\":true"), std::string::npos)
+      << f.payload;
+
+  auto stopped = std::async(std::launch::async, [&] { fx.server->stop(); });
+  const bool stop_in_time = stopped.wait_for(2s) == std::future_status::ready;
+  if (!stop_in_time) close_flood();
+  stopped.wait();
+  EXPECT_TRUE(stop_in_time) << "stop() took over 2 s behind the flood";
+  close_flood();
+}
+
+TEST(Service, SlowReaderGetsEveryPipelinedAnswer) {
+  // 3,000 pipelined requests, far past the per-connection cap on
+  // unanswered ones, read back in small sips: the connection is paused
+  // and resumed many times, and every answer arrives with the bytes the
+  // in-process engine gives for its request.
+  Fixture fx(/*threads=*/2);
+  QueryEngine reference;
+  reference.register_spec("Paley(13)");
+  constexpr int kRequests = 3000;
+  const auto request = [](int i) {
+    return R"js({"id":)js" + std::to_string(i) +
+           R"js(,"kind":"route","topo":"Paley(13)","src":)js" +
+           std::to_string(i % 13) + R"js(,"dst":)js" +
+           std::to_string((i * 7 + 3) % 13) + R"js(,"algo":"ugal-l"})js";
+  };
+  Client c(fx.server->port());
+  ASSERT_TRUE(c.greet());
+  std::thread writer([&] {
+    for (int i = 0; i < kRequests; ++i)
+      if (!net::send_frame(c.fd, net::FrameType::kData, 1, request(i))) return;
+  });
+  std::vector<std::string> got(kRequests);
+  int answered = 0;
+  for (; answered < kRequests; ++answered) {
+    if (answered % 100 == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    net::Frame f;
+    int id = -1;
+    if (!net::read_frame_blocking(c.fd, f, c.reader, kTimeoutMs) ||
+        std::sscanf(f.payload.c_str(), "{\"id\":%d,", &id) != 1 || id < 0 ||
+        id >= kRequests || !got[id].empty()) {
+      ADD_FAILURE() << "answer " << answered << ": " << f.payload;
+      ::shutdown(c.fd, SHUT_RDWR);  // unblocks the writer
+      break;
+    }
+    got[id] = f.payload;
+  }
+  writer.join();
+  ASSERT_EQ(answered, kRequests);
+  for (int i = 0; i < kRequests; ++i)
+    EXPECT_EQ(got[i], reference.handle(request(i))) << i;
 }
 
 TEST(Service, WarmRestartedServerServesIdenticalBytesWithoutRebuilds) {

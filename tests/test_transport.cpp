@@ -7,8 +7,9 @@
 // stale worker build is refused over the socket exactly as in a local
 // fleet; a raw client's skewed HELLO or DATA before HELLO is closed
 // without a WELCOME, and a join past the slot count gets a busy one;
-// --max-seconds and SIGTERM stop the fleet resumably, even before
-// it assembles; a worker with no parent to join exits 76.  Plus unit pins for the
+// --max-seconds and SIGTERM stop the fleet resumably, even before it
+// assembles; sflyd exits 0 on a SIGTERM sent once it is ready; a worker
+// with no parent to join exits 76.  Plus unit pins for the
 // length-delimited framing, the handshake payloads, and the
 // deterministic reconnect backoff the wire rides on.
 
@@ -558,7 +559,8 @@ struct ListenParent {
     for (int i = 0; i < 200 && port == 0; ++i) {
       ::poll(nullptr, 0, 50);
       const std::string s = slurp(pf);
-      if (!s.empty() && s.back() == '\n') port = static_cast<std::uint16_t>(std::stoi(s));
+      if (!s.empty() && s.back() == '\n')
+        port = static_cast<std::uint16_t>(std::stoi(s));
     }
   }
   ~ListenParent() {
@@ -967,6 +969,23 @@ TEST(Signals, DifferentSecondSignalForceExits) {
                                   "--seed 1 --threads 1 2>/dev/null",
                               out, "kill -INT $P; kill -TERM $P"),
             128 + 15);
+}
+
+TEST(Signals, SflydExitsZeroOnSigtermAsSoonAsItsPortFileExists) {
+  // Scripts read sflyd's port file as "ready": a SIGTERM sent the moment
+  // it exists must reach the daemon's handler (exit 0), never the
+  // default action (143).
+  const std::string pf = tmp("sflydsig.port"), err = tmp("sflydsig.err");
+  const std::string sh = tmp("sflydsig.sh");
+  std::remove(pf.c_str());
+  std::ofstream(sh) << "SFLY_LISTEN_PORT_FILE=" << pf << " " << bin_dir()
+                    << "/sflyd --topos 'Paley(13)' --threads 1 --port 0 2> "
+                    << err << " &\n"
+                    << "P=$!; i=0\n"
+                    << "while [ $i -lt 1000000 ] && [ ! -e " << pf
+                    << " ]; do i=$((i+1)); done\n"
+                    << "kill -TERM $P; wait $P\n";
+  EXPECT_EQ(run("timeout 30 sh " + sh), 0) << slurp(err);
 }
 
 TEST(IoError, JournalWriteFailureExitsLoudlyWith74) {

@@ -99,13 +99,16 @@ int main(int argc, char** argv) {
   }
   if (flags.has("--build-only")) return 0;
 
+  // Handlers first: start() writes $SFLY_LISTEN_PORT_FILE, which scripts
+  // read as "ready", and a SIGTERM sent the moment it appears must stop
+  // the daemon cleanly rather than take the default action.
+  std::signal(SIGTERM, on_signal);
+  std::signal(SIGINT, on_signal);
   sfly::service::Server server(queries, port);
   if (!server.start()) {
     std::fprintf(stderr, "sflyd: cannot bind port %u\n", port);
     return 1;
   }
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
   std::fprintf(stderr, "# sflyd: serving %zu topologies on port %u\n",
                cache.names().size(), server.port());
 
