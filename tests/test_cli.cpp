@@ -5,20 +5,25 @@
 // `--csv FILE` writes what an in-process CsvSink writes for the same
 // rows; an unwritable `--csv`/`--json` path exits 1 naming it; a
 // `--resume` file holding no journal exits 2 untouched; a torn journal
-// tail is cut off and the run resumes to the uninterrupted bytes.
+// tail is cut off and the run resumes to the uninterrupted bytes.  And
+// bench_scale's default-scale record holds every row key with row sizes
+// and walk lengths that agree with the graph.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "engine/journal.hpp"
 #include "engine/sink.hpp"
+#include "util/json.hpp"
 
 namespace sfly::engine {
 namespace {
@@ -172,6 +177,69 @@ TEST(CliSinks, TornJournalTailIsCutAndResumesToTheUninterruptedBytes) {
             0);
   EXPECT_EQ(slurp(torn), full);
   EXPECT_EQ(slurp(torn_out), slurp(ref_out));
+}
+
+// ---------------------------------------------------------------------
+// bench_scale's record (BENCH_scale.json's format).
+
+// The objects of a JSON array token, each scanned flat.
+std::vector<JsonObject> array_objects(const std::string& array) {
+  std::vector<JsonObject> out;
+  std::size_t start = 0;
+  int depth = 0;
+  for (std::size_t i = 0; i < array.size(); ++i) {
+    const char c = array[i];
+    if (c == '"') {
+      while (++i < array.size() && array[i] != '"') i += array[i] == '\\';
+    } else if (c == '{' && depth++ == 0) {
+      start = i;
+    } else if (c == '}' && --depth == 0) {
+      EXPECT_TRUE(JsonObject::scan(array.substr(start, i + 1 - start),
+                                   out.emplace_back()))
+          << array.substr(start, i + 1 - start);
+    }
+  }
+  return out;
+}
+
+TEST(BenchScale, DefaultRecordHoldsEveryRowKeyAndConsistentSizes) {
+  const std::string out = tmp("scale.json");
+  std::remove(out.c_str());
+  ASSERT_EQ(run(bin_dir() + "/bench_scale --queries 2 --sources 1 --out " +
+                out + " > /dev/null 2> /dev/null"),
+            0);
+  JsonObject rec;
+  ASSERT_TRUE(JsonObject::scan(slurp(out), rec)) << slurp(out);
+  std::string bench;
+  ASSERT_TRUE(rec.get_str("bench", bench));
+  EXPECT_EQ(bench, "bench_scale");
+  ASSERT_TRUE(rec.has("topologies"));
+  const auto topos = array_objects(*rec.raw("topologies"));
+  ASSERT_EQ(topos.size(), 2u);
+  for (const auto& t : topos) {
+    for (const char* key :
+         {"name", "routers", "radix", "edges", "graph_build_s", "row_bytes",
+          "projected_exact_bytes", "queries", "row_ms_mean", "hop_ns_mean",
+          "ecc_max", "walk_hops_mean", "walk_hops_max", "peak_rss_mb"})
+      EXPECT_TRUE(t.has(key)) << key;
+    std::uint64_t routers = 0, row_bytes = 0, exact = 0, queries = 0;
+    std::uint32_t hops_max = 0, ecc_max = 0;
+    ASSERT_TRUE(t.get_uint("routers", routers));
+    ASSERT_TRUE(t.get_uint("row_bytes", row_bytes));
+    ASSERT_TRUE(t.get_uint("projected_exact_bytes", exact));
+    ASSERT_TRUE(t.get_uint("queries", queries));
+    ASSERT_TRUE(t.get_uint("walk_hops_max", hops_max));
+    ASSERT_TRUE(t.get_uint("ecc_max", ecc_max));
+    EXPECT_EQ(row_bytes, routers);
+    EXPECT_EQ(exact, routers * routers);
+    EXPECT_EQ(queries, 2u);
+    EXPECT_GE(hops_max, 1u);
+    EXPECT_LE(hops_max, ecc_max);
+  }
+  // The default pair: LPS(23,13) then DF(16,8,69).
+  std::uint64_t lps_routers = 0;
+  ASSERT_TRUE(topos[0].get_uint("routers", lps_routers));
+  EXPECT_EQ(lps_routers, 1092u);
 }
 
 }  // namespace
