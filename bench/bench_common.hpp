@@ -12,13 +12,10 @@
 // configuration.
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
+#include <array>
 #include <csignal>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -94,122 +91,70 @@ struct PhaseStat {
   engine::RunTally tally;
 };
 
-/// Write the per-run record (the BENCH_full.json per-bench format):
-/// campaign identity, worker count, shard/resume accounting, artifact
-/// pre-build and evaluation time, the simulator work this run evaluated
-/// (journal-replayed rows excluded) with its events/sec and messages/sec,
-/// the events split by kind, the retries and credit returns among them
-/// that forwarded nothing (`noops_by_kind`), each topology's artifact
-/// footprint, the process's peak RSS so far, and one entry per phase;
-/// `threads` is `eng`'s pool width.  Used by `--phase-json`; committed as
-/// BENCH_full.json for the paper-scale `--full` runs, and CI's perf smoke
-/// reads its `messages_per_sec`.
-/// Under `--workers` the parent evaluates nothing itself: its `eval_s`
-/// includes spawning and feeding the fleet, so a fleet's rate is not
-/// comparable with a single-process one, its per-kind counts are zero,
-/// and its footprints count only what the parent itself built.
+/// Write a run record to `path`: `fill(fields)` writes the top-level
+/// keys, one per line (JsonFields lays out the rest).  An unopenable path
+/// exits 1; a failed write or close exits 74 naming `what`.
+template <class Fill>
+void write_record(const std::string& path, const char* what, const Fill& fill) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (!f) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
+  std::string out = "{\n  ";
+  JsonFields fields{out, ",\n  "};
+  fill(fields);
+  engine::checked_write(f, what, out.append("\n}\n"));
+  engine::checked_close(f, what);
+}
+
+/// Write the `--phase-json` run record (docs/CAMPAIGNS.md's key table;
+/// BENCH_full.json holds the paper-scale ones): campaign identity and
+/// accounting, the phases' summed RunTally, each topology's artifact
+/// footprint, peak RSS and one entry per phase.  `threads` is `eng`'s
+/// pool width.  A `--workers` parent evaluates nothing itself: its
+/// `eval_s` includes feeding the fleet, its per-kind counts are zero and
+/// its footprints count only what it built.
 inline void write_phase_record(const std::string& path,
                                const std::string& campaign,
                                const StandardOptions& opts,
                                const engine::RunControl& ctl,
                                const std::vector<PhaseStat>& phases,
                                const engine::Engine& eng) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
   engine::RunTally sum;
   std::size_t total = 0;
   for (const auto& ph : phases) {
-    sum.build_seconds += ph.tally.build_seconds;
-    sum.eval_seconds += ph.tally.eval_seconds;
-    sum.events += ph.tally.events;
-    sum.packets += ph.tally.packets;
-    sum.messages += ph.tally.messages;
-    for (std::size_t k = 0; k < sim::kEventKinds; ++k) {
-      sum.events_by_kind[k] += ph.tally.events_by_kind[k];
-      sum.noops_by_kind[k] += ph.tally.noops_by_kind[k];
-    }
+    add_fields(sum, ph.tally);
     total += ph.scenarios;
   }
-  const auto per_sec = [&](std::uint64_t n) {
-    return sum.eval_seconds > 0 ? static_cast<double>(n) / sum.eval_seconds : 0.0;
-  };
-  std::fprintf(f,
-               "{\n"
-               "  \"campaign\": \"%s\",\n"
-               "  \"nproc\": %d,\n"
-               "  \"threads\": %u,\n"
-               "  \"workers\": %zu,\n"
-               "  \"full\": %s,\n"
-               "  \"shard\": [%zu, %zu],\n"
-               "  \"scenarios_total\": %zu,\n"
-               "  \"replayed\": %zu,\n"
-               "  \"evaluated\": %zu,\n"
-               "  \"stopped\": %s,\n"
-               "  \"artifact_build_s\": %.3f,\n"
-               "  \"eval_s\": %.3f,\n"
-               "  \"wall_s\": %.3f,\n"
-               "  \"events\": %llu,\n"
-               "  \"packets_forwarded\": %llu,\n"
-               "  \"messages\": %llu,\n"
-               "  \"events_per_sec\": %.1f,\n"
-               "  \"messages_per_sec\": %.1f,\n"
-               "  \"events_by_kind\": {",
-               campaign.c_str(), hardware_threads(),
-               eng.pool().width(), opts.workers(),
-               opts.full() ? "true" : "false",
-               ctl.shard_index, ctl.shard_count, total, ctl.replayed,
-               ctl.evaluated, ctl.stopped ? "true" : "false",
-               sum.build_seconds, sum.eval_seconds,
-               sum.build_seconds + sum.eval_seconds,
-               static_cast<unsigned long long>(sum.events),
-               static_cast<unsigned long long>(sum.packets),
-               static_cast<unsigned long long>(sum.messages), per_sec(sum.events),
-               per_sec(sum.messages));
-  static constexpr const char* kKindNames[sim::kEventKinds] = {
-      "inject_message", "arrival",  "try_transmit", "credit_return", "deliver",
-      "link_down",      "link_up",  "router_down",  "router_up"};
-  for (std::size_t k = 0; k < sim::kEventKinds; ++k)
-    std::fprintf(f, "%s\"%s\": %llu", k ? ", " : "", kKindNames[k],
-                 static_cast<unsigned long long>(sum.events_by_kind[k]));
-  // The retries and credit returns that forwarded no packet.
-  const auto noops = [&](sim::EventKind k) {
-    return static_cast<unsigned long long>(sum.noops_by_kind[static_cast<std::size_t>(k)]);
-  };
-  std::fprintf(f,
-               "},\n  \"noops_by_kind\": {\"try_transmit\": %llu, "
-               "\"credit_return\": %llu},\n  \"artifacts\": [",
-               noops(sim::EventKind::kTryTransmit), noops(sim::EventKind::kCreditReturn));
-  // Bytes per materialized component (zero for one never built).
   const auto names = eng.artifacts().names();
   std::size_t artifact_bytes = 0;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const auto fp = eng.artifacts().get(names[i])->footprint();
-    artifact_bytes += fp.total();
-    std::fprintf(f, "%s\n    {\"name\": %s, \"graph_bytes\": %zu, "
-                    "\"tables_bytes\": %zu, \"next_hops_bytes\": %zu, "
-                    "\"spectra_bytes\": %zu, \"cells_bytes\": %zu, "
-                    "\"total_bytes\": %zu}",
-                 i ? "," : "", json_quote(names[i]).c_str(), fp.graph_bytes,
-                 fp.tables_bytes, fp.next_hops_bytes, fp.spectra_bytes,
-                 fp.cells_bytes, fp.total());
-  }
-  std::fprintf(f, "%s],\n  \"artifact_bytes\": %zu,\n  \"peak_rss_mb\": %.1f,\n"
-                  "  \"phases\": [",
-               names.empty() ? "" : "\n  ", artifact_bytes, peak_rss_mb());
-  for (std::size_t i = 0; i < phases.size(); ++i)
-    std::fprintf(f, "%s\n    {\"name\": \"%s\", \"scenarios\": %zu, "
-                    "\"eval_s\": %.3f}",
-                 i ? "," : "", phases[i].name.c_str(), phases[i].scenarios,
-                 phases[i].tally.eval_seconds);
-  if (std::fprintf(f, "\n  ]\n}\n") < 0) {
-    std::fprintf(stderr, "error: writing %s failed: %s\n", path.c_str(),
-                 std::strerror(errno));
-    std::exit(engine::kExitIoError);
-  }
-  engine::checked_close(f, "--phase-json record");
+  write_record(path, "--phase-json record", [&](JsonFields& put) {
+    put("campaign", campaign);
+    put("nproc", static_cast<unsigned>(hardware_threads()));
+    put("threads", eng.pool().width());
+    put("workers", opts.workers());
+    put("full", opts.full());
+    put("shard", std::array{ctl.shard_index, ctl.shard_count});
+    put("scenarios_total", total);
+    put("replayed", ctl.replayed);
+    put("evaluated", ctl.evaluated);
+    put("stopped", ctl.stopped);
+    put_fields(put, sum);
+    put.objects("artifacts", names.size(), [&](std::size_t i, JsonFields& entry) {
+      const auto fp = eng.artifacts().get(names[i])->footprint();
+      artifact_bytes += fp.total();
+      entry("name", names[i]);
+      put_fields(entry, fp);
+    });
+    put("artifact_bytes", artifact_bytes);
+    put("peak_rss_mb", peak_rss_mb());
+    put.objects("phases", phases.size(), [&](std::size_t i, JsonFields& entry) {
+      entry("name", phases[i].name);
+      entry("scenarios", phases[i].scenarios);
+      entry(engine::RunTally::kEvalKey, phases[i].tally.eval_seconds);
+    });
+  });
 }
 
 /// The shared post-run epilogue for Campaign and AdaptiveSweep paths:

@@ -24,15 +24,14 @@
 // distance(src) hops.
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "routing/distance_rows.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/lps.hpp"
@@ -64,6 +63,25 @@ struct ScaleRow {
   double walk_hops_mean = 0;
   std::uint32_t walk_hops_max = 0;
   double peak_rss_mb = 0;  // process peak after this topology
+
+  /// The record's keys (util/json.hpp's field lists).
+  template <class F>
+  static void for_each_field(F&& f) {
+    f("name", &ScaleRow::name);
+    f("routers", &ScaleRow::routers);
+    f("radix", &ScaleRow::radix);
+    f("edges", &ScaleRow::edges);
+    f("graph_build_s", &ScaleRow::graph_build_s);
+    f("row_bytes", &ScaleRow::row_bytes);
+    f("projected_exact_bytes", &ScaleRow::projected_exact_bytes);
+    f("queries", &ScaleRow::queries);
+    f("row_ms_mean", &ScaleRow::row_ms_mean);
+    f("hop_ns_mean", &ScaleRow::hop_ns_mean);
+    f("ecc_max", &ScaleRow::ecc_max);
+    f("walk_hops_mean", &ScaleRow::walk_hops_mean);
+    f("walk_hops_max", &ScaleRow::walk_hops_max);
+    f("peak_rss_mb", &ScaleRow::peak_rss_mb);
+  }
 };
 
 ScaleRow run_one(const std::string& name, const Graph& g, double graph_s,
@@ -145,49 +163,6 @@ void print_row(const ScaleRow& r) {
       r.walk_hops_max, r.ecc_max, r.peak_rss_mb);
 }
 
-void write_json(const std::string& path, bool full,
-                const std::vector<ScaleRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"bench_scale\",\n"
-               "  \"oracle\": \"distance_rows\",\n"
-               "  \"nproc\": %d,\n"
-               "  \"threads\": 1,\n"
-               "  \"full\": %s,\n"
-               "  \"topologies\": [",
-               hardware_threads(), full ? "true" : "false");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ScaleRow& r = rows[i];
-    std::fprintf(
-        f,
-        "%s\n    {\"name\": \"%s\", \"routers\": %llu, \"radix\": %u, "
-        "\"edges\": %llu,\n"
-        "     \"graph_build_s\": %.3f, \"row_bytes\": %llu, "
-        "\"projected_exact_bytes\": %llu,\n"
-        "     \"queries\": %llu, \"row_ms_mean\": %.3f, \"hop_ns_mean\": %.1f,\n"
-        "     \"ecc_max\": %u, \"walk_hops_mean\": %.3f, \"walk_hops_max\": %u,\n"
-        "     \"peak_rss_mb\": %.1f}",
-        i ? "," : "", r.name.c_str(),
-        static_cast<unsigned long long>(r.routers), r.radix,
-        static_cast<unsigned long long>(r.edges), r.graph_build_s,
-        static_cast<unsigned long long>(r.row_bytes),
-        static_cast<unsigned long long>(r.projected_exact_bytes),
-        static_cast<unsigned long long>(r.queries), r.row_ms_mean, r.hop_ns_mean,
-        r.ecc_max, r.walk_hops_mean, r.walk_hops_max, r.peak_rss_mb);
-  }
-  if (std::fprintf(f, "\n  ]\n}\n") < 0) {
-    std::fprintf(stderr, "error: writing %s failed: %s\n", path.c_str(),
-                 std::strerror(errno));
-    std::exit(1);
-  }
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -225,7 +200,16 @@ int main(int argc, char** argv) {
     rows.push_back(run_one(name, g, graph_s, ndst, nsrc, seed));
     print_row(rows.back());
   }
-  write_json(out, full, rows);
+  bench::write_record(out, "bench_scale record", [&](JsonFields& put) {
+    put("bench", "bench_scale");
+    put("oracle", "distance_rows");
+    put("nproc", static_cast<unsigned>(hardware_threads()));
+    put("threads", 1u);
+    put("full", full);
+    put.objects("topologies", rows.size(), [&](std::size_t i, JsonFields& entry) {
+      put_fields(entry, rows[i]);
+    });
+  });
   std::fprintf(stderr, "# wrote %s\n", out.c_str());
   return 0;
 }

@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/spectralfly_net.hpp"
@@ -44,8 +45,8 @@ inline constexpr Vertex kCellExactThreshold = 4096;
 class Artifacts {
  public:
   /// Per-component byte sizes of the materialized artifacts (zero for
-  /// components not yet built).  Sizes snapshots and the --phase-json
-  /// record.
+  /// components not yet built).  Sizes snapshots, the --phase-json
+  /// record's `artifacts` and sflyd's `stats` answer.
   struct Footprint {
     std::size_t graph_bytes = 0;
     std::size_t tables_bytes = 0;
@@ -53,8 +54,23 @@ class Artifacts {
     std::size_t spectra_bytes = 0;
     std::size_t cells_bytes = 0;  // 0 unless cell_index() was called
     [[nodiscard]] std::size_t total() const {
-      return graph_bytes + tables_bytes + next_hops_bytes + spectra_bytes +
-             cells_bytes;
+      std::size_t sum = 0;
+      for_each_field([&](const char*, auto member) {
+        if constexpr (std::is_member_object_pointer_v<decltype(member)>)
+          sum += this->*member;
+      });
+      return sum;
+    }
+
+    /// Their keys (util/json.hpp's field lists).
+    template <class F>
+    static void for_each_field(F&& f) {
+      f("graph_bytes", &Footprint::graph_bytes);
+      f("tables_bytes", &Footprint::tables_bytes);
+      f("next_hops_bytes", &Footprint::next_hops_bytes);
+      f("spectra_bytes", &Footprint::spectra_bytes);
+      f("cells_bytes", &Footprint::cells_bytes);
+      f("total_bytes", &Footprint::total);
     }
   };
 

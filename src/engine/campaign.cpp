@@ -15,6 +15,7 @@
 #include "engine/dispatch.hpp"
 #include "engine/journal.hpp"
 #include "engine/sink.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -263,14 +264,11 @@ void ScenarioKind<Scenario>::require_journalable(const Scenario& s,
 }
 
 void ScenarioKind<SimScenario>::tally(RunTally& t, const SimResult& r) {
-  if (!r.ok) return;
-  t.events += r.events;
-  t.packets += r.packets;
-  t.messages += r.messages;
-  for (std::size_t k = 0; k < sim::kEventKinds; ++k) {
-    t.events_by_kind[k] += r.events_by_kind[k];
-    t.noops_by_kind[k] += r.noops_by_kind[k];
-  }
+  if (r.ok)
+    add_fields(t, RunTally{.events = r.events, .packets = r.packets,
+                           .messages = r.messages,
+                           .events_by_kind = r.events_by_kind,
+                           .noops_by_kind = r.noops_by_kind});
 }
 
 namespace {
@@ -293,154 +291,106 @@ std::size_t RunControl::unconsumed_segments() const {
 
 CampaignBuilder::CampaignBuilder() = default;
 
-void CampaignBuilder::add_axis(Axis axis) {
+template <class V, class Set, class Label>
+CampaignBuilder& CampaignBuilder::add_axis(const char* name, std::vector<V> v,
+                                           Set set, Label label, bool labeled) {
   // An empty axis (e.g. a topology filter that rejects every candidate at
   // a user-chosen --max-n) is legal: the grid expands to zero scenarios
   // and the bench prints an empty table, as the hand-rolled loops did.
-  sizes_.push_back(axis.setters.size());
-  axes_.push_back(std::move(axis));
+  Axis ax{.name = name, .labeled = labeled};
+  for (auto& x : v) {
+    ax.labels.emplace_back(label(x));
+    ax.setters.emplace_back([set, x = std::move(x)](Scenario& s) { set(s, x); });
+  }
+  sizes_.push_back(ax.setters.size());
+  axes_.push_back(std::move(ax));
+  return *this;
 }
 
 CampaignBuilder& CampaignBuilder::kinds(std::vector<Kind> v) {
-  Axis ax;
-  ax.name = "kind";
-  for (Kind k : v) {
-    ax.setters.emplace_back([k](Scenario& s) { s.kind = k; });
-    ax.labels.emplace_back(kind_name(k));
-  }
-  add_axis(std::move(ax));
-  return *this;
+  return add_axis("kind", std::move(v), [](Scenario& s, Kind k) { s.kind = k; },
+                  kind_name);
 }
 
 CampaignBuilder& CampaignBuilder::topologies(
     std::vector<TopologySpec> v,
     std::function<bool(const TopologySpec&)> keep, std::size_t limit) {
-  Axis ax;
-  ax.name = "topology";
+  std::vector<std::string> names;
   for (auto& spec : v) {
     if (keep && !keep(spec)) continue;
     if (limit && topo_specs_.size() >= limit) break;
-    ax.setters.emplace_back(
-        [name = spec.name](Scenario& s) { s.topology = name; });
-    ax.labels.push_back(spec.name);
+    names.push_back(spec.name);
     topo_specs_.push_back(std::move(spec));
   }
-  add_axis(std::move(ax));
-  return *this;
+  return add_axis(
+      "topology", std::move(names),
+      [](Scenario& s, const std::string& name) { s.topology = name; },
+      [](const std::string& name) { return name; });
 }
 
 CampaignBuilder& CampaignBuilder::algos(std::vector<routing::Algo> v) {
-  Axis ax;
-  ax.name = "algo";
-  for (auto a : v) {
-    ax.setters.emplace_back([a](Scenario& s) { s.algo = a; });
-    ax.labels.emplace_back(routing::algo_name(a));
-  }
-  add_axis(std::move(ax));
-  return *this;
+  return add_axis("algo", std::move(v),
+                  [](Scenario& s, routing::Algo a) { s.algo = a; },
+                  routing::algo_name);
 }
 
 CampaignBuilder& CampaignBuilder::patterns(std::vector<sim::Pattern> v) {
-  Axis ax;
-  ax.name = "pattern";
-  for (auto p : v) {
-    ax.setters.emplace_back([p](Scenario& s) { s.workload.pattern = p; });
-    ax.labels.emplace_back(sim::pattern_name(p));
-  }
-  add_axis(std::move(ax));
-  return *this;
+  return add_axis("pattern", std::move(v),
+                  [](Scenario& s, sim::Pattern p) { s.workload.pattern = p; },
+                  sim::pattern_name);
 }
 
 CampaignBuilder& CampaignBuilder::motifs(std::vector<MotifSpec> v) {
-  Axis ax;
-  ax.name = "motif";
-  ax.labeled = true;
-  for (auto& m : v) {
-    ax.setters.emplace_back(
-        [factory = m.factory](Scenario& s) { s.workload.motif = factory; });
-    ax.labels.push_back(m.name);
-  }
-  add_axis(std::move(ax));
-  return *this;
+  return add_axis(
+      "motif", std::move(v),
+      [](Scenario& s, const MotifSpec& m) { s.workload.motif = m.factory; },
+      [](const MotifSpec& m) { return m.name; }, /*labeled=*/true);
 }
 
 CampaignBuilder& CampaignBuilder::loads(std::vector<double> v) {
-  Axis ax;
-  ax.name = "load";
-  for (double l : v) {
-    ax.setters.emplace_back([l](Scenario& s) { s.workload.offered_load = l; });
-    ax.labels.push_back(Table::num(l, 2));
-  }
-  add_axis(std::move(ax));
-  return *this;
+  return add_axis(
+      "load", std::move(v),
+      [](Scenario& s, double l) { s.workload.offered_load = l; },
+      [](double l) { return Table::num(l, 2); });
 }
 
 CampaignBuilder& CampaignBuilder::vc_overrides(std::vector<std::uint32_t> v) {
-  Axis ax;
-  ax.name = "vcs";
-  for (auto n : v) {
-    ax.setters.emplace_back([n](Scenario& s) { s.vcs = n; });
-    ax.labels.push_back(std::to_string(n));
-  }
-  add_axis(std::move(ax));
-  return *this;
+  return add_axis("vcs", std::move(v),
+                  [](Scenario& s, std::uint32_t n) { s.vcs = n; },
+                  [](std::uint32_t n) { return std::to_string(n); });
 }
 
 CampaignBuilder& CampaignBuilder::placements(
     std::vector<sim::PlacementPolicy> v) {
-  Axis ax;
-  ax.name = "placement";
-  for (auto p : v) {
-    ax.setters.emplace_back([p](Scenario& s) { s.workload.placement = p; });
-    ax.labels.push_back(std::to_string(static_cast<int>(p)));
-  }
-  add_axis(std::move(ax));
-  return *this;
+  return add_axis(
+      "placement", std::move(v),
+      [](Scenario& s, sim::PlacementPolicy p) { s.workload.placement = p; },
+      [](sim::PlacementPolicy p) { return std::to_string(static_cast<int>(p)); });
 }
 
 CampaignBuilder& CampaignBuilder::failure_fractions(std::vector<double> v) {
-  Axis ax;
-  ax.name = "failure";
-  for (double f : v) {
-    ax.setters.emplace_back([f](Scenario& s) { s.failure_fraction = f; });
-    ax.labels.push_back(Table::num(f, 2));
-  }
-  add_axis(std::move(ax));
-  return *this;
+  return add_axis("failure", std::move(v),
+                  [](Scenario& s, double f) { s.failure_fraction = f; },
+                  [](double f) { return Table::num(f, 2); });
 }
 
 CampaignBuilder& CampaignBuilder::churns(std::vector<ChurnSpec> v) {
-  Axis ax;
-  ax.name = "churn";
-  ax.labeled = true;  // result rows carry the churn level ("none", "2L", ...)
-  for (const auto& c : v) {
-    ax.setters.emplace_back([c](Scenario& s) { s.churn = c; });
-    ax.labels.push_back(churn_label(c));
-  }
-  add_axis(std::move(ax));
-  return *this;
+  // Result rows carry the churn level ("none", "2L", ...).
+  return add_axis("churn", std::move(v),
+                  [](Scenario& s, const ChurnSpec& c) { s.churn = c; },
+                  churn_label, /*labeled=*/true);
 }
 
 CampaignBuilder& CampaignBuilder::restarts(std::vector<int> v) {
-  Axis ax;
-  ax.name = "restarts";
-  for (int r : v) {
-    ax.setters.emplace_back([r](Scenario& s) { s.bisection_restarts = r; });
-    ax.labels.push_back(std::to_string(r));
-  }
-  add_axis(std::move(ax));
-  return *this;
+  return add_axis("restarts", std::move(v),
+                  [](Scenario& s, int r) { s.bisection_restarts = r; },
+                  [](int r) { return std::to_string(r); });
 }
 
 CampaignBuilder& CampaignBuilder::seeds(std::vector<std::uint64_t> v) {
-  Axis ax;
-  ax.name = "seed";
-  for (auto s : v) {
-    ax.setters.emplace_back([s](Scenario& sc) { sc.seed = s; });
-    ax.labels.push_back(std::to_string(s));
-  }
-  add_axis(std::move(ax));
-  return *this;
+  return add_axis("seed", std::move(v),
+                  [](Scenario& s, std::uint64_t seed) { s.seed = seed; },
+                  [](std::uint64_t seed) { return std::to_string(seed); });
 }
 
 CampaignBuilder& CampaignBuilder::seed_range(std::uint64_t base,
@@ -657,13 +607,9 @@ void Campaign::run(const std::vector<ResultSink*>& sinks, RunControl& ctl) {
     }
     const std::size_t n = ph->size();
     const auto [lo, hi] = shard_range(n, ctl.shard_index, ctl.shard_count);
-    BatchMeta m;
-    m.campaign = name_;
-    m.batch = ph->name();
-    m.scenarios = n;
-    m.shard_index = ctl.shard_index;
-    m.shard_count = ctl.shard_count;
-    m.rows = hi - lo;
+    BatchMeta m{.campaign = name_, .batch = ph->name(), .scenarios = n,
+                .shard_index = ctl.shard_index,
+                .shard_count = ctl.shard_count, .rows = hi - lo};
     const bool done = std::visit(
         [&](auto& b) {
           m.decl = decl_hash(b.scenarios);
@@ -754,12 +700,9 @@ void AdaptiveSweep::run(const std::vector<ResultSink*>& sinks,
     if (batch.empty()) break;
     ++waves_;
 
-    BatchMeta m;
-    m.campaign = cfg_.name;
-    m.batch = "wave" + std::to_string(waves_);
-    m.scenarios = batch.size();
-    m.rows = batch.size();
-    m.decl = decl_hash(batch);
+    BatchMeta m{.campaign = cfg_.name, .batch = "wave" + std::to_string(waves_),
+                .scenarios = batch.size(), .rows = batch.size(),
+                .decl = decl_hash(batch)};
     std::vector<Result> results;
     const bool done = replay_and_stream(eng_, ctl, m, batch, 0, results,
                                         sinks, tally_);

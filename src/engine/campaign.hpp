@@ -202,7 +202,10 @@ class CampaignBuilder {
     std::vector<std::string> labels;  // per-value display names
     bool labeled = false;             // labels feed SimScenario::label
   };
-  void add_axis(Axis axis);
+  // Appends an axis over `v`: set(s, x) applies a value, label(x) names it.
+  template <class V, class Set, class Label>
+  CampaignBuilder& add_axis(const char* name, std::vector<V> v, Set set,
+                            Label label, bool labeled = false);
   void visit_points(
       const std::function<void(Scenario&&, std::string&&)>& emit) const;
 
@@ -227,6 +230,26 @@ struct RunTally {
   std::uint64_t messages = 0;
   std::array<std::uint64_t, sim::kEventKinds> events_by_kind{};
   std::array<std::uint64_t, sim::kEventKinds> noops_by_kind{};
+
+  /// The run record's keys (util/json.hpp's field lists).  Its phase
+  /// entries repeat `eval_s`, so that key is named once, here.
+  static constexpr const char* kEvalKey = "eval_s";
+  template <class F>
+  static void for_each_field(F&& f) {
+    f("artifact_build_s", &RunTally::build_seconds);
+    f(kEvalKey, &RunTally::eval_seconds);
+    f("wall_s", [](const RunTally& t) { return t.build_seconds + t.eval_seconds; });
+    f("events", &RunTally::events);
+    f("packets_forwarded", &RunTally::packets);
+    f("messages", &RunTally::messages);
+    f("events_per_sec", [](const RunTally& t) { return t.per_sec(t.events); });
+    f("messages_per_sec", [](const RunTally& t) { return t.per_sec(t.messages); });
+    f("events_by_kind", &RunTally::events_by_kind, sim::kEventKindNames);
+    f("noops_by_kind", &RunTally::noops_by_kind, sim::kNoopKindNames);
+  }
+  [[nodiscard]] double per_sec(std::uint64_t n) const {
+    return eval_seconds > 0 ? static_cast<double>(n) / eval_seconds : 0.0;
+  }
 };
 
 /// One named grid inside a Campaign: the builder, its expanded batch of

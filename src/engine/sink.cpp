@@ -32,22 +32,17 @@ std::string csv_quote(const std::string& s) {
 }
 
 // One value: in CSV `%.6g` doubles, 1/0 bools and quoted strings; in
-// JSON json_f64 doubles (lossless, so a journal is a result archive and
-// a resume checkpoint), true/false and json_quote.
+// JSON json_put's (json_f64 doubles are lossless, so a journal is a
+// result archive and a resume checkpoint).
 template <class T>
 void put(std::string& out, const T& v, bool json) {
-  if constexpr (std::is_same_v<T, std::string>) {
-    out += json ? json_quote(v) : csv_quote(v);
-  } else if constexpr (std::is_same_v<T, Kind>) {
+  if constexpr (std::is_same_v<T, Kind>)
     out += json ? json_quote(kind_name(v)) : kind_name(v);
-  } else if constexpr (std::is_same_v<T, bool>) {
-    out += json ? (v ? "true" : "false") : (v ? "1" : "0");
-  } else if constexpr (std::is_same_v<T, double>) {
-    out += json ? json_f64(v) : csv_f64(v);
-  } else {
-    static_assert(std::is_unsigned_v<T>);
-    out += std::to_string(v);
-  }
+  else if (json) json_put(out, v);
+  else if constexpr (std::is_same_v<T, std::string>) out += csv_quote(v);
+  else if constexpr (std::is_same_v<T, bool>) out += v ? "1" : "0";
+  else if constexpr (std::is_same_v<T, double>) out += csv_f64(v);
+  else out += std::to_string(v);
 }
 
 // A row as one CSV line or, with `json`, one JSONL object line, which

@@ -354,16 +354,10 @@ std::string QueryEngine::handle_rank(const JsonObject& q, std::uint64_t id) {
 }
 
 std::string QueryEngine::handle_stats(const JsonObject&, std::uint64_t id) {
-  std::size_t graph_b = 0, tables_b = 0, nh_b = 0, spectra_b = 0, cells_b = 0;
+  engine::Artifacts::Footprint sum;
   const auto names = engine_.artifacts().names();
-  for (const auto& name : names) {
-    const auto f = engine_.artifacts().get(name)->footprint();
-    graph_b += f.graph_bytes;
-    tables_b += f.tables_bytes;
-    nh_b += f.next_hops_bytes;
-    spectra_b += f.spectra_bytes;
-    cells_b += f.cells_bytes;
-  }
+  for (const auto& name : names)
+    add_fields(sum, engine_.artifacts().get(name)->footprint());
   std::string out = "{\"id\":" + std::to_string(id) +
                     ",\"ok\":true,\"kind\":\"stats\",\"queries\":" +
                     std::to_string(queries_.load()) +
@@ -373,15 +367,10 @@ std::string QueryEngine::handle_stats(const JsonObject&, std::uint64_t id) {
     out.append(i ? "," : "").append(json_quote(names[i]));
   out += "],\"tables_built\":" + std::to_string(routing::Tables::builds()) +
          ",\"index_built\":" + std::to_string(routing::NextHopIndex::builds()) +
-         ",\"cells_built\":" + std::to_string(engine::Artifacts::cells_built()) +
-         ",\"graph_bytes\":" + std::to_string(graph_b) +
-         ",\"tables_bytes\":" + std::to_string(tables_b) +
-         ",\"next_hops_bytes\":" + std::to_string(nh_b) +
-         ",\"cells_bytes\":" + std::to_string(cells_b) +
-         ",\"spectra_bytes\":" + std::to_string(spectra_b) +
-         ",\"total_bytes\":" +
-         std::to_string(graph_b + tables_b + nh_b + cells_b + spectra_b) + "}";
-  return out;
+         ",\"cells_built\":" + std::to_string(engine::Artifacts::cells_built());
+  JsonFields fields{out.append(","), ",", "\":"};
+  put_fields(fields, sum);
+  return out += '}';
 }
 
 }  // namespace sfly::service

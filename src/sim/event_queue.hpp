@@ -34,6 +34,7 @@
 // never allocates.
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -57,6 +58,19 @@ enum class EventKind : std::uint8_t {
   kRouterUp,       // a = router
 };
 inline constexpr std::size_t kEventKinds = 9;  // one per EventKind
+
+/// Each kind's name in run records (`events_by_kind`), by its value.
+inline constexpr std::array<const char*, kEventKinds> kEventKindNames = {
+    "inject_message", "arrival",  "try_transmit", "credit_return", "deliver",
+    "link_down",      "link_up",  "router_down",  "router_up"};
+/// The names of the kinds that can act on nothing, a transmit retry and a
+/// credit return (`noops_by_kind`); null for every other kind.
+inline constexpr std::array<const char*, kEventKinds> kNoopKindNames = [] {
+  std::array<const char*, kEventKinds> names{};
+  for (const auto k : {EventKind::kTryTransmit, EventKind::kCreditReturn})
+    names[static_cast<std::size_t>(k)] = kEventKindNames[static_cast<std::size_t>(k)];
+  return names;
+}();
 
 struct Event {
   double time = 0.0;

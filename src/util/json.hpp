@@ -8,15 +8,22 @@
 // unsigned integers or strings, and containers nested at most two deep
 // (the sim response's embedded row, the rank response's array of rows).
 // JsonObject is the only scanner and unescaper, json_quote the only
-// escaper, json_f64 the only double writer; all are header-only so every
-// consumer parses and writes the same bytes.  No streaming: a malformed object scans to false and the
-// caller rejects it rather than guessing.
+// escaper, json_f64 the only double writer, json_put the only scalar
+// writer; all are header-only so every consumer parses and writes the
+// same bytes.  No streaming: a malformed object scans to false and the
+// caller rejects it rather than guessing.  JsonFields writes an object
+// field by field, by hand or from a struct's field list (below); the
+// multi-line run records are built from it.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -290,6 +297,89 @@ inline std::string json_f64(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+/// One scalar value: json_quote strings, true/false, json_f64 doubles
+/// and decimal unsigned integers.  Result rows, run records and sflyd's
+/// `stats` answer write every scalar through it.
+template <class T>
+void json_put(std::string& out, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) out += v ? "true" : "false";
+  else if constexpr (std::is_same_v<T, double>) out += json_f64(v);
+  else if constexpr (std::is_unsigned_v<T>) out += std::to_string(v);
+  else out += json_quote(v);
+}
+
+/// Appends an object's fields to `out` as "key": value, scalars through
+/// json_put: inline {"k": v, "k": v} by default (after the caller's '{'),
+/// with `sep` ",\n  " a run record's top level, with "," and "\":" the
+/// one line of sflyd's answers.
+struct JsonFields {
+  std::string& out;
+  const char* sep = ", ";
+  const char* colon = "\": ";
+  bool started = false;
+
+  std::string& key(const char* k) {
+    out.append(std::exchange(started, true) ? sep : "").append("\"").append(k);
+    return out.append(colon);
+  }
+  template <class T>
+  void operator()(const char* k, const T& v) { json_put(key(k), v); }
+  /// An array of scalars, inline.
+  template <class T, std::size_t N>
+  void operator()(const char* k, const std::array<T, N>& v) {
+    key(k) += '[';
+    for (std::size_t i = 0; i < N; ++i) json_put(out.append(i ? ", " : ""), v[i]);
+    out += ']';
+  }
+  /// An array as an object keyed by `names` (a null name: left out).
+  template <class V, class Names>
+  void operator()(const char* k, const V& v, const Names& names) {
+    JsonFields keyed{key(k) += '{'};
+    for (std::size_t i = 0; i < v.size(); ++i)
+      if (names[i]) keyed(names[i], v[i]);
+    out += '}';
+  }
+  /// An array of `n` objects, one per line: fill(i, fields) writes the
+  /// i-th's fields.
+  template <class Fill>
+  void objects(const char* k, std::size_t n, const Fill& fill) {
+    key(k) += '[';
+    for (std::size_t i = 0; i < n; ++i) {
+      JsonFields entry{out.append(i ? ",\n    {" : "\n    {")};
+      fill(i, entry);
+      out += '}';
+    }
+    out += n ? "\n  ]" : "]";
+  }
+};
+
+// Field lists: a struct states its keys once, in order, as a static
+// `template <class F> void for_each_field(F&& f)` calling f(key, member)
+// for a data member or, for a value derived from them, a callable on the
+// struct; f(key, member, names) for an array keyed by `names`.
+
+/// `obj`'s fields, by its field list.
+template <class T>
+void put_fields(JsonFields& put, const T& obj) {
+  T::for_each_field([&](const char* key, auto member, const auto&... names) {
+    put(key, std::invoke(member, obj), names...);
+  });
+}
+
+/// Add `b`'s data members into `a`'s (arrays element by element).
+template <class T>
+void add_fields(T& a, const T& b) {
+  T::for_each_field([&](const char*, auto member, const auto&...) {
+    if constexpr (std::is_member_object_pointer_v<decltype(member)>) {
+      auto& x = a.*member;
+      if constexpr (std::is_arithmetic_v<std::remove_cvref_t<decltype(x)>>)
+        x += b.*member;
+      else
+        for (std::size_t i = 0; i < x.size(); ++i) x[i] += (b.*member)[i];
+    }
+  });
 }
 
 }  // namespace sfly

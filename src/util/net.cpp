@@ -77,22 +77,29 @@ bool send_frame(int fd, FrameType type, std::uint32_t seq,
 
 void FrameReader::feed(const char* data, std::size_t n) {
   if (corrupt_) return;
+  // Popped bytes are dropped once they are the larger part, so each byte
+  // moves at most once however many frames one feed holds.
+  if (read_ > buf_.size() / 2) {
+    buf_.erase(0, read_);
+    read_ = 0;
+  }
   buf_.append(data, n);
 }
 
 bool FrameReader::next(Frame& out) {
-  if (corrupt_ || buf_.size() < kFrameHeaderBytes) return false;
-  const std::uint32_t len = get_u32(buf_.data());
-  const auto type = static_cast<std::uint8_t>(buf_[4]);
+  if (corrupt_ || pending_bytes() < kFrameHeaderBytes) return false;
+  const char* head = buf_.data() + read_;
+  const std::uint32_t len = get_u32(head);
+  const auto type = static_cast<std::uint8_t>(head[4]);
   if (len > kMaxFramePayload || !known_type(type)) {
     corrupt_ = true;
     return false;
   }
-  if (buf_.size() < kFrameHeaderBytes + len) return false;
+  if (pending_bytes() < kFrameHeaderBytes + len) return false;
   out.type = static_cast<FrameType>(type);
-  out.seq = get_u32(buf_.data() + 5);
-  out.payload.assign(buf_, kFrameHeaderBytes, len);
-  buf_.erase(0, kFrameHeaderBytes + len);
+  out.seq = get_u32(head + 5);
+  out.payload.assign(head + kFrameHeaderBytes, len);
+  read_ += kFrameHeaderBytes + len;
   return true;
 }
 

@@ -80,11 +80,12 @@ class FrameReader {
   /// stream is corrupt).
   [[nodiscard]] bool next(Frame& out);
   [[nodiscard]] bool corrupt() const { return corrupt_; }
-  /// Bytes of a buffered torn frame (diagnostics only).
-  [[nodiscard]] std::size_t pending_bytes() const { return buf_.size(); }
+  /// Bytes fed and not yet popped (diagnostics only).
+  [[nodiscard]] std::size_t pending_bytes() const { return buf_.size() - read_; }
 
  private:
   std::string buf_;
+  std::size_t read_ = 0;  // buf_[0, read_) is popped
   bool corrupt_ = false;
 };
 

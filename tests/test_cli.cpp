@@ -7,7 +7,9 @@
 // `--resume` file holding no journal exits 2 untouched; a torn journal
 // tail is cut off and the run resumes to the uninterrupted bytes.  And
 // bench_scale's default-scale record holds every row key with row sizes
-// and walk lengths that agree with the graph.
+// and walk lengths that agree with the graph; each record and sflyd's
+// `stats` answer has every key named in its doc, and a record that
+// cannot be written exits 74.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -17,12 +19,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "engine/journal.hpp"
 #include "engine/sink.hpp"
+#include "service/query.hpp"
 #include "util/json.hpp"
 
 namespace sfly::engine {
@@ -240,6 +244,67 @@ TEST(BenchScale, DefaultRecordHoldsEveryRowKeyAndConsistentSizes) {
   std::uint64_t lps_routers = 0;
   ASSERT_TRUE(topos[0].get_uint("routers", lps_routers));
   EXPECT_EQ(lps_routers, 1092u);
+}
+
+// Every key of a record or answer, nested keys too: each string token
+// that a ':' follows.
+std::set<std::string> keys_of(const std::string& json) {
+  std::set<std::string> keys;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    if (json[i] != '"') continue;
+    const std::size_t start = ++i;
+    while (i < json.size() && json[i] != '"') i += json[i] == '\\' ? 2 : 1;
+    const std::size_t end = i;
+    std::size_t j = i + 1;
+    while (j < json.size() && json[j] == ' ') ++j;
+    if (j < json.size() && json[j] == ':')
+      keys.insert(json.substr(start, end - start));
+  }
+  return keys;
+}
+
+// Each run record (fig6's --phase-json, bench_scale's) and the sflyd
+// `stats` answer scans as JSON, and its doc names every key it holds.
+TEST(RunRecord, EveryKeyIsNamedInItsDoc) {
+  const std::string phase = tmp("doc_phase.json"), scale = tmp("doc_scale.json");
+  ASSERT_EQ(run(bin_dir() + "/bench_fig6_ugal --ranks 64 --msgs 2 --threads 2 "
+                            "--phase-json " + phase + " > /dev/null 2> /dev/null"),
+            0);
+  ASSERT_EQ(run(bin_dir() + "/bench_scale --queries 1 --sources 1 --out " +
+                scale + " > /dev/null 2> /dev/null"),
+            0);
+  service::QueryEngine queries;
+  queries.register_spec("Paley(13)");
+  const struct {
+    std::string json;
+    const char* doc;
+  } cases[] = {{slurp(phase), "docs/CAMPAIGNS.md"},
+               {slurp(scale), "docs/BENCHES.md"},
+               {queries.handle(R"({"id":1,"kind":"stats"})"), "docs/SERVICE.md"}};
+  for (const auto& c : cases) {
+    JsonObject scanned;
+    EXPECT_TRUE(JsonObject::scan(c.json, scanned)) << c.json;
+    const std::string doc =
+        slurp(std::string(SFLY_SOURCE_DIR) + "/" + c.doc);
+    ASSERT_FALSE(doc.empty()) << c.doc;
+    const auto keys = keys_of(c.json);
+    EXPECT_GT(keys.size(), 10u) << c.json;
+    for (const auto& key : keys)
+      EXPECT_NE(doc.find("`" + key + "`"), std::string::npos)
+          << c.doc << " does not name `" << key << "`";
+  }
+}
+
+// A record that cannot be written is a loud, distinct failure (EX_IOERR),
+// never a silent loss.
+TEST(RunRecord, WriteFailureExits74) {
+  if (run("test -w /dev/full") != 0) GTEST_SKIP() << "/dev/full unavailable";
+  EXPECT_EQ(run(bin_dir() + "/bench_fig6_ugal --ranks 64 --msgs 2 "
+                            "--phase-json /dev/full > /dev/null 2> /dev/null"),
+            74);
+  EXPECT_EQ(run(bin_dir() + "/bench_scale --queries 1 --sources 1 "
+                            "--out /dev/full > /dev/null 2> /dev/null"),
+            74);
 }
 
 }  // namespace

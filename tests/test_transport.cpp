@@ -122,6 +122,36 @@ TEST(FrameReader, PopsCoalescedFramesInOrderAndHoldsTornTail) {
   EXPECT_EQ(f.payload, "torn-away");
 }
 
+// One feed of over a MiB of small frames pops them all in order (the
+// buffer is consumed by offset, so popping is linear in the bytes fed),
+// and a torn tail fed after them is still held.
+TEST(FrameReader, PopsAMebibyteFeedInOrderThenHoldsTornTail) {
+  std::string bytes;
+  std::uint32_t frames = 0;
+  for (; bytes.size() < (std::size_t{1} << 20); ++frames)
+    bytes += wire(FrameType::kData, frames, "row " + std::to_string(frames));
+  FrameReader fr;
+  fr.feed(bytes.data(), bytes.size());
+  Frame f;
+  for (std::uint32_t i = 0; i < frames; ++i) {
+    ASSERT_TRUE(fr.next(f)) << i;
+    ASSERT_EQ(f.seq, i);
+    ASSERT_EQ(f.payload, "row " + std::to_string(i));
+  }
+  EXPECT_FALSE(fr.next(f));
+  EXPECT_EQ(fr.pending_bytes(), 0u);
+  const std::string torn = wire(FrameType::kData, frames, "torn-away");
+  fr.feed(torn.data(), torn.size() - 4);
+  EXPECT_FALSE(fr.next(f));
+  EXPECT_FALSE(fr.corrupt());
+  EXPECT_EQ(fr.pending_bytes(), torn.size() - 4);
+  fr.feed(torn.data() + torn.size() - 4, 4);
+  ASSERT_TRUE(fr.next(f));
+  EXPECT_EQ(f.seq, frames);
+  EXPECT_EQ(f.payload, "torn-away");
+  EXPECT_EQ(fr.pending_bytes(), 0u);
+}
+
 TEST(FrameReader, OversizeLengthAndUnknownTypeAreCorruption) {
   {
     std::string bytes = wire(FrameType::kData, 1, "x");
